@@ -64,10 +64,15 @@ from .sections import (
     closed_form_norm_g0,
     concentration_weight,
     l1_norm,
+    l1_norms,
     monomial_basis,
     norm_factorization_check,
+    norm_matrix,
     pairwise_orthogonality,
     pointwise_norm,
+    radial_gram,
+    relative_orthogonality,
+    torus_average,
 )
 from .quadrature import (
     ConcentrationResult,

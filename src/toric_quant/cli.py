@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -414,10 +413,9 @@ def _cmd_sections_norms(cfg, opts):
     rule = quadrature.make_rule(P, cfg.resolution)
     per_t = []
     worst = 0.0
-    for t in t_list:
-        pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t)
-        sec = sections.MonomialSection(m, pot)
-        l1 = sections.l1_norm(sec, rule)
+    family = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
+    for t, l1 in zip(t_list, sections.l1_norms(family, m, rule, t_list)):
+        sec = sections.MonomialSection(m, family.at_time(t))
         res = sections.norm_factorization_check(P, cfg.proj, cfg.phi, m, t, pts)
         # section norms scale like e^{-t min f_m}; report the residual
         # relative to that scale so the identity check is t-uniform
@@ -426,19 +424,20 @@ def _cmd_sections_norms(cfg, opts):
                       "factorization_residual": res / scale})
         worst = max(worst, res / scale)
     pot0 = potential.SymplecticPotential.canonical(P)
-    agree = max(
-        float(np.max(np.abs(
-            sections.pointwise_norm(sections.MonomialSection(mm, pot0), pts)
-            - sections.closed_form_norm_g0(P, mm, pts))))
-        for mm in lattice_points(P))
     basis = sections.monomial_basis(pot0)
-    radial = quadrature.make_rule(P, 16)
-    orth = 0.0
-    for i, a in enumerate(basis):
-        for b in basis[i + 1:]:
-            dm = max(abs(x - y) for x, y in zip(a.m, b.m))
-            orth = max(orth, abs(sections.pairwise_orthogonality(
-                a, b, max(4, dm + 1), radial_rule=radial)))
+    ms = np.array([b.m for b in basis])
+    agree = max(
+        float(np.max(np.abs(row - sections.closed_form_norm_g0(P, b.m, pts))))
+        for b, row in zip(basis, sections.norm_matrix(pot0, ms, pts)))
+    # every pair a < b on one Gram matrix; each pair's residual is taken on
+    # its Cauchy-Schwarz scale, so it does not grow with the pairings
+    gram = sections.radial_gram(basis, quadrature.make_rule(P, 16))
+    ia, ib = np.triu_indices(len(basis), 1)
+    diffs, inverse = np.unique(ms[ia] - ms[ib], axis=0, return_inverse=True)
+    torus = np.array([sections.torus_average(dm, max(4, int(np.max(np.abs(dm))) + 1))
+                      for dm in diffs])
+    orth = float(np.max(sections.relative_orthogonality(
+        gram, ia, ib, torus[inverse.ravel()]), initial=0.0))
     out = {"m": list(m), "rows": per_t, "max_factorization_residual": worst,
            "closed_form_agreement": agree, "orthogonality_residual": orth}
     tols = {"factorization": 1e-10, "closed_form": 1e-10, "orthogonality": 1e-12}
@@ -467,6 +466,9 @@ def _cmd_concentrate(cfg, opts):
         "errors": list(result.errors),
         "decay_exponent": result.decay_exponent,
     }
+    if result.decay_exponent is None:
+        out["decay_exponent_reason"] = (
+            f"fewer than two errors above the {quadrature.ROUNDOFF_FLOOR:g} roundoff floor")
     return out, {"convergence_floor": floor}, {"errors_decay_or_converged": bool(converged)}
 
 
@@ -488,9 +490,6 @@ def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> Run
     options = options or {}
     if command == "full-suite":
         outputs, tolerances, flags, timings = {}, {}, {}, {}
-        # TORIC_QUANT_THREADS caps worker count; kept at 1 worker so the
-        # summation order (and hence the emitted bytes) stays reproducible
-        timings["threads"] = min(max_threads(), 1)
         for sub in _DISPATCH:
             t0 = time.perf_counter()
             out, tol, fl = _DISPATCH[sub](cfg, options)
@@ -609,14 +608,6 @@ def _parse_int_list(text: str):
 
 def _parse_float_list(text: str):
     return tuple(float(v) for v in text.replace(";", ",").split(",") if v != "")
-
-
-def max_threads() -> int:
-    """Parallelism cap from TORIC_QUANT_THREADS (execution itself is serial)."""
-    try:
-        return max(1, int(os.environ.get("TORIC_QUANT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def main(argv=None) -> int:

@@ -93,6 +93,21 @@ class SymplecticPotential:
             g = g + self.time * self.perturbation.gradient(x)
         return g
 
+    def along(self, times, x):
+        """Yield (value, gradient) of g_t at x for each t in times.
+
+        g0 and the perturbation are evaluated once; each pair equals
+        at_time(t).value(x), at_time(t).gradient(x) exactly.
+        """
+        g0, dg0 = g0_value(self.polytope, x), g0_gradient(self.polytope, x)
+        if self.perturbation is not None:
+            psi, dpsi = self.perturbation.value(x), self.perturbation.gradient(x)
+        for t in map(float, times):
+            if self.perturbation is None or t == 0.0:
+                yield g0, dg0
+            else:
+                yield g0 + t * psi, dg0 + t * dpsi
+
     def hessian(self, x):
         h = g0_hessian(self.polytope, x)
         if self.perturbation is not None and self.time != 0.0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -39,8 +40,17 @@ class QuadratureRule:
         return float(self.weights.sum())
 
 
-def _gauss_axis(lo: float, hi: float, resolution: int):
+@lru_cache(maxsize=32)
+def _gauss_legendre(resolution: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per resolution."""
     nodes, weights = np.polynomial.legendre.leggauss(resolution)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss_axis(lo: float, hi: float, resolution: int):
+    nodes, weights = _gauss_legendre(resolution)
     half = 0.5 * (hi - lo)
     return lo + half * (nodes + 1.0), half * weights
 
@@ -200,13 +210,18 @@ def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
     """
     m = tuple(int(v) for v in m)
     sl = face_slice(P, proj, proj.apply(m))
+    rule = slice_rule(sl, resolution)
     norm = lambda x: closed_form_norm_g0(P, m, x)
-    den = integrate_slice(norm, sl, resolution)
+    den = integrate_slice(norm, sl, rule=rule)
     if den <= 0:
         raise QuadratureError("slice norm integral vanished")
     num = integrate_slice(lambda x: norm(x) * np.asarray(u(x), dtype=float),
-                          sl, resolution)
+                          sl, rule=rule)
     return num / den
+
+
+# errors at or below this are quadrature roundoff: they carry no decay rate
+ROUNDOFF_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -215,7 +230,9 @@ class ConcentrationResult:
     ratios: tuple  # R_t = weighted pairing at each t
     slice_value: float  # R_infinity from the slice pairing
     errors: tuple  # |R_t - R_infinity|
-    decay_exponent: float  # least-squares slope of log error vs log t
+    # least-squares slope of log error vs log t over the errors above
+    # ROUNDOFF_FLOOR; None when fewer than two errors clear it
+    decay_exponent: float | None
 
     def rows(self):
         return list(zip(self.t_values, self.ratios, self.errors))
@@ -254,12 +271,11 @@ def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
         ratios.append(float((w * uvals).sum()) / den)
     rinf = delta_pairing(P, proj, m, u, resolution=max(rule.resolution, 64))
     errors = [abs(r - rinf) for r in ratios]
-    positive = [(t, e) for t, e in zip(t_list, errors) if e > 0]
-    if len(positive) >= 2:
-        slope = float(np.polyfit(np.log([t for t, _ in positive]),
-                                 np.log([e for _, e in positive]), 1)[0])
-    else:
-        slope = float("nan")
+    above = [(t, e) for t, e in zip(t_list, errors) if e > ROUNDOFF_FLOOR]
+    slope = None
+    if len(above) >= 2:
+        slope = float(np.polyfit(np.log([t for t, _ in above]),
+                                 np.log([e for _, e in above]), 1)[0])
     return ConcentrationResult(t_values=tuple(t_list), ratios=tuple(ratios),
                                slice_value=rinf, errors=tuple(errors),
                                decay_exponent=slope)

@@ -45,14 +45,27 @@ def monomial_basis(pot: SymplecticPotential):
     return tuple(MonomialSection(m, pot) for m in lattice_points(pot.polytope))
 
 
-def pointwise_norm(section: MonomialSection, x):
-    """|sigma^m|(x) = exp(g(x) - <x - m, grad g(x)>) at interior x, batched."""
-    pot = section.potential
+def _norm_rows(g, grad, ms, x):
+    # row by row, so temporaries stay the size of x, not len(ms) times it
+    out = np.empty((len(ms),) + x.shape[:-1])
+    for i, m in enumerate(np.asarray(ms, dtype=float)):
+        out[i] = np.exp(g - np.einsum("...i,...i->...", x - m, grad))
+    return out
+
+
+def norm_matrix(pot: SymplecticPotential, ms, x):
+    """Rows |sigma^m|(x) = exp(g(x) - <x - m, grad g(x)>), one per lattice point.
+
+    g and grad g are evaluated once for all rows; x is (..., n) interior
+    points and the result has shape (len(ms), ...).
+    """
     x = np.asarray(x, dtype=float)
-    m = np.array(section.m, dtype=float)
-    g = pot.value(x)
-    grad = pot.gradient(x)
-    return np.exp(g - np.einsum("...i,...i->...", x - m, grad))
+    return _norm_rows(pot.value(x), pot.gradient(x), ms, x)
+
+
+def pointwise_norm(section: MonomialSection, x):
+    """|sigma^m|(x) at interior x, batched: the one-row case of norm_matrix."""
+    return norm_matrix(section.potential, [section.m], x)[0]
 
 
 def closed_form_norm_g0(P: DelzantPolytope, m, x):
@@ -114,9 +127,74 @@ def norm_factorization_check(P: DelzantPolytope, proj: SubtorusProjection,
 
 def l1_norm(section: MonomialSection, rule) -> float:
     """Integral of the pointwise norm over the polytope with the given rule."""
+    return l1_norms(section.potential, section.m, rule, [section.potential.time])[0]
+
+
+def l1_norms(pot: SymplecticPotential, m, rule, times) -> list:
+    """l1_norm of sigma^m under g_t for each t in times.
+
+    g0 and the perturbation are evaluated on the rule once, not once per t.
+    """
     from .quadrature import integrate  # local import to avoid a cycle
 
-    return integrate(lambda x: pointwise_norm(section, x), rule)
+    return [integrate(lambda x: _norm_rows(g, grad, [m], x)[0], rule)
+            for g, grad in pot.along(times, rule.points)]
+
+
+def radial_gram(basis, rule):
+    """Gram matrix G[a, b] = sum_k |sigma^a|(x_k) |sigma^b|(x_k) w_k of the radial pairings.
+
+    All sections must share a potential, which is evaluated once on the
+    rule for the whole basis.  Non-finite norms or pairings are rejected the
+    way ``quadrature.integrate`` rejects non-finite integrands.
+    """
+    from .quadrature import QuadratureError  # local import to avoid a cycle
+
+    pot = basis[0].potential
+    if any(s.potential != pot for s in basis[1:]):
+        raise ValueError("sections must share a potential")
+    S = norm_matrix(pot, [s.m for s in basis], rule.points)
+    bad = ~np.isfinite(S)
+    if np.any(bad):
+        where = rule.points[np.argmax(np.any(bad, axis=0))]
+        raise QuadratureError(f"non-finite section norm at {tuple(where)}")
+    with np.errstate(over="ignore"):  # overflow is reported just below
+        G = (S * rule.weights) @ S.T
+        bad = ~np.isfinite(G)
+        if np.any(bad):
+            a, b = np.unravel_index(np.argmax(bad), G.shape)
+            where = rule.points[np.argmax(S[a] * S[b] * rule.weights)]
+            raise QuadratureError(f"non-finite pairing of {basis[a].m} and {basis[b].m}, "
+                                  f"largest at {tuple(where)}")
+    return G
+
+
+def torus_average(dm, theta_resolution: int) -> complex:
+    """Average of e^{i <dm, theta>} over a uniform grid of theta_resolution points per axis.
+
+    Roots of unity cancel exactly when dm != 0 and the grid outresolves
+    every coordinate of dm; the average is 1 for dm = 0.
+    """
+    dm = np.asarray(dm, dtype=int)
+    if theta_resolution <= int(np.max(np.abs(dm), initial=0)):
+        raise ValueError(
+            f"theta resolution {theta_resolution} aliases weight difference {tuple(dm)}")
+    angles = 2.0 * np.pi * np.arange(theta_resolution) / theta_resolution
+    avg = complex(1.0)
+    for di in dm:
+        avg *= np.mean(np.exp(1j * di * angles))
+    return avg
+
+
+def relative_orthogonality(gram, ia, ib, torus):
+    """|T_ab G[a, b]| / sqrt(G[a, a] G[b, b]) for the pairs (ia, ib).
+
+    T_ab is the pair's torus average.  The Cauchy-Schwarz scale makes the
+    residual independent of how large the radial pairings grow; an aliased
+    theta grid (T_ab = 1) gives a residual of order one.
+    """
+    scale = np.sqrt(np.diagonal(gram))
+    return np.abs(torus) * np.abs(gram[ia, ib]) / (scale[ia] * scale[ib])
 
 
 def pairwise_orthogonality(section_a: MonomialSection,
@@ -130,24 +208,10 @@ def pairwise_orthogonality(section_a: MonomialSection,
     m != m' and the grid outresolves every coordinate difference; for
     m = m' the result is the positive radial integral.
     """
-    if section_a.potential != section_b.potential:
-        raise ValueError("sections must share a potential")
-    P = section_a.potential.polytope
     dm = np.array(section_a.m) - np.array(section_b.m)
-    if theta_resolution <= int(np.max(np.abs(dm), initial=0)):
-        raise ValueError(
-            f"theta resolution {theta_resolution} aliases weight difference {tuple(dm)}")
-    angles = 2.0 * np.pi * np.arange(theta_resolution) / theta_resolution
-    torus_avg = complex(1.0)
-    for di in dm:
-        torus_avg *= np.mean(np.exp(1j * di * angles))
+    torus = torus_average(dm, theta_resolution)
     if radial_rule is None:
         from .quadrature import make_rule
 
-        radial_rule = make_rule(P, resolution=32)
-    from .quadrature import integrate
-
-    radial = integrate(
-        lambda x: pointwise_norm(section_a, x) * pointwise_norm(section_b, x),
-        radial_rule)
-    return torus_avg * radial
+        radial_rule = make_rule(section_a.potential.polytope, resolution=32)
+    return complex(torus * radial_gram([section_a, section_b], radial_rule)[0, 1])

@@ -199,3 +199,46 @@ class TestMain:
         out = tmp_path / "report.json"
         assert main(["validate", path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["flags"]["delzant"] is True
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+SIMPLEX8_CFG = {
+    "polytope": {"dim": 3, "facets": [
+        {"normal": [1, 0, 0], "offset": 0}, {"normal": [0, 1, 0], "offset": 0},
+        {"normal": [0, 0, 1], "offset": 0}, {"normal": [-1, -1, -1], "offset": 8}]},
+    "proj": [[1, 0, 0]],
+    "phi": {"type": "quadratic", "Q": [[1.0]]},
+    "resolution": 32,
+}
+
+
+class TestStrictReports:
+    def test_concentrate_without_decay_emits_null(self, tmp_path, capsys):
+        # u = x1 on the square is symmetric about the slice x1 = 1: R_t equals
+        # R_inf up to roundoff and no decay rate can be fitted
+        path = write_cfg(tmp_path, SQUARE2_CFG)
+        ts = "8,16.191636,26.043599,76.970188,135.441233"
+        assert main(["concentrate", path, "--t", ts]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["outputs"]
+        assert max(out["errors"]) <= 1e-13
+        assert out["decay_exponent"] is None
+        assert "roundoff floor" in out["decay_exponent_reason"]
+
+    def test_concentrate_with_decay_keeps_exponent(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SQUARE2_CFG)
+        assert main(["concentrate", path, "--m", "1,1", "--u", "x1^2"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["outputs"]
+        assert -1.1 <= out["decay_exponent"] <= -0.9
+        assert "decay_exponent_reason" not in out
+
+    def test_sections_norms_dilated_simplex_passes(self, tmp_path, capsys):
+        # 165 lattice points: radial pairings reach ~1e3, so an absolute
+        # orthogonality residual would fail on roundoff alone
+        path = write_cfg(tmp_path, SIMPLEX8_CFG)
+        assert main(["sections-norms", path, "--t", "8,16"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert payload["flags"]["weights_orthogonal"] is True
+        assert payload["outputs"]["orthogonality_residual"] < 1e-12

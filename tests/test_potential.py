@@ -116,6 +116,19 @@ class TestFamily:
         with pytest.raises(ValueError):
             SymplecticPotential.canonical(interval).at_time(-1.0)
 
+    def test_along_equals_each_time_exactly(self, square2, proj_first_of_two,
+                                            phi_half_square):
+        pts = sample_interior(square2, 40, seed=8)
+        times = (0.0, 0.5, 3, 250.0)
+        for pot in (SymplecticPotential.canonical(square2),
+                    SymplecticPotential.perturbed(square2, proj_first_of_two,
+                                                  phi_half_square, 2.0)):
+            pairs = list(pot.along(times, pts))
+            assert len(pairs) == len(times)
+            for t, (g, grad) in zip(times, pairs):
+                assert np.array_equal(g, pot.at_time(t).value(pts))
+                assert np.array_equal(grad, pot.at_time(t).gradient(pts))
+
 
 class TestValidatePotential:
     def test_interval_product_is_half(self, interval):

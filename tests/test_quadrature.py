@@ -48,6 +48,21 @@ class TestRules:
         assert make_rule(square2, 16).kind == "gauss"
         assert make_rule(simplex, 16).kind == "grid"
 
+    def test_gauss_nodes_cached_read_only(self, square2):
+        from toric_quant.quadrature import _gauss_legendre
+
+        nodes, weights = _gauss_legendre(24)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+        assert _gauss_legendre(24)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        # a rule built from the cache is not a view that could alter it
+        rule = box_rule(square2, 24)
+        rule.points[:] = 0.0
+        assert np.array_equal(_gauss_legendre(24)[0], ref_nodes)
+        assert np.array_equal(box_rule(square2, 24).points[:, 0],
+                              np.repeat(1.0 + ref_nodes, 24))
+
 
 class TestIntegrate:
     def test_constant_on_unit_square(self, square1):
@@ -129,6 +144,17 @@ class TestDeltaPairing:
         val = delta_pairing(square2, proj_first_of_two, (1, 1), lambda x: x[..., 0])
         assert val == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_slice_rule_per_pairing(self, square2, proj_first_of_two, monkeypatch):
+        from toric_quant import quadrature
+
+        built = []
+        orig = quadrature.slice_rule
+        monkeypatch.setattr(quadrature, "slice_rule",
+                            lambda sl, res: built.append(res) or orig(sl, res))
+        delta_pairing(square2, proj_first_of_two, (1, 1), lambda x: x[..., 1],
+                      resolution=64)
+        assert built == [64]
+
     def test_vertex_point_mass(self, interval, proj_id1):
         val = delta_pairing(interval, proj_id1, (0,), lambda x: 7.0 + x[..., 0])
         assert val == pytest.approx(7.0)
@@ -156,6 +182,8 @@ class TestConcentration:
                 lambda x, a=axis: x[..., a], [8, 16, 32, 64, 128], resolution=256)
             assert res.slice_value == pytest.approx(1.0, abs=1e-12)
             assert max(res.errors) < 1e-12
+            # errors at roundoff carry no rate: no exponent is fitted to them
+            assert res.decay_exponent is None
 
     def test_square_asymmetric_weight_laplace_rate(self, square2, proj_first_of_two,
                                                    phi_half_square):

@@ -3,16 +3,24 @@ import pytest
 
 from toric_quant import (
     ConcentrationWeight,
+    DelzantPolytope,
     MonomialSection,
+    QuadratureError,
     SymplecticPotential,
     closed_form_norm_g0,
+    integrate,
     l1_norm,
+    l1_norms,
     lattice_points,
     make_rule,
     monomial_basis,
     norm_factorization_check,
+    norm_matrix,
     pairwise_orthogonality,
     pointwise_norm,
+    radial_gram,
+    relative_orthogonality,
+    torus_average,
 )
 
 from conftest import sample_interior
@@ -144,6 +152,19 @@ class TestL1AndBasis:
         rule = make_rule(interval, 256)
         assert l1_norm(sec, rule) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
+    def test_l1_norms_equal_one_time_at_a_time(self, simplex, phi_half_square):
+        from toric_quant import SubtorusProjection
+
+        pot = SymplecticPotential.perturbed(simplex, SubtorusProjection(((1, 0),)),
+                                            phi_half_square, 0.0)
+        rule = make_rule(simplex, 32)
+        times = (0.0, 4.0, 16.0, 64.0)
+        # the reference evaluates g_t afresh for every t
+        ref = [integrate(lambda x, t=t: pointwise_norm(MonomialSection((0, 1), pot.at_time(t)), x),
+                         rule) for t in times]
+        assert l1_norms(pot, (0, 1), rule, times) == ref
+        assert [l1_norm(MonomialSection((0, 1), pot.at_time(t)), rule) for t in times] == ref
+
     def test_basis_size_is_lattice_count(self, square2, simplex):
         for P in (square2, simplex):
             assert len(monomial_basis(_canonical(P))) == len(lattice_points(P))
@@ -201,3 +222,110 @@ class TestOrthogonality:
         for i, a in enumerate(secs):
             for b in secs[i + 1:]:
                 assert abs(pairwise_orthogonality(a, b, 8, radial_rule=rule)) < 1e-12
+
+
+# non-box polygon: the Hirzebruch trapezoid x + y <= 4, y <= 2
+HIRZEBRUCH = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4)))
+# dilated 3-simplex 6 Delta^3 with C(9, 3) = 84 lattice points
+SIMPLEX6 = DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                               ((-1, -1, -1), 6)))
+
+
+def _pairs(basis):
+    ia, ib = np.triu_indices(len(basis), 1)
+    ms = np.array([b.m for b in basis])
+    return ia, ib, ms[ia] - ms[ib]
+
+
+class TestGram:
+    @pytest.mark.parametrize("P", [DelzantPolytope.from_box([(0, 2), (0, 2)]),
+                                   HIRZEBRUCH, SIMPLEX6],
+                             ids=["square2", "hirzebruch", "6simplex3"])
+    def test_matches_per_pair_integration(self, P):
+        basis = monomial_basis(_canonical(P))
+        rule = make_rule(P, 16)
+        norms = [pointwise_norm(b, rule.points) for b in basis]
+        ref = np.empty((len(basis), len(basis)))
+        for a in range(len(basis)):
+            for b in range(a, len(basis)):
+                ref[a, b] = ref[b, a] = integrate(lambda x: norms[a] * norms[b], rule)
+        np.testing.assert_allclose(radial_gram(basis, rule), ref, rtol=1e-12, atol=0)
+
+    def test_pairwise_orthogonality_is_gram_entry(self, square2):
+        basis = monomial_basis(_canonical(square2))
+        rule = make_rule(square2, 16)
+        G = radial_gram(basis, rule)
+        a, b = basis[2], basis[5]
+        dm = np.array(a.m) - np.array(b.m)
+        # the two-row Gram product may round differently from the full one
+        assert pairwise_orthogonality(a, b, 8, radial_rule=rule) == \
+            pytest.approx(torus_average(dm, 8) * G[2, 5], rel=1e-12, abs=0)
+
+    def test_norm_matrix_rows_equal_pointwise_norm(self, square2, proj_first_of_two,
+                                                   phi_half_square):
+        pts = sample_interior(square2, 50, seed=4)
+        for pot in (_canonical(square2),
+                    SymplecticPotential.perturbed(square2, proj_first_of_two,
+                                                  phi_half_square, 5.0)):
+            ms = lattice_points(square2)
+            S = norm_matrix(pot, ms, pts)
+            assert S.shape == (len(ms), len(pts))
+            g, grad = pot.value(pts), pot.gradient(pts)
+            for m, row in zip(ms, S):
+                assert np.array_equal(row, pointwise_norm(MonomialSection(m, pot), pts))
+                # the defining formula, evaluated one section at a time
+                direct = np.exp(g - np.einsum("...i,...i->...", pts - np.array(m, float), grad))
+                assert np.array_equal(row, direct)
+            single = norm_matrix(pot, ms, pts[0])
+            assert np.array_equal(single, S[:, 0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_non_finite_norm_rejected(self, interval, proj_id1, phi_half_square):
+        # |sigma^1_t| peaks like e^{t/2} at x = 1, past the float64 range at t = 2000
+        pot = SymplecticPotential.perturbed(interval, proj_id1, phi_half_square, 2000.0)
+        basis = monomial_basis(pot)
+        with pytest.raises(QuadratureError, match="non-finite section norm"):
+            radial_gram(basis, make_rule(interval, 16))
+
+    def test_non_finite_pairing_rejected(self, interval, proj_id1, phi_half_square):
+        # at t = 1000 the norms stay finite (~e^500) but their products overflow
+        pot = SymplecticPotential.perturbed(interval, proj_id1, phi_half_square, 1000.0)
+        basis = monomial_basis(pot)
+        rule = make_rule(interval, 16)
+        assert np.all(np.isfinite(norm_matrix(pot, [b.m for b in basis], rule.points)))
+        with pytest.raises(QuadratureError, match="non-finite pairing"):
+            radial_gram(basis, rule)
+
+    def test_mixed_potentials_rejected(self, square2, proj_first_of_two, phi_half_square):
+        other = SymplecticPotential.perturbed(square2, proj_first_of_two, phi_half_square, 1.0)
+        with pytest.raises(ValueError, match="share a potential"):
+            radial_gram([MonomialSection((0, 0), _canonical(square2)),
+                         MonomialSection((1, 1), other)], make_rule(square2, 16))
+
+    def test_relative_residual_scale_free(self):
+        # pairings on 6 Delta^3 reach ~2e4 and grow with the dilation; the
+        # residual is a ratio to sqrt(G_aa G_bb), so rescaling G leaves it alone
+        basis = monomial_basis(_canonical(SIMPLEX6))
+        G = radial_gram(basis, make_rule(SIMPLEX6, 16))
+        ia, ib, dm = _pairs(basis)
+        torus = np.array([torus_average(d, 7) for d in dm])
+        res = relative_orthogonality(G, ia, ib, torus)
+        assert np.max(res) < 1e-12
+        np.testing.assert_allclose(relative_orthogonality(1e6 * G, ia, ib, torus), res,
+                                   rtol=1e-14, atol=0)
+
+    def test_aliased_grid_fails(self, square2):
+        basis = monomial_basis(_canonical(square2))
+        G = radial_gram(basis, make_rule(square2, 16))
+        ia, ib, dm = _pairs(basis)
+        exact = np.array([torus_average(d, 3) for d in dm])
+        assert np.max(relative_orthogonality(G, ia, ib, exact)) < 1e-12
+        # two angles per axis cannot tell a weight difference of 2 from 0: the
+        # guard refuses that grid, and its averages (1 for even differences)
+        # leave residuals of order one
+        with pytest.raises(ValueError, match="alias"):
+            torus_average((0, 2), 2)
+        angles = np.pi * np.arange(2)
+        aliased = np.array([np.prod([np.mean(np.exp(1j * di * angles)) for di in d])
+                            for d in dm])
+        assert np.max(relative_orthogonality(G, ia, ib, aliased)) > 0.1
