@@ -102,6 +102,19 @@ def _image_box(P: DelzantPolytope, proj: SubtorusProjection):
     return imgs.min(axis=0), imgs.max(axis=0)
 
 
+def _check_t_list(t_list) -> tuple:
+    """The times of a config or of the t_list option, as floats."""
+    try:
+        ts = tuple(float(t) for t in t_list)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("bad_t_list", f"t_list must be a list of numbers: {exc}") from exc
+    if (not ts or not all(np.isfinite(ts)) or any(t < 0 for t in ts)
+            or any(b <= a for a, b in zip(ts, ts[1:]))):
+        raise ConfigError("bad_t_list",
+                          "t_list must be finite, nonnegative and strictly increasing")
+    return ts
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and fully validate an experiment configuration file."""
     try:
@@ -159,9 +172,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("not_convex",
                           f"phi is not strictly convex near {conv.witness}")
 
-    t_list = tuple(float(t) for t in raw.get("t_list", (8, 16, 32, 64, 128)))
-    if any(t < 0 for t in t_list) or any(b <= a for a, b in zip(t_list, t_list[1:])):
-        raise ConfigError("bad_t_list", "t_list must be nonnegative and increasing")
+    t_list = _check_t_list(raw.get("t_list", (8, 16, 32, 64, 128)))
     resolution = int(raw.get("resolution", 64))
     if resolution < 8:
         raise ConfigError("bad_resolution", "resolution must be at least 8")
@@ -330,8 +341,8 @@ def _cmd_legendre_roundtrip(cfg, opts):
         pot = (potential.SymplecticPotential.canonical(P) if t == 0.0 else
                potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t))
         pair = legendre.LegendrePair(pot)
-        err = max(float(np.linalg.norm(
-            legendre.inverse(pair, legendre.forward(pair, x)) - x)) for x in pts)
+        err = float(np.max(np.linalg.norm(
+            legendre.inverse(pair, legendre.forward(pair, pts)) - pts, axis=-1)))
         per_t[f"{t:g}"] = err
         worst = max(worst, err)
     tol = 1e-8
@@ -351,7 +362,7 @@ def _cmd_flow_check(cfg, opts):
     worst = 0.0
     for t in t_list:
         pair_t = legendre.LegendrePair(pot0.at_time(t))
-        res = max(legendre.flow_identity_residual(pair0, pair_t, x) for x in pts)
+        res = float(np.max(legendre.flow_identity_residual(pair0, pair_t, pts)))
         per_t[f"{t:g}"] = res
         worst = max(worst, res)
     tol = 1e-8
@@ -378,11 +389,8 @@ def _cmd_polarization_limit(cfg, opts):
         sub = max(sub, rep.subframe_invariance)
         per_t_norm = np.maximum(per_t_norm, rep.top_block_norms)
         per_t_dist = np.maximum(per_t_dist, rep.distances)
-        for t in t_list:
-            fr = polarization.polarization_frame(pot.at_time(t), cfg.proj, x)
-            iso = max(iso, polarization.isotropy_defect(fr))
         lim = polarization.limit_frame(cfg.proj, pot, x)
-        iso = max(iso, polarization.isotropy_defect(lim))
+        iso = max(iso, rep.isotropy_defect, polarization.isotropy_defect(lim))
         kdims.add(polarization.degenerate_directions(lim))
     out = {
         "t": [float(t) for t in t_list],
@@ -426,8 +434,11 @@ def _cmd_sections_norms(cfg, opts):
     pot0 = potential.SymplecticPotential.canonical(P)
     basis = sections.monomial_basis(pot0)
     ms = np.array([b.m for b in basis])
+    # each row's difference relative to its largest norm, like the
+    # factorization residual: the norms grow with the polytope
     agree = max(
         float(np.max(np.abs(row - sections.closed_form_norm_g0(P, b.m, pts))))
+        / max(1.0, float(np.max(row)))
         for b, row in zip(basis, sections.norm_matrix(pot0, ms, pts)))
     # every pair a < b on one Gram matrix; each pair's residual is taken on
     # its Cauchy-Schwarz scale, so it does not grow with the pairings
@@ -468,7 +479,8 @@ def _cmd_concentrate(cfg, opts):
     }
     if result.decay_exponent is None:
         out["decay_exponent_reason"] = (
-            f"fewer than two errors above the {quadrature.ROUNDOFF_FLOOR:g} roundoff floor")
+            f"fewer than two errors above the "
+            f"{quadrature.roundoff_floor(result.slice_value):g} roundoff floor")
     return out, {"convergence_floor": floor}, {"errors_decay_or_converged": bool(converged)}
 
 
@@ -485,9 +497,40 @@ _DISPATCH = {
 }
 
 
+# commands that fit a slope in log t (full-suite runs both)
+_SLOPE_COMMANDS = ("concentrate", "polarization-limit", "full-suite")
+
+
+def _check_options(cfg: ExperimentConfig, command: str, options: dict) -> dict:
+    """Reject options that the command cannot run on, with a ConfigError.
+
+    Returns the options with the t_list option as a tuple of floats.
+    """
+    P = cfg.polytope
+    options = dict(options)
+    t_list = cfg.t_list
+    if options.get("t_list") is not None:
+        t_list = options["t_list"] = _check_t_list(options["t_list"])
+    if command in _SLOPE_COMMANDS and (len(t_list) < 2 or min(t_list) <= 0):
+        raise ConfigError("bad_slope_t_list",
+                          f"{command} fits a slope in log t: it needs at least two "
+                          f"times, all > 0 (got {list(t_list)})")
+    if options.get("m") is not None:
+        m = tuple(options["m"])
+        if len(m) != P.dim or not all(isinstance(v, (int, np.integer)) for v in m):
+            raise ConfigError("bad_m", f"m must be {P.dim} integers (got {list(m)})")
+        if not P.contains(m):
+            raise ConfigError("m_outside_polytope", f"m = {list(m)} is not a point of P")
+    if options.get("points") is not None and int(options["points"]) < 1:
+        raise ConfigError("bad_points", "points must be at least 1")
+    return options
+
+
 def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> RunReport:
     """Execute one command (or the whole suite) against a validated config."""
-    options = options or {}
+    if command != "full-suite" and command not in _DISPATCH:
+        raise ConfigError("bad_command", f"unknown command {command!r}")
+    options = _check_options(cfg, command, options or {})
     if command == "full-suite":
         outputs, tolerances, flags, timings = {}, {}, {}, {}
         for sub in _DISPATCH:
@@ -498,8 +541,6 @@ def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> Run
             tolerances.update({f"{sub}.{k}": v for k, v in tol.items()})
             flags.update({f"{sub}.{k}": v for k, v in fl.items()})
         return RunReport("full-suite", cfg.digest, outputs, tolerances, flags, timings)
-    if command not in _DISPATCH:
-        raise ConfigError("bad_command", f"unknown command {command!r}")
     t0 = time.perf_counter()
     out, tol, fl = _DISPATCH[command](cfg, options)
     dt = time.perf_counter() - t0
@@ -602,12 +643,11 @@ def _emit_svg(report: RunReport) -> bytes:
     return svg.encode()
 
 
-def _parse_int_list(text: str):
-    return tuple(int(v) for v in text.replace(";", ",").split(",") if v != "")
-
-
-def _parse_float_list(text: str):
-    return tuple(float(v) for v in text.replace(";", ",").split(",") if v != "")
+def _parse_list(text: str, kind, code: str):
+    try:
+        return tuple(kind(v) for v in text.replace(";", ",").split(",") if v != "")
+    except ValueError as exc:
+        raise ConfigError(code, f"cannot parse {text!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -638,13 +678,13 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig(cfg.polytope, cfg.proj, cfg.phi, cfg.t_list,
                                    args.resolution, cfg.digest, cfg.raw)
         opts = {}
-        if args.t_list:
-            opts["t_list"] = _parse_float_list(args.t_list)
-        if args.m:
-            opts["m"] = _parse_int_list(args.m)
+        if args.t_list is not None:
+            opts["t_list"] = _parse_list(args.t_list, float, "bad_t_list")
+        if args.m is not None:
+            opts["m"] = _parse_list(args.m, int, "bad_m")
         if args.u:
             opts["u"] = args.u
-        if args.points:
+        if args.points is not None:
             opts["points"] = args.points
         report = run(cfg, args.command, opts)
         blob = emit(report, args.fmt)

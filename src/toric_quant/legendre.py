@@ -3,7 +3,8 @@
 Forward map y = grad g(x), Newton inversion with facet-aware damping, the
 dual potential h(y) = -g(x(y)) + <x(y), y>, and the residual of the
 imaginary-time-flow identity h_t(grad g_t(x)) = h_0(grad g_0(x))
-- t psi(x) + t <x, grad psi(x)>.
+- t psi(x) + t <x, grad psi(x)>.  Every map is batched over leading axes
+of its points.
 """
 from __future__ import annotations
 
@@ -15,12 +16,14 @@ from .potential import SymplecticPotential
 
 
 class NewtonConvergenceError(RuntimeError):
-    def __init__(self, iterate, residual, iterations):
+    def __init__(self, iterate, residual, iterations, index=None):
         self.iterate = iterate
         self.residual = residual
         self.iterations = iterations
+        self.index = index  # position of the failing point in a stack of y
+        where = "" if index is None else f" at point {index}"
         super().__init__(
-            f"Newton did not reach tolerance in {iterations} iterations "
+            f"Newton did not reach tolerance{where} in {iterations} iterations "
             f"(last residual {residual:.3e})")
 
 
@@ -45,43 +48,65 @@ def forward(pair: LegendrePair, x):
 def inverse(pair: LegendrePair, y, x0=None):
     """Solve grad g(x) = y by damped Newton from the vertex barycenter.
 
-    A step is shortened (halved) until no facet value drops below 0.4 of its
-    current value, which keeps iterates strictly interior; the log-barrier
-    shape of g0 then makes the iteration globally convergent in practice.
+    Batched over leading axes: y of shape (..., n) gives x of the same
+    shape.  A step is shortened (halved) until no facet value drops below
+    0.4 of its current value, which keeps iterates strictly interior; the
+    log-barrier shape of g0 then makes the iteration globally convergent in
+    practice.  Each point leaves the loop once its own residual is within
+    tolerance and halves only its own rejected steps, so it follows the
+    iterates it would follow alone.
     """
     pot = pair.potential
     P = pot.polytope
     y = np.asarray(y, dtype=float)
-    if y.shape != (P.dim,):
-        raise ValueError(f"y must have shape ({P.dim},)")
-    x = P.barycenter_array() if x0 is None else np.array(x0, dtype=float)
+    if y.ndim == 0 or y.shape[-1] != P.dim:
+        raise ValueError(f"y must have shape (..., {P.dim})")
+    Y = y.reshape(-1, P.dim)
+    start = P.barycenter_array() if x0 is None else np.asarray(x0, dtype=float)
+    X = np.array(np.broadcast_to(start, y.shape)).reshape(-1, P.dim)
+    active = np.arange(len(Y))  # points still iterating
     for _ in range(pair.max_iterations):
-        grad = pot.gradient(x)
-        res = grad - y
-        resnorm = float(np.linalg.norm(res))
-        if resnorm <= pair.tolerance:
-            return x
-        step = -np.linalg.solve(pot.hessian(x), res)
+        x = X[active]
+        res = pot.gradient(x) - Y[active]
+        resnorm = np.linalg.norm(res, axis=-1)
+        moving = ~(resnorm <= pair.tolerance)  # a NaN residual keeps iterating
+        active, x, res, resnorm = active[moving], x[moving], res[moving], resnorm[moving]
+        if not active.size:
+            return X.reshape(y.shape)
+        step = -np.linalg.solve(pot.hessian(x), res[..., None])[..., 0]
         lcur = P.facet_values_array(x)
-        s = 1.0
+        s = np.ones(len(active))
+        rejected = np.arange(len(active))
         for _ in range(60):
-            trial = x + s * step
-            if np.all(P.facet_values_array(trial) > 0.4 * lcur):
+            trial = x[rejected] + s[rejected, None] * step[rejected]
+            ok = np.all(P.facet_values_array(trial) > 0.4 * lcur[rejected], axis=-1)
+            rejected = rejected[~ok]
+            if not rejected.size:
                 break
-            s *= 0.5
+            s[rejected] *= 0.5
         else:
-            raise NewtonConvergenceError(x, resnorm, pair.max_iterations)
-        x = x + s * step
-    resnorm = float(np.linalg.norm(pot.gradient(x) - y))
-    if resnorm <= pair.tolerance:
-        return x
-    raise NewtonConvergenceError(x, resnorm, pair.max_iterations)
+            i = rejected[0]
+            raise NewtonConvergenceError(x[i], float(resnorm[i]), pair.max_iterations,
+                                         int(active[i]))
+        X[active] = x + s[:, None] * step
+    resnorm = np.linalg.norm(pot.gradient(X[active]) - Y[active], axis=-1)
+    failed = np.flatnonzero(~(resnorm <= pair.tolerance))
+    if not failed.size:
+        return X.reshape(y.shape)
+    i = failed[0]
+    raise NewtonConvergenceError(X[active[i]], float(resnorm[i]),
+                                 pair.max_iterations, int(active[i]))
 
 
 def kahler_potential(pair: LegendrePair, y):
-    """h(y) = -g(x(y)) + <x(y), y>, the convex conjugate of g."""
+    """h(y) = -g(x(y)) + <x(y), y>, the convex conjugate of g.
+
+    Batched over leading axes; a single point gives a float.
+    """
+    y = np.asarray(y, dtype=float)
     x = inverse(pair, y)
-    return float(-pair.potential.value(x) + x @ np.asarray(y, dtype=float))
+    h = -pair.potential.value(x) + np.sum(x * y, axis=-1)
+    return float(h) if np.ndim(h) == 0 else h
 
 
 def flow_identity_residual(pair0: LegendrePair, pair_t: LegendrePair, x):
@@ -89,7 +114,8 @@ def flow_identity_residual(pair0: LegendrePair, pair_t: LegendrePair, x):
 
     Zero (to solver tolerance) exactly when the convex-perturbation family of
     potentials agrees with the family generated by the imaginary-time flow of
-    the same convex Hamiltonian.
+    the same convex Hamiltonian.  Batched over leading axes of x; a single
+    point gives a float.
     """
     pot0, pott = pair0.potential, pair_t.potential
     if pot0.polytope is not pott.polytope and pot0.polytope != pott.polytope:
@@ -104,5 +130,6 @@ def flow_identity_residual(pair0: LegendrePair, pair_t: LegendrePair, x):
     if psi is None or t == 0.0:
         shift = 0.0
     else:
-        shift = -t * float(psi.value(x)) + t * float(x @ psi.gradient(x))
-    return abs(h_t - (h_0 + shift))
+        shift = -t * psi.value(x) + t * np.sum(x * psi.gradient(x), axis=-1)
+    r = np.abs(h_t - (h_0 + shift))
+    return float(r) if np.ndim(r) == 0 else r

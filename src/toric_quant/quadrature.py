@@ -57,13 +57,30 @@ def _gauss_axis(lo: float, hi: float, resolution: int):
 
 def _tensor_rule(bounds, resolution):
     axes = [_gauss_axis(float(lo), float(hi), resolution) for lo, hi in bounds]
-    pts = [a[0] for a in axes]
-    wts = [a[1] for a in axes]
-    grids = np.meshgrid(*pts, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*wts, indexing="ij")
-    weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
-    return points, weights
+    dim = len(axes)
+    # the nodes in meshgrid "ij" order, but each coordinate is broadcast into
+    # the (N, dim) array and the weights are the running outer product
+    # (w_1 w_2) w_3 ..., so no full-size meshgrid copies are made
+    points = np.empty((resolution,) * dim + (dim,))
+    for i, (nodes, _) in enumerate(axes):
+        points[..., i] = nodes.reshape((-1,) + (1,) * (dim - 1 - i))
+    weights = axes[0][1]
+    for _, w in axes[1:]:
+        weights = np.multiply.outer(weights, w)
+    return points.reshape(-1, dim), weights.reshape(-1)
+
+
+# nodes per block when a node-wise integrand is evaluated on a whole rule:
+# its temporaries stay at a few MB however fine the rule is
+NODE_BLOCK = 1 << 15
+
+
+def node_values(f, points):
+    """f(points) for a node-wise f, evaluated NODE_BLOCK rows at a time."""
+    out = np.empty(len(points))
+    for s in range(0, len(points), NODE_BLOCK):
+        out[s:s + NODE_BLOCK] = f(points[s:s + NODE_BLOCK])
+    return out
 
 
 def box_rule(P: DelzantPolytope, resolution: int) -> QuadratureRule:
@@ -220,8 +237,14 @@ def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
     return num / den
 
 
-# errors at or below this are quadrature roundoff: they carry no decay rate
+# errors at or below this, relative to max(1, |R_infinity|), are quadrature
+# roundoff: they carry no decay rate
 ROUNDOFF_FLOOR = 1e-13
+
+
+def roundoff_floor(slice_value: float) -> float:
+    """The error floor of a concentration fit whose limit is slice_value."""
+    return ROUNDOFF_FLOOR * max(1.0, abs(slice_value))
 
 
 @dataclass(frozen=True)
@@ -231,7 +254,7 @@ class ConcentrationResult:
     slice_value: float  # R_infinity from the slice pairing
     errors: tuple  # |R_t - R_infinity|
     # least-squares slope of log error vs log t over the errors above
-    # ROUNDOFF_FLOOR; None when fewer than two errors clear it
+    # roundoff_floor(slice_value); None when fewer than two errors clear it
     decay_exponent: float | None
 
     def rows(self):
@@ -256,9 +279,9 @@ def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
         rule = make_rule(P, resolution)
     m = tuple(int(v) for v in m)
     fm = ConcentrationWeight.from_projection(proj, phi, m)
-    fvals = fm(rule.points)
-    base = closed_form_norm_g0(P, m, rule.points) * rule.weights
-    uvals = np.asarray(u(rule.points), dtype=float)
+    fvals = node_values(fm, rule.points)
+    base = node_values(lambda x: closed_form_norm_g0(P, m, x), rule.points) * rule.weights
+    uvals = node_values(u, rule.points)
     if not (np.all(np.isfinite(fvals)) and np.all(np.isfinite(uvals))):
         raise QuadratureError("non-finite integrand in concentration weights")
     fmin = float(fvals.min())
@@ -271,7 +294,8 @@ def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
         ratios.append(float((w * uvals).sum()) / den)
     rinf = delta_pairing(P, proj, m, u, resolution=max(rule.resolution, 64))
     errors = [abs(r - rinf) for r in ratios]
-    above = [(t, e) for t, e in zip(t_list, errors) if e > ROUNDOFF_FLOOR]
+    floor = roundoff_floor(rinf)
+    above = [(t, e) for t, e in zip(t_list, errors) if e > floor]
     slope = None
     if len(above) >= 2:
         slope = float(np.polyfit(np.log([t for t, _ in above]),

@@ -133,12 +133,19 @@ def l1_norm(section: MonomialSection, rule) -> float:
 def l1_norms(pot: SymplecticPotential, m, rule, times) -> list:
     """l1_norm of sigma^m under g_t for each t in times.
 
-    g0 and the perturbation are evaluated on the rule once, not once per t.
+    g0 and the perturbation are evaluated on the rule once, not once per t,
+    NODE_BLOCK nodes at a time, so their temporaries do not grow with the rule.
     """
-    from .quadrature import integrate  # local import to avoid a cycle
+    from .quadrature import NODE_BLOCK, integrate  # local import to avoid a cycle
 
-    return [integrate(lambda x: _norm_rows(g, grad, [m], x)[0], rule)
-            for g, grad in pot.along(times, rule.points)]
+    times = list(times)
+    vals = np.empty((len(times), rule.size))
+    for s in range(0, rule.size, NODE_BLOCK):
+        x = rule.points[s:s + NODE_BLOCK]
+        for row, (g, grad) in zip(vals, pot.along(times, x)):
+            row[s:s + NODE_BLOCK] = _norm_rows(g, grad, [m], x)[0]
+    # the norms are already on the nodes; integrate checks and sums them
+    return [integrate(lambda _, v=v: v, rule) for v in vals]
 
 
 def radial_gram(basis, rule):

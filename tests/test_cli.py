@@ -242,3 +242,80 @@ class TestStrictReports:
         payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert payload["flags"]["weights_orthogonal"] is True
         assert payload["outputs"]["orthogonality_residual"] < 1e-12
+
+    def test_sections_norms_closed_form_is_relative(self, tmp_path, capsys):
+        # on 12 Delta^3 the norms reach ~1e6: an absolute 1e-10 comparison
+        # failed on roundoff (2.8e-9) while the relative error is ~1e-14
+        data = dict(SIMPLEX8_CFG, resolution=16)
+        data["polytope"] = {"dim": 3, "facets": SIMPLEX8_CFG["polytope"]["facets"][:3]
+                            + [{"normal": [-1, -1, -1], "offset": 12}]}
+        path = write_cfg(tmp_path, data)
+        assert main(["sections-norms", path, "--m", "1,1,1", "--t", "8,16"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert payload["flags"]["closed_form_agrees"] is True
+        assert payload["outputs"]["closed_form_agreement"] < 1e-12
+
+    def test_roundoff_floor_scales_with_the_limit(self, tmp_path):
+        # R_t = R_inf = 10^4 by symmetry: errors of 1.8e-12 are roundoff of
+        # a ratio of size 10^4 and must not yield a slope
+        cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
+        out = run(cfg, "concentrate", {"m": (1, 1), "u": "10000*x1"}).outputs
+        assert out["slice_value"] == pytest.approx(1e4)
+        assert max(out["errors"]) > 1e-13
+        assert out["decay_exponent"] is None
+        assert "1e-09 roundoff floor" in out["decay_exponent_reason"]
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize("command,opts,code", [
+        ("concentrate", {"t_list": (16.0, 8.0)}, "bad_t_list"),
+        ("polarization-limit", {"t_list": (16.0, 8.0)}, "bad_t_list"),
+        ("sections-norms", {"t_list": (8.0, 8.0)}, "bad_t_list"),
+        ("flow-check", {"t_list": (-1.0, 8.0)}, "bad_t_list"),
+        ("flow-check", {"t_list": (8.0, float("nan"))}, "bad_t_list"),
+        ("flow-check", {"t_list": ()}, "bad_t_list"),
+        ("polarization-limit", {"t_list": (0.0, 8.0)}, "bad_slope_t_list"),
+        ("concentrate", {"u": "x1^2", "t_list": (0.0, 8.0, 16.0)}, "bad_slope_t_list"),
+        ("polarization-limit", {"t_list": (8.0,)}, "bad_slope_t_list"),
+        ("full-suite", {"t_list": (8.0,)}, "bad_slope_t_list"),
+        ("concentrate", {"m": (5, 5)}, "m_outside_polytope"),
+        ("sections-norms", {"m": (-1, 0)}, "m_outside_polytope"),
+        ("concentrate", {"m": (1, 1, 1)}, "bad_m"),
+        ("concentrate", {"m": (1,)}, "bad_m"),
+        ("polarization-limit", {"points": 0}, "bad_points"),
+    ])
+    def test_bad_options_raise_config_error(self, tmp_path, command, opts, code):
+        cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
+        with pytest.raises(ConfigError) as err:
+            run(cfg, command, opts)
+        assert err.value.code == code
+
+    def test_single_time_is_fine_without_a_slope(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
+        assert run(cfg, "flow-check", {"t_list": (8,)}).outputs["per_t"].keys() == {"8"}
+
+    def test_config_times_follow_the_slope_rule(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, dict(SQUARE2_CFG, t_list=[0, 8])))
+        assert run(cfg, "flow-check").passed
+        for command in ("concentrate", "polarization-limit", "full-suite"):
+            with pytest.raises(ConfigError) as err:
+                run(cfg, command)
+            assert err.value.code == "bad_slope_t_list"
+
+    def test_non_finite_config_times_rejected(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            load_config(write_cfg(tmp_path, dict(SQUARE2_CFG, t_list=[8, float("inf")])))
+        assert err.value.code == "bad_t_list"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["concentrate", "--t", "16,8"], "bad_t_list"),
+        (["polarization-limit", "--t", "8"], "bad_slope_t_list"),
+        (["concentrate", "--t", "abc"], "bad_t_list"),
+        (["concentrate", "--m", "5,5"], "m_outside_polytope"),
+        (["concentrate", "--m", "1.5,1"], "bad_m"),
+        (["concentrate", "--m", "1"], "bad_m"),
+    ])
+    def test_main_exits_two(self, tmp_path, capsys, argv, code):
+        path = write_cfg(tmp_path, SQUARE2_CFG)
+        assert main([argv[0], path] + argv[1:]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == code

@@ -125,3 +125,107 @@ class TestFlowIdentity:
         pair1 = _pair(interval, proj_id1, phi_half_square, 1.0)
         with pytest.raises(ValueError):
             flow_identity_residual(pair1, pair1, np.array([0.5]))
+
+
+# non-box polygon: the Hirzebruch trapezoid x + y <= 4, y <= 2
+def _hirzebruch():
+    from toric_quant import DelzantPolytope
+
+    return DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4)))
+
+
+def _scalar_newton(pair, y):
+    """Damped Newton for one point, written out as the reference loop."""
+    pot, P = pair.potential, pair.potential.polytope
+    x = P.barycenter_array()
+    for _ in range(pair.max_iterations):
+        res = pot.gradient(x) - y
+        if np.linalg.norm(res) <= pair.tolerance:
+            return x
+        step = -np.linalg.solve(pot.hessian(x), res)
+        lcur = P.facet_values_array(x)
+        s = 1.0
+        while not np.all(P.facet_values_array(x + s * step) > 0.4 * lcur):
+            s *= 0.5
+        x = x + s * step
+    assert np.linalg.norm(pot.gradient(x) - y) <= pair.tolerance
+    return x
+
+
+class TestBatchedInverse:
+    @pytest.mark.parametrize("t", [0.0, 10.0, 100.0])
+    @pytest.mark.parametrize("fixture,rows", [
+        ("interval", ((1,),)),
+        ("square2", ((1, 0),)),
+        ("simplex", ((1, 0),)),
+        ("hirzebruch", ((1, 0),)),
+    ])
+    def test_stack_matches_per_point_loop(self, fixture, rows, t, request,
+                                          phi_half_square):
+        from toric_quant import SubtorusProjection
+
+        P = _hirzebruch() if fixture == "hirzebruch" else request.getfixturevalue(fixture)
+        pair = _pair(P, SubtorusProjection(rows), phi_half_square, t)
+        pts = sample_interior(P, 40, seed=5)
+        ys = forward(pair, pts)
+        xs = inverse(pair, ys)
+        ref = np.array([_scalar_newton(pair, y) for y in ys])
+        assert xs.shape == pts.shape
+        assert np.max(np.abs(xs - ref)) <= 1e-12
+        assert np.max(np.abs(xs - pts)) < 1e-8
+
+    def test_output_shapes(self, square2):
+        pair = _pair(square2)
+        ys = forward(pair, sample_interior(square2, 6, seed=2))
+        assert inverse(pair, ys[0]).shape == (2,)
+        assert inverse(pair, ys).shape == (6, 2)
+        stacked = inverse(pair, ys.reshape(2, 3, 2))
+        assert stacked.shape == (2, 3, 2)
+        assert np.array_equal(stacked.reshape(6, 2), inverse(pair, ys))
+        assert inverse(pair, ys[:0]).shape == (0, 2)
+        with pytest.raises(ValueError):
+            inverse(pair, np.zeros(3))
+
+    def test_one_failing_point_is_named(self, interval):
+        # grad g0 on (0, 1) stays below 0.5 log(1/eps) ~ 18.4 in float64, so
+        # y = 40 cannot be reached while its neighbours converge
+        pair = _pair(interval, max_iterations=50)
+        ys = np.array([[0.0], [0.5], [40.0], [-0.3]])
+        with pytest.raises(NewtonConvergenceError, match="at point 2") as err:
+            inverse(pair, ys)
+        assert err.value.index == 2
+        assert err.value.residual > 1.0
+        with pytest.raises(NewtonConvergenceError) as alone:
+            inverse(pair, ys[2])
+        assert np.array_equal(err.value.iterate, alone.value.iterate)
+        assert err.value.residual == alone.value.residual
+
+    def test_non_finite_point_does_not_pass_as_converged(self, square2):
+        pair = _pair(square2)
+        ys = np.array([[0.0, 0.0], [np.nan, 0.0], [0.1, -0.2]])
+        with pytest.raises(NewtonConvergenceError) as err:
+            inverse(pair, ys)
+        assert err.value.index == 1
+
+
+class TestBatchedPotentials:
+    def test_kahler_potential_stack(self, square2, proj_first_of_two, phi_half_square):
+        pair = _pair(square2, proj_first_of_two, phi_half_square, 3.0)
+        ys = forward(pair, sample_interior(square2, 12, seed=4))
+        h = kahler_potential(pair, ys)
+        assert h.shape == (12,)
+        assert isinstance(kahler_potential(pair, ys[0]), float)
+        assert np.allclose(h, [kahler_potential(pair, y) for y in ys], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+    def test_flow_residual_stack_equals_points(self, square2, proj_first_of_two,
+                                               phi_half_square, t):
+        pair0 = _pair(square2, proj_first_of_two, phi_half_square, 0.0)
+        pair_t = _pair(square2, proj_first_of_two, phi_half_square, t)
+        pts = sample_interior(square2, 20, seed=33)
+        batched = flow_identity_residual(pair0, pair_t, pts)
+        assert batched.shape == (20,)
+        each = [flow_identity_residual(pair0, pair_t, x) for x in pts]
+        assert all(isinstance(r, float) for r in each)
+        assert np.allclose(batched, each, rtol=0, atol=1e-12)
+        assert np.max(batched) < 1e-8

@@ -173,3 +173,54 @@ class TestDecayReport:
         pot = _family(interval, proj_id1, phi_half_square, 0.0)
         with pytest.raises(ValueError):
             decay_report(pot, proj_id1, np.array([0.5]), [8, 8])
+
+
+class TestBatchedFrames:
+    def test_subspace_angle_stack_equals_pairs(self, square2, proj_first_of_two,
+                                               phi_half_square):
+        pot = _family(square2, proj_first_of_two, phi_half_square, 0.0)
+        x = np.array([0.7, 1.2])
+        frames = np.stack([polarization_frame(pot.at_time(t), proj_first_of_two, x).rows
+                           for t in (0.5, 4.0, 64.0)])
+        lim = limit_frame(proj_first_of_two, pot, x).rows
+        angles = subspace_angle(frames, lim)
+        assert angles.shape == (3,)
+        assert isinstance(subspace_angle(frames[0], lim), float)
+        assert angles.tolist() == [subspace_angle(f, lim) for f in frames]
+        # both branches: the far lines take the cosine, the near frames the sine
+        far = subspace_angle(np.array([[[1.0, 0.0]], [[1.0, 1e-9]]]), np.array([[0.0, 1.0]]))
+        assert far[0] == pytest.approx(np.pi / 2)
+        assert far[1] == pytest.approx(np.pi / 2 - 1e-9, abs=1e-15)
+        near = subspace_angle(np.array([[[1.0, 1e-9]]]), np.array([[1.0, 0.0]]))
+        assert near[0] == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("case", ["square2", "simplex", "hirzebruch", "cube"])
+    def test_decay_report_bit_equal_to_per_t_reference(self, case, request,
+                                                       phi_half_square):
+        from toric_quant import DelzantPolytope, quadratic
+
+        if case == "cube":
+            P, proj, phi = (request.getfixturevalue("cube"),
+                            SubtorusProjection(((1, 0, 0), (0, 1, 0))), quadratic(np.eye(2)))
+        else:
+            P = (DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4)))
+                 if case == "hirzebruch" else request.getfixturevalue(case))
+            proj, phi = SubtorusProjection(((1, 0),)), phi_half_square
+        pot = _family(P, proj, phi, 0.0)
+        k, n = proj.k, P.dim
+        t_list = [8.0, 13.5, 32.0, 64.0, 200.0]
+        for x in central_interior(P, 3, seed=9):
+            rep = decay_report(pot, proj, x, t_list)
+            lim = limit_frame(proj, pot, x)
+            frame0 = polarization_frame(pot.at_time(0.0), proj, x)
+            norms, dists, drift, iso = [], [], 0.0, 0.0
+            for t in t_list:
+                fr = polarization_frame(pot.at_time(t), proj, x)
+                norms.append(float(np.max(np.abs(np.real(fr.rows[:k, :n])))))
+                dists.append(grassmann_distance(fr, lim))
+                drift = max(drift, subspace_angle(fr.rows[k:], frame0.rows[k:]))
+                iso = max(iso, isotropy_defect(fr))
+            assert rep.top_block_norms == tuple(norms)
+            assert rep.distances == tuple(dists)
+            assert rep.subframe_invariance == drift
+            assert rep.isotropy_defect == iso

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from toric_quant import (
     slice_chart,
     slice_rule,
 )
+from toric_quant.quadrature import NODE_BLOCK, _gauss_axis, _tensor_rule, node_values
 
 
 def ones(x):
@@ -62,6 +64,58 @@ class TestRules:
         assert np.array_equal(_gauss_legendre(24)[0], ref_nodes)
         assert np.array_equal(box_rule(square2, 24).points[:, 0],
                               np.repeat(1.0 + ref_nodes, 24))
+
+
+def _meshgrid_rule(bounds, resolution):
+    """The tensor rule built from full meshgrid copies, as a reference."""
+    axes = [_gauss_axis(float(lo), float(hi), resolution) for lo, hi in bounds]
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
+    return points, weights
+
+
+def _peak_node_vectors(f, size):
+    """Traced peak allocation of f() in units of one float per node."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * size)
+    finally:
+        tracemalloc.stop()
+
+
+class TestNodeBlocks:
+    def test_tensor_rule_bitwise_meshgrid(self):
+        for bounds in ([(0, 1)], [(0, 2), (-1, 3)], [(0.5, 7), (-3, 1.25), (0, 1)]):
+            for resolution in (8, 33, 64):
+                got = _tensor_rule(bounds, resolution)
+                ref = _meshgrid_rule(bounds, resolution)
+                for a, b in zip(got, ref):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_node_values_bitwise_whole(self, square2, proj_first_of_two, phi_half_square):
+        # two full blocks and a last block of one node
+        pts = box_rule(square2, 260).points[:2 * NODE_BLOCK + 1]
+        assert len(pts) == 2 * NODE_BLOCK + 1
+        fm = ConcentrationWeight.from_projection(proj_first_of_two, phi_half_square, (1, 1))
+        for f in (fm, lambda x: closed_form_norm_g0(square2, (1, 1), x),
+                  lambda x: x[..., 0] ** 2 + 0.5 * x[..., 0] * x[..., 1]):
+            assert node_values(f, pts).tobytes() == np.asarray(f(pts), dtype=float).tobytes()
+
+    def test_box_rule_builds_no_meshgrid_copies(self, square2):
+        # the rule itself is three node vectors (two coordinates, one weight)
+        assert _peak_node_vectors(lambda: box_rule(square2, 512), 512 ** 2) < 4.0
+
+    def test_concentration_temporaries_stay_blocked(self, square2, proj_first_of_two,
+                                                   phi_half_square):
+        # the whole-rule evaluation this replaced peaked at 15 node vectors
+        rule = box_rule(square2, 512)
+        peak = _peak_node_vectors(lambda: concentration_experiment(
+            square2, proj_first_of_two, phi_half_square, (1, 1),
+            lambda x: x[..., 0] ** 2, [8, 16, 32], rule=rule), rule.size)
+        assert peak < 8.0
 
 
 class TestIntegrate:

@@ -165,6 +165,30 @@ class TestL1AndBasis:
         assert l1_norms(pot, (0, 1), rule, times) == ref
         assert [l1_norm(MonomialSection((0, 1), pot.at_time(t)), rule) for t in times] == ref
 
+    def test_l1_norms_blocked_equal_whole_rule(self, square2, phi_half_square):
+        import tracemalloc
+
+        from toric_quant import SubtorusProjection
+        from toric_quant.quadrature import NODE_BLOCK
+
+        pot = SymplecticPotential.perturbed(square2, SubtorusProjection(((1, 0),)),
+                                            phi_half_square, 0.0)
+        rule = make_rule(square2, 512)
+        assert rule.size > 4 * NODE_BLOCK
+        times = (0.0, 8.0, 32.0)
+        ref = [integrate(lambda x, t=t: pointwise_norm(MonomialSection((1, 1), pot.at_time(t)), x),
+                         rule) for t in times]
+        tracemalloc.start()
+        try:
+            got = l1_norms(pot, (1, 1), rule, times)
+            peak = tracemalloc.get_traced_memory()[1] / (8.0 * rule.size)
+        finally:
+            tracemalloc.stop()
+        assert got == ref
+        # one node vector per time plus block temporaries; evaluating g0 and
+        # the perturbation on the whole rule peaked at 13 node vectors
+        assert peak < len(times) + 3
+
     def test_basis_size_is_lattice_count(self, square2, simplex):
         for P in (square2, simplex):
             assert len(monomial_basis(_canonical(P))) == len(lattice_points(P))
