@@ -12,12 +12,10 @@ from .polytope import (
     PolytopeError,
     Slice,
     Vertex,
-    enumerate_vertices,
     face_slice,
     facet_value,
     is_delzant,
     lattice_points,
-    slice_chart,
     weight_multiplicities,
 )
 from .subtorus import (
@@ -62,7 +60,6 @@ from .sections import (
     ConcentrationWeight,
     MonomialSection,
     closed_form_norm_g0,
-    concentration_weight,
     l1_norm,
     l1_norms,
     monomial_basis,

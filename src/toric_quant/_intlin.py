@@ -11,10 +11,7 @@ from math import gcd
 
 
 def is_primitive(vec) -> bool:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(int(v)))
-    return g == 1
+    return gcd(*map(int, vec)) == 1
 
 
 def integer_det(rows) -> int:
@@ -42,45 +39,43 @@ def integer_det(rows) -> int:
     return sign * m[-1][-1]
 
 
+def _rref(rows, width):
+    """Reduced row echelon form over Q, with pivots sought in the first width columns.
+
+    Returns (reduced rows as lists of Fraction, pivot column of each leading
+    row); rows past the pivots are zero in those first width columns.
+    """
+    M = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(M):
+            break
+        p = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        piv = M[r][c]
+        M[r] = [v / piv for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [vi - f * vr for vi, vr in zip(M[i], M[r])]
+        pivots.append(c)
+    return M, pivots
+
+
 def rational_solve(A, b):
     """Solve the square system A x = b exactly.  Raises on singular A."""
     n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if p is None:
-            raise ValueError("singular system")
-        M[c], M[p] = M[p], M[c]
-        piv = M[c][c]
-        M[c] = [v / piv for v in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[c])]
-    return tuple(M[i][n] for i in range(n))
+    M, pivots = _rref([list(A[i][:n]) + [b[i]] for i in range(n)], n)
+    if len(pivots) < n:
+        raise ValueError("singular system")
+    return tuple(row[n] for row in M)
 
 
 def rational_rank(A) -> int:
-    rows = [[Fraction(v) for v in r] for r in A]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        p = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if p is None:
-            continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        piv = rows[rank][c]
-        rows[rank] = [v / piv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [vr - f * vc for vr, vc in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_rref(A, len(A[0]) if A else 0)[1])
 
 
 def _normalize_row(row):
@@ -90,40 +85,60 @@ def _normalize_row(row):
     return row
 
 
-def integer_kernel_basis(A, ncols=None):
-    """Z-basis of {v in Z^n : A v = 0}, returned as rows.
+def _hermite(A, n):
+    """Column Hermite reduction over Z of the k x n integer matrix A.
 
-    Row-reduces [A^T | I] over the integers; rows whose A^T-part vanishes
-    carry the basis in the identity part.  Works for any integer A, in
-    particular empty A (kernel = Z^n).
+    Returns (H, V, rank) with A V = H and V unimodular: each row of H with a
+    live column gets its pivot, positive, in the next pivot column, and every
+    entry right of a pivot is zero; a row with no live column right of the
+    pivots so far is skipped, so rank-deficient A is accepted.  The columns
+    of V from rank on span {v : A v = 0} over Z (Cohen 1993, 2.4).
     """
-    A = [list(map(int, row)) for row in A]
-    k = len(A)
-    if ncols is None:
-        if k == 0:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(A[0])
-    n = ncols
-    M = [[A[i][j] for i in range(k)] + [1 if t == j else 0 for t in range(n)]
-         for j in range(n)]
-    pivot = 0
-    for c in range(k):
+    H = [list(map(int, row)) for row in A]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rank = 0
+
+    def col_sub(dst, src, q):
+        for M in (H, V):
+            for row in M:
+                row[dst] -= q * row[src]
+
+    for r in range(len(H)):
         while True:
-            live = [r for r in range(pivot, n) if M[r][c] != 0]
+            live = [c for c in range(rank, n) if H[r][c] != 0]
             if not live:
                 break
             if len(live) == 1:
-                r = live[0]
-                M[pivot], M[r] = M[r], M[pivot]
-                pivot += 1
+                c = live[0]
+                sign = 1 if H[r][c] > 0 else -1
+                for M in (H, V):
+                    for row in M:
+                        row[rank], row[c] = row[c], row[rank]
+                        row[rank] *= sign
+                rank += 1
                 break
-            live.sort(key=lambda r: abs(M[r][c]))
+            live.sort(key=lambda c: abs(H[r][c]))
             s = live[0]
-            for r in live[1:]:
-                q = M[r][c] // M[s][c]
+            for c in live[1:]:
+                q = H[r][c] // H[r][s]
                 if q:
-                    M[r] = [vr - q * vs for vr, vs in zip(M[r], M[s])]
-    basis = [_normalize_row(M[r][k:]) for r in range(pivot, n)]
+                    col_sub(c, s, q)
+    return H, V, rank
+
+
+def integer_kernel_basis(A, ncols=None):
+    """Z-basis of {v in Z^n : A v = 0}, returned as rows.
+
+    The trailing columns of V in the column Hermite reduction A V = H, each
+    with its first nonzero entry positive, sorted.  Works for any integer A,
+    in particular rank-deficient or empty A (kernel = Z^n).
+    """
+    if ncols is None:
+        if len(A) == 0:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(A[0])
+    _, V, rank = _hermite(A, ncols)
+    basis = [_normalize_row([V[i][c] for i in range(ncols)]) for c in range(rank, ncols)]
     basis.sort()
     return tuple(tuple(v) for v in basis)
 
@@ -134,67 +149,25 @@ def column_hermite(A):
     V is unimodular, L is k x k lower triangular with positive diagonal
     (A must have full row rank k).
     """
-    H = [list(map(int, row)) for row in A]
-    k = len(H)
-    n = len(H[0])
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_sub(dst, src, q):
-        for i in range(k):
-            H[i][dst] -= q * H[i][src]
-        for i in range(n):
-            V[i][dst] -= q * V[i][src]
-
-    def col_swap(a, b):
-        for i in range(k):
-            H[i][a], H[i][b] = H[i][b], H[i][a]
-        for i in range(n):
-            V[i][a], V[i][b] = V[i][b], V[i][a]
-
-    def col_neg(a):
-        for i in range(k):
-            H[i][a] = -H[i][a]
-        for i in range(n):
-            V[i][a] = -V[i][a]
-
-    for r in range(k):
-        while True:
-            live = [c for c in range(r, n) if H[r][c] != 0]
-            if not live:
-                raise ValueError("matrix does not have full row rank")
-            if len(live) == 1:
-                c = live[0]
-                if c != r:
-                    col_swap(r, c)
-                if H[r][r] < 0:
-                    col_neg(r)
-                break
-            live.sort(key=lambda c: abs(H[r][c]))
-            s = live[0]
-            for c in live[1:]:
-                q = H[r][c] // H[r][s]
-                if q:
-                    col_sub(c, s, q)
+    H, V, rank = _hermite(A, len(A[0]))
+    if rank < len(A):
+        raise ValueError("matrix does not have full row rank")
     return H, V
 
 
 def unimodular_inverse(M):
-    """Exact inverse of a unimodular integer matrix, as integer rows."""
+    """Exact inverse of a unimodular integer matrix, as integer rows.
+
+    One reduction of [M | I]: its right block is M^-1.
+    """
     n = len(M)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(rational_solve(M, e))
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = cols[j][i]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        inv.append(tuple(row))
-    return tuple(inv)
+    R, pivots = _rref([list(M[i]) + [1 if j == i else 0 for j in range(n)]
+                       for i in range(n)], n)
+    if len(pivots) < n:
+        raise ValueError("singular system")
+    if any(v.denominator != 1 for row in R for v in row[n:]):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(int(v) for v in row[n:]) for row in R)
 
 
 def matmul_int(A, B):

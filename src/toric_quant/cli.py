@@ -15,8 +15,11 @@ out of the serialized payload.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
+import operator
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -115,6 +118,13 @@ def _check_t_list(t_list) -> tuple:
     return ts
 
 
+def _check_resolution(resolution: int) -> int:
+    """The resolution of a config or of the resolution option."""
+    if resolution < 8:
+        raise ConfigError("bad_resolution", "resolution must be at least 8")
+    return resolution
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and fully validate an experiment configuration file."""
     try:
@@ -173,9 +183,7 @@ def load_config(path: str) -> ExperimentConfig:
                           f"phi is not strictly convex near {conv.witness}")
 
     t_list = _check_t_list(raw.get("t_list", (8, 16, 32, 64, 128)))
-    resolution = int(raw.get("resolution", 64))
-    if resolution < 8:
-        raise ConfigError("bad_resolution", "resolution must be at least 8")
+    resolution = _check_resolution(int(raw.get("resolution", 64)))
 
     digest = hashlib.sha256(_canonical_json(raw)).hexdigest()
     return ExperimentConfig(polytope=P, proj=proj, phi=phi, t_list=t_list,
@@ -185,92 +193,49 @@ def load_config(path: str) -> ExperimentConfig:
 # --- weight expression grammar: coordinates x1..xn, constants, + - * ^ ( ) ---
 
 def parse_weight(expr: str, n: int):
-    """Compile a weight expression to a callable on point arrays (N, n)."""
-    tokens = _tokenize(expr)
-    tree, rest = _parse_sum(tokens, n)
-    if rest:
-        raise ConfigError("bad_weight", f"trailing tokens in weight expression: {rest}")
-    return lambda x: tree(np.asarray(x, dtype=float)) * np.ones(np.asarray(x).shape[:-1])
+    """Compile a weight expression to a callable on point arrays (N, n).
 
-
-def _tokenize(expr: str):
-    out, i = [], 0
-    while i < len(expr):
-        c = expr[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*^()":
-            out.append(c)
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < len(expr) and (expr[j].isdigit() or expr[j] == "."):
-                j += 1
-            out.append(expr[i:j])
-            i = j
-        elif c == "x":
-            j = i + 1
-            while j < len(expr) and expr[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ConfigError("bad_weight", f"bare 'x' at position {i}")
-            out.append(expr[i:j])
-            i = j
-        else:
-            raise ConfigError("bad_weight", f"unexpected character {c!r} in weight expression")
-    return out
-
-
-def _parse_sum(tokens, n):
-    left, tokens = _parse_product(tokens, n)
-    while tokens and tokens[0] in "+-":
-        op, tokens = tokens[0], tokens[1:]
-        right, tokens = _parse_product(tokens, n)
-        left = (lambda a, b: (lambda x: a(x) + b(x)))(left, right) if op == "+" \
-            else (lambda a, b: (lambda x: a(x) - b(x)))(left, right)
-    return left, tokens
-
-
-def _parse_product(tokens, n):
-    left, tokens = _parse_power(tokens, n)
-    while tokens and tokens[0] == "*":
-        right, tokens = _parse_power(tokens[1:], n)
-        left = (lambda a, b: (lambda x: a(x) * b(x)))(left, right)
-    return left, tokens
-
-
-def _parse_power(tokens, n):
-    base, tokens = _parse_atom(tokens, n)
-    if tokens and tokens[0] == "^":
-        if len(tokens) < 2 or not tokens[1].isdigit():
-            raise ConfigError("bad_weight", "exponent must be a nonnegative integer")
-        p = int(tokens[1])
-        return (lambda a: (lambda x: a(x) ** p))(base), tokens[2:]
-    return base, tokens
-
-
-def _parse_atom(tokens, n):
-    if not tokens:
-        raise ConfigError("bad_weight", "unexpected end of weight expression")
-    tok = tokens[0]
-    if tok == "(":
-        inner, rest = _parse_sum(tokens[1:], n)
-        if not rest or rest[0] != ")":
-            raise ConfigError("bad_weight", "unbalanced parentheses")
-        return inner, rest[1:]
-    if tok == "-":
-        inner, rest = _parse_atom(tokens[1:], n)
-        return (lambda a: (lambda x: -a(x)))(inner), rest
-    if tok.startswith("x"):
-        i = int(tok[1:]) - 1
-        if not 0 <= i < n:
-            raise ConfigError("bad_weight", f"coordinate {tok} out of range for dim {n}")
-        return (lambda i: (lambda x: x[..., i]))(i), tokens[1:]
+    The grammar is Python's with ^ for the power: + - * bind as usual, a
+    unary minus binds looser than ^ (-x1^2 is -(x1^2)), and an exponent is
+    a nonnegative integer literal.
+    """
+    if "**" in expr:
+        raise ConfigError("bad_weight", "use ^ for powers in weight expressions")
     try:
-        c = float(tok)
-    except ValueError:
-        raise ConfigError("bad_weight", f"bad token {tok!r}") from None
-    return (lambda c: (lambda x: np.full(x.shape[:-1], c)))(c), tokens[1:]
+        tree = ast.parse(" ".join(expr.replace("^", "**").split()), mode="eval").body
+    except (SyntaxError, ValueError) as exc:  # older Pythons: ValueError on a null byte
+        reason = getattr(exc, "msg", exc)
+        raise ConfigError("bad_weight", f"cannot parse weight expression: {reason}") from None
+    f = _compile_weight(tree, n)
+    return lambda x: f(np.asarray(x, dtype=float)) * np.ones(np.asarray(x).shape[:-1])
+
+
+_WEIGHT_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+def _compile_weight(node, n):
+    if isinstance(node, ast.BinOp) and type(node.op) in _WEIGHT_OPS:
+        op = _WEIGHT_OPS[type(node.op)]
+        a, b = _compile_weight(node.left, n), _compile_weight(node.right, n)
+        return lambda x: op(a(x), b(x))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        p = node.right
+        if not (isinstance(p, ast.Constant) and type(p.value) is int):
+            raise ConfigError("bad_weight", "exponent must be a nonnegative integer")
+        a = _compile_weight(node.left, n)
+        return lambda x: a(x) ** p.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        a = _compile_weight(node.operand, n)
+        return lambda x: -a(x)
+    if isinstance(node, ast.Name):
+        i = int(node.id[1:]) - 1 if re.fullmatch(r"x\d+", node.id) else -1
+        if not 0 <= i < n:
+            raise ConfigError("bad_weight", f"unknown coordinate {node.id} for dim {n}")
+        return lambda x: x[..., i]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        c = float(node.value)
+        return lambda x: np.full(x.shape[:-1], c)
+    raise ConfigError("bad_weight", f"unsupported weight term {ast.unparse(node)!r}")
 
 
 # --- command implementations -------------------------------------------------
@@ -314,10 +279,7 @@ def _cmd_potential_validate(cfg, opts):
     per_t = {}
     ok_pd, ok_range = True, True
     for t in (0.0,) + tuple(cfg.t_list):
-        if t == 0.0:
-            pot = potential.SymplecticPotential.canonical(P)
-        else:
-            pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t)
+        pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t)
         rep = potential.validate_potential(pot, pts, rays)
         per_t[f"{t:g}"] = {"product_min": rep.product_min,
                            "product_max": rep.product_max,
@@ -332,15 +294,12 @@ def _cmd_potential_validate(cfg, opts):
 
 def _cmd_legendre_roundtrip(cfg, opts):
     P = cfg.polytope
-    rng = np.random.default_rng(_SEED)
-    V = np.array([v.as_array() for v in P.vertices])
-    pts = rng.dirichlet(np.ones(len(V)), size=100) @ V
+    pts = potential.interior_samples(P, 100, seed=_SEED)
     worst = 0.0
     per_t = {}
     for t in (0.0,) + tuple(cfg.t_list):
-        pot = (potential.SymplecticPotential.canonical(P) if t == 0.0 else
-               potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t))
-        pair = legendre.LegendrePair(pot)
+        pair = legendre.LegendrePair(
+            potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t))
         err = float(np.max(np.linalg.norm(
             legendre.inverse(pair, legendre.forward(pair, pts)) - pts, axis=-1)))
         per_t[f"{t:g}"] = err
@@ -352,9 +311,7 @@ def _cmd_legendre_roundtrip(cfg, opts):
 
 def _cmd_flow_check(cfg, opts):
     P = cfg.polytope
-    rng = np.random.default_rng(_SEED)
-    V = np.array([v.as_array() for v in P.vertices])
-    pts = rng.dirichlet(np.ones(len(V)), size=20) @ V
+    pts = potential.interior_samples(P, 20, seed=_SEED)
     pot0 = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
     pair0 = legendre.LegendrePair(pot0)
     t_list = opts.get("t_list") or cfg.t_list
@@ -373,11 +330,9 @@ def _cmd_flow_check(cfg, opts):
 def _cmd_polarization_limit(cfg, opts):
     P = cfg.polytope
     npoints = int(opts.get("points") or 10)
-    rng = np.random.default_rng(_SEED)
-    V = np.array([v.as_array() for v in P.vertices])
     bary = P.barycenter_array()
     # halfway-to-center mixtures: keeps the slope fit in its asymptotic window
-    pts = bary + 0.5 * (rng.dirichlet(np.ones(len(V)), size=npoints) @ V - bary)
+    pts = bary + 0.5 * (potential.interior_samples(P, npoints, seed=_SEED) - bary)
     t_list = opts.get("t_list") or cfg.t_list
     pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
     slopes, iso, sub, kdims = [], 0.0, 0.0, set()
@@ -415,9 +370,7 @@ def _cmd_sections_norms(cfg, opts):
     P = cfg.polytope
     m = opts.get("m") or _default_m(cfg)
     t_list = opts.get("t_list") or cfg.t_list
-    rng = np.random.default_rng(_SEED)
-    V = np.array([v.as_array() for v in P.vertices])
-    pts = rng.dirichlet(np.ones(len(V)), size=100) @ V
+    pts = potential.interior_samples(P, 100, seed=_SEED)
     rule = quadrature.make_rule(P, cfg.resolution)
     per_t = []
     worst = 0.0
@@ -673,10 +626,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.resolution is not None:
-            if args.resolution < 8:
-                raise ConfigError("bad_resolution", "resolution must be at least 8")
             cfg = ExperimentConfig(cfg.polytope, cfg.proj, cfg.phi, cfg.t_list,
-                                   args.resolution, cfg.digest, cfg.raw)
+                                   _check_resolution(args.resolution), cfg.digest, cfg.raw)
         opts = {}
         if args.t_list is not None:
             opts["t_list"] = _parse_list(args.t_list, float, "bad_t_list")

@@ -45,7 +45,7 @@ def forward(pair: LegendrePair, x):
     return pair.potential.gradient(x)
 
 
-def inverse(pair: LegendrePair, y, x0=None):
+def inverse(pair: LegendrePair, y):
     """Solve grad g(x) = y by damped Newton from the vertex barycenter.
 
     Batched over leading axes: y of shape (..., n) gives x of the same
@@ -62,8 +62,7 @@ def inverse(pair: LegendrePair, y, x0=None):
     if y.ndim == 0 or y.shape[-1] != P.dim:
         raise ValueError(f"y must have shape (..., {P.dim})")
     Y = y.reshape(-1, P.dim)
-    start = P.barycenter_array() if x0 is None else np.asarray(x0, dtype=float)
-    X = np.array(np.broadcast_to(start, y.shape)).reshape(-1, P.dim)
+    X = np.array(np.broadcast_to(P.barycenter_array(), y.shape)).reshape(-1, P.dim)
     active = np.arange(len(Y))  # points still iterating
     for _ in range(pair.max_iterations):
         x = X[active]

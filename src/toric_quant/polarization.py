@@ -97,22 +97,9 @@ def limit_frame(proj: SubtorusProjection, pot0: SymplecticPotential,
     _require_standard(proj)
     x = np.asarray(x, dtype=float)
     n = pot0.polytope.dim
-    k = proj.k
-    G0inv = np.linalg.inv(pot0.at_time(0.0).hessian(x))
-    rows = np.zeros((n, 2 * n), dtype=complex)
-    for j in range(k):
-        rows[j, n + j] = 1.0
-    rows[k:, :n] = G0inv[k:, :]
-    rows[k:, n:] = -1j * np.eye(n)[k:, :]
+    rows = _frame_rows(np.linalg.inv(pot0.at_time(0.0).hessian(x)))
+    rows[:proj.k] = np.eye(n, 2 * n, n)[:proj.k]  # (0, e_j) for j <= k
     return PolarizationFrame(rows=rows, basepoint=x, label="limit")
-
-
-def symplectic_pairing(v, w):
-    """Omega((a,b),(a',b')) = <a,b'> - <b,a'> (complex bilinear)."""
-    v = np.asarray(v)
-    w = np.asarray(w)
-    n = v.shape[-1] // 2
-    return v[..., :n] @ w[..., n:] - v[..., n:] @ w[..., :n]
 
 
 def isotropy_defect(frame: PolarizationFrame) -> float:

@@ -9,20 +9,26 @@ facet data are provided for the analytic modules.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor
+from math import ceil, floor, prod
 
 import numpy as np
 
 from ._intlin import (
+    _rref,
     integer_det,
     integer_kernel_basis,
     is_primitive,
     rational_rank,
     rational_solve,
 )
+
+# points per block when a grid is scanned or a node-wise integrand is
+# evaluated: the temporaries stay at a few MB however fine the grid is
+NODE_BLOCK = 1 << 15
 
 
 class PolytopeError(ValueError):
@@ -198,28 +204,14 @@ class DelzantPolytope:
 
     @cached_property
     def is_box(self) -> bool:
-        """True when every facet normal is a signed coordinate vector."""
-        seen = set()
-        for r, _ in self.facets:
-            nz = [(i, v) for i, v in enumerate(r) if v != 0]
-            if len(nz) != 1 or abs(nz[0][1]) != 1:
-                return False
-            seen.add(nz[0])
-        return len(seen) == 2 * self.dim == self.num_facets
+        """True when the facets cut out an axis-aligned box."""
+        return _is_box(tuple(r for r, _ in self.facets), self.dim)
 
     def box_bounds(self):
         """Per-axis (lo, hi) for box polytopes (exact rationals)."""
         if not self.is_box:
             raise PolytopeError("polytope is not an axis-aligned box")
-        lo = [None] * self.dim
-        hi = [None] * self.dim
-        for r, lam in self.facets:
-            i, s = next((i, v) for i, v in enumerate(r) if v != 0)
-            if s > 0:
-                lo[i] = Fraction(-lam)
-            else:
-                hi[i] = Fraction(lam)
-        return tuple(zip(lo, hi))
+        return tuple(zip(*_vertex_bounds(self.vertices, self.dim)))
 
     def _check_bounded(self):
         rows = [r for r, _ in self.facets]
@@ -228,14 +220,12 @@ class DelzantPolytope:
         # A nontrivial recession cone is pointed here, so it has an extreme
         # ray lying on dim-1 independent facet normals; scan those candidates.
         for subset in itertools.combinations(range(self.num_facets), self.dim - 1):
-            sub = [rows[j] for j in subset]
-            if sub and rational_rank(sub) < self.dim - 1:
-                continue
-            for v in integer_kernel_basis(sub, ncols=self.dim):
-                for cand in (v, tuple(-c for c in v)):
-                    if all(sum(c * ri for c, ri in zip(cand, r)) >= 0 for r in rows):
-                        raise PolytopeError(
-                            f"polytope is unbounded along direction {cand}")
+            kernel = integer_kernel_basis([rows[j] for j in subset], ncols=self.dim)
+            if len(kernel) != 1:
+                continue  # the normals are dependent
+            for cand in (kernel[0], tuple(-c for c in kernel[0])):
+                if all(sum(c * ri for c, ri in zip(cand, r)) >= 0 for r in rows):
+                    raise PolytopeError(f"polytope is unbounded along direction {cand}")
 
 
 def facet_value(P: DelzantPolytope, j: int, x):
@@ -249,6 +239,57 @@ def facet_value(P: DelzantPolytope, j: int, x):
     return sum(xi * ri for xi, ri in zip(x, r)) + lam
 
 
+def _is_box(normals, dim) -> bool:
+    """True when every nonzero normal is a signed coordinate vector and all
+    2*dim of them occur: the halfspaces then cut out an axis-aligned box.
+
+    Zero normals (constraints constant on a slice chart) and redundant
+    parallel facets are allowed.
+    """
+    seen = set()
+    for r in normals:
+        nz = [(i, v) for i, v in enumerate(r) if v != 0]
+        if not nz:
+            continue
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            return False
+        seen.add(nz[0])
+    return len(seen) == 2 * dim
+
+
+def _vertex_bounds(vertices, dim):
+    """Exact per-axis (lo, hi) lists of the bounding box of the vertices."""
+    lo = [min(Fraction(v.point[i]) for v in vertices) for i in range(dim)]
+    hi = [max(Fraction(v.point[i]) for v in vertices) for i in range(dim)]
+    return lo, hi
+
+
+def _grid_scan(axes, normals, offsets, strict=False):
+    """Points of the integer grid axes[0] x axes[1] x ... inside the halfspaces.
+
+    Keeps num with normals . num + offsets >= 0 (> 0 when strict), in
+    meshgrid "ij" order, as an (N, dim) int64 array.  The grid is walked
+    NODE_BLOCK points at a time, so no temporary has the size of the grid.
+    """
+    axes = [np.asarray(a, dtype=np.int64) for a in axes]
+    shape = tuple(len(a) for a in axes)
+    R = np.array(normals, dtype=np.int64).reshape(-1, len(axes))
+    lam = np.array(offsets, dtype=np.int64)[:, None]
+    # numpy would wrap int64 facet values silently
+    amax = [float(np.abs(a).max(initial=0)) for a in axes]
+    if np.any(np.abs(R) @ amax + np.abs(lam[:, 0]) >= 2.0 ** 62):
+        raise OverflowError("grid coordinates too large for int64 facet values")
+    kept = [np.empty((0, len(axes)), dtype=np.int64)]
+    total = prod(shape)
+    for s in range(0, total, NODE_BLOCK):
+        idx = np.unravel_index(np.arange(s, min(s + NODE_BLOCK, total)), shape)
+        # coordinates and facet values lie along the rows: (dim, B), (facets, B)
+        num = np.stack([a[i] for a, i in zip(axes, idx)])
+        vals = R @ num + lam
+        kept.append(num[:, np.all(vals > 0 if strict else vals >= 0, axis=0)].T)
+    return np.concatenate(kept)
+
+
 def _mean_point(points):
     n = len(points[0])
     cnt = len(points)
@@ -259,23 +300,16 @@ def _hpoly_vertices(normals, offsets, dim):
     """Vertices of {u : <u, normals[j]> + offsets[j] >= 0} (exact, bounded).
 
     Integer normals, rational offsets.  Handles dim 0 (the polytope is the
-    single empty-tuple point when all offsets are nonnegative) and polytopes
-    that are not full-dimensional.
+    single empty-tuple point when all offsets are nonnegative: the empty
+    subset solves to it) and polytopes that are not full-dimensional.
     """
-    if dim == 0:
-        ok = all(off >= 0 for off in offsets)
-        return (Vertex(point=(), active_facets=tuple(
-            j for j, off in enumerate(offsets) if off == 0)),) if ok else ()
     d = len(normals)
     found = {}
     for subset in itertools.combinations(range(d), dim):
         sub = [normals[j] for j in subset]
         if integer_det(sub) == 0:
             continue
-        try:
-            pt = rational_solve(sub, [-offsets[j] for j in subset])
-        except ValueError:
-            continue
+        pt = rational_solve(sub, [-offsets[j] for j in subset])
         vals = [sum(p * ri for p, ri in zip(pt, normals[j])) + offsets[j]
                 for j in range(d)]
         if any(v < 0 for v in vals):
@@ -283,11 +317,6 @@ def _hpoly_vertices(normals, offsets, dim):
         active = tuple(j for j, v in enumerate(vals) if v == 0)
         found[pt] = Vertex(point=pt, active_facets=active)
     return tuple(found[p] for p in sorted(found))
-
-
-def enumerate_vertices(P: DelzantPolytope):
-    """All vertices of P, sorted lexicographically, with exact coordinates."""
-    return P.vertices
 
 
 def is_delzant(P: DelzantPolytope) -> DelzantCertificate:
@@ -313,15 +342,10 @@ def is_delzant(P: DelzantPolytope) -> DelzantCertificate:
 
 def lattice_points(P: DelzantPolytope):
     """P intersected with Z^n by exact bounding-box scan, sorted."""
-    verts = P.vertices
-    lo = [min(v.point[i] for v in verts) for i in range(P.dim)]
-    hi = [max(v.point[i] for v in verts) for i in range(P.dim)]
-    ranges = [range(ceil(a), floor(b) + 1) for a, b in zip(lo, hi)]
-    pts = []
-    for m in itertools.product(*ranges):
-        if all(facet_value(P, j + 1, m) >= 0 for j in range(P.num_facets)):
-            pts.append(m)
-    return tuple(pts)
+    lo, hi = _vertex_bounds(P.vertices, P.dim)
+    pts = _grid_scan([range(ceil(a), floor(b) + 1) for a, b in zip(lo, hi)],
+                    [r for r, _ in P.facets], [lam for _, lam in P.facets])
+    return tuple(map(tuple, pts.tolist()))
 
 
 def weight_multiplicities(P: DelzantPolytope, proj):
@@ -329,43 +353,23 @@ def weight_multiplicities(P: DelzantPolytope, proj):
     A = proj.matrix
     if len(A[0]) != P.dim:
         raise PolytopeError("projection width does not match polytope dimension")
-    counts = {}
-    for m in lattice_points(P):
-        key = tuple(sum(a * mi for a, mi in zip(row, m)) for row in A)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(tuple(sum(a * mi for a, mi in zip(row, m)) for row in A)
+                     for m in lattice_points(P))
     return {k: counts[k] for k in sorted(counts)}
 
 
 def _particular_solution(A, q):
-    """Some rational x with A x = q, for full-row-rank integer A."""
-    k = len(A)
+    """Some rational x with A x = q, for full-row-rank integer A.
+
+    The pivot entries of the reduced [A | q]; x is zero off the pivots.
+    """
     n = len(A[0])
-    cols = []
-    rows = [list(map(Fraction, r)) for r in A]
-    work = [row[:] for row in rows]
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, k) if work[i][c] != 0), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        piv = work[r][c]
-        work[r] = [v / piv for v in work[r]]
-        for i in range(k):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [vi - f * vc for vi, vc in zip(work[i], work[r])]
-        cols.append(c)
-        r += 1
-        if r == k:
-            break
-    if r < k:
+    M, pivots = _rref([list(A[i]) + [q[i]] for i in range(len(A))], n)
+    if len(pivots) < len(A):
         raise PolytopeError("projection matrix is rank deficient")
-    sq = [[A[i][c] for c in cols] for i in range(k)]
-    sol = rational_solve(sq, list(q))
     x = [Fraction(0)] * n
-    for c, v in zip(cols, sol):
-        x[c] = v
+    for row, c in zip(M, pivots):
+        x[c] = row[n]
     return tuple(x)
 
 
@@ -385,38 +389,15 @@ def face_slice(P: DelzantPolytope, proj, q) -> Slice:
         raise PolytopeError("level has wrong length for the projection")
     x0 = _particular_solution(A, q)
     B0 = integer_kernel_basis(A, ncols=n)
-    normals_u = tuple(tuple(sum(b[i] * r[i] for i in range(n)) for b in B0)
-                      for r, _ in P.facets)
-    offsets_u = tuple(facet_value(P, j + 1, x0) for j in range(P.num_facets))
-    verts = _hpoly_vertices(normals_u, offsets_u, len(B0))
+    verts = Slice(base=P, level=q, chart=B0, base_point=x0).chart_vertices
     if not verts:
         raise EmptySliceError(f"level {tuple(map(str, q))} lies outside the image polytope")
     ustar = _mean_point([v.point for v in verts]) if len(B0) else ()
     xstar = tuple(x0[i] + sum(Fraction(u) * b[i] for u, b in zip(ustar, B0))
                   for i in range(n))
-    active = []
-    for j in range(P.num_facets):
-        vals = [offsets_u[j] + sum(u * c for u, c in zip(v.point, normals_u[j]))
-                for v in verts]
-        if all(val == 0 for val in vals):
-            active.append(j)
-    if active:
-        stacked = [list(row) for row in A] + [list(P.facets[j][0]) for j in active]
-        chart = integer_kernel_basis(stacked, ncols=n)
-    else:
-        chart = B0
+    # the facets that vanish at every chart vertex vanish on the whole fiber
+    active = sorted(set.intersection(*(set(v.active_facets) for v in verts)))
+    chart = integer_kernel_basis([*A, *(P.facets[j][0] for j in active)], ncols=n)
     return Slice(base=P, level=q, chart=chart, base_point=xstar,
                  active_facets=tuple(active))
 
-
-def slice_chart(P: DelzantPolytope, proj, q) -> Slice:
-    """Slice for a level in the relative interior of the image polytope.
-
-    Boundary or infeasible levels raise EmptySliceError; boundary fibers are
-    handled by face_slice instead.
-    """
-    sl = face_slice(P, proj, q)
-    if sl.active_facets:
-        raise EmptySliceError(
-            f"level {tuple(map(str, sl.level))} lies on the boundary of the image polytope")
-    return sl

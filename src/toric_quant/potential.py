@@ -172,7 +172,7 @@ def boundary_approach_samples(P: DelzantPolytope, decades=range(2, 9)):
 
 
 def validate_potential(pot: SymplecticPotential, interior_points,
-                       boundary_points=None, eig_tol: float = 0.0) -> PotentialReport:
+                       boundary_points=None) -> PotentialReport:
     """Check Definition-style validity on samples.
 
     (a) Hess g_t positive definite at every interior sample; (b) the product
@@ -186,7 +186,7 @@ def validate_potential(pot: SymplecticPotential, interior_points,
     eigs = np.linalg.eigvalsh(H)
     mins = eigs[..., 0]
     worst = int(np.argmin(mins))
-    pd = bool(mins[worst] > eig_tol)
+    pd = bool(mins[worst] > 0.0)
     witness = None if pd else tuple(interior_points.reshape(-1, pot.polytope.dim)[worst])
 
     pts = [interior_points]

@@ -15,7 +15,15 @@ from math import lcm
 
 import numpy as np
 
-from .polytope import DelzantPolytope, Slice, face_slice
+from .polytope import (
+    NODE_BLOCK,
+    DelzantPolytope,
+    Slice,
+    _grid_scan,
+    _is_box,
+    _vertex_bounds,
+    face_slice,
+)
 from .sections import ConcentrationWeight, closed_form_norm_g0
 from .subtorus import ConvexFunction, SubtorusProjection
 
@@ -70,11 +78,6 @@ def _tensor_rule(bounds, resolution):
     return points.reshape(-1, dim), weights.reshape(-1)
 
 
-# nodes per block when a node-wise integrand is evaluated on a whole rule:
-# its temporaries stay at a few MB however fine the rule is
-NODE_BLOCK = 1 << 15
-
-
 def node_values(f, points):
     """f(points) for a node-wise f, evaluated NODE_BLOCK rows at a time."""
     out = np.empty(len(points))
@@ -91,19 +94,13 @@ def box_rule(P: DelzantPolytope, resolution: int) -> QuadratureRule:
     return QuadratureRule("gauss", resolution, points, weights, P)
 
 
-def _rational_bbox(vertices, dim):
-    lo = [min(Fraction(v.point[i]) for v in vertices) for i in range(dim)]
-    hi = [max(Fraction(v.point[i]) for v in vertices) for i in range(dim)]
-    return lo, hi
-
-
 def _midpoint_rule(normals, offsets, vertices, dim, resolution):
     """Midpoint grid over the rational bounding box, exact containment.
 
     Grid points are rational with one common denominator, so membership
-    reduces to integer comparisons (vectorized in int64).
+    reduces to integer comparisons (int64, NODE_BLOCK grid points at a time).
     """
-    lo, hi = _rational_bbox(vertices, dim)
+    lo, hi = _vertex_bounds(vertices, dim)
     widths = [h - l for l, h in zip(lo, hi)]
     if any(w == 0 for w in widths):
         raise QuadratureError("degenerate bounding box for grid rule")
@@ -112,20 +109,14 @@ def _midpoint_rule(normals, offsets, vertices, dim, resolution):
         den = lcm(den, Fraction(v).denominator)
     den *= 2 * resolution
     # coordinates: x_i = lo + (2j+1) * width / (2*resolution), j = 0..res-1
-    axes_num = []
-    for l, w in zip(lo, widths):
-        nums = [int((l + Fraction(2 * j + 1, 2 * resolution) * w) * den)
-                for j in range(resolution)]
-        axes_num.append(np.array(nums, dtype=np.int64))
-    grids = np.meshgrid(*axes_num, indexing="ij")
-    num = np.stack([g.ravel() for g in grids], axis=-1)  # (N, dim) integers
-    R = np.array([[int(c) for c in r] for r in normals], dtype=np.int64)
-    lam = np.array([int(off * den) for off in offsets], dtype=np.int64)
+    axes_num = [[int((l + Fraction(2 * j + 1, 2 * resolution) * w) * den)
+                 for j in range(resolution)] for l, w in zip(lo, widths)]
     # strict: cells whose midpoint lands exactly on a facet are dropped, so
     # every node is usable by interior-only evaluators
-    feas = np.all(num @ R.T + lam > 0, axis=1)
+    num = _grid_scan(axes_num, [[int(c) for c in r] for r in normals],
+                     [int(off * den) for off in offsets], strict=True)
     cell = float(np.prod([w / resolution for w in widths]))
-    points = num[feas].astype(float) / den
+    points = num / den
     weights = np.full(points.shape[0], cell)
     return points, weights
 
@@ -142,18 +133,6 @@ def grid_rule(P: DelzantPolytope, resolution: int) -> QuadratureRule:
     return QuadratureRule("grid", resolution, points, weights, P)
 
 
-def _slice_is_box(normals, dim):
-    seen = set()
-    for r in normals:
-        nz = [(i, v) for i, v in enumerate(r) if v != 0]
-        if len(nz) == 0:
-            continue  # constraint constant on the chart
-        if len(nz) != 1 or abs(nz[0][1]) != 1:
-            return False
-        seen.add(nz[0])
-    return len(seen) == 2 * dim
-
-
 def slice_rule(sl: Slice, resolution: int) -> QuadratureRule:
     """Rule over the chart polytope of a slice (Lebesgue measure du).
 
@@ -168,24 +147,20 @@ def slice_rule(sl: Slice, resolution: int) -> QuadratureRule:
     verts = sl.chart_vertices
     if not verts:
         raise QuadratureError("slice chart polytope is empty")
-    if _slice_is_box(normals, sl.dim):
-        lo, hi = _rational_bbox(verts, sl.dim)
-        points, weights = _tensor_rule(list(zip(map(float, lo), map(float, hi))),
-                                       resolution)
+    if _is_box(normals, sl.dim):
+        points, weights = _tensor_rule(zip(*_vertex_bounds(verts, sl.dim)), resolution)
         return QuadratureRule("gauss", resolution, points, weights, sl)
     points, weights = _midpoint_rule(normals, offsets, verts, sl.dim, resolution)
     return QuadratureRule("grid", resolution, points, weights, sl)
 
 
-def make_rule(domain, resolution: int, kind: str | None = None) -> QuadratureRule:
+def make_rule(domain, resolution: int) -> QuadratureRule:
     """Pick tensor Gauss for boxes and midpoint grids otherwise."""
     if isinstance(domain, Slice):
         return slice_rule(domain, resolution)
-    if kind == "gauss" or (kind is None and domain.is_box):
+    if domain.is_box:
         return box_rule(domain, resolution)
-    if kind in (None, "grid"):
-        return grid_rule(domain, resolution)
-    raise QuadratureError(f"unknown rule kind {kind!r}")
+    return grid_rule(domain, resolution)
 
 
 def integrate(f, rule: QuadratureRule) -> float:

@@ -108,10 +108,6 @@ class ConcentrationWeight:
         return np.einsum("...i,...i->...", x - m, grad) - self.psi.value(x)
 
 
-def concentration_weight(weight: ConcentrationWeight, x):
-    return weight(x)
-
-
 def norm_factorization_check(P: DelzantPolytope, proj: SubtorusProjection,
                              phi: ConvexFunction, m, t: float, x) -> float:
     """Max residual of |sigma^m_t| = e^{-t f_m} |sigma^m_0| at the given points."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -102,27 +103,16 @@ def adapted_basis(proj: SubtorusProjection) -> AdaptedBasis:
     Raises ProjectionError when the image of Z^n has index > 1 in Z^k (the
     required Z-basis of the target lattice then does not exist).
     """
-    A = proj.matrix
-    k, n = proj.k, proj.n
-    H, V = column_hermite(A)
+    k = proj.k
+    H, V = column_hermite(proj.matrix)
     L = [[H[i][j] for j in range(k)] for i in range(k)]
-    index = 1
-    for i in range(k):
-        index *= L[i][i]
+    index = prod(L[i][i] for i in range(k))
     if abs(index) != 1:
         raise ProjectionError(
             f"image lattice has index {abs(index)} > 1; projection is not lattice-surjective")
-    Linv = unimodular_inverse(L)
-    W = [list(row) for row in V]
-    # W = V @ blockdiag(L^-1, I): mix only the first k columns.
-    for i in range(n):
-        head = [sum(V[i][t] * Linv[t][j] for t in range(k)) for j in range(k)]
-        W[i][:k] = head
-    U = unimodular_inverse(W)
-    check = matmul_int(A, tuple(tuple(r) for r in W))
-    expect = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(k))
-    if check != expect:
-        raise AssertionError("adapted basis construction failed self-check")
+    # U = blockdiag(L, I) V^-1, so A U^-1 = A V blockdiag(L^-1, I) = [I | 0]
+    Vinv = unimodular_inverse(V)
+    U = matmul_int(L, Vinv[:k]) + Vinv[k:]
     return AdaptedBasis(change_of_basis=U, split=k)
 
 

@@ -110,6 +110,38 @@ class TestWeightGrammar:
         with pytest.raises(ConfigError):
             parse_weight("x1 + sin", 2)
 
+    BAD = ["x1/2", "x1**2", "x1 ** 2", "sin(x1)", "x1.real", "True", "x1 and x2",
+           "x1 < x2", "x1^0.5", "x1^-1", "x1^x2", "x1^True", "+x1", "1j", "'x1'",
+           "x0", "x3", "y1", "x1 +", "2x1", "(x1", "x1^^2", "", "x1; x2", "x1\0"]
+
+    @pytest.mark.parametrize("expr", BAD)
+    def test_rejected_expressions(self, expr):
+        with pytest.raises(ConfigError) as err:
+            parse_weight(expr, 2)
+        assert err.value.code == "bad_weight"
+
+    @pytest.mark.parametrize("expr", [e for e in BAD if e])
+    def test_main_rejects_with_exit_two(self, tmp_path, capsys, expr):
+        path = write_cfg(tmp_path, SQUARE2_CFG)
+        assert main(["concentrate", path, f"--u={expr}"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "bad_weight"
+
+    def test_unary_minus_binds_looser_than_power(self):
+        x = np.array([[2.0, 3.0]])
+        assert parse_weight("-x1^2", 2)(x)[0] == -4.0
+        assert parse_weight("(-x1)^2", 2)(x)[0] == 4.0
+        assert parse_weight("2 - -x2^3 * x1", 2)(x)[0] == 2.0 + 27.0 * 2.0
+        assert parse_weight(" x1 ^ 2\n+ x2 ", 2)(x)[0] == 7.0
+
+    def test_same_operations_in_the_same_order(self):
+        # the bytes of a report depend on the order of the float operations
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0, 2, size=(50, 3))
+        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+        got = parse_weight("1.0*x1^2+0.5*x2^1*x3^1 - 0.1*x1*x2 - 3", 3)(x)
+        ref = 1.0 * x1 ** 2 + 0.5 * x2 ** 1 * x3 ** 1 - 0.1 * x1 * x2 - 3.0
+        assert got.tobytes() == ref.tobytes()
+
 
 class TestRun:
     def test_lattice_count(self, tmp_path):

@@ -4,8 +4,11 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_quant._intlin import (
+    _hermite,
     column_hermite,
     integer_det,
     integer_kernel_basis,
@@ -15,6 +18,7 @@ from toric_quant._intlin import (
     rational_solve,
     unimodular_inverse,
 )
+from toric_quant.polytope import PolytopeError, _particular_solution
 
 
 def test_primitive():
@@ -109,3 +113,99 @@ class TestHermiteAndInverse:
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             unimodular_inverse(((2, 0), (0, 1)))
+
+
+# --- properties of the one RREF and the one Hermite loop on random matrices ---
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    """k x n integer matrices, n <= 5; about half have a last row that is an
+    integer combination of the others, so they are rank-deficient."""
+    n = draw(st.integers(1, 5))
+    k = n if square else draw(st.integers(1, n))
+    entry = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        c = draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
+        rows[-1] = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(n)]
+    return rows
+
+
+def _rank(A):
+    # an independent reference: small integer entries are exact in floats
+    return int(np.linalg.matrix_rank(np.array(A, dtype=float)))
+
+
+def _mul(A, x):
+    return tuple(sum(a * v for a, v in zip(row, x)) for row in A)
+
+
+class TestMergedPaths:
+    @PROPERTY
+    @given(int_matrices())
+    def test_kernel_is_saturated_and_of_full_size(self, A):
+        n = len(A[0])
+        B = integer_kernel_basis(A, ncols=n)
+        assert len(B) == n - _rank(A) and rational_rank(A) == _rank(A)
+        assert all(v == 0 for b in B for v in _mul(A, b))
+        if B:
+            g = 0
+            for cols in itertools.combinations(range(n), len(B)):
+                g = gcd(g, integer_det([[b[c] for c in cols] for b in B]))
+            assert abs(g) == 1
+
+    @PROPERTY
+    @given(int_matrices())
+    def test_hermite_form(self, A):
+        k, n = len(A), len(A[0])
+        H, V, rank = _hermite(A, n)
+        assert rank == _rank(A)
+        assert matmul_int(A, V) == tuple(map(tuple, H))
+        assert abs(integer_det(V)) == 1
+        assert all(H[i][c] == 0 for i in range(k) for c in range(rank, n))
+        if rank < k:
+            with pytest.raises(ValueError):
+                column_hermite(A)
+            return
+        H, V = column_hermite(A)
+        for i in range(k):
+            assert H[i][i] > 0 and all(H[i][j] == 0 for j in range(i + 1, n))
+
+    @PROPERTY
+    @given(int_matrices(square=True), st.lists(st.fractions(max_denominator=7), min_size=5,
+                                               max_size=5))
+    def test_rational_solve_is_exact(self, A, b):
+        b = b[:len(A)]
+        if _rank(A) < len(A):
+            with pytest.raises(ValueError):
+                rational_solve(A, b)
+        else:
+            assert _mul(A, rational_solve(A, b)) == tuple(b)
+
+    @PROPERTY
+    @given(int_matrices(), st.lists(st.fractions(max_denominator=7), min_size=5,
+                                    max_size=5))
+    def test_particular_solution_is_exact(self, A, q):
+        q = tuple(q[:len(A)])
+        if _rank(A) < len(A):
+            with pytest.raises(PolytopeError):
+                _particular_solution(A, q)
+        else:
+            x = _particular_solution(A, q)
+            assert _mul(A, x) == q and all(isinstance(v, Fraction) for v in x)
+
+    @PROPERTY
+    @given(int_matrices(square=True))
+    def test_unimodular_inverse_of_hermite_transform(self, A):
+        # V of any Hermite reduction is unimodular
+        V = _hermite(A, len(A))[1]
+        n = len(V)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        Vi = unimodular_inverse(V)
+        assert matmul_int(V, Vi) == eye and matmul_int(Vi, V) == eye
+        if abs(integer_det(A)) != 1:
+            with pytest.raises(ValueError):
+                unimodular_inverse(A)

@@ -1,19 +1,21 @@
+import itertools
 from fractions import Fraction
+from math import ceil, floor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_quant import (
     DelzantPolytope,
     EmptySliceError,
     PolytopeError,
     SubtorusProjection,
-    enumerate_vertices,
     face_slice,
     facet_value,
     is_delzant,
     lattice_points,
-    slice_chart,
     weight_multiplicities,
 )
 
@@ -44,20 +46,20 @@ class TestFacetValue:
 
 class TestVertices:
     def test_interval(self, interval):
-        pts = sorted(v.point for v in enumerate_vertices(interval))
+        pts = sorted(v.point for v in interval.vertices)
         assert pts == [(0,), (1,)]
 
     def test_square_has_four(self, square1):
-        assert len(enumerate_vertices(square1)) == 4
+        assert len(square1.vertices) == 4
 
     def test_triangle_solved_by_hand(self, triangle_nonsmooth):
         # pairwise facet systems give (0,0), (2,0), (0,1)
-        pts = sorted(v.point for v in enumerate_vertices(triangle_nonsmooth))
+        pts = sorted(v.point for v in triangle_nonsmooth.vertices)
         assert pts == [(0, 0), (0, 1), (2, 0)]
 
     def test_all_facets_nonnegative_at_vertices(self, simplex, square2):
         for P in (simplex, square2):
-            for v in enumerate_vertices(P):
+            for v in P.vertices:
                 for j in range(P.num_facets):
                     val = facet_value(P, j + 1, v.point)
                     assert val >= 0
@@ -121,6 +123,60 @@ class TestLatticePoints:
             assert len(lattice_points(Q)) == len(lattice_points(P))
 
 
+@st.composite
+def small_delzant(draw):
+    """A box or a dilated simplex in dim 1-3, shifted, and sheared by a
+    unimodular x -> M x (normals by M^-T) half of the time."""
+    dim = draw(st.integers(1, 3))
+    shift = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+        P = DelzantPolytope.from_box([(s, s + w) for s, w in zip(shift, sizes)])
+    else:
+        k = draw(st.integers(1, 4))
+        facets = [(tuple(int(i == j) for j in range(dim)), -shift[i]) for i in range(dim)]
+        P = DelzantPolytope(dim, tuple(facets) + (((-1,) * dim, k + sum(shift)),))
+    if dim > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(dim)))[:2]
+        c = draw(st.integers(-2, 2))
+        # M = I + c e_i e_j^T, so M^-T r = r - c r_i e_j
+        P = DelzantPolytope(dim, tuple(
+            (tuple(v - c * r[i] if a == j else v for a, v in enumerate(r)), lam)
+            for r, lam in P.facets))
+    return P
+
+
+def _brute_lattice(P):
+    box = [range(floor(min(float(v.point[i]) for v in P.vertices)) - 1,
+                 ceil(max(float(v.point[i]) for v in P.vertices)) + 2) for i in range(P.dim)]
+    return tuple(m for m in itertools.product(*box)
+                 if all(sum(a * b for a, b in zip(r, m)) + lam >= 0 for r, lam in P.facets))
+
+
+class TestLatticeScan:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(small_delzant())
+    def test_matches_brute_force(self, P):
+        assert is_delzant(P)
+        pts = lattice_points(P)
+        assert pts == _brute_lattice(P)
+        assert all(type(c) is int for m in pts for c in m)
+
+    def test_several_blocks(self):
+        # 37^3 = 50,653 grid points: one full scan block and a partial one
+        P = DelzantPolytope(3, ((((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                                 ((-1, -1, -1), 36))))
+        assert len(lattice_points(P)) == 39 * 38 * 37 // 6 == len(_brute_lattice(P))
+
+
+    def test_int64_overflow_is_refused(self):
+        # [0, 2] with the redundant facet x + 2^63 - 1 >= 0, whose value at
+        # x = 1 does not fit int64: wrapped, it would drop x = 1 and x = 2
+        P = DelzantPolytope(1, (((1,), 0), ((-1,), 2), ((1,), 2 ** 63 - 1)))
+        with pytest.raises(OverflowError):
+            lattice_points(P)
+
+
 class TestWeightMultiplicities:
     def test_square2_first_coordinate(self, square2, proj_first_of_two):
         assert weight_multiplicities(square2, proj_first_of_two) == {
@@ -142,7 +198,7 @@ class TestWeightMultiplicities:
 
 class TestSliceChart:
     def test_square2_interior_level(self, square2, proj_first_of_two):
-        sl = slice_chart(square2, proj_first_of_two, (1,))
+        sl = face_slice(square2, proj_first_of_two, (1,))
         assert sl.chart == ((0, 1),)
         assert proj_first_of_two.apply(sl.base_point) == (1,)
         assert sl.active_facets == ()
@@ -152,15 +208,11 @@ class TestSliceChart:
 
     def test_level_outside_image(self, square2, proj_first_of_two):
         with pytest.raises(EmptySliceError):
-            slice_chart(square2, proj_first_of_two, (3,))
-
-    def test_level_on_boundary_rejected(self, square2, proj_first_of_two):
-        with pytest.raises(EmptySliceError):
-            slice_chart(square2, proj_first_of_two, (0,))
+            face_slice(square2, proj_first_of_two, (3,))
 
     def test_cube_two_dim_projection(self, cube):
         proj = SubtorusProjection(((1, 0, 0), (0, 1, 0)))
-        sl = slice_chart(cube, proj, (Fraction(1, 2), Fraction(1, 2)))
+        sl = face_slice(cube, proj, (Fraction(1, 2), Fraction(1, 2)))
         assert sl.dim == 1
         assert sl.chart == ((0, 0, 1),)
         verts = sorted(v.point for v in sl.chart_vertices)
@@ -168,13 +220,13 @@ class TestSliceChart:
 
     def test_base_point_exact(self, square2):
         proj = SubtorusProjection(((1, 1),))
-        sl = slice_chart(square2, proj, (Fraction(3, 2),))
+        sl = face_slice(square2, proj, (Fraction(3, 2),))
         assert proj.apply(sl.base_point) == (Fraction(3, 2),)
         assert all(isinstance(c, Fraction) for c in sl.base_point)
 
     def test_chart_rows_span_integer_kernel(self, cube):
         proj = SubtorusProjection(((1, 1, 0),))
-        sl = slice_chart(cube, proj, (1,))
+        sl = face_slice(cube, proj, (1,))
         A = np.array(proj.matrix)
         B = np.array(sl.chart)
         assert B.shape == (2, 3)
@@ -195,13 +247,15 @@ class TestFaceSlice:
         assert sl.base_point == (0,)
         assert sl.active_facets == (0,)
 
+    def test_vertex_fiber_of_diagonal_projection(self, simplex):
+        # x + y = 0 meets the simplex in the vertex (0, 0), although
+        # ker(1, 1) is a line: the chart comes from the active facets too
+        sl = face_slice(simplex, SubtorusProjection(((1, 1),)), (0,))
+        assert sl.dim == 0 and sl.active_facets == (0, 1)
+        assert sl.base_point == (0, 0)
+
     def test_boundary_fiber_of_square(self, square2, proj_first_of_two):
         sl = face_slice(square2, proj_first_of_two, (0,))
         assert sl.dim == 1
         assert sl.active_facets != ()
         assert proj_first_of_two.apply(sl.base_point) == (0,)
-
-    def test_interior_matches_slice_chart(self, square2, proj_first_of_two):
-        a = face_slice(square2, proj_first_of_two, (1,))
-        b = slice_chart(square2, proj_first_of_two, (1,))
-        assert a.chart == b.chart and a.base_point == b.base_point

@@ -81,6 +81,16 @@ class TestFamily:
         assert np.allclose(pot.value(pts), g0_value(square2, pts))
         assert np.allclose(pot.gradient(pts), g0_gradient(square2, pts))
 
+    def test_t_zero_is_canonical_bit_for_bit(self, square2, simplex, proj_first_of_two,
+                                             phi_half_square):
+        # the CLI builds its t = 0 potentials as perturbed(..., 0.0)
+        for P in (square2, simplex):
+            pot = SymplecticPotential.perturbed(P, proj_first_of_two, phi_half_square, 0.0)
+            can = SymplecticPotential.canonical(P)
+            pts = sample_interior(P, 20, seed=4)
+            for f in ("value", "gradient", "hessian"):
+                assert getattr(pot, f)(pts).tobytes() == getattr(can, f)(pts).tobytes()
+
     def test_interval_gradient_shift(self, interval, proj_id1, phi_half_square):
         pot = SymplecticPotential.perturbed(interval, proj_id1, phi_half_square, 1.0)
         assert pot.gradient(np.array([0.5])) == pytest.approx([0.5])

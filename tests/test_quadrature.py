@@ -1,11 +1,14 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from toric_quant import (
     ConcentrationWeight,
+    DelzantPolytope,
+    EmptySliceError,
     QuadratureError,
     SubtorusProjection,
     box_rule,
@@ -17,7 +20,6 @@ from toric_quant import (
     integrate,
     integrate_slice,
     make_rule,
-    slice_chart,
     slice_rule,
 )
 from toric_quant.quadrature import NODE_BLOCK, _gauss_axis, _tensor_rule, node_values
@@ -118,6 +120,69 @@ class TestNodeBlocks:
         assert peak < 8.0
 
 
+def _meshgrid_midpoint_rule(P, resolution):
+    """The midpoint grid rule built on the whole bounding-box meshgrid."""
+    lo = [min(Fraction(v.point[i]) for v in P.vertices) for i in range(P.dim)]
+    hi = [max(Fraction(v.point[i]) for v in P.vertices) for i in range(P.dim)]
+    widths = [b - a for a, b in zip(lo, hi)]
+    den = 2 * resolution * math.lcm(*(Fraction(v).denominator for v in widths + lo))
+    axes = [np.array([int((a + Fraction(2 * j + 1, 2 * resolution) * w) * den)
+                      for j in range(resolution)], dtype=np.int64)
+            for a, w in zip(lo, widths)]
+    num = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    R = np.array([r for r, _ in P.facets], dtype=np.int64)
+    lam = np.array([lam * den for _, lam in P.facets], dtype=np.int64)
+    points = num[np.all(num @ R.T + lam > 0, axis=1)].astype(float) / den
+    cell = float(np.prod([w / resolution for w in widths]))
+    return points, np.full(len(points), cell)
+
+
+SIMPLEX2 = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2)))
+
+
+class TestBlockedGrid:
+    @pytest.mark.parametrize("P,resolution", [
+        (SIMPLEX2, 1024),  # 32 full scan blocks
+        (SIMPLEX2, 999),  # 30 full blocks and a partial one
+        (DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                             ((-1, -2, -1), 3))), 41),  # not a lattice-width box
+    ])
+    def test_grid_rule_bitwise_meshgrid(self, P, resolution):
+        rule = grid_rule(P, resolution)
+        points, weights = _meshgrid_midpoint_rule(P, resolution)
+        assert rule.points.tobytes() == points.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
+
+    def test_grid_rule_peak_is_twice_the_rule(self):
+        # the whole-box scan this replaced peaked at 6.7 times the rule's bytes
+        rule = grid_rule(SIMPLEX2, 1024)
+        tracemalloc.start()
+        try:
+            rule = grid_rule(SIMPLEX2, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (rule.points.nbytes + rule.weights.nbytes)
+
+    @pytest.mark.parametrize("P,volume", [
+        # [0, 2] with the redundant facet x >= -1
+        (DelzantPolytope(1, (((1,), 0), ((-1,), 2), ((1,), 1))), 2.0),
+        # [0, 2] x [0, 1] with the redundant facets x >= -1 and y <= 3
+        (DelzantPolytope(2, (((1, 0), 0), ((-1, 0), 2), ((0, 1), 0), ((0, -1), 1),
+                             ((1, 0), 1), ((0, -1), 3))), 2.0),
+    ])
+    def test_box_with_redundant_facet_gets_gauss(self, P, volume):
+        assert P.is_box and P.box_bounds() == tuple((0, hi) for hi in (2, 1)[:P.dim])
+        rule = make_rule(P, 16)
+        assert rule.kind == "gauss"
+        assert rule.total_weight() == pytest.approx(volume, rel=1e-14)
+
+    def test_non_box_normals_are_not_a_box(self, simplex):
+        assert not simplex.is_box
+        assert not DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, 0), 1),
+                                       ((0, -1), 1), ((-1, -1), 3))).is_box
+
+
 class TestIntegrate:
     def test_constant_on_unit_square(self, square1):
         assert integrate(ones, box_rule(square1, 12)) == pytest.approx(1.0, abs=1e-10)
@@ -153,19 +218,21 @@ class TestIntegrate:
 
 class TestSliceIntegration:
     def test_segment_constant(self, square2, proj_first_of_two):
-        sl = slice_chart(square2, proj_first_of_two, (1,))
+        sl = face_slice(square2, proj_first_of_two, (1,))
         assert integrate_slice(ones, sl, resolution=32) == pytest.approx(2.0, abs=1e-10)
 
     def test_norm_profile_against_finer_rule(self, square2, proj_first_of_two):
-        sl = slice_chart(square2, proj_first_of_two, (1,))
+        sl = face_slice(square2, proj_first_of_two, (1,))
         f = lambda x: closed_form_norm_g0(square2, (1, 1), x)
         coarse = integrate_slice(f, sl, resolution=64)
         fine = integrate_slice(f, sl, resolution=640)
         assert abs(coarse - fine) < 1e-5
 
     def test_boundary_level_errors(self, square2, proj_first_of_two):
-        with pytest.raises(Exception):
-            slice_chart(square2, proj_first_of_two, (2,))
+        # the boundary level 2 is the face x1 = 2; a level past it is empty
+        assert face_slice(square2, proj_first_of_two, (2,)).active_facets != ()
+        with pytest.raises(EmptySliceError):
+            face_slice(square2, proj_first_of_two, (Fraction(5, 2),))
 
     def test_zero_dim_slice_is_point_evaluation(self, interval, proj_id1):
         sl = face_slice(interval, proj_id1, (0,))
@@ -176,7 +243,7 @@ class TestSliceIntegration:
 
     def test_simplex_diagonal_slice_grid(self, simplex):
         proj = SubtorusProjection(((1, 1),))
-        sl = slice_chart(simplex, proj, (0.5,))
+        sl = face_slice(simplex, proj, (0.5,))
         # fiber {x + y = 1/2} inside the simplex has length sqrt(2) but chart
         # measure du along the primitive direction (1,-1) gives extent 1/2
         val = integrate_slice(ones, sl, resolution=64)
