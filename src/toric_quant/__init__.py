@@ -47,12 +47,9 @@ from .legendre import (
     kahler_potential,
 )
 from .polarization import (
-    ComplexStructureMatrix,
     PolarizationFrame,
-    complex_structure,
     decay_report,
     grassmann_distance,
-    kahler_metric,
     limit_frame,
     polarization_frame,
 )

@@ -22,7 +22,7 @@ import operator
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from . import legendre, polarization, potential, quadrature, sections
 from .polytope import (
     DelzantPolytope,
     PolytopeError,
+    _grid_scan,
+    _vertex_bounds,
     is_delzant,
     lattice_points,
     weight_multiplicities,
@@ -118,10 +120,11 @@ def _check_t_list(t_list) -> tuple:
     return ts
 
 
-def _check_resolution(resolution: int) -> int:
+def _check_resolution(resolution) -> int:
     """The resolution of a config or of the resolution option."""
-    if resolution < 8:
-        raise ConfigError("bad_resolution", "resolution must be at least 8")
+    if type(resolution) is not int or resolution < 8:
+        raise ConfigError("bad_resolution",
+                          f"resolution must be an integer of at least 8 (got {resolution!r})")
     return resolution
 
 
@@ -153,6 +156,11 @@ def load_config(path: str) -> ExperimentConfig:
             "not_delzant", f"polytope is not Delzant: {cert.reason}",
             details={"vertex": [str(c) for c in cert.vertex],
                      "determinant": cert.determinant})
+    try:  # the exact scans run in int64: scan the corners of the vertex box once
+        _grid_scan(zip(*_vertex_bounds(P.vertices, P.dim)), [r for r, _ in P.facets],
+                   [lam for _, lam in P.facets])
+    except OverflowError as exc:
+        raise ConfigError("bad_polytope", f"facet values leave int64: {exc}") from exc
 
     try:
         proj = SubtorusProjection(tuple(tuple(r) for r in raw.get(
@@ -183,7 +191,7 @@ def load_config(path: str) -> ExperimentConfig:
                           f"phi is not strictly convex near {conv.witness}")
 
     t_list = _check_t_list(raw.get("t_list", (8, 16, 32, 64, 128)))
-    resolution = _check_resolution(int(raw.get("resolution", 64)))
+    resolution = _check_resolution(raw.get("resolution", 64))
 
     digest = hashlib.sha256(_canonical_json(raw)).hexdigest()
     return ExperimentConfig(polytope=P, proj=proj, phi=phi, t_list=t_list,
@@ -278,7 +286,7 @@ def _cmd_potential_validate(cfg, opts):
     rays = potential.boundary_approach_samples(P)
     per_t = {}
     ok_pd, ok_range = True, True
-    for t in (0.0,) + tuple(cfg.t_list):
+    for t in sorted({0.0, *opts["t_list"]}):
         pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t)
         rep = potential.validate_potential(pot, pts, rays)
         per_t[f"{t:g}"] = {"product_min": rep.product_min,
@@ -297,7 +305,7 @@ def _cmd_legendre_roundtrip(cfg, opts):
     pts = potential.interior_samples(P, 100, seed=_SEED)
     worst = 0.0
     per_t = {}
-    for t in (0.0,) + tuple(cfg.t_list):
+    for t in sorted({0.0, *opts["t_list"]}):
         pair = legendre.LegendrePair(
             potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t))
         err = float(np.max(np.linalg.norm(
@@ -314,10 +322,9 @@ def _cmd_flow_check(cfg, opts):
     pts = potential.interior_samples(P, 20, seed=_SEED)
     pot0 = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
     pair0 = legendre.LegendrePair(pot0)
-    t_list = opts.get("t_list") or cfg.t_list
     per_t = {}
     worst = 0.0
-    for t in t_list:
+    for t in opts["t_list"]:
         pair_t = legendre.LegendrePair(pot0.at_time(t))
         res = float(np.max(legendre.flow_identity_residual(pair0, pair_t, pts)))
         per_t[f"{t:g}"] = res
@@ -333,7 +340,7 @@ def _cmd_polarization_limit(cfg, opts):
     bary = P.barycenter_array()
     # halfway-to-center mixtures: keeps the slope fit in its asymptotic window
     pts = bary + 0.5 * (potential.interior_samples(P, npoints, seed=_SEED) - bary)
-    t_list = opts.get("t_list") or cfg.t_list
+    t_list = opts["t_list"]
     pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
     slopes, iso, sub, kdims = [], 0.0, 0.0, set()
     per_t_norm = np.zeros(len(t_list))
@@ -369,7 +376,7 @@ def _cmd_polarization_limit(cfg, opts):
 def _cmd_sections_norms(cfg, opts):
     P = cfg.polytope
     m = opts.get("m") or _default_m(cfg)
-    t_list = opts.get("t_list") or cfg.t_list
+    t_list = opts["t_list"]
     pts = potential.interior_samples(P, 100, seed=_SEED)
     rule = quadrature.make_rule(P, cfg.resolution)
     per_t = []
@@ -416,9 +423,8 @@ def _cmd_concentrate(cfg, opts):
     m = opts.get("m") or _default_m(cfg)
     expr = opts.get("u") or "x1"
     u = parse_weight(expr, P.dim)
-    t_list = opts.get("t_list") or cfg.t_list
     result = quadrature.concentration_experiment(
-        P, cfg.proj, cfg.phi, m, u, t_list, resolution=cfg.resolution)
+        P, cfg.proj, cfg.phi, m, u, opts["t_list"], resolution=cfg.resolution)
     floor = 1e-5
     err0, err1 = result.errors[0], result.errors[-1]
     converged = err1 < floor or err1 <= 0.75 * err0
@@ -457,13 +463,13 @@ _SLOPE_COMMANDS = ("concentrate", "polarization-limit", "full-suite")
 def _check_options(cfg: ExperimentConfig, command: str, options: dict) -> dict:
     """Reject options that the command cannot run on, with a ConfigError.
 
-    Returns the options with the t_list option as a tuple of floats.
+    Returns the options with t_list set: the option as a tuple of floats,
+    or the config's times.
     """
     P = cfg.polytope
     options = dict(options)
-    t_list = cfg.t_list
-    if options.get("t_list") is not None:
-        t_list = options["t_list"] = _check_t_list(options["t_list"])
+    t_list = options["t_list"] = (cfg.t_list if options.get("t_list") is None
+                                  else _check_t_list(options["t_list"]))
     if command in _SLOPE_COMMANDS and (len(t_list) < 2 or min(t_list) <= 0):
         raise ConfigError("bad_slope_t_list",
                           f"{command} fits a slope in log t: it needs at least two "
@@ -514,48 +520,43 @@ def emit(report: RunReport, fmt: str = "json") -> bytes:
     raise ConfigError("bad_format", f"unknown format {fmt!r}")
 
 
-def _emit_csv(report: RunReport) -> bytes:
+def _table(report: RunReport):
+    """The header and rows of a report's table form (CSV, and the SVG series)."""
     out = report.outputs
-    lines = []
     if report.command == "concentrate":
-        lines.append("t,ratio,error")
-        for t, r, e in zip(out["t"], out["ratios"], out["errors"]):
-            lines.append(f"{t!r},{r!r},{e!r}")
-    elif report.command == "polarization-limit":
-        lines.append("t,top_block_norm,grassmann_distance,fitted_slope")
+        return ("t", "ratio", "error"), zip(out["t"], out["ratios"], out["errors"])
+    if report.command == "polarization-limit":
         slope = max(out["fitted_slopes"])
-        for t, nrm, d in zip(out["t"], out["max_top_block_norm"],
-                             out["max_grassmann_distance"]):
-            lines.append(f"{t!r},{nrm!r},{d!r},{slope!r}")
-    elif report.command == "sections-norms":
-        lines.append("t,l1_norm,factorization_residual")
-        for row in out["rows"]:
-            lines.append(f"{row['t']!r},{row['l1_norm']!r},{row['factorization_residual']!r}")
-    elif report.command == "lattice":
-        lines.append("point")
-        for m in out["points"]:
-            lines.append(" ".join(map(str, m)))
-    elif report.command == "weights":
-        lines.append("weight,count")
-        for k, v in out["multiplicities"].items():
-            lines.append(f"{k.replace(',', ' ')},{v}")
-    else:
-        raise ConfigError("bad_format", f"no CSV form for command {report.command!r}")
+        return (("t", "top_block_norm", "grassmann_distance", "fitted_slope"),
+                [(t, nrm, d, slope) for t, nrm, d in zip(
+                    out["t"], out["max_top_block_norm"], out["max_grassmann_distance"])])
+    if report.command == "sections-norms":
+        return (("t", "l1_norm", "factorization_residual"),
+                [(r["t"], r["l1_norm"], r["factorization_residual"]) for r in out["rows"]])
+    if report.command == "lattice":
+        return ("point",), [(" ".join(map(str, m)),) for m in out["points"]]
+    if report.command == "weights":
+        return (("weight", "count"),
+                [(k.replace(",", " "), v) for k, v in out["multiplicities"].items()])
+    raise ConfigError("bad_format", f"no CSV form for command {report.command!r}")
+
+
+def _emit_csv(report: RunReport) -> bytes:
+    header, rows = _table(report)
+    lines = [",".join(header)] + [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode()
 
 
-def _svg_series(report: RunReport):
-    out = report.outputs
-    if report.command == "concentrate":
-        return out["t"], out["errors"], "|R_t - R_inf|"
-    if report.command == "polarization-limit":
-        return out["t"], out["max_grassmann_distance"], "grassmann distance"
-    raise ConfigError("bad_format", f"no plot for command {report.command!r}")
+# the axis label of the plotted series: column 2 of the table against t
+_SVG_LABEL = {"concentrate": "|R_t - R_inf|", "polarization-limit": "grassmann distance"}
 
 
 def _emit_svg(report: RunReport) -> bytes:
-    ts, ys, label = _svg_series(report)
-    pairs = [(t, y) for t, y in zip(ts, ys) if t > 0 and y > 0]
+    if report.command not in _SVG_LABEL:
+        raise ConfigError("bad_format", f"no plot for command {report.command!r}")
+    label = _SVG_LABEL[report.command]
+    pairs = [(row[0], row[2]) for row in _table(report)[1] if row[0] > 0 and row[2] > 0]
     if not pairs:
         raise ConfigError("nothing_to_plot", "nothing to plot")
     W, H, pad = 640, 420, 60
@@ -626,8 +627,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.resolution is not None:
-            cfg = ExperimentConfig(cfg.polytope, cfg.proj, cfg.phi, cfg.t_list,
-                                   _check_resolution(args.resolution), cfg.digest, cfg.raw)
+            cfg = replace(cfg, resolution=_check_resolution(args.resolution))
         opts = {}
         if args.t_list is not None:
             opts["t_list"] = _parse_list(args.t_list, float, "bad_t_list")

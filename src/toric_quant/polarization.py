@@ -1,4 +1,4 @@
-"""Complex-structure matrices, polarization frames, and their degeneration.
+"""Polarization frames and their degeneration.
 
 Frames are n complex vectors in the 2n real coordinates (dx_1..dx_n,
 dtheta_1..dtheta_n) on the open orbit.  The frame of the Kahler polarization
@@ -17,19 +17,6 @@ from .subtorus import SubtorusProjection
 
 
 @dataclass(frozen=True)
-class ComplexStructureMatrix:
-    """J = [[0, -G^{-1}], [G, 0]] at a basepoint, with G = Hess g."""
-
-    matrix: np.ndarray
-    basepoint: np.ndarray
-    metric_block: np.ndarray  # G
-
-    def squares_to_minus_identity(self, tol: float = 1e-10) -> bool:
-        n2 = self.matrix.shape[0]
-        return bool(np.max(np.abs(self.matrix @ self.matrix + np.eye(n2))) < tol)
-
-
-@dataclass(frozen=True)
 class PolarizationFrame:
     rows: np.ndarray  # (n, 2n) complex
     basepoint: np.ndarray
@@ -38,27 +25,6 @@ class PolarizationFrame:
     @property
     def n(self) -> int:
         return self.rows.shape[0]
-
-
-def complex_structure(pot: SymplecticPotential, x) -> ComplexStructureMatrix:
-    x = np.asarray(x, dtype=float)
-    G = pot.hessian(x)
-    Ginv = np.linalg.inv(G)
-    n = G.shape[0]
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -Ginv
-    J[n:, :n] = G
-    return ComplexStructureMatrix(matrix=J, basepoint=x, metric_block=G)
-
-
-def kahler_metric(pot: SymplecticPotential, x):
-    """gamma = omega(., J.) = diag(G, G^{-1}) in (dx, dtheta) coordinates."""
-    G = pot.hessian(np.asarray(x, dtype=float))
-    n = G.shape[0]
-    gamma = np.zeros((2 * n, 2 * n))
-    gamma[:n, :n] = G
-    gamma[n:, n:] = np.linalg.inv(G)
-    return gamma
 
 
 def _require_standard(proj: SubtorusProjection):

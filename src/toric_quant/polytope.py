@@ -84,18 +84,12 @@ class Slice:
 
     @cached_property
     def chart_array(self):
-        if not self.chart:
-            return np.zeros((0, self.base.dim))
-        return np.array(self.chart, dtype=float)
+        return np.array(self.chart, dtype=float).reshape(-1, self.base.dim)
 
     def embed(self, u):
         """Map chart coordinates u (..., dim) to ambient points (..., n)."""
         x0 = np.array([float(c) for c in self.base_point])
-        u = np.asarray(u, dtype=float)
-        if self.dim == 0:
-            shape = u.shape[:-1] if u.ndim else ()
-            return np.broadcast_to(x0, shape + (self.base.dim,)).copy()
-        return x0 + u @ self.chart_array
+        return x0 + np.asarray(u, dtype=float) @ self.chart_array
 
     def chart_halfspaces(self):
         """Facet data of the chart polytope {u : l_j(x0 + B^T u) >= 0}.

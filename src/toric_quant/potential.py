@@ -7,6 +7,7 @@ evaluators broadcast over leading axes, so grids can be fed directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,10 +58,11 @@ def g0_hessian(P: DelzantPolytope, x):
 
 @dataclass(frozen=True)
 class SymplecticPotential:
-    """g_t = g0 + t * psi with psi a convex pullback (psi=None means t=0 family)."""
+    """g_t = g0 + t * psi with psi = phi o proj (phi=None means the t=0 family)."""
 
     polytope: DelzantPolytope
-    perturbation: Optional[ConvexFunction] = None
+    proj: Optional[SubtorusProjection] = None
+    phi: Optional[ConvexFunction] = None
     time: float = 0.0
 
     def __post_init__(self):
@@ -71,12 +73,17 @@ class SymplecticPotential:
 
     @classmethod
     def canonical(cls, P: DelzantPolytope) -> "SymplecticPotential":
-        return cls(P, None, 0.0)
+        return cls(P)
 
     @classmethod
     def perturbed(cls, P: DelzantPolytope, proj: SubtorusProjection,
                   phi: ConvexFunction, t: float) -> "SymplecticPotential":
-        return cls(P, pullback(phi, proj), float(t))
+        return cls(P, proj, phi, float(t))
+
+    @cached_property
+    def perturbation(self) -> Optional[ConvexFunction]:
+        """The convex pullback psi on the polytope, or None."""
+        return None if self.phi is None else pullback(self.phi, self.proj)
 
     def at_time(self, t: float) -> "SymplecticPotential":
         return replace(self, time=float(t))
@@ -92,21 +99,6 @@ class SymplecticPotential:
         if self.perturbation is not None and self.time != 0.0:
             g = g + self.time * self.perturbation.gradient(x)
         return g
-
-    def along(self, times, x):
-        """Yield (value, gradient) of g_t at x for each t in times.
-
-        g0 and the perturbation are evaluated once; each pair equals
-        at_time(t).value(x), at_time(t).gradient(x) exactly.
-        """
-        g0, dg0 = g0_value(self.polytope, x), g0_gradient(self.polytope, x)
-        if self.perturbation is not None:
-            psi, dpsi = self.perturbation.value(x), self.perturbation.gradient(x)
-        for t in map(float, times):
-            if self.perturbation is None or t == 0.0:
-                yield g0, dg0
-            else:
-                yield g0 + t * psi, dg0 + t * dpsi
 
     def hessian(self, x):
         h = g0_hessian(self.polytope, x)

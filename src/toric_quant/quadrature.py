@@ -2,9 +2,13 @@
 
 Box polytopes get tensor Gauss-Legendre rules; general polytopes get
 midpoint grids over the bounding box with an exact rational containment
-test.  The concentration experiment reproduces the localization of
-L1-normalized sections onto the slice through their lattice point, with the
-slice pairing as the t = infinity reference value.
+test.  ``pushforward`` groups the nodes of a rule into the fibers of the
+projection y = A x and sums node-wise integrands per fiber: every weight
+e^{-t f_m} depends on y alone, so the concentration runs and the L1 norms
+pay per node once and per fiber for each t.  The concentration experiment
+reproduces the localization of L1-normalized sections onto the slice
+through their lattice point, with the slice pairing as the t = infinity
+reference value.
 """
 from __future__ import annotations
 
@@ -78,14 +82,6 @@ def _tensor_rule(bounds, resolution):
     return points.reshape(-1, dim), weights.reshape(-1)
 
 
-def node_values(f, points):
-    """f(points) for a node-wise f, evaluated NODE_BLOCK rows at a time."""
-    out = np.empty(len(points))
-    for s in range(0, len(points), NODE_BLOCK):
-        out[s:s + NODE_BLOCK] = f(points[s:s + NODE_BLOCK])
-    return out
-
-
 def box_rule(P: DelzantPolytope, resolution: int) -> QuadratureRule:
     """Tensor Gauss-Legendre rule; exact for polynomial degree < 2*resolution."""
     if resolution < 8:
@@ -154,26 +150,75 @@ def slice_rule(sl: Slice, resolution: int) -> QuadratureRule:
     return QuadratureRule("grid", resolution, points, weights, sl)
 
 
-def make_rule(domain, resolution: int) -> QuadratureRule:
+def make_rule(domain: DelzantPolytope, resolution: int) -> QuadratureRule:
     """Pick tensor Gauss for boxes and midpoint grids otherwise."""
-    if isinstance(domain, Slice):
-        return slice_rule(domain, resolution)
     if domain.is_box:
         return box_rule(domain, resolution)
     return grid_rule(domain, resolution)
 
 
-def integrate(f, rule: QuadratureRule) -> float:
-    """Weighted sum of f over the rule points; rejects non-finite values."""
-    vals = np.asarray(f(rule.points), dtype=float)
-    if vals.shape != (rule.size,):
-        raise QuadratureError(
-            f"integrand returned shape {vals.shape}, expected ({rule.size},)")
+@dataclass(frozen=True)
+class Pushforward:
+    """The nodes of a rule grouped into fibers of a projection y = A x.
+
+    A fiber is a maximal run of consecutive nodes with equal images.  Rules
+    in meshgrid "ij" order with A = [I_k | 0] get one fiber per image node;
+    a skew A gets singleton fibers.
+    """
+
+    rule: QuadratureRule
+    images: np.ndarray  # (fibers, k): the image of each fiber
+    starts: np.ndarray  # (fibers,): the index of each fiber's first node
+
+    def sums(self, h) -> np.ndarray:
+        """Per-fiber sums of w * h, shape (rows, fibers), for h mapping
+        NODE_BLOCK nodes (B, n) at a time to (B,) or (rows, B) values."""
+        rule, starts = self.rule, self.starts
+        for s in range(0, rule.size, NODE_BLOCK):
+            x = rule.points[s:s + NODE_BLOCK]
+            vals = _finite(np.atleast_2d(np.asarray(h(x), dtype=float)), x)
+            if s == 0:
+                out = np.zeros((len(vals), len(starts)))
+            # the fiber holding node s, then every fiber that starts in the block
+            f0 = np.searchsorted(starts, s, side="right") - 1
+            f1 = np.searchsorted(starts, s + len(x))
+            cuts = np.maximum(starts[f0:f1] - s, 0)
+            out[:, f0:f1] += np.add.reduceat(vals * rule.weights[s:s + NODE_BLOCK], cuts, axis=1)
+        return out
+
+    def at_fibers(self, g) -> np.ndarray:
+        """g, constant on fibers, at their first nodes, NODE_BLOCK at a time."""
+        out = np.empty(len(self.starts))
+        for s in range(0, len(out), NODE_BLOCK):
+            x = self.rule.points[self.starts[s:s + NODE_BLOCK]]
+            out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
+        return out
+
+
+def _finite(vals, x):
+    """vals, after checking that every value at the nodes x is finite."""
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        where = rule.points[np.argmax(bad)]
+        where = x[np.argmax(bad.reshape(-1, len(x)).any(axis=0))]
         raise QuadratureError(f"non-finite integrand value at {tuple(where)}")
-    return float(vals @ rule.weights)
+    return vals
+
+
+def pushforward(rule: QuadratureRule, proj: SubtorusProjection) -> Pushforward:
+    """Group the nodes of a rule into fibers, NODE_BLOCK nodes at a time."""
+    starts, images, last = [], [], np.full((1, proj.k), np.nan)
+    for s in range(0, rule.size, NODE_BLOCK):
+        y = proj.apply(rule.points[s:s + NODE_BLOCK])
+        new = np.any(y != np.concatenate([last, y[:-1]]), axis=1)
+        starts.append(s + np.flatnonzero(new))
+        images.append(y[new])
+        last = y[-1:]
+    return Pushforward(rule, np.concatenate(images), np.concatenate(starts))
+
+
+def integrate(f, rule: QuadratureRule) -> float:
+    """Weighted sum of f over the rule points (one fiber); rejects non-finite values."""
+    return float(Pushforward(rule, np.zeros((1, 0)), np.zeros(1, dtype=int)).sums(f)[0, 0])
 
 
 def integrate_slice(f, sl: Slice, resolution: int = 128,
@@ -242,10 +287,11 @@ def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
                              resolution: int = 256) -> ConcentrationResult:
     """R_t = int e^{-t f_m} |sigma^m_0| u dx / int e^{-t f_m} |sigma^m_0| dx.
 
-    Uses the factorization of the time-t norm through the t=0 norm, with the
-    minimum of f_m over the rule subtracted before exponentiating so the
-    weights stay finite for large t.  The reported errors compare against
-    the slice pairing R_infinity.
+    Uses the factorization of the time-t norm through the t=0 norm; f_m
+    depends on y = A x alone, so both integrals are sums over fibers r of
+    e^{-t f_m(y_r)} times the fiber sums of |sigma^m_0| and |sigma^m_0| u.
+    The minimum of f_m is subtracted before exponentiating so the weights
+    stay finite for large t.  The errors compare against R_infinity.
     """
     t_list = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
@@ -253,20 +299,22 @@ def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
     if rule is None:
         rule = make_rule(P, resolution)
     m = tuple(int(v) for v in m)
-    fm = ConcentrationWeight.from_projection(proj, phi, m)
-    fvals = node_values(fm, rule.points)
-    base = node_values(lambda x: closed_form_norm_g0(P, m, x), rule.points) * rule.weights
-    uvals = node_values(u, rule.points)
-    if not (np.all(np.isfinite(fvals)) and np.all(np.isfinite(uvals))):
-        raise QuadratureError("non-finite integrand in concentration weights")
-    fmin = float(fvals.min())
-    ratios = []
+    push = pushforward(rule, proj)
+
+    def norm_and_weighted(x):
+        norm = closed_form_norm_g0(P, m, x)
+        return norm, norm * np.asarray(u(x), dtype=float)
+
+    F = push.sums(norm_and_weighted)
+    fvals = push.at_fibers(ConcentrationWeight.from_projection(proj, phi, m))
+    fvals -= fvals.min()
+    ratios, w = [], np.empty_like(fvals)
     for t in t_list:
-        w = np.exp(-t * (fvals - fmin)) * base
-        den = float(w.sum())
+        np.exp(np.multiply(fvals, -t, out=w), out=w)
+        den = float(w @ F[0])
         if den <= 0 or not np.isfinite(den):
             raise QuadratureError(f"degenerate concentration mass at t={t}")
-        ratios.append(float((w * uvals).sum()) / den)
+        ratios.append(float(w @ F[1]) / den)
     rinf = delta_pairing(P, proj, m, u, resolution=max(rule.resolution, 64))
     errors = [abs(r - rinf) for r in ratios]
     floor = roundoff_floor(rinf)

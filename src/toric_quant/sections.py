@@ -27,30 +27,14 @@ class MonomialSection:
         m = tuple(int(v) for v in self.m)
         if len(m) != P.dim:
             raise ValueError(f"lattice point {m} has wrong dimension")
-        for j in range(P.num_facets):
-            if facet_value(P, j + 1, m) < 0:
-                raise ValueError(f"{m} is not a lattice point of the polytope")
+        if not P.contains(m):
+            raise ValueError(f"{m} is not a lattice point of the polytope")
         object.__setattr__(self, "m", m)
-
-    @property
-    def exponents(self):
-        """Nonnegative integers l_j(m), the monomial degrees along the facets."""
-        P = self.potential.polytope
-        return tuple(int(facet_value(P, j + 1, self.m))
-                     for j in range(P.num_facets))
 
 
 def monomial_basis(pot: SymplecticPotential):
     """One section per lattice point; the size equals dim H^0."""
     return tuple(MonomialSection(m, pot) for m in lattice_points(pot.polytope))
-
-
-def _norm_rows(g, grad, ms, x):
-    # row by row, so temporaries stay the size of x, not len(ms) times it
-    out = np.empty((len(ms),) + x.shape[:-1])
-    for i, m in enumerate(np.asarray(ms, dtype=float)):
-        out[i] = np.exp(g - np.einsum("...i,...i->...", x - m, grad))
-    return out
 
 
 def norm_matrix(pot: SymplecticPotential, ms, x):
@@ -60,7 +44,12 @@ def norm_matrix(pot: SymplecticPotential, ms, x):
     points and the result has shape (len(ms), ...).
     """
     x = np.asarray(x, dtype=float)
-    return _norm_rows(pot.value(x), pot.gradient(x), ms, x)
+    g, grad = pot.value(x), pot.gradient(x)
+    # row by row, so temporaries stay the size of x, not len(ms) times it
+    out = np.empty((len(ms),) + x.shape[:-1])
+    for i, m in enumerate(np.asarray(ms, dtype=float)):
+        out[i] = np.exp(g - np.einsum("...i,...i->...", x - m, grad))
+    return out
 
 
 def pointwise_norm(section: MonomialSection, x):
@@ -72,7 +61,9 @@ def closed_form_norm_g0(P: DelzantPolytope, m, x):
     """Canonical-potential norm prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m)-l_j(x))/2}.
 
     Defined on all of P including the boundary; vanishes exactly on facets
-    with l_j(m) > 0 and agrees with pointwise_norm on the interior.
+    with l_j(m) > 0 and agrees with pointwise_norm on the interior.  Taken
+    in log form, with one log per facet where l_j(m) > 0 and one exp per
+    point; log 0 = -inf gives the exact zeros.
     """
     x = np.asarray(x, dtype=float)
     L = P.facet_values_array(x)
@@ -80,8 +71,10 @@ def closed_form_norm_g0(P: DelzantPolytope, m, x):
         raise ValueError("point outside the polytope")
     L = np.clip(L, 0.0, None)
     lm = np.array([float(facet_value(P, j + 1, m)) for j in range(P.num_facets)])
-    powers = np.power(L, lm / 2.0)
-    return np.prod(powers, axis=-1) * np.exp(0.5 * np.sum(lm - L, axis=-1))
+    on = lm > 0
+    with np.errstate(divide="ignore"):
+        logs = np.log(L[..., on]) @ lm[on]
+    return np.exp(0.5 * (logs - np.sum(L, axis=-1) + lm.sum()))
 
 
 @dataclass(frozen=True)
@@ -129,19 +122,29 @@ def l1_norm(section: MonomialSection, rule) -> float:
 def l1_norms(pot: SymplecticPotential, m, rule, times) -> list:
     """l1_norm of sigma^m under g_t for each t in times.
 
-    g0 and the perturbation are evaluated on the rule once, not once per t,
-    NODE_BLOCK nodes at a time, so their temporaries do not grow with the rule.
+    Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: the t = 0
+    norm is summed over each fiber of the projection once, and each t costs
+    one exponential per fiber.  A non-finite norm raises QuadratureError.
     """
-    from .quadrature import NODE_BLOCK, integrate  # local import to avoid a cycle
+    from .quadrature import QuadratureError, pushforward  # local import to avoid a cycle
 
-    times = list(times)
-    vals = np.empty((len(times), rule.size))
-    for s in range(0, rule.size, NODE_BLOCK):
-        x = rule.points[s:s + NODE_BLOCK]
-        for row, (g, grad) in zip(vals, pot.along(times, x)):
-            row[s:s + NODE_BLOCK] = _norm_rows(g, grad, [m], x)[0]
-    # the norms are already on the nodes; integrate checks and sums them
-    return [integrate(lambda _, v=v: v, rule) for v in vals]
+    P = pot.polytope
+    # f_m = 0 for the canonical potential, so any projection groups the nodes
+    push = pushforward(rule, pot.proj or SubtorusProjection.standard(1, P.dim))
+    F = push.sums(lambda x: closed_form_norm_g0(P, m, x))[0]
+    f = np.zeros(len(F)) if pot.phi is None else push.at_fibers(
+        ConcentrationWeight(m, pot.perturbation))
+    fmin = float(f.min())
+    norms = []
+    for t in map(float, times):
+        # e^{-t min f_m} is applied in log form: it may leave float64 where
+        # the norm does not
+        with np.errstate(over="ignore", divide="ignore"):
+            l1 = float(np.exp(np.log(np.exp(-t * (f - fmin)) @ F) - t * fmin))
+        if not np.isfinite(l1):
+            raise QuadratureError(f"non-finite L1 norm of sigma^{tuple(m)} at t={t:g}")
+        norms.append(l1)
+    return norms
 
 
 def radial_gram(basis, rule):

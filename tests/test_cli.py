@@ -76,6 +76,29 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, data))
         assert err.value.code == "bad_resolution"
 
+    @pytest.mark.parametrize("resolution", ["abc", None, 64.5, True, "64"])
+    def test_resolution_not_an_integer(self, tmp_path, capsys, resolution):
+        path = write_cfg(tmp_path, dict(INTERVAL_CFG, resolution=resolution))
+        assert main(["lattice", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "bad_resolution"
+
+    @pytest.mark.parametrize("offset", [2 ** 63 - 1, 2 ** 62, 2 ** 64])
+    def test_facet_values_past_int64(self, tmp_path, capsys, offset):
+        # [0, 2] with the redundant facet x + offset >= 0: its value at x = 2
+        # does not fit the int64 lattice scan
+        facets = INTERVAL_CFG["polytope"]["facets"][:1] + [
+            {"normal": [-1], "offset": 2}, {"normal": [1], "offset": offset}]
+        path = write_cfg(tmp_path, dict(INTERVAL_CFG, polytope={"dim": 1, "facets": facets}))
+        assert main(["lattice", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "bad_polytope"
+
+    def test_facet_values_inside_int64(self, tmp_path, capsys):
+        facets = INTERVAL_CFG["polytope"]["facets"][:1] + [
+            {"normal": [-1], "offset": 2}, {"normal": [1], "offset": 2 ** 61}]
+        path = write_cfg(tmp_path, dict(INTERVAL_CFG, polytope={"dim": 1, "facets": facets}))
+        assert main(["lattice", path]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["count"] == 3
+
     def test_phi_dimension_mismatch(self, tmp_path):
         data = dict(SQUARE2_CFG, phi={"type": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]]})
         with pytest.raises(ConfigError) as err:
@@ -325,6 +348,14 @@ class TestOptionChecks:
     def test_single_time_is_fine_without_a_slope(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
         assert run(cfg, "flow-check", {"t_list": (8,)}).outputs["per_t"].keys() == {"8"}
+
+    @pytest.mark.parametrize("command", ["legendre-roundtrip", "potential-validate"])
+    @pytest.mark.parametrize("times,keys", [
+        ("8", {"0", "8"}), ("0,8", {"0", "8"}), ("4,16", {"0", "4", "16"})])
+    def test_t_option_honoured_with_zero_once(self, tmp_path, capsys, command, times, keys):
+        path = write_cfg(tmp_path, INTERVAL_CFG)
+        assert main([command, path, "--t", times]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["per_t"].keys() == keys
 
     def test_config_times_follow_the_slope_rule(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, dict(SQUARE2_CFG, t_list=[0, 8])))

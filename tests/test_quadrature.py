@@ -1,9 +1,12 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toric_quant import (
     ConcentrationWeight,
@@ -22,7 +25,10 @@ from toric_quant import (
     make_rule,
     slice_rule,
 )
-from toric_quant.quadrature import NODE_BLOCK, _gauss_axis, _tensor_rule, node_values
+from toric_quant import ProjectionError, quadrature
+from toric_quant.quadrature import NODE_BLOCK, _gauss_axis, _tensor_rule, pushforward
+
+from test_polytope import small_delzant
 
 
 def ones(x):
@@ -97,14 +103,17 @@ class TestNodeBlocks:
                 for a, b in zip(got, ref):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_node_values_bitwise_whole(self, square2, proj_first_of_two, phi_half_square):
-        # two full blocks and a last block of one node
-        pts = box_rule(square2, 260).points[:2 * NODE_BLOCK + 1]
-        assert len(pts) == 2 * NODE_BLOCK + 1
-        fm = ConcentrationWeight.from_projection(proj_first_of_two, phi_half_square, (1, 1))
-        for f in (fm, lambda x: closed_form_norm_g0(square2, (1, 1), x),
-                  lambda x: x[..., 0] ** 2 + 0.5 * x[..., 0] * x[..., 1]):
-            assert node_values(f, pts).tobytes() == np.asarray(f(pts), dtype=float).tobytes()
+    def test_fiber_sums_blocked_equal_whole(self, square2, proj_first_of_two):
+        # fibers of 260 nodes straddle the block edges; the last block holds one node
+        rule = box_rule(square2, 260)
+        rule = type(rule)(rule.kind, 260, rule.points[:2 * NODE_BLOCK + 1],
+                          rule.weights[:2 * NODE_BLOCK + 1], square2)
+        push = pushforward(rule, proj_first_of_two)
+        assert np.array_equal(push.starts, np.arange(0, rule.size, 260))
+        assert np.array_equal(push.images, rule.points[push.starts, :1])
+        h = lambda x: (closed_form_norm_g0(square2, (1, 1), x), x[..., 0] ** 2 + x[..., 1])
+        ref = np.add.reduceat(np.asarray(h(rule.points)) * rule.weights, push.starts, axis=1)
+        assert np.allclose(push.sums(h), ref, rtol=1e-14, atol=0)
 
     def test_box_rule_builds_no_meshgrid_copies(self, square2):
         # the rule itself is three node vectors (two coordinates, one weight)
@@ -112,12 +121,65 @@ class TestNodeBlocks:
 
     def test_concentration_temporaries_stay_blocked(self, square2, proj_first_of_two,
                                                    phi_half_square):
-        # the whole-rule evaluation this replaced peaked at 15 node vectors
+        # 1.8 node vectors with the fiber sums; node-wise weights peaked at
+        # 6 node vectors, and the whole-rule evaluation before them at 15
         rule = box_rule(square2, 512)
         peak = _peak_node_vectors(lambda: concentration_experiment(
             square2, proj_first_of_two, phi_half_square, (1, 1),
             lambda x: x[..., 0] ** 2, [8, 16, 32], rule=rule), rule.size)
-        assert peak < 8.0
+        assert peak < 2.2
+
+
+@st.composite
+def rule_and_projection(draw):
+    """A box (Gauss) or non-box (midpoint grid) rule in dim 1-3 with a
+    standard projection [I_k | 0] or a random integer one of rank k."""
+    P = draw(small_delzant())
+    rule = make_rule(P, draw(st.integers(8, 24)))
+    k = draw(st.integers(1, P.dim))
+    if draw(st.booleans()):
+        return rule, SubtorusProjection.standard(k, P.dim), True
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=P.dim, max_size=P.dim),
+                         min_size=k, max_size=k))
+    try:
+        return rule, SubtorusProjection(rows), False
+    except ProjectionError:
+        assume(False)
+
+
+class TestPushforward:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rule_and_projection(), st.integers(5, 300))
+    def test_fibers_partition_the_rule(self, drawn, block):
+        rule, proj, standard = drawn
+        h = lambda x: (np.ones(len(x)), np.cos(x @ np.arange(1.0, x.shape[-1] + 1)))
+        # small blocks, so fibers straddle block edges
+        with mock.patch.object(quadrature, "NODE_BLOCK", block):
+            push = pushforward(rule, proj)
+            sums = push.sums(h)
+            last = push.at_fibers(lambda x: x[:, -1])
+        starts = push.starts
+        assert np.array_equal(last, rule.points[starts, -1])
+        assert starts[0] == 0 and np.all(np.diff(starts) > 0) and starts[-1] < rule.size
+        # every node's image is its fiber's image, and neighbouring fibers differ
+        fiber = np.searchsorted(starts, np.arange(rule.size), side="right") - 1
+        assert np.array_equal(proj.apply(rule.points), push.images[fiber])
+        assert np.all(np.any(push.images[1:] != push.images[:-1], axis=1))
+        if standard and rule.kind == "gauss":
+            assert len(starts) == rule.resolution ** proj.k
+        # each fiber sum is its nodes' share, and they add up to the integral
+        vals = np.asarray(h(rule.points)) * rule.weights
+        assert np.allclose(sums, np.add.reduceat(vals, starts, axis=1), rtol=1e-12, atol=1e-12)
+        assert np.allclose(sums.sum(axis=1), vals.sum(axis=1), rtol=1e-12, atol=1e-12)
+
+    def test_first_nodes_and_non_finite_values(self, square2, proj_first_of_two):
+        push = pushforward(box_rule(square2, 16), proj_first_of_two)
+        assert np.array_equal(push.at_fibers(lambda x: x[..., 0]), push.images[:, 0])
+        bad = lambda x: np.where(x[..., 1] > 1.9, np.nan, 1.0)
+        with pytest.raises(QuadratureError, match="non-finite integrand value at"):
+            push.sums(bad)
+        with pytest.raises(QuadratureError, match="non-finite integrand value at"):
+            push.at_fibers(lambda x: np.where(x[..., 0] > 1.9, np.inf, 1.0))
 
 
 def _meshgrid_midpoint_rule(P, resolution):

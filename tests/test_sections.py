@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,58 @@ class TestClosedForm:
         assert near == pytest.approx([1.0, 1.0], abs=1e-6)
 
 
+def _product_form(P, m, x):
+    """prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m) - l_j(x))/2}, one power per facet."""
+    L = np.clip(P.facet_values_array(x), 0.0, None)
+    lm = P.facet_values_array(np.array(m, dtype=float))
+    return np.prod(L ** (lm / 2.0), axis=-1) * np.exp(0.5 * np.sum(lm - L, axis=-1))
+
+
+def _boundary_points(P):
+    """The vertices and the midpoint of every edge between two of them."""
+    V = np.array([v.as_array() for v in P.vertices])
+    return np.concatenate([V, 0.5 * (V[:, None] + V[None, :]).reshape(-1, P.dim)])
+
+
+class TestClosedFormLogForm:
+    POLYTOPES = [
+        DelzantPolytope.from_box([(0, 2), (0, 2)]),
+        DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4))),
+        DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                            ((-1, -1, -1), 8))),
+    ]
+
+    @pytest.mark.parametrize("P", POLYTOPES, ids=["square2", "hirzebruch", "8simplex3"])
+    def test_agrees_with_product_form(self, P):
+        pts = np.concatenate([sample_interior(P, 60, seed=2), _boundary_points(P)])
+        for m in lattice_points(P):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # log 0 on a facet warns nothing
+                got = closed_form_norm_g0(P, m, pts)
+            ref = _product_form(P, m, pts)
+            assert np.all((got == 0.0) == (ref == 0.0))
+            assert np.allclose(got, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("P", POLYTOPES, ids=["square2", "hirzebruch", "8simplex3"])
+    def test_exact_zeros_and_vertex_values(self, P):
+        lm_of = lambda x: P.facet_values_array(np.array(x, dtype=float))
+        for m in lattice_points(P):
+            lm = lm_of(m)
+            for v in P.vertices:
+                val = closed_form_norm_g0(P, m, v.as_array())
+                if any(lm[j] > 0 for j in v.active_facets):
+                    assert val == 0.0
+                else:
+                    L = lm_of(v.point)
+                    on = lm > 0
+                    assert val == pytest.approx(
+                        np.prod(L[on] ** (lm[on] / 2)) * np.exp(0.5 * np.sum(lm - L)),
+                        rel=1e-14)
+            # at m itself the norm is prod_j l_j(m)^{l_j(m)/2}
+            assert closed_form_norm_g0(P, m, np.array(m, dtype=float)) == pytest.approx(
+                np.prod(lm[lm > 0] ** (lm[lm > 0] / 2)), rel=1e-14)
+
+
 class TestConcentrationWeight:
     def test_full_torus_quadratic(self, interval, proj_id1, phi_half_square):
         w = ConcentrationWeight.from_projection(proj_id1, phi_half_square, (0,))
@@ -159,16 +213,18 @@ class TestL1AndBasis:
                                             phi_half_square, 0.0)
         rule = make_rule(simplex, 32)
         times = (0.0, 4.0, 16.0, 64.0)
-        # the reference evaluates g_t afresh for every t
+        # the reference integrates the time-t norm of g_t afresh for every t;
+        # l1_norms takes it through e^{-t f_m} |sigma^m_0|, in another order
         ref = [integrate(lambda x, t=t: pointwise_norm(MonomialSection((0, 1), pot.at_time(t)), x),
                          rule) for t in times]
-        assert l1_norms(pot, (0, 1), rule, times) == ref
-        assert [l1_norm(MonomialSection((0, 1), pot.at_time(t)), rule) for t in times] == ref
+        got = l1_norms(pot, (0, 1), rule, times)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0)
+        assert [l1_norm(MonomialSection((0, 1), pot.at_time(t)), rule) for t in times] == got
 
-    def test_l1_norms_blocked_equal_whole_rule(self, square2, phi_half_square):
+    def test_l1_norms_blocked_equal_whole_rule(self, square2, phi_half_square, monkeypatch):
         import tracemalloc
 
-        from toric_quant import SubtorusProjection
+        from toric_quant import SubtorusProjection, quadrature
         from toric_quant.quadrature import NODE_BLOCK
 
         pot = SymplecticPotential.perturbed(square2, SubtorusProjection(((1, 0),)),
@@ -184,10 +240,13 @@ class TestL1AndBasis:
             peak = tracemalloc.get_traced_memory()[1] / (8.0 * rule.size)
         finally:
             tracemalloc.stop()
-        assert got == ref
-        # one node vector per time plus block temporaries; evaluating g0 and
-        # the perturbation on the whole rule peaked at 13 node vectors
-        assert peak < len(times) + 3
+        assert np.allclose(got, ref, rtol=1e-12, atol=0)
+        monkeypatch.setattr(quadrature, "NODE_BLOCK", rule.size)
+        assert l1_norms(pot, (1, 1), rule, times) == got
+        # block temporaries and per-fiber arrays only (1.65 node vectors);
+        # one node vector per time plus block temporaries before the fiber
+        # sums, and 13 node vectors on the whole rule before the blocks
+        assert peak < 2.0
 
     def test_basis_size_is_lattice_count(self, square2, simplex):
         for P in (square2, simplex):
