@@ -35,7 +35,6 @@ from .potential import (
     g0_gradient,
     g0_hessian,
     g0_value,
-    hessian_determinant_product,
     validate_potential,
 )
 from .legendre import (
@@ -77,7 +76,6 @@ from .quadrature import (
     delta_pairing,
     grid_rule,
     integrate,
-    integrate_slice,
     make_rule,
     slice_rule,
 )

@@ -320,15 +320,11 @@ def _cmd_legendre_roundtrip(cfg, opts):
 def _cmd_flow_check(cfg, opts):
     P = cfg.polytope
     pts = potential.interior_samples(P, 20, seed=_SEED)
-    pot0 = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
-    pair0 = legendre.LegendrePair(pot0)
-    per_t = {}
-    worst = 0.0
-    for t in opts["t_list"]:
-        pair_t = legendre.LegendrePair(pot0.at_time(t))
-        res = float(np.max(legendre.flow_identity_residual(pair0, pair_t, pts)))
-        per_t[f"{t:g}"] = res
-        worst = max(worst, res)
+    pair0 = legendre.LegendrePair(
+        potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0))
+    res = legendre.flow_identity_residual(pair0, opts["t_list"], pts)
+    per_t = {f"{t:g}": float(np.max(r)) for t, r in zip(opts["t_list"], res)}
+    worst = float(np.max(res))
     tol = 1e-8
     return ({"max_residual": worst, "per_t": per_t},
             {"flow_identity": tol}, {"flow_identity_within_tolerance": worst < tol})
@@ -351,9 +347,8 @@ def _cmd_polarization_limit(cfg, opts):
         sub = max(sub, rep.subframe_invariance)
         per_t_norm = np.maximum(per_t_norm, rep.top_block_norms)
         per_t_dist = np.maximum(per_t_dist, rep.distances)
-        lim = polarization.limit_frame(cfg.proj, pot, x)
-        iso = max(iso, rep.isotropy_defect, polarization.isotropy_defect(lim))
-        kdims.add(polarization.degenerate_directions(lim))
+        iso = max(iso, rep.isotropy_defect, polarization.isotropy_defect(rep.limit))
+        kdims.add(polarization.degenerate_directions(rep.limit))
     out = {
         "t": [float(t) for t in t_list],
         "max_top_block_norm": per_t_norm.tolist(),
@@ -379,18 +374,15 @@ def _cmd_sections_norms(cfg, opts):
     t_list = opts["t_list"]
     pts = potential.interior_samples(P, 100, seed=_SEED)
     rule = quadrature.make_rule(P, cfg.resolution)
-    per_t = []
-    worst = 0.0
     family = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
-    for t, l1 in zip(t_list, sections.l1_norms(family, m, rule, t_list)):
-        sec = sections.MonomialSection(m, family.at_time(t))
-        res = sections.norm_factorization_check(P, cfg.proj, cfg.phi, m, t, pts)
-        # section norms scale like e^{-t min f_m}; report the residual
-        # relative to that scale so the identity check is t-uniform
-        scale = max(1.0, float(np.max(sections.pointwise_norm(sec, pts))))
-        per_t.append({"t": float(t), "l1_norm": l1,
-                      "factorization_residual": res / scale})
-        worst = max(worst, res / scale)
+    l1s = sections.l1_norms(family, m, rule, t_list)
+    # section norms scale like e^{-t min f_m}; report the residual relative
+    # to that scale so the identity check is t-uniform
+    res, peaks = sections.norm_factorization_check(P, cfg.proj, cfg.phi, m, t_list, pts)
+    rel = [float(r) / max(1.0, float(p)) for r, p in zip(res, peaks)]
+    per_t = [{"t": float(t), "l1_norm": l1, "factorization_residual": r}
+             for t, l1, r in zip(t_list, l1s, rel)]
+    worst = max(rel)
     pot0 = potential.SymplecticPotential.canonical(P)
     basis = sections.monomial_basis(pot0)
     ms = np.array([b.m for b in basis])
@@ -490,20 +482,22 @@ def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> Run
     if command != "full-suite" and command not in _DISPATCH:
         raise ConfigError("bad_command", f"unknown command {command!r}")
     options = _check_options(cfg, command, options or {})
-    if command == "full-suite":
-        outputs, tolerances, flags, timings = {}, {}, {}, {}
-        for sub in _DISPATCH:
-            t0 = time.perf_counter()
+    outputs, tolerances, flags, timings = {}, {}, {}, {}
+    for sub in _DISPATCH if command == "full-suite" else (command,):
+        t0 = time.perf_counter()
+        try:
             out, tol, fl = _DISPATCH[sub](cfg, options)
-            timings[sub] = time.perf_counter() - t0
-            outputs[sub] = out
-            tolerances.update({f"{sub}.{k}": v for k, v in tol.items()})
-            flags.update({f"{sub}.{k}": v for k, v in fl.items()})
-        return RunReport("full-suite", cfg.digest, outputs, tolerances, flags, timings)
-    t0 = time.perf_counter()
-    out, tol, fl = _DISPATCH[command](cfg, options)
-    dt = time.perf_counter() - t0
-    return RunReport(command, cfg.digest, out, tol, fl, {command: dt})
+        except quadrature.GridOverflowError as exc:
+            # the midpoint grid scales coordinates by its resolution, and
+            # the scan's int64 guard refuses it
+            raise ConfigError("bad_resolution", str(exc)) from exc
+        timings[sub] = time.perf_counter() - t0
+        if command != "full-suite":
+            return RunReport(command, cfg.digest, out, tol, fl, timings)
+        outputs[sub] = out
+        tolerances.update({f"{sub}.{k}": v for k, v in tol.items()})
+        flags.update({f"{sub}.{k}": v for k, v in fl.items()})
+    return RunReport("full-suite", cfg.digest, outputs, tolerances, flags, timings)
 
 
 def emit(report: RunReport, fmt: str = "json") -> bytes:
@@ -556,14 +550,15 @@ def _emit_svg(report: RunReport) -> bytes:
     if report.command not in _SVG_LABEL:
         raise ConfigError("bad_format", f"no plot for command {report.command!r}")
     label = _SVG_LABEL[report.command]
-    pairs = [(row[0], row[2]) for row in _table(report)[1] if row[0] > 0 and row[2] > 0]
-    if not pairs:
+    rows = list(_table(report)[1])
+    if not rows:
         raise ConfigError("nothing_to_plot", "nothing to plot")
+    pairs = [(row[0], row[2]) for row in rows if row[0] > 0 and row[2] > 0]
     W, H, pad = 640, 420, 60
     lx = [np.log10(t) for t, _ in pairs]
     ly = [np.log10(y) for _, y in pairs]
-    x0, x1 = min(lx), max(lx)
-    y0, y1 = min(ly), max(ly)
+    x0, x1 = min(lx, default=0.0), max(lx, default=0.0)
+    y0, y1 = min(ly, default=0.0), max(ly, default=0.0)
     xr = (x1 - x0) or 1.0
     yr = (y1 - y0) or 1.0
 
@@ -577,6 +572,9 @@ def _emit_svg(report: RunReport) -> bytes:
     marks = "".join(
         f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3" fill="#1f4e79"/>'
         for a, b in zip(lx, ly))
+    if not pairs:  # every value is zero: no point has a logarithm
+        marks = (f'<text x="{W / 2:.0f}" y="{H / 2:.0f}" text-anchor="middle" '
+                 f'font-size="13">every {label} is 0</text>')
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}">'

@@ -8,7 +8,7 @@ of its points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,27 +108,26 @@ def kahler_potential(pair: LegendrePair, y):
     return float(h) if np.ndim(h) == 0 else h
 
 
-def flow_identity_residual(pair0: LegendrePair, pair_t: LegendrePair, x):
-    """|h_t(grad g_t(x)) - [h_0(grad g_0(x)) - t psi(x) + t <x, grad psi(x)>]|.
+def flow_identity_residual(pair0: LegendrePair, times, x):
+    """|h_t(grad g_t(x)) - [h_0(grad g_0(x)) - t psi(x) + t <x, grad psi(x)>]| per t.
 
     Zero (to solver tolerance) exactly when the convex-perturbation family of
     potentials agrees with the family generated by the imaginary-time flow of
-    the same convex Hamiltonian.  Batched over leading axes of x; a single
-    point gives a float.
+    the same convex Hamiltonian.  h_0, psi and <x, grad psi> are evaluated
+    once and each t solves for h_t alone.  Batched over leading axes of x:
+    the result has shape (len(times),) + x.shape[:-1].
     """
-    pot0, pott = pair0.potential, pair_t.potential
-    if pot0.polytope is not pott.polytope and pot0.polytope != pott.polytope:
-        raise ValueError("pairs must share the polytope")
+    pot0 = pair0.potential
     if pot0.time != 0.0:
         raise ValueError("pair0 must sit at t = 0")
     x = np.asarray(x, dtype=float)
-    h_t = kahler_potential(pair_t, forward(pair_t, x))
     h_0 = kahler_potential(pair0, forward(pair0, x))
-    t = pott.time
-    psi = pott.perturbation
-    if psi is None or t == 0.0:
-        shift = 0.0
-    else:
-        shift = -t * psi.value(x) + t * np.sum(x * psi.gradient(x), axis=-1)
-    r = np.abs(h_t - (h_0 + shift))
-    return float(r) if np.ndim(r) == 0 else r
+    psi = pot0.perturbation
+    pv, xg = (0.0, 0.0) if psi is None else (
+        psi.value(x), np.sum(x * psi.gradient(x), axis=-1))
+    out = []
+    for t in map(float, times):
+        pair_t = replace(pair0, potential=pot0.at_time(t))
+        h_t = kahler_potential(pair_t, forward(pair_t, x))
+        out.append(np.abs(h_t - (h_0 + (-t * pv + t * xg))))
+    return np.array(out).reshape((-1,) + x.shape[:-1])

@@ -20,7 +20,6 @@ from .subtorus import SubtorusProjection
 class PolarizationFrame:
     rows: np.ndarray  # (n, 2n) complex
     basepoint: np.ndarray
-    label: str
 
     @property
     def n(self) -> int:
@@ -39,16 +38,17 @@ def polarization_frame(pot: SymplecticPotential, proj: SubtorusProjection,
     """Frame of the Kahler polarization of g_t at x (adapted coordinates)."""
     _require_standard(proj)
     x = np.asarray(x, dtype=float)
-    rows = _frame_rows(np.linalg.inv(pot.hessian(x)))
-    return PolarizationFrame(rows=rows, basepoint=x, label=f"t={pot.time:g}")
+    return PolarizationFrame(_frame_rows(np.linalg.inv(pot.hessian(x))), x)
 
 
-def _frame_rows(Ginv):
-    """Rows (row j of G^{-1}, -i e_j), stacked over leading axes of Ginv."""
+def _frame_rows(Ginv, k=0):
+    """Rows (row j of G^{-1}, -i e_j), stacked over leading axes of Ginv,
+    with the pure angle directions (0, e_j) of the limit as the first k."""
     n = Ginv.shape[-1]
     rows = np.zeros(Ginv.shape[:-1] + (2 * n,), dtype=complex)
     rows[..., :n] = Ginv
     rows[..., n:] = -1j * np.eye(n)
+    rows[..., :k, :] = np.eye(n, 2 * n, n)[:k]
     return rows
 
 
@@ -62,10 +62,8 @@ def limit_frame(proj: SubtorusProjection, pot0: SymplecticPotential,
     """
     _require_standard(proj)
     x = np.asarray(x, dtype=float)
-    n = pot0.polytope.dim
-    rows = _frame_rows(np.linalg.inv(pot0.at_time(0.0).hessian(x)))
-    rows[:proj.k] = np.eye(n, 2 * n, n)[:proj.k]  # (0, e_j) for j <= k
-    return PolarizationFrame(rows=rows, basepoint=x, label="limit")
+    G0inv = np.linalg.inv(pot0.at_time(0.0).hessian(x))
+    return PolarizationFrame(_frame_rows(G0inv, proj.k), x)
 
 
 def isotropy_defect(frame: PolarizationFrame) -> float:
@@ -142,18 +140,17 @@ class DecayReport:
     fitted_slope: float  # least-squares slope of log distance vs log t
     subframe_invariance: float  # max over t of d(span rows k+1..n at t, at 0)
     isotropy_defect: float  # max over t of the time-t frame's isotropy defect
-
-    def rows(self):
-        return list(zip(self.t_values, self.top_block_norms, self.distances))
+    limit: PolarizationFrame  # the limit frame at the basepoint
 
 
 def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
                  x, t_list) -> DecayReport:
     """Track frame degeneration along increasing t at a fixed interior point.
 
-    The time-t frames (G_t^{-1}, -i I) are built as one stack over t, and
-    their distances to the limit frame and to the t = 0 frame come from one
-    stacked principal-angle computation each.
+    G_t = Hess g0 + t Hess psi comes from one Hessian of each, and one
+    inverse of Hess g0 gives the t = 0 and limit frames.  The time-t frames
+    (G_t^{-1}, -i I) are one stack over t, and their distances to the limit
+    and t = 0 frames come from one stacked principal-angle computation each.
     """
     _require_standard(proj)
     t_list = [float(t) for t in t_list]
@@ -161,18 +158,21 @@ def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
         raise ValueError("t_list must be strictly increasing")
     x = np.asarray(x, dtype=float)
     n, k = pot_family.polytope.dim, proj.k
-    lim = limit_frame(proj, pot_family, x)
-    frame0 = polarization_frame(pot_family.at_time(0.0), proj, x)
-    Ginv = np.linalg.inv(np.stack([pot_family.at_time(t).hessian(x) for t in t_list]))
+    H0 = pot_family.at_time(0.0).hessian(x)
+    psi = pot_family.perturbation
+    Hpsi = 0.0 if psi is None else psi.hessian(x)
+    G0inv = np.linalg.inv(H0)
+    lim = PolarizationFrame(_frame_rows(G0inv, k), x)
+    Ginv = np.linalg.inv(H0 + np.reshape(t_list, (-1, 1, 1)) * Hpsi)
     frames = _frame_rows(Ginv)
     norms = np.max(np.abs(Ginv[:, :k, :]), axis=(1, 2))
     dists = subspace_angle(frames, lim.rows)
     subinv = 0.0
     if k < n:
-        subinv = float(np.max(subspace_angle(frames[:, k:], frame0.rows[k:])))
+        subinv = float(np.max(subspace_angle(frames[:, k:], _frame_rows(G0inv)[k:])))
     slope = float(np.polyfit(np.log(t_list), np.log(dists), 1)[0])
     return DecayReport(basepoint=x, t_values=tuple(t_list),
                        top_block_norms=tuple(map(float, norms)),
                        distances=tuple(map(float, dists)),
                        fitted_slope=slope, subframe_invariance=subinv,
-                       isotropy_defect=_max_pairing(frames))
+                       isotropy_defect=_max_pairing(frames), limit=lim)

@@ -128,14 +128,6 @@ class PotentialReport:
         return self.positive_definite and self.product_min > 0 and np.isfinite(self.product_max)
 
 
-def hessian_determinant_product(pot: SymplecticPotential, x):
-    """det(Hess g_t)(x) * prod_j l_j(x), batched."""
-    x = np.asarray(x, dtype=float)
-    L = pot.polytope.facet_values_array(x)
-    H = pot.hessian(x)
-    return np.linalg.det(H) * np.prod(L, axis=-1)
-
-
 def interior_samples(P: DelzantPolytope, count: int, seed: int = 0):
     """Deterministic interior points: Dirichlet mixtures of the vertices."""
     rng = np.random.default_rng(seed)
@@ -174,24 +166,23 @@ def validate_potential(pot: SymplecticPotential, interior_points,
     interior_points = np.asarray(interior_points, dtype=float)
     if interior_points.size == 0:
         raise ValueError("need at least one interior sample")
-    H = pot.hessian(interior_points)
-    eigs = np.linalg.eigvalsh(H)
-    mins = eigs[..., 0]
+    P = pot.polytope
+    pts = interior_points.reshape(-1, P.dim)
+    count = len(pts)
+    if boundary_points is not None and len(boundary_points):
+        pts = np.concatenate([pts, np.asarray(boundary_points, dtype=float)])
+    # one Hessian for all samples; the eigenvalues are taken on the interior
+    H = pot.hessian(pts)
+    mins = np.linalg.eigvalsh(H[:count])[:, 0]
     worst = int(np.argmin(mins))
     pd = bool(mins[worst] > 0.0)
-    witness = None if pd else tuple(interior_points.reshape(-1, pot.polytope.dim)[worst])
-
-    pts = [interior_points]
-    if boundary_points is not None and len(boundary_points):
-        pts.append(np.asarray(boundary_points, dtype=float))
-    prods = np.concatenate([np.atleast_1d(hessian_determinant_product(pot, p))
-                            for p in pts])
+    prods = np.linalg.det(H) * np.prod(P.facet_values_array(pts), axis=-1)
     return PotentialReport(
         positive_definite=pd,
-        witness=witness,
+        witness=None if pd else tuple(pts[worst]),
         min_eigenvalue=float(mins[worst]),
         product_min=float(prods.min()),
         product_max=float(prods.max()),
-        interior_samples=int(interior_points.reshape(-1, pot.polytope.dim).shape[0]),
+        interior_samples=count,
         boundary_samples=0 if boundary_points is None else int(len(boundary_points)),
     )

@@ -36,6 +36,10 @@ class QuadratureError(RuntimeError):
     pass
 
 
+class GridOverflowError(QuadratureError):
+    """The integer coordinates of a midpoint grid leave int64 at its resolution."""
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     kind: str  # "gauss" or "grid"
@@ -109,8 +113,11 @@ def _midpoint_rule(normals, offsets, vertices, dim, resolution):
                  for j in range(resolution)] for l, w in zip(lo, widths)]
     # strict: cells whose midpoint lands exactly on a facet are dropped, so
     # every node is usable by interior-only evaluators
-    num = _grid_scan(axes_num, [[int(c) for c in r] for r in normals],
-                     [int(off * den) for off in offsets], strict=True)
+    try:
+        num = _grid_scan(axes_num, [[int(c) for c in r] for r in normals],
+                         [int(off * den) for off in offsets], strict=True)
+    except OverflowError as exc:
+        raise GridOverflowError(f"midpoint grid at resolution {resolution}: {exc}") from exc
     cell = float(np.prod([w / resolution for w in widths]))
     points = num / den
     weights = np.full(points.shape[0], cell)
@@ -194,6 +201,21 @@ class Pushforward:
             out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
         return out
 
+    def masses(self, h, f, times):
+        """sum_r e^{-t (f_r - min f)} F_{h,r}, shape (len(times), rows), and min f.
+
+        F_h are the fiber sums of the node-wise h and f_r is the fiber-constant
+        f at fiber r: h is summed once, and each t costs one exp per fiber."""
+        F = self.sums(h)
+        fr = self.at_fibers(f)
+        fmin = fr.min()
+        fr -= fmin
+        out, w = np.empty((len(times), len(F))), np.empty_like(fr)
+        for i, t in enumerate(times):
+            np.exp(np.multiply(fr, -t, out=w), out=w)
+            out[i] = [w @ row for row in F]
+        return out, float(fmin)
+
 
 def _finite(vals, x):
     """vals, after checking that every value at the nodes x is finite."""
@@ -216,24 +238,21 @@ def pushforward(rule: QuadratureRule, proj: SubtorusProjection) -> Pushforward:
     return Pushforward(rule, np.concatenate(images), np.concatenate(starts))
 
 
+def _one_fiber(rule: QuadratureRule) -> Pushforward:
+    return Pushforward(rule, np.zeros((1, 0)), np.zeros(1, dtype=int))
+
+
 def integrate(f, rule: QuadratureRule) -> float:
     """Weighted sum of f over the rule points (one fiber); rejects non-finite values."""
-    return float(Pushforward(rule, np.zeros((1, 0)), np.zeros(1, dtype=int)).sums(f)[0, 0])
+    return float(_one_fiber(rule).sums(f)[0, 0])
 
 
-def integrate_slice(f, sl: Slice, resolution: int = 128,
-                    rule: QuadratureRule | None = None) -> float:
-    """Integral over the slice in lattice-normalized chart coordinates.
-
-    f receives ambient points x = x0 + B^T u; the measure is Lebesgue du in
-    the integer chart, which is the slice volume normalization every pairing
-    ratio relies on.
-    """
-    if rule is None:
-        rule = slice_rule(sl, resolution)
-    if rule.domain is not sl:
-        raise QuadratureError("rule was built for a different slice")
-    return integrate(lambda u: np.asarray(f(sl.embed(u)), dtype=float), rule)
+def _norm_and_weighted(P: DelzantPolytope, m, u):
+    """x -> (|sigma^m_0|(x), |sigma^m_0|(x) u(x)), one closed-form norm per node."""
+    def h(x):
+        norm = closed_form_norm_g0(P, m, x)
+        return norm, norm * np.asarray(u(x), dtype=float)
+    return h
 
 
 def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
@@ -242,19 +261,17 @@ def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
 
     Integrates over the fiber through the lattice point m (a face of P when
     the image of m is a boundary level, including a single point for vertex
-    fibers).  The normalization makes the result a weighted mean of u, so
-    chart constants cancel.
+    fibers) in the chart measure du of x = x0 + B^T u, numerator and
+    denominator in one pass.  The normalization makes the result a weighted
+    mean of u, so chart constants cancel.
     """
     m = tuple(int(v) for v in m)
     sl = face_slice(P, proj, proj.apply(m))
-    rule = slice_rule(sl, resolution)
-    norm = lambda x: closed_form_norm_g0(P, m, x)
-    den = integrate_slice(norm, sl, rule=rule)
+    h = _norm_and_weighted(P, m, u)
+    den, num = _one_fiber(slice_rule(sl, resolution)).sums(lambda v: h(sl.embed(v)))[:, 0]
     if den <= 0:
         raise QuadratureError("slice norm integral vanished")
-    num = integrate_slice(lambda x: norm(x) * np.asarray(u(x), dtype=float),
-                          sl, rule=rule)
-    return num / den
+    return float(num / den)
 
 
 # errors at or below this, relative to max(1, |R_infinity|), are quadrature
@@ -299,22 +316,13 @@ def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
     if rule is None:
         rule = make_rule(P, resolution)
     m = tuple(int(v) for v in m)
-    push = pushforward(rule, proj)
-
-    def norm_and_weighted(x):
-        norm = closed_form_norm_g0(P, m, x)
-        return norm, norm * np.asarray(u(x), dtype=float)
-
-    F = push.sums(norm_and_weighted)
-    fvals = push.at_fibers(ConcentrationWeight.from_projection(proj, phi, m))
-    fvals -= fvals.min()
-    ratios, w = [], np.empty_like(fvals)
-    for t in t_list:
-        np.exp(np.multiply(fvals, -t, out=w), out=w)
-        den = float(w @ F[0])
+    fm = ConcentrationWeight.from_projection(proj, phi, m)
+    masses, _ = pushforward(rule, proj).masses(_norm_and_weighted(P, m, u), fm, t_list)
+    ratios = []
+    for t, (den, num) in zip(t_list, masses):
         if den <= 0 or not np.isfinite(den):
             raise QuadratureError(f"degenerate concentration mass at t={t}")
-        ratios.append(float(w @ F[1]) / den)
+        ratios.append(float(num) / float(den))
     rinf = delta_pairing(P, proj, m, u, resolution=max(rule.resolution, 64))
     errors = [abs(r - rinf) for r in ratios]
     floor = roundoff_floor(rinf)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -109,6 +111,34 @@ class TestLoadConfig:
         a = load_config(write_cfg(tmp_path, INTERVAL_CFG, "a.json"))
         b = load_config(write_cfg(tmp_path, INTERVAL_CFG, "b.json"))
         assert a.digest == b.digest
+
+
+def _simplex_cfg(side, resolution=8):
+    return {"polytope": {"dim": 2, "facets": [
+        {"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0},
+        {"normal": [-1, -1], "offset": side}]}, "proj": [[1, 0]], "resolution": resolution}
+
+
+class TestGridResolution:
+    def test_midpoint_grid_past_int64_exits_two(self, tmp_path, capsys):
+        # the facet values fit int64 at load, the grid scaled by
+        # 2 x resolution does not
+        path = write_cfg(tmp_path, _simplex_cfg(2 ** 57))
+        assert main(["concentrate", path, "--m", "0,0"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "bad_resolution" and "resolution 8:" in err["message"]
+
+    def test_resolution_option_checked(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, _simplex_cfg(2 ** 50))
+        assert main(["concentrate", path, "--m", "0,0", "--resolution", "1024"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "bad_resolution" and "resolution 1024:" in err["message"]
+
+    def test_library_replace_checked(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, _simplex_cfg(2 ** 50)))
+        with pytest.raises(ConfigError, match="resolution 1024:") as err:
+            run(dataclasses.replace(cfg, resolution=1024), "concentrate", {"m": (0, 0)})
+        assert err.value.code == "bad_resolution"
 
 
 class TestWeightGrammar:
@@ -226,6 +256,16 @@ class TestEmit:
                         {}, {}, {})
         with pytest.raises(ConfigError, match="nothing to plot"):
             emit(rep, "svg")
+
+    def test_svg_all_zero_errors_get_a_note(self, capsys):
+        # u = x1 on the square: R_t equals R_inf exactly, so every error is 0
+        # and no point has a logarithm; the plot keeps its axes and title
+        path = str(pathlib.Path(__file__).parents[1] / "configs" / "square2.json")
+        assert main(["concentrate", path, "--format", "svg"]) == 0
+        svg = capsys.readouterr().out
+        assert svg.startswith("<svg") and svg.endswith("</svg>")
+        assert "every |R_t - R_inf| is 0" in svg and "<circle" not in svg
+        assert "log10 t" in svg and "<text x=\"320\" y=\"30\"" in svg
 
     def test_svg_unsupported_command(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, INTERVAL_CFG))
@@ -382,3 +422,62 @@ class TestOptionChecks:
         path = write_cfg(tmp_path, SQUARE2_CFG)
         assert main([argv[0], path] + argv[1:]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["code"] == code
+
+
+class TestTimeFamilyOnce:
+    """Each command pays the t-independent part of its time family once."""
+
+    TIMES = (8.0, 16.0, 32.0, 64.0)
+
+    def _counted(self, monkeypatch, module, name, record):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: record(*a) or real(*a))
+
+    def test_flow_check_solves_h0_once(self, tmp_path, monkeypatch):
+        from toric_quant import legendre
+
+        times = []
+        self._counted(monkeypatch, legendre, "inverse",
+                      lambda pair, y: times.append(pair.potential.time))
+        run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "flow-check",
+            {"t_list": self.TIMES})
+        assert times == [0.0, *self.TIMES]
+
+    def test_polarization_limit_hessians_once_per_point(self, tmp_path, monkeypatch):
+        from toric_quant import potential
+
+        calls = {"g0": 0, "psi": 0, "inv_h0": 0}
+        cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
+        phi_hessian = cfg.phi.hessian
+        cfg = dataclasses.replace(cfg, phi=dataclasses.replace(
+            cfg.phi, hessian=lambda y: calls.update(psi=calls["psi"] + 1) or phi_hessian(y)))
+        self._counted(monkeypatch, potential, "g0_hessian",
+                      lambda P, x: calls.update(g0=calls["g0"] + 1))
+        self._counted(monkeypatch, np.linalg, "inv", lambda a: calls.update(
+            inv_h0=calls["inv_h0"] + (np.ndim(a) == 2)))
+        run(cfg, "polarization-limit", {"t_list": self.TIMES, "points": 3})
+        assert calls == {"g0": 3, "psi": 3, "inv_h0": 3}
+
+    def test_sections_norms_sigma0_and_fm_once(self, tmp_path, monkeypatch):
+        from toric_quant import sections
+
+        norms, weights = [], []
+        self._counted(monkeypatch, sections, "pointwise_norm",
+                      lambda sec, x: norms.append(sec.potential.time))
+        self._counted(monkeypatch, sections.ConcentrationWeight, "__call__",
+                      lambda w, x: weights.append(len(x)))
+        run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "sections-norms",
+            {"t_list": self.TIMES, "m": (1, 1)})
+        assert norms == [0.0, *self.TIMES]
+        # f_m once on the 100 sample points; the L1 norms take it per fiber
+        assert weights.count(100) == 1
+
+    def test_potential_validate_one_hessian_per_t(self, tmp_path, monkeypatch):
+        from toric_quant import potential
+
+        seen = []
+        self._counted(monkeypatch, potential.SymplecticPotential, "hessian",
+                      lambda pot, x: seen.append(pot.time))
+        run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "potential-validate",
+            {"t_list": self.TIMES})
+        assert seen == [0.0, *self.TIMES]

@@ -98,10 +98,20 @@ class TestKahlerPotential:
         assert np.all(np.linalg.eigvalsh(0.5 * (Hh + Hh.T)) > 0)
 
 
+def _per_pair_residual(pair0, pair_t, x):
+    """The flow residual of one pair, written out as the per-pair formula."""
+    t, psi = pair_t.potential.time, pair_t.potential.perturbation
+    h_t = kahler_potential(pair_t, forward(pair_t, x))
+    h_0 = kahler_potential(pair0, forward(pair0, x))
+    shift = 0.0 if psi is None or t == 0.0 else (
+        -t * psi.value(x) + t * np.sum(x * psi.gradient(x), axis=-1))
+    return np.abs(h_t - (h_0 + shift))
+
+
 class TestFlowIdentity:
     def test_exactly_zero_at_t_zero(self, interval, proj_id1, phi_half_square):
         pair0 = _pair(interval, proj_id1, phi_half_square, 0.0)
-        assert flow_identity_residual(pair0, pair0, np.array([0.3])) == 0.0
+        assert flow_identity_residual(pair0, [0.0], np.array([0.3])).tolist() == [0.0]
 
     def test_interval_shift_by_eighth(self, interval, proj_id1, phi_half_square):
         # psi(1/2) = 1/8 and <x, grad psi> = 1/4, so h moves by +1/8
@@ -111,20 +121,50 @@ class TestFlowIdentity:
         h0 = kahler_potential(pair0, forward(pair0, x))
         h1 = kahler_potential(pair1, forward(pair1, x))
         assert h1 - h0 == pytest.approx(0.125, abs=1e-10)
-        assert flow_identity_residual(pair0, pair1, x) < 1e-10
+        assert flow_identity_residual(pair0, [1.0], x)[0] < 1e-10
 
     @pytest.mark.parametrize("t", [1.0, 5.0, 10.0])
     def test_square_residuals(self, square2, proj_first_of_two, phi_half_square, t):
         pair0 = _pair(square2, proj_first_of_two, phi_half_square, 0.0)
-        pair_t = _pair(square2, proj_first_of_two, phi_half_square, t)
         pts = sample_interior(square2, 20, seed=33)
-        worst = max(flow_identity_residual(pair0, pair_t, x) for x in pts)
+        worst = max(flow_identity_residual(pair0, [t], x)[0] for x in pts)
         assert worst < 1e-8
 
     def test_requires_base_pair_at_time_zero(self, interval, proj_id1, phi_half_square):
         pair1 = _pair(interval, proj_id1, phi_half_square, 1.0)
         with pytest.raises(ValueError):
-            flow_identity_residual(pair1, pair1, np.array([0.5]))
+            flow_identity_residual(pair1, [1.0], np.array([0.5]))
+
+    @pytest.mark.parametrize("fixture,rows", [
+        ("interval", ((1,),)), ("square2", ((1, 0),)), ("simplex", ((1, 0),)), (None, None)])
+    def test_bit_equal_to_per_pair_formula(self, fixture, rows, request, phi_half_square):
+        from toric_quant import SubtorusProjection
+
+        if fixture is None:  # the canonical family: psi = None
+            P = request.getfixturevalue("square2")
+            pair0 = _pair(P)
+        else:
+            P = request.getfixturevalue(fixture)
+            pair0 = _pair(P, SubtorusProjection(rows), phi_half_square, 0.0)
+        pts = sample_interior(P, 15, seed=8)
+        times = (0.0, 1.0, 7.5, 40.0)
+        got = flow_identity_residual(pair0, times, pts)
+        assert got.shape == (4, 15)
+        for t, row in zip(times, got):
+            pair_t = LegendrePair(pair0.potential.at_time(t))
+            assert np.array_equal(row, _per_pair_residual(pair0, pair_t, pts))
+        assert flow_identity_residual(pair0, times, pts[0]).shape == (4,)
+
+    def test_h0_solved_once(self, square2, proj_first_of_two, phi_half_square, monkeypatch):
+        from toric_quant import legendre
+
+        calls = []
+        real = legendre.inverse
+        monkeypatch.setattr(legendre, "inverse", lambda pair, y: calls.append(
+            pair.potential.time) or real(pair, y))
+        pair0 = _pair(square2, proj_first_of_two, phi_half_square, 0.0)
+        flow_identity_residual(pair0, (2.0, 4.0, 8.0), sample_interior(square2, 5, seed=1))
+        assert calls == [0.0, 2.0, 4.0, 8.0]
 
 
 # non-box polygon: the Hirzebruch trapezoid x + y <= 4, y <= 2
@@ -221,11 +261,10 @@ class TestBatchedPotentials:
     def test_flow_residual_stack_equals_points(self, square2, proj_first_of_two,
                                                phi_half_square, t):
         pair0 = _pair(square2, proj_first_of_two, phi_half_square, 0.0)
-        pair_t = _pair(square2, proj_first_of_two, phi_half_square, t)
         pts = sample_interior(square2, 20, seed=33)
-        batched = flow_identity_residual(pair0, pair_t, pts)
+        batched = flow_identity_residual(pair0, [t], pts)[0]
         assert batched.shape == (20,)
-        each = [flow_identity_residual(pair0, pair_t, x) for x in pts]
-        assert all(isinstance(r, float) for r in each)
+        each = [flow_identity_residual(pair0, [t], x)[0] for x in pts]
+        assert all(np.ndim(r) == 0 for r in each)
         assert np.allclose(batched, each, rtol=0, atol=1e-12)
         assert np.max(batched) < 1e-8

@@ -240,3 +240,46 @@ class TestBatchedFrames:
             assert rep.distances == tuple(dists)
             assert rep.subframe_invariance == drift
             assert rep.isotropy_defect == iso
+
+
+class TestOneHessianPerPoint:
+    def test_g0_and_psi_hessians_and_h0_inverse_once(self, square2, proj_first_of_two,
+                                                     phi_half_square, monkeypatch):
+        from dataclasses import replace
+
+        from toric_quant import potential
+
+        calls = {"g0": 0, "psi": 0, "inv_h0": 0}
+        real_g0, real_inv = potential.g0_hessian, np.linalg.inv
+
+        def g0_hessian(P, x):
+            calls["g0"] += 1
+            return real_g0(P, x)
+
+        def psi_hessian(y):
+            calls["psi"] += 1
+            return phi_half_square.hessian(y)
+
+        def inv(a):
+            calls["inv_h0"] += np.ndim(a) == 2  # one (n, n) matrix: Hess g0 at x
+            return real_inv(a)
+
+        monkeypatch.setattr(potential, "g0_hessian", g0_hessian)
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        phi = replace(phi_half_square, hessian=psi_hessian)
+        pot = _family(square2, proj_first_of_two, phi, 0.0)
+        rep = decay_report(pot, proj_first_of_two, np.array([0.7, 1.2]), [8, 16, 32, 64])
+        assert calls == {"g0": 1, "psi": 1, "inv_h0": 1}
+        monkeypatch.undo()
+        assert np.array_equal(rep.limit.rows,
+                              limit_frame(proj_first_of_two, pot, np.array([0.7, 1.2])).rows)
+
+    def test_canonical_family(self, square2, proj_first_of_two):
+        # psi = None: G_t = Hess g0 for every t, so the frames do not move
+        pot = SymplecticPotential.canonical(square2)
+        x = np.array([0.7, 1.2])
+        rep = decay_report(pot, proj_first_of_two, x, [8, 16, 32])
+        fr = polarization_frame(pot, proj_first_of_two, x)
+        lim = limit_frame(proj_first_of_two, pot, x)
+        assert rep.distances == (grassmann_distance(fr, lim),) * 3
+        assert rep.subframe_invariance == subspace_angle(fr.rows[1:], fr.rows[1:])

@@ -7,7 +7,6 @@ from toric_quant import (
     g0_gradient,
     g0_hessian,
     g0_value,
-    hessian_determinant_product,
     validate_potential,
 )
 from toric_quant.potential import boundary_approach_samples, interior_samples
@@ -158,6 +157,29 @@ class TestValidatePotential:
     def test_product_oracle_pointwise(self, interval):
         pot = SymplecticPotential.canonical(interval)
         xs = np.linspace(0.05, 0.95, 7)[:, None]
-        prods = hessian_determinant_product(pot, xs)
+        prods = [(rep.product_min, rep.product_max)
+                 for rep in (validate_potential(pot, x[None]) for x in xs)]
         expect = 0.5 * (1 / xs[:, 0] + 1 / (1 - xs[:, 0])) * xs[:, 0] * (1 - xs[:, 0])
-        assert np.allclose(prods, expect, atol=1e-13)
+        assert np.allclose(prods, np.stack([expect, expect], axis=-1), atol=1e-13)
+
+    @pytest.mark.parametrize("t", [0.0, 3.0])
+    def test_one_hessian_per_validation(self, square2, proj_first_of_two, phi_half_square,
+                                        monkeypatch, t):
+        from toric_quant import potential
+
+        pot = SymplecticPotential.perturbed(square2, proj_first_of_two, phi_half_square, t)
+        pts = interior_samples(square2, 30, seed=4)
+        rays = boundary_approach_samples(square2)
+        seen = []
+        real = potential.g0_hessian
+        monkeypatch.setattr(potential, "g0_hessian",
+                            lambda P, x: seen.append(len(x)) or real(P, x))
+        rep = validate_potential(pot, pts, rays)
+        assert seen == [len(pts) + len(rays)]
+        # the reference: every sample's Hessian on its own
+        H = np.stack([pot.hessian(x) for x in np.concatenate([pts, rays])])
+        mins = np.linalg.eigvalsh(H[:len(pts)])[:, 0]
+        prods = np.linalg.det(H) * np.prod(square2.facet_values_array(
+            np.concatenate([pts, rays])), axis=-1)
+        assert rep.min_eigenvalue == mins.min()
+        assert (rep.product_min, rep.product_max) == (prods.min(), prods.max())

@@ -21,7 +21,6 @@ from toric_quant import (
     face_slice,
     grid_rule,
     integrate,
-    integrate_slice,
     make_rule,
     slice_rule,
 )
@@ -53,6 +52,12 @@ class TestRules:
     def test_resolution_floor(self, square2):
         with pytest.raises(QuadratureError):
             box_rule(square2, 4)
+
+    @pytest.mark.parametrize("side,res", [(2 ** 57, 8), (2 ** 50, 1024)])
+    def test_grid_past_int64_names_the_resolution(self, side, res):
+        P = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), side)))
+        with pytest.raises(quadrature.GridOverflowError, match=f"resolution {res}:"):
+            grid_rule(P, res)
 
     def test_make_rule_dispatch(self, square2, simplex):
         assert make_rule(square2, 16).kind == "gauss"
@@ -128,6 +133,51 @@ class TestNodeBlocks:
             square2, proj_first_of_two, phi_half_square, (1, 1),
             lambda x: x[..., 0] ** 2, [8, 16, 32], rule=rule), rule.size)
         assert peak < 2.2
+
+
+class TestFiberMasses:
+    @pytest.mark.parametrize("fixture,rows,res", [
+        ("square2", ((1, 0),), 48), ("simplex", ((1, 0),), 40), ("simplex", ((1, 1),), 40),
+        ("cube", ((1, 0, 0), (0, 1, 0)), 12)])
+    def test_against_per_t_references(self, fixture, rows, res, request, phi_half_square):
+        from toric_quant import quadratic
+
+        P = request.getfixturevalue(fixture)
+        proj = SubtorusProjection(rows)
+        phi = phi_half_square if proj.k == 1 else quadratic(np.eye(2))
+        m = tuple(int(v) for v in P.vertices[0].point)
+        f = ConcentrationWeight.from_projection(proj, phi, m)
+        h = lambda x: (closed_form_norm_g0(P, m, x), x[..., -1] * closed_form_norm_g0(P, m, x))
+        rule, times = make_rule(P, res), (0.0, 3.0, 17.5, 90.0)
+        push = pushforward(rule, proj)
+        got, fmin = push.masses(h, f, times)
+        assert got.shape == (4, 2) and fmin == push.at_fibers(f).min()
+        # the per-t loop over fiber sums, in the same arithmetic: bit for bit
+        F, fr = push.sums(h), push.at_fibers(f)
+        for t, row in zip(times, got):
+            w = np.exp(-t * (fr - fmin))
+            assert row.tolist() == [w @ F[0], w @ F[1]]
+        # a direct integral of e^{-t (f_m - min f_m)} h over the nodes for each t
+        for t, row in zip(times, got):
+            direct = [integrate(lambda x, i=i: np.exp(-t * (f(x) - fmin)) * h(x)[i], rule)
+                      for i in (0, 1)]
+            assert np.allclose(row, direct, rtol=1e-12, atol=0)
+
+    def test_one_loop_behind_ratios_and_l1_norms(self, square2, proj_first_of_two,
+                                                phi_half_square, monkeypatch):
+        from toric_quant import SymplecticPotential, l1_norms
+
+        calls = []
+        real = quadrature.Pushforward.masses
+        monkeypatch.setattr(quadrature.Pushforward, "masses",
+                            lambda self, h, f, times: calls.append(tuple(times))
+                            or real(self, h, f, times))
+        rule = box_rule(square2, 32)
+        concentration_experiment(square2, proj_first_of_two, phi_half_square, (1, 1),
+                                 lambda x: x[..., 0] ** 2, [8, 16], rule=rule)
+        pot = SymplecticPotential.perturbed(square2, proj_first_of_two, phi_half_square, 0.0)
+        l1_norms(pot, (1, 1), rule, (0.0, 4.0))
+        assert calls == [(8.0, 16.0), (0.0, 4.0)]
 
 
 @st.composite
@@ -278,16 +328,21 @@ class TestIntegrate:
             assert abs(a - b) < 1e-5
 
 
+def _slice_integral(f, sl, resolution):
+    """Integral of f over the slice in its chart measure du."""
+    return integrate(lambda u: f(sl.embed(u)), slice_rule(sl, resolution))
+
+
 class TestSliceIntegration:
     def test_segment_constant(self, square2, proj_first_of_two):
         sl = face_slice(square2, proj_first_of_two, (1,))
-        assert integrate_slice(ones, sl, resolution=32) == pytest.approx(2.0, abs=1e-10)
+        assert _slice_integral(ones, sl, 32) == pytest.approx(2.0, abs=1e-10)
 
     def test_norm_profile_against_finer_rule(self, square2, proj_first_of_two):
         sl = face_slice(square2, proj_first_of_two, (1,))
         f = lambda x: closed_form_norm_g0(square2, (1, 1), x)
-        coarse = integrate_slice(f, sl, resolution=64)
-        fine = integrate_slice(f, sl, resolution=640)
+        coarse = _slice_integral(f, sl, 64)
+        fine = _slice_integral(f, sl, 640)
         assert abs(coarse - fine) < 1e-5
 
     def test_boundary_level_errors(self, square2, proj_first_of_two):
@@ -300,7 +355,7 @@ class TestSliceIntegration:
         sl = face_slice(interval, proj_id1, (0,))
         rule = slice_rule(sl, 16)
         assert rule.size == 1
-        val = integrate_slice(lambda x: 5.0 * ones(x), sl, rule=rule)
+        val = integrate(lambda u: 5.0 * ones(sl.embed(u)), rule)
         assert val == pytest.approx(5.0)
 
     def test_simplex_diagonal_slice_grid(self, simplex):
@@ -308,7 +363,7 @@ class TestSliceIntegration:
         sl = face_slice(simplex, proj, (0.5,))
         # fiber {x + y = 1/2} inside the simplex has length sqrt(2) but chart
         # measure du along the primitive direction (1,-1) gives extent 1/2
-        val = integrate_slice(ones, sl, resolution=64)
+        val = _slice_integral(ones, sl, 64)
         assert val == pytest.approx(0.5, abs=2e-2)
 
 
@@ -337,6 +392,25 @@ class TestDeltaPairing:
         delta_pairing(square2, proj_first_of_two, (1, 1), lambda x: x[..., 1],
                       resolution=64)
         assert built == [64]
+
+    @pytest.mark.parametrize("fixture,rows,m", [
+        ("square2", ((1, 0),), (1, 1)), ("simplex", ((1, 1),), (0, 0)),
+        ("simplex", ((1, 0),), (0, 1)), ("cube", ((1, 0, 0),), (0, 1, 1))])
+    def test_one_norm_per_slice_node(self, fixture, rows, m, request, monkeypatch):
+        P = request.getfixturevalue(fixture)
+        proj = SubtorusProjection(rows)
+        u = lambda x: 1.0 + x[..., -1] ** 2
+        sl = face_slice(P, proj, proj.apply(m))
+        rule = slice_rule(sl, 64)
+        # the two-pass reference: denominator and numerator integrated apart
+        norm = lambda v: closed_form_norm_g0(P, m, sl.embed(v))
+        ref = integrate(lambda v: norm(v) * u(sl.embed(v)), rule) / integrate(norm, rule)
+        seen = []
+        real = quadrature.closed_form_norm_g0
+        monkeypatch.setattr(quadrature, "closed_form_norm_g0",
+                            lambda P, m, x: seen.append(len(x)) or real(P, m, x))
+        assert delta_pairing(P, proj, m, u, resolution=64) == ref
+        assert sum(seen) == rule.size
 
     def test_vertex_point_mass(self, interval, proj_id1):
         val = delta_pairing(interval, proj_id1, (0,), lambda x: 7.0 + x[..., 0])

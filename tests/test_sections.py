@@ -170,12 +170,14 @@ class TestConcentrationWeight:
 class TestFactorization:
     def test_zero_at_t_zero(self, interval, proj_id1, phi_half_square):
         pts = sample_interior(interval, 10, seed=3)
-        assert norm_factorization_check(interval, proj_id1, phi_half_square,
-                                        (0,), 0.0, pts) == 0.0
+        res, _ = norm_factorization_check(interval, proj_id1, phi_half_square,
+                                          (0,), [0.0], pts)
+        assert res.tolist() == [0.0]
 
     def test_interval_t3(self, interval, proj_id1, phi_half_square):
-        assert norm_factorization_check(interval, proj_id1, phi_half_square,
-                                        (0,), 3.0, np.array([[0.5]])) < 1e-12
+        res, _ = norm_factorization_check(interval, proj_id1, phi_half_square,
+                                          (0,), [3.0], np.array([[0.5]]))
+        assert res[0] < 1e-12
 
     @pytest.mark.parametrize("fixture,rows,m", [
         ("interval", ((1,),), (0,)),
@@ -189,10 +191,48 @@ class TestFactorization:
         proj = SubtorusProjection(rows)
         rng = np.random.default_rng(14)
         pts = sample_interior(P, 100, seed=15)
-        worst = max(
-            norm_factorization_check(P, proj, phi_half_square, m, t, pts)
-            for t in rng.uniform(0.0, 10.0, size=8))
-        assert worst < 1e-10
+        res, _ = norm_factorization_check(P, proj, phi_half_square, m,
+                                          rng.uniform(0.0, 10.0, size=8), pts)
+        assert max(res) < 1e-10
+
+    @pytest.mark.parametrize("fixture,rows,m", [
+        ("square2", ((1, 0),), (1, 1)),
+        ("simplex", ((1, 0),), (0, 1)),
+    ])
+    def test_bit_equal_to_per_t_loop(self, fixture, rows, m, request, phi_half_square,
+                                     monkeypatch):
+        from toric_quant import SubtorusProjection, sections
+
+        P = request.getfixturevalue(fixture)
+        proj = SubtorusProjection(rows)
+        pts = sample_interior(P, 40, seed=6)
+        times = (0.0, 2.5, 9.0, 31.0)
+        pot0 = SymplecticPotential.perturbed(P, proj, phi_half_square, 0.0)
+        fm = ConcentrationWeight.from_projection(proj, phi_half_square, m)
+        ref_res, ref_peak = [], []
+        for t in times:  # the per-t loop: every norm and f_m afresh
+            lhs = pointwise_norm(MonomialSection(m, pot0.at_time(t)), pts)
+            rhs = np.exp(-t * fm(pts)) * pointwise_norm(MonomialSection(m, pot0), pts)
+            ref_res.append(float(np.max(np.abs(lhs - rhs))))
+            ref_peak.append(float(np.max(lhs)))
+        calls = {"norm": 0, "fm": 0}
+        real_norm, real_fm = sections.pointwise_norm, ConcentrationWeight.__call__
+
+        def norm(section, x):
+            calls["norm"] += 1
+            return real_norm(section, x)
+
+        def weight(self, x):
+            calls["fm"] += 1
+            return real_fm(self, x)
+
+        monkeypatch.setattr(sections, "pointwise_norm", norm)
+        monkeypatch.setattr(ConcentrationWeight, "__call__", weight)
+        res, peaks = norm_factorization_check(P, proj, phi_half_square, m, times, pts)
+        assert res.tolist() == ref_res
+        assert peaks.tolist() == ref_peak
+        # |sigma_0| once, |sigma_t| once per t, f_m once
+        assert calls == {"norm": len(times) + 1, "fm": 1}
 
 
 class TestL1AndBasis:
