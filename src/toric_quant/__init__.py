@@ -19,11 +19,9 @@ from .polytope import (
     weight_multiplicities,
 )
 from .subtorus import (
-    AdaptedBasis,
     ConvexFunction,
     ProjectionError,
     SubtorusProjection,
-    adapted_basis,
     default_convex,
     pullback,
     quadratic,
@@ -45,13 +43,7 @@ from .legendre import (
     inverse,
     kahler_potential,
 )
-from .polarization import (
-    PolarizationFrame,
-    decay_report,
-    grassmann_distance,
-    limit_frame,
-    polarization_frame,
-)
+from .polarization import decay_report
 from .sections import (
     ConcentrationWeight,
     MonomialSection,

@@ -141,35 +141,3 @@ def integer_kernel_basis(A, ncols=None):
     basis = [_normalize_row([V[i][c] for i in range(ncols)]) for c in range(rank, ncols)]
     basis.sort()
     return tuple(tuple(v) for v in basis)
-
-
-def column_hermite(A):
-    """Column echelon form over Z: returns (H, V) with A @ V = H = [L | 0].
-
-    V is unimodular, L is k x k lower triangular with positive diagonal
-    (A must have full row rank k).
-    """
-    H, V, rank = _hermite(A, len(A[0]))
-    if rank < len(A):
-        raise ValueError("matrix does not have full row rank")
-    return H, V
-
-
-def unimodular_inverse(M):
-    """Exact inverse of a unimodular integer matrix, as integer rows.
-
-    One reduction of [M | I]: its right block is M^-1.
-    """
-    n = len(M)
-    R, pivots = _rref([list(M[i]) + [1 if j == i else 0 for j in range(n)]
-                       for i in range(n)], n)
-    if len(pivots) < n:
-        raise ValueError("singular system")
-    if any(v.denominator != 1 for row in R for v in row[n:]):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(int(v) for v in row[n:]) for row in R)
-
-
-def matmul_int(A, B):
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*B))
-                 for row in A)

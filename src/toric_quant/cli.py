@@ -29,6 +29,7 @@ import numpy as np
 from . import legendre, polarization, potential, quadrature, sections
 from .polytope import (
     DelzantPolytope,
+    GridRangeError,
     PolytopeError,
     _grid_scan,
     _vertex_bounds,
@@ -338,30 +339,23 @@ def _cmd_polarization_limit(cfg, opts):
     pts = bary + 0.5 * (potential.interior_samples(P, npoints, seed=_SEED) - bary)
     t_list = opts["t_list"]
     pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
-    slopes, iso, sub, kdims = [], 0.0, 0.0, set()
-    per_t_norm = np.zeros(len(t_list))
-    per_t_dist = np.zeros(len(t_list))
-    for x in pts:
-        rep = polarization.decay_report(pot, cfg.proj, x, t_list)
-        slopes.append(rep.fitted_slope)
-        sub = max(sub, rep.subframe_invariance)
-        per_t_norm = np.maximum(per_t_norm, rep.top_block_norms)
-        per_t_dist = np.maximum(per_t_dist, rep.distances)
-        iso = max(iso, rep.isotropy_defect, polarization.isotropy_defect(rep.limit))
-        kdims.add(polarization.degenerate_directions(rep.limit))
+    rep = polarization.decay_report(pot, cfg.proj, pts, t_list)
+    slopes = rep.fitted_slopes.tolist()
+    iso = max(rep.isotropy_defect, polarization.isotropy_defect(rep.limit))
+    kdims = set(polarization.degenerate_directions(rep.limit).tolist())
     out = {
         "t": [float(t) for t in t_list],
-        "max_top_block_norm": per_t_norm.tolist(),
-        "max_grassmann_distance": per_t_dist.tolist(),
+        "max_top_block_norm": rep.top_block_norms.max(axis=0).tolist(),
+        "max_grassmann_distance": rep.distances.max(axis=0).tolist(),
         "fitted_slopes": slopes,
         "max_isotropy_defect": iso,
-        "max_subframe_drift": sub,
+        "max_subframe_drift": rep.subframe_invariance,
         "limit_degenerate_dimensions": sorted(kdims),
     }
     flags = {
         "slopes_near_minus_one": all(-1.1 <= s <= -0.9 for s in slopes),
         "frames_isotropic": iso < 1e-10,
-        "subframe_invariant": sub < 1e-10,
+        "subframe_invariant": rep.subframe_invariance < 1e-10,
         "limit_kernel_dimension_is_k": kdims == {cfg.proj.k},
     }
     tols = {"slope_band": [-1.1, -0.9], "isotropy": 1e-10, "subframe": 1e-10}
@@ -491,6 +485,8 @@ def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> Run
             # the midpoint grid scales coordinates by its resolution, and
             # the scan's int64 guard refuses it
             raise ConfigError("bad_resolution", str(exc)) from exc
+        except GridRangeError as exc:  # the lattice scan of P is too large
+            raise ConfigError("bad_polytope", f"lattice scan: {exc}") from exc
         timings[sub] = time.perf_counter() - t0
         if command != "full-suite":
             return RunReport(command, cfg.digest, out, tol, fl, timings)

@@ -1,10 +1,15 @@
 """Polarization frames and their degeneration.
 
-Frames are n complex vectors in the 2n real coordinates (dx_1..dx_n,
-dtheta_1..dtheta_n) on the open orbit.  The frame of the Kahler polarization
-at time t has row j = (row j of G_t^{-1}, -i e_j) with G_t = Hess g_t; as
-t grows the first k rows flatten onto pure angle directions, and the
-distance to that limit frame is measured by principal angles.
+A frame is a stack of complex rows of shape (..., n, 2n) in the 2n real
+coordinates (dx_1..dx_n, dtheta_1..dtheta_n) on the open orbit.  The Kahler
+polarization of g_t at x is span{(w, -i G_t w)} with G_t = Hess g_t, written
+with the rows (G_t^{-1}, -i I).  Along g_t = g0 + t phi(A x) the Hessian is
+G_t = G0 + t A^T Hess(phi) A, so (w, -i G_t w) = (w, -i G0 w) for w in ker A,
+while (G_t^{-1} A^T, -i A^T) tends to (0, -i A^T).  With B a Z-basis of
+ker A, the mixed-polarization limit therefore has the rows (0, A) and
+(B, -i B G0) in any lattice coordinates (Baier, Florentino, Mourao, Nunes,
+J. Differential Geom. 89 (2011)).  Distances between spans are principal
+angles.
 """
 from __future__ import annotations
 
@@ -12,101 +17,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._intlin import integer_kernel_basis
 from .potential import SymplecticPotential
 from .subtorus import SubtorusProjection
 
 
-@dataclass(frozen=True)
-class PolarizationFrame:
-    rows: np.ndarray  # (n, 2n) complex
-    basepoint: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-
-def _require_standard(proj: SubtorusProjection):
-    if not proj.is_standard():
-        raise ValueError(
-            "frames expect adapted coordinates (projection onto the first k "
-            "coordinates); apply subtorus.adapted_basis first")
-
-
-def polarization_frame(pot: SymplecticPotential, proj: SubtorusProjection,
-                       x) -> PolarizationFrame:
-    """Frame of the Kahler polarization of g_t at x (adapted coordinates)."""
-    _require_standard(proj)
-    x = np.asarray(x, dtype=float)
-    return PolarizationFrame(_frame_rows(np.linalg.inv(pot.hessian(x))), x)
-
-
-def _frame_rows(Ginv, k=0):
-    """Rows (row j of G^{-1}, -i e_j), stacked over leading axes of Ginv,
-    with the pure angle directions (0, e_j) of the limit as the first k."""
-    n = Ginv.shape[-1]
-    rows = np.zeros(Ginv.shape[:-1] + (2 * n,), dtype=complex)
-    rows[..., :n] = Ginv
-    rows[..., n:] = -1j * np.eye(n)
-    rows[..., :k, :] = np.eye(n, 2 * n, n)[:k]
-    return rows
-
-
-def limit_frame(proj: SubtorusProjection, pot0: SymplecticPotential,
-                x) -> PolarizationFrame:
-    """Frame of the mixed-polarization limit at x.
-
-    Rows 1..k are pure angle directions; rows k+1..n keep the t=0 Kahler
-    rows, which are unchanged along the family because the potential only
-    moves in the projected variables.
-    """
-    _require_standard(proj)
-    x = np.asarray(x, dtype=float)
-    G0inv = np.linalg.inv(pot0.at_time(0.0).hessian(x))
-    return PolarizationFrame(_frame_rows(G0inv, proj.k), x)
-
-
-def isotropy_defect(frame: PolarizationFrame) -> float:
-    """max |Omega(row_a, row_b)| over all pairs; zero for Lagrangian frames."""
-    return _max_pairing(frame.rows)
-
-
-def _max_pairing(rows) -> float:
-    """max |Omega(row_a, row_b)| over pairs of rows and any leading axes."""
+def isotropy_defect(rows) -> float:
+    """max |Omega(row_a, row_b)| over pairs of rows and any leading axes;
+    zero for Lagrangian frames."""
     n = rows.shape[-1] // 2
-    a = rows[..., :n]
-    b = rows[..., n:]
+    a, b = rows[..., :n], rows[..., n:]
     M = a @ np.swapaxes(b, -1, -2) - b @ np.swapaxes(a, -1, -2)
     return float(np.max(np.abs(M)))
 
 
-def positivity_matrix(frame: PolarizationFrame):
-    """Hermitian matrix i*Omega(conj(row_a), row_b) on the frame span.
+def degenerate_directions(rows, tol: float = 1e-10):
+    """Complex dimension of the kernel of the positivity form on the span.
 
-    Positive definite for Kahler frames (it equals 2 G^{-1} there); positive
-    semidefinite with k-dimensional kernel for the mixed-polarization limit.
+    The form is the Hermitian matrix i Omega(conj(row_a), row_b): positive
+    definite for Kahler frames (2 G^{-1} on the rows (G^{-1}, -i I)), and
+    positive semidefinite with a k-dimensional kernel for the limit.  A
+    stack of frames gives one count per frame.
     """
-    n = frame.n
-    a = np.conj(frame.rows[:, :n])
-    b = np.conj(frame.rows[:, n:])
-    c = frame.rows[:, :n]
-    d = frame.rows[:, n:]
-    return 1j * (a @ d.T - b @ c.T)
-
-
-def degenerate_directions(frame: PolarizationFrame, tol: float = 1e-10) -> int:
-    """Complex dimension of the kernel of the positivity form."""
-    eigs = np.linalg.eigvalsh(positivity_matrix(frame))
-    return int(np.sum(np.abs(eigs) < tol))
-
-
-def grassmann_distance(A: PolarizationFrame, B: PolarizationFrame) -> float:
-    """Largest principal angle between the two frame spans in C^{2n}."""
-    if A.rows.shape != B.rows.shape:
-        raise ValueError("frames have different dimensions")
-    if not np.allclose(A.basepoint, B.basepoint):
-        raise ValueError("frames sit at different basepoints")
-    return subspace_angle(A.rows, B.rows)
+    n = rows.shape[-1] // 2
+    a, b = rows[..., :n], rows[..., n:]
+    M = 1j * (a.conj() @ np.swapaxes(b, -1, -2) - b.conj() @ np.swapaxes(a, -1, -2))
+    counts = np.sum(np.abs(np.linalg.eigvalsh(M)) < tol, axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def subspace_angle(rows_a, rows_b):
@@ -129,50 +66,57 @@ def subspace_angle(rows_a, rows_b):
     return float(theta) if theta.ndim == 0 else theta
 
 
+def _kernel_rows(B, G):
+    """Rows (B, -i B G) over the leading axes of G: {(w, -i G w) : w in span B}."""
+    BG = B @ G
+    return np.concatenate([np.broadcast_to(B, BG.shape), -1j * BG], axis=-1)
+
+
 @dataclass(frozen=True)
 class DecayReport:
-    """Degeneration of the time-t frames toward the limit frame at one point."""
+    """Degeneration of the time-t frames toward the limit at N points."""
 
-    basepoint: np.ndarray
+    basepoints: np.ndarray  # (N, n)
     t_values: tuple
-    top_block_norms: tuple  # max |entry| of rows 1..k of G_t^{-1}
-    distances: tuple  # Grassmann distance to the limit frame
-    fitted_slope: float  # least-squares slope of log distance vs log t
-    subframe_invariance: float  # max over t of d(span rows k+1..n at t, at 0)
-    isotropy_defect: float  # max over t of the time-t frame's isotropy defect
-    limit: PolarizationFrame  # the limit frame at the basepoint
+    top_block_norms: np.ndarray  # (N, T): max |entry| of A G_t^{-1}
+    distances: np.ndarray  # (N, T): principal angle to the limit
+    fitted_slopes: np.ndarray  # (N,): least-squares slope of log distance vs log t
+    subframe_invariance: float  # max angle of the ker A rows at t against t = 0
+    isotropy_defect: float  # max isotropy defect of the time-t frames
+    limit: np.ndarray  # (N, n, 2n): rows (0, A) and (B, -i B G0)
 
 
 def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
                  x, t_list) -> DecayReport:
-    """Track frame degeneration along increasing t at a fixed interior point.
+    """Track frame degeneration along increasing t at a stack of interior points.
 
-    G_t = Hess g0 + t Hess psi comes from one Hessian of each, and one
-    inverse of Hess g0 gives the t = 0 and limit frames.  The time-t frames
-    (G_t^{-1}, -i I) are one stack over t, and their distances to the limit
-    and t = 0 frames come from one stacked principal-angle computation each.
+    G_t = Hess g0 + t Hess psi comes from one Hessian of each at every
+    point.  The time-t frames (G_t^{-1}, -i I) are one stack over points and
+    times, and their distances to the limit come from one stacked
+    principal-angle computation.  The ker A rows (B, -i B G_t) must not move
+    with t; their angle against t = 0 is the subframe check, and it fails
+    when psi does not factor through A.
     """
-    _require_standard(proj)
     t_list = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly increasing")
-    x = np.asarray(x, dtype=float)
-    n, k = pot_family.polytope.dim, proj.k
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    A, n, k = proj.array, proj.n, proj.k
+    B = np.array(integer_kernel_basis(proj.matrix), dtype=float).reshape(n - k, n)
     H0 = pot_family.at_time(0.0).hessian(x)
     psi = pot_family.perturbation
-    Hpsi = 0.0 if psi is None else psi.hessian(x)
-    G0inv = np.linalg.inv(H0)
-    lim = PolarizationFrame(_frame_rows(G0inv, k), x)
-    Ginv = np.linalg.inv(H0 + np.reshape(t_list, (-1, 1, 1)) * Hpsi)
-    frames = _frame_rows(Ginv)
-    norms = np.max(np.abs(Ginv[:, :k, :]), axis=(1, 2))
-    dists = subspace_angle(frames, lim.rows)
+    Hpsi = np.zeros_like(H0) if psi is None else psi.hessian(x)
+    G = H0[:, None] + np.reshape(t_list, (-1, 1, 1)) * Hpsi[:, None]
+    Ginv = np.linalg.inv(G)
+    frames = np.concatenate([Ginv, np.broadcast_to(-1j * np.eye(n), Ginv.shape)], axis=-1)
+    top = np.broadcast_to(np.hstack([np.zeros((k, n)), A]), (len(x), k, 2 * n))
+    lim = np.concatenate([top, _kernel_rows(B, H0)], axis=-2)
+    dists = subspace_angle(frames, lim[:, None])
     subinv = 0.0
     if k < n:
-        subinv = float(np.max(subspace_angle(frames[:, k:], _frame_rows(G0inv)[k:])))
-    slope = float(np.polyfit(np.log(t_list), np.log(dists), 1)[0])
-    return DecayReport(basepoint=x, t_values=tuple(t_list),
-                       top_block_norms=tuple(map(float, norms)),
-                       distances=tuple(map(float, dists)),
-                       fitted_slope=slope, subframe_invariance=subinv,
-                       isotropy_defect=_max_pairing(frames), limit=lim)
+        subinv = float(np.max(subspace_angle(_kernel_rows(B, G), lim[:, None, k:])))
+    slopes = np.polyfit(np.log(t_list), np.log(dists).T, 1)[0]
+    return DecayReport(basepoints=x, t_values=tuple(t_list),
+                       top_block_norms=np.max(np.abs(A @ Ginv), axis=(-2, -1)),
+                       distances=dists, fitted_slopes=slopes, subframe_invariance=subinv,
+                       isotropy_defect=isotropy_defect(frames), limit=lim)

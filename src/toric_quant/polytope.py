@@ -29,6 +29,13 @@ from ._intlin import (
 # points per block when a grid is scanned or a node-wise integrand is
 # evaluated: the temporaries stay at a few MB however fine the grid is
 NODE_BLOCK = 1 << 15
+# grid points one exact scan may walk; the simplex2 midpoint grid at
+# resolution 1024, the largest scan of the shipped configs, walks 2^20
+MAX_SCAN = 1 << 32
+
+
+class GridRangeError(OverflowError):
+    """An exact grid scan would walk more than MAX_SCAN points or leave int64."""
 
 
 class PolytopeError(ValueError):
@@ -264,17 +271,22 @@ def _grid_scan(axes, normals, offsets, strict=False):
     Keeps num with normals . num + offsets >= 0 (> 0 when strict), in
     meshgrid "ij" order, as an (N, dim) int64 array.  The grid is walked
     NODE_BLOCK points at a time, so no temporary has the size of the grid.
+    Raises GridRangeError for a grid of more than MAX_SCAN points or facet
+    values that could leave int64.
     """
-    axes = [np.asarray(a, dtype=np.int64) for a in axes]
+    axes = list(axes)
     shape = tuple(len(a) for a in axes)
+    total = prod(shape)
+    if total > MAX_SCAN:  # refused before any axis is built
+        raise GridRangeError(f"grid of {total} points exceeds the 2^32 scan limit")
+    axes = [np.asarray(a, dtype=np.int64) for a in axes]
     R = np.array(normals, dtype=np.int64).reshape(-1, len(axes))
     lam = np.array(offsets, dtype=np.int64)[:, None]
     # numpy would wrap int64 facet values silently
     amax = [float(np.abs(a).max(initial=0)) for a in axes]
     if np.any(np.abs(R) @ amax + np.abs(lam[:, 0]) >= 2.0 ** 62):
-        raise OverflowError("grid coordinates too large for int64 facet values")
+        raise GridRangeError("grid coordinates too large for int64 facet values")
     kept = [np.empty((0, len(axes)), dtype=np.int64)]
-    total = prod(shape)
     for s in range(0, total, NODE_BLOCK):
         idx = np.unravel_index(np.arange(s, min(s + NODE_BLOCK, total)), shape)
         # coordinates and facet values lie along the rows: (dim, B), (facets, B)

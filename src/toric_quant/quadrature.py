@@ -37,7 +37,7 @@ class QuadratureError(RuntimeError):
 
 
 class GridOverflowError(QuadratureError):
-    """The integer coordinates of a midpoint grid leave int64 at its resolution."""
+    """The integer midpoint grid at this resolution leaves int64 or the scan limit."""
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
-"""Subtorus projections, adapted lattice bases, and convex perturbations.
+"""Subtorus projections and convex perturbations.
 
 The projection is an integer k x n matrix acting on moment coordinates,
-y = A x.  ``adapted_basis`` produces a unimodular change of coordinates in
-which the projection becomes "take the first k coordinates"; ``pullback``
-turns a strictly convex function of y into the convex perturbation
-psi(x) = phi(A x) used by the potential family.
+y = A x, of rank k and lattice-surjective (A Z^n = Z^k).  ``pullback`` turns
+a strictly convex function of y into the convex perturbation psi(x) =
+phi(A x) used by the potential family.
 """
 from __future__ import annotations
 
@@ -15,16 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._intlin import (
-    column_hermite,
-    matmul_int,
-    rational_rank,
-    unimodular_inverse,
-)
+from ._intlin import _hermite
 
 
 class ProjectionError(ValueError):
-    """Rank-deficient projection or non-primitive image lattice."""
+    """Rank-deficient projection or image lattice of index > 1."""
 
 
 @dataclass(frozen=True)
@@ -41,8 +35,14 @@ class SubtorusProjection:
         k = len(rows)
         if not 1 <= k <= n:
             raise ProjectionError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if rational_rank(rows) < k:
+        # the column Hermite form [L | 0] of a rank-k A has index |A Z^n : Z^k| = det L
+        H, _, rank = _hermite(rows, n)
+        if rank < k:
             raise ProjectionError(f"projection matrix has rank < {k}")
+        index = prod(H[i][i] for i in range(k))
+        if index != 1:
+            raise ProjectionError(
+                f"image lattice has index {index} > 1; projection is not lattice-surjective")
         object.__setattr__(self, "matrix", rows)
 
     @classmethod
@@ -68,52 +68,6 @@ class SubtorusProjection:
         if isinstance(x, np.ndarray):
             return np.asarray(x, dtype=float) @ self.array.T
         return tuple(sum(a * xi for a, xi in zip(row, x)) for row in self.matrix)
-
-    def is_standard(self) -> bool:
-        return self.matrix == SubtorusProjection.standard(self.k, self.n).matrix
-
-
-@dataclass(frozen=True)
-class AdaptedBasis:
-    """Unimodular U with proj @ inverse(U) = [I_k | 0].
-
-    In the coordinates xt = U x the projection reads off the first k
-    entries of xt, and the last n-k columns of inverse(U) form a Z-basis of
-    ker(proj) inside Z^n.
-    """
-
-    change_of_basis: tuple  # n x n integer rows
-    split: int
-
-    @cached_property
-    def inverse(self):
-        return unimodular_inverse(self.change_of_basis)
-
-    def kernel_basis(self):
-        """Rows spanning ker(proj) over Z (columns split..n-1 of U^-1)."""
-        inv = self.inverse
-        n = len(inv)
-        return tuple(tuple(inv[i][j] for i in range(n))
-                     for j in range(self.split, n))
-
-
-def adapted_basis(proj: SubtorusProjection) -> AdaptedBasis:
-    """Adapted lattice coordinates for a lattice-surjective projection.
-
-    Raises ProjectionError when the image of Z^n has index > 1 in Z^k (the
-    required Z-basis of the target lattice then does not exist).
-    """
-    k = proj.k
-    H, V = column_hermite(proj.matrix)
-    L = [[H[i][j] for j in range(k)] for i in range(k)]
-    index = prod(L[i][i] for i in range(k))
-    if abs(index) != 1:
-        raise ProjectionError(
-            f"image lattice has index {abs(index)} > 1; projection is not lattice-surjective")
-    # U = blockdiag(L, I) V^-1, so A U^-1 = A V blockdiag(L^-1, I) = [I | 0]
-    Vinv = unimodular_inverse(V)
-    U = matmul_int(L, Vinv[:k]) + Vinv[k:]
-    return AdaptedBasis(change_of_basis=U, split=k)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,23 @@ def central_interior(P, count, seed=0, shrink=0.5):
     return bary + shrink * (sample_interior(P, count, seed) - bary)
 
 
+def kahler_rows(pot, x):
+    """Reference frame (G^{-1}, -i I) of the Kahler polarization of pot at one point."""
+    Ginv = np.linalg.inv(pot.hessian(np.asarray(x, dtype=float)))
+    return np.hstack([Ginv, -1j * np.eye(len(Ginv))])
+
+
+def limit_rows(pot, proj, x):
+    """Reference rows (0, A) and (B, -i B G0) of the mixed limit at one point,
+    with B = integer_kernel_basis(A) and G0 = Hess g0."""
+    from toric_quant._intlin import integer_kernel_basis
+
+    A, n = proj.array, proj.n
+    B = np.array(integer_kernel_basis(proj.matrix), dtype=float).reshape(-1, n)
+    G0 = pot.at_time(0.0).hessian(np.asarray(x, dtype=float))
+    return np.vstack([np.hstack([np.zeros_like(A), A]), np.hstack([B, -1j * (B @ G0)])])
+
+
 def fd_gradient(f, x, h=1e-5):
     """Central finite-difference gradient, the derivative oracle."""
     x = np.asarray(x, dtype=float)

@@ -26,13 +26,11 @@ from toric_quant import (
     is_delzant,
     l1_norm,
     lattice_points,
-    limit_frame,
     make_rule,
     monomial_basis,
     norm_factorization_check,
     pairwise_orthogonality,
     pointwise_norm,
-    polarization_frame,
     quadratic,
     validate_potential,
     weight_multiplicities,
@@ -41,7 +39,7 @@ from toric_quant.polarization import degenerate_directions, isotropy_defect
 from toric_quant.potential import boundary_approach_samples, interior_samples
 from toric_quant.cli import emit, load_config, run
 
-from conftest import sample_interior
+from conftest import kahler_rows, limit_rows, sample_interior
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -157,16 +155,14 @@ def test_criterion_6_polarization_degeneration():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.4, 1.6, size=(10, 2))
     pot = SymplecticPotential.perturbed(SQUARE2, PROJ21, PHI, 0.0)
-    slopes, iso, sub = [], 0.0, 0.0
-    for x in pts:
-        rep = decay_report(pot, PROJ21, x, t_list)
-        slopes.append(rep.fitted_slope)
-        sub = max(sub, rep.subframe_invariance)
+    rep = decay_report(pot, PROJ21, pts, t_list)
+    slopes, sub = rep.fitted_slopes.tolist(), rep.subframe_invariance
+    iso = max(rep.isotropy_defect, isotropy_defect(rep.limit))
+    for x, lim in zip(pts, rep.limit):
         for t in t_list:
-            iso = max(iso, isotropy_defect(polarization_frame(pot.at_time(t), PROJ21, x)))
-        iso = max(iso, isotropy_defect(rep.limit))
-        assert degenerate_directions(rep.limit) == PROJ21.k
-        assert np.array_equal(rep.limit.rows, limit_frame(PROJ21, pot, x).rows)
+            iso = max(iso, isotropy_defect(kahler_rows(pot.at_time(t), x)))
+        assert degenerate_directions(lim) == PROJ21.k
+        assert np.array_equal(lim, limit_rows(pot, PROJ21, x))
     elapsed = time.perf_counter() - t0
     slope_ok = all(-1.1 <= s <= -0.9 for s in slopes)
     ok = slope_ok and sub < 1e-10 and iso < 1e-10 and elapsed < 10.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toric_quant.cli import (
+    _COMMANDS,
     ConfigError,
     RunReport,
     emit,
@@ -53,6 +54,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(write_cfg(tmp_path, data))
         assert err.value.code == "bad_projection"
+
+    def test_projection_of_index_two_exits_two(self, tmp_path, capsys):
+        # A Z^2 = 2Z: no Z-basis of the target lattice comes from A
+        path = write_cfg(tmp_path, dict(SQUARE2_CFG, proj=[[2, 0]]))
+        assert main(["polarization-limit", path]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "bad_projection" and "index 2 > 1" in err["message"]
 
     def test_non_delzant_certificate(self, tmp_path):
         data = {
@@ -139,6 +147,25 @@ class TestGridResolution:
         with pytest.raises(ConfigError, match="resolution 1024:") as err:
             run(dataclasses.replace(cfg, resolution=1024), "concentrate", {"m": (0, 0)})
         assert err.value.code == "bad_resolution"
+
+    @pytest.mark.parametrize("command", ["lattice", "weights", "sections-norms"])
+    def test_lattice_scan_past_the_limit_exits_two(self, tmp_path, capsys, command):
+        # the bounding box of x + y <= 2^57 has about 2^114 grid points
+        path = write_cfg(tmp_path, _simplex_cfg(2 ** 57))
+        assert main([command, path]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "bad_polytope" and "2^32 scan limit" in err["message"]
+
+    def test_midpoint_grid_past_the_scan_limit_keeps_bad_resolution(self, tmp_path, capsys):
+        # 2 Delta^3 at resolution 2048: 2^33 midpoint cells
+        data = {"polytope": {"dim": 3, "facets": [
+            {"normal": [1, 0, 0], "offset": 0}, {"normal": [0, 1, 0], "offset": 0},
+            {"normal": [0, 0, 1], "offset": 0}, {"normal": [-1, -1, -1], "offset": 2}]},
+            "proj": [[1, 0, 0]]}
+        path = write_cfg(tmp_path, data)
+        assert main(["concentrate", path, "--m", "0,0,0", "--resolution", "2048"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "bad_resolution" and "2^32 scan limit" in err["message"]
 
 
 class TestWeightGrammar:
@@ -424,6 +451,23 @@ class TestOptionChecks:
         assert json.loads(capsys.readouterr().err)["error"]["code"] == code
 
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SMOKE_CONFIGS = sorted((REPO / "configs").glob("*.json")) + sorted(
+    (REPO / "bench" / "fixtures").glob("*.json"))
+
+
+class TestSmokeMatrix:
+    """Every command on every shipped config exits 0 with strict JSON."""
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    @pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda p: p.stem)
+    def test_command_passes_with_strict_json(self, tmp_path, config, command):
+        out = tmp_path / "report.json"
+        assert main([command, str(config), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert payload["command"] == command and payload["passed"] is True
+
+
 class TestTimeFamilyOnce:
     """Each command pays the t-independent part of its time family once."""
 
@@ -446,17 +490,18 @@ class TestTimeFamilyOnce:
     def test_polarization_limit_hessians_once_per_point(self, tmp_path, monkeypatch):
         from toric_quant import potential
 
-        calls = {"g0": 0, "psi": 0, "inv_h0": 0}
+        # one decay report for the stack of points: one Hessian of g0 and of
+        # psi at each point, and one inverse of the stack of G_t
+        calls = {"g0": [], "psi": [], "inv": []}
         cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
         phi_hessian = cfg.phi.hessian
         cfg = dataclasses.replace(cfg, phi=dataclasses.replace(
-            cfg.phi, hessian=lambda y: calls.update(psi=calls["psi"] + 1) or phi_hessian(y)))
+            cfg.phi, hessian=lambda y: calls["psi"].append(np.shape(y)) or phi_hessian(y)))
         self._counted(monkeypatch, potential, "g0_hessian",
-                      lambda P, x: calls.update(g0=calls["g0"] + 1))
-        self._counted(monkeypatch, np.linalg, "inv", lambda a: calls.update(
-            inv_h0=calls["inv_h0"] + (np.ndim(a) == 2)))
+                      lambda P, x: calls["g0"].append(np.shape(x)))
+        self._counted(monkeypatch, np.linalg, "inv", lambda a: calls["inv"].append(np.shape(a)))
         run(cfg, "polarization-limit", {"t_list": self.TIMES, "points": 3})
-        assert calls == {"g0": 3, "psi": 3, "inv_h0": 3}
+        assert calls == {"g0": [(3, 2)], "psi": [(3, 1)], "inv": [(3, 4, 2, 2)]}
 
     def test_sections_norms_sigma0_and_fm_once(self, tmp_path, monkeypatch):
         from toric_quant import sections

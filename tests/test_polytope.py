@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, factorial, floor, gcd, prod
 
 import numpy as np
 import pytest
@@ -175,6 +175,91 @@ class TestLatticeScan:
         P = DelzantPolytope(1, (((1,), 0), ((-1,), 2), ((1,), 2 ** 63 - 1)))
         with pytest.raises(OverflowError):
             lattice_points(P)
+
+    def test_scan_limit_refused_before_any_axis(self, monkeypatch):
+        from toric_quant import polytope
+
+        # x + y <= 2^57: one axis of the bounding box alone would not fit memory
+        P = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2 ** 57)))
+        with pytest.raises(polytope.GridRangeError, match="2\\^32 scan limit"):
+            lattice_points(P)
+        # the limit is inclusive: the 3 x 4 grid of [0, 2] x [0, 3] has 12 points
+        box = DelzantPolytope.from_box([(0, 2), (0, 3)])
+        monkeypatch.setattr(polytope, "MAX_SCAN", 12)
+        assert len(lattice_points(box)) == 12
+        monkeypatch.setattr(polytope, "MAX_SCAN", 11)
+        with pytest.raises(polytope.GridRangeError):
+            lattice_points(box)
+
+
+def _dilate(P, k):
+    return DelzantPolytope(P.dim, tuple((r, k * lam) for r, lam in P.facets))
+
+
+def _det(M):
+    """Exact determinant by Laplace expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)))
+
+
+def _polygon(P):
+    """The vertices of a polygon in angular order, as Fractions."""
+    V = [tuple(Fraction(c) for c in v.point) for v in P.vertices]
+    cx, cy = (sum(v[i] for v in V) / len(V) for i in range(2))
+    return sorted(V, key=lambda v: np.arctan2(float(v[1] - cy), float(v[0] - cx)))
+
+
+def _exact_volume(P):
+    """Shoelace area in dim 2, |det| / n! for a simplex, the width product for a box."""
+    n = P.dim
+    if n == 2:
+        V = _polygon(P)
+        return abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(V, V[1:] + V[:1]))) / 2
+    V = [tuple(Fraction(c) for c in v.point) for v in P.vertices]
+    if len(V) == n + 1:
+        return abs(_det([[v[i] - V[0][i] for i in range(n)] for v in V[1:]])) / factorial(n)
+    return prod(max(v[i] for v in V) - min(v[i] for v in V) for i in range(n))
+
+
+def _interpolant(values):
+    """Monomial coefficients (Fraction, lowest first) of the polynomial
+    through (k, values[k]), k = 0..len(values)-1, by exact Lagrange."""
+    N = len(values)
+    coeffs = [Fraction(0)] * N
+    for j, yj in enumerate(values):
+        basis = [Fraction(1)]  # prod_{i != j} (k - i) / (j - i), lowest first
+        for i in range(N):
+            if i != j:
+                basis = [(a - i * b) / (j - i) for a, b in zip([Fraction(0)] + basis,
+                                                                basis + [Fraction(0)])]
+        coeffs = [c + yj * b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+class TestEhrhart:
+    @pytest.mark.parametrize("P,volume", [
+        (DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2))), 2),
+        (DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4))), 6),
+        (DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                             ((-1, -1, -1), 2))), Fraction(4, 3)),
+        (DelzantPolytope.from_box([(0, 2), (0, 2), (0, 2)]), 8),
+    ], ids=["2simplex2", "hirzebruch", "2simplex3", "cube2"])
+    def test_leading_coefficient_is_the_volume(self, P, volume):
+        # L(k) = |kP cap Z^n| is a polynomial of degree n with leading
+        # coefficient vol(P) (Ehrhart; Beck and Robins 2007, ch. 3)
+        n = P.dim
+        counts = [1] + [len(lattice_points(_dilate(P, k))) for k in range(1, n + 2)]
+        coeffs = _interpolant(counts)
+        assert coeffs[n + 1] == 0 and coeffs[n] != 0
+        assert coeffs[n] == _exact_volume(P) == volume
+        assert type(_exact_volume(P)) is Fraction
+        assert coeffs[0] == 1
+        if n == 2:  # the k^1 coefficient is half the lattice length of the boundary
+            V = _polygon(P)
+            edges = [gcd(int(b[0] - a[0]), int(b[1] - a[1])) for a, b in zip(V, V[1:] + V[:1])]
+            assert coeffs[1] == Fraction(sum(edges), 2)
 
 
 class TestWeightMultiplicities:

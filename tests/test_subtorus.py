@@ -5,12 +5,11 @@ from toric_quant import (
     ConvexFunction,
     ProjectionError,
     SubtorusProjection,
-    adapted_basis,
     pullback,
     quadratic,
     strict_convexity_check,
 )
-from toric_quant._intlin import matmul_int, unimodular_inverse
+from toric_quant._intlin import integer_kernel_basis, rational_solve
 
 
 class TestProjection:
@@ -27,49 +26,57 @@ class TestProjection:
         assert proj.apply((3, 4)) == (11,)
 
 
+def _eye(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 class TestAdaptedBasis:
+    """The lattice data adapted to A that frames and face charts use: the rows
+    of A and the Z-basis B = integer_kernel_basis(A) of ker A.  No unimodular
+    change of coordinates is built; the constructor checks that the image
+    lattice has index 1, which is when one exists."""
+
     def test_standard_projection_gives_identity(self):
-        ab = adapted_basis(SubtorusProjection(((1, 0),)))
-        assert ab.change_of_basis == ((1, 0), (0, 1))
+        for k, n in ((1, 1), (1, 2), (2, 3), (1, 3)):
+            A = SubtorusProjection.standard(k, n).matrix
+            B = integer_kernel_basis(A)  # the trailing unit vectors, in sorted order
+            assert A + tuple(sorted(B, reverse=True)) == _eye(n)
 
     def test_swap(self):
-        ab = adapted_basis(SubtorusProjection(((0, 1),)))
-        assert ab.change_of_basis == ((0, 1), (1, 0))
+        A = SubtorusProjection(((0, 1),)).matrix
+        assert A + integer_kernel_basis(A) == ((0, 1), (1, 0))
 
     def test_diagonal_case_by_hand(self):
-        # column reduction of (1 1) gives U with rows (1,1), (0,1)
-        ab = adapted_basis(SubtorusProjection(((1, 1),)))
-        assert ab.change_of_basis == ((1, 1), (0, 1))
+        # ker (1 1) is spanned by (1, -1)
+        assert integer_kernel_basis(SubtorusProjection(((1, 1),)).matrix) == ((1, -1),)
 
     def test_nonprimitive_image_rejected(self):
-        with pytest.raises(ProjectionError, match="index"):
-            adapted_basis(SubtorusProjection(((2,),)))
-        with pytest.raises(ProjectionError, match="index"):
-            adapted_basis(SubtorusProjection(((2, 4),)))
+        for rows in (((2,),), ((2, 4),), ((1, 0), (0, 2)), ((1, 1), (1, -1))):
+            with pytest.raises(ProjectionError, match="index 2 > 1"):
+                SubtorusProjection(rows)
+        for rows in (((3, 2),), ((2, 3, 5),), ((1, 1), (1, 2)), ((-1,),)):
+            assert SubtorusProjection(rows).matrix == rows
 
     @pytest.mark.parametrize("rows", [
         ((1, 0),), ((0, 1),), ((1, 1),), ((1, 2),), ((3, 2),),
         ((1, 0, 0), (0, 1, 0)), ((1, 1, 0), (0, 1, 1)), ((1, 2, 3),),
     ])
     def test_projection_composed_with_inverse_is_standard(self, rows):
+        # M = [A; B] is invertible over Q (B completes the rows of A), and
+        # A M^-1 = [I_k | 0]: in the coordinates M x the projection reads off
+        # the first k entries
         proj = SubtorusProjection(rows)
-        ab = adapted_basis(proj)
-        U = ab.change_of_basis
-        Uinv = unimodular_inverse(U)
-        comp = matmul_int(proj.matrix, Uinv)
-        expect = tuple(tuple(1 if j == i else 0 for j in range(proj.n))
-                       for i in range(proj.k))
-        assert comp == expect
-        # round trip is the identity in exact arithmetic
-        eye = tuple(tuple(1 if i == j else 0 for j in range(proj.n))
-                    for i in range(proj.n))
-        assert matmul_int(U, Uinv) == eye
+        M = proj.matrix + integer_kernel_basis(proj.matrix)
+        cols = [rational_solve(M, e) for e in _eye(proj.n)]  # raises if M is singular
+        assert tuple(tuple(sum(a * c for a, c in zip(row, col)) for col in cols)
+                     for row in proj.matrix) == _eye(proj.n)[:proj.k]
 
     @pytest.mark.parametrize("rows", [((1, 1),), ((1, 2, 3),), ((1, 0, 0), (0, 1, 1))])
     def test_kernel_basis_annihilated(self, rows):
         proj = SubtorusProjection(rows)
-        ab = adapted_basis(proj)
-        for v in ab.kernel_basis():
+        B = integer_kernel_basis(proj.matrix)
+        assert len(B) == proj.n - proj.k
+        for v in B:
             assert proj.apply(v) == tuple(0 for _ in range(proj.k))
 
 
