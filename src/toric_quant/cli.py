@@ -391,8 +391,9 @@ def _cmd_sections_norms(cfg, opts):
     gram = sections.radial_gram(basis, quadrature.make_rule(P, 16))
     ia, ib = np.triu_indices(len(basis), 1)
     diffs, inverse = np.unique(ms[ia] - ms[ib], axis=0, return_inverse=True)
-    torus = np.array([sections.torus_average(dm, max(4, int(np.max(np.abs(dm))) + 1))
-                      for dm in diffs])
+    # each difference on the coarsest theta grid that outresolves it
+    res = np.maximum(4, np.max(np.abs(diffs), axis=1, initial=0) + 1).tolist()
+    torus = np.array([sections.torus_average(dm, r) for dm, r in zip(diffs, res)])
     orth = float(np.max(sections.relative_orthogonality(
         gram, ia, ib, torus[inverse.ravel()]), initial=0.0))
     out = {"m": list(m), "rows": per_t, "max_factorization_residual": worst,

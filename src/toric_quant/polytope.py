@@ -29,9 +29,10 @@ from ._intlin import (
 # points per block when a grid is scanned or a node-wise integrand is
 # evaluated: the temporaries stay at a few MB however fine the grid is
 NODE_BLOCK = 1 << 15
-# grid points one exact scan may walk; the simplex2 midpoint grid at
-# resolution 1024, the largest scan of the shipped configs, walks 2^20
+# grid points one exact scan may cover; the simplex2 midpoint grid at
+# resolution 1024, the largest scan of the shipped configs, covers 2^20
 MAX_SCAN = 1 << 32
+_INT64 = np.iinfo(np.int64)
 
 
 class GridRangeError(OverflowError):
@@ -269,10 +270,13 @@ def _grid_scan(axes, normals, offsets, strict=False):
     """Points of the integer grid axes[0] x axes[1] x ... inside the halfspaces.
 
     Keeps num with normals . num + offsets >= 0 (> 0 when strict), in
-    meshgrid "ij" order, as an (N, dim) int64 array.  The grid is walked
-    NODE_BLOCK points at a time, so no temporary has the size of the grid.
-    Raises GridRangeError for a grid of more than MAX_SCAN points or facet
-    values that could leave int64.
+    meshgrid "ij" order, as an (N, dim) int64 array; every axis must be
+    monotone.  The grid is walked line by line along the last axis: on a
+    line the halfspaces keep one run of that axis, whose ends are exact
+    integer divisions, so the cost is O(lines x facets + kept points).  The
+    kept points go into one preallocated array, NODE_BLOCK at a time, so no
+    temporary has the size of the grid.  Raises GridRangeError for a grid
+    of more than MAX_SCAN points or facet values that could leave int64.
     """
     axes = list(axes)
     shape = tuple(len(a) for a in axes)
@@ -281,19 +285,62 @@ def _grid_scan(axes, normals, offsets, strict=False):
         raise GridRangeError(f"grid of {total} points exceeds the 2^32 scan limit")
     axes = [np.asarray(a, dtype=np.int64) for a in axes]
     R = np.array(normals, dtype=np.int64).reshape(-1, len(axes))
-    lam = np.array(offsets, dtype=np.int64)[:, None]
+    lam = np.array(offsets, dtype=np.int64)
     # numpy would wrap int64 facet values silently
     amax = [float(np.abs(a).max(initial=0)) for a in axes]
-    if np.any(np.abs(R) @ amax + np.abs(lam[:, 0]) >= 2.0 ** 62):
+    if np.any(np.abs(R) @ amax + np.abs(lam) >= 2.0 ** 62):
         raise GridRangeError("grid coordinates too large for int64 facet values")
-    kept = [np.empty((0, len(axes)), dtype=np.int64)]
-    for s in range(0, total, NODE_BLOCK):
-        idx = np.unravel_index(np.arange(s, min(s + NODE_BLOCK, total)), shape)
-        # coordinates and facet values lie along the rows: (dim, B), (facets, B)
-        num = np.stack([a[i] for a, i in zip(axes, idx)])
-        vals = R @ num + lam
-        kept.append(num[:, np.all(vals > 0 if strict else vals >= 0, axis=0)].T)
-    return np.concatenate(kept)
+    if total == 0:
+        return np.empty((0, len(axes)), dtype=np.int64)
+    # on integers, > 0 is >= 1; only lines that keep points are listed
+    lead, first, count = map(np.concatenate, zip(*_line_runs(axes, R, lam - strict)))
+    ends = count.cumsum()
+    starts, shift = ends - count, first - ends + count  # point k of line l is z[k + shift[l]]
+    out = np.empty((int(count.sum()), len(axes)), dtype=np.int64)
+    for p in range(0, len(out), NODE_BLOCK):
+        rows = out[p:p + NODE_BLOCK]
+        q = p + len(rows)
+        # the lines with points in rows, and how many of their points are there
+        l0, l1 = ends.searchsorted((p, q - 1), side="right")
+        n = np.minimum(ends[l0:l1 + 1], q) - np.maximum(starts[l0:l1 + 1], p)
+        rows[:, :-1] = lead[l0:l1 + 1].repeat(n, axis=0)
+        rows[:, -1] = axes[-1][np.arange(p, q) + shift[l0:l1 + 1].repeat(n)]
+    return out
+
+
+def _line_runs(axes, R, lam):
+    """Per block of NODE_BLOCK lines along the last axis z, for the lines
+    that keep points: their other coordinates (B, dim-1), and the first
+    index and the length of the run of z where R . x + lam >= 0.
+
+    On a line with C = R' . (its other coordinates) + lam, facet j keeps
+    a_j z + C_j >= 0: z at least ceil(-C_j / a_j) = -floor(C_j / a_j) for
+    a_j > 0, at most floor(C_j / -a_j) for a_j < 0, and all of z or none
+    for a_j = 0 (taken with divisor 1).
+    """
+    z = axes[-1]
+    desc = len(z) > 1 and z[0] > z[-1]
+    zs = z[::-1] if desc else z  # ascending, for searchsorted
+    # facets grouped as a_j > 0, a_j < 0, a_j = 0, so each group is a slice
+    a = R[:, -1].tolist()
+    up, down = [j for j, v in enumerate(a) if v > 0], [j for j, v in enumerate(a) if v < 0]
+    order = up + down + [j for j, v in enumerate(a) if v == 0]
+    R, lam, nup, ndown = R[order], lam[order], len(up), len(up) + len(down)
+    div = np.maximum(np.abs(R[:, -1]), 1)
+    shape = tuple(len(x) for x in axes[:-1])
+    for s in range(0, prod(shape), NODE_BLOCK):
+        lines = np.arange(s, min(s + NODE_BLOCK, prod(shape)))
+        lead = np.empty((len(lines), len(shape)), dtype=np.int64)
+        for j, i in enumerate(np.unravel_index(lines, shape) if shape else ()):
+            lead[:, j] = axes[j][i]
+        D = (lead @ R[:, :-1].T + lam) // div
+        lo = -np.minimum.reduce(D[:, :nup], axis=1, initial=_INT64.max)
+        hi = np.minimum.reduce(D[:, nup:ndown], axis=1, initial=_INT64.max)
+        i0 = zs.searchsorted(lo)
+        count = zs.searchsorted(hi, side="right") - i0
+        keep = (count > 0) & (np.minimum.reduce(D[:, ndown:], axis=1, initial=0) >= 0)
+        first = len(z) - i0 - count if desc else i0
+        yield lead[keep], first[keep], count[keep]
 
 
 def _mean_point(points):

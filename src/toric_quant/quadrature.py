@@ -97,20 +97,22 @@ def box_rule(P: DelzantPolytope, resolution: int) -> QuadratureRule:
 def _midpoint_rule(normals, offsets, vertices, dim, resolution):
     """Midpoint grid over the rational bounding box, exact containment.
 
-    Grid points are rational with one common denominator, so membership
-    reduces to integer comparisons (int64, NODE_BLOCK grid points at a time).
+    Grid points are rational with one common denominator, so each axis is
+    an integer progression and membership reduces to exact int64 interval
+    ends on each grid line.
     """
     lo, hi = _vertex_bounds(vertices, dim)
     widths = [h - l for l, h in zip(lo, hi)]
     if any(w == 0 for w in widths):
         raise QuadratureError("degenerate bounding box for grid rule")
-    den = 1
+    D = 1
     for v in list(widths) + list(lo) + list(offsets):
-        den = lcm(den, Fraction(v).denominator)
-    den *= 2 * resolution
-    # coordinates: x_i = lo + (2j+1) * width / (2*resolution), j = 0..res-1
-    axes_num = [[int((l + Fraction(2 * j + 1, 2 * resolution) * w) * den)
-                 for j in range(resolution)] for l, w in zip(lo, widths)]
+        D = lcm(D, Fraction(v).denominator)
+    den = 2 * resolution * D
+    # coordinates: x_i = lo + (2j+1) * width / (2*resolution), j = 0..res-1,
+    # times den: the integer progression from lo*den + width*D in steps of 2*width*D
+    axes_num = [range(int(l * den + w * D), int(h * den), int(2 * w * D))
+                for l, w, h in zip(lo, widths, hi)]
     # strict: cells whose midpoint lands exactly on a facet are dropped, so
     # every node is usable by interior-only evaluators
     try:

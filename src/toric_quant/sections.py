@@ -9,6 +9,7 @@ factors through the t = 0 norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,20 +181,28 @@ def radial_gram(basis, rule):
     return G
 
 
+@lru_cache(maxsize=1024)
+def _roots_mean(d: int, theta_resolution: int):
+    """Mean of e^{i d theta} over the theta_resolution-th roots of unity."""
+    angles = 2.0 * np.pi * np.arange(theta_resolution) / theta_resolution
+    return np.mean(np.exp(1j * d * angles))
+
+
 def torus_average(dm, theta_resolution: int) -> complex:
     """Average of e^{i <dm, theta>} over a uniform grid of theta_resolution points per axis.
 
     Roots of unity cancel exactly when dm != 0 and the grid outresolves
-    every coordinate of dm; the average is 1 for dm = 0.
+    every coordinate of dm; the average is 1 for dm = 0.  The grid average
+    is the product of one mean per coordinate, each computed once per
+    (coordinate, resolution) and shared.
     """
-    dm = np.asarray(dm, dtype=int)
-    if theta_resolution <= int(np.max(np.abs(dm), initial=0)):
+    dm = np.asarray(dm, dtype=int).tolist()
+    if theta_resolution <= max(map(abs, dm), default=0):
         raise ValueError(
             f"theta resolution {theta_resolution} aliases weight difference {tuple(dm)}")
-    angles = 2.0 * np.pi * np.arange(theta_resolution) / theta_resolution
     avg = complex(1.0)
     for di in dm:
-        avg *= np.mean(np.exp(1j * di * angles))
+        avg *= _roots_mean(di, theta_resolution)
     return avg
 
 

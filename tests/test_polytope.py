@@ -4,7 +4,7 @@ from math import ceil, factorial, floor, gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_quant import (
@@ -18,6 +18,7 @@ from toric_quant import (
     lattice_points,
     weight_multiplicities,
 )
+from toric_quant.polytope import NODE_BLOCK, _grid_scan
 
 
 class TestFacetValue:
@@ -190,6 +191,86 @@ class TestLatticeScan:
         monkeypatch.setattr(polytope, "MAX_SCAN", 11)
         with pytest.raises(polytope.GridRangeError):
             lattice_points(box)
+
+
+def _meshgrid_scan(axes, normals, offsets, strict):
+    """The brute-force scan: filter the whole "ij" meshgrid of the axes."""
+    grids = np.meshgrid(*[np.array(a, dtype=np.int64) for a in axes], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    vals = pts @ np.array(normals, dtype=np.int64).reshape(-1, len(axes)).T \
+        + np.array(offsets, dtype=np.int64)
+    return pts[np.all(vals > 0 if strict else vals >= 0, axis=1)]
+
+
+def _assert_same_scan(got, want):
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def halfspace_grids(draw):
+    """1-3 monotone integer axes of either step sign, and integer halfspaces,
+    some of them parallel copies (redundant or not) of others."""
+    dim = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(dim):
+        start = draw(st.integers(-8, 8))
+        step = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        axes.append(range(start, start + step * draw(st.integers(0, 7)), step))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    normals = draw(st.lists(row, max_size=5))
+    for r in draw(st.lists(st.sampled_from(normals), max_size=2)) if normals else ():
+        normals.append([draw(st.sampled_from([1, 2])) * c for c in r])
+    offsets = draw(st.lists(st.integers(-12, 12), min_size=len(normals),
+                            max_size=len(normals)))
+    return axes, normals, offsets
+
+
+class TestLineScan:
+    """_grid_scan keeps one interval of the last axis per line of the grid;
+    the whole-meshgrid filter is its oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(halfspace_grids(), st.booleans())
+    # zero last-axis coefficient; negative non-unit step; parallel facets
+    # with an empty result; no facets at all
+    @example(([range(-3, 4), range(5, -6, -2)], [[1, 0], [-1, 0]], [1, 2]), False)
+    @example(([range(4, -9, -3), range(-2, 9, 2)], [[1, 2], [2, 4], [-1, -2]],
+              [3, 0, -9]), True)
+    @example(([range(3), range(2), range(4)], [], []), True)
+    def test_matches_meshgrid_filter(self, grid, strict):
+        axes, normals, offsets = grid
+        _assert_same_scan(_grid_scan(axes, normals, offsets, strict),
+                          _meshgrid_scan(axes, normals, offsets, strict))
+
+    def test_blocks_of_lines_and_of_kept_points(self):
+        # 40,000 lines (two line blocks) keeping about 100,000 points
+        # (several output blocks)
+        axes = [range(-20, 20), range(1000, 0, -1), range(-1, 2)]
+        normals, offsets = [[1, 0, 3], [-1, 1, 0], [0, -1, -2]], [20, 0, 900]
+        for strict in (False, True):
+            got = _grid_scan(axes, normals, offsets, strict)
+            assert len(got) > NODE_BLOCK
+            _assert_same_scan(got, _meshgrid_scan(axes, normals, offsets, strict))
+
+    def test_thin_strip_scans_per_line(self):
+        # |x - 2y| <= 1 on the 2^16 x 2^15 grid: 2^31 points, more than a
+        # per-point scan walks in reasonable time; per line it is 2^16
+        # intervals.  Even x keep y = x/2, odd x keep (x -+ 1)/2 but for
+        # x = 2^16 - 1, whose (x + 1)/2 = 2^15 is off the grid.
+        axes = [range(1 << 16), range(1 << 15)]
+        x = np.arange(1 << 16, dtype=np.int64)
+        lo, hi = x // 2, np.minimum((x + 1) // 2, (1 << 15) - 1)
+        want = np.stack([np.repeat(x, hi - lo + 1),
+                         np.concatenate([np.arange(a, b + 1) for a, b in zip(lo, hi)])],
+                        axis=1)
+        got = _grid_scan(axes, [[1, -2], [-1, 2]], [1, 1])
+        assert len(got) == 3 * (1 << 15) - 1
+        _assert_same_scan(got, want)
+        # strictly inside the strip only x = 2y is left
+        strict = _grid_scan(axes, [[1, -2], [-1, 2]], [1, 1], strict=True)
+        assert strict.tolist() == [[2 * y, y] for y in range(1 << 15)]
 
 
 def _dilate(P, k):

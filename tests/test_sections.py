@@ -452,3 +452,38 @@ class TestGram:
         aliased = np.array([np.prod([np.mean(np.exp(1j * di * angles)) for di in d])
                             for d in dm])
         assert np.max(relative_orthogonality(G, ia, ib, aliased)) > 0.1
+
+
+# 8 Delta^3, with C(11, 3) = 165 lattice points
+SIMPLEX8 = DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                               ((-1, -1, -1), 8)))
+
+
+class TestTorusAverage:
+    @staticmethod
+    def _per_component(d, resolution):
+        """The torus average as one mean per coordinate, multiplied in order."""
+        angles = 2.0 * np.pi * np.arange(resolution) / resolution
+        avg = complex(1.0)
+        for di in d:
+            avg *= np.mean(np.exp(1j * di * angles))
+        return avg
+
+    def test_bit_equal_to_per_component_formula(self):
+        # every difference m - m' of 8 Delta^3 (coordinates up to 8), on the
+        # grid that sections-norms takes for it and on one grid for all
+        _, _, dm = _pairs(monomial_basis(_canonical(SIMPLEX8)))
+        for d in np.unique(dm, axis=0):
+            for res in (max(4, int(np.max(np.abs(d))) + 1), 17):
+                got, want = torus_average(d, res), self._per_component(d, res)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_aliased_grid_residual_of_order_one(self):
+        basis = monomial_basis(_canonical(SIMPLEX8))
+        G = radial_gram(basis, make_rule(SIMPLEX8, 16))
+        ia, ib, dm = _pairs(basis)
+        exact = np.array([torus_average(d, 9) for d in dm])
+        assert np.max(relative_orthogonality(G, ia, ib, exact)) < 1e-12
+        # two angles per axis average every even difference to 1
+        aliased = np.array([self._per_component(d, 2) for d in dm])
+        assert np.max(relative_orthogonality(G, ia, ib, aliased)) > 0.1
