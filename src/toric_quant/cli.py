@@ -367,9 +367,8 @@ def _cmd_sections_norms(cfg, opts):
     m = opts.get("m") or _default_m(cfg)
     t_list = opts["t_list"]
     pts = potential.interior_samples(P, 100, seed=_SEED)
-    rule = quadrature.make_rule(P, cfg.resolution)
     family = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
-    l1s = sections.l1_norms(family, m, rule, t_list)
+    l1s = sections.l1_norms(family, m, cfg.resolution, t_list)
     # section norms scale like e^{-t min f_m}; report the residual relative
     # to that scale so the identity check is t-uniform
     res, peaks = sections.norm_factorization_check(P, cfg.proj, cfg.phi, m, t_list, pts)
@@ -390,7 +389,15 @@ def _cmd_sections_norms(cfg, opts):
     # its Cauchy-Schwarz scale, so it does not grow with the pairings
     gram = sections.radial_gram(basis, quadrature.make_rule(P, 16))
     ia, ib = np.triu_indices(len(basis), 1)
-    diffs, inverse = np.unique(ms[ia] - ms[ib], axis=0, return_inverse=True)
+    # the distinct differences in row order, through one int64 key per row:
+    # offset components, combined in mixed radix, keep lexicographic order
+    d = ms[ia] - ms[ib]
+    off = np.abs(d).max(axis=0, initial=0)
+    key = np.zeros(len(d), dtype=np.int64)
+    for c, o in enumerate(off):
+        key = key * (2 * o + 1) + (d[:, c] + o)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    diffs = d[first]
     # each difference on the coarsest theta grid that outresolves it
     res = np.maximum(4, np.max(np.abs(diffs), axis=1, initial=0) + 1).tolist()
     torus = np.array([sections.torus_average(dm, r) for dm, r in zip(diffs, res)])

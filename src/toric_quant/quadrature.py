@@ -2,7 +2,12 @@
 
 Box polytopes get tensor Gauss-Legendre rules; general polytopes get
 midpoint grids over the bounding box with an exact rational containment
-test.  ``pushforward`` groups the nodes of a rule into the fibers of the
+test.  Given a lattice point m, ``make_rule`` returns the rule for the
+measure |sigma^m_0| dx: on a box the norm is a product of one factor per
+axis, folded into that axis's Gauss weights before the tensor product (a
+Jacobi weight (s - a)^{(m_i - a)/2} (b - s)^{(b - m_i)/2} without redundant
+facets), and a grid multiplies each cell weight by the norm at its node.
+``pushforward`` groups the nodes of a rule into the fibers of the
 projection y = A x and sums node-wise integrands per fiber: every weight
 e^{-t f_m} depends on y alone, so the concentration runs and the L1 norms
 pay per node once and per fiber for each t.  The concentration experiment
@@ -28,7 +33,8 @@ from .polytope import (
     _vertex_bounds,
     face_slice,
 )
-from .sections import ConcentrationWeight, closed_form_norm_g0
+from .sections import (ConcentrationWeight, _facet_values_at, _log_norm_g0,
+                       closed_form_norm_g0)
 from .subtorus import ConvexFunction, SubtorusProjection
 
 
@@ -71,8 +77,10 @@ def _gauss_axis(lo: float, hi: float, resolution: int):
     return lo + half * (nodes + 1.0), half * weights
 
 
-def _tensor_rule(bounds, resolution):
+def _tensor_rule(bounds, resolution, factor=None):
     axes = [_gauss_axis(float(lo), float(hi), resolution) for lo, hi in bounds]
+    if factor is not None:  # a product weight, one factor(i, nodes) per axis
+        axes = [(nodes, w * factor(i, nodes)) for i, (nodes, w) in enumerate(axes)]
     dim = len(axes)
     # the nodes in meshgrid "ij" order, but each coordinate is broadcast into
     # the (N, dim) array and the weights are the running outer product
@@ -86,11 +94,33 @@ def _tensor_rule(bounds, resolution):
     return points.reshape(-1, dim), weights.reshape(-1)
 
 
-def box_rule(P: DelzantPolytope, resolution: int) -> QuadratureRule:
-    """Tensor Gauss-Legendre rule; exact for polynomial degree < 2*resolution."""
+def _axis_norms(P: DelzantPolytope, m):
+    """(i, s) -> the factor of |sigma^m_0| along axis i at the coordinates s.
+
+    On a box every facet normal lies on one axis, so the facets of axis i
+    give a factor of x_i alone, in log form with one exp per axis node.
+    """
+    R, lam, lm = P.normal_matrix, P.offset_vector, _facet_values_at(P, m)
+
+    def factor(i, s):
+        on = R[:, i] != 0
+        return np.exp(_log_norm_g0(np.multiply.outer(s, R[on, i]) + lam[on], lm[on]))
+    return factor
+
+
+def box_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
+    """Tensor Gauss-Legendre rule; exact for polynomial degree < 2*resolution.
+
+    Given m, the rule for |sigma^m_0| dx, with the norm folded into the
+    weights axis by axis.
+    """
     if resolution < 8:
         raise QuadratureError("resolution must be at least 8")
-    points, weights = _tensor_rule(P.box_bounds(), resolution)
+    factor = None if m is None else _axis_norms(P, m)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        points, weights = _tensor_rule(P.box_bounds(), resolution, factor)
+    if m is not None:
+        _finite(weights, points)
     return QuadratureRule("gauss", resolution, points, weights, P)
 
 
@@ -121,13 +151,21 @@ def _midpoint_rule(normals, offsets, vertices, dim, resolution):
     except OverflowError as exc:
         raise GridOverflowError(f"midpoint grid at resolution {resolution}: {exc}") from exc
     cell = float(np.prod([w / resolution for w in widths]))
-    points = num / den
+    # num / den overwrites num block by block through a float64 view, so
+    # the int64 grid and its coordinates never coexist
+    points = num.view(np.float64)
+    for s in range(0, len(num), NODE_BLOCK):
+        np.divide(num[s:s + NODE_BLOCK], den, out=points[s:s + NODE_BLOCK])
     weights = np.full(points.shape[0], cell)
     return points, weights
 
 
-def grid_rule(P: DelzantPolytope, resolution: int) -> QuadratureRule:
-    """Midpoint rule with exact containment; volume accurate to O(1/resolution)."""
+def grid_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
+    """Midpoint rule with exact containment; volume accurate to O(1/resolution).
+
+    Given m, the rule for |sigma^m_0| dx: each cell weight times the norm
+    at its node, NODE_BLOCK nodes at a time.
+    """
     if resolution < 8:
         raise QuadratureError("resolution must be at least 8")
     normals = [r for r, _ in P.facets]
@@ -135,6 +173,11 @@ def grid_rule(P: DelzantPolytope, resolution: int) -> QuadratureRule:
     points, weights = _midpoint_rule(normals, offsets, P.vertices, P.dim, resolution)
     if len(points) == 0:
         raise QuadratureError("empty grid rule (resolution too coarse?)")
+    if m is not None:
+        with np.errstate(over="ignore"):  # reported just below
+            for s in range(0, len(weights), NODE_BLOCK):
+                weights[s:s + NODE_BLOCK] *= closed_form_norm_g0(P, m, points[s:s + NODE_BLOCK])
+        _finite(weights, points)
     return QuadratureRule("grid", resolution, points, weights, P)
 
 
@@ -159,11 +202,12 @@ def slice_rule(sl: Slice, resolution: int) -> QuadratureRule:
     return QuadratureRule("grid", resolution, points, weights, sl)
 
 
-def make_rule(domain: DelzantPolytope, resolution: int) -> QuadratureRule:
-    """Pick tensor Gauss for boxes and midpoint grids otherwise."""
+def make_rule(domain: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
+    """Pick tensor Gauss for boxes and midpoint grids otherwise; given m,
+    the rule for |sigma^m_0| dx."""
     if domain.is_box:
-        return box_rule(domain, resolution)
-    return grid_rule(domain, resolution)
+        return box_rule(domain, resolution, m)
+    return grid_rule(domain, resolution, m)
 
 
 @dataclass(frozen=True)
@@ -230,13 +274,17 @@ def _finite(vals, x):
 
 def pushforward(rule: QuadratureRule, proj: SubtorusProjection) -> Pushforward:
     """Group the nodes of a rule into fibers, NODE_BLOCK nodes at a time."""
-    starts, images, last = [], [], np.full((1, proj.k), np.nan)
+    starts, images, last = [], [], np.full(proj.k, np.nan)
     for s in range(0, rule.size, NODE_BLOCK):
         y = proj.apply(rule.points[s:s + NODE_BLOCK])
-        new = np.any(y != np.concatenate([last, y[:-1]]), axis=1)
+        # a node opens a fiber when any column differs from the node before
+        new = np.zeros(len(y), dtype=bool)
+        new[0] = np.any(y[0] != last)
+        for c in range(proj.k):
+            new[1:] |= y[1:, c] != y[:-1, c]
         starts.append(s + np.flatnonzero(new))
         images.append(y[new])
-        last = y[-1:]
+        last = y[-1]
     return Pushforward(rule, np.concatenate(images), np.concatenate(starts))
 
 
@@ -247,14 +295,6 @@ def _one_fiber(rule: QuadratureRule) -> Pushforward:
 def integrate(f, rule: QuadratureRule) -> float:
     """Weighted sum of f over the rule points (one fiber); rejects non-finite values."""
     return float(_one_fiber(rule).sums(f)[0, 0])
-
-
-def _norm_and_weighted(P: DelzantPolytope, m, u):
-    """x -> (|sigma^m_0|(x), |sigma^m_0|(x) u(x)), one closed-form norm per node."""
-    def h(x):
-        norm = closed_form_norm_g0(P, m, x)
-        return norm, norm * np.asarray(u(x), dtype=float)
-    return h
 
 
 def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
@@ -269,8 +309,12 @@ def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
     """
     m = tuple(int(v) for v in m)
     sl = face_slice(P, proj, proj.apply(m))
-    h = _norm_and_weighted(P, m, u)
-    den, num = _one_fiber(slice_rule(sl, resolution)).sums(lambda v: h(sl.embed(v)))[:, 0]
+
+    def h(v):  # (|sigma^m_0|, |sigma^m_0| u) at the slice nodes, one norm per node
+        x = sl.embed(v)
+        norm = closed_form_norm_g0(P, m, x)
+        return norm, norm * np.asarray(u(x), dtype=float)
+    den, num = _one_fiber(slice_rule(sl, resolution)).sums(h)[:, 0]
     if den <= 0:
         raise QuadratureError("slice norm integral vanished")
     return float(num / den)
@@ -302,30 +346,32 @@ class ConcentrationResult:
 
 def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
                              phi: ConvexFunction, m, u, t_list,
-                             rule: QuadratureRule | None = None,
                              resolution: int = 256) -> ConcentrationResult:
     """R_t = int e^{-t f_m} |sigma^m_0| u dx / int e^{-t f_m} |sigma^m_0| dx.
 
-    Uses the factorization of the time-t norm through the t=0 norm; f_m
-    depends on y = A x alone, so both integrals are sums over fibers r of
-    e^{-t f_m(y_r)} times the fiber sums of |sigma^m_0| and |sigma^m_0| u.
+    Uses the factorization of the time-t norm through the t=0 norm; the
+    rule integrates against |sigma^m_0| dx and f_m depends on y = A x alone,
+    so both integrals are sums over fibers r of e^{-t f_m(y_r)} times the
+    fiber sums of 1 and u.
     The minimum of f_m is subtracted before exponentiating so the weights
     stay finite for large t.  The errors compare against R_infinity.
     """
     t_list = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly increasing")
-    if rule is None:
-        rule = make_rule(P, resolution)
     m = tuple(int(v) for v in m)
     fm = ConcentrationWeight.from_projection(proj, phi, m)
-    masses, _ = pushforward(rule, proj).masses(_norm_and_weighted(P, m, u), fm, t_list)
+
+    def h(x):  # 1 and u at the nodes: the norm is in the weights
+        one = np.ones(len(x))
+        return one, one * np.asarray(u(x), dtype=float)
+    masses, _ = pushforward(make_rule(P, resolution, m), proj).masses(h, fm, t_list)
     ratios = []
     for t, (den, num) in zip(t_list, masses):
         if den <= 0 or not np.isfinite(den):
             raise QuadratureError(f"degenerate concentration mass at t={t}")
         ratios.append(float(num) / float(den))
-    rinf = delta_pairing(P, proj, m, u, resolution=max(rule.resolution, 64))
+    rinf = delta_pairing(P, proj, m, u, resolution=max(resolution, 64))
     errors = [abs(r - rinf) for r in ratios]
     floor = roundoff_floor(rinf)
     above = [(t, e) for t, e in zip(t_list, errors) if e > floor]

@@ -58,24 +58,35 @@ def pointwise_norm(section: MonomialSection, x):
     return norm_matrix(section.potential, [section.m], x)[0]
 
 
+def _facet_values_at(P: DelzantPolytope, m):
+    """The exact l_j(m) of every facet, as floats."""
+    return np.array([float(facet_value(P, j + 1, m)) for j in range(P.num_facets)])
+
+
+def _log_norm_g0(L, lm):
+    """log |sigma^m_0| from facet values L (..., d) and lm = l_j(m) (d,).
+
+    The sum over facets of 1/2 (l_j(m) log l_j - l_j + l_j(m)), with one log
+    per facet where l_j(m) > 0; log 0 = -inf gives the exact zeros.  Any
+    subset of the facets gives the product of their factors.
+    """
+    on = lm > 0
+    with np.errstate(divide="ignore"):
+        logs = np.log(L[..., on]) @ lm[on]
+    return 0.5 * (logs + np.sum(lm - L, axis=-1))
+
+
 def closed_form_norm_g0(P: DelzantPolytope, m, x):
     """Canonical-potential norm prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m)-l_j(x))/2}.
 
     Defined on all of P including the boundary; vanishes exactly on facets
     with l_j(m) > 0 and agrees with pointwise_norm on the interior.  Taken
-    in log form, with one log per facet where l_j(m) > 0 and one exp per
-    point; log 0 = -inf gives the exact zeros.
+    in log form (_log_norm_g0), with one exp per point.
     """
-    x = np.asarray(x, dtype=float)
-    L = P.facet_values_array(x)
+    L = P.facet_values_array(np.asarray(x, dtype=float))
     if np.any(L < -1e-12):
         raise ValueError("point outside the polytope")
-    L = np.clip(L, 0.0, None)
-    lm = np.array([float(facet_value(P, j + 1, m)) for j in range(P.num_facets)])
-    on = lm > 0
-    with np.errstate(divide="ignore"):
-        logs = np.log(L[..., on]) @ lm[on]
-    return np.exp(0.5 * (logs - np.sum(L, axis=-1) + lm.sum()))
+    return np.exp(_log_norm_g0(np.clip(L, 0.0, None), _facet_values_at(P, m)))
 
 
 @dataclass(frozen=True)
@@ -121,26 +132,28 @@ def norm_factorization_check(P: DelzantPolytope, proj: SubtorusProjection,
     return np.array(residuals), np.array(peaks)
 
 
-def l1_norm(section: MonomialSection, rule) -> float:
-    """Integral of the pointwise norm over the polytope with the given rule."""
-    return l1_norms(section.potential, section.m, rule, [section.potential.time])[0]
+def l1_norm(section: MonomialSection, resolution: int) -> float:
+    """Integral of the pointwise norm over the polytope, on make_rule at resolution."""
+    return l1_norms(section.potential, section.m, resolution, [section.potential.time])[0]
 
 
-def l1_norms(pot: SymplecticPotential, m, rule, times) -> list:
+def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
     """l1_norm of sigma^m under g_t for each t in times.
 
-    Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: the t = 0
-    norm is summed over each fiber of the projection once, and each t costs
-    one exponential per fiber.  A non-finite norm raises QuadratureError.
+    Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: the rule
+    integrates against |sigma^m_0| dx, its weights are summed over each fiber
+    of the projection once, and each t costs one exponential per fiber.  A
+    non-finite norm raises QuadratureError.
     """
-    from .quadrature import QuadratureError, pushforward  # local import to avoid a cycle
+    from .quadrature import QuadratureError, make_rule, pushforward  # avoids a cycle
 
     P = pot.polytope
     # f_m = 0 for the canonical potential, so any projection groups the nodes
-    push = pushforward(rule, pot.proj or SubtorusProjection.standard(1, P.dim))
+    push = pushforward(make_rule(P, resolution, m),
+                       pot.proj or SubtorusProjection.standard(1, P.dim))
     f = (lambda x: np.zeros(len(x))) if pot.phi is None else ConcentrationWeight(
         m, pot.perturbation)
-    masses, fmin = push.masses(lambda x: closed_form_norm_g0(P, m, x), f, times)
+    masses, fmin = push.masses(lambda x: np.ones(len(x)), f, times)
     norms = []
     for t, (mass,) in zip(map(float, times), masses):
         # e^{-t min f_m} is applied in log form: it may leave float64 where

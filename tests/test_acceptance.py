@@ -186,8 +186,7 @@ def test_criterion_7_section_algebra():
             agree = max(agree, float(np.max(np.abs(
                 pointwise_norm(sec, pts) - closed_form_norm_g0(P, m, pts)))))
     # L1 norm of sigma^0 on [0,1]
-    l1 = l1_norm(MonomialSection((0,), SymplecticPotential.canonical(INTERVAL)),
-                 box_rule(INTERVAL, 256))
+    l1 = l1_norm(MonomialSection((0,), SymplecticPotential.canonical(INTERVAL)), 256)
     l1_gap = abs(l1 - 2.0 / 3.0)
     # factorization at 100 random (x, t)
     rng = np.random.default_rng(14)

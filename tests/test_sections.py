@@ -238,13 +238,11 @@ class TestFactorization:
 class TestL1AndBasis:
     def test_interval_m0_integral(self, interval):
         sec = MonomialSection((0,), _canonical(interval))
-        rule = make_rule(interval, 256)
-        assert l1_norm(sec, rule) == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert l1_norm(sec, 256) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_interval_m1_by_symmetry(self, interval):
         sec = MonomialSection((1,), _canonical(interval))
-        rule = make_rule(interval, 256)
-        assert l1_norm(sec, rule) == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert l1_norm(sec, 256) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_l1_norms_equal_one_time_at_a_time(self, simplex, phi_half_square):
         from toric_quant import SubtorusProjection
@@ -257,9 +255,9 @@ class TestL1AndBasis:
         # l1_norms takes it through e^{-t f_m} |sigma^m_0|, in another order
         ref = [integrate(lambda x, t=t: pointwise_norm(MonomialSection((0, 1), pot.at_time(t)), x),
                          rule) for t in times]
-        got = l1_norms(pot, (0, 1), rule, times)
+        got = l1_norms(pot, (0, 1), 32, times)
         assert np.allclose(got, ref, rtol=1e-12, atol=0)
-        assert [l1_norm(MonomialSection((0, 1), pot.at_time(t)), rule) for t in times] == got
+        assert [l1_norm(MonomialSection((0, 1), pot.at_time(t)), 32) for t in times] == got
 
     def test_l1_norms_blocked_equal_whole_rule(self, square2, phi_half_square, monkeypatch):
         import tracemalloc
@@ -276,17 +274,41 @@ class TestL1AndBasis:
                          rule) for t in times]
         tracemalloc.start()
         try:
-            got = l1_norms(pot, (1, 1), rule, times)
+            got = l1_norms(pot, (1, 1), 512, times)
             peak = tracemalloc.get_traced_memory()[1] / (8.0 * rule.size)
         finally:
             tracemalloc.stop()
         assert np.allclose(got, ref, rtol=1e-12, atol=0)
         monkeypatch.setattr(quadrature, "NODE_BLOCK", rule.size)
-        assert l1_norms(pot, (1, 1), rule, times) == got
-        # block temporaries and per-fiber arrays only (1.65 node vectors);
-        # one node vector per time plus block temporaries before the fiber
-        # sums, and 13 node vectors on the whole rule before the blocks
-        assert peak < 2.0
+        assert l1_norms(pot, (1, 1), 512, times) == got
+        # block temporaries and per-fiber arrays only beyond the rule's own
+        # three node vectors (0.3; 1.65 with the norm taken per node); one
+        # node vector per time plus block temporaries before the fiber sums,
+        # and 13 node vectors on the whole rule before the blocks
+        own = (rule.points.nbytes + rule.weights.nbytes) / (8.0 * rule.size)
+        assert peak - own < 2.0
+
+    @pytest.mark.parametrize("fixture,m,box", [("square2", (1, 0), True),
+                                               ("simplex", (0, 1), False)])
+    def test_l1_norms_integrate_against_the_weighted_rule(self, fixture, m, box, request,
+                                                           phi_half_square, monkeypatch):
+        from toric_quant import SubtorusProjection, quadrature
+
+        P = request.getfixturevalue(fixture)
+        pot = SymplecticPotential.perturbed(P, SubtorusProjection(((1, 0),)),
+                                            phi_half_square, 0.0)
+        times = (0.0, 8.0)
+        # the reference: the plain rule's weights times the node norm, for each t
+        plain = make_rule(P, 40)
+        ref = [integrate(lambda x, t=t: pointwise_norm(MonomialSection(m, pot.at_time(t)), x),
+                         plain) for t in times]
+        seen = []
+        real = quadrature.closed_form_norm_g0
+        monkeypatch.setattr(quadrature, "closed_form_norm_g0",
+                            lambda P, m, x: seen.append(len(x)) or real(P, m, x))
+        assert np.allclose(l1_norms(pot, m, 40, times), ref, rtol=1e-12, atol=0)
+        # a box folds the norm in axis by axis; a grid takes it once per node
+        assert sum(seen) == (0 if box else plain.size)
 
     def test_basis_size_is_lattice_count(self, square2, simplex):
         for P in (square2, simplex):
