@@ -25,7 +25,6 @@ from .subtorus import (
     default_convex,
     pullback,
     quadratic,
-    strict_convexity_check,
 )
 from .potential import (
     DomainBoundaryError,
@@ -36,25 +35,18 @@ from .potential import (
     validate_potential,
 )
 from .legendre import (
-    LegendrePair,
     NewtonConvergenceError,
     flow_identity_residual,
-    forward,
     inverse,
     kahler_potential,
 )
 from .polarization import decay_report
 from .sections import (
     ConcentrationWeight,
-    MonomialSection,
     closed_form_norm_g0,
-    l1_norm,
     l1_norms,
-    monomial_basis,
     norm_factorization_check,
     norm_matrix,
-    pairwise_orthogonality,
-    pointwise_norm,
     radial_gram,
     relative_orthogonality,
     torus_average,

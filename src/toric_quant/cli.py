@@ -43,7 +43,6 @@ from .subtorus import (
     SubtorusProjection,
     default_convex,
     quadratic,
-    strict_convexity_check,
 )
 
 _SEED = 0
@@ -101,11 +100,6 @@ def _to_native(obj):
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       default=_to_native).encode()
-
-
-def _image_box(P: DelzantPolytope, proj: SubtorusProjection):
-    imgs = np.array([proj.apply(v.as_array()) for v in P.vertices])
-    return imgs.min(axis=0), imgs.max(axis=0)
 
 
 def _check_t_list(t_list) -> tuple:
@@ -185,11 +179,11 @@ def load_config(path: str) -> ExperimentConfig:
     if phi.dim != proj.k:
         raise ConfigError("dimension_mismatch",
                           f"phi dimension {phi.dim} != projection rank {proj.k}")
-    lo, hi = _image_box(P, proj)
-    conv = strict_convexity_check(phi, lo, hi, samples=17)
-    if not conv:
+    # phi is quadratic: one eigenvalue test of its constant Hessian
+    low = float(np.linalg.eigvalsh(phi.hessian(np.zeros(phi.dim)))[0])
+    if low <= 1e-10:
         raise ConfigError("not_convex",
-                          f"phi is not strictly convex near {conv.witness}")
+                          f"phi is not strictly convex: its Hessian has eigenvalue {low:.3g}")
 
     t_list = _check_t_list(raw.get("t_list", (8, 16, 32, 64, 128)))
     resolution = _check_resolution(raw.get("resolution", 64))
@@ -307,10 +301,9 @@ def _cmd_legendre_roundtrip(cfg, opts):
     worst = 0.0
     per_t = {}
     for t in sorted({0.0, *opts["t_list"]}):
-        pair = legendre.LegendrePair(
-            potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t))
+        pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t)
         err = float(np.max(np.linalg.norm(
-            legendre.inverse(pair, legendre.forward(pair, pts)) - pts, axis=-1)))
+            legendre.inverse(pot, pot.gradient(pts)) - pts, axis=-1)))
         per_t[f"{t:g}"] = err
         worst = max(worst, err)
     tol = 1e-8
@@ -321,9 +314,8 @@ def _cmd_legendre_roundtrip(cfg, opts):
 def _cmd_flow_check(cfg, opts):
     P = cfg.polytope
     pts = potential.interior_samples(P, 20, seed=_SEED)
-    pair0 = legendre.LegendrePair(
-        potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0))
-    res = legendre.flow_identity_residual(pair0, opts["t_list"], pts)
+    pot0 = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
+    res = legendre.flow_identity_residual(pot0, opts["t_list"], pts)
     per_t = {f"{t:g}": float(np.max(r)) for t, r in zip(opts["t_list"], res)}
     worst = float(np.max(res))
     tol = 1e-8
@@ -377,21 +369,21 @@ def _cmd_sections_norms(cfg, opts):
              for t, l1, r in zip(t_list, l1s, rel)]
     worst = max(rel)
     pot0 = potential.SymplecticPotential.canonical(P)
-    basis = sections.monomial_basis(pot0)
-    ms = np.array([b.m for b in basis])
+    ms = lattice_points(P)
     # each row's difference relative to its largest norm, like the
     # factorization residual: the norms grow with the polytope
     agree = max(
-        float(np.max(np.abs(row - sections.closed_form_norm_g0(P, b.m, pts))))
+        float(np.max(np.abs(row - sections.closed_form_norm_g0(P, mi, pts))))
         / max(1.0, float(np.max(row)))
-        for b, row in zip(basis, sections.norm_matrix(pot0, ms, pts)))
+        for mi, row in zip(ms, sections.norm_matrix(pot0, ms, pts)))
     # every pair a < b on one Gram matrix; each pair's residual is taken on
     # its Cauchy-Schwarz scale, so it does not grow with the pairings
-    gram = sections.radial_gram(basis, quadrature.make_rule(P, 16))
-    ia, ib = np.triu_indices(len(basis), 1)
+    gram = sections.radial_gram(pot0, ms, quadrature.make_rule(P, 16))
+    ia, ib = np.triu_indices(len(ms), 1)
     # the distinct differences in row order, through one int64 key per row:
     # offset components, combined in mixed radix, keep lexicographic order
-    d = ms[ia] - ms[ib]
+    M = np.array(ms)
+    d = M[ia] - M[ib]
     off = np.abs(d).max(axis=0, initial=0)
     key = np.zeros(len(d), dtype=np.int64)
     for c, o in enumerate(off):

@@ -1,6 +1,7 @@
 """Legendre bridge between moment coordinates x and complex coordinates y.
 
-Forward map y = grad g(x), Newton inversion with facet-aware damping, the
+The forward map y = grad g(x) is ``SymplecticPotential.gradient``; here
+are its Newton inversion with facet-aware damping, the
 dual potential h(y) = -g(x(y)) + <x(y), y>, and the residual of the
 imaginary-time-flow identity h_t(grad g_t(x)) = h_0(grad g_0(x))
 - t psi(x) + t <x, grad psi(x)>.  Every map is batched over leading axes
@@ -8,11 +9,12 @@ of its points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .potential import SymplecticPotential
+
+TOLERANCE = 1e-12  # Newton stops once |grad g(x) - y| is within this
+MAX_ITERATIONS = 200
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -27,25 +29,7 @@ class NewtonConvergenceError(RuntimeError):
             f"(last residual {residual:.3e})")
 
 
-@dataclass(frozen=True)
-class LegendrePair:
-    potential: SymplecticPotential
-    tolerance: float = 1e-12
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-
-
-def forward(pair: LegendrePair, x):
-    """y = grad g(x); batched over leading axes."""
-    return pair.potential.gradient(x)
-
-
-def inverse(pair: LegendrePair, y):
+def inverse(pot: SymplecticPotential, y):
     """Solve grad g(x) = y by damped Newton from the vertex barycenter.
 
     Batched over leading axes: y of shape (..., n) gives x of the same
@@ -53,10 +37,9 @@ def inverse(pair: LegendrePair, y):
     0.4 of its current value, which keeps iterates strictly interior; the
     log-barrier shape of g0 then makes the iteration globally convergent in
     practice.  Each point leaves the loop once its own residual is within
-    tolerance and halves only its own rejected steps, so it follows the
+    TOLERANCE and halves only its own rejected steps, so it follows the
     iterates it would follow alone.
     """
-    pot = pair.potential
     P = pot.polytope
     y = np.asarray(y, dtype=float)
     if y.ndim == 0 or y.shape[-1] != P.dim:
@@ -64,11 +47,11 @@ def inverse(pair: LegendrePair, y):
     Y = y.reshape(-1, P.dim)
     X = np.array(np.broadcast_to(P.barycenter_array(), y.shape)).reshape(-1, P.dim)
     active = np.arange(len(Y))  # points still iterating
-    for _ in range(pair.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         x = X[active]
         res = pot.gradient(x) - Y[active]
         resnorm = np.linalg.norm(res, axis=-1)
-        moving = ~(resnorm <= pair.tolerance)  # a NaN residual keeps iterating
+        moving = ~(resnorm <= TOLERANCE)  # a NaN residual keeps iterating
         active, x, res, resnorm = active[moving], x[moving], res[moving], resnorm[moving]
         if not active.size:
             return X.reshape(y.shape)
@@ -85,30 +68,30 @@ def inverse(pair: LegendrePair, y):
             s[rejected] *= 0.5
         else:
             i = rejected[0]
-            raise NewtonConvergenceError(x[i], float(resnorm[i]), pair.max_iterations,
+            raise NewtonConvergenceError(x[i], float(resnorm[i]), MAX_ITERATIONS,
                                          int(active[i]))
         X[active] = x + s[:, None] * step
     resnorm = np.linalg.norm(pot.gradient(X[active]) - Y[active], axis=-1)
-    failed = np.flatnonzero(~(resnorm <= pair.tolerance))
+    failed = np.flatnonzero(~(resnorm <= TOLERANCE))
     if not failed.size:
         return X.reshape(y.shape)
     i = failed[0]
     raise NewtonConvergenceError(X[active[i]], float(resnorm[i]),
-                                 pair.max_iterations, int(active[i]))
+                                 MAX_ITERATIONS, int(active[i]))
 
 
-def kahler_potential(pair: LegendrePair, y):
+def kahler_potential(pot: SymplecticPotential, y):
     """h(y) = -g(x(y)) + <x(y), y>, the convex conjugate of g.
 
     Batched over leading axes; a single point gives a float.
     """
     y = np.asarray(y, dtype=float)
-    x = inverse(pair, y)
-    h = -pair.potential.value(x) + np.sum(x * y, axis=-1)
+    x = inverse(pot, y)
+    h = -pot.value(x) + np.sum(x * y, axis=-1)
     return float(h) if np.ndim(h) == 0 else h
 
 
-def flow_identity_residual(pair0: LegendrePair, times, x):
+def flow_identity_residual(pot0: SymplecticPotential, times, x):
     """|h_t(grad g_t(x)) - [h_0(grad g_0(x)) - t psi(x) + t <x, grad psi(x)>]| per t.
 
     Zero (to solver tolerance) exactly when the convex-perturbation family of
@@ -117,17 +100,16 @@ def flow_identity_residual(pair0: LegendrePair, times, x):
     once and each t solves for h_t alone.  Batched over leading axes of x:
     the result has shape (len(times),) + x.shape[:-1].
     """
-    pot0 = pair0.potential
     if pot0.time != 0.0:
-        raise ValueError("pair0 must sit at t = 0")
+        raise ValueError("pot0 must sit at t = 0")
     x = np.asarray(x, dtype=float)
-    h_0 = kahler_potential(pair0, forward(pair0, x))
+    h_0 = kahler_potential(pot0, pot0.gradient(x))
     psi = pot0.perturbation
     pv, xg = (0.0, 0.0) if psi is None else (
         psi.value(x), np.sum(x * psi.gradient(x), axis=-1))
     out = []
     for t in map(float, times):
-        pair_t = replace(pair0, potential=pot0.at_time(t))
-        h_t = kahler_potential(pair_t, forward(pair_t, x))
+        pot_t = pot0.at_time(t)
+        h_t = kahler_potential(pot_t, pot_t.gradient(x))
         out.append(np.abs(h_t - (h_0 + (-t * pv + t * xg))))
     return np.array(out).reshape((-1,) + x.shape[:-1])

@@ -81,7 +81,6 @@ class Slice:
     """
 
     base: "DelzantPolytope"
-    level: tuple
     chart: tuple  # rows = integer direction vectors, possibly empty
     base_point: tuple  # exact rational, satisfies proj(base_point) = level
     active_facets: tuple = ()
@@ -442,7 +441,7 @@ def face_slice(P: DelzantPolytope, proj, q) -> Slice:
         raise PolytopeError("level has wrong length for the projection")
     x0 = _particular_solution(A, q)
     B0 = integer_kernel_basis(A, ncols=n)
-    verts = Slice(base=P, level=q, chart=B0, base_point=x0).chart_vertices
+    verts = Slice(base=P, chart=B0, base_point=x0).chart_vertices
     if not verts:
         raise EmptySliceError(f"level {tuple(map(str, q))} lies outside the image polytope")
     ustar = _mean_point([v.point for v in verts]) if len(B0) else ()
@@ -451,6 +450,6 @@ def face_slice(P: DelzantPolytope, proj, q) -> Slice:
     # the facets that vanish at every chart vertex vanish on the whole fiber
     active = sorted(set.intersection(*(set(v.active_facets) for v in verts)))
     chart = integer_kernel_basis([*A, *(P.facets[j][0] for j in active)], ncols=n)
-    return Slice(base=P, level=q, chart=chart, base_point=xstar,
+    return Slice(base=P, chart=chart, base_point=xstar,
                  active_facets=tuple(active))
 

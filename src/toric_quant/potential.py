@@ -121,8 +121,6 @@ class PotentialReport:
     min_eigenvalue: float
     product_min: float
     product_max: float
-    interior_samples: int
-    boundary_samples: int
 
     def __bool__(self):
         return self.positive_definite and self.product_min > 0 and np.isfinite(self.product_max)
@@ -183,6 +181,4 @@ def validate_potential(pot: SymplecticPotential, interior_points,
         min_eigenvalue=float(mins[worst]),
         product_min=float(prods.min()),
         product_max=float(prods.max()),
-        interior_samples=count,
-        boundary_samples=0 if boundary_points is None else int(len(boundary_points)),
     )

@@ -52,7 +52,6 @@ class QuadratureRule:
     resolution: int
     points: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,)
-    domain: object  # DelzantPolytope or Slice
 
     @property
     def size(self) -> int:
@@ -121,7 +120,7 @@ def box_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
         points, weights = _tensor_rule(P.box_bounds(), resolution, factor)
     if m is not None:
         _finite(weights, points)
-    return QuadratureRule("gauss", resolution, points, weights, P)
+    return QuadratureRule("gauss", resolution, points, weights)
 
 
 def _midpoint_rule(normals, offsets, vertices, dim, resolution):
@@ -178,7 +177,7 @@ def grid_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
             for s in range(0, len(weights), NODE_BLOCK):
                 weights[s:s + NODE_BLOCK] *= closed_form_norm_g0(P, m, points[s:s + NODE_BLOCK])
         _finite(weights, points)
-    return QuadratureRule("grid", resolution, points, weights, P)
+    return QuadratureRule("grid", resolution, points, weights)
 
 
 def slice_rule(sl: Slice, resolution: int) -> QuadratureRule:
@@ -188,7 +187,7 @@ def slice_rule(sl: Slice, resolution: int) -> QuadratureRule:
     integrals degenerate to point evaluation.
     """
     if sl.dim == 0:
-        return QuadratureRule("point", 1, np.zeros((1, 0)), np.ones(1), sl)
+        return QuadratureRule("point", 1, np.zeros((1, 0)), np.ones(1))
     if resolution < 8:
         raise QuadratureError("resolution must be at least 8")
     normals, offsets = sl.chart_halfspaces()
@@ -197,9 +196,9 @@ def slice_rule(sl: Slice, resolution: int) -> QuadratureRule:
         raise QuadratureError("slice chart polytope is empty")
     if _is_box(normals, sl.dim):
         points, weights = _tensor_rule(zip(*_vertex_bounds(verts, sl.dim)), resolution)
-        return QuadratureRule("gauss", resolution, points, weights, sl)
+        return QuadratureRule("gauss", resolution, points, weights)
     points, weights = _midpoint_rule(normals, offsets, verts, sl.dim, resolution)
-    return QuadratureRule("grid", resolution, points, weights, sl)
+    return QuadratureRule("grid", resolution, points, weights)
 
 
 def make_rule(domain: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
@@ -224,19 +223,22 @@ class Pushforward:
     starts: np.ndarray  # (fibers,): the index of each fiber's first node
 
     def sums(self, h) -> np.ndarray:
-        """Per-fiber sums of w * h, shape (rows, fibers), for h mapping
-        NODE_BLOCK nodes (B, n) at a time to (B,) or (rows, B) values."""
+        """Per-fiber sums of w, then of w * h, shape (1 + rows, fibers), for h
+        mapping NODE_BLOCK nodes (B, n) at a time to (B,) or (rows, B) values;
+        h = None gives the weight sums alone."""
         rule, starts = self.rule, self.starts
         for s in range(0, rule.size, NODE_BLOCK):
-            x = rule.points[s:s + NODE_BLOCK]
-            vals = _finite(np.atleast_2d(np.asarray(h(x), dtype=float)), x)
+            x, w = rule.points[s:s + NODE_BLOCK], rule.weights[s:s + NODE_BLOCK]
+            vals = np.empty((0, len(x))) if h is None else _finite(
+                np.atleast_2d(np.asarray(h(x), dtype=float)), x)
             if s == 0:
-                out = np.zeros((len(vals), len(starts)))
+                out = np.zeros((1 + len(vals), len(starts)))
             # the fiber holding node s, then every fiber that starts in the block
             f0 = np.searchsorted(starts, s, side="right") - 1
             f1 = np.searchsorted(starts, s + len(x))
             cuts = np.maximum(starts[f0:f1] - s, 0)
-            out[:, f0:f1] += np.add.reduceat(vals * rule.weights[s:s + NODE_BLOCK], cuts, axis=1)
+            out[0, f0:f1] += np.add.reduceat(w, cuts)
+            out[1:, f0:f1] += np.add.reduceat(vals * w, cuts, axis=1)
         return out
 
     def at_fibers(self, g) -> np.ndarray:
@@ -248,10 +250,11 @@ class Pushforward:
         return out
 
     def masses(self, h, f, times):
-        """sum_r e^{-t (f_r - min f)} F_{h,r}, shape (len(times), rows), and min f.
+        """sum_r e^{-t (f_r - min f)} F_r, shape (len(times), 1 + rows), and min f.
 
-        F_h are the fiber sums of the node-wise h and f_r is the fiber-constant
-        f at fiber r: h is summed once, and each t costs one exp per fiber."""
+        F are the fiber sums of the weights and of the node-wise h (sums) and
+        f_r is the fiber-constant f at fiber r: h is summed once, and each t
+        costs one exp per fiber."""
         F = self.sums(h)
         fr = self.at_fibers(f)
         fmin = fr.min()
@@ -294,7 +297,7 @@ def _one_fiber(rule: QuadratureRule) -> Pushforward:
 
 def integrate(f, rule: QuadratureRule) -> float:
     """Weighted sum of f over the rule points (one fiber); rejects non-finite values."""
-    return float(_one_fiber(rule).sums(f)[0, 0])
+    return float(_one_fiber(rule).sums(f)[1, 0])
 
 
 def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
@@ -314,7 +317,7 @@ def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
         x = sl.embed(v)
         norm = closed_form_norm_g0(P, m, x)
         return norm, norm * np.asarray(u(x), dtype=float)
-    den, num = _one_fiber(slice_rule(sl, resolution)).sums(h)[:, 0]
+    den, num = _one_fiber(slice_rule(sl, resolution)).sums(h)[1:, 0]
     if den <= 0:
         raise QuadratureError("slice norm integral vanished")
     return float(num / den)
@@ -340,9 +343,6 @@ class ConcentrationResult:
     # roundoff_floor(slice_value); None when fewer than two errors clear it
     decay_exponent: float | None
 
-    def rows(self):
-        return list(zip(self.t_values, self.ratios, self.errors))
-
 
 def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
                              phi: ConvexFunction, m, u, t_list,
@@ -352,7 +352,7 @@ def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
     Uses the factorization of the time-t norm through the t=0 norm; the
     rule integrates against |sigma^m_0| dx and f_m depends on y = A x alone,
     so both integrals are sums over fibers r of e^{-t f_m(y_r)} times the
-    fiber sums of 1 and u.
+    fiber sums of the weights and of u.
     The minimum of f_m is subtracted before exponentiating so the weights
     stay finite for large t.  The errors compare against R_infinity.
     """
@@ -361,11 +361,8 @@ def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
         raise ValueError("t_list must be strictly increasing")
     m = tuple(int(v) for v in m)
     fm = ConcentrationWeight.from_projection(proj, phi, m)
-
-    def h(x):  # 1 and u at the nodes: the norm is in the weights
-        one = np.ones(len(x))
-        return one, one * np.asarray(u(x), dtype=float)
-    masses, _ = pushforward(make_rule(P, resolution, m), proj).masses(h, fm, t_list)
+    # the norm is in the weights: the fiber sums are of w and of w * u
+    masses, _ = pushforward(make_rule(P, resolution, m), proj).masses(u, fm, t_list)
     ratios = []
     for t, (den, num) in zip(t_list, masses):
         if den <= 0 or not np.isfinite(den):

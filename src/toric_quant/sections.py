@@ -13,29 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polytope import DelzantPolytope, facet_value, lattice_points
+from .polytope import DelzantPolytope, facet_value
 from .potential import SymplecticPotential
 from .subtorus import ConvexFunction, SubtorusProjection, pullback
-
-
-@dataclass(frozen=True)
-class MonomialSection:
-    m: tuple  # lattice point in P
-    potential: SymplecticPotential
-
-    def __post_init__(self):
-        P = self.potential.polytope
-        m = tuple(int(v) for v in self.m)
-        if len(m) != P.dim:
-            raise ValueError(f"lattice point {m} has wrong dimension")
-        if not P.contains(m):
-            raise ValueError(f"{m} is not a lattice point of the polytope")
-        object.__setattr__(self, "m", m)
-
-
-def monomial_basis(pot: SymplecticPotential):
-    """One section per lattice point; the size equals dim H^0."""
-    return tuple(MonomialSection(m, pot) for m in lattice_points(pot.polytope))
 
 
 def norm_matrix(pot: SymplecticPotential, ms, x):
@@ -53,13 +33,10 @@ def norm_matrix(pot: SymplecticPotential, ms, x):
     return out
 
 
-def pointwise_norm(section: MonomialSection, x):
-    """|sigma^m|(x) at interior x, batched: the one-row case of norm_matrix."""
-    return norm_matrix(section.potential, [section.m], x)[0]
-
-
 def _facet_values_at(P: DelzantPolytope, m):
-    """The exact l_j(m) of every facet, as floats."""
+    """The exact l_j(m) of every facet, as floats; m must be a point of P."""
+    if len(m) != P.dim or not P.contains(m):
+        raise ValueError(f"{tuple(m)} is not a point of the polytope")
     return np.array([float(facet_value(P, j + 1, m)) for j in range(P.num_facets)])
 
 
@@ -80,7 +57,7 @@ def closed_form_norm_g0(P: DelzantPolytope, m, x):
     """Canonical-potential norm prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m)-l_j(x))/2}.
 
     Defined on all of P including the boundary; vanishes exactly on facets
-    with l_j(m) > 0 and agrees with pointwise_norm on the interior.  Taken
+    with l_j(m) > 0 and agrees with norm_matrix on the interior.  Taken
     in log form (_log_norm_g0), with one exp per point.
     """
     L = P.facet_values_array(np.asarray(x, dtype=float))
@@ -122,26 +99,21 @@ def norm_factorization_check(P: DelzantPolytope, proj: SubtorusProjection,
     of |sigma^m_t| (the scale of the norms at that t).
     """
     pot0 = SymplecticPotential.perturbed(P, proj, phi, 0.0)
-    norm0 = pointwise_norm(MonomialSection(m, pot0), x)
+    norm0 = norm_matrix(pot0, [m], x)[0]
     fm = ConcentrationWeight.from_projection(proj, phi, m)(x)
     residuals, peaks = [], []
     for t in times:
-        lhs = pointwise_norm(MonomialSection(m, pot0.at_time(t)), x)
+        lhs = norm_matrix(pot0.at_time(t), [m], x)[0]
         residuals.append(float(np.max(np.abs(lhs - np.exp(-t * fm) * norm0))))
         peaks.append(float(np.max(lhs)))
     return np.array(residuals), np.array(peaks)
 
 
-def l1_norm(section: MonomialSection, resolution: int) -> float:
-    """Integral of the pointwise norm over the polytope, on make_rule at resolution."""
-    return l1_norms(section.potential, section.m, resolution, [section.potential.time])[0]
-
-
 def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
-    """l1_norm of sigma^m under g_t for each t in times.
+    """The L1 norm over P of sigma^m under g_t for each t in times.
 
-    Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: the rule
-    integrates against |sigma^m_0| dx, its weights are summed over each fiber
+    Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: make_rule
+    at resolution integrates against |sigma^m_0| dx, its weights are summed over each fiber
     of the projection once, and each t costs one exponential per fiber.  A
     non-finite norm raises QuadratureError.
     """
@@ -153,7 +125,7 @@ def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
                        pot.proj or SubtorusProjection.standard(1, P.dim))
     f = (lambda x: np.zeros(len(x))) if pot.phi is None else ConcentrationWeight(
         m, pot.perturbation)
-    masses, fmin = push.masses(lambda x: np.ones(len(x)), f, times)
+    masses, fmin = push.masses(None, f, times)
     norms = []
     for t, (mass,) in zip(map(float, times), masses):
         # e^{-t min f_m} is applied in log form: it may leave float64 where
@@ -166,19 +138,17 @@ def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
     return norms
 
 
-def radial_gram(basis, rule):
+def radial_gram(pot: SymplecticPotential, ms, rule):
     """Gram matrix G[a, b] = sum_k |sigma^a|(x_k) |sigma^b|(x_k) w_k of the radial pairings.
 
-    All sections must share a potential, which is evaluated once on the
-    rule for the whole basis.  Non-finite norms or pairings are rejected the
-    way ``quadrature.integrate`` rejects non-finite integrands.
+    The potential is evaluated once on the rule for all the lattice points
+    ms.  Non-finite norms or pairings are rejected the way
+    ``quadrature.integrate`` rejects non-finite integrands.
     """
     from .quadrature import QuadratureError  # local import to avoid a cycle
 
-    pot = basis[0].potential
-    if any(s.potential != pot for s in basis[1:]):
-        raise ValueError("sections must share a potential")
-    S = norm_matrix(pot, [s.m for s in basis], rule.points)
+    ms = np.asarray(ms)
+    S = norm_matrix(pot, ms, rule.points)
     bad = ~np.isfinite(S)
     if np.any(bad):
         where = rule.points[np.argmax(np.any(bad, axis=0))]
@@ -189,8 +159,8 @@ def radial_gram(basis, rule):
         if np.any(bad):
             a, b = np.unravel_index(np.argmax(bad), G.shape)
             where = rule.points[np.argmax(S[a] * S[b] * rule.weights)]
-            raise QuadratureError(f"non-finite pairing of {basis[a].m} and {basis[b].m}, "
-                                  f"largest at {tuple(where)}")
+            raise QuadratureError(f"non-finite pairing of {ms[a].tolist()} and "
+                                  f"{ms[b].tolist()}, largest at {tuple(where)}")
     return G
 
 
@@ -228,23 +198,3 @@ def relative_orthogonality(gram, ia, ib, torus):
     """
     scale = np.sqrt(np.diagonal(gram))
     return np.abs(torus) * np.abs(gram[ia, ib]) / (scale[ia] * scale[ib])
-
-
-def pairwise_orthogonality(section_a: MonomialSection,
-                           section_b: MonomialSection,
-                           theta_resolution: int,
-                           radial_rule=None) -> complex:
-    """Discrete torus average of the weight difference times a radial factor.
-
-    The average of e^{i <m - m', theta>} over a uniform grid of
-    theta_resolution points per axis cancels exactly (roots of unity) when
-    m != m' and the grid outresolves every coordinate difference; for
-    m = m' the result is the positive radial integral.
-    """
-    dm = np.array(section_a.m) - np.array(section_b.m)
-    torus = torus_average(dm, theta_resolution)
-    if radial_rule is None:
-        from .quadrature import make_rule
-
-        radial_rule = make_rule(section_a.potential.polytope, resolution=32)
-    return complex(torus * radial_gram([section_a, section_b], radial_rule)[0, 1])

@@ -82,10 +82,6 @@ class ConvexFunction:
     value: Callable
     gradient: Callable
     hessian: Callable
-    label: str = "custom"
-
-    def __call__(self, y):
-        return self.value(y)
 
 
 def quadratic(Q, b=None) -> ConvexFunction:
@@ -116,8 +112,7 @@ def quadratic(Q, b=None) -> ConvexFunction:
         y = np.asarray(y, dtype=float)
         return np.broadcast_to(Q, y.shape[:-1] + Q.shape).copy()
 
-    return ConvexFunction(dim=dim, value=value, gradient=gradient,
-                          hessian=hessian, label="quadratic")
+    return ConvexFunction(dim=dim, value=value, gradient=gradient, hessian=hessian)
 
 
 def default_convex(k: int) -> ConvexFunction:
@@ -142,42 +137,5 @@ def pullback(phi: ConvexFunction, proj: SubtorusProjection) -> ConvexFunction:
         H = phi.hessian(np.asarray(x, dtype=float) @ A.T)
         return np.einsum("ai,...ab,bj->...ij", A, H, A)
 
-    return ConvexFunction(dim=n, value=value, gradient=gradient,
-                          hessian=hessian, label=f"pullback[{phi.label}]")
+    return ConvexFunction(dim=n, value=value, gradient=gradient, hessian=hessian)
 
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    strictly_convex: bool
-    witness: tuple | None = None
-    min_eigenvalue: float = float("inf")
-
-    def __bool__(self):
-        return self.strictly_convex
-
-
-def strict_convexity_check(phi: ConvexFunction, lower, upper,
-                           samples: int = 33, margin: float = 0.1,
-                           tol: float = 1e-10) -> ConvexityReport:
-    """Sampled positive-definiteness of the Hessian over an inflated box.
-
-    The box [lower, upper] should enclose the image polytope; it is widened
-    by ``margin`` on each side (a neighborhood, since strict convexity is
-    assumed slightly beyond the image).  Reports the first failing sample.
-    """
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    if lower.shape != (phi.dim,) or upper.shape != (phi.dim,):
-        raise ValueError("box bounds have wrong shape")
-    axes = [np.linspace(lo - margin, hi + margin, samples)
-            for lo, hi in zip(lower, upper)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    H = phi.hessian(pts)
-    eigs = np.linalg.eigvalsh(H)
-    mins = eigs[..., 0]
-    worst = int(np.argmin(mins))
-    if mins[worst] <= tol:
-        return ConvexityReport(False, witness=tuple(pts[worst]),
-                               min_eigenvalue=float(mins[worst]))
-    return ConvexityReport(True, min_eigenvalue=float(mins.min()))

@@ -12,8 +12,6 @@ import numpy as np
 
 from toric_quant import (
     DelzantPolytope,
-    LegendrePair,
-    MonomialSection,
     SubtorusProjection,
     SymplecticPotential,
     box_rule,
@@ -21,17 +19,16 @@ from toric_quant import (
     concentration_experiment,
     decay_report,
     flow_identity_residual,
-    forward,
     inverse,
     is_delzant,
-    l1_norm,
+    l1_norms,
     lattice_points,
     make_rule,
-    monomial_basis,
     norm_factorization_check,
-    pairwise_orthogonality,
-    pointwise_norm,
+    norm_matrix,
     quadratic,
+    radial_gram,
+    torus_average,
     validate_potential,
     weight_multiplicities,
 )
@@ -115,14 +112,13 @@ def test_criterion_4_legendre_roundtrip():
         pts = sample_interior(P, 100, seed=21)
         for t in (0.0, 1.0, 10.0, 100.0):
             pot = SymplecticPotential.perturbed(P, proj, PHI, t)
-            pair = LegendrePair(pot)
             for x in pts:
-                err = float(np.linalg.norm(inverse(pair, forward(pair, x)) - x))
+                err = float(np.linalg.norm(inverse(pot, pot.gradient(x)) - x))
                 worst = max(worst, err)
-    pair0 = LegendrePair(SymplecticPotential.canonical(INTERVAL))
+    pot0 = SymplecticPotential.canonical(INTERVAL)
     analytic = 0.0
     for y in np.linspace(-3, 3, 25):
-        x = inverse(pair0, np.array([y]))
+        x = inverse(pot0, np.array([y]))
         analytic = max(analytic, abs(x[0] - 1.0 / (1.0 + math.exp(-2 * y))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and analytic < 1e-10 and elapsed < 5.0
@@ -139,9 +135,9 @@ def test_criterion_5_flow_identity():
     worst = 0.0
     for P, proj in fixtures:
         pts = sample_interior(P, 20, seed=33)
-        pair0 = LegendrePair(SymplecticPotential.perturbed(P, proj, PHI, 0.0))
+        pot0 = SymplecticPotential.perturbed(P, proj, PHI, 0.0)
         for x in pts:
-            worst = max(worst, *flow_identity_residual(pair0, (1.0, 5.0, 10.0), x))
+            worst = max(worst, *flow_identity_residual(pot0, (1.0, 5.0, 10.0), x))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 5.0
     report(5, ok, f"max flow-identity residual {worst:.2e}, {elapsed:.2f}s")
@@ -182,11 +178,10 @@ def test_criterion_7_section_algebra():
         pot = SymplecticPotential.canonical(P)
         pts = sample_interior(P, 50, seed=9)
         for m in lattice_points(P):
-            sec = MonomialSection(m, pot)
             agree = max(agree, float(np.max(np.abs(
-                pointwise_norm(sec, pts) - closed_form_norm_g0(P, m, pts)))))
+                norm_matrix(pot, [m], pts)[0] - closed_form_norm_g0(P, m, pts)))))
     # L1 norm of sigma^0 on [0,1]
-    l1 = l1_norm(MonomialSection((0,), SymplecticPotential.canonical(INTERVAL)), 256)
+    l1 = l1_norms(SymplecticPotential.canonical(INTERVAL), (0,), 256, [0.0])[0]
     l1_gap = abs(l1 - 2.0 / 3.0)
     # factorization at 100 random (x, t)
     rng = np.random.default_rng(14)
@@ -197,10 +192,10 @@ def test_criterion_7_section_algebra():
         res, _ = norm_factorization_check(P, proj, PHI, m, times, pts)
         fact = max(fact, *res)
     # theta-orthogonality across all lattice pairs of the square
-    secs = monomial_basis(SymplecticPotential.canonical(SQUARE2))
-    rule = make_rule(SQUARE2, 16)
-    orth = max(abs(pairwise_orthogonality(a, b, 8, radial_rule=rule))
-               for i, a in enumerate(secs) for b in secs[i + 1:])
+    ms = lattice_points(SQUARE2)
+    G = radial_gram(SymplecticPotential.canonical(SQUARE2), ms, make_rule(SQUARE2, 16))
+    orth = max(abs(torus_average(np.subtract(ms[a], ms[b]), 8) * G[a, b])
+               for a in range(len(ms)) for b in range(a + 1, len(ms)))
     elapsed = time.perf_counter() - t0
     ok = agree < 1e-10 and l1_gap < 1e-6 and fact < 1e-10 and orth < 1e-12 \
         and elapsed < 10.0

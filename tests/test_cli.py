@@ -115,6 +115,23 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, data))
         assert err.value.code == "dimension_mismatch"
 
+    @pytest.mark.parametrize("phi,rows", [
+        ({"Q": [[1e-11]]}, [[1, 0]]),
+        ({"Q": [[1.0, 1.0], [1.0, 1.0 + 1e-11]]}, [[1, 0], [0, 1]]),
+    ], ids=["1x1", "2x2"])
+    def test_not_convex_phi_exits_two(self, tmp_path, capsys, phi, rows):
+        # Q passes the Cholesky test of quadratic, but its smallest eigenvalue
+        # (1e-11, about 5e-12) is no strict convexity
+        data = dict(SQUARE2_CFG, proj=rows, phi=dict(phi, type="quadratic"))
+        assert main(["validate", write_cfg(tmp_path, data)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "not_convex"
+        assert "np." not in err["message"] and "eigenvalue" in err["message"]
+
+    def test_small_but_positive_phi_loads(self, tmp_path):
+        data = dict(SQUARE2_CFG, phi={"type": "quadratic", "Q": [[1e-9]]})
+        assert load_config(write_cfg(tmp_path, data)).phi.dim == 1
+
     def test_digest_stable(self, tmp_path):
         a = load_config(write_cfg(tmp_path, INTERVAL_CFG, "a.json"))
         b = load_config(write_cfg(tmp_path, INTERVAL_CFG, "b.json"))
@@ -285,10 +302,11 @@ class TestEmit:
             emit(rep, "svg")
 
     def test_svg_all_zero_errors_get_a_note(self, capsys):
-        # u = x1 on the square: R_t equals R_inf exactly, so every error is 0
-        # and no point has a logarithm; the plot keeps its axes and title
+        # u = 1: the fiber sums of w and of w * u are the same numbers, so
+        # R_t = R_inf = 1 in floating point and every error is exactly 0; no
+        # point has a logarithm, and the plot keeps its axes and title
         path = str(pathlib.Path(__file__).parents[1] / "configs" / "square2.json")
-        assert main(["concentrate", path, "--format", "svg"]) == 0
+        assert main(["concentrate", path, "--u", "1", "--format", "svg"]) == 0
         svg = capsys.readouterr().out
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert "every |R_t - R_inf| is 0" in svg and "<circle" not in svg
@@ -482,7 +500,7 @@ class TestTimeFamilyOnce:
 
         times = []
         self._counted(monkeypatch, legendre, "inverse",
-                      lambda pair, y: times.append(pair.potential.time))
+                      lambda pot, y: times.append(pot.time))
         run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "flow-check",
             {"t_list": self.TIMES})
         assert times == [0.0, *self.TIMES]
@@ -507,8 +525,10 @@ class TestTimeFamilyOnce:
         from toric_quant import sections
 
         norms, weights = [], []
-        self._counted(monkeypatch, sections, "pointwise_norm",
-                      lambda sec, x: norms.append(sec.potential.time))
+        # the one-row calls are sigma^m's: the closed-form check and the
+        # Gram matrix take all 9 lattice points of the square at once
+        self._counted(monkeypatch, sections, "norm_matrix",
+                      lambda pot, ms, x: len(ms) == 1 and norms.append(pot.time))
         self._counted(monkeypatch, sections.ConcentrationWeight, "__call__",
                       lambda w, x: weights.append(len(x)))
         run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "sections-norms",

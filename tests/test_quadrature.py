@@ -112,13 +112,16 @@ class TestNodeBlocks:
         # fibers of 260 nodes straddle the block edges; the last block holds one node
         rule = box_rule(square2, 260)
         rule = type(rule)(rule.kind, 260, rule.points[:2 * NODE_BLOCK + 1],
-                          rule.weights[:2 * NODE_BLOCK + 1], square2)
+                          rule.weights[:2 * NODE_BLOCK + 1])
         push = pushforward(rule, proj_first_of_two)
         assert np.array_equal(push.starts, np.arange(0, rule.size, 260))
         assert np.array_equal(push.images, rule.points[push.starts, :1])
         h = lambda x: (closed_form_norm_g0(square2, (1, 1), x), x[..., 0] ** 2 + x[..., 1])
-        ref = np.add.reduceat(np.asarray(h(rule.points)) * rule.weights, push.starts, axis=1)
+        # the weights themselves are the first row
+        vals = np.vstack([np.ones(rule.size), *h(rule.points)]) * rule.weights
+        ref = np.add.reduceat(vals, push.starts, axis=1)
         assert np.allclose(push.sums(h), ref, rtol=1e-14, atol=0)
+        assert np.array_equal(push.sums(None), push.sums(h)[:1])
 
     def test_box_rule_builds_no_meshgrid_copies(self, square2):
         # the rule itself is three node vectors (two coordinates, one weight)
@@ -152,16 +155,17 @@ class TestFiberMasses:
         rule, times = make_rule(P, res), (0.0, 3.0, 17.5, 90.0)
         push = pushforward(rule, proj)
         got, fmin = push.masses(h, f, times)
-        assert got.shape == (4, 2) and fmin == push.at_fibers(f).min()
+        assert got.shape == (4, 3) and fmin == push.at_fibers(f).min()
         # the per-t loop over fiber sums, in the same arithmetic: bit for bit
         F, fr = push.sums(h), push.at_fibers(f)
         for t, row in zip(times, got):
             w = np.exp(-t * (fr - fmin))
-            assert row.tolist() == [w @ F[0], w @ F[1]]
-        # a direct integral of e^{-t (f_m - min f_m)} h over the nodes for each t
+            assert row.tolist() == [w @ F[0], w @ F[1], w @ F[2]]
+        # a direct integral of e^{-t (f_m - min f_m)} times 1 and h over the
+        # nodes for each t
         for t, row in zip(times, got):
-            direct = [integrate(lambda x, i=i: np.exp(-t * (f(x) - fmin)) * h(x)[i], rule)
-                      for i in (0, 1)]
+            direct = [integrate(lambda x, i=i: np.exp(-t * (f(x) - fmin)) * (
+                1.0 if i < 0 else h(x)[i]), rule) for i in (-1, 0, 1)]
             assert np.allclose(row, direct, rtol=1e-12, atol=0)
 
     def test_one_loop_behind_ratios_and_l1_norms(self, square2, proj_first_of_two,
@@ -202,7 +206,7 @@ class TestPushforward:
     @given(rule_and_projection(), st.integers(5, 300))
     def test_fibers_partition_the_rule(self, drawn, block):
         rule, proj, standard = drawn
-        h = lambda x: (np.ones(len(x)), np.cos(x @ np.arange(1.0, x.shape[-1] + 1)))
+        h = lambda x: np.cos(x @ np.arange(1.0, x.shape[-1] + 1))
         # small blocks, so fibers straddle block edges
         with mock.patch.object(quadrature, "NODE_BLOCK", block):
             push = pushforward(rule, proj)
@@ -217,8 +221,9 @@ class TestPushforward:
         assert np.all(np.any(push.images[1:] != push.images[:-1], axis=1))
         if standard and rule.kind == "gauss":
             assert len(starts) == rule.resolution ** proj.k
-        # each fiber sum is its nodes' share, and they add up to the integral
-        vals = np.asarray(h(rule.points)) * rule.weights
+        # each fiber sum is its nodes' share, and they add up to the integral;
+        # the weights themselves are the first row
+        vals = np.vstack([np.ones(rule.size), h(rule.points)]) * rule.weights
         assert np.allclose(sums, np.add.reduceat(vals, starts, axis=1), rtol=1e-12, atol=1e-12)
         assert np.allclose(sums.sum(axis=1), vals.sum(axis=1), rtol=1e-12, atol=1e-12)
 

@@ -6,20 +6,15 @@ import pytest
 from toric_quant import (
     ConcentrationWeight,
     DelzantPolytope,
-    MonomialSection,
     QuadratureError,
     SymplecticPotential,
     closed_form_norm_g0,
     integrate,
-    l1_norm,
     l1_norms,
     lattice_points,
     make_rule,
-    monomial_basis,
     norm_factorization_check,
     norm_matrix,
-    pairwise_orthogonality,
-    pointwise_norm,
     radial_gram,
     relative_orthogonality,
     torus_average,
@@ -32,27 +27,38 @@ def _canonical(P):
     return SymplecticPotential.canonical(P)
 
 
+def _norm(pot, m, x):
+    """|sigma^m|(x): the one-row norm matrix."""
+    return norm_matrix(pot, [m], x)[0]
+
+
 class TestPointwiseNorm:
     def test_interval_m0_is_sqrt_one_minus_x(self, interval):
         # expanding g0 - x g0' gives log sqrt(1-x)
-        sec = MonomialSection((0,), _canonical(interval))
         xs = np.linspace(0.02, 0.98, 25)[:, None]
-        assert np.max(np.abs(pointwise_norm(sec, xs) - np.sqrt(1 - xs[:, 0]))) < 1e-12
+        assert np.max(np.abs(_norm(_canonical(interval), (0,), xs) - np.sqrt(1 - xs[:, 0]))) \
+            < 1e-12
 
     def test_interval_m1_mirror(self, interval):
-        sec = MonomialSection((1,), _canonical(interval))
         xs = np.linspace(0.02, 0.98, 25)[:, None]
-        assert np.max(np.abs(pointwise_norm(sec, xs) - np.sqrt(xs[:, 0]))) < 1e-12
+        assert np.max(np.abs(_norm(_canonical(interval), (1,), xs) - np.sqrt(xs[:, 0]))) < 1e-12
 
     def test_norm_at_own_lattice_point(self, square2):
         pot = _canonical(square2)
-        sec = MonomialSection((1, 1), pot)
         x = np.array([1.0, 1.0])
-        assert pointwise_norm(sec, x) == pytest.approx(np.exp(pot.value(x)))
+        assert _norm(pot, (1, 1), x) == pytest.approx(np.exp(pot.value(x)))
 
-    def test_invalid_lattice_point_rejected(self, interval):
-        with pytest.raises(ValueError):
-            MonomialSection((2,), _canonical(interval))
+    def test_invalid_lattice_point_rejected(self):
+        # m = (3,) lies outside [0, 2] and (1, 1) has the wrong length: every
+        # consumer of |sigma^m_0| refuses them
+        P = DelzantPolytope.from_box([(0, 2)])
+        x = np.array([[0.5], [1.5]])
+        for call in (lambda: l1_norms(_canonical(P), (3,), 16, [0.0]),
+                     lambda: closed_form_norm_g0(P, (3,), x),
+                     lambda: make_rule(P, 16, (3,)),
+                     lambda: closed_form_norm_g0(P, (1, 1), x)):
+            with pytest.raises(ValueError, match="not a point of the polytope"):
+                call()
 
 
 class TestClosedForm:
@@ -72,8 +78,7 @@ class TestClosedForm:
         pot = _canonical(P)
         pts = sample_interior(P, 40, seed=9)
         for m in lattice_points(P):
-            sec = MonomialSection(m, pot)
-            a = pointwise_norm(sec, pts)
+            a = _norm(pot, m, pts)
             b = closed_form_norm_g0(P, m, pts)
             assert np.max(np.abs(a - b)) < 1e-10
 
@@ -211,22 +216,22 @@ class TestFactorization:
         fm = ConcentrationWeight.from_projection(proj, phi_half_square, m)
         ref_res, ref_peak = [], []
         for t in times:  # the per-t loop: every norm and f_m afresh
-            lhs = pointwise_norm(MonomialSection(m, pot0.at_time(t)), pts)
-            rhs = np.exp(-t * fm(pts)) * pointwise_norm(MonomialSection(m, pot0), pts)
+            lhs = _norm(pot0.at_time(t), m, pts)
+            rhs = np.exp(-t * fm(pts)) * _norm(pot0, m, pts)
             ref_res.append(float(np.max(np.abs(lhs - rhs))))
             ref_peak.append(float(np.max(lhs)))
         calls = {"norm": 0, "fm": 0}
-        real_norm, real_fm = sections.pointwise_norm, ConcentrationWeight.__call__
+        real_norm, real_fm = sections.norm_matrix, ConcentrationWeight.__call__
 
-        def norm(section, x):
+        def norm(pot, ms, x):
             calls["norm"] += 1
-            return real_norm(section, x)
+            return real_norm(pot, ms, x)
 
         def weight(self, x):
             calls["fm"] += 1
             return real_fm(self, x)
 
-        monkeypatch.setattr(sections, "pointwise_norm", norm)
+        monkeypatch.setattr(sections, "norm_matrix", norm)
         monkeypatch.setattr(ConcentrationWeight, "__call__", weight)
         res, peaks = norm_factorization_check(P, proj, phi_half_square, m, times, pts)
         assert res.tolist() == ref_res
@@ -237,12 +242,12 @@ class TestFactorization:
 
 class TestL1AndBasis:
     def test_interval_m0_integral(self, interval):
-        sec = MonomialSection((0,), _canonical(interval))
-        assert l1_norm(sec, 256) == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert l1_norms(_canonical(interval), (0,), 256, [0.0]) == \
+            [pytest.approx(2.0 / 3.0, abs=1e-6)]
 
     def test_interval_m1_by_symmetry(self, interval):
-        sec = MonomialSection((1,), _canonical(interval))
-        assert l1_norm(sec, 256) == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert l1_norms(_canonical(interval), (1,), 256, [0.0]) == \
+            [pytest.approx(2.0 / 3.0, abs=1e-6)]
 
     def test_l1_norms_equal_one_time_at_a_time(self, simplex, phi_half_square):
         from toric_quant import SubtorusProjection
@@ -253,11 +258,10 @@ class TestL1AndBasis:
         times = (0.0, 4.0, 16.0, 64.0)
         # the reference integrates the time-t norm of g_t afresh for every t;
         # l1_norms takes it through e^{-t f_m} |sigma^m_0|, in another order
-        ref = [integrate(lambda x, t=t: pointwise_norm(MonomialSection((0, 1), pot.at_time(t)), x),
-                         rule) for t in times]
+        ref = [integrate(lambda x, t=t: _norm(pot.at_time(t), (0, 1), x), rule) for t in times]
         got = l1_norms(pot, (0, 1), 32, times)
         assert np.allclose(got, ref, rtol=1e-12, atol=0)
-        assert [l1_norm(MonomialSection((0, 1), pot.at_time(t)), 32) for t in times] == got
+        assert [l1_norms(pot, (0, 1), 32, [t])[0] for t in times] == got
 
     def test_l1_norms_blocked_equal_whole_rule(self, square2, phi_half_square, monkeypatch):
         import tracemalloc
@@ -270,8 +274,7 @@ class TestL1AndBasis:
         rule = make_rule(square2, 512)
         assert rule.size > 4 * NODE_BLOCK
         times = (0.0, 8.0, 32.0)
-        ref = [integrate(lambda x, t=t: pointwise_norm(MonomialSection((1, 1), pot.at_time(t)), x),
-                         rule) for t in times]
+        ref = [integrate(lambda x, t=t: _norm(pot.at_time(t), (1, 1), x), rule) for t in times]
         tracemalloc.start()
         try:
             got = l1_norms(pot, (1, 1), 512, times)
@@ -300,8 +303,7 @@ class TestL1AndBasis:
         times = (0.0, 8.0)
         # the reference: the plain rule's weights times the node norm, for each t
         plain = make_rule(P, 40)
-        ref = [integrate(lambda x, t=t: pointwise_norm(MonomialSection(m, pot.at_time(t)), x),
-                         plain) for t in times]
+        ref = [integrate(lambda x, t=t: _norm(pot.at_time(t), m, x), plain) for t in times]
         seen = []
         real = quadrature.closed_form_norm_g0
         monkeypatch.setattr(quadrature, "closed_form_norm_g0",
@@ -311,8 +313,10 @@ class TestL1AndBasis:
         assert sum(seen) == (0 if box else plain.size)
 
     def test_basis_size_is_lattice_count(self, square2, simplex):
-        for P in (square2, simplex):
-            assert len(monomial_basis(_canonical(P))) == len(lattice_points(P))
+        # one norm row per lattice point: 9 on [0, 2]^2 and 3 on the simplex
+        for P, count in ((square2, 9), (simplex, 3)):
+            x = sample_interior(P, 5, seed=1)
+            assert norm_matrix(_canonical(P), lattice_points(P), x).shape == (count, 5)
 
     def test_mass_ratio_stabilizes(self, square2, proj_first_of_two, phi_half_square):
         # ||sigma_t||_1 / ||e^{-t f_m}||_1 approaches a finite constant
@@ -334,39 +338,34 @@ class TestL1AndBasis:
         assert abs(r[-1] - r[-2]) < 5e-3 * abs(r[-1])
 
 
+def _pairing(P, a, b, theta_resolution):
+    """The torus average of e^{i <a - b, theta>} times the radial pairing of a and b."""
+    G = radial_gram(_canonical(P), [a, b], make_rule(P, 32))
+    return torus_average(np.subtract(a, b), theta_resolution) * G[0, 1]
+
+
 class TestOrthogonality:
     def test_interval_four_point_grid(self, interval):
-        pot = _canonical(interval)
-        res = pairwise_orthogonality(MonomialSection((0,), pot),
-                                     MonomialSection((1,), pot), 4)
-        assert abs(res) < 1e-12
+        assert abs(_pairing(interval, (0,), (1,), 4)) < 1e-12
 
     def test_square_mixed_difference(self, square2):
-        pot = _canonical(square2)
-        res = pairwise_orthogonality(MonomialSection((0, 0), pot),
-                                     MonomialSection((1, 2), pot), 8)
-        assert abs(res) < 1e-12
+        assert abs(_pairing(square2, (0, 0), (1, 2), 8)) < 1e-12
 
     def test_equal_points_positive(self, square2):
-        pot = _canonical(square2)
-        sec = MonomialSection((1, 1), pot)
-        res = pairwise_orthogonality(sec, sec, 8)
+        res = _pairing(square2, (1, 1), (1, 1), 8)
         assert res.imag == 0
         assert res.real > 0
 
     def test_aliasing_guard(self, square2):
-        pot = _canonical(square2)
         with pytest.raises(ValueError, match="alias"):
-            pairwise_orthogonality(MonomialSection((0, 0), pot),
-                                   MonomialSection((0, 2), pot), 2)
+            _pairing(square2, (0, 0), (0, 2), 2)
 
     def test_all_pairs_square2(self, square2):
-        pot = _canonical(square2)
-        secs = monomial_basis(pot)
-        rule = make_rule(square2, 16)
-        for i, a in enumerate(secs):
-            for b in secs[i + 1:]:
-                assert abs(pairwise_orthogonality(a, b, 8, radial_rule=rule)) < 1e-12
+        ms = lattice_points(square2)
+        G = radial_gram(_canonical(square2), ms, make_rule(square2, 16))
+        for a in range(len(ms)):
+            for b in range(a + 1, len(ms)):
+                assert abs(torus_average(np.subtract(ms[a], ms[b]), 8) * G[a, b]) < 1e-12
 
 
 # non-box polygon: the Hirzebruch trapezoid x + y <= 4, y <= 2
@@ -376,9 +375,9 @@ SIMPLEX6 = DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
                                ((-1, -1, -1), 6)))
 
 
-def _pairs(basis):
-    ia, ib = np.triu_indices(len(basis), 1)
-    ms = np.array([b.m for b in basis])
+def _pairs(ms):
+    ia, ib = np.triu_indices(len(ms), 1)
+    ms = np.array(ms)
     return ia, ib, ms[ia] - ms[ib]
 
 
@@ -387,24 +386,14 @@ class TestGram:
                                    HIRZEBRUCH, SIMPLEX6],
                              ids=["square2", "hirzebruch", "6simplex3"])
     def test_matches_per_pair_integration(self, P):
-        basis = monomial_basis(_canonical(P))
+        ms, pot = lattice_points(P), _canonical(P)
         rule = make_rule(P, 16)
-        norms = [pointwise_norm(b, rule.points) for b in basis]
-        ref = np.empty((len(basis), len(basis)))
-        for a in range(len(basis)):
-            for b in range(a, len(basis)):
+        norms = [_norm(pot, m, rule.points) for m in ms]
+        ref = np.empty((len(ms), len(ms)))
+        for a in range(len(ms)):
+            for b in range(a, len(ms)):
                 ref[a, b] = ref[b, a] = integrate(lambda x: norms[a] * norms[b], rule)
-        np.testing.assert_allclose(radial_gram(basis, rule), ref, rtol=1e-12, atol=0)
-
-    def test_pairwise_orthogonality_is_gram_entry(self, square2):
-        basis = monomial_basis(_canonical(square2))
-        rule = make_rule(square2, 16)
-        G = radial_gram(basis, rule)
-        a, b = basis[2], basis[5]
-        dm = np.array(a.m) - np.array(b.m)
-        # the two-row Gram product may round differently from the full one
-        assert pairwise_orthogonality(a, b, 8, radial_rule=rule) == \
-            pytest.approx(torus_average(dm, 8) * G[2, 5], rel=1e-12, abs=0)
+        np.testing.assert_allclose(radial_gram(pot, ms, rule), ref, rtol=1e-12, atol=0)
 
     def test_norm_matrix_rows_equal_pointwise_norm(self, square2, proj_first_of_two,
                                                    phi_half_square):
@@ -417,7 +406,7 @@ class TestGram:
             assert S.shape == (len(ms), len(pts))
             g, grad = pot.value(pts), pot.gradient(pts)
             for m, row in zip(ms, S):
-                assert np.array_equal(row, pointwise_norm(MonomialSection(m, pot), pts))
+                assert np.array_equal(row, _norm(pot, m, pts))
                 # the defining formula, evaluated one section at a time
                 direct = np.exp(g - np.einsum("...i,...i->...", pts - np.array(m, float), grad))
                 assert np.array_equal(row, direct)
@@ -428,31 +417,24 @@ class TestGram:
     def test_non_finite_norm_rejected(self, interval, proj_id1, phi_half_square):
         # |sigma^1_t| peaks like e^{t/2} at x = 1, past the float64 range at t = 2000
         pot = SymplecticPotential.perturbed(interval, proj_id1, phi_half_square, 2000.0)
-        basis = monomial_basis(pot)
         with pytest.raises(QuadratureError, match="non-finite section norm"):
-            radial_gram(basis, make_rule(interval, 16))
+            radial_gram(pot, lattice_points(interval), make_rule(interval, 16))
 
     def test_non_finite_pairing_rejected(self, interval, proj_id1, phi_half_square):
         # at t = 1000 the norms stay finite (~e^500) but their products overflow
         pot = SymplecticPotential.perturbed(interval, proj_id1, phi_half_square, 1000.0)
-        basis = monomial_basis(pot)
+        ms = lattice_points(interval)
         rule = make_rule(interval, 16)
-        assert np.all(np.isfinite(norm_matrix(pot, [b.m for b in basis], rule.points)))
-        with pytest.raises(QuadratureError, match="non-finite pairing"):
-            radial_gram(basis, rule)
-
-    def test_mixed_potentials_rejected(self, square2, proj_first_of_two, phi_half_square):
-        other = SymplecticPotential.perturbed(square2, proj_first_of_two, phi_half_square, 1.0)
-        with pytest.raises(ValueError, match="share a potential"):
-            radial_gram([MonomialSection((0, 0), _canonical(square2)),
-                         MonomialSection((1, 1), other)], make_rule(square2, 16))
+        assert np.all(np.isfinite(norm_matrix(pot, ms, rule.points)))
+        with pytest.raises(QuadratureError, match=r"non-finite pairing of \[1\] and \[1\]"):
+            radial_gram(pot, ms, rule)
 
     def test_relative_residual_scale_free(self):
         # pairings on 6 Delta^3 reach ~2e4 and grow with the dilation; the
         # residual is a ratio to sqrt(G_aa G_bb), so rescaling G leaves it alone
-        basis = monomial_basis(_canonical(SIMPLEX6))
-        G = radial_gram(basis, make_rule(SIMPLEX6, 16))
-        ia, ib, dm = _pairs(basis)
+        ms = lattice_points(SIMPLEX6)
+        G = radial_gram(_canonical(SIMPLEX6), ms, make_rule(SIMPLEX6, 16))
+        ia, ib, dm = _pairs(ms)
         torus = np.array([torus_average(d, 7) for d in dm])
         res = relative_orthogonality(G, ia, ib, torus)
         assert np.max(res) < 1e-12
@@ -460,9 +442,9 @@ class TestGram:
                                    rtol=1e-14, atol=0)
 
     def test_aliased_grid_fails(self, square2):
-        basis = monomial_basis(_canonical(square2))
-        G = radial_gram(basis, make_rule(square2, 16))
-        ia, ib, dm = _pairs(basis)
+        ms = lattice_points(square2)
+        G = radial_gram(_canonical(square2), ms, make_rule(square2, 16))
+        ia, ib, dm = _pairs(ms)
         exact = np.array([torus_average(d, 3) for d in dm])
         assert np.max(relative_orthogonality(G, ia, ib, exact)) < 1e-12
         # two angles per axis cannot tell a weight difference of 2 from 0: the
@@ -494,16 +476,16 @@ class TestTorusAverage:
     def test_bit_equal_to_per_component_formula(self):
         # every difference m - m' of 8 Delta^3 (coordinates up to 8), on the
         # grid that sections-norms takes for it and on one grid for all
-        _, _, dm = _pairs(monomial_basis(_canonical(SIMPLEX8)))
+        _, _, dm = _pairs(lattice_points(SIMPLEX8))
         for d in np.unique(dm, axis=0):
             for res in (max(4, int(np.max(np.abs(d))) + 1), 17):
                 got, want = torus_average(d, res), self._per_component(d, res)
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_aliased_grid_residual_of_order_one(self):
-        basis = monomial_basis(_canonical(SIMPLEX8))
-        G = radial_gram(basis, make_rule(SIMPLEX8, 16))
-        ia, ib, dm = _pairs(basis)
+        ms = lattice_points(SIMPLEX8)
+        G = radial_gram(_canonical(SIMPLEX8), ms, make_rule(SIMPLEX8, 16))
+        ia, ib, dm = _pairs(ms)
         exact = np.array([torus_average(d, 9) for d in dm])
         assert np.max(relative_orthogonality(G, ia, ib, exact)) < 1e-12
         # two angles per axis average every even difference to 1

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from toric_quant import (
-    ConvexFunction,
     ProjectionError,
     SubtorusProjection,
     pullback,
     quadratic,
-    strict_convexity_check,
 )
 from toric_quant._intlin import integer_kernel_basis, rational_solve
 
@@ -124,32 +122,6 @@ class TestPullback:
 
 
 class TestConvexity:
-    def test_quadratic_on_interval_image(self):
-        rep = strict_convexity_check(quadratic([[1.0]]), [0.0], [2.0])
-        assert bool(rep)
-
-    def test_zero_hessian_fails_everywhere(self):
-        flat = ConvexFunction(
-            dim=1,
-            value=lambda y: np.zeros(np.asarray(y).shape[:-1]),
-            gradient=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-            hessian=lambda y: np.zeros(np.asarray(y).shape[:-1] + (1, 1)),
-        )
-        rep = strict_convexity_check(flat, [0.0], [1.0])
-        assert not rep
-        assert rep.witness is not None
-
-    def test_quartic_fails_at_origin(self):
-        quart = ConvexFunction(
-            dim=1,
-            value=lambda y: np.asarray(y)[..., 0] ** 4,
-            gradient=lambda y: 4 * np.asarray(y, dtype=float) ** 3,
-            hessian=lambda y: (12 * np.asarray(y, dtype=float) ** 2)[..., None],
-        )
-        rep = strict_convexity_check(quart, [-1.0], [1.0])
-        assert not rep
-        assert abs(rep.witness[0]) < 1e-9
-
     def test_spd_enforced_by_factory(self):
         with pytest.raises(ValueError):
             quadratic([[0.0]])
