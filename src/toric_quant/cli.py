@@ -252,13 +252,9 @@ def _default_m(cfg: ExperimentConfig):
 
 
 def _cmd_validate(cfg, opts):
-    cert = is_delzant(cfg.polytope)
-    out = {"delzant": bool(cert)}
-    if not cert:
-        out["certificate"] = {"vertex": [str(c) for c in cert.vertex],
-                              "determinant": cert.determinant,
-                              "reason": cert.reason}
-    return out, {}, {"delzant": bool(cert)}
+    # load_config has already rejected every non-Delzant polytope (not_delzant)
+    delzant = bool(is_delzant(cfg.polytope))
+    return {"delzant": delzant}, {}, {"delzant": delzant}
 
 
 def _cmd_lattice(cfg, opts):
@@ -282,7 +278,7 @@ def _cmd_potential_validate(cfg, opts):
     per_t = {}
     ok_pd, ok_range = True, True
     for t in sorted({0.0, *opts["t_list"]}):
-        pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t)
+        pot = potential.SymplecticPotential(P, cfg.proj, cfg.phi, t)
         rep = potential.validate_potential(pot, pts, rays)
         per_t[f"{t:g}"] = {"product_min": rep.product_min,
                            "product_max": rep.product_max,
@@ -301,7 +297,7 @@ def _cmd_legendre_roundtrip(cfg, opts):
     worst = 0.0
     per_t = {}
     for t in sorted({0.0, *opts["t_list"]}):
-        pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, t)
+        pot = potential.SymplecticPotential(P, cfg.proj, cfg.phi, t)
         err = float(np.max(np.linalg.norm(
             legendre.inverse(pot, pot.gradient(pts)) - pts, axis=-1)))
         per_t[f"{t:g}"] = err
@@ -314,7 +310,7 @@ def _cmd_legendre_roundtrip(cfg, opts):
 def _cmd_flow_check(cfg, opts):
     P = cfg.polytope
     pts = potential.interior_samples(P, 20, seed=_SEED)
-    pot0 = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
+    pot0 = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
     res = legendre.flow_identity_residual(pot0, opts["t_list"], pts)
     per_t = {f"{t:g}": float(np.max(r)) for t, r in zip(opts["t_list"], res)}
     worst = float(np.max(res))
@@ -330,7 +326,7 @@ def _cmd_polarization_limit(cfg, opts):
     # halfway-to-center mixtures: keeps the slope fit in its asymptotic window
     pts = bary + 0.5 * (potential.interior_samples(P, npoints, seed=_SEED) - bary)
     t_list = opts["t_list"]
-    pot = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
+    pot = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
     rep = polarization.decay_report(pot, cfg.proj, pts, t_list)
     slopes = rep.fitted_slopes.tolist()
     iso = max(rep.isotropy_defect, polarization.isotropy_defect(rep.limit))
@@ -359,26 +355,25 @@ def _cmd_sections_norms(cfg, opts):
     m = opts.get("m") or _default_m(cfg)
     t_list = opts["t_list"]
     pts = potential.interior_samples(P, 100, seed=_SEED)
-    family = potential.SymplecticPotential.perturbed(P, cfg.proj, cfg.phi, 0.0)
+    family = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
     l1s = sections.l1_norms(family, m, cfg.resolution, t_list)
     # section norms scale like e^{-t min f_m}; report the residual relative
     # to that scale so the identity check is t-uniform
-    res, peaks = sections.norm_factorization_check(P, cfg.proj, cfg.phi, m, t_list, pts)
+    res, peaks = sections.norm_factorization_check(family, m, t_list, pts)
     rel = [float(r) / max(1.0, float(p)) for r, p in zip(res, peaks)]
     per_t = [{"t": float(t), "l1_norm": l1, "factorization_residual": r}
              for t, l1, r in zip(t_list, l1s, rel)]
     worst = max(rel)
-    pot0 = potential.SymplecticPotential.canonical(P)
     ms = lattice_points(P)
     # each row's difference relative to its largest norm, like the
     # factorization residual: the norms grow with the polytope
     agree = max(
         float(np.max(np.abs(row - sections.closed_form_norm_g0(P, mi, pts))))
         / max(1.0, float(np.max(row)))
-        for mi, row in zip(ms, sections.norm_matrix(pot0, ms, pts)))
+        for mi, row in zip(ms, sections.norm_matrix(family, ms, pts)))
     # every pair a < b on one Gram matrix; each pair's residual is taken on
     # its Cauchy-Schwarz scale, so it does not grow with the pairings
-    gram = sections.radial_gram(pot0, ms, quadrature.make_rule(P, 16))
+    gram = sections.radial_gram(family, ms, quadrature.make_rule(P, 16))
     ia, ib = np.triu_indices(len(ms), 1)
     # the distinct differences in row order, through one int64 key per row:
     # offset components, combined in mixed radix, keep lexicographic order
@@ -410,7 +405,8 @@ def _cmd_concentrate(cfg, opts):
     expr = opts.get("u") or "x1"
     u = parse_weight(expr, P.dim)
     result = quadrature.concentration_experiment(
-        P, cfg.proj, cfg.phi, m, u, opts["t_list"], resolution=cfg.resolution)
+        potential.SymplecticPotential(P, cfg.proj, cfg.phi), m, u, opts["t_list"],
+        resolution=cfg.resolution)
     floor = 1e-5
     err0, err1 = result.errors[0], result.errors[-1]
     converged = err1 < floor or err1 <= 0.75 * err0

@@ -105,8 +105,7 @@ def flow_identity_residual(pot0: SymplecticPotential, times, x):
     x = np.asarray(x, dtype=float)
     h_0 = kahler_potential(pot0, pot0.gradient(x))
     psi = pot0.perturbation
-    pv, xg = (0.0, 0.0) if psi is None else (
-        psi.value(x), np.sum(x * psi.gradient(x), axis=-1))
+    pv, xg = psi.value(x), np.sum(x * psi.gradient(x), axis=-1)
     out = []
     for t in map(float, times):
         pot_t = pot0.at_time(t)

@@ -103,8 +103,7 @@ def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
     A, n, k = proj.array, proj.n, proj.k
     B = np.array(integer_kernel_basis(proj.matrix), dtype=float).reshape(n - k, n)
     H0 = pot_family.at_time(0.0).hessian(x)
-    psi = pot_family.perturbation
-    Hpsi = np.zeros_like(H0) if psi is None else psi.hessian(x)
+    Hpsi = pot_family.perturbation.hessian(x)
     G = H0[:, None] + np.reshape(t_list, (-1, 1, 1)) * Hpsi[:, None]
     Ginv = np.linalg.inv(G)
     frames = np.concatenate([Ginv, np.broadcast_to(-1j * np.eye(n), Ginv.shape)], axis=-1)

@@ -1,14 +1,14 @@
-"""The canonical symplectic potential and its convex perturbation family.
+"""The family of symplectic potentials g_t = g0 + t * psi.
 
 g0(x) = 1/2 sum_j l_j(x) log l_j(x) on the polytope interior (linear part
-fixed to zero), and g_t = g0 + t * psi for a convex pullback psi.  All
-evaluators broadcast over leading axes, so grids can be fed directly.
+fixed to zero) is the t = 0 member, and psi = phi o A is a convex
+pullback.  All evaluators broadcast over leading axes, so grids can be fed
+directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ def _interior_l(P: DelzantPolytope, x):
         flat = L.reshape(-1, P.num_facets)
         xf = x.reshape(-1, P.dim)
         idx = np.argwhere(flat <= 0)[0]
-        raise DomainBoundaryError(int(idx[1]) + 1, tuple(xf[idx[0]]),
+        raise DomainBoundaryError(int(idx[1]) + 1, tuple(xf[idx[0]].tolist()),
                                   float(flat[idx[0], idx[1]]))
     return x, L
 
@@ -58,51 +58,42 @@ def g0_hessian(P: DelzantPolytope, x):
 
 @dataclass(frozen=True)
 class SymplecticPotential:
-    """g_t = g0 + t * psi with psi = phi o proj (phi=None means the t=0 family)."""
+    """g_t = g0 + t * psi with psi = phi o proj; the t = 0 member is g0."""
 
     polytope: DelzantPolytope
-    proj: Optional[SubtorusProjection] = None
-    phi: Optional[ConvexFunction] = None
+    proj: SubtorusProjection
+    phi: ConvexFunction
     time: float = 0.0
 
     def __post_init__(self):
         if self.time < 0:
             raise ValueError("time must be nonnegative")
-        if self.perturbation is not None and self.perturbation.dim != self.polytope.dim:
+        if self.perturbation.dim != self.polytope.dim:
             raise ValueError("perturbation dimension does not match the polytope")
 
-    @classmethod
-    def canonical(cls, P: DelzantPolytope) -> "SymplecticPotential":
-        return cls(P)
-
-    @classmethod
-    def perturbed(cls, P: DelzantPolytope, proj: SubtorusProjection,
-                  phi: ConvexFunction, t: float) -> "SymplecticPotential":
-        return cls(P, proj, phi, float(t))
-
     @cached_property
-    def perturbation(self) -> Optional[ConvexFunction]:
-        """The convex pullback psi on the polytope, or None."""
-        return None if self.phi is None else pullback(self.phi, self.proj)
+    def perturbation(self) -> ConvexFunction:
+        """The convex pullback psi on the polytope."""
+        return pullback(self.phi, self.proj)
 
     def at_time(self, t: float) -> "SymplecticPotential":
         return replace(self, time=float(t))
 
     def value(self, x):
         g = g0_value(self.polytope, x)
-        if self.perturbation is not None and self.time != 0.0:
+        if self.time != 0.0:
             g = g + self.time * self.perturbation.value(x)
         return g
 
     def gradient(self, x):
         g = g0_gradient(self.polytope, x)
-        if self.perturbation is not None and self.time != 0.0:
+        if self.time != 0.0:
             g = g + self.time * self.perturbation.gradient(x)
         return g
 
     def hessian(self, x):
         h = g0_hessian(self.polytope, x)
-        if self.perturbation is not None and self.time != 0.0:
+        if self.time != 0.0:
             h = h + self.time * self.perturbation.hessian(x)
         return h
 
@@ -117,13 +108,9 @@ class PotentialReport:
     """
 
     positive_definite: bool
-    witness: tuple | None
     min_eigenvalue: float
     product_min: float
     product_max: float
-
-    def __bool__(self):
-        return self.positive_definite and self.product_min > 0 and np.isfinite(self.product_max)
 
 
 def interior_samples(P: DelzantPolytope, count: int, seed: int = 0):
@@ -171,14 +158,11 @@ def validate_potential(pot: SymplecticPotential, interior_points,
         pts = np.concatenate([pts, np.asarray(boundary_points, dtype=float)])
     # one Hessian for all samples; the eigenvalues are taken on the interior
     H = pot.hessian(pts)
-    mins = np.linalg.eigvalsh(H[:count])[:, 0]
-    worst = int(np.argmin(mins))
-    pd = bool(mins[worst] > 0.0)
+    low = float(np.min(np.linalg.eigvalsh(H[:count])[:, 0]))
     prods = np.linalg.det(H) * np.prod(P.facet_values_array(pts), axis=-1)
     return PotentialReport(
-        positive_definite=pd,
-        witness=None if pd else tuple(pts[worst]),
-        min_eigenvalue=float(mins[worst]),
+        positive_definite=low > 0.0,
+        min_eigenvalue=low,
         product_min=float(prods.min()),
         product_max=float(prods.max()),
     )

@@ -35,7 +35,8 @@ from .polytope import (
 )
 from .sections import (ConcentrationWeight, _facet_values_at, _log_norm_g0,
                        closed_form_norm_g0)
-from .subtorus import ConvexFunction, SubtorusProjection
+from .potential import SymplecticPotential
+from .subtorus import SubtorusProjection
 
 
 class QuadratureError(RuntimeError):
@@ -271,7 +272,7 @@ def _finite(vals, x):
     bad = ~np.isfinite(vals)
     if np.any(bad):
         where = x[np.argmax(bad.reshape(-1, len(x)).any(axis=0))]
-        raise QuadratureError(f"non-finite integrand value at {tuple(where)}")
+        raise QuadratureError(f"non-finite integrand value at {tuple(where.tolist())}")
     return vals
 
 
@@ -344,23 +345,24 @@ class ConcentrationResult:
     decay_exponent: float | None
 
 
-def concentration_experiment(P: DelzantPolytope, proj: SubtorusProjection,
-                             phi: ConvexFunction, m, u, t_list,
+def concentration_experiment(pot0: SymplecticPotential, m, u, t_list,
                              resolution: int = 256) -> ConcentrationResult:
     """R_t = int e^{-t f_m} |sigma^m_0| u dx / int e^{-t f_m} |sigma^m_0| dx.
 
-    Uses the factorization of the time-t norm through the t=0 norm; the
-    rule integrates against |sigma^m_0| dx and f_m depends on y = A x alone,
-    so both integrals are sums over fibers r of e^{-t f_m(y_r)} times the
-    fiber sums of the weights and of u.
+    pot0 is the potential family; f_m comes from its psi.  Uses the
+    factorization of the time-t norm through the t=0 norm; the rule
+    integrates against |sigma^m_0| dx and f_m depends on y = A x alone, so
+    both integrals are sums over fibers r of e^{-t f_m(y_r)} times the fiber
+    sums of the weights and of u.
     The minimum of f_m is subtracted before exponentiating so the weights
     stay finite for large t.  The errors compare against R_infinity.
     """
     t_list = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly increasing")
+    P, proj = pot0.polytope, pot0.proj
     m = tuple(int(v) for v in m)
-    fm = ConcentrationWeight.from_projection(proj, phi, m)
+    fm = ConcentrationWeight(m, pot0.perturbation)
     # the norm is in the weights: the fiber sums are of w and of w * u
     masses, _ = pushforward(make_rule(P, resolution, m), proj).masses(u, fm, t_list)
     ratios = []

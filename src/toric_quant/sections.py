@@ -2,7 +2,7 @@
 
 Every normed quantity reduces to exponent algebra: the section indexed by a
 lattice point m has |sigma^m|(x) = exp(g(x) - <x - m, grad g(x)>), with the
-closed product form below for the canonical potential, and the convex weight
+closed product form below for g0 (the t = 0 member), and the convex weight
 f_m(x) = <x - m, grad psi(x)> - psi(x) controlling how the time-t norm
 factors through the t = 0 norm.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from .polytope import DelzantPolytope, facet_value
 from .potential import SymplecticPotential
-from .subtorus import ConvexFunction, SubtorusProjection, pullback
+from .subtorus import ConvexFunction
 
 
 def norm_matrix(pot: SymplecticPotential, ms, x):
@@ -54,7 +54,7 @@ def _log_norm_g0(L, lm):
 
 
 def closed_form_norm_g0(P: DelzantPolytope, m, x):
-    """Canonical-potential norm prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m)-l_j(x))/2}.
+    """The t = 0 norm prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m)-l_j(x))/2}.
 
     Defined on all of P including the boundary; vanishes exactly on facets
     with l_j(m) > 0 and agrees with norm_matrix on the interior.  Taken
@@ -78,11 +78,6 @@ class ConcentrationWeight:
     m: tuple
     psi: ConvexFunction
 
-    @classmethod
-    def from_projection(cls, proj: SubtorusProjection, phi: ConvexFunction,
-                        m) -> "ConcentrationWeight":
-        return cls(tuple(int(v) for v in m), pullback(phi, proj))
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         m = np.array(self.m, dtype=float)
@@ -90,17 +85,16 @@ class ConcentrationWeight:
         return np.einsum("...i,...i->...", x - m, grad) - self.psi.value(x)
 
 
-def norm_factorization_check(P: DelzantPolytope, proj: SubtorusProjection,
-                             phi: ConvexFunction, m, times, x):
+def norm_factorization_check(pot0: SymplecticPotential, m, times, x):
     """Residuals of |sigma^m_t| = e^{-t f_m} |sigma^m_0| at the points x, per t.
 
-    |sigma^m_0| and f_m are evaluated once; each t evaluates |sigma^m_t|
-    from g_t.  Returns two arrays over times: the max residual and the max
-    of |sigma^m_t| (the scale of the norms at that t).
+    pot0 is the family at t = 0.  |sigma^m_0| and f_m are evaluated once;
+    each t evaluates |sigma^m_t| from g_t.  Returns two arrays over times:
+    the max residual and the max of |sigma^m_t| (the scale of the norms at
+    that t).
     """
-    pot0 = SymplecticPotential.perturbed(P, proj, phi, 0.0)
     norm0 = norm_matrix(pot0, [m], x)[0]
-    fm = ConcentrationWeight.from_projection(proj, phi, m)(x)
+    fm = ConcentrationWeight(m, pot0.perturbation)(x)
     residuals, peaks = [], []
     for t in times:
         lhs = norm_matrix(pot0.at_time(t), [m], x)[0]
@@ -119,13 +113,8 @@ def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
     """
     from .quadrature import QuadratureError, make_rule, pushforward  # avoids a cycle
 
-    P = pot.polytope
-    # f_m = 0 for the canonical potential, so any projection groups the nodes
-    push = pushforward(make_rule(P, resolution, m),
-                       pot.proj or SubtorusProjection.standard(1, P.dim))
-    f = (lambda x: np.zeros(len(x))) if pot.phi is None else ConcentrationWeight(
-        m, pot.perturbation)
-    masses, fmin = push.masses(None, f, times)
+    push = pushforward(make_rule(pot.polytope, resolution, m), pot.proj)
+    masses, fmin = push.masses(None, ConcentrationWeight(m, pot.perturbation), times)
     norms = []
     for t, (mass,) in zip(map(float, times), masses):
         # e^{-t min f_m} is applied in log form: it may leave float64 where
@@ -152,7 +141,7 @@ def radial_gram(pot: SymplecticPotential, ms, rule):
     bad = ~np.isfinite(S)
     if np.any(bad):
         where = rule.points[np.argmax(np.any(bad, axis=0))]
-        raise QuadratureError(f"non-finite section norm at {tuple(where)}")
+        raise QuadratureError(f"non-finite section norm at {tuple(where.tolist())}")
     with np.errstate(over="ignore"):  # overflow is reported just below
         G = (S * rule.weights) @ S.T
         bad = ~np.isfinite(G)
@@ -160,7 +149,7 @@ def radial_gram(pot: SymplecticPotential, ms, rule):
             a, b = np.unravel_index(np.argmax(bad), G.shape)
             where = rule.points[np.argmax(S[a] * S[b] * rule.weights)]
             raise QuadratureError(f"non-finite pairing of {ms[a].tolist()} and "
-                                  f"{ms[b].tolist()}, largest at {tuple(where)}")
+                                  f"{ms[b].tolist()}, largest at {tuple(where.tolist())}")
     return G
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toric_quant import DelzantPolytope, SubtorusProjection, quadratic
+from toric_quant import DelzantPolytope, SubtorusProjection, SymplecticPotential, quadratic
 
 
 @pytest.fixture
@@ -54,6 +54,11 @@ def proj_id1():
 @pytest.fixture
 def phi_half_square():
     return quadratic([[1.0]])
+
+
+def g0_on(P):
+    """g0 on P: the t = 0 member of the family with A = standard(1, n), phi = y^2 / 2."""
+    return SymplecticPotential(P, SubtorusProjection.standard(1, P.dim), quadratic([[1.0]]))
 
 
 def sample_interior(P, count, seed=0):

@@ -36,7 +36,7 @@ from toric_quant.polarization import degenerate_directions, isotropy_defect
 from toric_quant.potential import boundary_approach_samples, interior_samples
 from toric_quant.cli import emit, load_config, run
 
-from conftest import kahler_rows, limit_rows, sample_interior
+from conftest import g0_on, kahler_rows, limit_rows, sample_interior
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -86,13 +86,13 @@ def test_criterion_3_potential_validity():
     for P, expect in ((INTERVAL, 0.5), (SQUARE1, 0.25)):
         pts = interior_samples(P, 1000, seed=0)
         rays = boundary_approach_samples(P)
-        rep = validate_potential(SymplecticPotential.canonical(P), pts, rays)
+        rep = validate_potential(g0_on(P), pts, rays)
         assert rep.positive_definite
         dev = max(abs(rep.product_min - expect), abs(rep.product_max - expect))
         worst[P.dim] = dev
         assert dev < 1e-12, f"det*prod l deviates by {dev}"
     for t in (1.0, 10.0, 100.0):
-        pot = SymplecticPotential.perturbed(INTERVAL, PROJ1, PHI, t)
+        pot = SymplecticPotential(INTERVAL, PROJ1, PHI, t)
         rep = validate_potential(pot, interior_samples(INTERVAL, 500, seed=1),
                                  boundary_approach_samples(INTERVAL))
         assert rep.positive_definite
@@ -111,11 +111,11 @@ def test_criterion_4_legendre_roundtrip():
     for P, proj in fixtures:
         pts = sample_interior(P, 100, seed=21)
         for t in (0.0, 1.0, 10.0, 100.0):
-            pot = SymplecticPotential.perturbed(P, proj, PHI, t)
+            pot = SymplecticPotential(P, proj, PHI, t)
             for x in pts:
                 err = float(np.linalg.norm(inverse(pot, pot.gradient(x)) - x))
                 worst = max(worst, err)
-    pot0 = SymplecticPotential.canonical(INTERVAL)
+    pot0 = g0_on(INTERVAL)
     analytic = 0.0
     for y in np.linspace(-3, 3, 25):
         x = inverse(pot0, np.array([y]))
@@ -135,7 +135,7 @@ def test_criterion_5_flow_identity():
     worst = 0.0
     for P, proj in fixtures:
         pts = sample_interior(P, 20, seed=33)
-        pot0 = SymplecticPotential.perturbed(P, proj, PHI, 0.0)
+        pot0 = SymplecticPotential(P, proj, PHI, 0.0)
         for x in pts:
             worst = max(worst, *flow_identity_residual(pot0, (1.0, 5.0, 10.0), x))
     elapsed = time.perf_counter() - t0
@@ -150,7 +150,7 @@ def test_criterion_6_polarization_degeneration():
     t_list = [8, 16, 32, 64, 128]
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.4, 1.6, size=(10, 2))
-    pot = SymplecticPotential.perturbed(SQUARE2, PROJ21, PHI, 0.0)
+    pot = SymplecticPotential(SQUARE2, PROJ21, PHI, 0.0)
     rep = decay_report(pot, PROJ21, pts, t_list)
     slopes, sub = rep.fitted_slopes.tolist(), rep.subframe_invariance
     iso = max(rep.isotropy_defect, isotropy_defect(rep.limit))
@@ -175,13 +175,13 @@ def test_criterion_7_section_algebra():
     # closed form vs exponent formula, every lattice point of every fixture
     agree = 0.0
     for P in (INTERVAL, SQUARE2, SIMPLEX):
-        pot = SymplecticPotential.canonical(P)
+        pot = g0_on(P)
         pts = sample_interior(P, 50, seed=9)
         for m in lattice_points(P):
             agree = max(agree, float(np.max(np.abs(
                 norm_matrix(pot, [m], pts)[0] - closed_form_norm_g0(P, m, pts)))))
     # L1 norm of sigma^0 on [0,1]
-    l1 = l1_norms(SymplecticPotential.canonical(INTERVAL), (0,), 256, [0.0])[0]
+    l1 = l1_norms(g0_on(INTERVAL), (0,), 256, [0.0])[0]
     l1_gap = abs(l1 - 2.0 / 3.0)
     # factorization at 100 random (x, t)
     rng = np.random.default_rng(14)
@@ -189,11 +189,11 @@ def test_criterion_7_section_algebra():
     for P, proj, m in ((INTERVAL, PROJ1, (0,)), (SQUARE2, PROJ21, (1, 1))):
         pts = sample_interior(P, 100, seed=15)
         times = rng.uniform(0.0, 10.0, size=6)
-        res, _ = norm_factorization_check(P, proj, PHI, m, times, pts)
+        res, _ = norm_factorization_check(SymplecticPotential(P, proj, PHI), m, times, pts)
         fact = max(fact, *res)
     # theta-orthogonality across all lattice pairs of the square
     ms = lattice_points(SQUARE2)
-    G = radial_gram(SymplecticPotential.canonical(SQUARE2), ms, make_rule(SQUARE2, 16))
+    G = radial_gram(g0_on(SQUARE2), ms, make_rule(SQUARE2, 16))
     orth = max(abs(torus_average(np.subtract(ms[a], ms[b]), 8) * G[a, b])
                for a in range(len(ms)) for b in range(a + 1, len(ms)))
     elapsed = time.perf_counter() - t0
@@ -232,8 +232,8 @@ def test_criterion_8a_concentration_square_symmetric_weights():
     details = []
     ok = True
     for expr, u in (("x2", lambda x: x[..., 1]), ("x1", lambda x: x[..., 0])):
-        res = concentration_experiment(SQUARE2, PROJ21, PHI, (1, 1), u, t_list,
-                                       resolution=256)
+        res = concentration_experiment(SymplecticPotential(SQUARE2, PROJ21, PHI), (1, 1), u,
+                                       t_list, resolution=256)
         band_ok, why = _ratio_band_or_converged(res)
         sym_ok = abs(res.slice_value - 1.0) < 1e-5 if expr == "x2" else True
         conv_ok = res.errors[-1] < 1e-5
@@ -251,7 +251,7 @@ def test_criterion_8b_concentration_laplace_rate_visible():
     # the symmetric weights above sit at the noise floor, so exhibit the
     # Laplace regime the criterion targets with a symmetry-breaking weight
     t0 = time.perf_counter()
-    res = concentration_experiment(SQUARE2, PROJ21, PHI, (1, 1),
+    res = concentration_experiment(SymplecticPotential(SQUARE2, PROJ21, PHI), (1, 1),
                                    lambda x: x[..., 0] ** 2,
                                    [16, 32, 64, 128, 256], resolution=256)
     ratios = [b / a for a, b in zip(res.errors, res.errors[1:])]
@@ -315,7 +315,7 @@ def test_criterion_8c_interval_delta_limit_mean_bound():
     decreasing = all(b < a for a, b in zip(means, means[1:]))
     ratio_ok = all(abs(r - 1.0 / math.sqrt(2.0)) <= 1e-6 for r in halvings)
 
-    res = concentration_experiment(INTERVAL, PROJ1, PHI, (0,),
+    res = concentration_experiment(SymplecticPotential(INTERVAL, PROJ1, PHI), (0,),
                                    lambda x: x[..., 0], list(t_list),
                                    resolution=256)
     slice_ok = res.slice_value == 0.0

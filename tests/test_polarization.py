@@ -17,11 +17,11 @@ from toric_quant.polarization import (
     subspace_angle,
 )
 
-from conftest import central_interior, kahler_rows, limit_rows
+from conftest import central_interior, g0_on, kahler_rows, limit_rows
 
 
 def _family(P, proj, phi, t=0.0):
-    return SymplecticPotential.perturbed(P, proj, phi, t)
+    return SymplecticPotential(P, proj, phi, t)
 
 
 def complex_structure(pot, x):
@@ -55,7 +55,7 @@ SIMPLEX2 = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2)))
 
 class TestComplexStructure:
     def test_interval_center(self, interval):
-        pot = SymplecticPotential.canonical(interval)
+        pot = g0_on(interval)
         J = complex_structure(pot, np.array([0.5]))
         assert np.allclose(J, [[0.0, -0.5], [2.0, 0.0]])
         assert squares_to_minus_identity(J, 1e-12)
@@ -67,7 +67,7 @@ class TestComplexStructure:
                 assert squares_to_minus_identity(complex_structure(pot, x), 1e-10)
 
     def test_metric_blocks(self, square1):
-        pot = SymplecticPotential.canonical(square1)
+        pot = g0_on(square1)
         gamma = kahler_metric(pot, np.array([0.5, 0.5]))
         assert np.allclose(gamma, np.diag([2.0, 2.0, 0.5, 0.5]))
         # omega = gamma @ J recovers the standard symplectic block form
@@ -331,15 +331,6 @@ class TestOneHessianPerPoint:
         monkeypatch.undo()
         for x, lim in zip(pts, rep.limit):
             assert np.array_equal(lim, limit_rows(pot, proj_first_of_two, x))
-
-    def test_canonical_family(self, square2, proj_first_of_two):
-        # psi = None: G_t = Hess g0 for every t, so the frames do not move
-        pot = SymplecticPotential.canonical(square2)
-        x = np.array([0.7, 1.2])
-        rep = decay_report(pot, proj_first_of_two, x[None], [8, 16, 32])
-        lim = limit_rows(pot, proj_first_of_two, x)
-        assert rep.distances[0].tolist() == [subspace_angle(kahler_rows(pot, x), lim)] * 3
-        assert rep.subframe_invariance == subspace_angle(lim[1:], lim[1:])
 
 
 # --- the limit on small Delzant polytopes and random projections -------------

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from toric_quant import (
     DomainBoundaryError,
+    SubtorusProjection,
     SymplecticPotential,
     g0_gradient,
     g0_hessian,
@@ -11,7 +14,11 @@ from toric_quant import (
 )
 from toric_quant.potential import boundary_approach_samples, interior_samples
 
-from conftest import fd_gradient, fd_jacobian, sample_interior
+from conftest import fd_gradient, fd_jacobian, g0_on, sample_interior
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.json")) + sorted(
+    (REPO / "bench" / "fixtures").glob("*.json"))
 
 HALF_LOG_HALF = 0.5 * np.log(0.5)  # -0.34657359027997264
 
@@ -75,23 +82,27 @@ class TestDerivatives:
 
 class TestFamily:
     def test_t_zero_matches_canonical(self, square2, proj_first_of_two, phi_half_square):
-        pot = SymplecticPotential.perturbed(square2, proj_first_of_two, phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
         pts = sample_interior(square2, 20, seed=4)
         assert np.allclose(pot.value(pts), g0_value(square2, pts))
         assert np.allclose(pot.gradient(pts), g0_gradient(square2, pts))
 
-    def test_t_zero_is_canonical_bit_for_bit(self, square2, simplex, proj_first_of_two,
-                                             phi_half_square):
-        # the CLI builds its t = 0 potentials as perturbed(..., 0.0)
-        for P in (square2, simplex):
-            pot = SymplecticPotential.perturbed(P, proj_first_of_two, phi_half_square, 0.0)
-            can = SymplecticPotential.canonical(P)
+    def test_t_zero_is_canonical_bit_for_bit(self):
+        # the t = 0 member of every shipped config's family is g0, bit for bit
+        from toric_quant.cli import load_config
+
+        assert any(path.stem == "square2_skew" for path in SHIPPED_CONFIGS)
+        for path in SHIPPED_CONFIGS:
+            cfg = load_config(path)
+            P = cfg.polytope
+            pot = SymplecticPotential(P, cfg.proj, cfg.phi)
             pts = sample_interior(P, 20, seed=4)
-            for f in ("value", "gradient", "hessian"):
-                assert getattr(pot, f)(pts).tobytes() == getattr(can, f)(pts).tobytes()
+            for f, ref in (("value", g0_value), ("gradient", g0_gradient),
+                           ("hessian", g0_hessian)):
+                assert getattr(pot, f)(pts).tobytes() == ref(P, pts).tobytes(), path.stem
 
     def test_interval_gradient_shift(self, interval, proj_id1, phi_half_square):
-        pot = SymplecticPotential.perturbed(interval, proj_id1, phi_half_square, 1.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square, 1.0)
         assert pot.gradient(np.array([0.5])) == pytest.approx([0.5])
 
     def test_kernel_direction_gradient_unchanged(self, square2, proj_first_of_two,
@@ -100,22 +111,19 @@ class TestFamily:
         pts = sample_interior(square2, 30, seed=5)
         base = g0_gradient(square2, pts)[:, 1]
         for t in (1.0, 10.0, 100.0):
-            pot = SymplecticPotential.perturbed(square2, proj_first_of_two,
-                                                phi_half_square, t)
+            pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, t)
             assert np.array_equal(pot.gradient(pts)[:, 1], base)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 100.0])
     def test_convexity_across_times(self, square2, proj_first_of_two,
                                     phi_half_square, t):
-        pot = SymplecticPotential.perturbed(square2, proj_first_of_two,
-                                            phi_half_square, t)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, t)
         pts = sample_interior(square2, 50, seed=6)
         eigs = np.linalg.eigvalsh(pot.hessian(pts))
         assert np.all(eigs[..., 0] > 0)
 
     def test_monotonicity_in_t(self, square2, proj_first_of_two, phi_half_square):
-        pot0 = SymplecticPotential.perturbed(square2, proj_first_of_two,
-                                             phi_half_square, 0.0)
+        pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
         pott = pot0.at_time(7.0)
         pts = sample_interior(square2, 20, seed=7)
         diff = pott.hessian(pts) - pot0.hessian(pts)
@@ -123,13 +131,17 @@ class TestFamily:
 
     def test_negative_time_rejected(self, interval):
         with pytest.raises(ValueError):
-            SymplecticPotential.canonical(interval).at_time(-1.0)
+            g0_on(interval).at_time(-1.0)
+
+    def test_projection_width_must_match_the_polytope(self, square2, phi_half_square):
+        with pytest.raises(ValueError, match="dimension"):
+            SymplecticPotential(square2, SubtorusProjection.standard(1, 3), phi_half_square)
 
 
 class TestValidatePotential:
     def test_interval_product_is_half(self, interval):
         # (1/2)(1/x + 1/(1-x)) * x(1-x) = 1/2 identically
-        pot = SymplecticPotential.canonical(interval)
+        pot = g0_on(interval)
         pts = interior_samples(interval, 300, seed=0)
         rays = boundary_approach_samples(interval)
         rep = validate_potential(pot, pts, rays)
@@ -138,7 +150,7 @@ class TestValidatePotential:
         assert rep.product_max == pytest.approx(0.5, abs=1e-12)
 
     def test_unit_square_product_is_quarter(self, square1):
-        pot = SymplecticPotential.canonical(square1)
+        pot = g0_on(square1)
         pts = interior_samples(square1, 300, seed=1)
         rays = boundary_approach_samples(square1)
         rep = validate_potential(pot, pts, rays)
@@ -147,7 +159,7 @@ class TestValidatePotential:
 
     def test_perturbed_interval_product_range(self, interval, proj_id1, phi_half_square):
         # det = 1/(2x(1-x)) + 1, so the product is 1/2 + x(1-x) in (0.5, 0.75]
-        pot = SymplecticPotential.perturbed(interval, proj_id1, phi_half_square, 1.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square, 1.0)
         pts = interior_samples(interval, 500, seed=2)
         rays = boundary_approach_samples(interval)
         rep = validate_potential(pot, pts, rays)
@@ -155,7 +167,7 @@ class TestValidatePotential:
         assert 0.5 <= rep.product_min <= rep.product_max <= 0.75 + 1e-12
 
     def test_product_oracle_pointwise(self, interval):
-        pot = SymplecticPotential.canonical(interval)
+        pot = g0_on(interval)
         xs = np.linspace(0.05, 0.95, 7)[:, None]
         prods = [(rep.product_min, rep.product_max)
                  for rep in (validate_potential(pot, x[None]) for x in xs)]
@@ -167,7 +179,7 @@ class TestValidatePotential:
                                         monkeypatch, t):
         from toric_quant import potential
 
-        pot = SymplecticPotential.perturbed(square2, proj_first_of_two, phi_half_square, t)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, t)
         pts = interior_samples(square2, 30, seed=4)
         rays = boundary_approach_samples(square2)
         seen = []

@@ -14,6 +14,7 @@ from toric_quant import (
     EmptySliceError,
     QuadratureError,
     SubtorusProjection,
+    SymplecticPotential,
     box_rule,
     closed_form_norm_g0,
     concentration_experiment,
@@ -22,6 +23,7 @@ from toric_quant import (
     grid_rule,
     integrate,
     make_rule,
+    pullback,
     slice_rule,
 )
 from toric_quant import ProjectionError, quadrature
@@ -134,7 +136,7 @@ class TestNodeBlocks:
         # node-wise weights, and 15 with the whole-rule evaluation before them
         rule = box_rule(square2, 512)
         peak = _peak_node_vectors(lambda: concentration_experiment(
-            square2, proj_first_of_two, phi_half_square, (1, 1),
+            SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
             lambda x: x[..., 0] ** 2, [8, 16, 32], resolution=512), rule.size)
         assert peak - (rule.points.nbytes + rule.weights.nbytes) / (8.0 * rule.size) < 2.2
 
@@ -150,7 +152,7 @@ class TestFiberMasses:
         proj = SubtorusProjection(rows)
         phi = phi_half_square if proj.k == 1 else quadratic(np.eye(2))
         m = tuple(int(v) for v in P.vertices[0].point)
-        f = ConcentrationWeight.from_projection(proj, phi, m)
+        f = ConcentrationWeight(m, pullback(phi, proj))
         h = lambda x: (closed_form_norm_g0(P, m, x), x[..., -1] * closed_form_norm_g0(P, m, x))
         rule, times = make_rule(P, res), (0.0, 3.0, 17.5, 90.0)
         push = pushforward(rule, proj)
@@ -170,16 +172,16 @@ class TestFiberMasses:
 
     def test_one_loop_behind_ratios_and_l1_norms(self, square2, proj_first_of_two,
                                                 phi_half_square, monkeypatch):
-        from toric_quant import SymplecticPotential, l1_norms
+        from toric_quant import l1_norms
 
         calls = []
         real = quadrature.Pushforward.masses
         monkeypatch.setattr(quadrature.Pushforward, "masses",
                             lambda self, h, f, times: calls.append(tuple(times))
                             or real(self, h, f, times))
-        concentration_experiment(square2, proj_first_of_two, phi_half_square, (1, 1),
-                                 lambda x: x[..., 0] ** 2, [8, 16], resolution=32)
-        pot = SymplecticPotential.perturbed(square2, proj_first_of_two, phi_half_square, 0.0)
+        concentration_experiment(SymplecticPotential(square2, proj_first_of_two, phi_half_square),
+                                 (1, 1), lambda x: x[..., 0] ** 2, [8, 16], resolution=32)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
         l1_norms(pot, (1, 1), 32, (0.0, 4.0))
         assert calls == [(8.0, 16.0), (0.0, 4.0)]
 
@@ -341,8 +343,8 @@ class TestNormWeightedRules:
         real = quadrature.closed_form_norm_g0
         monkeypatch.setattr(quadrature, "closed_form_norm_g0",
                             lambda P, m, x: seen.append(len(x)) or real(P, m, x))
-        concentration_experiment(square2, proj_first_of_two, phi_half_square, (1, 1),
-                                 lambda x: x[..., 0] ** 2, [8, 16], resolution=96)
+        concentration_experiment(SymplecticPotential(square2, proj_first_of_two, phi_half_square),
+                                 (1, 1), lambda x: x[..., 0] ** 2, [8, 16], resolution=96)
         sl = face_slice(square2, proj_first_of_two, (1,))
         assert sum(seen) == slice_rule(sl, 96).size == 96
 
@@ -484,8 +486,9 @@ class TestDeltaPairing:
 
 class TestConcentration:
     def test_uniform_weight_trivial(self, square2, proj_first_of_two, phi_half_square):
-        res = concentration_experiment(square2, proj_first_of_two, phi_half_square,
-                                       (1, 1), ones, [8, 16, 32], resolution=64)
+        res = concentration_experiment(
+            SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
+            ones, [8, 16, 32], resolution=64)
         assert res.slice_value == pytest.approx(1.0)
         assert np.allclose(res.ratios, 1.0, atol=1e-12)
 
@@ -494,7 +497,7 @@ class TestConcentration:
         # mirror symmetry makes R_t = R_inf = 1 identically for u = x2 and x1
         for axis in (0, 1):
             res = concentration_experiment(
-                square2, proj_first_of_two, phi_half_square, (1, 1),
+                SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
                 lambda x, a=axis: x[..., a], [8, 16, 32, 64, 128], resolution=256)
             assert res.slice_value == pytest.approx(1.0, abs=1e-12)
             assert max(res.errors) < 1e-12
@@ -505,7 +508,7 @@ class TestConcentration:
                                                    phi_half_square):
         # u = x1^2 breaks the mirror symmetry: genuine C/t error decay
         res = concentration_experiment(
-            square2, proj_first_of_two, phi_half_square, (1, 1),
+            SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
             lambda x: x[..., 0] ** 2, [16, 32, 64, 128, 256], resolution=256)
         assert res.slice_value == pytest.approx(1.0, abs=1e-10)
         for e0, e1 in zip(res.errors, res.errors[1:]):
@@ -515,15 +518,15 @@ class TestConcentration:
     def test_errors_eventually_monotone(self, square2, proj_first_of_two,
                                         phi_half_square):
         res = concentration_experiment(
-            square2, proj_first_of_two, phi_half_square, (1, 1),
+            SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
             lambda x: np.exp(x[..., 0]), [8, 16, 32, 64, 128], resolution=256)
         assert all(b < a for a, b in zip(res.errors, res.errors[1:]))
 
     def test_interval_vertex_experiment(self, interval, proj_id1, phi_half_square):
         # m = 0 sits at a vertex: the slice pairing is point evaluation u(0) = 0
         # and the one-sided Laplace mean decays like sqrt(2 / (pi t))
-        res = concentration_experiment(interval, proj_id1, phi_half_square, (0,),
-                                       lambda x: x[..., 0], [32, 64, 128],
+        res = concentration_experiment(SymplecticPotential(interval, proj_id1, phi_half_square),
+                                       (0,), lambda x: x[..., 0], [32, 64, 128],
                                        resolution=256)
         assert res.slice_value == 0.0
         for t, r in zip(res.t_values, res.ratios):
@@ -535,8 +538,7 @@ class TestConcentration:
                                              phi_half_square):
         # e^{-t f_m} mass at distance > 1/4 from the slice x1 = 1 goes to 0
         rule = make_rule(square2, 128)
-        w = ConcentrationWeight.from_projection(proj_first_of_two, phi_half_square,
-                                                (1, 1))
+        w = ConcentrationWeight((1, 1), pullback(phi_half_square, proj_first_of_two))
         f = w(rule.points)
         fmin = f.min()
         outside = np.abs(rule.points[:, 0] - 1.0) > 0.25
@@ -549,12 +551,13 @@ class TestConcentration:
 
     def test_overflow_guard_large_t(self, square2, proj_first_of_two, phi_half_square):
         # min-subtraction keeps every weight finite up to t = 10^4
-        res = concentration_experiment(square2, proj_first_of_two, phi_half_square,
-                                       (1, 1), lambda x: x[..., 0] ** 2,
-                                       [100.0, 10000.0], resolution=64)
+        res = concentration_experiment(
+            SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
+            lambda x: x[..., 0] ** 2, [100.0, 10000.0], resolution=64)
         assert all(np.isfinite(res.ratios))
 
     def test_t_list_must_increase(self, square2, proj_first_of_two, phi_half_square):
         with pytest.raises(ValueError):
-            concentration_experiment(square2, proj_first_of_two, phi_half_square,
-                                     (1, 1), ones, [8, 8], resolution=64)
+            concentration_experiment(
+                SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
+                ones, [8, 8], resolution=64)

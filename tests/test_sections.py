@@ -6,6 +6,7 @@ import pytest
 from toric_quant import (
     ConcentrationWeight,
     DelzantPolytope,
+    DomainBoundaryError,
     QuadratureError,
     SymplecticPotential,
     closed_form_norm_g0,
@@ -15,16 +16,13 @@ from toric_quant import (
     make_rule,
     norm_factorization_check,
     norm_matrix,
+    pullback,
     radial_gram,
     relative_orthogonality,
     torus_average,
 )
 
-from conftest import sample_interior
-
-
-def _canonical(P):
-    return SymplecticPotential.canonical(P)
+from conftest import g0_on, sample_interior
 
 
 def _norm(pot, m, x):
@@ -36,15 +34,15 @@ class TestPointwiseNorm:
     def test_interval_m0_is_sqrt_one_minus_x(self, interval):
         # expanding g0 - x g0' gives log sqrt(1-x)
         xs = np.linspace(0.02, 0.98, 25)[:, None]
-        assert np.max(np.abs(_norm(_canonical(interval), (0,), xs) - np.sqrt(1 - xs[:, 0]))) \
+        assert np.max(np.abs(_norm(g0_on(interval), (0,), xs) - np.sqrt(1 - xs[:, 0]))) \
             < 1e-12
 
     def test_interval_m1_mirror(self, interval):
         xs = np.linspace(0.02, 0.98, 25)[:, None]
-        assert np.max(np.abs(_norm(_canonical(interval), (1,), xs) - np.sqrt(xs[:, 0]))) < 1e-12
+        assert np.max(np.abs(_norm(g0_on(interval), (1,), xs) - np.sqrt(xs[:, 0]))) < 1e-12
 
     def test_norm_at_own_lattice_point(self, square2):
-        pot = _canonical(square2)
+        pot = g0_on(square2)
         x = np.array([1.0, 1.0])
         assert _norm(pot, (1, 1), x) == pytest.approx(np.exp(pot.value(x)))
 
@@ -53,7 +51,7 @@ class TestPointwiseNorm:
         # consumer of |sigma^m_0| refuses them
         P = DelzantPolytope.from_box([(0, 2)])
         x = np.array([[0.5], [1.5]])
-        for call in (lambda: l1_norms(_canonical(P), (3,), 16, [0.0]),
+        for call in (lambda: l1_norms(g0_on(P), (3,), 16, [0.0]),
                      lambda: closed_form_norm_g0(P, (3,), x),
                      lambda: make_rule(P, 16, (3,)),
                      lambda: closed_form_norm_g0(P, (1, 1), x)):
@@ -75,7 +73,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("fixture", ["interval", "square2", "simplex"])
     def test_matches_exponent_formula_for_all_m(self, fixture, request):
         P = request.getfixturevalue(fixture)
-        pot = _canonical(P)
+        pot = g0_on(P)
         pts = sample_interior(P, 40, seed=9)
         for m in lattice_points(P):
             a = _norm(pot, m, pts)
@@ -143,13 +141,13 @@ class TestClosedFormLogForm:
 
 class TestConcentrationWeight:
     def test_full_torus_quadratic(self, interval, proj_id1, phi_half_square):
-        w = ConcentrationWeight.from_projection(proj_id1, phi_half_square, (0,))
+        w = ConcentrationWeight((0,), pullback(phi_half_square, proj_id1))
         xs = np.linspace(0.1, 0.9, 9)[:, None]
         assert np.allclose(w(xs), 0.5 * xs[:, 0] ** 2)
 
     def test_square_slice_profile(self, square2, proj_first_of_two, phi_half_square):
         # f(x) = x1^2/2 - x1: constant in x2, minimum -1/2 on the slice x1 = 1
-        w = ConcentrationWeight.from_projection(proj_first_of_two, phi_half_square, (1, 1))
+        w = ConcentrationWeight((1, 1), pullback(phi_half_square, proj_first_of_two))
         pts = np.array([[1.0, 0.3], [1.0, 1.9], [0.5, 1.0], [1.5, 0.2]])
         vals = w(pts)
         assert vals[0] == pytest.approx(-0.5)
@@ -158,13 +156,13 @@ class TestConcentrationWeight:
         assert vals[3] == pytest.approx(vals[2])
 
     def test_value_at_own_point(self, square2, proj_first_of_two, phi_half_square):
-        w = ConcentrationWeight.from_projection(proj_first_of_two, phi_half_square, (1, 1))
+        w = ConcentrationWeight((1, 1), pullback(phi_half_square, proj_first_of_two))
         psi_at_m = 0.5  # phi(x1=1)
         assert w(np.array([1.0, 1.0])) == pytest.approx(-psi_at_m)
 
     def test_projected_minimum_unique(self, square2, proj_first_of_two, phi_half_square):
         # grid search over the image coordinate finds a single minimizing level
-        w = ConcentrationWeight.from_projection(proj_first_of_two, phi_half_square, (1, 1))
+        w = ConcentrationWeight((1, 1), pullback(phi_half_square, proj_first_of_two))
         levels = np.linspace(0.05, 1.95, 191)
         vals = w(np.stack([levels, np.full_like(levels, 1.0)], axis=-1))
         mins = np.flatnonzero(vals == vals.min())
@@ -175,13 +173,13 @@ class TestConcentrationWeight:
 class TestFactorization:
     def test_zero_at_t_zero(self, interval, proj_id1, phi_half_square):
         pts = sample_interior(interval, 10, seed=3)
-        res, _ = norm_factorization_check(interval, proj_id1, phi_half_square,
-                                          (0,), [0.0], pts)
+        pot0 = SymplecticPotential(interval, proj_id1, phi_half_square)
+        res, _ = norm_factorization_check(pot0, (0,), [0.0], pts)
         assert res.tolist() == [0.0]
 
     def test_interval_t3(self, interval, proj_id1, phi_half_square):
-        res, _ = norm_factorization_check(interval, proj_id1, phi_half_square,
-                                          (0,), [3.0], np.array([[0.5]]))
+        pot0 = SymplecticPotential(interval, proj_id1, phi_half_square)
+        res, _ = norm_factorization_check(pot0, (0,), [3.0], np.array([[0.5]]))
         assert res[0] < 1e-12
 
     @pytest.mark.parametrize("fixture,rows,m", [
@@ -196,7 +194,7 @@ class TestFactorization:
         proj = SubtorusProjection(rows)
         rng = np.random.default_rng(14)
         pts = sample_interior(P, 100, seed=15)
-        res, _ = norm_factorization_check(P, proj, phi_half_square, m,
+        res, _ = norm_factorization_check(SymplecticPotential(P, proj, phi_half_square), m,
                                           rng.uniform(0.0, 10.0, size=8), pts)
         assert max(res) < 1e-10
 
@@ -212,8 +210,8 @@ class TestFactorization:
         proj = SubtorusProjection(rows)
         pts = sample_interior(P, 40, seed=6)
         times = (0.0, 2.5, 9.0, 31.0)
-        pot0 = SymplecticPotential.perturbed(P, proj, phi_half_square, 0.0)
-        fm = ConcentrationWeight.from_projection(proj, phi_half_square, m)
+        pot0 = SymplecticPotential(P, proj, phi_half_square, 0.0)
+        fm = ConcentrationWeight(m, pot0.perturbation)
         ref_res, ref_peak = [], []
         for t in times:  # the per-t loop: every norm and f_m afresh
             lhs = _norm(pot0.at_time(t), m, pts)
@@ -233,7 +231,7 @@ class TestFactorization:
 
         monkeypatch.setattr(sections, "norm_matrix", norm)
         monkeypatch.setattr(ConcentrationWeight, "__call__", weight)
-        res, peaks = norm_factorization_check(P, proj, phi_half_square, m, times, pts)
+        res, peaks = norm_factorization_check(pot0, m, times, pts)
         assert res.tolist() == ref_res
         assert peaks.tolist() == ref_peak
         # |sigma_0| once, |sigma_t| once per t, f_m once
@@ -242,18 +240,17 @@ class TestFactorization:
 
 class TestL1AndBasis:
     def test_interval_m0_integral(self, interval):
-        assert l1_norms(_canonical(interval), (0,), 256, [0.0]) == \
+        assert l1_norms(g0_on(interval), (0,), 256, [0.0]) == \
             [pytest.approx(2.0 / 3.0, abs=1e-6)]
 
     def test_interval_m1_by_symmetry(self, interval):
-        assert l1_norms(_canonical(interval), (1,), 256, [0.0]) == \
+        assert l1_norms(g0_on(interval), (1,), 256, [0.0]) == \
             [pytest.approx(2.0 / 3.0, abs=1e-6)]
 
     def test_l1_norms_equal_one_time_at_a_time(self, simplex, phi_half_square):
         from toric_quant import SubtorusProjection
 
-        pot = SymplecticPotential.perturbed(simplex, SubtorusProjection(((1, 0),)),
-                                            phi_half_square, 0.0)
+        pot = SymplecticPotential(simplex, SubtorusProjection(((1, 0),)), phi_half_square, 0.0)
         rule = make_rule(simplex, 32)
         times = (0.0, 4.0, 16.0, 64.0)
         # the reference integrates the time-t norm of g_t afresh for every t;
@@ -269,8 +266,7 @@ class TestL1AndBasis:
         from toric_quant import SubtorusProjection, quadrature
         from toric_quant.quadrature import NODE_BLOCK
 
-        pot = SymplecticPotential.perturbed(square2, SubtorusProjection(((1, 0),)),
-                                            phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, SubtorusProjection(((1, 0),)), phi_half_square, 0.0)
         rule = make_rule(square2, 512)
         assert rule.size > 4 * NODE_BLOCK
         times = (0.0, 8.0, 32.0)
@@ -298,8 +294,7 @@ class TestL1AndBasis:
         from toric_quant import SubtorusProjection, quadrature
 
         P = request.getfixturevalue(fixture)
-        pot = SymplecticPotential.perturbed(P, SubtorusProjection(((1, 0),)),
-                                            phi_half_square, 0.0)
+        pot = SymplecticPotential(P, SubtorusProjection(((1, 0),)), phi_half_square, 0.0)
         times = (0.0, 8.0)
         # the reference: the plain rule's weights times the node norm, for each t
         plain = make_rule(P, 40)
@@ -316,14 +311,14 @@ class TestL1AndBasis:
         # one norm row per lattice point: 9 on [0, 2]^2 and 3 on the simplex
         for P, count in ((square2, 9), (simplex, 3)):
             x = sample_interior(P, 5, seed=1)
-            assert norm_matrix(_canonical(P), lattice_points(P), x).shape == (count, 5)
+            assert norm_matrix(g0_on(P), lattice_points(P), x).shape == (count, 5)
 
     def test_mass_ratio_stabilizes(self, square2, proj_first_of_two, phi_half_square):
         # ||sigma_t||_1 / ||e^{-t f_m}||_1 approaches a finite constant
         from toric_quant.quadrature import make_rule as mk
         from toric_quant.sections import closed_form_norm_g0 as cf
 
-        w = ConcentrationWeight.from_projection(proj_first_of_two, phi_half_square, (1, 1))
+        w = ConcentrationWeight((1, 1), pullback(phi_half_square, proj_first_of_two))
         rule = mk(square2, 256)
         f = w(rule.points)
         base = cf(square2, (1, 1), rule.points)
@@ -340,7 +335,7 @@ class TestL1AndBasis:
 
 def _pairing(P, a, b, theta_resolution):
     """The torus average of e^{i <a - b, theta>} times the radial pairing of a and b."""
-    G = radial_gram(_canonical(P), [a, b], make_rule(P, 32))
+    G = radial_gram(g0_on(P), [a, b], make_rule(P, 32))
     return torus_average(np.subtract(a, b), theta_resolution) * G[0, 1]
 
 
@@ -362,7 +357,7 @@ class TestOrthogonality:
 
     def test_all_pairs_square2(self, square2):
         ms = lattice_points(square2)
-        G = radial_gram(_canonical(square2), ms, make_rule(square2, 16))
+        G = radial_gram(g0_on(square2), ms, make_rule(square2, 16))
         for a in range(len(ms)):
             for b in range(a + 1, len(ms)):
                 assert abs(torus_average(np.subtract(ms[a], ms[b]), 8) * G[a, b]) < 1e-12
@@ -386,7 +381,7 @@ class TestGram:
                                    HIRZEBRUCH, SIMPLEX6],
                              ids=["square2", "hirzebruch", "6simplex3"])
     def test_matches_per_pair_integration(self, P):
-        ms, pot = lattice_points(P), _canonical(P)
+        ms, pot = lattice_points(P), g0_on(P)
         rule = make_rule(P, 16)
         norms = [_norm(pot, m, rule.points) for m in ms]
         ref = np.empty((len(ms), len(ms)))
@@ -398,9 +393,8 @@ class TestGram:
     def test_norm_matrix_rows_equal_pointwise_norm(self, square2, proj_first_of_two,
                                                    phi_half_square):
         pts = sample_interior(square2, 50, seed=4)
-        for pot in (_canonical(square2),
-                    SymplecticPotential.perturbed(square2, proj_first_of_two,
-                                                  phi_half_square, 5.0)):
+        for pot in (g0_on(square2),
+                    SymplecticPotential(square2, proj_first_of_two, phi_half_square, 5.0)):
             ms = lattice_points(square2)
             S = norm_matrix(pot, ms, pts)
             assert S.shape == (len(ms), len(pts))
@@ -416,13 +410,13 @@ class TestGram:
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_non_finite_norm_rejected(self, interval, proj_id1, phi_half_square):
         # |sigma^1_t| peaks like e^{t/2} at x = 1, past the float64 range at t = 2000
-        pot = SymplecticPotential.perturbed(interval, proj_id1, phi_half_square, 2000.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square, 2000.0)
         with pytest.raises(QuadratureError, match="non-finite section norm"):
             radial_gram(pot, lattice_points(interval), make_rule(interval, 16))
 
     def test_non_finite_pairing_rejected(self, interval, proj_id1, phi_half_square):
         # at t = 1000 the norms stay finite (~e^500) but their products overflow
-        pot = SymplecticPotential.perturbed(interval, proj_id1, phi_half_square, 1000.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square, 1000.0)
         ms = lattice_points(interval)
         rule = make_rule(interval, 16)
         assert np.all(np.isfinite(norm_matrix(pot, ms, rule.points)))
@@ -433,7 +427,7 @@ class TestGram:
         # pairings on 6 Delta^3 reach ~2e4 and grow with the dilation; the
         # residual is a ratio to sqrt(G_aa G_bb), so rescaling G leaves it alone
         ms = lattice_points(SIMPLEX6)
-        G = radial_gram(_canonical(SIMPLEX6), ms, make_rule(SIMPLEX6, 16))
+        G = radial_gram(g0_on(SIMPLEX6), ms, make_rule(SIMPLEX6, 16))
         ia, ib, dm = _pairs(ms)
         torus = np.array([torus_average(d, 7) for d in dm])
         res = relative_orthogonality(G, ia, ib, torus)
@@ -443,7 +437,7 @@ class TestGram:
 
     def test_aliased_grid_fails(self, square2):
         ms = lattice_points(square2)
-        G = radial_gram(_canonical(square2), ms, make_rule(square2, 16))
+        G = radial_gram(g0_on(square2), ms, make_rule(square2, 16))
         ia, ib, dm = _pairs(ms)
         exact = np.array([torus_average(d, 3) for d in dm])
         assert np.max(relative_orthogonality(G, ia, ib, exact)) < 1e-12
@@ -484,10 +478,27 @@ class TestTorusAverage:
 
     def test_aliased_grid_residual_of_order_one(self):
         ms = lattice_points(SIMPLEX8)
-        G = radial_gram(_canonical(SIMPLEX8), ms, make_rule(SIMPLEX8, 16))
+        G = radial_gram(g0_on(SIMPLEX8), ms, make_rule(SIMPLEX8, 16))
         ia, ib, dm = _pairs(ms)
         exact = np.array([torus_average(d, 9) for d in dm])
         assert np.max(relative_orthogonality(G, ia, ib, exact)) < 1e-12
         # two angles per axis average every even difference to 1
         aliased = np.array([self._per_component(d, 2) for d in dm])
         assert np.max(relative_orthogonality(G, ia, ib, aliased)) > 0.1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("case", ["integrand", "section_norm", "pairing", "domain_boundary"])
+def test_error_messages_print_plain_floats(case, interval, proj_id1, phi_half_square):
+    # each message names a point; it prints as (0.5,), not (np.float64(0.5),)
+    family = SymplecticPotential(interval, proj_id1, phi_half_square)
+    ms, rule = [(0,), (1,)], make_rule(interval, 16)
+    error, call = {
+        "integrand": (QuadratureError, lambda: integrate(lambda x: np.full(len(x), np.nan), rule)),
+        "section_norm": (QuadratureError, lambda: radial_gram(family.at_time(2000.0), ms, rule)),
+        "pairing": (QuadratureError, lambda: radial_gram(family.at_time(1000.0), ms, rule)),
+        "domain_boundary": (DomainBoundaryError, lambda: family.value(np.array([[0.0]]))),
+    }[case]
+    with pytest.raises(error, match=r" at (x = )?\(\d\.\d+(e-\d+)?,\)$") as err:
+        call()
+    assert "np.float64" not in str(err.value)
