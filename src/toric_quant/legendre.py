@@ -29,33 +29,42 @@ class NewtonConvergenceError(RuntimeError):
             f"(last residual {residual:.3e})")
 
 
-def inverse(pot: SymplecticPotential, y):
-    """Solve grad g(x) = y by damped Newton from the vertex barycenter.
+def inverse(pot: SymplecticPotential, y, times=None):
+    """Solve grad g_t(x) = y by damped Newton from the vertex barycenter.
 
     Batched over leading axes: y of shape (..., n) gives x of the same
-    shape.  A step is shortened (halved) until no facet value drops below
+    shape, at t = pot.time.  With ``times``, y has a leading axis of
+    len(times) and row i is solved at t = times[i], so a whole time ladder
+    is one Newton loop.  A step is halved until no facet value drops below
     0.4 of its current value, which keeps iterates strictly interior; the
     log-barrier shape of g0 then makes the iteration globally convergent in
-    practice.  Each point leaves the loop once its own residual is within
-    TOLERANCE and halves only its own rejected steps, so it follows the
-    iterates it would follow alone.
+    practice.  Each (time, point) row leaves the loop once its own residual
+    is within TOLERANCE and halves only its own rejected steps, so it
+    follows the iterates it would follow alone.
     """
     P = pot.polytope
     y = np.asarray(y, dtype=float)
     if y.ndim == 0 or y.shape[-1] != P.dim:
         raise ValueError(f"y must have shape (..., {P.dim})")
+    t = pot.time if times is None else np.reshape(times, (-1,) + (1,) * (y.ndim - 2))
+    T = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:-1]).reshape(-1)
+    if np.any(T < 0):
+        raise ValueError("times must be nonnegative")
     Y = y.reshape(-1, P.dim)
     X = np.array(np.broadcast_to(P.barycenter_array(), y.shape)).reshape(-1, P.dim)
     active = np.arange(len(Y))  # points still iterating
-    for _ in range(MAX_ITERATIONS):
+    for iteration in range(MAX_ITERATIONS + 1):
         x = X[active]
-        res = pot.gradient(x) - Y[active]
+        res = pot.gradient(x, T[active]) - Y[active]
         resnorm = np.linalg.norm(res, axis=-1)
         moving = ~(resnorm <= TOLERANCE)  # a NaN residual keeps iterating
         active, x, res, resnorm = active[moving], x[moving], res[moving], resnorm[moving]
         if not active.size:
             return X.reshape(y.shape)
-        step = -np.linalg.solve(pot.hessian(x), res[..., None])[..., 0]
+        if iteration == MAX_ITERATIONS:
+            raise NewtonConvergenceError(x[0], float(resnorm[0]), MAX_ITERATIONS,
+                                         int(active[0]))
+        step = -np.linalg.solve(pot.hessian(x, T[active]), res[..., None])[..., 0]
         lcur = P.facet_values_array(x)
         s = np.ones(len(active))
         rejected = np.arange(len(active))
@@ -71,13 +80,6 @@ def inverse(pot: SymplecticPotential, y):
             raise NewtonConvergenceError(x[i], float(resnorm[i]), MAX_ITERATIONS,
                                          int(active[i]))
         X[active] = x + s[:, None] * step
-    resnorm = np.linalg.norm(pot.gradient(X[active]) - Y[active], axis=-1)
-    failed = np.flatnonzero(~(resnorm <= TOLERANCE))
-    if not failed.size:
-        return X.reshape(y.shape)
-    i = failed[0]
-    raise NewtonConvergenceError(X[active[i]], float(resnorm[i]),
-                                 MAX_ITERATIONS, int(active[i]))
 
 
 def kahler_potential(pot: SymplecticPotential, y):
@@ -96,19 +98,18 @@ def flow_identity_residual(pot0: SymplecticPotential, times, x):
 
     Zero (to solver tolerance) exactly when the convex-perturbation family of
     potentials agrees with the family generated by the imaginary-time flow of
-    the same convex Hamiltonian.  h_0, psi and <x, grad psi> are evaluated
-    once and each t solves for h_t alone.  Batched over leading axes of x:
-    the result has shape (len(times),) + x.shape[:-1].
+    the same convex Hamiltonian.  One Newton stack solves h_0 and every h_t,
+    and psi and <x, grad psi> are evaluated once.  Batched over leading axes
+    of x: the result has shape (len(times),) + x.shape[:-1].
     """
     if pot0.time != 0.0:
         raise ValueError("pot0 must sit at t = 0")
     x = np.asarray(x, dtype=float)
-    h_0 = kahler_potential(pot0, pot0.gradient(x))
+    T = np.array([0.0, *map(float, times)])
+    t = T.reshape((-1,) + (1,) * (x.ndim - 1))  # one time per row of the stack
+    Y = pot0.gradient(x, t)
+    X = inverse(pot0, Y, T)
+    h = -pot0.value(X, t) + np.sum(X * Y, axis=-1)
     psi = pot0.perturbation
     pv, xg = psi.value(x), np.sum(x * psi.gradient(x), axis=-1)
-    out = []
-    for t in map(float, times):
-        pot_t = pot0.at_time(t)
-        h_t = kahler_potential(pot_t, pot_t.gradient(x))
-        out.append(np.abs(h_t - (h_0 + (-t * pv + t * xg))))
-    return np.array(out).reshape((-1,) + x.shape[:-1])
+    return np.abs(h[1:] - (h[0] + (-t[1:] * pv + t[1:] * xg)))

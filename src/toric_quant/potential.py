@@ -7,7 +7,8 @@ directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,25 +78,25 @@ class SymplecticPotential:
         return pullback(self.phi, self.proj)
 
     def at_time(self, t: float) -> "SymplecticPotential":
-        return replace(self, time=float(t))
+        new = copy(self)  # the member at time t shares the cached psi
+        object.__setattr__(new, "time", float(t))
+        new.__post_init__()
+        return new
 
-    def value(self, x):
-        g = g0_value(self.polytope, x)
-        if self.time != 0.0:
-            g = g + self.time * self.perturbation.value(x)
-        return g
+    def _family(self, g0, psi, x, t, axes):
+        """g0(x) + t psi(x), t this member's time or times per point of x."""
+        g = g0(self.polytope, x)
+        t = self.time if t is None else np.reshape(t, np.shape(t) + (1,) * axes)
+        return g + t * psi(x) if np.ndim(t) or t != 0.0 else g
 
-    def gradient(self, x):
-        g = g0_gradient(self.polytope, x)
-        if self.time != 0.0:
-            g = g + self.time * self.perturbation.gradient(x)
-        return g
+    def value(self, x, t=None):
+        return self._family(g0_value, self.perturbation.value, x, t, 0)
 
-    def hessian(self, x):
-        h = g0_hessian(self.polytope, x)
-        if self.time != 0.0:
-            h = h + self.time * self.perturbation.hessian(x)
-        return h
+    def gradient(self, x, t=None):
+        return self._family(g0_gradient, self.perturbation.gradient, x, t, 1)
+
+    def hessian(self, x, t=None):
+        return self._family(g0_hessian, self.perturbation.hessian, x, t, 2)
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,13 @@ def boundary_approach_samples(P: DelzantPolytope, decades=range(2, 9)):
 
 
 def validate_potential(pot: SymplecticPotential, interior_points,
-                       boundary_points=None) -> PotentialReport:
+                       boundary_points=None, times=None):
     """Check Definition-style validity on samples.
 
     (a) Hess g_t positive definite at every interior sample; (b) the product
     det(Hess g_t) * prod l_j stays positive and bounded along the
-    boundary-approach samples.  Returns the observed product range.
+    boundary-approach samples.  Returns the observed product range as one
+    PotentialReport for pot's time, or a list with one per t of ``times``.
     """
     interior_points = np.asarray(interior_points, dtype=float)
     if interior_points.size == 0:
@@ -156,13 +158,13 @@ def validate_potential(pot: SymplecticPotential, interior_points,
     count = len(pts)
     if boundary_points is not None and len(boundary_points):
         pts = np.concatenate([pts, np.asarray(boundary_points, dtype=float)])
-    # one Hessian for all samples; the eigenvalues are taken on the interior
-    H = pot.hessian(pts)
-    low = float(np.min(np.linalg.eigvalsh(H[:count])[:, 0]))
+    # one Hessian of g0 and of psi for all samples, and G_t stacked over t;
+    # the eigenvalues are taken on the interior
+    t = np.array([pot.time] if times is None else times, dtype=float)
+    H = pot.hessian(pts, t[:, None])
+    lows = np.min(np.linalg.eigvalsh(H[:, :count])[..., 0], axis=-1).tolist()
     prods = np.linalg.det(H) * np.prod(P.facet_values_array(pts), axis=-1)
-    return PotentialReport(
-        positive_definite=low > 0.0,
-        min_eigenvalue=low,
-        product_min=float(prods.min()),
-        product_max=float(prods.max()),
-    )
+    reports = [PotentialReport(positive_definite=low > 0.0, min_eigenvalue=low,
+                               product_min=float(p.min()), product_max=float(p.max()))
+               for low, p in zip(lows, prods)]
+    return reports[0] if times is None else reports

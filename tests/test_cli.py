@@ -498,12 +498,34 @@ class TestTimeFamilyOnce:
     def test_flow_check_solves_h0_once(self, tmp_path, monkeypatch):
         from toric_quant import legendre
 
-        times = []
+        calls = []
         self._counted(monkeypatch, legendre, "inverse",
-                      lambda pot, y: times.append(pot.time))
+                      lambda pot, y, times: calls.append(list(times)))
         run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "flow-check",
             {"t_list": self.TIMES})
-        assert times == [0.0, *self.TIMES]
+        # one Newton stack carries h_0 and the whole ladder
+        assert calls == [[0.0, *self.TIMES]]
+
+    def test_legendre_roundtrip_one_newton_stack(self, tmp_path, monkeypatch):
+        from toric_quant import legendre
+
+        calls = []
+        self._counted(monkeypatch, legendre, "inverse",
+                      lambda pot, y, times: calls.append((np.shape(y), list(times))))
+        run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "legendre-roundtrip",
+            {"t_list": self.TIMES})
+        assert calls == [((5, 100, 2), [0.0, *self.TIMES])]
+
+    @pytest.mark.parametrize("command", ["flow-check", "sections-norms", "legendre-roundtrip"])
+    def test_one_pullback_per_command(self, command, tmp_path, monkeypatch):
+        from toric_quant import potential
+
+        # every member of the time family shares the t = 0 member's psi
+        pulls = []
+        self._counted(monkeypatch, potential, "pullback",
+                      lambda phi, proj: pulls.append(proj.matrix))
+        run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), command, {"t_list": self.TIMES})
+        assert pulls == [((1, 0),)]
 
     def test_polarization_limit_hessians_once_per_point(self, tmp_path, monkeypatch):
         from toric_quant import potential
@@ -537,12 +559,17 @@ class TestTimeFamilyOnce:
         # f_m once on the 100 sample points; the L1 norms take it per fiber
         assert weights.count(100) == 1
 
-    def test_potential_validate_one_hessian_per_t(self, tmp_path, monkeypatch):
+    def test_potential_validate_one_hessian_stack(self, tmp_path, monkeypatch):
         from toric_quant import potential
 
-        seen = []
+        # one Hessian of g0 on the 200 + 28 samples, and one call that
+        # carries t = 0 and the whole ladder
+        seen, g0 = [], []
         self._counted(monkeypatch, potential.SymplecticPotential, "hessian",
-                      lambda pot, x: seen.append(pot.time))
+                      lambda pot, x, t: seen.append(np.ravel(t).tolist()))
+        self._counted(monkeypatch, potential, "g0_hessian",
+                      lambda P, x: g0.append(np.shape(x)))
         run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "potential-validate",
             {"t_list": self.TIMES})
-        assert seen == [0.0, *self.TIMES]
+        assert seen == [[0.0, *self.TIMES]]
+        assert g0 == [(228, 2)]

@@ -150,11 +150,12 @@ class TestFlowIdentity:
     def test_h0_solved_once(self, square2, proj_first_of_two, phi_half_square, monkeypatch):
         calls = []
         real = legendre.inverse
-        monkeypatch.setattr(legendre, "inverse", lambda pot, y: calls.append(
-            pot.time) or real(pot, y))
+        monkeypatch.setattr(legendre, "inverse", lambda pot, y, times: calls.append(
+            (pot.time, np.shape(y), list(times))) or real(pot, y, times))
         pot0 = _pot(square2, proj_first_of_two, phi_half_square, 0.0)
         flow_identity_residual(pot0, (2.0, 4.0, 8.0), sample_interior(square2, 5, seed=1))
-        assert calls == [0.0, 2.0, 4.0, 8.0]
+        # one Newton stack carries t = 0 and every t
+        assert calls == [(0.0, (4, 5, 2), [0.0, 2.0, 4.0, 8.0])]
 
 
 # non-box polygon: the Hirzebruch trapezoid x + y <= 4, y <= 2
@@ -230,6 +231,48 @@ class TestBatchedInverse:
             inverse(pot, ys[2])
         assert np.array_equal(err.value.iterate, alone.value.iterate)
         assert err.value.residual == alone.value.residual
+
+    def test_failing_point_in_time_stack_is_named(self, interval, proj_id1,
+                                                  phi_half_square, monkeypatch):
+        # grad g_1 = grad g0 + x stays below 19.4 on (0, 1): y = 40 at t = 1
+        # fails while the other rows converge
+        monkeypatch.setattr(legendre, "MAX_ITERATIONS", 50)
+        pot0 = _pot(interval, proj_id1, phi_half_square, 0.0)
+        ys = np.array([[[0.0], [0.5]], [[40.0], [-0.3]]])
+        with pytest.raises(NewtonConvergenceError, match="at point 2") as err:
+            inverse(pot0, ys, (0.0, 1.0))
+        with pytest.raises(NewtonConvergenceError) as alone:
+            inverse(pot0.at_time(1.0), ys[1, 0])
+        assert np.array_equal(err.value.iterate, alone.value.iterate)
+        assert err.value.residual == alone.value.residual
+
+    @pytest.mark.parametrize("fixture,rows", [
+        ("interval", ((1,),)),
+        ("square2", ((1, 0),)),
+        ("simplex", ((1, 0),)),
+        ("hirzebruch", ((1, 0),)),
+    ])
+    def test_time_stack_matches_per_time_inverse(self, fixture, rows, request,
+                                                 phi_half_square):
+        from toric_quant import SubtorusProjection
+
+        P = _hirzebruch() if fixture == "hirzebruch" else request.getfixturevalue(fixture)
+        pot0 = _pot(P, SubtorusProjection(rows), phi_half_square, 0.0)
+        times = (0.0, 1.0, 10.0, 100.0)
+        ys = np.stack([pot0.at_time(t).gradient(sample_interior(P, 30, seed=6))
+                       for t in times])
+        xs = inverse(pot0, ys, times)
+        assert xs.shape == ys.shape
+        for t, y, x in zip(times, ys, xs):
+            assert np.array_equal(x, inverse(pot0.at_time(t), y))
+
+    def test_times_need_one_row_each(self, square2, proj_first_of_two, phi_half_square):
+        pot0 = _pot(square2, proj_first_of_two, phi_half_square, 0.0)
+        ys = pot0.gradient(sample_interior(square2, 6, seed=2))
+        assert inverse(pot0, ys.reshape(2, 3, 2), (0.0, 1.0)).shape == (2, 3, 2)
+        for y, times in ((ys, (0.0, 1.0)), (ys[0], (0.0, 1.0)), (ys[:2], (0.0, -1.0))):
+            with pytest.raises(ValueError):
+                inverse(pot0, y, times)
 
     def test_non_finite_point_does_not_pass_as_converged(self, square2):
         pot = _pot(square2)

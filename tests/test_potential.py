@@ -129,6 +129,22 @@ class TestFamily:
         diff = pott.hessian(pts) - pot0.hessian(pts)
         assert np.all(np.linalg.eigvalsh(diff) >= -1e-12)
 
+    def test_members_share_psi(self, square2, proj_first_of_two, phi_half_square):
+        pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
+        assert pot0.at_time(7.0).perturbation is pot0.perturbation
+        assert pot0.at_time(7.0) == SymplecticPotential(
+            square2, proj_first_of_two, phi_half_square, 7.0)
+
+    def test_per_point_times_match_members(self, square2, proj_first_of_two,
+                                           phi_half_square):
+        pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
+        pts = sample_interior(square2, 8, seed=3)
+        times = np.array([0.5, 3.0, 40.0])
+        for name in ("value", "gradient", "hessian"):
+            stack = getattr(pot0, name)(pts, times[:, None])
+            for t, row in zip(times, stack):
+                assert np.array_equal(row, getattr(pot0.at_time(t), name)(pts))
+
     def test_negative_time_rejected(self, interval):
         with pytest.raises(ValueError):
             g0_on(interval).at_time(-1.0)
@@ -195,3 +211,12 @@ class TestValidatePotential:
             np.concatenate([pts, rays])), axis=-1)
         assert rep.min_eigenvalue == mins.min()
         assert (rep.product_min, rep.product_max) == (prods.min(), prods.max())
+
+    def test_time_stack_matches_per_time_reports(self, square2, proj_first_of_two,
+                                                 phi_half_square):
+        pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
+        pts = interior_samples(square2, 30, seed=4)
+        rays = boundary_approach_samples(square2)
+        times = [0.0, 1.0, 10.0, 100.0]
+        assert validate_potential(pot0, pts, rays, times) == [
+            validate_potential(pot0.at_time(t), pts, rays) for t in times]
