@@ -47,6 +47,7 @@ from .sections import (
     l1_norms,
     norm_factorization_check,
     norm_matrix,
+    orthogonality_residual,
     radial_gram,
     relative_orthogonality,
     torus_average,

@@ -292,11 +292,12 @@ def _cmd_potential_validate(cfg, opts):
 def _cmd_legendre_roundtrip(cfg, opts):
     P = cfg.polytope
     pts = potential.interior_samples(P, 100, seed=_SEED)
-    pot0 = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
+    pot = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
     times = sorted({0.0, *opts["t_list"]})
     # y_t = grad g0 + t grad psi from one gradient of each; one Newton stack
-    ys = pot0.gradient(pts, np.reshape(times, (-1, 1)))
-    errs = np.max(np.linalg.norm(legendre.inverse(pot0, ys, times) - pts, axis=-1), axis=-1)
+    t = np.reshape(times, (-1, 1))
+    errs = np.max(np.linalg.norm(
+        legendre.inverse(pot, pot.gradient(pts, t), t) - pts, axis=-1), axis=-1)
     worst = float(np.max(errs))
     tol = 1e-8
     per_t = {f"{t:g}": err for t, err in zip(times, errs.tolist())}
@@ -307,8 +308,8 @@ def _cmd_legendre_roundtrip(cfg, opts):
 def _cmd_flow_check(cfg, opts):
     P = cfg.polytope
     pts = potential.interior_samples(P, 20, seed=_SEED)
-    pot0 = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
-    res = legendre.flow_identity_residual(pot0, opts["t_list"], pts)
+    pot = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
+    res = legendre.flow_identity_residual(pot, opts["t_list"], pts)
     per_t = {f"{t:g}": float(np.max(r)) for t, r in zip(opts["t_list"], res)}
     worst = float(np.max(res))
     tol = 1e-8
@@ -371,22 +372,7 @@ def _cmd_sections_norms(cfg, opts):
     # every pair a < b on one Gram matrix; each pair's residual is taken on
     # its Cauchy-Schwarz scale, so it does not grow with the pairings
     gram = sections.radial_gram(family, ms, quadrature.make_rule(P, 16))
-    ia, ib = np.triu_indices(len(ms), 1)
-    # the distinct differences in row order, through one int64 key per row:
-    # offset components, combined in mixed radix, keep lexicographic order
-    M = np.array(ms)
-    d = M[ia] - M[ib]
-    off = np.abs(d).max(axis=0, initial=0)
-    key = np.zeros(len(d), dtype=np.int64)
-    for c, o in enumerate(off):
-        key = key * (2 * o + 1) + (d[:, c] + o)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    diffs = d[first]
-    # each difference on the coarsest theta grid that outresolves it
-    res = np.maximum(4, np.max(np.abs(diffs), axis=1, initial=0) + 1).tolist()
-    torus = np.array([sections.torus_average(dm, r) for dm, r in zip(diffs, res)])
-    orth = float(np.max(sections.relative_orthogonality(
-        gram, ia, ib, torus[inverse.ravel()]), initial=0.0))
+    orth = sections.orthogonality_residual(gram, ms)
     out = {"m": list(m), "rows": per_t, "max_factorization_residual": worst,
            "closed_form_agreement": agree, "orthogonality_residual": orth}
     tols = {"factorization": 1e-10, "closed_form": 1e-10, "orthogonality": 1e-12}
@@ -480,6 +466,8 @@ def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> Run
             raise ConfigError("bad_resolution", str(exc)) from exc
         except GridRangeError as exc:  # the lattice scan of P is too large
             raise ConfigError("bad_polytope", f"lattice scan: {exc}") from exc
+        except quadrature.QuadratureError as exc:  # a norm or pairing leaves float64
+            raise ConfigError("out_of_range", str(exc)) from exc
         timings[sub] = time.perf_counter() - t0
         if command != "full-suite":
             return RunReport(command, cfg.digest, out, tol, fl, timings)

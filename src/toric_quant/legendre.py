@@ -29,27 +29,25 @@ class NewtonConvergenceError(RuntimeError):
             f"(last residual {residual:.3e})")
 
 
-def inverse(pot: SymplecticPotential, y, times=None):
+def inverse(pot: SymplecticPotential, y, t=0.0):
     """Solve grad g_t(x) = y by damped Newton from the vertex barycenter.
 
     Batched over leading axes: y of shape (..., n) gives x of the same
-    shape, at t = pot.time.  With ``times``, y has a leading axis of
-    len(times) and row i is solved at t = times[i], so a whole time ladder
-    is one Newton loop.  A step is halved until no facet value drops below
-    0.4 of its current value, which keeps iterates strictly interior; the
-    log-barrier shape of g0 then makes the iteration globally convergent in
-    practice.  Each (time, point) row leaves the loop once its own residual
-    is within TOLERANCE and halves only its own rejected steps, so it
-    follows the iterates it would follow alone.
+    shape, and t broadcasts against y's leading axes as in ``pot.gradient``,
+    so a whole time ladder is one Newton loop.  A step is halved until no
+    facet value drops below 0.4 of its current value, which keeps iterates
+    strictly interior; the log-barrier shape of g0 then makes the iteration
+    globally convergent in practice.  Each (time, point) row leaves the
+    loop once its own residual is within TOLERANCE and halves only its own
+    rejected steps, so it follows the iterates it would follow alone.
     """
     P = pot.polytope
     y = np.asarray(y, dtype=float)
     if y.ndim == 0 or y.shape[-1] != P.dim:
         raise ValueError(f"y must have shape (..., {P.dim})")
-    t = pot.time if times is None else np.reshape(times, (-1,) + (1,) * (y.ndim - 2))
     T = np.broadcast_to(np.asarray(t, dtype=float), y.shape[:-1]).reshape(-1)
     if np.any(T < 0):
-        raise ValueError("times must be nonnegative")
+        raise ValueError("t must be nonnegative")
     Y = y.reshape(-1, P.dim)
     X = np.array(np.broadcast_to(P.barycenter_array(), y.shape)).reshape(-1, P.dim)
     active = np.arange(len(Y))  # points still iterating
@@ -82,18 +80,19 @@ def inverse(pot: SymplecticPotential, y, times=None):
         X[active] = x + s[:, None] * step
 
 
-def kahler_potential(pot: SymplecticPotential, y):
-    """h(y) = -g(x(y)) + <x(y), y>, the convex conjugate of g.
+def kahler_potential(pot: SymplecticPotential, y, t=0.0):
+    """h_t(y) = -g_t(x(y)) + <x(y), y>, the convex conjugate of g_t.
 
-    Batched over leading axes; a single point gives a float.
+    Batched over leading axes, with t broadcast as in ``inverse``; a single
+    point gives a float.
     """
     y = np.asarray(y, dtype=float)
-    x = inverse(pot, y)
-    h = -pot.value(x) + np.sum(x * y, axis=-1)
+    x = inverse(pot, y, t)
+    h = -pot.value(x, t) + np.sum(x * y, axis=-1)
     return float(h) if np.ndim(h) == 0 else h
 
 
-def flow_identity_residual(pot0: SymplecticPotential, times, x):
+def flow_identity_residual(pot: SymplecticPotential, times, x):
     """|h_t(grad g_t(x)) - [h_0(grad g_0(x)) - t psi(x) + t <x, grad psi(x)>]| per t.
 
     Zero (to solver tolerance) exactly when the convex-perturbation family of
@@ -102,14 +101,9 @@ def flow_identity_residual(pot0: SymplecticPotential, times, x):
     and psi and <x, grad psi> are evaluated once.  Batched over leading axes
     of x: the result has shape (len(times),) + x.shape[:-1].
     """
-    if pot0.time != 0.0:
-        raise ValueError("pot0 must sit at t = 0")
     x = np.asarray(x, dtype=float)
-    T = np.array([0.0, *map(float, times)])
-    t = T.reshape((-1,) + (1,) * (x.ndim - 1))  # one time per row of the stack
-    Y = pot0.gradient(x, t)
-    X = inverse(pot0, Y, T)
-    h = -pot0.value(X, t) + np.sum(X * Y, axis=-1)
-    psi = pot0.perturbation
+    t = np.reshape([0.0, *map(float, times)], (-1,) + (1,) * (x.ndim - 1))
+    h = kahler_potential(pot, pot.gradient(x, t), t)
+    psi = pot.perturbation
     pv, xg = psi.value(x), np.sum(x * psi.gradient(x), axis=-1)
     return np.abs(h[1:] - (h[0] + (-t[1:] * pv + t[1:] * xg)))

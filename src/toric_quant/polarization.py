@@ -102,7 +102,7 @@ def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     A, n, k = proj.array, proj.n, proj.k
     B = np.array(integer_kernel_basis(proj.matrix), dtype=float).reshape(n - k, n)
-    H0 = pot_family.at_time(0.0).hessian(x)
+    H0 = pot_family.hessian(x)
     Hpsi = pot_family.perturbation.hessian(x)
     G = H0[:, None] + np.reshape(t_list, (-1, 1, 1)) * Hpsi[:, None]
     Ginv = np.linalg.inv(G)

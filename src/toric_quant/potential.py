@@ -3,11 +3,11 @@
 g0(x) = 1/2 sum_j l_j(x) log l_j(x) on the polytope interior (linear part
 fixed to zero) is the t = 0 member, and psi = phi o A is a convex
 pullback.  All evaluators broadcast over leading axes, so grids can be fed
-directly.
+directly, and take t the same way, so a time ladder is g0 and psi
+evaluated once plus one term per t.
 """
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,16 +59,17 @@ def g0_hessian(P: DelzantPolytope, x):
 
 @dataclass(frozen=True)
 class SymplecticPotential:
-    """g_t = g0 + t * psi with psi = phi o proj; the t = 0 member is g0."""
+    """The family g_t = g0 + t * psi with psi = phi o proj; its t = 0 member is g0.
+
+    Each evaluator takes t (default 0), a number or an array broadcast
+    against the leading axes of x.
+    """
 
     polytope: DelzantPolytope
     proj: SubtorusProjection
     phi: ConvexFunction
-    time: float = 0.0
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
         if self.perturbation.dim != self.polytope.dim:
             raise ValueError("perturbation dimension does not match the polytope")
 
@@ -77,25 +78,20 @@ class SymplecticPotential:
         """The convex pullback psi on the polytope."""
         return pullback(self.phi, self.proj)
 
-    def at_time(self, t: float) -> "SymplecticPotential":
-        new = copy(self)  # the member at time t shares the cached psi
-        object.__setattr__(new, "time", float(t))
-        new.__post_init__()
-        return new
-
     def _family(self, g0, psi, x, t, axes):
-        """g0(x) + t psi(x), t this member's time or times per point of x."""
+        """g0(x) + t psi(x); psi is skipped at a scalar t = 0."""
         g = g0(self.polytope, x)
-        t = self.time if t is None else np.reshape(t, np.shape(t) + (1,) * axes)
-        return g + t * psi(x) if np.ndim(t) or t != 0.0 else g
+        if np.ndim(t) == 0 and t == 0.0:
+            return g
+        return g + np.reshape(t, np.shape(t) + (1,) * axes) * psi(x)
 
-    def value(self, x, t=None):
+    def value(self, x, t=0.0):
         return self._family(g0_value, self.perturbation.value, x, t, 0)
 
-    def gradient(self, x, t=None):
+    def gradient(self, x, t=0.0):
         return self._family(g0_gradient, self.perturbation.gradient, x, t, 1)
 
-    def hessian(self, x, t=None):
+    def hessian(self, x, t=0.0):
         return self._family(g0_hessian, self.perturbation.hessian, x, t, 2)
 
 
@@ -142,13 +138,13 @@ def boundary_approach_samples(P: DelzantPolytope, decades=range(2, 9)):
 
 
 def validate_potential(pot: SymplecticPotential, interior_points,
-                       boundary_points=None, times=None):
-    """Check Definition-style validity on samples.
+                       boundary_points=None, times=(0.0,)):
+    """Check Definition-style validity on samples, one PotentialReport per t.
 
     (a) Hess g_t positive definite at every interior sample; (b) the product
     det(Hess g_t) * prod l_j stays positive and bounded along the
-    boundary-approach samples.  Returns the observed product range as one
-    PotentialReport for pot's time, or a list with one per t of ``times``.
+    boundary-approach samples.  Returns the observed product ranges as a
+    list with one report per t of ``times``.
     """
     interior_points = np.asarray(interior_points, dtype=float)
     if interior_points.size == 0:
@@ -160,11 +156,9 @@ def validate_potential(pot: SymplecticPotential, interior_points,
         pts = np.concatenate([pts, np.asarray(boundary_points, dtype=float)])
     # one Hessian of g0 and of psi for all samples, and G_t stacked over t;
     # the eigenvalues are taken on the interior
-    t = np.array([pot.time] if times is None else times, dtype=float)
-    H = pot.hessian(pts, t[:, None])
+    H = pot.hessian(pts, np.reshape(times, (-1, 1)))
     lows = np.min(np.linalg.eigvalsh(H[:, :count])[..., 0], axis=-1).tolist()
     prods = np.linalg.det(H) * np.prod(P.facet_values_array(pts), axis=-1)
-    reports = [PotentialReport(positive_definite=low > 0.0, min_eigenvalue=low,
-                               product_min=float(p.min()), product_max=float(p.max()))
-               for low, p in zip(lows, prods)]
-    return reports[0] if times is None else reports
+    return [PotentialReport(positive_definite=low > 0.0, min_eigenvalue=low,
+                            product_min=float(p.min()), product_max=float(p.max()))
+            for low, p in zip(lows, prods)]

@@ -345,11 +345,11 @@ class ConcentrationResult:
     decay_exponent: float | None
 
 
-def concentration_experiment(pot0: SymplecticPotential, m, u, t_list,
+def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
                              resolution: int = 256) -> ConcentrationResult:
     """R_t = int e^{-t f_m} |sigma^m_0| u dx / int e^{-t f_m} |sigma^m_0| dx.
 
-    pot0 is the potential family; f_m comes from its psi.  Uses the
+    pot is the potential family; f_m comes from its psi.  Uses the
     factorization of the time-t norm through the t=0 norm; the rule
     integrates against |sigma^m_0| dx and f_m depends on y = A x alone, so
     both integrals are sums over fibers r of e^{-t f_m(y_r)} times the fiber
@@ -360,9 +360,9 @@ def concentration_experiment(pot0: SymplecticPotential, m, u, t_list,
     t_list = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly increasing")
-    P, proj = pot0.polytope, pot0.proj
+    P, proj = pot.polytope, pot.proj
     m = tuple(int(v) for v in m)
-    fm = ConcentrationWeight(m, pot0.perturbation)
+    fm = ConcentrationWeight(m, pot.perturbation)
     # the norm is in the weights: the fiber sums are of w and of w * u
     masses, _ = pushforward(make_rule(P, resolution, m), proj).masses(u, fm, t_list)
     ratios = []

@@ -18,16 +18,17 @@ from .potential import SymplecticPotential
 from .subtorus import ConvexFunction
 
 
-def norm_matrix(pot: SymplecticPotential, ms, x):
-    """Rows |sigma^m|(x) = exp(g(x) - <x - m, grad g(x)>), one per lattice point.
+def norm_matrix(pot: SymplecticPotential, ms, x, t=0.0):
+    """Rows |sigma^m_t|(x) = exp(g_t(x) - <x - m, grad g_t(x)>), one per lattice point.
 
-    g and grad g are evaluated once for all rows; x is (..., n) interior
-    points and the result has shape (len(ms), ...).
+    g_t and grad g_t are evaluated once for all rows; x is (..., n) interior
+    points, t broadcasts as in ``pot.value``, and the result has shape
+    (len(ms),) + that of g_t(x).
     """
     x = np.asarray(x, dtype=float)
-    g, grad = pot.value(x), pot.gradient(x)
-    # row by row, so temporaries stay the size of x, not len(ms) times it
-    out = np.empty((len(ms),) + x.shape[:-1])
+    g, grad = pot.value(x, t), pot.gradient(x, t)
+    # row by row, so temporaries stay the size of g, not len(ms) times it
+    out = np.empty((len(ms),) + np.shape(g))
     for i, m in enumerate(np.asarray(ms, dtype=float)):
         out[i] = np.exp(g - np.einsum("...i,...i->...", x - m, grad))
     return out
@@ -85,22 +86,19 @@ class ConcentrationWeight:
         return np.einsum("...i,...i->...", x - m, grad) - self.psi.value(x)
 
 
-def norm_factorization_check(pot0: SymplecticPotential, m, times, x):
+def norm_factorization_check(pot: SymplecticPotential, m, times, x):
     """Residuals of |sigma^m_t| = e^{-t f_m} |sigma^m_0| at the points x, per t.
 
-    pot0 is the family at t = 0.  |sigma^m_0| and f_m are evaluated once;
-    each t evaluates |sigma^m_t| from g_t.  Returns two arrays over times:
-    the max residual and the max of |sigma^m_t| (the scale of the norms at
-    that t).
+    |sigma^m_0| and f_m are evaluated once, and |sigma^m_t| for every t in
+    one stacked call.  Returns two arrays over times: the max residual and
+    the max of |sigma^m_t| (the scale of the norms at that t).
     """
-    norm0 = norm_matrix(pot0, [m], x)[0]
-    fm = ConcentrationWeight(m, pot0.perturbation)(x)
-    residuals, peaks = [], []
-    for t in times:
-        lhs = norm_matrix(pot0.at_time(t), [m], x)[0]
-        residuals.append(float(np.max(np.abs(lhs - np.exp(-t * fm) * norm0))))
-        peaks.append(float(np.max(lhs)))
-    return np.array(residuals), np.array(peaks)
+    norm0 = norm_matrix(pot, [m], x)[0]
+    fm = ConcentrationWeight(m, pot.perturbation)(x)
+    t = np.reshape(times, (-1,) + (1,) * np.ndim(norm0))
+    lhs = norm_matrix(pot, [m], x, t)[0].reshape(len(t), -1)
+    res = np.abs(lhs - (np.exp(-t * fm) * norm0).reshape(len(t), -1))
+    return np.max(res, axis=1), np.max(lhs, axis=1)
 
 
 def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
@@ -127,17 +125,17 @@ def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
     return norms
 
 
-def radial_gram(pot: SymplecticPotential, ms, rule):
-    """Gram matrix G[a, b] = sum_k |sigma^a|(x_k) |sigma^b|(x_k) w_k of the radial pairings.
+def radial_gram(pot: SymplecticPotential, ms, rule, t=0.0):
+    """Gram matrix G[a, b] = sum_k |sigma^a_t|(x_k) |sigma^b_t|(x_k) w_k of the radial pairings.
 
-    The potential is evaluated once on the rule for all the lattice points
-    ms.  Non-finite norms or pairings are rejected the way
+    g_t is evaluated once on the rule for all the lattice points ms.
+    Non-finite norms or pairings are rejected the way
     ``quadrature.integrate`` rejects non-finite integrands.
     """
     from .quadrature import QuadratureError  # local import to avoid a cycle
 
     ms = np.asarray(ms)
-    S = norm_matrix(pot, ms, rule.points)
+    S = norm_matrix(pot, ms, rule.points, t)
     bad = ~np.isfinite(S)
     if np.any(bad):
         where = rule.points[np.argmax(np.any(bad, axis=0))]
@@ -187,3 +185,26 @@ def relative_orthogonality(gram, ia, ib, torus):
     """
     scale = np.sqrt(np.diagonal(gram))
     return np.abs(torus) * np.abs(gram[ia, ib]) / (scale[ia] * scale[ib])
+
+
+def orthogonality_residual(gram, ms) -> float:
+    """The largest relative_orthogonality over all pairs a < b of the lattice points ms.
+
+    Each distinct difference m_a - m_b takes its torus average once, on the
+    coarsest theta grid that outresolves it (at least 4 angles per axis).
+    """
+    ia, ib = np.triu_indices(len(ms), 1)
+    # the distinct differences in row order, through one int64 key per row:
+    # offset components, combined in mixed radix, keep lexicographic order
+    M = np.array(ms)
+    d = M[ia] - M[ib]
+    off = np.abs(d).max(axis=0, initial=0)
+    key = np.zeros(len(d), dtype=np.int64)
+    for c, o in enumerate(off):
+        key = key * (2 * o + 1) + (d[:, c] + o)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    diffs = d[first]
+    res = np.maximum(4, np.max(np.abs(diffs), axis=1, initial=0) + 1).tolist()
+    torus = np.array([torus_average(dm, r) for dm, r in zip(diffs, res)])
+    return float(np.max(relative_orthogonality(gram, ia, ib, torus[inverse.ravel()]),
+                        initial=0.0))

@@ -76,9 +76,9 @@ def central_interior(P, count, seed=0, shrink=0.5):
     return bary + shrink * (sample_interior(P, count, seed) - bary)
 
 
-def kahler_rows(pot, x):
-    """Reference frame (G^{-1}, -i I) of the Kahler polarization of pot at one point."""
-    Ginv = np.linalg.inv(pot.hessian(np.asarray(x, dtype=float)))
+def kahler_rows(pot, x, t=0.0):
+    """Reference frame (G_t^{-1}, -i I) of the Kahler polarization of g_t at one point."""
+    Ginv = np.linalg.inv(pot.hessian(np.asarray(x, dtype=float), t))
     return np.hstack([Ginv, -1j * np.eye(len(Ginv))])
 
 
@@ -89,7 +89,7 @@ def limit_rows(pot, proj, x):
 
     A, n = proj.array, proj.n
     B = np.array(integer_kernel_basis(proj.matrix), dtype=float).reshape(-1, n)
-    G0 = pot.at_time(0.0).hessian(np.asarray(x, dtype=float))
+    G0 = pot.hessian(np.asarray(x, dtype=float))
     return np.vstack([np.hstack([np.zeros_like(A), A]), np.hstack([B, -1j * (B @ G0)])])
 
 

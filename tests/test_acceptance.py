@@ -86,15 +86,15 @@ def test_criterion_3_potential_validity():
     for P, expect in ((INTERVAL, 0.5), (SQUARE1, 0.25)):
         pts = interior_samples(P, 1000, seed=0)
         rays = boundary_approach_samples(P)
-        rep = validate_potential(g0_on(P), pts, rays)
+        [rep] = validate_potential(g0_on(P), pts, rays)
         assert rep.positive_definite
         dev = max(abs(rep.product_min - expect), abs(rep.product_max - expect))
         worst[P.dim] = dev
         assert dev < 1e-12, f"det*prod l deviates by {dev}"
+    pot = SymplecticPotential(INTERVAL, PROJ1, PHI)
     for t in (1.0, 10.0, 100.0):
-        pot = SymplecticPotential(INTERVAL, PROJ1, PHI, t)
-        rep = validate_potential(pot, interior_samples(INTERVAL, 500, seed=1),
-                                 boundary_approach_samples(INTERVAL))
+        [rep] = validate_potential(pot, interior_samples(INTERVAL, 500, seed=1),
+                                   boundary_approach_samples(INTERVAL), [t])
         assert rep.positive_definite
         assert rep.product_min > 0 and math.isfinite(rep.product_max)
     elapsed = time.perf_counter() - t0
@@ -110,10 +110,10 @@ def test_criterion_4_legendre_roundtrip():
     worst = 0.0
     for P, proj in fixtures:
         pts = sample_interior(P, 100, seed=21)
+        pot = SymplecticPotential(P, proj, PHI)
         for t in (0.0, 1.0, 10.0, 100.0):
-            pot = SymplecticPotential(P, proj, PHI, t)
             for x in pts:
-                err = float(np.linalg.norm(inverse(pot, pot.gradient(x)) - x))
+                err = float(np.linalg.norm(inverse(pot, pot.gradient(x, t), t) - x))
                 worst = max(worst, err)
     pot0 = g0_on(INTERVAL)
     analytic = 0.0
@@ -135,7 +135,7 @@ def test_criterion_5_flow_identity():
     worst = 0.0
     for P, proj in fixtures:
         pts = sample_interior(P, 20, seed=33)
-        pot0 = SymplecticPotential(P, proj, PHI, 0.0)
+        pot0 = SymplecticPotential(P, proj, PHI)
         for x in pts:
             worst = max(worst, *flow_identity_residual(pot0, (1.0, 5.0, 10.0), x))
     elapsed = time.perf_counter() - t0
@@ -150,13 +150,13 @@ def test_criterion_6_polarization_degeneration():
     t_list = [8, 16, 32, 64, 128]
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.4, 1.6, size=(10, 2))
-    pot = SymplecticPotential(SQUARE2, PROJ21, PHI, 0.0)
+    pot = SymplecticPotential(SQUARE2, PROJ21, PHI)
     rep = decay_report(pot, PROJ21, pts, t_list)
     slopes, sub = rep.fitted_slopes.tolist(), rep.subframe_invariance
     iso = max(rep.isotropy_defect, isotropy_defect(rep.limit))
     for x, lim in zip(pts, rep.limit):
         for t in t_list:
-            iso = max(iso, isotropy_defect(kahler_rows(pot.at_time(t), x)))
+            iso = max(iso, isotropy_defect(kahler_rows(pot, x, t)))
         assert degenerate_directions(lim) == PROJ21.k
         assert np.array_equal(lim, limit_rows(pot, PROJ21, x))
     elapsed = time.perf_counter() - t0

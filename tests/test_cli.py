@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -486,6 +489,28 @@ class TestSmokeMatrix:
         assert payload["command"] == command and payload["passed"] is True
 
 
+class TestOutOfRange:
+    """Valid inputs whose norms leave float64 exit 2 with out_of_range, not a traceback."""
+
+    @pytest.mark.parametrize("case", ["sections_norms_8_simplex", "concentrate_huge_simplex"])
+    def test_exits_two_with_strict_json(self, tmp_path, case):
+        if case == "sections_norms_8_simplex":
+            # the L1 norm of sigma^(8, 0, 0) at t = 32 overflows
+            argv = ["sections-norms", str(REPO / "bench" / "fixtures" / "dilated_simplex8.json"),
+                    "--m", "8,0,0", "--t", "8,32"]
+        else:
+            # |sigma^0_0| at the vertex m = 0 of x + y <= 2^50 overflows on the rule
+            argv = ["concentrate", write_cfg(tmp_path, _simplex_cfg(2 ** 50)), "--m", "0,0"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "toric_quant.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        err = json.loads(proc.stderr, parse_constant=_reject_constant)["error"]
+        assert err["code"] == "out_of_range" and "non-finite" in err["message"]
+
+
 class TestTimeFamilyOnce:
     """Each command pays the t-independent part of its time family once."""
 
@@ -500,7 +525,7 @@ class TestTimeFamilyOnce:
 
         calls = []
         self._counted(monkeypatch, legendre, "inverse",
-                      lambda pot, y, times: calls.append(list(times)))
+                      lambda pot, y, t: calls.append(np.ravel(t).tolist()))
         run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "flow-check",
             {"t_list": self.TIMES})
         # one Newton stack carries h_0 and the whole ladder
@@ -511,7 +536,7 @@ class TestTimeFamilyOnce:
 
         calls = []
         self._counted(monkeypatch, legendre, "inverse",
-                      lambda pot, y, times: calls.append((np.shape(y), list(times))))
+                      lambda pot, y, t: calls.append((np.shape(y), np.ravel(t).tolist())))
         run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "legendre-roundtrip",
             {"t_list": self.TIMES})
         assert calls == [((5, 100, 2), [0.0, *self.TIMES])]
@@ -520,7 +545,7 @@ class TestTimeFamilyOnce:
     def test_one_pullback_per_command(self, command, tmp_path, monkeypatch):
         from toric_quant import potential
 
-        # every member of the time family shares the t = 0 member's psi
+        # the one family pulls psi back once for every time
         pulls = []
         self._counted(monkeypatch, potential, "pullback",
                       lambda phi, proj: pulls.append(proj.matrix))
@@ -550,12 +575,14 @@ class TestTimeFamilyOnce:
         # the one-row calls are sigma^m's: the closed-form check and the
         # Gram matrix take all 9 lattice points of the square at once
         self._counted(monkeypatch, sections, "norm_matrix",
-                      lambda pot, ms, x: len(ms) == 1 and norms.append(pot.time))
+                      lambda pot, ms, x, t=0.0: len(ms) == 1 and norms.append(
+                          np.ravel(t).tolist()))
         self._counted(monkeypatch, sections.ConcentrationWeight, "__call__",
                       lambda w, x: weights.append(len(x)))
         run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "sections-norms",
             {"t_list": self.TIMES, "m": (1, 1)})
-        assert norms == [0.0, *self.TIMES]
+        # sigma^m_0, then sigma^m_t for the whole ladder in one call
+        assert norms == [[0.0], list(self.TIMES)]
         # f_m once on the 100 sample points; the L1 norms take it per fiber
         assert weights.count(100) == 1
 

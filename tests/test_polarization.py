@@ -20,13 +20,9 @@ from toric_quant.polarization import (
 from conftest import central_interior, g0_on, kahler_rows, limit_rows
 
 
-def _family(P, proj, phi, t=0.0):
-    return SymplecticPotential(P, proj, phi, t)
-
-
-def complex_structure(pot, x):
-    """J = [[0, -G^{-1}], [G, 0]] at x, with G = Hess g."""
-    G = pot.hessian(np.asarray(x, dtype=float))
+def complex_structure(pot, x, t=0.0):
+    """J = [[0, -G^{-1}], [G, 0]] at x, with G = Hess g_t."""
+    G = pot.hessian(np.asarray(x, dtype=float), t)
     n = G.shape[0]
     return np.block([[np.zeros((n, n)), -np.linalg.inv(G)], [G, np.zeros((n, n))]])
 
@@ -61,10 +57,10 @@ class TestComplexStructure:
         assert squares_to_minus_identity(J, 1e-12)
 
     def test_square_of_j_everywhere(self, square2, proj_first_of_two, phi_half_square):
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         for t in (0.0, 3.0, 50.0):
-            pot = _family(square2, proj_first_of_two, phi_half_square, t)
             for x in central_interior(square2, 10, seed=1):
-                assert squares_to_minus_identity(complex_structure(pot, x), 1e-10)
+                assert squares_to_minus_identity(complex_structure(pot, x, t), 1e-10)
 
     def test_metric_blocks(self, square1):
         pot = g0_on(square1)
@@ -82,31 +78,31 @@ class TestFrames:
     def test_interval_frame_row(self, interval, proj_id1, phi_half_square):
         # G_t(1/2) = 2 + t: the time-t row (1/(2+t), -i) makes the angle
         # arctan(1/(2+t)) with the limit row (0, 1)
-        pot = _family(interval, proj_id1, phi_half_square, 0.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square)
         t_list = [0.5, 4.0, 30.0]
         rep = decay_report(pot, proj_id1, np.array([[0.5]]), t_list)
-        assert np.allclose(kahler_rows(pot.at_time(0.0), [0.5]), [[0.5, -1j]])
+        assert np.allclose(kahler_rows(pot, [0.5]), [[0.5, -1j]])
         assert rep.top_block_norms[0] == pytest.approx([1 / (2 + t) for t in t_list])
         assert rep.distances[0] == pytest.approx([np.arctan(1 / (2 + t)) for t in t_list])
 
     def test_frames_lagrangian(self, square2, proj_first_of_two, phi_half_square):
-        pot = _family(square2, proj_first_of_two, phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         pts = central_interior(square2, 5, seed=2)
         for t in (0.0, 1.0, 16.0, 256.0):
             for x in pts:
-                assert isotropy_defect(kahler_rows(pot.at_time(t), x)) < 1e-12
+                assert isotropy_defect(kahler_rows(pot, x, t)) < 1e-12
         rep = decay_report(pot, proj_first_of_two, pts, [1.0, 16.0, 256.0])
         assert rep.isotropy_defect < 1e-12
 
     def test_limit_frame_interval_is_vertical(self, interval, proj_id1, phi_half_square):
-        pot = _family(interval, proj_id1, phi_half_square, 0.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square)
         lim = decay_report(pot, proj_id1, np.array([[0.5]]), [8, 16]).limit
         assert lim.shape == (1, 1, 2)
         assert np.allclose(lim[0], [[0.0, 1.0]])
         assert isotropy_defect(lim) < 1e-12
 
     def test_limit_frame_square_rows(self, square2, proj_first_of_two, phi_half_square):
-        pot = _family(square2, proj_first_of_two, phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         x = np.array([1.0, 1.0])
         lim = decay_report(pot, proj_first_of_two, x[None], [8, 16]).limit[0]
         G0 = pot.hessian(x)
@@ -115,15 +111,15 @@ class TestFrames:
         assert isotropy_defect(lim) < 1e-12
 
     def test_positivity_finite_t(self, square2, proj_first_of_two, phi_half_square):
-        pot = _family(square2, proj_first_of_two, phi_half_square, 4.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         x = np.array([0.7, 1.2])
-        rows = kahler_rows(pot, x)
+        rows = kahler_rows(pot, x, 4.0)
         M = positivity_form(rows)
         assert np.allclose(M, M.conj().T)
         # explicitly 2 G^{-1}: positive definite, and the folded form in
         # degenerate_directions has its spectrum
-        assert np.allclose(M, 2 * np.linalg.inv(pot.hessian(x)))
-        eigs = np.linalg.eigvalsh(2 * np.linalg.inv(pot.hessian(x)))
+        assert np.allclose(M, 2 * np.linalg.inv(pot.hessian(x, 4.0)))
+        eigs = np.linalg.eigvalsh(2 * np.linalg.inv(pot.hessian(x, 4.0)))
         assert np.all(eigs > 0)
         assert degenerate_directions(rows) == 0
         for tol in (0.5 * eigs[0], 0.5 * (eigs[0] + eigs[1]), 2 * eigs[1]):
@@ -131,7 +127,7 @@ class TestFrames:
 
     def test_limit_degenerate_dimension_is_k(self, square2, proj_first_of_two,
                                              phi_half_square, cube):
-        pot = _family(square2, proj_first_of_two, phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         lim = decay_report(pot, proj_first_of_two, np.array([[1.0, 1.0]]), [8, 16]).limit
         assert degenerate_directions(lim).tolist() == [1]
         assert degenerate_directions(lim[0]) == 1
@@ -139,7 +135,7 @@ class TestFrames:
         assert np.all(eigs > -1e-12)  # positive semidefinite
 
         proj2 = SubtorusProjection(((1, 0, 0), (0, 1, 0)))
-        pot3 = _family(cube, proj2, quadratic(np.eye(2)), 0.0)
+        pot3 = SymplecticPotential(cube, proj2, quadratic(np.eye(2)))
         lim3 = decay_report(pot3, proj2, np.array([[0.5, 0.5, 0.5]]), [8, 16]).limit
         assert degenerate_directions(lim3[0]) == 2
 
@@ -151,7 +147,7 @@ class TestFrames:
         # Hess g0 is not block-diagonal here, so the kernel rows of the limit
         # must be (B, -i B G0), not (row of G0^{-1}, -i e_r)
         proj = SubtorusProjection(rows)
-        pot = _family(P, proj, phi_half_square, 0.0)
+        pot = SymplecticPotential(P, proj, phi_half_square)
         pts = central_interior(P, 4, seed=5)
         rep = decay_report(pot, proj, pts, [8, 16, 32, 64, 128])
         assert isotropy_defect(rep.limit) < 1e-12
@@ -165,7 +161,7 @@ class TestFrames:
         # the rows (row 2 of G0^{-1}, -i e_2) are isotropic together with
         # (0, e_1) only where Hess g0 is block-diagonal
         x = np.array([0.5, 0.7])
-        pot = _family(SIMPLEX2, SubtorusProjection(((1, 0),)), phi_half_square, 0.0)
+        pot = SymplecticPotential(SIMPLEX2, SubtorusProjection(((1, 0),)), phi_half_square)
         G0inv = np.linalg.inv(pot.hessian(x))
         old = np.array([[0, 0, 1, 0], [G0inv[1, 0], G0inv[1, 1], 0, -1j]])
         assert isotropy_defect(old) > 0.1
@@ -173,8 +169,8 @@ class TestFrames:
 
 class TestGrassmann:
     def test_zero_on_self(self, square2, proj_first_of_two, phi_half_square):
-        pot = _family(square2, proj_first_of_two, phi_half_square, 2.0)
-        fr = kahler_rows(pot, np.array([1.0, 1.0]))
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
+        fr = kahler_rows(pot, np.array([1.0, 1.0]), 2.0)
         assert subspace_angle(fr, fr) < 1e-12
 
     def test_orthogonal_lines(self):
@@ -182,9 +178,9 @@ class TestGrassmann:
             np.pi / 2)
 
     def test_invariant_under_row_mixing(self, square2, proj_first_of_two, phi_half_square):
-        pot = _family(square2, proj_first_of_two, phi_half_square, 3.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         x = np.array([0.9, 1.4])
-        fr = kahler_rows(pot, x)
+        fr = kahler_rows(pot, x, 3.0)
         lim = limit_rows(pot, proj_first_of_two, x)
         d0 = subspace_angle(fr, lim)
         rng = np.random.default_rng(17)
@@ -196,7 +192,7 @@ class TestGrassmann:
 
     def test_interval_halving_ratio(self, interval, proj_id1, phi_half_square):
         # G_t^{-1}(1/2) = 1/(2+t), so distances behave like 1/t and halve
-        pot = _family(interval, proj_id1, phi_half_square, 0.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square)
         t_list = [8, 16, 32, 64]
         dist = decay_report(pot, proj_id1, np.array([[0.5]]), t_list).distances[0]
         for a, b in zip(dist, dist[1:]):
@@ -205,7 +201,7 @@ class TestGrassmann:
 
 class TestDecayReport:
     def test_interval_norm_values(self, interval, proj_id1, phi_half_square):
-        pot = _family(interval, proj_id1, phi_half_square, 0.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square)
         rep = decay_report(pot, proj_id1, np.array([[0.5]]), [8.0, 98.0])
         assert rep.top_block_norms.shape == (1, 2)
         assert rep.top_block_norms[0, 0] == pytest.approx(0.1)
@@ -219,13 +215,13 @@ class TestDecayReport:
     def test_fitted_slope_band(self, fixture, rows, point, request, phi_half_square):
         P = request.getfixturevalue(fixture)
         proj = SubtorusProjection(rows)
-        pot = _family(P, proj, phi_half_square, 0.0)
+        pot = SymplecticPotential(P, proj, phi_half_square)
         rep = decay_report(pot, proj, np.array([point]), [8, 16, 32, 64, 128])
         assert rep.fitted_slopes.shape == (1,)
         assert -1.1 <= rep.fitted_slopes[0] <= -0.9
 
     def test_subframe_rows_invariant(self, square2, proj_first_of_two, phi_half_square):
-        pot = _family(square2, proj_first_of_two, phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         rep = decay_report(pot, proj_first_of_two, np.array([[0.8, 1.1]]),
                            [8, 16, 32, 64, 128])
         assert rep.subframe_invariance < 1e-10
@@ -234,12 +230,12 @@ class TestDecayReport:
                                                           proj_first_of_two):
         # psi built from the full square moves the ker A rows (B, -i B G_t)
         full = SubtorusProjection(((1, 0), (0, 1)))
-        pot = _family(square2, full, quadratic(np.eye(2)), 0.0)
+        pot = SymplecticPotential(square2, full, quadratic(np.eye(2)))
         rep = decay_report(pot, proj_first_of_two, np.array([[0.8, 1.1]]), [8, 16, 32])
         assert rep.subframe_invariance > 0.1
 
     def test_t_list_must_increase(self, interval, proj_id1, phi_half_square):
-        pot = _family(interval, proj_id1, phi_half_square, 0.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square)
         with pytest.raises(ValueError):
             decay_report(pot, proj_id1, np.array([[0.5]]), [8, 8])
 
@@ -247,9 +243,9 @@ class TestDecayReport:
 class TestBatchedFrames:
     def test_subspace_angle_stack_equals_pairs(self, square2, proj_first_of_two,
                                                phi_half_square):
-        pot = _family(square2, proj_first_of_two, phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         x = np.array([0.7, 1.2])
-        frames = np.stack([kahler_rows(pot.at_time(t), x) for t in (0.5, 4.0, 64.0)])
+        frames = np.stack([kahler_rows(pot, x, t) for t in (0.5, 4.0, 64.0)])
         lim = limit_rows(pot, proj_first_of_two, x)
         angles = subspace_angle(frames, lim)
         assert angles.shape == (3,)
@@ -271,7 +267,7 @@ class TestBatchedFrames:
         else:
             P = HIRZEBRUCH if case == "hirzebruch" else request.getfixturevalue(case)
             proj, phi = SubtorusProjection(((1, 0),)), phi_half_square
-        pot = _family(P, proj, phi, 0.0)
+        pot = SymplecticPotential(P, proj, phi)
         A = proj.array
         k = proj.k
         t_list = [8.0, 13.5, 32.0, 64.0, 200.0]
@@ -283,8 +279,8 @@ class TestBatchedFrames:
             B = lim[k:, :P.dim]
             norms, dists = [], []
             for t in t_list:
-                G = pot.at_time(t).hessian(x)
-                fr = kahler_rows(pot.at_time(t), x)
+                G = pot.hessian(x, t)
+                fr = kahler_rows(pot, x, t)
                 norms.append(float(np.max(np.abs(A @ np.linalg.inv(G)))))
                 dists.append(subspace_angle(fr, lim))
                 drift = max(drift, subspace_angle(np.hstack([B, -1j * (B @ G)]), lim[k:]))
@@ -324,7 +320,7 @@ class TestOneHessianPerPoint:
         monkeypatch.setattr(potential, "g0_hessian", g0_hessian)
         monkeypatch.setattr(np.linalg, "inv", inv)
         phi = replace(phi_half_square, hessian=psi_hessian)
-        pot = _family(square2, proj_first_of_two, phi, 0.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi)
         pts = np.array([[0.7, 1.2], [1.3, 0.4], [1.0, 1.0]])
         rep = decay_report(pot, proj_first_of_two, pts, [8, 16, 32, 64])
         assert calls == {"g0": 1, "psi": 1, "inv": [(3, 4, 2, 2)]}
@@ -372,7 +368,7 @@ class TestLimitProperty:
     @given(polytope_and_projection(), st.integers(0, 2 ** 16))
     def test_frames_degenerate_to_the_mixed_limit(self, case, seed):
         P, proj = case
-        pot = _family(P, proj, default_convex(proj.k), 0.0)
+        pot = SymplecticPotential(P, proj, default_convex(proj.k))
         pts = central_interior(P, 3, seed=seed)
         rep = decay_report(pot, proj, pts, [8, 16, 32, 64, 128])
         assert rep.isotropy_defect < 1e-10

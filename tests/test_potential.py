@@ -10,6 +10,7 @@ from toric_quant import (
     g0_gradient,
     g0_hessian,
     g0_value,
+    inverse,
     validate_potential,
 )
 from toric_quant.potential import boundary_approach_samples, interior_samples
@@ -82,7 +83,7 @@ class TestDerivatives:
 
 class TestFamily:
     def test_t_zero_matches_canonical(self, square2, proj_first_of_two, phi_half_square):
-        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         pts = sample_interior(square2, 20, seed=4)
         assert np.allclose(pot.value(pts), g0_value(square2, pts))
         assert np.allclose(pot.gradient(pts), g0_gradient(square2, pts))
@@ -102,52 +103,46 @@ class TestFamily:
                 assert getattr(pot, f)(pts).tobytes() == ref(P, pts).tobytes(), path.stem
 
     def test_interval_gradient_shift(self, interval, proj_id1, phi_half_square):
-        pot = SymplecticPotential(interval, proj_id1, phi_half_square, 1.0)
-        assert pot.gradient(np.array([0.5])) == pytest.approx([0.5])
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square)
+        assert pot.gradient(np.array([0.5]), 1.0) == pytest.approx([0.5])
 
     def test_kernel_direction_gradient_unchanged(self, square2, proj_first_of_two,
                                                  phi_half_square):
         # d/dx2 of g_t equals d/dx2 of g0 exactly for every t
         pts = sample_interior(square2, 30, seed=5)
         base = g0_gradient(square2, pts)[:, 1]
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         for t in (1.0, 10.0, 100.0):
-            pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, t)
-            assert np.array_equal(pot.gradient(pts)[:, 1], base)
+            assert np.array_equal(pot.gradient(pts, t)[:, 1], base)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 100.0])
     def test_convexity_across_times(self, square2, proj_first_of_two,
                                     phi_half_square, t):
-        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, t)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         pts = sample_interior(square2, 50, seed=6)
-        eigs = np.linalg.eigvalsh(pot.hessian(pts))
+        eigs = np.linalg.eigvalsh(pot.hessian(pts, t))
         assert np.all(eigs[..., 0] > 0)
 
     def test_monotonicity_in_t(self, square2, proj_first_of_two, phi_half_square):
-        pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
-        pott = pot0.at_time(7.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         pts = sample_interior(square2, 20, seed=7)
-        diff = pott.hessian(pts) - pot0.hessian(pts)
+        diff = pot.hessian(pts, 7.0) - pot.hessian(pts)
         assert np.all(np.linalg.eigvalsh(diff) >= -1e-12)
-
-    def test_members_share_psi(self, square2, proj_first_of_two, phi_half_square):
-        pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
-        assert pot0.at_time(7.0).perturbation is pot0.perturbation
-        assert pot0.at_time(7.0) == SymplecticPotential(
-            square2, proj_first_of_two, phi_half_square, 7.0)
 
     def test_per_point_times_match_members(self, square2, proj_first_of_two,
                                            phi_half_square):
-        pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
+        pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         pts = sample_interior(square2, 8, seed=3)
         times = np.array([0.5, 3.0, 40.0])
         for name in ("value", "gradient", "hessian"):
             stack = getattr(pot0, name)(pts, times[:, None])
             for t, row in zip(times, stack):
-                assert np.array_equal(row, getattr(pot0.at_time(t), name)(pts))
+                assert np.array_equal(row, getattr(pot0, name)(pts, t))
 
     def test_negative_time_rejected(self, interval):
-        with pytest.raises(ValueError):
-            g0_on(interval).at_time(-1.0)
+        # g_t is a potential for t >= 0 only: the Legendre inverse refuses t < 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            inverse(g0_on(interval), np.array([0.5]), -1.0)
 
     def test_projection_width_must_match_the_polytope(self, square2, phi_half_square):
         with pytest.raises(ValueError, match="dimension"):
@@ -160,7 +155,7 @@ class TestValidatePotential:
         pot = g0_on(interval)
         pts = interior_samples(interval, 300, seed=0)
         rays = boundary_approach_samples(interval)
-        rep = validate_potential(pot, pts, rays)
+        [rep] = validate_potential(pot, pts, rays)
         assert rep.positive_definite
         assert rep.product_min == pytest.approx(0.5, abs=1e-12)
         assert rep.product_max == pytest.approx(0.5, abs=1e-12)
@@ -169,16 +164,16 @@ class TestValidatePotential:
         pot = g0_on(square1)
         pts = interior_samples(square1, 300, seed=1)
         rays = boundary_approach_samples(square1)
-        rep = validate_potential(pot, pts, rays)
+        [rep] = validate_potential(pot, pts, rays)
         assert rep.product_min == pytest.approx(0.25, abs=1e-12)
         assert rep.product_max == pytest.approx(0.25, abs=1e-12)
 
     def test_perturbed_interval_product_range(self, interval, proj_id1, phi_half_square):
         # det = 1/(2x(1-x)) + 1, so the product is 1/2 + x(1-x) in (0.5, 0.75]
-        pot = SymplecticPotential(interval, proj_id1, phi_half_square, 1.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square)
         pts = interior_samples(interval, 500, seed=2)
         rays = boundary_approach_samples(interval)
-        rep = validate_potential(pot, pts, rays)
+        [rep] = validate_potential(pot, pts, rays, [1.0])
         assert rep.positive_definite
         assert 0.5 <= rep.product_min <= rep.product_max <= 0.75 + 1e-12
 
@@ -186,7 +181,7 @@ class TestValidatePotential:
         pot = g0_on(interval)
         xs = np.linspace(0.05, 0.95, 7)[:, None]
         prods = [(rep.product_min, rep.product_max)
-                 for rep in (validate_potential(pot, x[None]) for x in xs)]
+                 for [rep] in (validate_potential(pot, x[None]) for x in xs)]
         expect = 0.5 * (1 / xs[:, 0] + 1 / (1 - xs[:, 0])) * xs[:, 0] * (1 - xs[:, 0])
         assert np.allclose(prods, np.stack([expect, expect], axis=-1), atol=1e-13)
 
@@ -195,17 +190,17 @@ class TestValidatePotential:
                                         monkeypatch, t):
         from toric_quant import potential
 
-        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, t)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         pts = interior_samples(square2, 30, seed=4)
         rays = boundary_approach_samples(square2)
         seen = []
         real = potential.g0_hessian
         monkeypatch.setattr(potential, "g0_hessian",
                             lambda P, x: seen.append(len(x)) or real(P, x))
-        rep = validate_potential(pot, pts, rays)
+        [rep] = validate_potential(pot, pts, rays, [t])
         assert seen == [len(pts) + len(rays)]
         # the reference: every sample's Hessian on its own
-        H = np.stack([pot.hessian(x) for x in np.concatenate([pts, rays])])
+        H = np.stack([pot.hessian(x, t) for x in np.concatenate([pts, rays])])
         mins = np.linalg.eigvalsh(H[:len(pts)])[:, 0]
         prods = np.linalg.det(H) * np.prod(square2.facet_values_array(
             np.concatenate([pts, rays])), axis=-1)
@@ -219,4 +214,4 @@ class TestValidatePotential:
         rays = boundary_approach_samples(square2)
         times = [0.0, 1.0, 10.0, 100.0]
         assert validate_potential(pot0, pts, rays, times) == [
-            validate_potential(pot0.at_time(t), pts, rays) for t in times]
+            validate_potential(pot0, pts, rays, [t])[0] for t in times]

@@ -181,7 +181,7 @@ class TestFiberMasses:
                             or real(self, h, f, times))
         concentration_experiment(SymplecticPotential(square2, proj_first_of_two, phi_half_square),
                                  (1, 1), lambda x: x[..., 0] ** 2, [8, 16], resolution=32)
-        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         l1_norms(pot, (1, 1), 32, (0.0, 4.0))
         assert calls == [(8.0, 16.0), (0.0, 4.0)]
 

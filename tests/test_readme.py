@@ -1,0 +1,13 @@
+"""The README's library quick start runs as written."""
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_quick_start_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], f"{README}:quick-start", "exec"), {"__name__": "quick_start"})

@@ -16,6 +16,7 @@ from toric_quant import (
     make_rule,
     norm_factorization_check,
     norm_matrix,
+    orthogonality_residual,
     pullback,
     radial_gram,
     relative_orthogonality,
@@ -25,9 +26,9 @@ from toric_quant import (
 from conftest import g0_on, sample_interior
 
 
-def _norm(pot, m, x):
-    """|sigma^m|(x): the one-row norm matrix."""
-    return norm_matrix(pot, [m], x)[0]
+def _norm(pot, m, x, t=0.0):
+    """|sigma^m_t|(x): the one-row norm matrix."""
+    return norm_matrix(pot, [m], x, t)[0]
 
 
 class TestPointwiseNorm:
@@ -210,20 +211,20 @@ class TestFactorization:
         proj = SubtorusProjection(rows)
         pts = sample_interior(P, 40, seed=6)
         times = (0.0, 2.5, 9.0, 31.0)
-        pot0 = SymplecticPotential(P, proj, phi_half_square, 0.0)
+        pot0 = SymplecticPotential(P, proj, phi_half_square)
         fm = ConcentrationWeight(m, pot0.perturbation)
         ref_res, ref_peak = [], []
         for t in times:  # the per-t loop: every norm and f_m afresh
-            lhs = _norm(pot0.at_time(t), m, pts)
+            lhs = _norm(pot0, m, pts, t)
             rhs = np.exp(-t * fm(pts)) * _norm(pot0, m, pts)
             ref_res.append(float(np.max(np.abs(lhs - rhs))))
             ref_peak.append(float(np.max(lhs)))
         calls = {"norm": 0, "fm": 0}
         real_norm, real_fm = sections.norm_matrix, ConcentrationWeight.__call__
 
-        def norm(pot, ms, x):
+        def norm(pot, ms, x, t=0.0):
             calls["norm"] += 1
-            return real_norm(pot, ms, x)
+            return real_norm(pot, ms, x, t)
 
         def weight(self, x):
             calls["fm"] += 1
@@ -234,8 +235,24 @@ class TestFactorization:
         res, peaks = norm_factorization_check(pot0, m, times, pts)
         assert res.tolist() == ref_res
         assert peaks.tolist() == ref_peak
-        # |sigma_0| once, |sigma_t| once per t, f_m once
-        assert calls == {"norm": len(times) + 1, "fm": 1}
+        # |sigma_0| once, |sigma_t| for every t in one stacked call, f_m once
+        assert calls == {"norm": 2, "fm": 1}
+
+    def test_g0_evaluated_twice_per_ladder(self, square2, proj_first_of_two,
+                                           phi_half_square, monkeypatch):
+        from toric_quant import potential
+
+        seen = {"g0_value": [], "g0_gradient": []}
+        for name in seen:
+            monkeypatch.setattr(potential, name, lambda P, x, real=getattr(potential, name),
+                                name=name: seen[name].append(np.shape(x)) or real(P, x))
+        pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
+        pts = sample_interior(square2, 30, seed=2)
+        res, peaks = norm_factorization_check(pot0, (1, 1), (1.0, 4.0, 16.0, 64.0), pts)
+        assert res.shape == peaks.shape == (4,)
+        assert np.all(res < 1e-10 * np.maximum(1.0, peaks))
+        # once for |sigma^m_0| and once for |sigma^m_t| at every t
+        assert seen == {"g0_value": [(30, 2)] * 2, "g0_gradient": [(30, 2)] * 2}
 
 
 class TestL1AndBasis:
@@ -250,12 +267,12 @@ class TestL1AndBasis:
     def test_l1_norms_equal_one_time_at_a_time(self, simplex, phi_half_square):
         from toric_quant import SubtorusProjection
 
-        pot = SymplecticPotential(simplex, SubtorusProjection(((1, 0),)), phi_half_square, 0.0)
+        pot = SymplecticPotential(simplex, SubtorusProjection(((1, 0),)), phi_half_square)
         rule = make_rule(simplex, 32)
         times = (0.0, 4.0, 16.0, 64.0)
         # the reference integrates the time-t norm of g_t afresh for every t;
         # l1_norms takes it through e^{-t f_m} |sigma^m_0|, in another order
-        ref = [integrate(lambda x, t=t: _norm(pot.at_time(t), (0, 1), x), rule) for t in times]
+        ref = [integrate(lambda x, t=t: _norm(pot, (0, 1), x, t), rule) for t in times]
         got = l1_norms(pot, (0, 1), 32, times)
         assert np.allclose(got, ref, rtol=1e-12, atol=0)
         assert [l1_norms(pot, (0, 1), 32, [t])[0] for t in times] == got
@@ -266,11 +283,11 @@ class TestL1AndBasis:
         from toric_quant import SubtorusProjection, quadrature
         from toric_quant.quadrature import NODE_BLOCK
 
-        pot = SymplecticPotential(square2, SubtorusProjection(((1, 0),)), phi_half_square, 0.0)
+        pot = SymplecticPotential(square2, SubtorusProjection(((1, 0),)), phi_half_square)
         rule = make_rule(square2, 512)
         assert rule.size > 4 * NODE_BLOCK
         times = (0.0, 8.0, 32.0)
-        ref = [integrate(lambda x, t=t: _norm(pot.at_time(t), (1, 1), x), rule) for t in times]
+        ref = [integrate(lambda x, t=t: _norm(pot, (1, 1), x, t), rule) for t in times]
         tracemalloc.start()
         try:
             got = l1_norms(pot, (1, 1), 512, times)
@@ -294,11 +311,11 @@ class TestL1AndBasis:
         from toric_quant import SubtorusProjection, quadrature
 
         P = request.getfixturevalue(fixture)
-        pot = SymplecticPotential(P, SubtorusProjection(((1, 0),)), phi_half_square, 0.0)
+        pot = SymplecticPotential(P, SubtorusProjection(((1, 0),)), phi_half_square)
         times = (0.0, 8.0)
         # the reference: the plain rule's weights times the node norm, for each t
         plain = make_rule(P, 40)
-        ref = [integrate(lambda x, t=t: _norm(pot.at_time(t), m, x), plain) for t in times]
+        ref = [integrate(lambda x, t=t: _norm(pot, m, x, t), plain) for t in times]
         seen = []
         real = quadrature.closed_form_norm_g0
         monkeypatch.setattr(quadrature, "closed_form_norm_g0",
@@ -393,35 +410,35 @@ class TestGram:
     def test_norm_matrix_rows_equal_pointwise_norm(self, square2, proj_first_of_two,
                                                    phi_half_square):
         pts = sample_interior(square2, 50, seed=4)
-        for pot in (g0_on(square2),
-                    SymplecticPotential(square2, proj_first_of_two, phi_half_square, 5.0)):
+        for pot, t in ((g0_on(square2), 0.0),
+                       (SymplecticPotential(square2, proj_first_of_two, phi_half_square), 5.0)):
             ms = lattice_points(square2)
-            S = norm_matrix(pot, ms, pts)
+            S = norm_matrix(pot, ms, pts, t)
             assert S.shape == (len(ms), len(pts))
-            g, grad = pot.value(pts), pot.gradient(pts)
+            g, grad = pot.value(pts, t), pot.gradient(pts, t)
             for m, row in zip(ms, S):
-                assert np.array_equal(row, _norm(pot, m, pts))
+                assert np.array_equal(row, _norm(pot, m, pts, t))
                 # the defining formula, evaluated one section at a time
                 direct = np.exp(g - np.einsum("...i,...i->...", pts - np.array(m, float), grad))
                 assert np.array_equal(row, direct)
-            single = norm_matrix(pot, ms, pts[0])
+            single = norm_matrix(pot, ms, pts[0], t)
             assert np.array_equal(single, S[:, 0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_non_finite_norm_rejected(self, interval, proj_id1, phi_half_square):
         # |sigma^1_t| peaks like e^{t/2} at x = 1, past the float64 range at t = 2000
-        pot = SymplecticPotential(interval, proj_id1, phi_half_square, 2000.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square)
         with pytest.raises(QuadratureError, match="non-finite section norm"):
-            radial_gram(pot, lattice_points(interval), make_rule(interval, 16))
+            radial_gram(pot, lattice_points(interval), make_rule(interval, 16), 2000.0)
 
     def test_non_finite_pairing_rejected(self, interval, proj_id1, phi_half_square):
         # at t = 1000 the norms stay finite (~e^500) but their products overflow
-        pot = SymplecticPotential(interval, proj_id1, phi_half_square, 1000.0)
+        pot = SymplecticPotential(interval, proj_id1, phi_half_square)
         ms = lattice_points(interval)
         rule = make_rule(interval, 16)
-        assert np.all(np.isfinite(norm_matrix(pot, ms, rule.points)))
+        assert np.all(np.isfinite(norm_matrix(pot, ms, rule.points, 1000.0)))
         with pytest.raises(QuadratureError, match=r"non-finite pairing of \[1\] and \[1\]"):
-            radial_gram(pot, ms, rule)
+            radial_gram(pot, ms, rule, 1000.0)
 
     def test_relative_residual_scale_free(self):
         # pairings on 6 Delta^3 reach ~2e4 and grow with the dilation; the
@@ -455,6 +472,23 @@ class TestGram:
 # 8 Delta^3, with C(11, 3) = 165 lattice points
 SIMPLEX8 = DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
                                ((-1, -1, -1), 8)))
+
+
+class TestOrthogonalityResidual:
+    @pytest.mark.parametrize("P", [HIRZEBRUCH, SIMPLEX6, SIMPLEX8])
+    def test_equals_per_pair_torus_averages(self, P):
+        # the reference takes every pair's average afresh, on the coarsest
+        # grid of at least 4 angles per axis that outresolves its difference
+        ms = lattice_points(P)
+        G = radial_gram(g0_on(P), ms, make_rule(P, 16))
+        ia, ib, dm = _pairs(ms)
+        torus = np.array([torus_average(d, max(4, int(np.max(np.abs(d))) + 1)) for d in dm])
+        want = float(np.max(relative_orthogonality(G, ia, ib, torus)))
+        assert orthogonality_residual(G, ms) == want
+        assert want < 1e-12
+
+    def test_one_lattice_point_has_no_pairs(self):
+        assert orthogonality_residual(np.ones((1, 1)), [(0, 0)]) == 0.0
 
 
 class TestTorusAverage:
@@ -495,8 +529,8 @@ def test_error_messages_print_plain_floats(case, interval, proj_id1, phi_half_sq
     ms, rule = [(0,), (1,)], make_rule(interval, 16)
     error, call = {
         "integrand": (QuadratureError, lambda: integrate(lambda x: np.full(len(x), np.nan), rule)),
-        "section_norm": (QuadratureError, lambda: radial_gram(family.at_time(2000.0), ms, rule)),
-        "pairing": (QuadratureError, lambda: radial_gram(family.at_time(1000.0), ms, rule)),
+        "section_norm": (QuadratureError, lambda: radial_gram(family, ms, rule, 2000.0)),
+        "pairing": (QuadratureError, lambda: radial_gram(family, ms, rule, 1000.0)),
         "domain_boundary": (DomainBoundaryError, lambda: family.value(np.array([[0.0]]))),
     }[case]
     with pytest.raises(error, match=r" at (x = )?\(\d\.\d+(e-\d+)?,\)$") as err:
