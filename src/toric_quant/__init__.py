@@ -56,6 +56,7 @@ from .quadrature import (
     ConcentrationResult,
     QuadratureError,
     QuadratureRule,
+    TensorRule,
     box_rule,
     concentration_experiment,
     delta_pairing,

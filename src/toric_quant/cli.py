@@ -210,7 +210,12 @@ def parse_weight(expr: str, n: int):
         reason = getattr(exc, "msg", exc)
         raise ConfigError("bad_weight", f"cannot parse weight expression: {reason}") from None
     f = _compile_weight(tree, n)
-    return lambda x: f(np.asarray(x, dtype=float)) * np.ones(np.asarray(x).shape[:-1])
+
+    def u(x):  # constants stay scalars; a constant expression is broadcast once
+        x = np.asarray(x, dtype=float)
+        v = f(x)
+        return v if np.ndim(v) else np.full(x.shape[:-1], v)
+    return u
 
 
 _WEIGHT_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
@@ -236,8 +241,8 @@ def _compile_weight(node, n):
             raise ConfigError("bad_weight", f"unknown coordinate {node.id} for dim {n}")
         return lambda x: x[..., i]
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        c = float(node.value)
-        return lambda x: np.full(x.shape[:-1], c)
+        c = np.float64(node.value)
+        return lambda x: c
     raise ConfigError("bad_weight", f"unsupported weight term {ast.unparse(node)!r}")
 
 

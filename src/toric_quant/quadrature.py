@@ -4,23 +4,26 @@ Box polytopes get tensor Gauss-Legendre rules; general polytopes get
 midpoint grids over the bounding box with an exact rational containment
 test.  Given a lattice point m, ``make_rule`` returns the rule for the
 measure |sigma^m_0| dx: on a box the norm is a product of one factor per
-axis, folded into that axis's Gauss weights before the tensor product (a
-Jacobi weight (s - a)^{(m_i - a)/2} (b - s)^{(b - m_i)/2} without redundant
-facets), and a grid multiplies each cell weight by the norm at its node.
-``pushforward`` groups the nodes of a rule into the fibers of the
-projection y = A x and sums node-wise integrands per fiber: every weight
-e^{-t f_m} depends on y alone, so the concentration runs and the L1 norms
-pay per node once and per fiber for each t.  The concentration experiment
-reproduces the localization of L1-normalized sections onto the slice
-through their lattice point, with the slice pairing as the t = infinity
-reference value.
+axis, folded into that axis's Gauss weights (a Jacobi weight
+(s - a)^{(m_i - a)/2} (b - s)^{(b - m_i)/2} without redundant facets), and
+the rule keeps those per-axis factors (``TensorRule``: the product's nodes
+are built only when read); a grid multiplies each cell weight by the norm
+at its node.  ``pushforward`` takes a rule to the fibers of the projection
+y = A x: every weight e^{-t f_m} depends on y alone, so the concentration
+runs and the L1 norms pay per node once and per fiber for each t.  When
+every row of A is a coordinate vector, the fibers of a tensor rule are the
+product grid of the other axes and the fiber sums are contractions of the
+axis factors (``AxisFibers``); any other rule groups its nodes
+(``NodeFibers``).  The concentration experiment reproduces the
+localization of L1-normalized sections onto the slice through their
+lattice point, with the slice pairing as the t = infinity reference value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import lcm, prod
 
 import numpy as np
 
@@ -49,7 +52,7 @@ class GridOverflowError(QuadratureError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str  # "gauss" or "grid"
+    kind: str  # "grid" or "point"; "gauss" for a materialized TensorRule
     resolution: int
     points: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,)
@@ -60,6 +63,34 @@ class QuadratureRule:
 
     def total_weight(self) -> float:
         return float(self.weights.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class TensorRule:
+    """A tensor Gauss rule kept as its factors, one (nodes, weights) pair per axis.
+
+    The product's ``points`` (N, dim) and ``weights`` (N,), in meshgrid
+    "ij" order, are built on first read; ``AxisFibers`` contracts the
+    factors instead.
+    """
+
+    resolution: int
+    axes: tuple  # ((nodes, weights), ...), one pair per axis
+    kind = "gauss"
+
+    @property
+    def size(self) -> int:
+        return prod(len(w) for _, w in self.axes)
+
+    def total_weight(self) -> float:
+        return float(prod(w.sum() for _, w in self.axes))
+
+    @cached_property
+    def _product(self):
+        return _tensor_product(self.axes)
+
+    points = property(lambda self: self._product[0])
+    weights = property(lambda self: self._product[1])
 
 
 @lru_cache(maxsize=32)
@@ -77,21 +108,25 @@ def _gauss_axis(lo: float, hi: float, resolution: int):
     return lo + half * (nodes + 1.0), half * weights
 
 
-def _tensor_rule(bounds, resolution, factor=None):
+def _tensor_axes(bounds, resolution, factor=None):
     axes = [_gauss_axis(float(lo), float(hi), resolution) for lo, hi in bounds]
     if factor is not None:  # a product weight, one factor(i, nodes) per axis
         axes = [(nodes, w * factor(i, nodes)) for i, (nodes, w) in enumerate(axes)]
+    return tuple(axes)
+
+
+def _tensor_product(axes):
+    """The nodes of per-axis (nodes, weights) in meshgrid "ij" order, and their weights.
+
+    Each coordinate is broadcast into the (N, dim) array and the weights
+    are the running outer product (w_1 w_2) w_3 ..., so no full-size
+    meshgrid copies are made.
+    """
     dim = len(axes)
-    # the nodes in meshgrid "ij" order, but each coordinate is broadcast into
-    # the (N, dim) array and the weights are the running outer product
-    # (w_1 w_2) w_3 ..., so no full-size meshgrid copies are made
-    points = np.empty((resolution,) * dim + (dim,))
+    points = np.empty(tuple(len(nodes) for nodes, _ in axes) + (dim,))
     for i, (nodes, _) in enumerate(axes):
         points[..., i] = nodes.reshape((-1,) + (1,) * (dim - 1 - i))
-    weights = axes[0][1]
-    for _, w in axes[1:]:
-        weights = np.multiply.outer(weights, w)
-    return points.reshape(-1, dim), weights.reshape(-1)
+    return points.reshape(-1, dim), _outer([w for _, w in axes])
 
 
 def _axis_norms(P: DelzantPolytope, m):
@@ -108,7 +143,7 @@ def _axis_norms(P: DelzantPolytope, m):
     return factor
 
 
-def box_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
+def box_rule(P: DelzantPolytope, resolution: int, m=None) -> TensorRule:
     """Tensor Gauss-Legendre rule; exact for polynomial degree < 2*resolution.
 
     Given m, the rule for |sigma^m_0| dx, with the norm folded into the
@@ -118,10 +153,14 @@ def box_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
         raise QuadratureError("resolution must be at least 8")
     factor = None if m is None else _axis_norms(P, m)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        points, weights = _tensor_rule(P.box_bounds(), resolution, factor)
-    if m is not None:
-        _finite(weights, points)
-    return QuadratureRule("gauss", resolution, points, weights)
+        axes = _tensor_axes(P.box_bounds(), resolution, factor)
+        if m is not None:
+            # a product weight is non-finite where a factor is, else first
+            # at the axis maxima
+            top = [int(np.argmax(np.where(np.isfinite(w), w, np.inf))) for _, w in axes]
+            _finite(np.array([prod(w[j] for (_, w), j in zip(axes, top))]),
+                    np.array([[nodes[j] for (nodes, _), j in zip(axes, top)]]))
+    return TensorRule(resolution, axes)
 
 
 def _midpoint_rule(normals, offsets, vertices, dim, resolution):
@@ -181,7 +220,7 @@ def grid_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
     return QuadratureRule("grid", resolution, points, weights)
 
 
-def slice_rule(sl: Slice, resolution: int) -> QuadratureRule:
+def slice_rule(sl: Slice, resolution: int):
     """Rule over the chart polytope of a slice (Lebesgue measure du).
 
     Zero-dimensional slices get a single point of weight one, so slice
@@ -196,13 +235,12 @@ def slice_rule(sl: Slice, resolution: int) -> QuadratureRule:
     if not verts:
         raise QuadratureError("slice chart polytope is empty")
     if _is_box(normals, sl.dim):
-        points, weights = _tensor_rule(zip(*_vertex_bounds(verts, sl.dim)), resolution)
-        return QuadratureRule("gauss", resolution, points, weights)
+        return TensorRule(resolution, _tensor_axes(zip(*_vertex_bounds(verts, sl.dim)), resolution))
     points, weights = _midpoint_rule(normals, offsets, verts, sl.dim, resolution)
     return QuadratureRule("grid", resolution, points, weights)
 
 
-def make_rule(domain: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
+def make_rule(domain: DelzantPolytope, resolution: int, m=None):
     """Pick tensor Gauss for boxes and midpoint grids otherwise; given m,
     the rule for |sigma^m_0| dx."""
     if domain.is_box:
@@ -210,45 +248,16 @@ def make_rule(domain: DelzantPolytope, resolution: int, m=None) -> QuadratureRul
     return grid_rule(domain, resolution, m)
 
 
-@dataclass(frozen=True)
 class Pushforward:
-    """The nodes of a rule grouped into fibers of a projection y = A x.
+    """The measure of a rule pushed forward to the image of y = A x, fiber by fiber.
 
-    A fiber is a maximal run of consecutive nodes with equal images.  Rules
-    in meshgrid "ij" order with A = [I_k | 0] get one fiber per image node;
-    a skew A gets singleton fibers.
+    ``sums(h)`` gives the fiber sums of the weights and of w * h, shape
+    (1 + rows, fibers), for h mapping at most NODE_BLOCK nodes (B, n) at a
+    time to (B,) or (rows, B) values (h = None gives the weight sums
+    alone); ``at_fibers(g)`` gives a fiber-constant g at each fiber's first
+    node.  ``NodeFibers`` groups nodes and ``AxisFibers`` contracts the
+    axis factors of a tensor rule.
     """
-
-    rule: QuadratureRule
-    images: np.ndarray  # (fibers, k): the image of each fiber
-    starts: np.ndarray  # (fibers,): the index of each fiber's first node
-
-    def sums(self, h) -> np.ndarray:
-        """Per-fiber sums of w, then of w * h, shape (1 + rows, fibers), for h
-        mapping NODE_BLOCK nodes (B, n) at a time to (B,) or (rows, B) values;
-        h = None gives the weight sums alone."""
-        rule, starts = self.rule, self.starts
-        for s in range(0, rule.size, NODE_BLOCK):
-            x, w = rule.points[s:s + NODE_BLOCK], rule.weights[s:s + NODE_BLOCK]
-            vals = np.empty((0, len(x))) if h is None else _finite(
-                np.atleast_2d(np.asarray(h(x), dtype=float)), x)
-            if s == 0:
-                out = np.zeros((1 + len(vals), len(starts)))
-            # the fiber holding node s, then every fiber that starts in the block
-            f0 = np.searchsorted(starts, s, side="right") - 1
-            f1 = np.searchsorted(starts, s + len(x))
-            cuts = np.maximum(starts[f0:f1] - s, 0)
-            out[0, f0:f1] += np.add.reduceat(w, cuts)
-            out[1:, f0:f1] += np.add.reduceat(vals * w, cuts, axis=1)
-        return out
-
-    def at_fibers(self, g) -> np.ndarray:
-        """g, constant on fibers, at their first nodes, NODE_BLOCK at a time."""
-        out = np.empty(len(self.starts))
-        for s in range(0, len(out), NODE_BLOCK):
-            x = self.rule.points[self.starts[s:s + NODE_BLOCK]]
-            out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
-        return out
 
     def masses(self, h, f, times):
         """sum_r e^{-t (f_r - min f)} F_r, shape (len(times), 1 + rows), and min f.
@@ -267,6 +276,113 @@ class Pushforward:
         return out, float(fmin)
 
 
+@dataclass(frozen=True)
+class NodeFibers(Pushforward):
+    """The nodes of a rule grouped into fibers: maximal runs of consecutive
+    nodes with equal images (a skew A gets singleton fibers)."""
+
+    rule: QuadratureRule
+    images: np.ndarray  # (fibers, k): the image of each fiber
+    starts: np.ndarray  # (fibers,): the index of each fiber's first node
+
+    def sums(self, h) -> np.ndarray:
+        rule, starts = self.rule, self.starts
+        for s in range(0, rule.size, NODE_BLOCK):
+            x, w = rule.points[s:s + NODE_BLOCK], rule.weights[s:s + NODE_BLOCK]
+            vals = np.empty((0, len(x))) if h is None else _finite(
+                np.atleast_2d(np.asarray(h(x), dtype=float)), x)
+            if s == 0:
+                out = np.zeros((1 + len(vals), len(starts)))
+            # the fiber holding node s, then every fiber that starts in the block
+            f0 = np.searchsorted(starts, s, side="right") - 1
+            f1 = np.searchsorted(starts, s + len(x))
+            cuts = np.maximum(starts[f0:f1] - s, 0)
+            out[0, f0:f1] += np.add.reduceat(w, cuts)
+            out[1:, f0:f1] += np.add.reduceat(vals * w, cuts, axis=1)
+        return out
+
+    def at_fibers(self, g) -> np.ndarray:
+        out = np.empty(len(self.starts))
+        for s in range(0, len(out), NODE_BLOCK):
+            x = self.rule.points[self.starts[s:s + NODE_BLOCK]]
+            out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
+        return out
+
+
+class AxisFibers(Pushforward):
+    """The fibers of a tensor rule under an A whose rows pick the image axes.
+
+    Every fiber is the product grid Z of the other axes, and the fibers
+    are the image grid in "ij" order.  With w_y the product of the
+    image-axis weights at y and w_Z the product weights of Z,
+    F_1(y) = w_y sum_Z w_Z and F_h(y) = w_y (h(y, Z) @ w_Z): no node array
+    is built, and h sees at most NODE_BLOCK nodes at a time (a longer fiber
+    in pieces).
+    """
+
+    def __init__(self, rule: TensorRule, image: tuple):
+        axes = rule.axes
+        self.rule, self.image = rule, image
+        self.fiber = tuple(i for i in range(len(axes)) if i not in image)
+        self.wy, self.wz = (_outer([axes[i][1] for i in ax]) for ax in (image, self.fiber))
+
+    def _grid(self, axes, idx):
+        """(axis, coordinates) for each of the axes at the flat "ij" indices idx of their grid."""
+        out = []
+        for i in reversed(axes):
+            nodes = self.rule.axes[i][0]
+            idx, j = np.divmod(idx, len(nodes))
+            out.append((i, nodes[j]))
+        return out
+
+    def _nodes(self, r0, r1, z, size):
+        """The nodes of the fibers r0:r1 at the size fiber coordinates z (from
+        _grid), fiber by fiber: a ((r1 - r0) size, n) view of contiguous columns."""
+        x = np.empty((len(self.rule.axes), r1 - r0, size))
+        for i, c in self._grid(self.image, np.arange(r0, r1)):
+            x[i] = c[:, None]
+        for i, c in z:
+            x[i] = c
+        return x.reshape(len(x), -1).T
+
+    def sums(self, h) -> np.ndarray:
+        # sum_Z w_Z in the pieces h is summed in, so h = 1 gives the same numbers
+        fibers, size = len(self.wy), len(self.wz)
+        step, piece = max(1, NODE_BLOCK // size), min(size, NODE_BLOCK)
+        fz = 0.0
+        for a in range(0, size, piece):
+            fz += self.wz[a:a + piece].sum()
+        if h is None:
+            return (self.wy * fz)[None]
+        for a in range(0, size, piece):  # the fiber coordinates once per piece
+            b = min(a + piece, size)
+            z = self._grid(self.fiber, np.arange(a, b))
+            for r0 in range(0, fibers, step):
+                r1 = min(r0 + step, fibers)
+                x = self._nodes(r0, r1, z, b - a)
+                vals = _finite(np.atleast_2d(np.asarray(h(x), dtype=float)), x)
+                if r0 == a == 0:
+                    acc = np.zeros((len(vals), fibers))
+                acc[:, r0:r1] += (vals.reshape(len(vals), r1 - r0, b - a) * self.wz[a:b]).sum(-1)
+        return np.vstack([self.wy * fz, acc * self.wy])
+
+    def at_fibers(self, g) -> np.ndarray:
+        out, first = np.empty(len(self.wy)), self._grid(self.fiber, np.arange(1))
+        for s in range(0, len(out), NODE_BLOCK):
+            x = self._nodes(s, min(s + NODE_BLOCK, len(out)), first, 1)
+            out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
+        return out
+
+
+def _outer(ws):
+    """The flat outer product (w_1 w_2) w_3 ... of the vectors ws in "ij" order
+    (a single 1 for none)."""
+    out = np.ones(1)
+    for w in ws:
+        out = np.multiply.outer(out, w).reshape(-1)
+    return out
+
+
 def _finite(vals, x):
     """vals, after checking that every value at the nodes x is finite."""
     bad = ~np.isfinite(vals)
@@ -276,8 +392,14 @@ def _finite(vals, x):
     return vals
 
 
-def pushforward(rule: QuadratureRule, proj: SubtorusProjection) -> Pushforward:
-    """Group the nodes of a rule into fibers, NODE_BLOCK nodes at a time."""
+def pushforward(rule, proj: SubtorusProjection) -> Pushforward:
+    """The fibers of a rule under y = A x.
+
+    A tensor rule whose A has one nonzero per row contracts its axes
+    (``AxisFibers``); any other rule groups its nodes NODE_BLOCK at a time.
+    """
+    if isinstance(rule, TensorRule) and np.all(np.count_nonzero(proj.array, axis=1) == 1):
+        return AxisFibers(rule, tuple(int(np.flatnonzero(r)[0]) for r in proj.array))
     starts, images, last = [], [], np.full(proj.k, np.nan)
     for s in range(0, rule.size, NODE_BLOCK):
         y = proj.apply(rule.points[s:s + NODE_BLOCK])
@@ -289,11 +411,11 @@ def pushforward(rule: QuadratureRule, proj: SubtorusProjection) -> Pushforward:
         starts.append(s + np.flatnonzero(new))
         images.append(y[new])
         last = y[-1]
-    return Pushforward(rule, np.concatenate(images), np.concatenate(starts))
+    return NodeFibers(rule, np.concatenate(images), np.concatenate(starts))
 
 
 def _one_fiber(rule: QuadratureRule) -> Pushforward:
-    return Pushforward(rule, np.zeros((1, 0)), np.zeros(1, dtype=int))
+    return NodeFibers(rule, np.zeros((1, 0)), np.zeros(1, dtype=int))
 
 
 def integrate(f, rule: QuadratureRule) -> float:

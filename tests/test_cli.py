@@ -243,6 +243,44 @@ class TestWeightGrammar:
         assert got.tobytes() == ref.tobytes()
 
 
+    PANEL = ["1", "2.5", "-x1^2", "2*x1-x2^3", "1.0*x1^2+0.5*x2^1*x3^1", "(1 - 2)^3 * x3",
+             "x1 - x1 + 0", "3 - -x2^3 * x1 * 2", "(x1 + 1)^5 - 0.1*x1*x2 - 3", "2^3"]
+
+    @staticmethod
+    def _full_array_compile(expr, n):
+        """The compile before constants stayed scalars: every constant an
+        np.full array per call, and the result times an np.ones array."""
+        import ast
+
+        ops = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply}
+
+        def comp(node):
+            if isinstance(node, ast.BinOp) and type(node.op) in ops:
+                a, b, op = comp(node.left), comp(node.right), ops[type(node.op)]
+                return lambda x: op(a(x), b(x))
+            if isinstance(node, ast.BinOp):
+                a, p = comp(node.left), node.right.value
+                return lambda x: a(x) ** p
+            if isinstance(node, ast.UnaryOp):
+                a = comp(node.operand)
+                return lambda x: -a(x)
+            if isinstance(node, ast.Name):
+                return lambda x, i=int(node.id[1:]) - 1: x[..., i]
+            return lambda x, c=float(node.value): np.full(x.shape[:-1], c)
+        f = comp(ast.parse(expr.replace("^", "**"), mode="eval").body)
+        return lambda x: f(x) * np.ones(x.shape[:-1])
+
+    @pytest.mark.parametrize("expr", PANEL)
+    def test_constants_stay_scalar_bitwise(self, expr):
+        rng = np.random.default_rng(7)
+        for shape in ((1000, 3), (4, 5, 3), (1, 3)):
+            x = rng.uniform(-2, 2, size=shape)
+            got = parse_weight(expr, 3)(x)
+            ref = self._full_array_compile(expr, 3)(x)
+            assert got.shape == x.shape[:-1] and got.dtype == np.float64
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestRun:
     def test_lattice_count(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))

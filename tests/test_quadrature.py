@@ -22,12 +22,15 @@ from toric_quant import (
     face_slice,
     grid_rule,
     integrate,
+    l1_norms,
     make_rule,
     pullback,
+    quadratic,
     slice_rule,
 )
 from toric_quant import ProjectionError, quadrature
-from toric_quant.quadrature import NODE_BLOCK, _gauss_axis, _tensor_rule, pushforward
+from toric_quant.quadrature import (NODE_BLOCK, AxisFibers, NodeFibers, QuadratureRule, TensorRule,
+                                    _gauss_axis, _tensor_axes, _tensor_product, pushforward)
 
 from test_polytope import small_delzant
 
@@ -105,16 +108,17 @@ class TestNodeBlocks:
     def test_tensor_rule_bitwise_meshgrid(self):
         for bounds in ([(0, 1)], [(0, 2), (-1, 3)], [(0.5, 7), (-3, 1.25), (0, 1)]):
             for resolution in (8, 33, 64):
-                got = _tensor_rule(bounds, resolution)
+                got = _tensor_product(_tensor_axes(bounds, resolution))
                 ref = _meshgrid_rule(bounds, resolution)
                 for a, b in zip(got, ref):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_fiber_sums_blocked_equal_whole(self, square2, proj_first_of_two):
-        # fibers of 260 nodes straddle the block edges; the last block holds one node
+        # node grouping: fibers of 260 nodes straddle the block edges; the
+        # last block holds one node
         rule = box_rule(square2, 260)
-        rule = type(rule)(rule.kind, 260, rule.points[:2 * NODE_BLOCK + 1],
-                          rule.weights[:2 * NODE_BLOCK + 1])
+        rule = QuadratureRule(rule.kind, 260, rule.points[:2 * NODE_BLOCK + 1],
+                              rule.weights[:2 * NODE_BLOCK + 1])
         push = pushforward(rule, proj_first_of_two)
         assert np.array_equal(push.starts, np.arange(0, rule.size, 260))
         assert np.array_equal(push.images, rule.points[push.starts, :1])
@@ -126,19 +130,36 @@ class TestNodeBlocks:
         assert np.array_equal(push.sums(None), push.sums(h)[:1])
 
     def test_box_rule_builds_no_meshgrid_copies(self, square2):
-        # the rule itself is three node vectors (two coordinates, one weight)
-        assert _peak_node_vectors(lambda: box_rule(square2, 512), 512 ** 2) < 4.0
+        # the rule is its axis factors; its points and weights, built when
+        # read, are three node vectors (two coordinates, one weight)
+        rule = box_rule(square2, 512)  # and the Gauss-Legendre cache
+        assert _peak_node_vectors(lambda: box_rule(square2, 512), 512 ** 2) < 0.01
+        assert _peak_node_vectors(lambda: rule.points, 512 ** 2) < 4.0
+        assert rule.weights.shape == (512 ** 2,)
 
     def test_concentration_temporaries_stay_blocked(self, square2, proj_first_of_two,
                                                    phi_half_square):
-        # 0.8 node vectors beyond the rule's own three (two coordinates, one
-        # weight); 1.8 with the norm taken per node in the fiber sums, 6 with
-        # node-wise weights, and 15 with the whole-rule evaluation before them
-        rule = box_rule(square2, 512)
-        peak = _peak_node_vectors(lambda: concentration_experiment(
-            SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
-            lambda x: x[..., 0] ** 2, [8, 16, 32], resolution=512), rule.size)
-        assert peak - (rule.points.nbytes + rule.weights.nbytes) / (8.0 * rule.size) < 2.2
+        # block temporaries only: 0.65 node vectors measured; the (N, 2) node
+        # array alone is 2, and the node grouping this replaced peaked at 5.2
+        pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
+        run = lambda: concentration_experiment(pot, (1, 1), lambda x: x[..., 0] ** 2,
+                                               [8, 16, 32], resolution=512)
+        run()  # the Gauss-Legendre cache
+        assert _peak_node_vectors(run, 512 ** 2) < 1.0
+
+    @pytest.mark.parametrize("rows", [((1, 0, 0),), ((1, 0, 0), (0, 1, 0))])
+    def test_box_fibers_build_no_node_array(self, rows):
+        # [0, 2]^3 at res 64: the (N, 3) node array alone is 3 node vectors
+        P = DelzantPolytope.from_box([(0, 2)] * 3)
+        proj = SubtorusProjection(rows)
+        pot = SymplecticPotential(P, proj, quadratic(0.5 * np.eye(proj.k)))
+        run = lambda: concentration_experiment(pot, (1, 1, 1), lambda x: x[..., 0] ** 2,
+                                               [8, 16, 32], resolution=64)
+        run()
+        assert _peak_node_vectors(run, 64 ** 3) < 1.5  # 0.92-0.97 measured
+        # F_1 touches no node: per-fiber arrays only (0.05 and 0.27 measured)
+        norms = lambda: l1_norms(pot, (1, 1, 1), 64, (0.0, 8.0, 32.0))
+        assert _peak_node_vectors(norms, 64 ** 3) < 0.5
 
 
 class TestFiberMasses:
@@ -208,6 +229,8 @@ class TestPushforward:
     @given(rule_and_projection(), st.integers(5, 300))
     def test_fibers_partition_the_rule(self, drawn, block):
         rule, proj, standard = drawn
+        # node grouping, also of a materialized tensor rule
+        rule = QuadratureRule(rule.kind, rule.resolution, rule.points, rule.weights)
         h = lambda x: np.cos(x @ np.arange(1.0, x.shape[-1] + 1))
         # small blocks, so fibers straddle block edges
         with mock.patch.object(quadrature, "NODE_BLOCK", block):
@@ -230,13 +253,113 @@ class TestPushforward:
         assert np.allclose(sums.sum(axis=1), vals.sum(axis=1), rtol=1e-12, atol=1e-12)
 
     def test_first_nodes_and_non_finite_values(self, square2, proj_first_of_two):
-        push = pushforward(box_rule(square2, 16), proj_first_of_two)
-        assert np.array_equal(push.at_fibers(lambda x: x[..., 0]), push.images[:, 0])
+        rule = box_rule(square2, 16)
+        push = pushforward(rule, proj_first_of_two)
+        assert isinstance(push, AxisFibers)
+        assert np.array_equal(push.at_fibers(lambda x: x[..., 0]), rule.axes[0][0])
+        assert np.array_equal(push.at_fibers(lambda x: x[..., 1]), np.full(16, rule.axes[1][0][0]))
         bad = lambda x: np.where(x[..., 1] > 1.9, np.nan, 1.0)
         with pytest.raises(QuadratureError, match="non-finite integrand value at"):
             push.sums(bad)
         with pytest.raises(QuadratureError, match="non-finite integrand value at"):
             push.at_fibers(lambda x: np.where(x[..., 0] > 1.9, np.inf, 1.0))
+
+
+@st.composite
+def box_and_coordinate_projection(draw):
+    """A box in dim 1-4, with up to two redundant facets, a projection whose
+    k = 1..n rows pick distinct axes in any order, a lattice point m at a
+    vertex, on a facet or inside, and a resolution."""
+    dim = draw(st.integers(1, 4))
+    los = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    bounds = [(lo, lo + w) for lo, w in
+              zip(los, draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim)))]
+    axis = lambda i, sign: tuple(sign * int(j == i) for j in range(dim))
+    facets = [f for i, (lo, hi) in enumerate(bounds) for f in ((axis(i, 1), -lo), (axis(i, -1), hi))]
+    for i, upper, c in draw(st.lists(st.tuples(st.integers(0, dim - 1), st.booleans(),
+                                               st.integers(1, 2)), max_size=2)):
+        lo, hi = bounds[i]
+        facets.append((axis(i, -1), hi + c) if upper else (axis(i, 1), c - lo))
+    P = DelzantPolytope(dim, tuple(facets))
+    image = draw(st.permutations(range(dim)))[:draw(st.integers(1, dim))]
+    proj = SubtorusProjection(tuple(axis(i, 1) for i in image))
+    where = draw(st.sampled_from(("vertex", "facet", "inside")))
+    ends = [draw(st.sampled_from(b)) for b in bounds]
+    inner = [draw(st.integers(lo + 1, hi - 1)) if hi - lo > 1 else lo for lo, hi in bounds]
+    m = {"vertex": ends, "facet": ends[:1] + inner[1:], "inside": inner}[where]
+    res = draw(st.integers(8, {1: 24, 2: 24, 3: 12, 4: 8}[dim]))
+    return P, proj, tuple(m), res
+
+
+def _fiber_major(vals, res, dim, image):
+    """Node-wise values (..., N) of a tensor rule as (..., image grid, fiber grid)."""
+    fiber = [i for i in range(dim) if i not in image]
+    lead = vals.shape[:-1]
+    grid = vals.reshape(lead + (res,) * dim)
+    grid = np.transpose(grid, tuple(range(len(lead))) + tuple(len(lead) + i for i in image + fiber))
+    return grid.reshape(lead + (res ** len(image), res ** len(fiber)))
+
+
+class TestAxisFibers:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(box_and_coordinate_projection(), st.integers(5, 300))
+    def test_contraction_equals_node_grouping(self, drawn, block):
+        P, proj, m, res = drawn
+        image = [r.index(1) for r in proj.matrix]
+        rule = make_rule(P, res, m)
+        # positive integrands, so rtol bounds every fiber sum; f depends on
+        # the image coordinates alone, elementwise, so it is fiber-constant
+        h = lambda x: np.vstack([2.0 + np.cos(x @ np.arange(1.0, x.shape[-1] + 1)),
+                                 1.0 + x[..., -1] ** 2])
+        f = lambda x: sum((j + 1.0) * (x[:, i] - m[i]) ** 2 for j, i in enumerate(image))
+        times = (0.0, 3.0, 40.0)
+        # small blocks, so blocks split fibers and hold several
+        with mock.patch.object(quadrature, "NODE_BLOCK", block):
+            push = pushforward(rule, proj)
+            sums, first, (masses, fmin) = push.sums(h), push.at_fibers(f), push.masses(h, f, times)
+            one, plain = push.sums(lambda x: np.ones(len(x))), push.sums(None)
+        assert isinstance(push, AxisFibers)
+        # u = 1 gives the weight sums bit for bit
+        assert one.shape == (2, res ** len(image))
+        assert np.array_equal(one[1], one[0]) and np.array_equal(plain, one[:1])
+        # node grouping on the materialized tensor points
+        nodes = QuadratureRule(rule.kind, res, rule.points, rule.weights)
+        grouped = pushforward(nodes, proj)
+        assert isinstance(grouped, NodeFibers)
+        ref, ref_fmin = grouped.masses(h, f, times)
+        np.testing.assert_allclose(masses, ref, rtol=1e-13, atol=0)
+        assert fmin == ref_fmin
+        if image == list(range(len(image))):  # A = [I_k | 0]: the same fibers
+            np.testing.assert_allclose(sums, grouped.sums(h), rtol=1e-13, atol=0)
+            assert np.array_equal(first, grouped.at_fibers(f))
+        # any axis order: the node-wise values in fiber-major order
+        vals = np.vstack([np.ones(nodes.size), h(nodes.points)]) * nodes.weights
+        np.testing.assert_allclose(sums, _fiber_major(vals, res, P.dim, image).sum(-1),
+                                   rtol=1e-13, atol=0)
+        x0 = _fiber_major(nodes.points.T, res, P.dim, image)[:, :, 0].T
+        assert np.array_equal(first, f(x0))
+
+    def test_no_node_array_on_the_box_path(self, monkeypatch, phi_half_square):
+        # no product points or weights of the box rule and no projection of
+        # nodes: the slice pairing applies A to m alone
+        def refuse(*args):
+            raise AssertionError("node array built")
+
+        class Sealed(TensorRule):
+            points = weights = property(refuse)
+        box = quadrature.box_rule
+        monkeypatch.setattr(quadrature, "box_rule",
+                            lambda P, res, m=None: Sealed(res, box(P, res, m).axes))
+        real = SubtorusProjection.apply
+        monkeypatch.setattr(SubtorusProjection, "apply", lambda self, x: refuse()
+                            if isinstance(x, np.ndarray) else real(self, x))
+        for P, rows, m in ((DelzantPolytope.from_box([(0, 2), (0, 2)]), ((0, 1),), (1, 0)),
+                           (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 0, 0),), (1, 1, 1))):
+            proj = SubtorusProjection(rows)
+            pot = SymplecticPotential(P, proj, phi_half_square)
+            result = concentration_experiment(pot, m, lambda x: x[..., 0] ** 2, [8, 16], 32)
+            assert len(result.ratios) == 2
+            assert all(np.isfinite(l1_norms(pot, m, 32, (0.0, 8.0))))
 
 
 def _meshgrid_midpoint_rule(P, resolution):
