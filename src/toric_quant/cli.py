@@ -370,10 +370,9 @@ def _cmd_sections_norms(cfg, opts):
     ms = lattice_points(P)
     # each row's difference relative to its largest norm, like the
     # factorization residual: the norms grow with the polytope
-    agree = max(
-        float(np.max(np.abs(row - sections.closed_form_norm_g0(P, mi, pts))))
-        / max(1.0, float(np.max(row)))
-        for mi, row in zip(ms, sections.norm_matrix(family, ms, pts)))
+    rows = sections.norm_matrix(family, ms, pts)
+    diff = np.max(np.abs(rows - sections.closed_form_norm_g0(P, ms, pts)), axis=1)
+    agree = float(np.max(diff / np.maximum(1.0, np.max(rows, axis=1))))
     # every pair a < b on one Gram matrix; each pair's residual is taken on
     # its Cauchy-Schwarz scale, so it does not grow with the pairings
     gram = sections.radial_gram(family, ms, quadrature.make_rule(P, 16))

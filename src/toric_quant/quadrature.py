@@ -8,7 +8,8 @@ axis, folded into that axis's Gauss weights (a Jacobi weight
 (s - a)^{(m_i - a)/2} (b - s)^{(b - m_i)/2} without redundant facets), and
 the rule keeps those per-axis factors (``TensorRule``: the product's nodes
 are built only when read); a grid multiplies each cell weight by the norm
-at its node.  ``pushforward`` takes a rule to the fibers of the projection
+at its node, NODE_BLOCK nodes at a time from their (d, N) facet values.
+``pushforward`` takes a rule to the fibers of the projection
 y = A x: every weight e^{-t f_m} depends on y alone, so the concentration
 runs and the L1 norms pay per node once and per fiber for each t.  When
 every row of A is a coordinate vector, the fibers of a tensor rule are the
@@ -139,7 +140,7 @@ def _axis_norms(P: DelzantPolytope, m):
 
     def factor(i, s):
         on = R[:, i] != 0
-        return np.exp(_log_norm_g0(np.multiply.outer(s, R[on, i]) + lam[on], lm[on]))
+        return np.exp(_log_norm_g0(np.multiply.outer(R[on, i], s) + lam[on, None], lm[on]))
     return factor
 
 

@@ -2,9 +2,9 @@
 
 Every normed quantity reduces to exponent algebra: the section indexed by a
 lattice point m has |sigma^m|(x) = exp(g(x) - <x - m, grad g(x)>), with the
-closed product form below for g0 (the t = 0 member), and the convex weight
-f_m(x) = <x - m, grad psi(x)> - psi(x) controlling how the time-t norm
-factors through the t = 0 norm.
+closed product form below for g0 (the t = 0 member, on facet values L (d, N)),
+and the convex weight f_m(x) = <x - m, grad psi(x)> - psi(x) controlling how
+the time-t norm factors through the t = 0 norm.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polytope import DelzantPolytope, facet_value
+from .polytope import DelzantPolytope
 from .potential import SymplecticPotential
 from .subtorus import ConvexFunction
 
@@ -35,36 +35,43 @@ def norm_matrix(pot: SymplecticPotential, ms, x, t=0.0):
 
 
 def _facet_values_at(P: DelzantPolytope, m):
-    """The exact l_j(m) of every facet, as floats; m must be a point of P."""
-    if len(m) != P.dim or not P.contains(m):
-        raise ValueError(f"{tuple(m)} is not a point of the polytope")
-    return np.array([float(facet_value(P, j + 1, m)) for j in range(P.num_facets)])
+    """l_j(m), (d,) for a point m of P or (M, d) for a stack; exact for lattice points."""
+    m = np.asarray(m, dtype=float)
+    lm = m @ P.normal_matrix.T + P.offset_vector if m.shape[-1:] == (P.dim,) else None
+    if lm is None or np.any(lm < 0):
+        raise ValueError(f"{m.tolist()} is not a point of the polytope")
+    return lm
 
 
 def _log_norm_g0(L, lm):
-    """log |sigma^m_0| from facet values L (..., d) and lm = l_j(m) (d,).
+    """log |sigma^m_0|, (N,) or (M, N), from facet values L (d, N) and lm = l_j(m), (d,) or (M, d).
 
-    The sum over facets of 1/2 (l_j(m) log l_j - l_j + l_j(m)), with one log
-    per facet where l_j(m) > 0; log 0 = -inf gives the exact zeros.  Any
-    subset of the facets gives the product of their factors.
+    1/2 (sum_j l_j(m) log l_j + sum_j (l_j(m) - l_j)): the second sum facet by
+    facet, the first one product over the facets with some l_j(m) > 0 (log 0 =
+    -inf gives the exact zeros; a stack needs l_j > 0 where one of its l_j(m)
+    is 0).  Any subset of the facets gives the product of their factors.
     """
-    on = lm > 0
+    s = np.add.reduce(lm[..., None] - L, axis=-2)  # over the facet axis, in facet order
+    on = (lm > 0).reshape(-1, len(L)).any(axis=0)
     with np.errstate(divide="ignore"):
-        logs = np.log(L[..., on]) @ lm[on]
-    return 0.5 * (logs + np.sum(lm - L, axis=-1))
+        logs = lm[..., on] @ np.log(L[on])
+    return 0.5 * (logs + s)
 
 
 def closed_form_norm_g0(P: DelzantPolytope, m, x):
     """The t = 0 norm prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m)-l_j(x))/2}.
 
     Defined on all of P including the boundary; vanishes exactly on facets
-    with l_j(m) > 0 and agrees with norm_matrix on the interior.  Taken
-    in log form (_log_norm_g0), with one exp per point.
+    with l_j(m) > 0 and agrees with norm_matrix on the interior.  Taken in
+    log form (_log_norm_g0), with one exp per point x (..., n); a stack of
+    lattice points m (M, n) on interior x gives shape (M,) + x.shape[:-1].
     """
-    L = P.facet_values_array(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    L = P.normal_matrix @ x.reshape(-1, P.dim).T + P.offset_vector[:, None]
     if np.any(L < -1e-12):
         raise ValueError("point outside the polytope")
-    return np.exp(_log_norm_g0(np.clip(L, 0.0, None), _facet_values_at(P, m)))
+    lm = _facet_values_at(P, m)
+    return np.exp(_log_norm_g0(np.clip(L, 0.0, None), lm).reshape(lm.shape[:-1] + x.shape[:-1]))
 
 
 @dataclass(frozen=True)
@@ -141,11 +148,12 @@ def radial_gram(pot: SymplecticPotential, ms, rule, t=0.0):
         where = rule.points[np.argmax(np.any(bad, axis=0))]
         raise QuadratureError(f"non-finite section norm at {tuple(where.tolist())}")
     with np.errstate(over="ignore"):  # overflow is reported just below
-        G = (S * rule.weights) @ S.T
+        S *= np.sqrt(rule.weights)  # in place: G = S S^T holds one (len(ms), N) array
+        G = S @ S.T
         bad = ~np.isfinite(G)
         if np.any(bad):
             a, b = np.unravel_index(np.argmax(bad), G.shape)
-            where = rule.points[np.argmax(S[a] * S[b] * rule.weights)]
+            where = rule.points[np.argmax(S[a] * S[b])]
             raise QuadratureError(f"non-finite pairing of {ms[a].tolist()} and "
                                   f"{ms[b].tolist()}, largest at {tuple(where.tolist())}")
     return G

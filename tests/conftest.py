@@ -113,3 +113,18 @@ def fd_jacobian(f, x, h=1e-5):
         e[i] = h
         cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h))
     return np.stack(cols, axis=-1)
+
+
+def trailing_axis_norm_g0(P, m, x):
+    """|sigma^m_0| at x (..., n) through the (N, d) form of the log-norm kernel.
+
+    The oracle for the facet-major ``sections._log_norm_g0``: facet values
+    L (..., d), one log per facet with l_j(m) > 0 in an (..., k) @ (k,)
+    product, and the sum of l_j(m) - l_j reduced over the trailing facet axis.
+    """
+    L = np.clip(P.facet_values_array(x), 0.0, None)
+    lm = P.facet_values_array(np.array(m, dtype=float))
+    on = lm > 0
+    with np.errstate(divide="ignore"):
+        logs = np.log(L[..., on]) @ lm[on]
+    return np.exp(0.5 * (logs + np.sum(lm - L, axis=-1)))

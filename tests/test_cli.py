@@ -527,6 +527,44 @@ class TestSmokeMatrix:
         assert payload["command"] == command and payload["passed"] is True
 
 
+class TestClosedFormCheck:
+    """sections-norms checks the closed form at every lattice point in one stacked call."""
+
+    @pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda p: p.stem)
+    def test_agrees_with_per_point_loop(self, config):
+        from toric_quant import cli, lattice_points, norm_matrix, potential
+
+        from conftest import trailing_axis_norm_g0
+
+        cfg = load_config(str(config))
+        P = cfg.polytope
+        # the reference: one (N, d) closed form per lattice point, row by row
+        pts = potential.interior_samples(P, 100, seed=cli._SEED)
+        ms = lattice_points(P)
+        rows = norm_matrix(potential.SymplecticPotential(P, cfg.proj, cfg.phi), ms, pts)
+        ref = max(float(np.max(np.abs(row - trailing_axis_norm_g0(P, m, pts))))
+                  / max(1.0, float(np.max(row))) for m, row in zip(ms, rows))
+        report = run(cfg, "sections-norms")
+        assert report.flags["closed_form_agrees"]
+        assert abs(report.outputs["closed_form_agreement"] - ref) <= 1e-15
+
+    @pytest.mark.parametrize("mutation", ["facet_value_off_by_one", "exp_factor_dropped"])
+    def test_mutation_fails_the_flag(self, mutation, monkeypatch):
+        from toric_quant import sections
+
+        if mutation == "facet_value_off_by_one":  # l_1(m) + 1 for every m
+            real = sections._facet_values_at
+            monkeypatch.setattr(sections, "_facet_values_at",
+                                lambda P, m: real(P, m) + np.eye(P.num_facets)[0])
+        else:  # the last facet's e^{(l_j(m) - l_j)/2} left out
+            real = sections._log_norm_g0
+            monkeypatch.setattr(sections, "_log_norm_g0",
+                                lambda L, lm: real(L, lm) - 0.5 * (lm[..., -1, None] - L[-1]))
+        flags = [run(load_config(str(c)), "sections-norms").flags["closed_form_agrees"]
+                 for c in SMOKE_CONFIGS]
+        assert not any(flags)
+
+
 class TestOutOfRange:
     """Valid inputs whose norms leave float64 exit 2 with out_of_range, not a traceback."""
 

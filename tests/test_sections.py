@@ -1,7 +1,11 @@
+import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_quant import (
     ConcentrationWeight,
@@ -10,6 +14,7 @@ from toric_quant import (
     QuadratureError,
     SymplecticPotential,
     closed_form_norm_g0,
+    grid_rule,
     integrate,
     l1_norms,
     lattice_points,
@@ -23,7 +28,7 @@ from toric_quant import (
     torus_average,
 )
 
-from conftest import g0_on, sample_interior
+from conftest import g0_on, sample_interior, trailing_axis_norm_g0
 
 
 def _norm(pot, m, x, t=0.0):
@@ -439,6 +444,20 @@ class TestGram:
         with pytest.raises(QuadratureError, match=r"non-finite pairing of \[1\] and \[1\]"):
             radial_gram(pot, ms, rule, 1000.0)
 
+    def test_gram_holds_one_norm_matrix(self):
+        # S is scaled by sqrt(w) in place, so the Gram matrix never holds S
+        # and S * w at once (that would peak at about 2.2 norm matrices)
+        P = DelzantPolytope.from_box([(0, 2)] * 3)
+        ms, rule, pot = lattice_points(P), make_rule(P, 32), g0_on(P)
+        rule.points, rule.weights  # materialize the tensor rule first
+        tracemalloc.start()
+        try:
+            radial_gram(pot, ms, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * len(ms) * rule.size * 8
+
     def test_relative_residual_scale_free(self):
         # pairings on 6 Delta^3 reach ~2e4 and grow with the dilation; the
         # residual is a ratio to sqrt(G_aa G_bb), so rescaling G leaves it alone
@@ -466,6 +485,77 @@ class TestGram:
         aliased = np.array([np.prod([np.mean(np.exp(1j * di * angles)) for di in d])
                             for d in dm])
         assert np.max(relative_orthogonality(G, ia, ib, aliased)) > 0.1
+
+
+# simplex2, hirzebruch, 6 Delta^3 and the 3-polytope of the grid-fold test
+KERNEL_POLYTOPES = (
+    DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2))), HIRZEBRUCH, SIMPLEX6,
+    DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -2, -1), 3))))
+
+
+@lru_cache(maxsize=None)
+def _grid_nodes(i, res):
+    return grid_rule(KERNEL_POLYTOPES[i], res).points
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A polytope, one of its lattice points, a run of grid nodes and a shape."""
+    i = draw(st.integers(0, len(KERNEL_POLYTOPES) - 1))
+    ms = lattice_points(KERNEL_POLYTOPES[i])
+    nodes = _grid_nodes(i, draw(st.sampled_from([8, 13, 32, 64])))
+    start = draw(st.integers(0, len(nodes) - 1))
+    x = nodes[start:start + draw(st.integers(1, 700))]
+    return i, ms[draw(st.integers(0, len(ms) - 1))], x, draw(st.sampled_from([1, 2, 3]))
+
+
+class TestFacetMajorKernel:
+    """closed_form_norm_g0 against the (N, d) kernel it replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(kernel_inputs())
+    def test_bit_equal_to_trailing_axis_form(self, case):
+        i, m, x, ndim = case
+        P = KERNEL_POLYTOPES[i]
+        x = np.concatenate([x, _boundary_points(P)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NaN or log-0 warning on the boundary
+            if ndim == 1:  # a point (n,) at a time: grid nodes, then boundary points
+                x = np.concatenate([x[:3], x[-5:]])
+                got = np.array([closed_form_norm_g0(P, m, p) for p in x])
+                ref = np.array([trailing_axis_norm_g0(P, m, p) for p in x])
+            elif ndim == 2:
+                got, ref = closed_form_norm_g0(P, m, x), trailing_axis_norm_g0(P, m, x)
+            else:
+                # (a, b, n) gives the bits of its flat (N, n) points; the (N, d)
+                # form on an (a, b, d) stack takes numpy's stacked matmul, whose
+                # rounding differs from the flat product by an ulp at a few nodes
+                a = 2 if len(x) % 2 == 0 else 1
+                got = closed_form_norm_g0(P, m, x.reshape(a, -1, P.dim))
+                assert got.shape == (a, len(x) // a)
+                ref = trailing_axis_norm_g0(P, m, x).reshape(got.shape)
+        assert got.tobytes() == ref.tobytes()
+        # exact zeros where l_j(m) > 0 = l_j(x), finite and positive elsewhere,
+        # also where l_j(m) = 0 = l_j(x)
+        lm = P.facet_values_array(np.array(m, dtype=float))
+        zero = np.any((P.facet_values_array(x) == 0) & (lm > 0), axis=-1)
+        got = got.ravel()
+        assert np.all(got[zero] == 0.0) and np.all(got[~zero] > 0)
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("i", range(len(KERNEL_POLYTOPES)))
+    def test_stack_of_lattice_points_equals_rows(self, i):
+        P = KERNEL_POLYTOPES[i]
+        ms, pts = lattice_points(P), sample_interior(P, 50, seed=5)
+        stack = closed_form_norm_g0(P, ms, pts.reshape(5, 10, P.dim))
+        assert stack.shape == (len(ms), 5, 10)
+        rows = np.array([closed_form_norm_g0(P, m, pts) for m in ms])
+        np.testing.assert_allclose(stack.reshape(len(ms), -1), rows, rtol=1e-14, atol=0)
+
+    def test_stack_rejects_a_point_outside(self):
+        P = KERNEL_POLYTOPES[0]
+        with pytest.raises(ValueError, match="not a point of the polytope"):
+            closed_form_norm_g0(P, [(0, 0), (2, 1)], sample_interior(P, 3))
 
 
 # 8 Delta^3, with C(11, 3) = 165 lattice points
