@@ -23,6 +23,8 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -195,12 +197,13 @@ def load_config(path: str) -> ExperimentConfig:
 
 # --- weight expression grammar: coordinates x1..xn, constants, + - * ^ ( ) ---
 
-def parse_weight(expr: str, n: int):
-    """Compile a weight expression to a callable on point arrays (N, n).
+def parse_weight(expr: str, n: int) -> quadrature.Polynomial:
+    """Compile a weight expression to a ``Polynomial`` on point arrays (N, n).
 
     The grammar is Python's with ^ for the power: + - * bind as usual, a
-    unary minus binds looser than ^ (-x1^2 is -(x1^2)), and an exponent is
-    a nonnegative integer literal.
+    unary minus binds looser than ^ (-x1^2 is -(x1^2)), and an exponent is a
+    nonnegative integer literal.  One walk builds the evaluator and the
+    expansion about any point; its multiply-adds may not exceed _EXPANSION_WORK.
     """
     if "**" in expr:
         raise ConfigError("bad_weight", "use ^ for powers in weight expressions")
@@ -209,40 +212,68 @@ def parse_weight(expr: str, n: int):
     except (SyntaxError, ValueError) as exc:  # older Pythons: ValueError on a null byte
         reason = getattr(exc, "msg", exc)
         raise ConfigError("bad_weight", f"cannot parse weight expression: {reason}") from None
-    f = _compile_weight(tree, n)
-
-    def u(x):  # constants stay scalars; a constant expression is broadcast once
-        x = np.asarray(x, dtype=float)
-        v = f(x)
-        return v if np.ndim(v) else np.full(x.shape[:-1], v)
-    return u
+    f, expand, _ = _compile_weight(tree, n, work := [_EXPANSION_WORK])
+    if work[0] < 0:
+        raise ConfigError("bad_weight", f"weight expands past {_EXPANSION_WORK} multiply-adds")
+    return quadrature.Polynomial(expand, f)
 
 
 _WEIGHT_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
+# the multiply-adds (sizes a and b multiply in a b) an expansion may take, and so the
+# largest coefficient tensor: (x1+x2+x3)^40 takes 5,379,200
+_EXPANSION_WORK = 8_000_000
 
-def _compile_weight(node, n):
+
+def _combine(op, a, b):
+    """a op b for polynomials as dense coefficient tensors (b an int for a power)."""
+    if op is operator.pow:  # b products, or one power of a constant
+        return a ** b if a.size == 1 else reduce(
+            lambda acc, _: _combine(operator.mul, acc, a), range(b), np.ones((1,) * a.ndim))
+    if op is not operator.mul:  # both padded with zeros to the larger shape
+        out = np.zeros((2,) + tuple(map(max, a.shape, b.shape)))
+        out[(0,) + tuple(map(slice, a.shape))], out[(1,) + tuple(map(slice, b.shape))] = a, b
+        return op(out[0], out[1])
+    if min(a.size, b.size) == 1:
+        return a * b
+    a, b = sorted((a, b), key=np.count_nonzero)
+    out = np.zeros(np.add(a.shape, b.shape) - 1)
+    for idx in zip(*np.nonzero(a)):  # one slice per nonzero of the sparser factor
+        out[tuple(slice(i, i + k) for i, k in zip(idx, b.shape))] += a[idx] * b
+    return out
+
+
+def _compile_weight(node, n, work):
+    """(evaluator, expander, shape) of a weight AST node: expander(c) gives the
+    coefficient tensor of that shape in x - c; its multiply-adds are taken from work[0]."""
     if isinstance(node, ast.BinOp) and type(node.op) in _WEIGHT_OPS:
-        op = _WEIGHT_OPS[type(node.op)]
-        a, b = _compile_weight(node.left, n), _compile_weight(node.right, n)
-        return lambda x: op(a(x), b(x))
+        op, mul = _WEIGHT_OPS[type(node.op)], isinstance(node.op, ast.Mult)
+        (a, ea, sa), (b, eb, sb) = (_compile_weight(v, n, work) for v in (node.left, node.right))
+        work[0] -= prod(sa) * prod(sb) if mul else 0
+        return ((lambda x: op(a(x), b(x))), (lambda c: _combine(op, ea(c), eb(c))),
+                tuple(map(lambda i, j: i + j - 1 if mul else max(i, j), sa, sb)))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        p = node.right
-        if not (isinstance(p, ast.Constant) and type(p.value) is int):
+        if not (isinstance(node.right, ast.Constant) and type(node.right.value) is int):
             raise ConfigError("bad_weight", "exponent must be a nonnegative integer")
-        a = _compile_weight(node.left, n)
-        return lambda x: a(x) ** p.value
+        p, (a, ea, sa) = node.right.value, _compile_weight(node.left, n, work)
+        for k in range(p * (prod(sa) > 1)):  # k factors times one more, until the work runs out
+            work[0] -= prod(sa) * prod(k * (s - 1) + 1 for s in sa)
+            if work[0] < 0:
+                break
+        return ((lambda x: a(x) ** p), (lambda c: _combine(operator.pow, ea(c), p)),
+                tuple(p * (s - 1) + 1 for s in sa))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        a = _compile_weight(node.operand, n)
-        return lambda x: -a(x)
+        a, ea, sa = _compile_weight(node.operand, n, work)
+        return (lambda x: -a(x)), (lambda c: -ea(c)), sa
     if isinstance(node, ast.Name):
         i = int(node.id[1:]) - 1 if re.fullmatch(r"x\d+", node.id) else -1
         if not 0 <= i < n:
             raise ConfigError("bad_weight", f"unknown coordinate {node.id} for dim {n}")
-        return lambda x: x[..., i]
+        shape = tuple(2 if j == i else 1 for j in range(n))  # x_i = c_i + (x_i - c_i)
+        return (lambda x: x[..., i]), (lambda c: np.array([c[i], 1.0]).reshape(shape)), shape
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         c = np.float64(node.value)
-        return lambda x: c
+        return (lambda x: c), (lambda _: np.full((1,) * n, c)), (1,) * n
     raise ConfigError("bad_weight", f"unsupported weight term {ast.unparse(node)!r}")
 
 

@@ -14,10 +14,10 @@ y = A x: every weight e^{-t f_m} depends on y alone, so the concentration
 runs and the L1 norms pay per node once and per fiber for each t.  When
 every row of A is a coordinate vector, the fibers of a tensor rule are the
 product grid of the other axes and the fiber sums are contractions of the
-axis factors (``AxisFibers``); any other rule groups its nodes
-(``NodeFibers``).  The concentration experiment reproduces the
-localization of L1-normalized sections onto the slice through their
-lattice point, with the slice pairing as the t = infinity reference value.
+axis factors (``AxisFibers``: a ``Polynomial`` weight is evaluated on no node);
+any other rule groups its nodes (``NodeFibers``).  The concentration experiment
+reproduces the localization of L1-normalized sections onto the slice through
+their lattice point, with the slice pairing as the t = infinity reference value.
 """
 from __future__ import annotations
 
@@ -66,6 +66,20 @@ class QuadratureRule:
         return float(self.weights.sum())
 
 
+@dataclass(frozen=True)
+class Polynomial:
+    """A weight u(x) = sum_beta C[beta] (x - c)^beta: ``expand(c)`` gives the dense tensor C
+    (an axis per coordinate), and calls evaluate u on point arrays (..., n)."""
+
+    expand: object
+    evaluate: object
+
+    def __call__(self, x):  # constants stay scalars; a constant expression is broadcast once
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+            v = self.evaluate(x := np.asarray(x, dtype=float))
+        return v if np.ndim(v) else np.full(x.shape[:-1], v)
+
+
 @dataclass(frozen=True, eq=False)
 class TensorRule:
     """A tensor Gauss rule kept as its factors, one (nodes, weights) pair per axis.
@@ -77,6 +91,7 @@ class TensorRule:
 
     resolution: int
     axes: tuple  # ((nodes, weights), ...), one pair per axis
+    center: tuple = None  # where AxisFibers expands a weight: m, or the middle of the box
     kind = "gauss"
 
     @property
@@ -161,7 +176,7 @@ def box_rule(P: DelzantPolytope, resolution: int, m=None) -> TensorRule:
             top = [int(np.argmax(np.where(np.isfinite(w), w, np.inf))) for _, w in axes]
             _finite(np.array([prod(w[j] for (_, w), j in zip(axes, top))]),
                     np.array([[nodes[j] for (nodes, _), j in zip(axes, top)]]))
-    return TensorRule(resolution, axes)
+    return TensorRule(resolution, axes, [s.mean() for s, _ in axes] if m is None else m)
 
 
 def _midpoint_rule(normals, offsets, vertices, dim, resolution):
@@ -252,12 +267,10 @@ def make_rule(domain: DelzantPolytope, resolution: int, m=None):
 class Pushforward:
     """The measure of a rule pushed forward to the image of y = A x, fiber by fiber.
 
-    ``sums(h)`` gives the fiber sums of the weights and of w * h, shape
-    (1 + rows, fibers), for h mapping at most NODE_BLOCK nodes (B, n) at a
-    time to (B,) or (rows, B) values (h = None gives the weight sums
-    alone); ``at_fibers(g)`` gives a fiber-constant g at each fiber's first
-    node.  ``NodeFibers`` groups nodes and ``AxisFibers`` contracts the
-    axis factors of a tensor rule.
+    ``sums(h)`` gives the fiber sums of the weights and of w * h, shape (1 + rows,
+    fibers), h = None for the weight sums alone: ``NodeFibers`` takes h mapping at most
+    NODE_BLOCK nodes (B, n) to (B,) or (rows, B) values, ``AxisFibers`` a ``Polynomial``.
+    ``at_fibers(g)`` gives a fiber-constant g at each fiber's first node.
     """
 
     def masses(self, h, f, times):
@@ -314,63 +327,52 @@ class AxisFibers(Pushforward):
     """The fibers of a tensor rule under an A whose rows pick the image axes.
 
     Every fiber is the product grid Z of the other axes, and the fibers
-    are the image grid in "ij" order.  With w_y the product of the
-    image-axis weights at y and w_Z the product weights of Z,
-    F_1(y) = w_y sum_Z w_Z and F_h(y) = w_y (h(y, Z) @ w_Z): no node array
-    is built, and h sees at most NODE_BLOCK nodes at a time (a longer fiber
-    in pieces).
+    are the image grid in "ij" order.  With (s_i, w_i) the norm-folded axis
+    rules, w_y the image-axis weights at y and u = sum_beta C_beta (x - c)^beta
+    about the rule's center c (m, where R_t concentrates), F_u(y) = w_y sum_beta
+    C_beta (y - c)^beta_image prod_{i in Z} w_i . (s_i - c_i)^beta_i: a moment per
+    fiber axis and exponent, a matrix product per image axis, and no node
+    array.  F_1 is the beta = 0 case of the same contraction.
     """
 
     def __init__(self, rule: TensorRule, image: tuple):
         axes = rule.axes
         self.rule, self.image = rule, image
         self.fiber = tuple(i for i in range(len(axes)) if i not in image)
-        self.wy, self.wz = (_outer([axes[i][1] for i in ax]) for ax in (image, self.fiber))
+        self.wy = _outer([axes[i][1] for i in image])
 
-    def _grid(self, axes, idx):
-        """(axis, coordinates) for each of the axes at the flat "ij" indices idx of their grid."""
-        out = []
-        for i in reversed(axes):
-            nodes = self.rule.axes[i][0]
-            idx, j = np.divmod(idx, len(nodes))
-            out.append((i, nodes[j]))
+    def _nodes(self, r0, r1):
+        """The first nodes of the fibers r0:r1: an (r1 - r0, n) view of contiguous columns."""
+        axes, idx = self.rule.axes, np.arange(r0, r1)
+        x = np.empty((len(axes), r1 - r0))
+        for i in reversed(self.image):  # the image grid in "ij" order
+            idx, j = np.divmod(idx, len(axes[i][0]))
+            x[i] = axes[i][0][j]
+        for i in self.fiber:
+            x[i] = axes[i][0][0]
+        return x.T
+
+    def sums(self, u) -> np.ndarray:
+        axes, c, out = self.rule.axes, self.rule.center, []
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            for C in [np.ones([1] * len(axes))] + ([u.expand(c)] if u else []):
+                C = C.transpose(self.image + self.fiber)
+                for i in reversed(self.fiber):  # a moment per exponent of the last axis
+                    s, w = axes[i]
+                    C = C @ (w * np.vander(s - c[i], C.shape[-1], increasing=True).T).sum(1)
+                for i, q in zip(self.image, C.shape):  # axis i's grid replaces its exponents
+                    C = (np.vander(axes[i][0] - c[i], q, increasing=True) @ C.reshape(q, -1)).T
+                out.append(C.reshape(-1) * self.wy)
+        out = np.array(out)
+        if not np.isfinite(out).all():  # name the first node of the first non-finite fiber
+            r = int(np.argmin(np.all(np.isfinite(out), axis=0)))
+            _finite(out[:, r], self._nodes(r, r + 1))
         return out
 
-    def _nodes(self, r0, r1, z, size):
-        """The nodes of the fibers r0:r1 at the size fiber coordinates z (from
-        _grid), fiber by fiber: a ((r1 - r0) size, n) view of contiguous columns."""
-        x = np.empty((len(self.rule.axes), r1 - r0, size))
-        for i, c in self._grid(self.image, np.arange(r0, r1)):
-            x[i] = c[:, None]
-        for i, c in z:
-            x[i] = c
-        return x.reshape(len(x), -1).T
-
-    def sums(self, h) -> np.ndarray:
-        # sum_Z w_Z in the pieces h is summed in, so h = 1 gives the same numbers
-        fibers, size = len(self.wy), len(self.wz)
-        step, piece = max(1, NODE_BLOCK // size), min(size, NODE_BLOCK)
-        fz = 0.0
-        for a in range(0, size, piece):
-            fz += self.wz[a:a + piece].sum()
-        if h is None:
-            return (self.wy * fz)[None]
-        for a in range(0, size, piece):  # the fiber coordinates once per piece
-            b = min(a + piece, size)
-            z = self._grid(self.fiber, np.arange(a, b))
-            for r0 in range(0, fibers, step):
-                r1 = min(r0 + step, fibers)
-                x = self._nodes(r0, r1, z, b - a)
-                vals = _finite(np.atleast_2d(np.asarray(h(x), dtype=float)), x)
-                if r0 == a == 0:
-                    acc = np.zeros((len(vals), fibers))
-                acc[:, r0:r1] += (vals.reshape(len(vals), r1 - r0, b - a) * self.wz[a:b]).sum(-1)
-        return np.vstack([self.wy * fz, acc * self.wy])
-
     def at_fibers(self, g) -> np.ndarray:
-        out, first = np.empty(len(self.wy)), self._grid(self.fiber, np.arange(1))
+        out = np.empty(len(self.wy))
         for s in range(0, len(out), NODE_BLOCK):
-            x = self._nodes(s, min(s + NODE_BLOCK, len(out)), first, 1)
+            x = self._nodes(s, min(s + NODE_BLOCK, len(out)))
             out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
         return out
 
@@ -472,14 +474,16 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
                              resolution: int = 256) -> ConcentrationResult:
     """R_t = int e^{-t f_m} |sigma^m_0| u dx / int e^{-t f_m} |sigma^m_0| dx.
 
-    pot is the potential family; f_m comes from its psi.  Uses the
-    factorization of the time-t norm through the t=0 norm; the rule
+    pot is the potential family; f_m comes from its psi; u is a ``Polynomial``.
+    Uses the factorization of the time-t norm through the t=0 norm; the rule
     integrates against |sigma^m_0| dx and f_m depends on y = A x alone, so
     both integrals are sums over fibers r of e^{-t f_m(y_r)} times the fiber
     sums of the weights and of u.
     The minimum of f_m is subtracted before exponentiating so the weights
     stay finite for large t.  The errors compare against R_infinity.
     """
+    if not isinstance(u, Polynomial):
+        raise TypeError("u must be a Polynomial that expands about a point (cli.parse_weight)")
     t_list = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly increasing")

@@ -34,7 +34,7 @@ from toric_quant import (
 )
 from toric_quant.polarization import degenerate_directions, isotropy_defect
 from toric_quant.potential import boundary_approach_samples, interior_samples
-from toric_quant.cli import emit, load_config, run
+from toric_quant.cli import emit, load_config, parse_weight, run
 
 from conftest import g0_on, kahler_rows, limit_rows, sample_interior
 
@@ -231,9 +231,9 @@ def test_criterion_8a_concentration_square_symmetric_weights():
     t_list = [8, 16, 32, 64, 128]
     details = []
     ok = True
-    for expr, u in (("x2", lambda x: x[..., 1]), ("x1", lambda x: x[..., 0])):
-        res = concentration_experiment(SymplecticPotential(SQUARE2, PROJ21, PHI), (1, 1), u,
-                                       t_list, resolution=256)
+    for expr in ("x2", "x1"):
+        res = concentration_experiment(SymplecticPotential(SQUARE2, PROJ21, PHI), (1, 1),
+                                       parse_weight(expr, 2), t_list, resolution=256)
         band_ok, why = _ratio_band_or_converged(res)
         sym_ok = abs(res.slice_value - 1.0) < 1e-5 if expr == "x2" else True
         conv_ok = res.errors[-1] < 1e-5
@@ -252,7 +252,7 @@ def test_criterion_8b_concentration_laplace_rate_visible():
     # Laplace regime the criterion targets with a symmetry-breaking weight
     t0 = time.perf_counter()
     res = concentration_experiment(SymplecticPotential(SQUARE2, PROJ21, PHI), (1, 1),
-                                   lambda x: x[..., 0] ** 2,
+                                   parse_weight("x1^2", 2),
                                    [16, 32, 64, 128, 256], resolution=256)
     ratios = [b / a for a, b in zip(res.errors, res.errors[1:])]
     band_ok = all(0.3 <= r <= 0.7 for r in ratios)
@@ -316,7 +316,7 @@ def test_criterion_8c_interval_delta_limit_mean_bound():
     ratio_ok = all(abs(r - 1.0 / math.sqrt(2.0)) <= 1e-6 for r in halvings)
 
     res = concentration_experiment(SymplecticPotential(INTERVAL, PROJ1, PHI), (0,),
-                                   lambda x: x[..., 0], list(t_list),
+                                   parse_weight("x1", 1), list(t_list),
                                    resolution=256)
     slice_ok = res.slice_value == 0.0
     section_ok = all(0.0 < r <= e for r, e in zip(res.ratios, exact))

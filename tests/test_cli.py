@@ -4,9 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_quant.cli import (
     _COMMANDS,
@@ -279,6 +283,73 @@ class TestWeightGrammar:
             ref = self._full_array_compile(expr, 3)(x)
             assert got.shape == x.shape[:-1] and got.dtype == np.float64
             assert got.tobytes() == ref.tobytes()
+
+
+def _expansion_check(u, x, c):
+    """sum_beta C_beta (x - c)^beta against the evaluator, within 1e-12 sum |C_beta (x - c)^beta|."""
+    C = u.expand(np.asarray(c, dtype=float))
+    monomials = np.array([C[beta] * np.prod((x - c) ** np.array(beta), axis=-1)
+                          for beta in zip(*np.nonzero(C))] or [np.zeros(len(x))])
+    assert np.all(np.abs(monomials.sum(0) - u(x)) <= 1e-12 * np.abs(monomials).sum(0))
+
+
+@st.composite
+def _weight_expression(draw, depth=3):
+    """A grammar expression in x1..x3: + - *, ^ with exponents 0-3, unary
+    minus and parentheses, at most depth operators deep."""
+    kind = draw(st.sampled_from(("leaf", "binary", "power", "minus") if depth else ("leaf",)))
+    if kind == "leaf":
+        return draw(st.sampled_from(("x1", "x2", "x3", "1", "2.5", "0.5", "3")))
+    a = draw(_weight_expression(depth - 1))
+    wrap = f"({a})" if draw(st.booleans()) or kind == "power" else a
+    if kind == "power":
+        return f"{wrap}^{draw(st.integers(0, 3))}"
+    if kind == "minus":
+        return f"-{wrap}"
+    b = draw(_weight_expression(depth - 1))
+    return f"{wrap} {draw(st.sampled_from('+-*'))} ({b})"
+
+
+class TestWeightExpansion:
+    """parse_weight's expansion about a point c, built in the same walk as its evaluator."""
+
+    CENTERS = ((0.0, 0.0, 0.0), (1.0, -0.5, 2.0))
+
+    def test_panel_expansion_equals_the_tree(self):
+        x = np.random.default_rng(5).uniform(-2, 2, size=(200, 3))
+        for expr in TestWeightGrammar.PANEL:
+            for c in self.CENTERS:
+                _expansion_check(parse_weight(expr, 3), x, c)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_weight_expression(), st.sampled_from(CENTERS))
+    def test_drawn_expansion_equals_the_tree(self, expr, c):
+        x = np.random.default_rng(11).uniform(-2, 2, size=(50, 3))
+        _expansion_check(parse_weight(expr, 3), x, c)
+
+    def test_dense_coefficients_about_the_point(self):
+        u = parse_weight("2*x1 - x2^3 + 0.5 + x1*2", 2)
+        C = u.expand(np.zeros(2))
+        assert C.shape == (2, 4) and np.count_nonzero(C) == 3
+        assert (C[1, 0], C[0, 3], C[0, 0]) == (4.0, -1.0, 0.5)
+        # about x1 = 1 the centred power has one term: no cancellation to round off
+        C = parse_weight("(x1 - 1)^16", 2).expand(np.array([1.0, 3.0]))
+        assert C.shape == (17, 1) and C[16, 0] == 1.0 and np.count_nonzero(C) == 1
+
+    def test_degree_forty_trinomial_is_accepted(self):
+        u = parse_weight("(x1+x2+x3)^40", 3)
+        assert u.expand(np.zeros(3)).shape == (41, 41, 41)
+        x = np.random.default_rng(2).uniform(0, 1, size=(20, 3))
+        for c in self.CENTERS:
+            _expansion_check(u, x, c)
+
+    def test_expansion_past_the_bound_exits_two(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["concentrate", str(REPO / "bench" / "fixtures" / "cube2.json"),
+                     "--u=(x1+x2+x3)^200"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "bad_weight" and "multiply-adds" in err["message"]
 
 
 class TestRun:
@@ -584,6 +655,17 @@ class TestOutOfRange:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         err = json.loads(proc.stderr, parse_constant=_reject_constant)["error"]
+        assert err["code"] == "out_of_range" and "non-finite" in err["message"]
+
+
+    @pytest.mark.parametrize("config", ["configs/square2.json",  # box: the contraction
+                                        "bench/fixtures/simplex2.json"])  # grid: node values
+    def test_overflowing_weight_prints_one_json_object(self, capsys, config):
+        # x1^2000 leaves float64 past x1 = 1.42; numpy must not warn on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["concentrate", str(REPO / config), "--u=x1^2000"]) == 2
+        err = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)["error"]
         assert err["code"] == "out_of_range" and "non-finite" in err["message"]
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toric_quant import (
@@ -29,6 +29,7 @@ from toric_quant import (
     slice_rule,
 )
 from toric_quant import ProjectionError, quadrature
+from toric_quant.cli import parse_weight
 from toric_quant.quadrature import (NODE_BLOCK, AxisFibers, NodeFibers, QuadratureRule, TensorRule,
                                     _gauss_axis, _tensor_axes, _tensor_product, pushforward)
 
@@ -139,10 +140,10 @@ class TestNodeBlocks:
 
     def test_concentration_temporaries_stay_blocked(self, square2, proj_first_of_two,
                                                    phi_half_square):
-        # block temporaries only: 0.65 node vectors measured; the (N, 2) node
-        # array alone is 2, and the node grouping this replaced peaked at 5.2
+        # no node-sized temporaries: 0.05 node vectors measured; the (N, 2)
+        # node array alone is 2, and the node grouping this replaced peaked at 5.2
         pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
-        run = lambda: concentration_experiment(pot, (1, 1), lambda x: x[..., 0] ** 2,
+        run = lambda: concentration_experiment(pot, (1, 1), parse_weight("x1^2", 2),
                                                [8, 16, 32], resolution=512)
         run()  # the Gauss-Legendre cache
         assert _peak_node_vectors(run, 512 ** 2) < 1.0
@@ -153,10 +154,10 @@ class TestNodeBlocks:
         P = DelzantPolytope.from_box([(0, 2)] * 3)
         proj = SubtorusProjection(rows)
         pot = SymplecticPotential(P, proj, quadratic(0.5 * np.eye(proj.k)))
-        run = lambda: concentration_experiment(pot, (1, 1, 1), lambda x: x[..., 0] ** 2,
+        run = lambda: concentration_experiment(pot, (1, 1, 1), parse_weight("x1^2", 3),
                                                [8, 16, 32], resolution=64)
         run()
-        assert _peak_node_vectors(run, 64 ** 3) < 1.5  # 0.92-0.97 measured
+        assert _peak_node_vectors(run, 64 ** 3) < 1.5  # 0.29-0.49 measured
         # F_1 touches no node: per-fiber arrays only (0.05 and 0.27 measured)
         norms = lambda: l1_norms(pot, (1, 1, 1), 64, (0.0, 8.0, 32.0))
         assert _peak_node_vectors(norms, 64 ** 3) < 0.5
@@ -174,21 +175,22 @@ class TestFiberMasses:
         phi = phi_half_square if proj.k == 1 else quadratic(np.eye(2))
         m = tuple(int(v) for v in P.vertices[0].point)
         f = ConcentrationWeight(m, pullback(phi, proj))
-        h = lambda x: (closed_form_norm_g0(P, m, x), x[..., -1] * closed_form_norm_g0(P, m, x))
-        rule, times = make_rule(P, res), (0.0, 3.0, 17.5, 90.0)
+        # a polynomial, which box fibers contract and node grouping evaluates
+        h = parse_weight(f"1 + x{P.dim}^2 - 0.5*x1*x{P.dim}", P.dim)
+        rule, times = make_rule(P, res, m), (0.0, 3.0, 17.5, 90.0)
         push = pushforward(rule, proj)
         got, fmin = push.masses(h, f, times)
-        assert got.shape == (4, 3) and fmin == push.at_fibers(f).min()
+        assert got.shape == (4, 2) and fmin == push.at_fibers(f).min()
         # the per-t loop over fiber sums, in the same arithmetic: bit for bit
         F, fr = push.sums(h), push.at_fibers(f)
         for t, row in zip(times, got):
             w = np.exp(-t * (fr - fmin))
-            assert row.tolist() == [w @ F[0], w @ F[1], w @ F[2]]
+            assert row.tolist() == [w @ F[0], w @ F[1]]
         # a direct integral of e^{-t (f_m - min f_m)} times 1 and h over the
         # nodes for each t
         for t, row in zip(times, got):
-            direct = [integrate(lambda x, i=i: np.exp(-t * (f(x) - fmin)) * (
-                1.0 if i < 0 else h(x)[i]), rule) for i in (-1, 0, 1)]
+            direct = [integrate(lambda x, g=g: np.exp(-t * (f(x) - fmin)) * g(x), rule)
+                      for g in (ones, h)]
             assert np.allclose(row, direct, rtol=1e-12, atol=0)
 
     def test_one_loop_behind_ratios_and_l1_norms(self, square2, proj_first_of_two,
@@ -201,7 +203,7 @@ class TestFiberMasses:
                             lambda self, h, f, times: calls.append(tuple(times))
                             or real(self, h, f, times))
         concentration_experiment(SymplecticPotential(square2, proj_first_of_two, phi_half_square),
-                                 (1, 1), lambda x: x[..., 0] ** 2, [8, 16], resolution=32)
+                                 (1, 1), parse_weight("x1^2", 2), [8, 16], resolution=32)
         pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         l1_norms(pot, (1, 1), 32, (0.0, 4.0))
         assert calls == [(8.0, 16.0), (0.0, 4.0)]
@@ -258,11 +260,20 @@ class TestPushforward:
         assert isinstance(push, AxisFibers)
         assert np.array_equal(push.at_fibers(lambda x: x[..., 0]), rule.axes[0][0])
         assert np.array_equal(push.at_fibers(lambda x: x[..., 1]), np.full(16, rule.axes[1][0][0]))
-        bad = lambda x: np.where(x[..., 1] > 1.9, np.nan, 1.0)
+        # x2^2000 overflows for x2 > 1.42: the contraction names the fiber's first node
         with pytest.raises(QuadratureError, match="non-finite integrand value at"):
-            push.sums(bad)
+            push.sums(parse_weight("x2^2000", 2))
         with pytest.raises(QuadratureError, match="non-finite integrand value at"):
             push.at_fibers(lambda x: np.where(x[..., 0] > 1.9, np.inf, 1.0))
+
+
+REDUNDANT_BOXES = (
+    # [0, 2] with the redundant facet x >= -1
+    DelzantPolytope(1, (((1,), 0), ((-1,), 2), ((1,), 1))),
+    # [0, 2] x [0, 1] with the redundant facets x >= -1 and y <= 3
+    DelzantPolytope(2, (((1, 0), 0), ((-1, 0), 2), ((0, 1), 0), ((0, -1), 1),
+                        ((1, 0), 1), ((0, -1), 3))),
+)
 
 
 @st.composite
@@ -300,24 +311,59 @@ def _fiber_major(vals, res, dim, image):
     return grid.reshape(lead + (res ** len(image), res ** len(fiber)))
 
 
+@st.composite
+def positive_polynomial(draw):
+    """1-4 terms of total degree <= 6 in x1..x4 (cut to the dimension) with
+    positive coefficients, as {exponents: coefficient}."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        alpha, left = [], draw(st.integers(0, 6))
+        for _ in range(4):
+            alpha.append(draw(st.integers(0, left)))
+            left -= alpha[-1]
+        terms[tuple(alpha)] = draw(st.sampled_from((0.1, 0.5, 1.0, 2.0, 3.25)))
+    return terms
+
+
+def _render(terms, dim):
+    """The weight grammar for {exponents: coefficient}, exponents cut to dim."""
+    return " + ".join("*".join([repr(c)] + [f"x{i + 1}^{a}" for i, a in enumerate(alpha[:dim])])
+                      for alpha, c in terms.items())
+
+
+def _majorant(u, c):
+    """x -> sum_beta |C_beta| |x - c|^beta for u's expansion C about c: the
+    scale of the roundoff of the contraction, and of the node values too."""
+    C = np.abs(u.expand(c))
+    return lambda x: sum(C[b] * np.prod(np.abs(x - c) ** np.array(b), axis=-1)
+                         for b in zip(*np.nonzero(C)))
+
+
 class TestAxisFibers:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(box_and_coordinate_projection(), st.integers(5, 300))
-    def test_contraction_equals_node_grouping(self, drawn, block):
+    @given(box_and_coordinate_projection(), positive_polynomial(), st.integers(5, 300))
+    @example((REDUNDANT_BOXES[0], SubtorusProjection(((1,),)), (1,), 24),
+             {(3, 0, 0, 0): 1.0, (0, 0, 0, 0): 0.5}, 7)
+    @example((REDUNDANT_BOXES[1], SubtorusProjection(((1, 0),)), (2, 1), 24),
+             {(2, 3, 0, 0): 2.0, (0, 1, 0, 0): 1.0}, 11)
+    @example((REDUNDANT_BOXES[1], SubtorusProjection(((0, 1),)), (1, 0), 16),
+             {(1, 5, 0, 0): 0.5, (4, 0, 0, 0): 3.25}, 300)
+    @example((REDUNDANT_BOXES[1], SubtorusProjection(((0, 1), (1, 0))), (0, 0), 16),
+             {(6, 0, 0, 0): 1.0, (1, 1, 0, 0): 0.1}, 5)
+    def test_contraction_equals_node_grouping(self, drawn, terms, block):
         P, proj, m, res = drawn
         image = [r.index(1) for r in proj.matrix]
         rule = make_rule(P, res, m)
-        # positive integrands, so rtol bounds every fiber sum; f depends on
-        # the image coordinates alone, elementwise, so it is fiber-constant
-        h = lambda x: np.vstack([2.0 + np.cos(x @ np.arange(1.0, x.shape[-1] + 1)),
-                                 1.0 + x[..., -1] ** 2])
+        # f depends on the image coordinates alone, elementwise, so it is
+        # fiber-constant
+        u = parse_weight(_render(terms, P.dim), P.dim)
         f = lambda x: sum((j + 1.0) * (x[:, i] - m[i]) ** 2 for j, i in enumerate(image))
         times = (0.0, 3.0, 40.0)
         # small blocks, so blocks split fibers and hold several
         with mock.patch.object(quadrature, "NODE_BLOCK", block):
             push = pushforward(rule, proj)
-            sums, first, (masses, fmin) = push.sums(h), push.at_fibers(f), push.masses(h, f, times)
-            one, plain = push.sums(lambda x: np.ones(len(x))), push.sums(None)
+            sums, first, (masses, fmin) = push.sums(u), push.at_fibers(f), push.masses(u, f, times)
+            one, plain = push.sums(parse_weight("1", P.dim)), push.sums(None)
         assert isinstance(push, AxisFibers)
         # u = 1 gives the weight sums bit for bit
         assert one.shape == (2, res ** len(image))
@@ -326,18 +372,38 @@ class TestAxisFibers:
         nodes = QuadratureRule(rule.kind, res, rule.points, rule.weights)
         grouped = pushforward(nodes, proj)
         assert isinstance(grouped, NodeFibers)
-        ref, ref_fmin = grouped.masses(h, f, times)
-        np.testing.assert_allclose(masses, ref, rtol=1e-13, atol=0)
+        # every comparison within 1e-13 of the same sums of the majorant of
+        # u's expansion about m (the weight sums: rtol), which bounds the
+        # roundoff where the box crosses zero and odd powers change sign
+        maj = _majorant(u, rule.center)
+        ref, ref_fmin = grouped.masses(u, f, times)
+        assert np.all(np.abs(masses - ref) <= 1e-13 * grouped.masses(maj, f, times)[0])
         assert fmin == ref_fmin
         if image == list(range(len(image))):  # A = [I_k | 0]: the same fibers
-            np.testing.assert_allclose(sums, grouped.sums(h), rtol=1e-13, atol=0)
+            assert np.all(np.abs(sums - grouped.sums(u)) <= 1e-13 * grouped.sums(maj))
             assert np.array_equal(first, grouped.at_fibers(f))
         # any axis order: the node-wise values in fiber-major order
-        vals = np.vstack([np.ones(nodes.size), h(nodes.points)]) * nodes.weights
-        np.testing.assert_allclose(sums, _fiber_major(vals, res, P.dim, image).sum(-1),
-                                   rtol=1e-13, atol=0)
+        fiber_sums = lambda h: _fiber_major(np.vstack([np.ones(nodes.size), h(nodes.points)])
+                                            * nodes.weights, res, P.dim, image).sum(-1)
+        assert np.all(np.abs(sums - fiber_sums(u)) <= 1e-13 * fiber_sums(maj))
         x0 = _fiber_major(nodes.points.T, res, P.dim, image)[:, :, 0].T
         assert np.array_equal(first, f(x0))
+
+    def test_weights_vanishing_at_m_keep_their_accuracy(self, square2, proj_first_of_two,
+                                                         phi_half_square):
+        # R_t concentrates at y_m = A m, so the contraction expands u about m:
+        # a weight that vanishes there to high order has nothing to cancel,
+        # and every mass stays within 1e-13 of its sum of |u|, as node values do
+        for expr, m in (("(x1-1)^16", (1, 1)), ("(x1-1)^9", (1, 1)),
+                        ("(x2-1)^16 + (x1-1)^11", (1, 1)), ("x1^16 * (2 - x2)", (0, 2))):
+            u, rule, times = parse_weight(expr, 2), make_rule(square2, 128, m), (8.0, 128.0, 2048.0)
+            f = ConcentrationWeight(m, pullback(phi_half_square, proj_first_of_two))
+            got, _ = pushforward(rule, proj_first_of_two).masses(u, f, times)
+            grouped = pushforward(QuadratureRule(rule.kind, 128, rule.points, rule.weights),
+                                  proj_first_of_two)
+            ref, _ = grouped.masses(u, f, times)
+            scale, _ = grouped.masses(lambda x: np.abs(u(x)), f, times)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale), expr
 
     def test_no_node_array_on_the_box_path(self, monkeypatch, phi_half_square):
         # no product points or weights of the box rule and no projection of
@@ -349,7 +415,7 @@ class TestAxisFibers:
             points = weights = property(refuse)
         box = quadrature.box_rule
         monkeypatch.setattr(quadrature, "box_rule",
-                            lambda P, res, m=None: Sealed(res, box(P, res, m).axes))
+                            lambda P, res, m=None: Sealed(res, box(P, res, m).axes, m))
         real = SubtorusProjection.apply
         monkeypatch.setattr(SubtorusProjection, "apply", lambda self, x: refuse()
                             if isinstance(x, np.ndarray) else real(self, x))
@@ -357,8 +423,13 @@ class TestAxisFibers:
                            (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 0, 0),), (1, 1, 1))):
             proj = SubtorusProjection(rows)
             pot = SymplecticPotential(P, proj, phi_half_square)
-            result = concentration_experiment(pot, m, lambda x: x[..., 0] ** 2, [8, 16], 32)
+            # u's evaluator sees the slice rule's nodes alone (delta_pairing):
+            # the box fibers contract its expansion
+            seen, u = [], parse_weight("x1^2 + x2", P.dim)
+            counted = quadrature.Polynomial(u.expand, lambda x: seen.append(len(x)) or u(x))
+            result = concentration_experiment(pot, m, counted, [8, 16], 32)
             assert len(result.ratios) == 2
+            assert sum(seen) == slice_rule(face_slice(P, proj, proj.apply(m)), 64).size
             assert all(np.isfinite(l1_norms(pot, m, 32, (0.0, 8.0))))
 
 
@@ -380,13 +451,6 @@ def _meshgrid_midpoint_rule(P, resolution):
 
 
 SIMPLEX2 = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2)))
-REDUNDANT_BOXES = (
-    # [0, 2] with the redundant facet x >= -1
-    DelzantPolytope(1, (((1,), 0), ((-1,), 2), ((1,), 1))),
-    # [0, 2] x [0, 1] with the redundant facets x >= -1 and y <= 3
-    DelzantPolytope(2, (((1, 0), 0), ((-1, 0), 2), ((0, 1), 0), ((0, -1), 1),
-                        ((1, 0), 1), ((0, -1), 3))),
-)
 
 
 class TestBlockedGrid:
@@ -467,7 +531,7 @@ class TestNormWeightedRules:
         monkeypatch.setattr(quadrature, "closed_form_norm_g0",
                             lambda P, m, x: seen.append(len(x)) or real(P, m, x))
         concentration_experiment(SymplecticPotential(square2, proj_first_of_two, phi_half_square),
-                                 (1, 1), lambda x: x[..., 0] ** 2, [8, 16], resolution=96)
+                                 (1, 1), parse_weight("x1^2", 2), [8, 16], resolution=96)
         sl = face_slice(square2, proj_first_of_two, (1,))
         assert sum(seen) == slice_rule(sl, 96).size == 96
 
@@ -611,9 +675,9 @@ class TestConcentration:
     def test_uniform_weight_trivial(self, square2, proj_first_of_two, phi_half_square):
         res = concentration_experiment(
             SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
-            ones, [8, 16, 32], resolution=64)
-        assert res.slice_value == pytest.approx(1.0)
-        assert np.allclose(res.ratios, 1.0, atol=1e-12)
+            parse_weight("1", 2), [8, 16, 32], resolution=64)
+        # u = 1 sums the weights themselves: R_t = R_inf = 1 bit for bit
+        assert res.slice_value == 1.0 and res.ratios == (1.0, 1.0, 1.0)
 
     def test_square_symmetric_weights_converged(self, square2, proj_first_of_two,
                                                 phi_half_square):
@@ -621,7 +685,7 @@ class TestConcentration:
         for axis in (0, 1):
             res = concentration_experiment(
                 SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
-                lambda x, a=axis: x[..., a], [8, 16, 32, 64, 128], resolution=256)
+                parse_weight(f"x{axis + 1}", 2), [8, 16, 32, 64, 128], resolution=256)
             assert res.slice_value == pytest.approx(1.0, abs=1e-12)
             assert max(res.errors) < 1e-12
             # errors at roundoff carry no rate: no exponent is fitted to them
@@ -632,7 +696,7 @@ class TestConcentration:
         # u = x1^2 breaks the mirror symmetry: genuine C/t error decay
         res = concentration_experiment(
             SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
-            lambda x: x[..., 0] ** 2, [16, 32, 64, 128, 256], resolution=256)
+            parse_weight("x1^2", 2), [16, 32, 64, 128, 256], resolution=256)
         assert res.slice_value == pytest.approx(1.0, abs=1e-10)
         for e0, e1 in zip(res.errors, res.errors[1:]):
             assert 0.3 <= e1 / e0 <= 0.7
@@ -640,16 +704,19 @@ class TestConcentration:
 
     def test_errors_eventually_monotone(self, square2, proj_first_of_two,
                                         phi_half_square):
+        # the degree-4 Taylor polynomial of e^x1
+        u = parse_weight("1 + x1 + 0.5*x1^2 + 0.16666666666666666*x1^3"
+                         " + 0.041666666666666664*x1^4", 2)
         res = concentration_experiment(
             SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
-            lambda x: np.exp(x[..., 0]), [8, 16, 32, 64, 128], resolution=256)
+            u, [8, 16, 32, 64, 128], resolution=256)
         assert all(b < a for a, b in zip(res.errors, res.errors[1:]))
 
     def test_interval_vertex_experiment(self, interval, proj_id1, phi_half_square):
         # m = 0 sits at a vertex: the slice pairing is point evaluation u(0) = 0
         # and the one-sided Laplace mean decays like sqrt(2 / (pi t))
         res = concentration_experiment(SymplecticPotential(interval, proj_id1, phi_half_square),
-                                       (0,), lambda x: x[..., 0], [32, 64, 128],
+                                       (0,), parse_weight("x1", 1), [32, 64, 128],
                                        resolution=256)
         assert res.slice_value == 0.0
         for t, r in zip(res.t_values, res.ratios):
@@ -676,11 +743,18 @@ class TestConcentration:
         # min-subtraction keeps every weight finite up to t = 10^4
         res = concentration_experiment(
             SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
-            lambda x: x[..., 0] ** 2, [100.0, 10000.0], resolution=64)
+            parse_weight("x1^2", 2), [100.0, 10000.0], resolution=64)
         assert all(np.isfinite(res.ratios))
+
+    def test_weight_without_terms_rejected(self, square2, proj_first_of_two, phi_half_square):
+        # box fibers contract the monomial terms, so a bare callable has nothing to contract
+        with pytest.raises(TypeError, match="Polynomial"):
+            concentration_experiment(
+                SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
+                lambda x: x[..., 0] ** 2, [8, 16], resolution=64)
 
     def test_t_list_must_increase(self, square2, proj_first_of_two, phi_half_square):
         with pytest.raises(ValueError):
             concentration_experiment(
                 SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
-                ones, [8, 8], resolution=64)
+                parse_weight("1", 2), [8, 8], resolution=64)
