@@ -47,10 +47,6 @@ from .sections import (
     l1_norms,
     norm_factorization_check,
     norm_matrix,
-    orthogonality_residual,
-    radial_gram,
-    relative_orthogonality,
-    torus_average,
 )
 from .quadrature import (
     ConcentrationResult,

@@ -10,6 +10,17 @@ from fractions import Fraction
 from math import gcd
 
 
+def exact_int(v) -> int:
+    """v as an int; ValueError where int() would truncate, parse text or read a bool."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or isinstance(v, (bool, str, bytes)) or i != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return i
+
+
 def is_primitive(vec) -> bool:
     return gcd(*map(int, vec)) == 1
 

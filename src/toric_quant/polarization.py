@@ -22,30 +22,6 @@ from .potential import SymplecticPotential
 from .subtorus import SubtorusProjection
 
 
-def isotropy_defect(rows) -> float:
-    """max |Omega(row_a, row_b)| over pairs of rows and any leading axes;
-    zero for Lagrangian frames."""
-    n = rows.shape[-1] // 2
-    a, b = rows[..., :n], rows[..., n:]
-    M = a @ np.swapaxes(b, -1, -2) - b @ np.swapaxes(a, -1, -2)
-    return float(np.max(np.abs(M)))
-
-
-def degenerate_directions(rows, tol: float = 1e-10):
-    """Complex dimension of the kernel of the positivity form on the span.
-
-    The form is the Hermitian matrix i Omega(conj(row_a), row_b): positive
-    definite for Kahler frames (2 G^{-1} on the rows (G^{-1}, -i I)), and
-    positive semidefinite with a k-dimensional kernel for the limit.  A
-    stack of frames gives one count per frame.
-    """
-    n = rows.shape[-1] // 2
-    a, b = rows[..., :n], rows[..., n:]
-    M = 1j * (a.conj() @ np.swapaxes(b, -1, -2) - b.conj() @ np.swapaxes(a, -1, -2))
-    counts = np.sum(np.abs(np.linalg.eigvalsh(M)) < tol, axis=-1)
-    return int(counts) if counts.ndim == 0 else counts
-
-
 def subspace_angle(rows_a, rows_b):
     """Largest principal angle between row spans (complex subspaces).
 
@@ -81,7 +57,6 @@ class DecayReport:
     distances: np.ndarray  # (N, T): principal angle to the limit
     fitted_slopes: np.ndarray  # (N,): least-squares slope of log distance vs log t
     subframe_invariance: float  # max angle of the ker A rows at t against t = 0
-    isotropy_defect: float  # max isotropy defect of the time-t frames
     limit: np.ndarray  # (N, n, 2n): rows (0, A) and (B, -i B G0)
 
 
@@ -117,4 +92,4 @@ def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
     return DecayReport(t_values=tuple(t_list),
                        top_block_norms=np.max(np.abs(A @ Ginv), axis=(-2, -1)),
                        distances=dists, fitted_slopes=slopes, subframe_invariance=subinv,
-                       isotropy_defect=isotropy_defect(frames), limit=lim)
+                       limit=lim)

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._intlin import (
     _rref,
+    exact_int,
     integer_det,
     integer_kernel_basis,
     is_primitive,
@@ -128,20 +129,21 @@ class DelzantPolytope:
     facets: tuple  # ((normal, offset), ...)
 
     def __post_init__(self):
-        n = self.dim
+        try:  # exactly: int() would truncate 2.5 or 1.9 to another polytope
+            n = exact_int(self.dim)
+            norm = [(tuple(map(exact_int, r)), exact_int(lam)) for r, lam in self.facets]
+        except (TypeError, ValueError) as exc:
+            raise PolytopeError(f"polytope data must be integers: {exc}") from None
         if n < 1:
             raise PolytopeError("dimension must be >= 1")
-        norm = []
-        for entry in self.facets:
-            r, lam = entry
-            r = tuple(int(v) for v in r)
+        for r, _ in norm:
             if len(r) != n:
                 raise PolytopeError(f"normal {r} has wrong length for dim {n}")
             if not is_primitive(r):
                 raise PolytopeError(f"facet normal {r} is not primitive")
-            norm.append((r, int(lam)))
         if len(norm) < n + 1:
             raise PolytopeError("a bounded polytope needs at least dim+1 facets")
+        object.__setattr__(self, "dim", n)
         object.__setattr__(self, "facets", tuple(norm))
 
     @classmethod
@@ -154,8 +156,8 @@ class DelzantPolytope:
                 raise PolytopeError("box bounds must satisfy hi > lo")
             e = tuple(1 if t == i else 0 for t in range(n))
             me = tuple(-1 if t == i else 0 for t in range(n))
-            facets.append((e, -int(lo)))
-            facets.append((me, int(hi)))
+            facets.append((e, -lo))
+            facets.append((me, hi))
         return cls(n, tuple(facets))
 
     @property

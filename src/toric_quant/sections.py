@@ -9,7 +9,6 @@ the time-t norm factors through the t = 0 norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -131,88 +130,3 @@ def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
         norms.append(l1)
     return norms
 
-
-def radial_gram(pot: SymplecticPotential, ms, rule, t=0.0):
-    """Gram matrix G[a, b] = sum_k |sigma^a_t|(x_k) |sigma^b_t|(x_k) w_k of the radial pairings.
-
-    g_t is evaluated once on the rule for all the lattice points ms.
-    Non-finite norms or pairings are rejected the way
-    ``quadrature.integrate`` rejects non-finite integrands.
-    """
-    from .quadrature import QuadratureError  # local import to avoid a cycle
-
-    ms = np.asarray(ms)
-    S = norm_matrix(pot, ms, rule.points, t)
-    bad = ~np.isfinite(S)
-    if np.any(bad):
-        where = rule.points[np.argmax(np.any(bad, axis=0))]
-        raise QuadratureError(f"non-finite section norm at {tuple(where.tolist())}")
-    with np.errstate(over="ignore"):  # overflow is reported just below
-        S *= np.sqrt(rule.weights)  # in place: G = S S^T holds one (len(ms), N) array
-        G = S @ S.T
-        bad = ~np.isfinite(G)
-        if np.any(bad):
-            a, b = np.unravel_index(np.argmax(bad), G.shape)
-            where = rule.points[np.argmax(S[a] * S[b])]
-            raise QuadratureError(f"non-finite pairing of {ms[a].tolist()} and "
-                                  f"{ms[b].tolist()}, largest at {tuple(where.tolist())}")
-    return G
-
-
-@lru_cache(maxsize=1024)
-def _roots_mean(d: int, theta_resolution: int):
-    """Mean of e^{i d theta} over the theta_resolution-th roots of unity."""
-    angles = 2.0 * np.pi * np.arange(theta_resolution) / theta_resolution
-    return np.mean(np.exp(1j * d * angles))
-
-
-def torus_average(dm, theta_resolution: int) -> complex:
-    """Average of e^{i <dm, theta>} over a uniform grid of theta_resolution points per axis.
-
-    Roots of unity cancel exactly when dm != 0 and the grid outresolves
-    every coordinate of dm; the average is 1 for dm = 0.  The grid average
-    is the product of one mean per coordinate, each computed once per
-    (coordinate, resolution) and shared.
-    """
-    dm = np.asarray(dm, dtype=int).tolist()
-    if theta_resolution <= max(map(abs, dm), default=0):
-        raise ValueError(
-            f"theta resolution {theta_resolution} aliases weight difference {tuple(dm)}")
-    avg = complex(1.0)
-    for di in dm:
-        avg *= _roots_mean(di, theta_resolution)
-    return avg
-
-
-def relative_orthogonality(gram, ia, ib, torus):
-    """|T_ab G[a, b]| / sqrt(G[a, a] G[b, b]) for the pairs (ia, ib).
-
-    T_ab is the pair's torus average.  The Cauchy-Schwarz scale makes the
-    residual independent of how large the radial pairings grow; an aliased
-    theta grid (T_ab = 1) gives a residual of order one.
-    """
-    scale = np.sqrt(np.diagonal(gram))
-    return np.abs(torus) * np.abs(gram[ia, ib]) / (scale[ia] * scale[ib])
-
-
-def orthogonality_residual(gram, ms) -> float:
-    """The largest relative_orthogonality over all pairs a < b of the lattice points ms.
-
-    Each distinct difference m_a - m_b takes its torus average once, on the
-    coarsest theta grid that outresolves it (at least 4 angles per axis).
-    """
-    ia, ib = np.triu_indices(len(ms), 1)
-    # the distinct differences in row order, through one int64 key per row:
-    # offset components, combined in mixed radix, keep lexicographic order
-    M = np.array(ms)
-    d = M[ia] - M[ib]
-    off = np.abs(d).max(axis=0, initial=0)
-    key = np.zeros(len(d), dtype=np.int64)
-    for c, o in enumerate(off):
-        key = key * (2 * o + 1) + (d[:, c] + o)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    diffs = d[first]
-    res = np.maximum(4, np.max(np.abs(diffs), axis=1, initial=0) + 1).tolist()
-    torus = np.array([torus_average(dm, r) for dm, r in zip(diffs, res)])
-    return float(np.max(relative_orthogonality(gram, ia, ib, torus[inverse.ravel()]),
-                        initial=0.0))

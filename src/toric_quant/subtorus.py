@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._intlin import _hermite
+from ._intlin import _hermite, exact_int
 
 
 class ProjectionError(ValueError):
@@ -26,7 +26,10 @@ class SubtorusProjection:
     matrix: tuple  # k x n integer rows
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in r) for r in self.matrix)
+        try:  # exactly: int() would truncate 1.5 to another projection
+            rows = tuple(tuple(map(exact_int, r)) for r in self.matrix)
+        except (TypeError, ValueError) as exc:
+            raise ProjectionError(f"projection entries must be integers: {exc}") from None
         if not rows or not rows[0]:
             raise ProjectionError("projection matrix must be nonempty")
         n = len(rows[0])
@@ -89,6 +92,8 @@ def quadratic(Q, b=None) -> ConvexFunction:
     Q = np.array(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be square")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("Q must be finite")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ValueError("Q must be symmetric")
     try:
@@ -99,6 +104,8 @@ def quadratic(Q, b=None) -> ConvexFunction:
     b = np.zeros(dim) if b is None else np.array(b, dtype=float)
     if b.shape != (dim,):
         raise ValueError("b has wrong shape")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b must be finite")
 
     def value(y):
         y = np.asarray(y, dtype=float)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from toric_quant import DelzantPolytope, SubtorusProjection, SymplecticPotential, quadratic
+from toric_quant import (
+    DelzantPolytope,
+    SubtorusProjection,
+    SymplecticPotential,
+    norm_matrix,
+    quadratic,
+)
 
 
 @pytest.fixture
@@ -91,6 +97,48 @@ def limit_rows(pot, proj, x):
     B = np.array(integer_kernel_basis(proj.matrix), dtype=float).reshape(-1, n)
     G0 = pot.hessian(np.asarray(x, dtype=float))
     return np.vstack([np.hstack([np.zeros_like(A), A]), np.hstack([B, -1j * (B @ G0)])])
+
+
+def isotropy_defect(rows) -> float:
+    """max |Omega(row_a, row_b)| over pairs of rows and any leading axes;
+    zero for Lagrangian frames."""
+    n = rows.shape[-1] // 2
+    a, b = rows[..., :n], rows[..., n:]
+    M = a @ np.swapaxes(b, -1, -2) - b @ np.swapaxes(a, -1, -2)
+    return float(np.max(np.abs(M)))
+
+
+def degenerate_directions(rows, tol: float = 1e-10):
+    """Complex dimension of the kernel of the positivity form on the span.
+
+    The form is the Hermitian matrix i Omega(conj(row_a), row_b): positive
+    definite for Kahler frames (2 G^{-1} on the rows (G^{-1}, -i I)), and
+    positive semidefinite with a k-dimensional kernel for the limit.  A
+    stack of frames gives one count per frame.
+    """
+    n = rows.shape[-1] // 2
+    a, b = rows[..., :n], rows[..., n:]
+    M = 1j * (a.conj() @ np.swapaxes(b, -1, -2) - b.conj() @ np.swapaxes(a, -1, -2))
+    counts = np.sum(np.abs(np.linalg.eigvalsh(M)) < tol, axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
+
+
+def radial_gram(pot, ms, rule):
+    """Gram matrix G = S diag(w) S^T of the radial pairings on a rule, S = norm_matrix."""
+    S = norm_matrix(pot, ms, rule.points)
+    return (S * rule.weights) @ S.T
+
+
+def torus_average(dm, theta_resolution):
+    """Mean of e^{i <dm, theta>} over the theta_resolution-th roots of unity on each axis.
+
+    Zero for dm != 0 once the grid outresolves every coordinate of dm; a
+    coarser grid aliases and is refused.
+    """
+    if theta_resolution <= max(map(abs, dm), default=0):
+        raise ValueError(f"theta resolution {theta_resolution} aliases {tuple(dm)}")
+    angles = 2.0 * np.pi * np.arange(theta_resolution) / theta_resolution
+    return complex(np.prod([np.mean(np.exp(1j * d * angles)) for d in dm]))
 
 
 def fd_gradient(f, x, h=1e-5):

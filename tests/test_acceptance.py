@@ -27,16 +27,22 @@ from toric_quant import (
     norm_factorization_check,
     norm_matrix,
     quadratic,
-    radial_gram,
-    torus_average,
     validate_potential,
     weight_multiplicities,
 )
-from toric_quant.polarization import degenerate_directions, isotropy_defect
 from toric_quant.potential import boundary_approach_samples, interior_samples
 from toric_quant.cli import emit, load_config, parse_weight, run
 
-from conftest import g0_on, kahler_rows, limit_rows, sample_interior
+from conftest import (
+    degenerate_directions,
+    g0_on,
+    isotropy_defect,
+    kahler_rows,
+    limit_rows,
+    radial_gram,
+    sample_interior,
+    torus_average,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -153,7 +159,7 @@ def test_criterion_6_polarization_degeneration():
     pot = SymplecticPotential(SQUARE2, PROJ21, PHI)
     rep = decay_report(pot, PROJ21, pts, t_list)
     slopes, sub = rep.fitted_slopes.tolist(), rep.subframe_invariance
-    iso = max(rep.isotropy_defect, isotropy_defect(rep.limit))
+    iso = isotropy_defect(rep.limit)
     for x, lim in zip(pts, rep.limit):
         for t in t_list:
             iso = max(iso, isotropy_defect(kahler_rows(pot, x, t)))

@@ -3,7 +3,8 @@ import ast
 import glob
 import os
 
-# the ceiling on src/ lines that ROADMAP.md item 5 sets for items 1-5
+# the ceiling on src/ lines that every open item in ROADMAP.md holds to; it stays
+# above the current count to leave room for the non-box fiber rules (item 2)
 SRC_LINE_BUDGET = 2602
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
