@@ -210,6 +210,7 @@ class DelzantPolytope:
         """True when the facets cut out an axis-aligned box."""
         return _is_box(tuple(r for r, _ in self.facets), self.dim)
 
+    @cached_property
     def box_bounds(self):
         """Per-axis (lo, hi) for box polytopes (exact rationals)."""
         if not self.is_box:

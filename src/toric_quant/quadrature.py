@@ -17,7 +17,9 @@ product grid of the other axes and the fiber sums are contractions of the
 axis factors (``AxisFibers``: a ``Polynomial`` weight is evaluated on no node);
 any other rule groups its nodes (``NodeFibers``).  The concentration experiment
 reproduces the localization of L1-normalized sections onto the slice through
-their lattice point, with the slice pairing as the t = infinity reference value.
+their lattice point, with the slice pairing as the t = infinity reference value
+(``slice_pairing``): box fibers read it off their fiber-axis moments, node fibers
+integrate over the slice chart (``delta_pairing``, on ``face_slice`` and ``slice_rule``).
 """
 from __future__ import annotations
 
@@ -169,7 +171,7 @@ def box_rule(P: DelzantPolytope, resolution: int, m=None) -> TensorRule:
         raise QuadratureError("resolution must be at least 8")
     factor = None if m is None else _axis_norms(P, m)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        axes = _tensor_axes(P.box_bounds(), resolution, factor)
+        axes = _tensor_axes(P.box_bounds, resolution, factor)
         if m is not None:
             # a product weight is non-finite where a factor is, else first
             # at the axis maxima
@@ -332,7 +334,9 @@ class AxisFibers(Pushforward):
     about the rule's center c (m, where R_t concentrates), F_u(y) = w_y sum_beta
     C_beta (y - c)^beta_image prod_{i in Z} w_i . (s_i - c_i)^beta_i: a moment per
     fiber axis and exponent, a matrix product per image axis, and no node
-    array.  F_1 is the beta = 0 case of the same contraction.
+    array.  F_1 is the beta = 0 case of the same contraction.  ``moments`` is
+    the fiber step alone: its entries at image exponent 0 are the slice sums
+    behind R_infinity (``slice_pairing``).
     """
 
     def __init__(self, rule: TensorRule, image: tuple):
@@ -352,14 +356,23 @@ class AxisFibers(Pushforward):
             x[i] = axes[i][0][0]
         return x.T
 
-    def sums(self, u) -> np.ndarray:
+    def moments(self, u) -> list:
+        """The fiber step of ``sums``: the coefficients of 1 and of u (u = None: 1 alone)
+        with every fiber exponent contracted, one array over the image exponents each."""
         axes, c, out = self.rule.axes, self.rule.center, []
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
             for C in [np.ones([1] * len(axes))] + ([u.expand(c)] if u else []):
                 C = C.transpose(self.image + self.fiber)
                 for i in reversed(self.fiber):  # a moment per exponent of the last axis
                     s, w = axes[i]
                     C = C @ (w * np.vander(s - c[i], C.shape[-1], increasing=True).T).sum(1)
+                out.append(C)
+        return out
+
+    def sums(self, u) -> np.ndarray:
+        axes, c, out = self.rule.axes, self.rule.center, []
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            for C in self.moments(u):
                 for i, q in zip(self.image, C.shape):  # axis i's grid replaces its exponents
                     C = (np.vander(axes[i][0] - c[i], q, increasing=True) @ C.reshape(q, -1)).T
                 out.append(C.reshape(-1) * self.wy)
@@ -434,7 +447,8 @@ def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
     the image of m is a boundary level, including a single point for vertex
     fibers) in the chart measure du of x = x0 + B^T u, numerator and
     denominator in one pass.  The normalization makes the result a weighted
-    mean of u, so chart constants cancel.
+    mean of u, so chart constants cancel.  ``slice_pairing`` takes this path
+    for node fibers (grids and skew A); box fibers read their moments instead.
     """
     m = tuple(int(v) for v in m)
     sl = face_slice(P, proj, proj.apply(m))
@@ -447,6 +461,29 @@ def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
     if den <= 0:
         raise QuadratureError("slice norm integral vanished")
     return float(num / den)
+
+
+def slice_pairing(push: Pushforward | None, P: DelzantPolytope, proj: SubtorusProjection, m, u,
+                  resolution: int) -> float:
+    """R_infinity, the mean of u against |sigma^m_0| on the fiber through m, with
+    resolution nodes per slice axis: the one place R_infinity is taken.
+
+    Box fibers (push, the R_t rule's) read it off their fiber-axis moments at
+    image exponent 0 (of a resolution-node rule when theirs has fewer nodes):
+    the rule's center is m, so every term with an image exponent vanishes at
+    y_m = A m, and the image weights are constant on the slice and cancel.
+    Node fibers, or none, integrate over the slice chart (``delta_pairing``).
+    """
+    if not isinstance(push, AxisFibers):
+        return delta_pairing(P, proj, m, u, resolution)
+    if push.rule.resolution < resolution:
+        push = AxisFibers(box_rule(P, resolution, m), push.image)
+    den, num = (M.flat[0] for M in push.moments(u))
+    with np.errstate(all="ignore"):  # reported just below
+        rinf = num / den
+    if not (0 < den < np.inf and np.isfinite(rinf)):
+        raise QuadratureError(f"non-finite or vanishing slice pairing at m = {m}")
+    return float(rinf)
 
 
 # errors at or below this, relative to max(1, |R_infinity|), are quadrature
@@ -480,7 +517,7 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
     both integrals are sums over fibers r of e^{-t f_m(y_r)} times the fiber
     sums of the weights and of u.
     The minimum of f_m is subtracted before exponentiating so the weights
-    stay finite for large t.  The errors compare against R_infinity.
+    stay finite for large t.  The errors compare against R_infinity (``slice_pairing``).
     """
     if not isinstance(u, Polynomial):
         raise TypeError("u must be a Polynomial that expands about a point (cli.parse_weight)")
@@ -490,14 +527,19 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
     P, proj = pot.polytope, pot.proj
     m = tuple(int(v) for v in m)
     fm = ConcentrationWeight(m, pot.perturbation)
+    u = Polynomial(lru_cache(maxsize=1)(u.expand), u.evaluate)  # one expansion: R_t and R_inf
     # the norm is in the weights: the fiber sums are of w and of w * u
-    masses, _ = pushforward(make_rule(P, resolution, m), proj).masses(u, fm, t_list)
+    push = pushforward(make_rule(P, resolution, m), proj)
+    masses, _ = push.masses(u, fm, t_list)
     ratios = []
     for t, (den, num) in zip(t_list, masses):
         if den <= 0 or not np.isfinite(den):
             raise QuadratureError(f"degenerate concentration mass at t={t}")
         ratios.append(float(num) / float(den))
-    rinf = delta_pairing(P, proj, m, u, resolution=max(resolution, 64))
+    # node fibers hold every node of the rule: they go before the slice rule is built
+    if not isinstance(push, AxisFibers):
+        push = None
+    rinf = slice_pairing(push, P, proj, m, u, max(resolution, 64))
     errors = [abs(r - rinf) for r in ratios]
     floor = roundoff_floor(rinf)
     above = [(t, e) for t, e in zip(t_list, errors) if e > floor]

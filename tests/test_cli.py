@@ -684,6 +684,17 @@ class TestOutOfRange:
         err = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)["error"]
         assert err["code"] == "out_of_range" and "non-finite" in err["message"]
 
+    @pytest.mark.parametrize("res", ["32", "96"])
+    def test_weight_expanding_out_of_float64_exits_two(self, capsys, res):
+        # (x1 + 1e200)^2 expands about m to a constant term of 1e400: box fibers
+        # (R_t, and R_inf at 64 or at res nodes) report it, and no NaN reaches JSON
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["concentrate", str(REPO / "configs" / "square2.json"),
+                         "--u=(x1+1e200)^2", "--resolution", res]) == 2
+        err = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)["error"]
+        assert err["code"] == "out_of_range" and "non-finite" in err["message"]
+
 
 class TestTimeFamilyOnce:
     """Each command pays the t-independent part of its time family once."""

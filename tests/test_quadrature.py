@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -23,6 +24,7 @@ from toric_quant import (
     grid_rule,
     integrate,
     l1_norms,
+    lattice_points,
     make_rule,
     pullback,
     quadratic,
@@ -406,8 +408,9 @@ class TestAxisFibers:
             assert np.all(np.abs(got - ref) <= 1e-13 * scale), expr
 
     def test_no_node_array_on_the_box_path(self, monkeypatch, phi_half_square):
-        # no product points or weights of the box rule and no projection of
-        # nodes: the slice pairing applies A to m alone
+        # no product points or weights of the box rule, no projection of nodes,
+        # no slice chart, slice rule or norm at a node, and no evaluation of u:
+        # R_t and R_inf contract one expansion of u about m
         def refuse(*args):
             raise AssertionError("node array built")
 
@@ -419,17 +422,20 @@ class TestAxisFibers:
         real = SubtorusProjection.apply
         monkeypatch.setattr(SubtorusProjection, "apply", lambda self, x: refuse()
                             if isinstance(x, np.ndarray) else real(self, x))
+        for name in ("face_slice", "slice_rule", "closed_form_norm_g0", "delta_pairing"):
+            monkeypatch.setattr(quadrature, name, refuse)
         for P, rows, m in ((DelzantPolytope.from_box([(0, 2), (0, 2)]), ((0, 1),), (1, 0)),
                            (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 0, 0),), (1, 1, 1))):
             proj = SubtorusProjection(rows)
             pot = SymplecticPotential(P, proj, phi_half_square)
-            # u's evaluator sees the slice rule's nodes alone (delta_pairing):
-            # the box fibers contract its expansion
-            seen, u = [], parse_weight("x1^2 + x2", P.dim)
-            counted = quadrature.Polynomial(u.expand, lambda x: seen.append(len(x)) or u(x))
-            result = concentration_experiment(pot, m, counted, [8, 16], 32)
-            assert len(result.ratios) == 2
-            assert sum(seen) == slice_rule(face_slice(P, proj, proj.apply(m)), 64).size
+            u = parse_weight("x1^2 + x2", P.dim)
+            # R_inf from a 64-node rule's moments (res 32) and from the rule's own (res 96)
+            for res in (32, 96):
+                centers = []
+                counted = quadrature.Polynomial(lambda c: centers.append(c) or u.expand(c), refuse)
+                result = concentration_experiment(pot, m, counted, [8, 16], res)
+                assert len(result.ratios) == 2 and np.isfinite(result.slice_value)
+                assert centers == [m]
             assert all(np.isfinite(l1_norms(pot, m, 32, (0.0, 8.0))))
 
 
@@ -480,7 +486,7 @@ class TestBlockedGrid:
 
     @pytest.mark.parametrize("P,volume", [(REDUNDANT_BOXES[0], 2.0), (REDUNDANT_BOXES[1], 2.0)])
     def test_box_with_redundant_facet_gets_gauss(self, P, volume):
-        assert P.is_box and P.box_bounds() == tuple((0, hi) for hi in (2, 1)[:P.dim])
+        assert P.is_box and P.box_bounds == tuple((0, hi) for hi in (2, 1)[:P.dim])
         rule = make_rule(P, 16)
         assert rule.kind == "gauss"
         assert rule.total_weight() == pytest.approx(volume, rel=1e-14)
@@ -526,13 +532,21 @@ class TestNormWeightedRules:
 
     def test_concentrate_norms_only_the_slice_nodes(self, square2, proj_first_of_two,
                                                     phi_half_square, monkeypatch):
+        # box fibers fold the norm into the axis weights and read R_inf off their
+        # moments: no node; node fibers (skew A) norm the slice rule's nodes alone
         seen = []
         real = quadrature.closed_form_norm_g0
         monkeypatch.setattr(quadrature, "closed_form_norm_g0",
                             lambda P, m, x: seen.append(len(x)) or real(P, m, x))
-        concentration_experiment(SymplecticPotential(square2, proj_first_of_two, phi_half_square),
+        for res in (32, 96):
+            concentration_experiment(SymplecticPotential(square2, proj_first_of_two,
+                                                         phi_half_square),
+                                     (1, 1), parse_weight("x1^2", 2), [8, 16], resolution=res)
+        assert seen == []
+        skew = SubtorusProjection(((1, 1),))
+        concentration_experiment(SymplecticPotential(square2, skew, phi_half_square),
                                  (1, 1), parse_weight("x1^2", 2), [8, 16], resolution=96)
-        sl = face_slice(square2, proj_first_of_two, (1,))
+        sl = face_slice(square2, skew, (2,))
         assert sum(seen) == slice_rule(sl, 96).size == 96
 
     def test_overflowing_box_norm_raises(self):
@@ -671,6 +685,56 @@ class TestDeltaPairing:
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
+class TestSlicePairing:
+    # box fibers read R_inf off their fiber-axis moments; the slice chart's rule
+    # with as many nodes per axis (delta_pairing) is the oracle
+    CASES = [
+        (DelzantPolytope.from_box([(0, 1)]), ((1,),)),
+        (DelzantPolytope.from_box([(0, 2)] * 2), ((1, 0),)),
+        (DelzantPolytope.from_box([(0, 2)] * 2), ((0, 1),)),
+        (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 0, 0), (0, 1, 0))),
+        (DelzantPolytope.from_box([(0, 2)] * 3), ((0, 0, 1),)),
+        (DelzantPolytope.from_box([(0, 2)] * 4), ((1, 0, 0, 0),)),
+        (REDUNDANT_BOXES[1], ((1, 0),)),
+        (REDUNDANT_BOXES[1], ((0, 1),)),
+    ]
+
+    @pytest.mark.parametrize("P,rows", CASES, ids=["interval", "square2", "square2-x2",
+                                                   "cube2", "cube2-x3", "box4", "redundant",
+                                                   "redundant-x2"])
+    def test_moments_equal_the_slice_rule(self, P, rows):
+        proj, n = SubtorusProjection(rows), P.dim
+        u = parse_weight(f"1 + x1 - 0.5*x{n}^3 + x1*x{n}^2 + 0.25*x{(n + 1) // 2}^4", n)
+        one = parse_weight("1", n)
+        for m in lattice_points(P):
+            refs = {}
+            for res in (8, 32, 63, 64, 96):
+                nodes = max(res, 64)
+                if nodes not in refs:
+                    refs[nodes] = delta_pairing(P, proj, m, u, nodes)
+                push = pushforward(make_rule(P, res, m), proj)
+                assert isinstance(push, AxisFibers)
+                got = quadrature.slice_pairing(push, P, proj, m, u, nodes)
+                assert abs(got - refs[nodes]) <= 1e-14 * max(1.0, abs(got)), (m, res)
+                assert quadrature.slice_pairing(push, P, proj, m, one, nodes) == 1.0
+
+    def test_vertex_of_the_interval_is_exact(self, interval, proj_id1):
+        for res in (8, 64, 96):
+            push = pushforward(make_rule(interval, res, (0,)), proj_id1)
+            assert quadrature.slice_pairing(push, interval, proj_id1, (0,),
+                                            parse_weight("x1", 1), max(res, 64)) == 0.0
+
+    def test_weight_expansion_out_of_float64_raises(self, square2, proj_first_of_two):
+        # an expansion with a non-finite coefficient: from the rule's own moments
+        # (res 96) and from a 64-node rule's (res 32)
+        inf = quadrature.Polynomial(lambda c: np.full((2, 2), np.inf), ones)
+        for res in (32, 96):
+            push = pushforward(make_rule(square2, res, (1, 1)), proj_first_of_two)
+            with pytest.raises(QuadratureError, match="non-finite"):
+                quadrature.slice_pairing(push, square2, proj_first_of_two, (1, 1), inf,
+                                         max(res, 64))
+
+
 class TestConcentration:
     def test_uniform_weight_trivial(self, square2, proj_first_of_two, phi_half_square):
         res = concentration_experiment(
@@ -752,6 +816,24 @@ class TestConcentration:
             concentration_experiment(
                 SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
                 lambda x: x[..., 0] ** 2, [8, 16], resolution=64)
+
+    @pytest.mark.parametrize("P,rows,m", [(SIMPLEX2, ((1, 0),), (1, 0)),  # a grid
+                                          (DelzantPolytope.from_box([(0, 2)] * 2),
+                                           ((1, 1),), (1, 1))])  # a box with skew A
+    def test_node_fibers_freed_before_the_slice_rule(self, P, rows, m, phi_half_square,
+                                                      monkeypatch):
+        # a slice rule's first Gauss nodes at a resolution take an n x n temporary
+        # (leggauss's companion matrix): the R_t rule's nodes are not held across it
+        rules, seen = [], []
+        make, pairing = quadrature.make_rule, quadrature.delta_pairing
+        monkeypatch.setattr(quadrature, "make_rule", lambda *a: rules.append(
+            weakref.ref(rule := make(*a))) or rule)
+        monkeypatch.setattr(quadrature, "delta_pairing", lambda *a: seen.append(
+            rules[0]()) or pairing(*a))
+        proj = SubtorusProjection(rows)
+        concentration_experiment(SymplecticPotential(P, proj, phi_half_square), m,
+                                 parse_weight("x1^2", 2), [8, 16], resolution=128)
+        assert len(rules) == 1 and seen == [None]
 
     def test_t_list_must_increase(self, square2, proj_first_of_two, phi_half_square):
         with pytest.raises(ValueError):
