@@ -1,13 +1,14 @@
 """Exact integer and rational linear algebra for the combinatorial layer.
 
-Everything here works on plain ints and fractions.Fraction so that lattice
-counts, vertex coordinates and chart bases come out exact.  Floating point
-enters only in the analytic modules.
+One factorization, the column Hermite reduction A V = H over Z (V unimodular,
+H lower triangular), gives the rank (the pivot count), det A (det V times the
+pivots), solves (forward substitution in H) and ker A (the trailing columns of
+V).  Entries are read with exact_int; floating point enters only in the analytic modules.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 
 def exact_int(v) -> int:
@@ -22,71 +23,33 @@ def exact_int(v) -> int:
 
 
 def is_primitive(vec) -> bool:
-    return gcd(*map(int, vec)) == 1
+    return gcd(*map(exact_int, vec)) == 1
 
 
 def integer_det(rows) -> int:
-    """Determinant of a square integer matrix via fraction-free Bareiss."""
-    m = [[int(v) for v in r] for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def _rref(rows, width):
-    """Reduced row echelon form over Q, with pivots sought in the first width columns.
-
-    Returns (reduced rows as lists of Fraction, pivot column of each leading
-    row); rows past the pivots are zero in those first width columns.
-    """
-    M = [[Fraction(v) for v in r] for r in rows]
-    pivots = []
-    for c in range(width):
-        r = len(pivots)
-        if r == len(M):
-            break
-        p = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        piv = M[r][c]
-        M[r] = [v / piv for v in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [vi - f * vr for vi, vr in zip(M[i], M[r])]
-        pivots.append(c)
-    return M, pivots
+    """Determinant of a square integer matrix: det V times the Hermite pivots."""
+    n = len(rows)
+    H, _, rank, sign = _hermite(rows, n)
+    return sign * prod(H[i][i] for i in range(n)) if rank == n else 0
 
 
 def rational_solve(A, b):
-    """Solve the square system A x = b exactly.  Raises on singular A."""
-    n = len(A)
-    M, pivots = _rref([list(A[i][:n]) + [b[i]] for i in range(n)], n)
-    if len(pivots) < n:
-        raise ValueError("singular system")
-    return tuple(row[n] for row in M)
+    """An exact rational x with A x = b for an integer A of full row rank, else ValueError.
+
+    With A V = H = [L | 0], L z = b by forward substitution and x = V z (unique for square A).
+    """
+    k, n = len(A), len(A[0]) if A else 0
+    H, V, rank, _ = _hermite(A, n)
+    if rank < k:
+        raise ValueError("rank-deficient system")
+    z = []
+    for r in range(k):
+        z.append((Fraction(b[r]) - sum(H[r][j] * z[j] for j in range(r))) / H[r][r])
+    return tuple(sum((V[i][j] * z[j] for j in range(k)), Fraction(0)) for i in range(n))
 
 
 def rational_rank(A) -> int:
-    return len(_rref(A, len(A[0]) if A else 0)[1])
+    return _hermite(A, len(A[0]) if A else 0)[2]
 
 
 def _normalize_row(row):
@@ -99,15 +62,15 @@ def _normalize_row(row):
 def _hermite(A, n):
     """Column Hermite reduction over Z of the k x n integer matrix A.
 
-    Returns (H, V, rank) with A V = H and V unimodular: each row of H with a
+    Returns (H, V, rank, det V) with A V = H and V unimodular: each row of H with a
     live column gets its pivot, positive, in the next pivot column, and every
     entry right of a pivot is zero; a row with no live column right of the
     pivots so far is skipped, so rank-deficient A is accepted.  The columns
     of V from rank on span {v : A v = 0} over Z (Cohen 1993, 2.4).
     """
-    H = [list(map(int, row)) for row in A]
+    H = [list(map(exact_int, row)) for row in A]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rank = 0
+    rank, det = 0, 1
 
     def col_sub(dst, src, q):
         for M in (H, V):
@@ -126,6 +89,7 @@ def _hermite(A, n):
                     for row in M:
                         row[rank], row[c] = row[c], row[rank]
                         row[rank] *= sign
+                det *= sign if c == rank else -sign
                 rank += 1
                 break
             live.sort(key=lambda c: abs(H[r][c]))
@@ -134,7 +98,7 @@ def _hermite(A, n):
                 q = H[r][c] // H[r][s]
                 if q:
                     col_sub(c, s, q)
-    return H, V, rank
+    return H, V, rank, det
 
 
 def integer_kernel_basis(A, ncols=None):
@@ -148,7 +112,7 @@ def integer_kernel_basis(A, ncols=None):
         if len(A) == 0:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(A[0])
-    _, V, rank = _hermite(A, ncols)
+    _, V, rank, _ = _hermite(A, ncols)
     basis = [_normalize_row([V[i][c] for i in range(ncols)]) for c in range(rank, ncols)]
     basis.sort()
     return tuple(tuple(v) for v in basis)

@@ -9,8 +9,8 @@ Command grammar:
 with commands validate, lattice, weights, potential-validate,
 legendre-roundtrip, flow-check, polarization-limit, sections-norms,
 concentrate, full-suite.  Reports are deterministic for a fixed config and
-resolution: JSON is emitted with sorted keys and wall-clock timings are kept
-out of the serialized payload.
+resolution: JSON is emitted with sorted keys, and a number with no JSON form
+(inf or nan) exits 2 with out_of_range instead of printing Infinity or NaN.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import json
 import operator
 import re
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import prod
@@ -80,7 +79,6 @@ class RunReport:
     outputs: dict
     tolerances: dict
     flags: dict
-    timings: dict
 
     @property
     def passed(self) -> bool:
@@ -100,8 +98,11 @@ def _to_native(obj):
 
 
 def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=_to_native).encode()
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=_to_native).encode()
+    except ValueError as exc:  # inf or nan: JSON has no token for them
+        raise ConfigError("out_of_range", f"non-finite value has no JSON form: {exc}") from exc
 
 
 def _check_t_list(t_list) -> tuple:
@@ -479,30 +480,28 @@ def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> Run
     if command != "full-suite" and command not in _DISPATCH:
         raise ConfigError("bad_command", f"unknown command {command!r}")
     options = _check_options(cfg, command, options or {})
-    outputs, tolerances, flags, timings = {}, {}, {}, {}
+    outputs, tolerances, flags = {}, {}, {}
     for sub in _DISPATCH if command == "full-suite" else (command,):
-        t0 = time.perf_counter()
         try:
             out, tol, fl = _DISPATCH[sub](cfg, options)
         except quadrature.GridOverflowError as exc:
-            # the midpoint grid scales coordinates by its resolution, and
-            # the scan's int64 guard refuses it
+            # the midpoint grid scales coordinates by its resolution, and the
+            # scan's int64 guard refuses it, or a Gauss axis passes its node cap
             raise ConfigError("bad_resolution", str(exc)) from exc
         except GridRangeError as exc:  # the lattice scan of P is too large
             raise ConfigError("bad_polytope", f"lattice scan: {exc}") from exc
         except quadrature.QuadratureError as exc:  # a norm or pairing leaves float64
             raise ConfigError("out_of_range", str(exc)) from exc
-        timings[sub] = time.perf_counter() - t0
         if command != "full-suite":
-            return RunReport(command, cfg.digest, out, tol, fl, timings)
+            return RunReport(command, cfg.digest, out, tol, fl)
         outputs[sub] = out
         tolerances.update({f"{sub}.{k}": v for k, v in tol.items()})
         flags.update({f"{sub}.{k}": v for k, v in fl.items()})
-    return RunReport("full-suite", cfg.digest, outputs, tolerances, flags, timings)
+    return RunReport("full-suite", cfg.digest, outputs, tolerances, flags)
 
 
 def emit(report: RunReport, fmt: str = "json") -> bytes:
-    """Serialize a report; timings are excluded so output is byte-stable."""
+    """Serialize a report: the same report gives the same bytes."""
     if fmt == "json":
         payload = {"command": report.command, "digest": report.digest,
                    "outputs": report.outputs, "tolerances": report.tolerances,

@@ -18,7 +18,6 @@ from math import ceil, floor, prod
 import numpy as np
 
 from ._intlin import (
-    _rref,
     exact_int,
     integer_det,
     integer_kernel_basis,
@@ -361,10 +360,10 @@ def _hpoly_vertices(normals, offsets, dim):
     d = len(normals)
     found = {}
     for subset in itertools.combinations(range(d), dim):
-        sub = [normals[j] for j in subset]
-        if integer_det(sub) == 0:
+        try:
+            pt = rational_solve([normals[j] for j in subset], [-offsets[j] for j in subset])
+        except ValueError:  # the normals are dependent
             continue
-        pt = rational_solve(sub, [-offsets[j] for j in subset])
         vals = [sum(p * ri for p, ri in zip(pt, normals[j])) + offsets[j]
                 for j in range(d)]
         if any(v < 0 for v in vals):
@@ -414,18 +413,11 @@ def weight_multiplicities(P: DelzantPolytope, proj):
 
 
 def _particular_solution(A, q):
-    """Some rational x with A x = q, for full-row-rank integer A.
-
-    The pivot entries of the reduced [A | q]; x is zero off the pivots.
-    """
-    n = len(A[0])
-    M, pivots = _rref([list(A[i]) + [q[i]] for i in range(len(A))], n)
-    if len(pivots) < len(A):
-        raise PolytopeError("projection matrix is rank deficient")
-    x = [Fraction(0)] * n
-    for row, c in zip(M, pivots):
-        x[c] = row[n]
-    return tuple(x)
+    """Some rational x with A x = q, for full-row-rank integer A."""
+    try:
+        return rational_solve(A, q)
+    except ValueError:
+        raise PolytopeError("projection matrix is rank deficient") from None
 
 
 def face_slice(P: DelzantPolytope, proj, q) -> Slice:

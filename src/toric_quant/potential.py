@@ -158,7 +158,8 @@ def validate_potential(pot: SymplecticPotential, interior_points,
     # the eigenvalues are taken on the interior
     H = pot.hessian(pts, np.reshape(times, (-1, 1)))
     lows = np.min(np.linalg.eigvalsh(H[:, :count])[..., 0], axis=-1).tolist()
-    prods = np.linalg.det(H) * np.prod(P.facet_values_array(pts), axis=-1)
+    with np.errstate(over="ignore"):  # an infinite product fails its flag, not a warning
+        prods = np.linalg.det(H) * np.prod(P.facet_values_array(pts), axis=-1)
     return [PotentialReport(positive_definite=low > 0.0, min_eigenvalue=low,
                             product_min=float(p.min()), product_max=float(p.max()))
             for low, p in zip(lows, prods)]

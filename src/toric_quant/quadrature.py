@@ -44,13 +44,16 @@ from .sections import (ConcentrationWeight, _facet_values_at, _log_norm_g0,
 from .potential import SymplecticPotential
 from .subtorus import SubtorusProjection
 
+# nodes per Gauss axis: leggauss diagonalizes a dense n x n matrix, 128 MB at this cap
+MAX_GAUSS_NODES = 4096
+
 
 class QuadratureError(RuntimeError):
     pass
 
 
 class GridOverflowError(QuadratureError):
-    """The integer midpoint grid at this resolution leaves int64 or the scan limit."""
+    """A midpoint grid leaves int64 or the scan limit, or a Gauss axis passes MAX_GAUSS_NODES."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,9 @@ class TensorRule:
 @lru_cache(maxsize=32)
 def _gauss_legendre(resolution: int):
     """Gauss-Legendre nodes and weights on [-1, 1], built once per resolution."""
+    if resolution > MAX_GAUSS_NODES:
+        raise GridOverflowError(
+            f"Gauss rule at resolution {resolution}: more than {MAX_GAUSS_NODES} nodes per axis")
     nodes, weights = np.polynomial.legendre.leggauss(resolution)
     nodes.flags.writeable = False
     weights.flags.writeable = False

@@ -39,7 +39,7 @@ class SubtorusProjection:
         if not 1 <= k <= n:
             raise ProjectionError(f"need 1 <= k <= n, got k={k}, n={n}")
         # the column Hermite form [L | 0] of a rank-k A has index |A Z^n : Z^k| = det L
-        H, _, rank = _hermite(rows, n)
+        H, _, rank, _ = _hermite(rows, n)
         if rank < k:
             raise ProjectionError(f"projection matrix has rank < {k}")
         index = prod(H[i][i] for i in range(k))

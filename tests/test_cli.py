@@ -22,6 +22,7 @@ from toric_quant.cli import (
     parse_weight,
     run,
 )
+from toric_quant.quadrature import MAX_GAUSS_NODES
 
 INTERVAL_CFG = {
     "polytope": {"dim": 1, "facets": [{"normal": [1], "offset": 0},
@@ -224,6 +225,18 @@ class TestGridResolution:
         assert main(["concentrate", path, "--m", "0,0,0", "--resolution", "2048"]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "bad_resolution" and "2^32 scan limit" in err["message"]
+
+    @pytest.mark.parametrize("res", [str(MAX_GAUSS_NODES + 1), "1000000"])
+    def test_gauss_rule_past_the_node_cap_exits_two(self, monkeypatch, capsys, res):
+        # leggauss would take a dense res x res eigenproblem (7.3 TiB at 10^6)
+        def refuse(n):
+            raise AssertionError(f"leggauss({n}) called past the cap")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        assert main(["concentrate", str(REPO / "configs" / "interval.json"),
+                     "--resolution", res]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "bad_resolution" and "nodes per axis" in err["message"]
 
 
 class TestWeightGrammar:
@@ -443,7 +456,7 @@ class TestEmit:
         rep = RunReport("concentrate", "d" * 64,
                         {"t": [], "errors": [], "ratios": [], "slice_value": 0.0,
                          "decay_exponent": 0.0, "m": [0], "u": "x1"},
-                        {}, {}, {})
+                        {}, {})
         with pytest.raises(ConfigError, match="nothing to plot"):
             emit(rep, "svg")
 
@@ -694,6 +707,23 @@ class TestOutOfRange:
                          "--u=(x1+1e200)^2", "--resolution", res]) == 2
         err = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)["error"]
         assert err["code"] == "out_of_range" and "non-finite" in err["message"]
+
+    def test_infinite_report_value_exits_two(self, capsys):
+        # det(Hess g_t) * prod l_j at t = 1e308 is inf: JSON has no token for it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["potential-validate", str(REPO / "configs" / "square2.json"),
+                         "--t", "1e308"]) == 2
+        cap = capsys.readouterr()
+        err = json.loads(cap.err, parse_constant=_reject_constant)["error"]
+        assert err["code"] == "out_of_range" and cap.out == ""
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_emit_refuses_non_finite(self, value):
+        rep = RunReport("validate", "d" * 64, {"x": [1.0, value]}, {}, {})
+        with pytest.raises(ConfigError, match="non-finite") as err:
+            emit(rep, "json")
+        assert err.value.code == "out_of_range"
 
 
 class TestTimeFamilyOnce:

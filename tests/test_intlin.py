@@ -4,7 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toric_quant._intlin import (
@@ -37,6 +37,13 @@ class TestDeterminant:
                 M = rng.integers(-5, 6, size=(n, n))
                 assert integer_det(M.tolist()) == round(float(np.linalg.det(M)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_permutation_sign(self, n):
+        # every column swap of the Hermite loop flips det V
+        for perm in itertools.permutations(range(n)):
+            M = np.eye(n, dtype=int)[list(perm)]
+            assert integer_det(M.tolist()) == round(float(np.linalg.det(M)))
+
 
 class TestRationalSolve:
     def test_exact_solution(self):
@@ -51,6 +58,16 @@ class TestRationalSolve:
         assert rational_rank(((1, 1), (2, 2))) == 1
         assert rational_rank(((1, 0), (0, 1))) == 2
         assert rational_rank(()) == 0
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, True])
+@pytest.mark.parametrize("call", [
+    lambda A: integer_det(A), lambda A: rational_rank(A),
+    lambda A: rational_solve(A, (1, 1)), lambda A: integer_kernel_basis(A)])
+def test_inexact_entries_raise(bad, call):
+    # int() would read 1/2 and 0.5 as 0 and True as 1, another matrix
+    with pytest.raises(ValueError, match="is not an integer"):
+        call([[bad, 1], [0, 1]])
 
 
 class TestKernel:
@@ -98,7 +115,7 @@ class TestHermiteAndInverse:
         [[1, 0, 0], [0, 1, 1]], [[1, 2], [0, 1]],
     ])
     def test_column_echelon_postconditions(self, A):
-        H, V, rank = _hermite(A, len(A[0]))
+        H, V, rank, _ = _hermite(A, len(A[0]))
         k, n = len(A), len(A[0])
         assert rank == k
         assert abs(integer_det(V)) == 1
@@ -108,7 +125,7 @@ class TestHermiteAndInverse:
             assert H[i][i] > 0
 
 
-# --- properties of the one RREF and the one Hermite loop on random matrices ---
+# --- properties of the one Hermite loop on random matrices ---
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -154,7 +171,7 @@ class TestMergedPaths:
     @given(int_matrices())
     def test_hermite_form(self, A):
         k, n = len(A), len(A[0])
-        H, V, rank = _hermite(A, n)
+        H, V, rank, _ = _hermite(A, n)
         assert rank == _rank(A)
         assert _matmul(A, V) == tuple(map(tuple, H))
         assert abs(integer_det(V)) == 1
@@ -173,6 +190,24 @@ class TestMergedPaths:
                 rational_solve(A, b)
         else:
             assert _mul(A, rational_solve(A, b)) == tuple(b)
+
+    @PROPERTY
+    @given(int_matrices(square=True))
+    def test_determinant_matches_numpy(self, A):
+        # about half are singular (det 0); the rest check the sign of det V
+        assert integer_det(A) == round(float(np.linalg.det(np.array(A, dtype=float))))
+
+    @PROPERTY
+    @given(int_matrices(), st.lists(st.fractions(max_denominator=7), min_size=5,
+                                    max_size=5))
+    def test_wide_rational_solve_is_exact(self, A, b):
+        # full row rank with more unknowns than equations: the leading k x k
+        # block may be singular, as in [[0, 1]]
+        assume(len(A) < len(A[0]) and _rank(A) == len(A))
+        b = tuple(b[:len(A)])
+        x = rational_solve(A, b)
+        assert len(x) == len(A[0]) and all(isinstance(v, Fraction) for v in x)
+        assert _mul(A, x) == b
 
     @PROPERTY
     @given(int_matrices(), st.lists(st.fractions(max_denominator=7), min_size=5,

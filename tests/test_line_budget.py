@@ -38,3 +38,24 @@ def test_src_has_no_unused_imports():
         unused += [f"{os.path.relpath(path, SRC)}:{line} {name}"
                    for name, line in bound.items() if name not in used]
     assert not unused
+
+
+def test_src_private_definitions_are_referenced():
+    # a deletion can leave a private helper behind once its last import goes too
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.relpath(path, SRC)] = ast.parse(fh.read())
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = [f"{rel}:{node.lineno} {node.name}" for rel, tree in trees.items()
+              for node in tree.body if isinstance(node, defs)
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in used]
+    assert not unused
