@@ -20,6 +20,7 @@ from .polytope import (
 )
 from .subtorus import (
     ConvexFunction,
+    NotConvexError,
     ProjectionError,
     SubtorusProjection,
     default_convex,
@@ -44,7 +45,6 @@ from .polarization import decay_report
 from .sections import (
     ConcentrationWeight,
     closed_form_norm_g0,
-    l1_norms,
     norm_factorization_check,
     norm_matrix,
 )
@@ -58,6 +58,7 @@ from .quadrature import (
     delta_pairing,
     grid_rule,
     integrate,
+    l1_norms,
     make_rule,
     slice_rule,
 )

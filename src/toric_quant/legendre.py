@@ -13,7 +13,8 @@ import numpy as np
 
 from .potential import SymplecticPotential
 
-TOLERANCE = 1e-12  # Newton stops once |grad g(x) - y| is within this
+TOLERANCE = 1e-12  # Newton stops once |grad g(x) - y| is within this, not counting
+ROUNDING = 4 * np.finfo(float).eps  # components below ROUNDING |y_i|, the rounding floor
 MAX_ITERATIONS = 200
 
 
@@ -39,7 +40,10 @@ def inverse(pot: SymplecticPotential, y, t=0.0):
     strictly interior; the log-barrier shape of g0 then makes the iteration
     globally convergent in practice.  Each (time, point) row leaves the
     loop once its own residual is within TOLERANCE and halves only its own
-    rejected steps, so it follows the iterates it would follow alone.
+    rejected steps, so it follows the iterates it would follow alone.  A
+    residual component below ROUNDING |y_i| is not counted: grad g_t cannot
+    be evaluated closer to a large y_i (at t = 128 and b = 1e6 in phi,
+    y_i reaches 1.3e8, whose ulp is 1.5e-8).
     """
     P = pot.polytope
     y = np.asarray(y, dtype=float)
@@ -55,13 +59,13 @@ def inverse(pot: SymplecticPotential, y, t=0.0):
         x = X[active]
         res = pot.gradient(x, T[active]) - Y[active]
         resnorm = np.linalg.norm(res, axis=-1)
-        moving = ~(resnorm <= TOLERANCE)  # a NaN residual keeps iterating
+        beyond = np.where(np.abs(res) < ROUNDING * np.abs(Y[active]), 0.0, res)
+        moving = ~(np.linalg.norm(beyond, axis=-1) <= TOLERANCE)  # NaN keeps iterating
         active, x, res, resnorm = active[moving], x[moving], res[moving], resnorm[moving]
         if not active.size:
             return X.reshape(y.shape)
         if iteration == MAX_ITERATIONS:
-            raise NewtonConvergenceError(x[0], float(resnorm[0]), MAX_ITERATIONS,
-                                         int(active[0]))
+            raise NewtonConvergenceError(x[0], float(resnorm[0]), iteration, int(active[0]))
         step = -np.linalg.solve(pot.hessian(x, T[active]), res[..., None])[..., 0]
         lcur = P.facet_values_array(x)
         s = np.ones(len(active))
@@ -75,8 +79,7 @@ def inverse(pot: SymplecticPotential, y, t=0.0):
             s[rejected] *= 0.5
         else:
             i = rejected[0]
-            raise NewtonConvergenceError(x[i], float(resnorm[i]), MAX_ITERATIONS,
-                                         int(active[i]))
+            raise NewtonConvergenceError(x[i], float(resnorm[i]), iteration, int(active[i]))
         X[active] = x + s[:, None] * step
 
 

@@ -52,7 +52,6 @@ def _kernel_rows(B, G):
 class DecayReport:
     """Degeneration of the time-t frames toward the limit at N points."""
 
-    t_values: tuple
     top_block_norms: np.ndarray  # (N, T): max |entry| of A G_t^{-1}
     distances: np.ndarray  # (N, T): principal angle to the limit
     fitted_slopes: np.ndarray  # (N,): least-squares slope of log distance vs log t
@@ -89,7 +88,6 @@ def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
     if k < n:
         subinv = float(np.max(subspace_angle(_kernel_rows(B, G), lim[:, None, k:])))
     slopes = np.polyfit(np.log(t_list), np.log(dists).T, 1)[0]
-    return DecayReport(t_values=tuple(t_list),
-                       top_block_norms=np.max(np.abs(A @ Ginv), axis=(-2, -1)),
+    return DecayReport(top_block_norms=np.max(np.abs(A @ Ginv), axis=(-2, -1)),
                        distances=dists, fitted_slopes=slopes, subframe_invariance=subinv,
                        limit=lim)

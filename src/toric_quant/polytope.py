@@ -197,12 +197,8 @@ class DelzantPolytope:
     def barycenter_array(self):
         return np.array([float(c) for c in self.barycenter])
 
-    def contains(self, x, strict=False) -> bool:
-        for j in range(self.num_facets):
-            v = facet_value(self, j + 1, x)
-            if v < 0 or (strict and v == 0):
-                return False
-        return True
+    def contains(self, x) -> bool:
+        return all(facet_value(self, j + 1, x) >= 0 for j in range(self.num_facets))
 
     @cached_property
     def is_box(self) -> bool:
@@ -404,11 +400,9 @@ def lattice_points(P: DelzantPolytope):
 
 def weight_multiplicities(P: DelzantPolytope, proj):
     """Counts of lattice points per image value under the subtorus projection."""
-    A = proj.matrix
-    if len(A[0]) != P.dim:
+    if proj.n != P.dim:
         raise PolytopeError("projection width does not match polytope dimension")
-    counts = Counter(tuple(sum(a * mi for a, mi in zip(row, m)) for row in A)
-                     for m in lattice_points(P))
+    counts = Counter(map(proj.apply, lattice_points(P)))
     return {k: counts[k] for k in sorted(counts)}
 
 

@@ -118,7 +118,7 @@ def interior_samples(P: DelzantPolytope, count: int, seed: int = 0):
     return w @ V
 
 
-def boundary_approach_samples(P: DelzantPolytope, decades=range(2, 9)):
+def boundary_approach_samples(P: DelzantPolytope):
     """Rays from each facet midpoint toward the barycenter.
 
     For facet j the point at "distance" 10^-e has l_j = 10^-e * l_j(barycenter),
@@ -131,7 +131,7 @@ def boundary_approach_samples(P: DelzantPolytope, decades=range(2, 9)):
         if not active:
             continue
         mid = np.mean(active, axis=0)
-        for e in decades:
+        for e in range(2, 9):
             s = 10.0 ** (-e)
             pts.append(mid + s * (bary - mid))
     return np.array(pts)

@@ -105,28 +105,3 @@ def norm_factorization_check(pot: SymplecticPotential, m, times, x):
     lhs = norm_matrix(pot, [m], x, t)[0].reshape(len(t), -1)
     res = np.abs(lhs - (np.exp(-t * fm) * norm0).reshape(len(t), -1))
     return np.max(res, axis=1), np.max(lhs, axis=1)
-
-
-def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
-    """The L1 norm over P of sigma^m under g_t for each t in times.
-
-    Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: make_rule
-    at resolution integrates against |sigma^m_0| dx, its weights are summed over each fiber
-    of the projection once, and each t costs one exponential per fiber.  A
-    non-finite norm raises QuadratureError.
-    """
-    from .quadrature import QuadratureError, make_rule, pushforward  # avoids a cycle
-
-    push = pushforward(make_rule(pot.polytope, resolution, m), pot.proj)
-    masses, fmin = push.masses(None, ConcentrationWeight(m, pot.perturbation), times)
-    norms = []
-    for t, (mass,) in zip(map(float, times), masses):
-        # e^{-t min f_m} is applied in log form: it may leave float64 where
-        # the norm does not
-        with np.errstate(over="ignore", divide="ignore"):
-            l1 = float(np.exp(np.log(mass) - t * fmin))
-        if not np.isfinite(l1):
-            raise QuadratureError(f"non-finite L1 norm of sigma^{tuple(m)} at t={t:g}")
-        norms.append(l1)
-    return norms
-

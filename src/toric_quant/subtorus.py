@@ -21,6 +21,10 @@ class ProjectionError(ValueError):
     """Rank-deficient projection or image lattice of index > 1."""
 
 
+class NotConvexError(ValueError):
+    """A quadratic phi whose Q has an eigenvalue <= 1e-10: not strictly convex."""
+
+
 @dataclass(frozen=True)
 class SubtorusProjection:
     matrix: tuple  # k x n integer rows
@@ -88,7 +92,7 @@ class ConvexFunction:
 
 
 def quadratic(Q, b=None) -> ConvexFunction:
-    """phi(y) = 1/2 y^T Q y + b^T y with symmetric positive definite Q."""
+    """phi(y) = 1/2 y^T Q y + b^T y with symmetric Q whose eigenvalues all exceed 1e-10."""
     Q = np.array(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be square")
@@ -96,16 +100,15 @@ def quadratic(Q, b=None) -> ConvexFunction:
         raise ValueError("Q must be finite")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ValueError("Q must be symmetric")
-    try:
-        np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
-        raise ValueError("Q must be positive definite") from None
     dim = Q.shape[0]
     b = np.zeros(dim) if b is None else np.array(b, dtype=float)
     if b.shape != (dim,):
         raise ValueError("b has wrong shape")
     if not np.all(np.isfinite(b)):
         raise ValueError("b must be finite")
+    low = float(np.linalg.eigvalsh(Q)[0])
+    if low <= 1e-10:
+        raise NotConvexError(f"phi is not strictly convex: its Hessian has eigenvalue {low:.3g}")
 
     def value(y):
         y = np.asarray(y, dtype=float)

@@ -128,13 +128,26 @@ class TestLoadConfig:
         ({"Q": [[1.0, 1.0], [1.0, 1.0 + 1e-11]]}, [[1, 0], [0, 1]]),
     ], ids=["1x1", "2x2"])
     def test_not_convex_phi_exits_two(self, tmp_path, capsys, phi, rows):
-        # Q passes the Cholesky test of quadratic, but its smallest eigenvalue
-        # (1e-11, about 5e-12) is no strict convexity
+        # Q has a Cholesky factor, but its smallest eigenvalue (1e-11, about
+        # 5e-12) is no strict convexity
         data = dict(SQUARE2_CFG, proj=rows, phi=dict(phi, type="quadratic"))
         assert main(["validate", write_cfg(tmp_path, data)]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "not_convex"
         assert "np." not in err["message"] and "eigenvalue" in err["message"]
+
+    @pytest.mark.parametrize("Q,rows", [
+        ([[-1.0]], [[1, 0]]),
+        ([[0.0]], [[1, 0]]),
+        ([[1.0, 2.0], [2.0, 1.0]], [[1, 0], [0, 1]]),
+    ], ids=["negative", "zero", "indefinite"])
+    def test_q_without_cholesky_factor_is_not_convex(self, tmp_path, capsys, Q, rows):
+        # one code for one test, the smallest eigenvalue of Q: these Q used to
+        # fail a Cholesky test first and exit with bad_phi
+        data = dict(SQUARE2_CFG, proj=rows, phi={"type": "quadratic", "Q": Q})
+        assert main(["validate", write_cfg(tmp_path, data)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "not_convex" and "eigenvalue" in err["message"]
 
     @pytest.mark.parametrize("patch,code", [
         ({"polytope": {"dim": 2.5}}, "bad_polytope"),
@@ -724,6 +737,35 @@ class TestOutOfRange:
         with pytest.raises(ConfigError, match="non-finite") as err:
             emit(rep, "json")
         assert err.value.code == "out_of_range"
+
+
+class TestLargeLinearTerm:
+    """A valid phi with a large b: Newton stops at the rounding floor of grad g_t."""
+
+    @pytest.mark.parametrize("b", [1e6, 1e10])
+    @pytest.mark.parametrize("config", ["configs/square2.json", "bench/fixtures/hirzebruch.json",
+                                        "bench/fixtures/square2_skew.json"])
+    def test_newton_commands_report(self, tmp_path, capsys, config, b):
+        # at t = 128, y_1 reaches 1.3e8 (b = 1e6), whose ulp 1.5e-8 is above
+        # Newton's 1e-12 tolerance: the iteration used to end in a traceback
+        data = json.loads((REPO / config).read_text())
+        path = write_cfg(tmp_path, dict(data, phi={"type": "quadratic", "Q": [[1.0]], "b": [b]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("legendre-roundtrip", "flow-check"):
+                assert main([command, path]) in (0, 1)
+                cap = capsys.readouterr()
+                payload = json.loads(cap.out, parse_constant=_reject_constant)
+                assert payload["command"] == command and cap.err == ""
+            # the L1 norms leave float64 (ROADMAP item 7): a code, not a report
+            assert main(["sections-norms", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "out_of_range"
+
+    def test_moderate_b_keeps_the_roundtrip_flag(self, tmp_path, capsys):
+        data = json.loads((REPO / "configs" / "square2.json").read_text())
+        path = write_cfg(tmp_path, dict(data, phi={"type": "quadratic", "Q": [[1.0]], "b": [1e6]}))
+        assert main(["legendre-roundtrip", path]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["max_roundtrip_error"] < 1e-8
 
 
 class TestTimeFamilyOnce:

@@ -53,8 +53,7 @@ def _t_squared(monkeypatch):
     def decay_report(pot, proj, x, t_list):
         rep = real(pot, proj, x, [float(t) ** 2 for t in t_list])
         slopes = np.polyfit(np.log(t_list), np.log(rep.distances).T, 1)[0]
-        return dataclasses.replace(rep, t_values=tuple(map(float, t_list)),
-                                   fitted_slopes=slopes)
+        return dataclasses.replace(rep, fitted_slopes=slopes)
     monkeypatch.setattr(polarization, "decay_report", decay_report)
 
 

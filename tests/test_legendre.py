@@ -8,6 +8,7 @@ from toric_quant import (
     inverse,
     kahler_potential,
     legendre,
+    quadratic,
 )
 
 from conftest import fd_gradient, fd_jacobian, g0_on, sample_interior
@@ -66,6 +67,30 @@ class TestInverse:
             inverse(_pot(interval), np.array([40.0]))
         assert err.value.iterate is not None
         assert err.value.residual > 0
+
+    def test_stops_at_the_rounding_floor_of_grad(self, square2, proj_first_of_two):
+        # y_1 = grad_1 g0 + t (x_1 + b) cannot be matched closer than its ulp,
+        # 1.5e-8 at t = 128, b = 1e6, which is above TOLERANCE
+        pot = _pot(square2, proj_first_of_two, quadratic([[1.0]], [1e6]))
+        x = sample_interior(square2, 40, seed=4)
+        assert np.max(np.abs(inverse(pot, pot.gradient(x, 128.0), 128.0) - x)) < 1e-8
+
+    def test_coupled_component_stops_at_tolerance(self):
+        # hirzebruch: the facet x1 + x2 <= 4 couples the axes, so the rounding
+        # of y_1 = 8e10 leaves a few 1e-13 in the residual of y_2, far above
+        # the ulp of y_2 ~ 0.4: y_1 is at its floor, y_2 within TOLERANCE
+        from toric_quant import SubtorusProjection
+
+        P = _hirzebruch()
+        pot = _pot(P, SubtorusProjection(((1, 0),)), quadratic([[1.0]], [1e10]))
+        x = sample_interior(P, 100, seed=0)
+        assert np.max(np.abs(inverse(pot, pot.gradient(x, 8.0), 8.0) - x)) < 1e-4
+
+    def test_failed_step_reports_its_iteration(self, square2):
+        # a NaN step fails every halving in the first iteration
+        with pytest.raises(NewtonConvergenceError, match="in 0 iterations") as err:
+            inverse(_pot(square2), np.array([[0.0, 0.0], [np.nan, 0.0]]))
+        assert err.value.iterations == 0 and err.value.index == 1
 
 
 class TestKahlerPotential:

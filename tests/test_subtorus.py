@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from toric_quant import (
+    NotConvexError,
     ProjectionError,
     SubtorusProjection,
     pullback,
@@ -122,6 +123,23 @@ class TestPullback:
 
 
 class TestConvexity:
+    @pytest.mark.parametrize("Q", [[[-1.0]], [[0.0]], [[1e-11]], [[1.0, 2.0], [2.0, 1.0]],
+                                   [[1.0, 1.0], [1.0, 1.0 + 1e-11]]],
+                             ids=["negative", "zero", "tiny", "indefinite", "near_singular"])
+    def test_one_eigenvalue_test_decides_convexity(self, Q):
+        # whether or not Q has a Cholesky factor, its smallest eigenvalue decides
+        with pytest.raises(NotConvexError, match="eigenvalue") as err:
+            quadratic(Q)
+        assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("Q,b", [([[1.0, 2.0], [0.0, 1.0]], None), ([[1.0]], [1.0, 2.0]),
+                                     ([[1e-11]], [float("inf")])])
+    def test_malformed_data_is_no_convexity_verdict(self, Q, b):
+        # shape, symmetry and b are checked first: they stay bad_phi in the CLI
+        with pytest.raises(ValueError) as err:
+            quadratic(Q, b)
+        assert not isinstance(err.value, NotConvexError)
+
     def test_spd_enforced_by_factory(self):
         with pytest.raises(ValueError):
             quadratic([[0.0]])
