@@ -487,6 +487,8 @@ def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> Run
             raise ConfigError("bad_polytope", f"lattice scan: {exc}") from exc
         except quadrature.QuadratureError as exc:  # a norm or pairing leaves float64
             raise ConfigError("out_of_range", str(exc)) from exc
+        except legendre.NewtonConvergenceError as exc:  # y's rounding leaves a residual above tol
+            raise ConfigError("out_of_range", f"Legendre inverse: {exc}") from exc
         if command != "full-suite":
             return RunReport(command, cfg.digest, out, tol, fl)
         outputs[sub] = out

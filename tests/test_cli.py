@@ -22,7 +22,7 @@ from toric_quant.cli import (
     parse_weight,
     run,
 )
-from toric_quant.quadrature import MAX_GAUSS_NODES
+from toric_quant import quadrature
 
 INTERVAL_CFG = {
     "polytope": {"dim": 1, "facets": [{"normal": [1], "offset": 0},
@@ -239,13 +239,13 @@ class TestGridResolution:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "bad_resolution" and "2^32 scan limit" in err["message"]
 
-    @pytest.mark.parametrize("res", [str(MAX_GAUSS_NODES + 1), "1000000"])
+    @pytest.mark.parametrize("res", [str(quadrature.MAX_GAUSS_NODES + 1), "1000000"])
     def test_gauss_rule_past_the_node_cap_exits_two(self, monkeypatch, capsys, res):
-        # leggauss would take a dense res x res eigenproblem (7.3 TiB at 10^6)
+        # the solve takes O(n^2) time: hours at 10^6 nodes, not 0.1-0.25 s as at the cap
         def refuse(n):
-            raise AssertionError(f"leggauss({n}) called past the cap")
+            raise AssertionError(f"Gauss nodes for n = {n} solved past the cap")
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        monkeypatch.setattr(quadrature, "_legendre_newton", refuse)
         assert main(["concentrate", str(REPO / "configs" / "interval.json"),
                      "--resolution", res]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
@@ -760,6 +760,17 @@ class TestLargeLinearTerm:
             # the L1 norms leave float64 (ROADMAP item 7): a code, not a report
             assert main(["sections-norms", path]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "out_of_range"
+
+    @pytest.mark.parametrize("command,b", [("legendre-roundtrip", 1e11), ("flow-check", 1e12)])
+    def test_newton_past_the_rounding_floor_exits_two(self, tmp_path, capsys, command, b):
+        # x1 + x2 <= 4 couples the axes: rounding y_1 leaves a y_2 residual above 1e-12
+        data = json.loads((REPO / "bench" / "fixtures" / "hirzebruch.json").read_text())
+        path = write_cfg(tmp_path, dict(data, phi={"type": "quadratic", "Q": [[1.0]], "b": [b]}))
+        assert main([command, path]) == 2
+        cap = capsys.readouterr()
+        err = json.loads(cap.err)["error"]
+        assert cap.out == "" and err["code"] == "out_of_range"
+        assert "Newton did not reach tolerance" in err["message"]
 
     def test_moderate_b_keeps_the_roundtrip_flag(self, tmp_path, capsys):
         data = json.loads((REPO / "configs" / "square2.json").read_text())

@@ -75,16 +75,42 @@ class TestRules:
         from toric_quant.quadrature import _gauss_legendre
 
         nodes, weights = _gauss_legendre(24)
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(24)
-        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+        kept = nodes.copy()
         assert _gauss_legendre(24)[0] is nodes
         assert not nodes.flags.writeable and not weights.flags.writeable
         # a rule built from the cache is not a view that could alter it
         rule = box_rule(square2, 24)
         rule.points[:] = 0.0
-        assert np.array_equal(_gauss_legendre(24)[0], ref_nodes)
-        assert np.array_equal(box_rule(square2, 24).points[:, 0],
-                              np.repeat(1.0 + ref_nodes, 24))
+        assert np.array_equal(_gauss_legendre(24)[0], kept)
+        assert np.array_equal(box_rule(square2, 24).points[:, 0], np.repeat(1.0 + kept, 24))
+
+    @pytest.mark.parametrize("n", [8, 9, 24, 1024])
+    def test_gauss_legendre_exact_to_degree_2n_minus_1(self, n):
+        from toric_quant.quadrature import _gauss_legendre
+
+        nodes, weights = _gauss_legendre(n)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert np.all(np.diff(nodes) > 0) and (n % 2 == 0 or nodes[n // 2] == 0.0)
+        assert abs(math.fsum(weights) - 2.0) <= 1e-14
+        # x^{2j} carries about 2j ulp from its node's rounding
+        j = np.arange(n)
+        moments = np.array([np.dot(weights, nodes ** (2 * k)) for k in j])
+        assert np.allclose(moments, 2.0 / (2 * j + 1), rtol=n * 1e-15, atol=0.0)
+        if n >= 24:  # below that the rule's own error on cos 3x is above 1e-15
+            assert abs(np.dot(weights, np.cos(3 * nodes)) - 2 * math.sin(3) / 3) <= 1e-15
+
+    def test_gauss_nodes_in_linear_memory(self):
+        # an eigensolver on the dense n x n Jacobi matrix (leggauss) peaks at 134 MB here
+        from toric_quant.quadrature import MAX_GAUSS_NODES, _gauss_legendre
+
+        _gauss_legendre.cache_clear()
+        tracemalloc.start()
+        try:
+            _gauss_legendre(MAX_GAUSS_NODES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def _meshgrid_rule(bounds, resolution):
@@ -824,8 +850,8 @@ class TestConcentration:
                                            ((1, 1),), (1, 1))])  # a box with skew A
     def test_node_fibers_freed_before_the_slice_rule(self, P, rows, m, phi_half_square,
                                                       monkeypatch):
-        # a slice rule's first Gauss nodes at a resolution take an n x n temporary
-        # (leggauss's companion matrix): the R_t rule's nodes are not held across it
+        # a slice chart's rule is itself a grid of nodes and weights: freeing the
+        # R_t rule's nodes before it is built keeps the two from sharing the peak
         rules, seen = [], []
         make, pairing = quadrature.make_rule, quadrature.delta_pairing
         monkeypatch.setattr(quadrature, "make_rule", lambda *a: rules.append(
