@@ -15,11 +15,15 @@ runs and the L1 norms pay per node once and per fiber for each t.  When
 every row of A is a coordinate vector, the fibers of a tensor rule are the
 product grid of the other axes and the fiber sums are contractions of the
 axis factors (``AxisFibers``: a ``Polynomial`` weight is evaluated on no node);
-any other rule groups its nodes (``NodeFibers``).  The concentration experiment
-reproduces the localization of L1-normalized sections onto the slice through
-their lattice point, with the slice pairing as the t = infinity reference value
-(``slice_pairing``): box fibers read it off their fiber-axis moments, node fibers
-integrate over the slice chart (``delta_pairing``, on ``face_slice`` and ``slice_rule``).
+any other rule groups its nodes (``NodeFibers``).  A polygon under one row of A
+(not a box under a coordinate row) takes no rule over P: its fibers are segments
+whose ends move affinely in y between vertex images, and ``segment_fibers`` puts
+cosine-mapped Gauss nodes on each chamber in y and on each segment.  The
+concentration experiment reproduces the localization of L1-normalized sections
+onto the slice through their lattice point, with the slice pairing as the
+t = infinity reference value (``slice_pairing``): box fibers read it off their
+fiber-axis moments, segment fibers off the one segment through m, and the other
+node fibers (n = 3, or k = n = 2) integrate over the slice chart (``delta_pairing``).
 """
 from __future__ import annotations
 
@@ -58,7 +62,7 @@ class GridOverflowError(QuadratureError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str  # "grid" or "point"; "gauss" for a materialized TensorRule
+    kind: str  # "grid", "segment" or "point"; "gauss" for a materialized TensorRule
     resolution: int
     points: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,)
@@ -457,6 +461,79 @@ def pushforward(rule, proj: SubtorusProjection) -> Pushforward:
     return NodeFibers(rule, np.concatenate(starts))
 
 
+# nodes per segment fiber: R_t and R_inf move by < 1e-14 from 32 to 128 on the shipped polygons
+FIBER_NODES = 32
+
+
+def _cosine_rule(n: int):
+    """n Gauss-Legendre nodes on [0, 1] under s = sin^2(theta / 2), 0 < theta < pi, with their
+    weights: the map makes the half-integer powers of s and 1 - s at the ends analytic."""
+    xi, w = _gauss_legendre(n)
+    half = 0.25 * np.pi * (xi + 1.0)
+    return np.sin(half) ** 2, 0.5 * np.pi * np.sin(half) * np.cos(half) * w
+
+
+def _is_planar(P: DelzantPolytope, proj: SubtorusProjection) -> bool:
+    """n = 2 and k = 1, except a box under a coordinate row (``AxisFibers``): segment fibers."""
+    return P.dim == 2 and proj.k == 1 and not (P.is_box and np.count_nonzero(proj.array) == 1)
+
+
+def segment_fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int,
+                   m=None) -> NodeFibers:
+    """The fibers of a planar input over resolution cosine-mapped levels y on each chamber
+    of A(P), the intervals between consecutive vertex images, where the fiber ends move
+    affinely (``_segments``)."""
+    if resolution < 8:
+        raise QuadratureError("resolution must be at least 8")
+    cuts = np.array(sorted({proj.apply(v.point)[0] for v in P.vertices}), dtype=float)
+    s, w = _cosine_rule(resolution)
+    width = np.diff(cuts)
+    return _segments(P, proj, m, (cuts[:-1, None] + np.multiply.outer(width, s)).reshape(-1),
+                     np.multiply.outer(width, w).reshape(-1))
+
+
+def _segments(P: DelzantPolytope, proj: SubtorusProjection, m, ys, wy) -> NodeFibers:
+    """FIBER_NODES cosine-mapped nodes on the fiber segment over each level y in ys (weight
+    wy), for dx or, given m, for |sigma^m_0| dx; levels whose fiber is a point are dropped.
+
+    With a the row of A and d = (-a_2, a_1), x = y a / |a|^2 + s d has Jacobian 1, so the
+    nodes are made in x and P, m, u and psi need no transform.  A facet with <r_j, d> != 0
+    bounds s at -(<r_j, a> y / |a|^2 + lambda_j) / <r_j, d>: the fiber [lo, hi] runs from
+    the largest lower to the smallest upper bound.  The norm is folded into the weights
+    NODE_BLOCK nodes at a time, as in ``grid_rule``.
+    """
+    a = proj.array[0]
+    d, base = np.array([-a[1], a[0]]), a / (a @ a)
+    R, lam = P.normal_matrix, P.offset_vector
+    rb, rd = R @ base, R @ d
+
+    def bounds(side):
+        on = side(rd, 0)
+        return -(np.multiply.outer(ys, rb[on]) + lam[on]) / rd[on]
+    lo, hi = bounds(np.greater).max(axis=1), bounds(np.less).min(axis=1)
+    keep = hi > lo
+    ys, lo, length = ys[keep], lo[keep], (hi - lo)[keep]
+    s, ws = _cosine_rule(FIBER_NODES)
+    S = lo[:, None] + np.multiply.outer(length, s)  # (levels, FIBER_NODES), fiber-major
+    points = (ys[:, None, None] * base + S[..., None] * d).reshape(-1, 2)
+    weights = np.multiply.outer(wy[keep] * length, ws).reshape(-1)
+    if m is not None:
+        with np.errstate(over="ignore"):  # reported just below
+            for b in range(0, len(weights), NODE_BLOCK):
+                weights[b:b + NODE_BLOCK] *= closed_form_norm_g0(P, m, points[b:b + NODE_BLOCK])
+        _finite(weights, points)
+    return NodeFibers(QuadratureRule("segment", FIBER_NODES, points, weights),
+                      np.arange(0, len(weights), FIBER_NODES))
+
+
+def _fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int, m) -> Pushforward:
+    """The fibers of y = A x under |sigma^m_0| dx: segments over the chambers on planar
+    inputs, else the pushforward of ``make_rule``."""
+    if _is_planar(P, proj):
+        return segment_fibers(P, proj, resolution, m)
+    return pushforward(make_rule(P, resolution, m), proj)
+
+
 def _one_fiber(rule: QuadratureRule) -> Pushforward:
     return NodeFibers(rule, np.zeros(1, dtype=int))
 
@@ -475,7 +552,7 @@ def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
     fibers) in the chart measure du of x = x0 + B^T u, numerator and
     denominator in one pass.  The normalization makes the result a weighted
     mean of u, so chart constants cancel.  ``slice_pairing`` takes this path
-    for node fibers (grids and skew A); box fibers read their moments instead.
+    for node fibers other than planar segments (grids, and skew A on boxes in n >= 3).
     """
     m = tuple(int(v) for v in m)
     sl = face_slice(P, proj, proj.apply(m))
@@ -499,13 +576,21 @@ def slice_pairing(push: Pushforward | None, P: DelzantPolytope, proj: SubtorusPr
     image exponent 0 (of a resolution-node rule when theirs has fewer nodes):
     the rule's center is m, so every term with an image exponent vanishes at
     y_m = A m, and the image weights are constant on the slice and cancel.
-    Node fibers, or none, integrate over the slice chart (``delta_pairing``).
+    Planar inputs take F_u(y_m) / F_1(y_m) from ``_segments`` at the one level
+    y_m (u(m) when that fiber is the vertex m).  Any other input integrates over the
+    slice chart (``delta_pairing``).
     """
-    if not isinstance(push, AxisFibers):
+    if isinstance(push, AxisFibers):
+        if push.rule.resolution < resolution:
+            push = AxisFibers(box_rule(P, resolution, m), push.image)
+        den, num = (M.flat[0] for M in push.moments(u))
+    elif _is_planar(P, proj):
+        push = _segments(P, proj, m, np.array([float(proj.apply(m)[0])]), np.ones(1))
+        if push.rule.size == 0:
+            return float(u(np.array(m, dtype=float)))
+        den, num = push.sums(u)[:, 0]
+    else:
         return delta_pairing(P, proj, m, u, resolution)
-    if push.rule.resolution < resolution:
-        push = AxisFibers(box_rule(P, resolution, m), push.image)
-    den, num = (M.flat[0] for M in push.moments(u))
     with np.errstate(all="ignore"):  # reported just below
         rinf = num / den
     if not (0 < den < np.inf and np.isfinite(rinf)):
@@ -556,7 +641,7 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
     fm = ConcentrationWeight(m, pot.perturbation)
     u = Polynomial(lru_cache(maxsize=1)(u.expand), u.evaluate)  # one expansion: R_t and R_inf
     # the norm is in the weights: the fiber sums are of w and of w * u
-    push = pushforward(make_rule(P, resolution, m), proj)
+    push = _fibers(P, proj, resolution, m)
     masses, _ = push.masses(u, fm, t_list)
     ratios = []
     for t, (den, num) in zip(t_list, masses):
@@ -582,12 +667,12 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
 def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
     """The L1 norm over P of sigma^m under g_t for each t in times.
 
-    Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: make_rule
-    at resolution integrates against |sigma^m_0| dx, its weights are summed over each fiber
+    Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: the rule at resolution
+    (``_fibers``) integrates against |sigma^m_0| dx, its weights are summed over each fiber
     of the projection once, and each t costs one exponential per fiber.  A
     non-finite norm raises QuadratureError.
     """
-    push = pushforward(make_rule(pot.polytope, resolution, m), pot.proj)
+    push = _fibers(pot.polytope, pot.proj, resolution, m)
     masses, fmin = push.masses(None, ConcentrationWeight(m, pot.perturbation), times)
     norms = []
     for t, (mass,) in zip(map(float, times), masses):

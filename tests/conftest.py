@@ -37,6 +37,12 @@ def simplex():
 
 
 @pytest.fixture
+def simplex3():
+    # x, y, z >= 0, 1 - x - y - z >= 0: its rules are midpoint grids
+    return DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 1)))
+
+
+@pytest.fixture
 def triangle_nonsmooth():
     # x >= 0, y >= 0, 2 - x - 2y >= 0: vertex (0,1) has determinant -2
     return DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -2), 2)))

@@ -193,32 +193,50 @@ class TestLoadConfig:
         assert a.digest == b.digest
 
 
-def _simplex_cfg(side, resolution=8):
-    return {"polytope": {"dim": 2, "facets": [
-        {"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0},
-        {"normal": [-1, -1], "offset": side}]}, "proj": [[1, 0]], "resolution": resolution}
+def _simplex_cfg(side, resolution=8, dim=2):
+    facets = [{"normal": [int(i == j) for j in range(dim)], "offset": 0} for i in range(dim)]
+    facets.append({"normal": [-1] * dim, "offset": side})
+    return {"polytope": {"dim": dim, "facets": facets},
+            "proj": [[1] + [0] * (dim - 1)], "resolution": resolution}
 
 
 class TestGridResolution:
+    # polygons take segment fibers, not a midpoint grid: the grid cases are 3-D
     def test_midpoint_grid_past_int64_exits_two(self, tmp_path, capsys):
         # the facet values fit int64 at load, the grid scaled by
         # 2 x resolution does not
-        path = write_cfg(tmp_path, _simplex_cfg(2 ** 57))
-        assert main(["concentrate", path, "--m", "0,0"]) == 2
+        path = write_cfg(tmp_path, _simplex_cfg(2 ** 57, dim=3))
+        assert main(["concentrate", path, "--m", "0,0,0"]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "bad_resolution" and "resolution 8:" in err["message"]
 
     def test_resolution_option_checked(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, _simplex_cfg(2 ** 50))
-        assert main(["concentrate", path, "--m", "0,0", "--resolution", "1024"]) == 2
+        path = write_cfg(tmp_path, _simplex_cfg(2 ** 50, dim=3))
+        assert main(["concentrate", path, "--m", "0,0,0", "--resolution", "1024"]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "bad_resolution" and "resolution 1024:" in err["message"]
 
     def test_library_replace_checked(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, _simplex_cfg(2 ** 50)))
+        cfg = load_config(write_cfg(tmp_path, _simplex_cfg(2 ** 50, dim=3)))
         with pytest.raises(ConfigError, match="resolution 1024:") as err:
-            run(dataclasses.replace(cfg, resolution=1024), "concentrate", {"m": (0, 0)})
+            run(dataclasses.replace(cfg, resolution=1024), "concentrate", {"m": (0, 0, 0)})
         assert err.value.code == "bad_resolution"
+
+    def test_planar_norm_past_float64_exits_two(self, tmp_path, capsys):
+        # the segment fibers scale nothing by the resolution; |sigma^m_0| at the far
+        # facet of x + y <= 2^57 leaves float64
+        path = write_cfg(tmp_path, _simplex_cfg(2 ** 57))
+        assert main(["concentrate", path, "--m", "0,0"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "out_of_range" and "non-finite" in err["message"]
+
+    def test_planar_resolution_past_the_node_cap_exits_two(self, tmp_path, capsys):
+        # a polygon's chambers take Gauss axes, under the box cap of nodes per axis
+        path = write_cfg(tmp_path, _simplex_cfg(2))
+        res = str(quadrature.MAX_GAUSS_NODES + 1)
+        assert main(["concentrate", path, "--m", "0,0", "--resolution", res]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "bad_resolution" and "nodes per axis" in err["message"]
 
     @pytest.mark.parametrize("command", ["lattice", "weights", "sections-norms"])
     def test_lattice_scan_past_the_limit_exits_two(self, tmp_path, capsys, command):
@@ -701,7 +719,7 @@ class TestOutOfRange:
 
 
     @pytest.mark.parametrize("config", ["configs/square2.json",  # box: the contraction
-                                        "bench/fixtures/simplex2.json"])  # grid: node values
+                                        "bench/fixtures/simplex2.json"])  # segments: node values
     def test_overflowing_weight_prints_one_json_object(self, capsys, config):
         # x1^2000 leaves float64 past x1 = 1.42; numpy must not warn on stderr
         with warnings.catch_warnings():

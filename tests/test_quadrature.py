@@ -32,8 +32,9 @@ from toric_quant import (
 )
 from toric_quant import ProjectionError, quadrature
 from toric_quant.cli import parse_weight
-from toric_quant.quadrature import (NODE_BLOCK, AxisFibers, NodeFibers, QuadratureRule, TensorRule,
-                                    _gauss_axis, _tensor_axes, _tensor_product, pushforward)
+from toric_quant.quadrature import (FIBER_NODES, NODE_BLOCK, AxisFibers, NodeFibers,
+                                    QuadratureRule, TensorRule, _gauss_axis, _tensor_axes,
+                                    _tensor_product, pushforward)
 
 from test_polytope import small_delzant
 
@@ -485,6 +486,8 @@ def _meshgrid_midpoint_rule(P, resolution):
 
 
 SIMPLEX2 = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2)))
+SIMPLEX3 = DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                               ((-1, -1, -1), 2)))
 
 
 class TestBlockedGrid:
@@ -561,7 +564,8 @@ class TestNormWeightedRules:
     def test_concentrate_norms_only_the_slice_nodes(self, square2, proj_first_of_two,
                                                     phi_half_square, monkeypatch):
         # box fibers fold the norm into the axis weights and read R_inf off their
-        # moments: no node; node fibers (skew A) norm the slice rule's nodes alone
+        # moments: no node; segment fibers (skew A) norm their own nodes, those of
+        # R_t on each chamber and those of the one fiber through m, once each
         seen = []
         real = quadrature.closed_form_norm_g0
         monkeypatch.setattr(quadrature, "closed_form_norm_g0",
@@ -574,8 +578,8 @@ class TestNormWeightedRules:
         skew = SubtorusProjection(((1, 1),))
         concentration_experiment(SymplecticPotential(square2, skew, phi_half_square),
                                  (1, 1), parse_weight("x1^2", 2), [8, 16], resolution=96)
-        sl = face_slice(square2, skew, (2,))
-        assert sum(seen) == slice_rule(sl, 96).size == 96
+        chambers = len({sum(v.point) for v in square2.vertices}) - 1
+        assert chambers == 2 and sum(seen) == chambers * 96 * FIBER_NODES + FIBER_NODES
 
     def test_overflowing_box_norm_raises(self):
         # |sigma^m_0| on [0, 3000] at m = 1500 is about 1500^1500 at the center
@@ -763,6 +767,121 @@ class TestSlicePairing:
                                          max(res, 64))
 
 
+HIRZEBRUCH = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4)))
+# the bench's planar fixtures: polygon, the row of A and the exact area
+POLYGONS = {"simplex2": (SIMPLEX2, (1, 0), 2), "hirzebruch": (HIRZEBRUCH, (1, 0), 6),
+            "square2_skew": (DelzantPolytope.from_box([(0, 2)] * 2), (1, 1), 4)}
+# the bench's concentrate weights, in the CLI grammar and as {exponents: coefficient}
+PLANAR_WEIGHTS = {"x1^2 + 0.5*x1*x2": {(2, 0): 1.0, (1, 1): 0.5},
+                  "x2^2 + x1": {(0, 2): 1.0, (1, 0): 1.0}}
+PLANAR_T = (8, 16, 32, 64, 128)
+
+
+def _reference_module():
+    """The bench's independent R_t / R_inf integrator (scipy, tanh-sinh fibers)."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSegmentFibers:
+    """Polygons under a rank-1 A (other than a box under a coordinate row): segment fibers."""
+
+    @staticmethod
+    def _pot(name, phi):
+        P, row, _ = POLYGONS[name]
+        return SymplecticPotential(P, SubtorusProjection((row,)), phi)
+
+    @pytest.mark.parametrize("name", POLYGONS)
+    def test_total_weight_is_the_area(self, name):
+        P, row, area = POLYGONS[name]
+        for res in (8, 64, 128):
+            rule = quadrature.segment_fibers(P, SubtorusProjection((row,)), res).rule
+            assert rule.kind == "segment" and rule.size % FIBER_NODES == 0
+            assert abs(rule.total_weight() - area) <= 1e-13 * area
+
+    @pytest.mark.parametrize("name", POLYGONS)
+    def test_uniform_weight_is_one_bit_for_bit(self, name, phi_half_square):
+        pot = self._pot(name, phi_half_square)
+        for m in lattice_points(pot.polytope):
+            res = concentration_experiment(pot, m, parse_weight("1", 2), PLANAR_T, resolution=64)
+            assert res.ratios == (1.0,) * len(PLANAR_T) and res.slice_value == 1.0, m
+
+    def test_point_fiber_is_the_value_at_m(self, phi_half_square):
+        # the fiber of the 2-simplex over y = 2 is its vertex (2, 0)
+        u = parse_weight("x1^2 + 0.5*x1*x2 + 3", 2)
+        res = concentration_experiment(self._pot("simplex2", phi_half_square), (2, 0), u,
+                                       PLANAR_T, resolution=128)
+        assert res.slice_value == float(u(np.array([2.0, 0.0]))) == 7.0
+        assert all(b < a for a, b in zip(res.errors, res.errors[1:]))
+
+    @pytest.mark.parametrize("name", POLYGONS)
+    def test_doubling_the_resolution_moves_no_ratio(self, name, phi_half_square):
+        pot = self._pot(name, phi_half_square)
+        for m in lattice_points(pot.polytope):
+            for expr in PLANAR_WEIGHTS:
+                u = parse_weight(expr, 2)
+                a, b = (concentration_experiment(pot, m, u, PLANAR_T, resolution=res)
+                        for res in (128, 256))
+                assert np.max(np.abs(np.subtract(a.ratios, b.ratios))) <= 1e-10, (m, expr)
+                assert a.slice_value == b.slice_value
+
+    @pytest.mark.parametrize("name", POLYGONS)
+    def test_against_the_planar_reference(self, name, phi_half_square):
+        # the reference's own floor is about 6.5e-11 (its outer quad_vec)
+        reference = _reference_module()
+        P, row, _ = POLYGONS[name]
+        geo = reference.Geometry({
+            "polytope": {"dim": 2, "facets": [{"normal": list(r), "offset": lam}
+                                              for r, lam in P.facets]},
+            "proj": [list(row)], "phi": {"type": "quadratic", "Q": [[1.0]]}})
+        pot = self._pot(name, phi_half_square)
+        for m, (expr, poly) in zip(((1, 1), (1, 0)), PLANAR_WEIGHTS.items()):
+            res = concentration_experiment(pot, m, parse_weight(expr, 2), PLANAR_T, resolution=128)
+            rts, rinf = reference.concentration_reference(geo, m, poly, PLANAR_T)
+            assert np.max(np.abs(np.subtract(res.ratios, rts))) <= 1e-10, m
+            assert abs(res.slice_value - rinf) <= 1e-14, m
+
+    @pytest.mark.parametrize("name", ["simplex2", "hirzebruch"])
+    def test_gl2z_invariance(self, name, phi_half_square):
+        # U = [[1, 1], [0, 1]]: P -> U P, A -> A U^-1, m -> U m and u -> u o U^-1
+        P, row, _ = POLYGONS[name]
+        U, Uinv = np.array([[1, 1], [0, 1]]), np.array([[1, -1], [0, 1]])
+        UP = DelzantPolytope(2, tuple((tuple(int(c) for c in np.array(r) @ Uinv), lam)
+                                      for r, lam in P.facets))
+        proj, uproj = SubtorusProjection((row,)), SubtorusProjection(
+            (tuple(int(c) for c in np.array(row) @ Uinv),))
+        pot, upot = (SymplecticPotential(Q, pr, phi_half_square)
+                     for Q, pr in ((P, proj), (UP, uproj)))
+        u = parse_weight("x1^2 + 0.5*x1*x2", 2)
+        uu = parse_weight("(x1 - x2)^2 + 0.5*(x1 - x2)*x2", 2)
+        for m in lattice_points(P):
+            um = tuple(int(c) for c in U @ m)
+            a = concentration_experiment(pot, m, u, PLANAR_T, resolution=128)
+            b = concentration_experiment(upot, um, uu, PLANAR_T, resolution=128)
+            assert np.allclose(a.ratios, b.ratios, rtol=0, atol=1e-12), m
+            assert abs(a.slice_value - b.slice_value) <= 1e-12, m
+            # at t = 128 the L1 norm of (4, 0) on the trapezoid leaves float64 (ROADMAP item 7)
+            la, lb = (l1_norms(q, mm, 128, (0.0, 8.0, 32.0)) for q, mm in ((pot, m), (upot, um)))
+            assert np.allclose(la, lb, rtol=1e-12, atol=0), m
+
+    def test_no_slice_chart_or_grid(self, monkeypatch, phi_half_square):
+        def refuse(*args):
+            raise AssertionError("the planar path left its segment fibers")
+
+        for name in ("make_rule", "face_slice", "slice_rule", "delta_pairing"):
+            monkeypatch.setattr(quadrature, name, refuse)
+        for name in POLYGONS:
+            pot = self._pot(name, phi_half_square)
+            concentration_experiment(pot, (1, 1), parse_weight("x1^2", 2), PLANAR_T, 64)
+            l1_norms(pot, (1, 1), 64, (0.0, 8.0))
+
+
 class TestConcentration:
     def test_uniform_weight_trivial(self, square2, proj_first_of_two, phi_half_square):
         res = concentration_experiment(
@@ -845,9 +964,10 @@ class TestConcentration:
                 SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
                 lambda x: x[..., 0] ** 2, [8, 16], resolution=64)
 
-    @pytest.mark.parametrize("P,rows,m", [(SIMPLEX2, ((1, 0),), (1, 0)),  # a grid
-                                          (DelzantPolytope.from_box([(0, 2)] * 2),
-                                           ((1, 1),), (1, 1))])  # a box with skew A
+    # polygons take segment fibers; node grouping and slice charts remain for n = 3
+    @pytest.mark.parametrize("P,rows,m", [(SIMPLEX3, ((1, 0, 0),), (1, 0, 0)),  # a grid
+                                          (DelzantPolytope.from_box([(0, 2)] * 3),
+                                           ((1, 1, 0),), (1, 1, 1))])  # a box with skew A
     def test_node_fibers_freed_before_the_slice_rule(self, P, rows, m, phi_half_square,
                                                       monkeypatch):
         # a slice chart's rule is itself a grid of nodes and weights: freeing the
@@ -860,7 +980,7 @@ class TestConcentration:
             rules[0]()) or pairing(*a))
         proj = SubtorusProjection(rows)
         concentration_experiment(SymplecticPotential(P, proj, phi_half_square), m,
-                                 parse_weight("x1^2", 2), [8, 16], resolution=128)
+                                 parse_weight("x1^2", 3), [8, 16], resolution=32)
         assert len(rules) == 1 and seen == [None]
 
     def test_t_list_must_increase(self, square2, proj_first_of_two, phi_half_square):

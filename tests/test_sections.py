@@ -266,9 +266,11 @@ class TestL1AndBasis:
 
     def test_l1_norms_equal_one_time_at_a_time(self, simplex, phi_half_square):
         from toric_quant import SubtorusProjection
+        from toric_quant.quadrature import segment_fibers
 
-        pot = SymplecticPotential(simplex, SubtorusProjection(((1, 0),)), phi_half_square)
-        rule = make_rule(simplex, 32)
+        proj = SubtorusProjection(((1, 0),))
+        pot = SymplecticPotential(simplex, proj, phi_half_square)
+        rule = segment_fibers(simplex, proj, 32).rule  # a polygon's rule for dx
         times = (0.0, 4.0, 16.0, 64.0)
         # the reference integrates the time-t norm of g_t afresh for every t;
         # l1_norms takes it through e^{-t f_m} |sigma^m_0|, in another order
@@ -304,23 +306,27 @@ class TestL1AndBasis:
         assert peak < 0.1
 
     @pytest.mark.parametrize("fixture,m,box", [("square2", (1, 0), True),
-                                               ("simplex", (0, 1), False)])
+                                               ("simplex", (0, 1), False),
+                                               ("simplex3", (0, 1, 0), False)])
     def test_l1_norms_integrate_against_the_weighted_rule(self, fixture, m, box, request,
                                                            phi_half_square, monkeypatch):
         from toric_quant import SubtorusProjection, quadrature
 
         P = request.getfixturevalue(fixture)
-        pot = SymplecticPotential(P, SubtorusProjection(((1, 0),)), phi_half_square)
+        proj = SubtorusProjection.standard(1, P.dim)
+        pot = SymplecticPotential(P, proj, phi_half_square)
         times = (0.0, 8.0)
-        # the reference: the plain rule's weights times the node norm, for each t
-        plain = make_rule(P, 40)
+        # the reference: the plain rule's weights times the node norm, for each t;
+        # a polygon's plain rule is its segment rule for dx, a 3-simplex's a grid
+        planar = P.dim == 2 and not box
+        plain = quadrature.segment_fibers(P, proj, 40).rule if planar else make_rule(P, 40)
         ref = [integrate(lambda x, t=t: _norm(pot, m, x, t), plain) for t in times]
         seen = []
         real = quadrature.closed_form_norm_g0
         monkeypatch.setattr(quadrature, "closed_form_norm_g0",
                             lambda P, m, x: seen.append(len(x)) or real(P, m, x))
         assert np.allclose(l1_norms(pot, m, 40, times), ref, rtol=1e-12, atol=0)
-        # a box folds the norm in axis by axis; a grid takes it once per node
+        # a box folds the norm in axis by axis; segment fibers and grids take it once per node
         assert sum(seen) == (0 if box else plain.size)
 
     def test_basis_size_is_lattice_count(self, square2, simplex):
