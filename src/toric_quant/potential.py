@@ -54,7 +54,7 @@ def g0_hessian(P: DelzantPolytope, x):
     """Hess g0 = 1/2 sum_j r_j r_j^T / l_j(x), symmetric positive definite."""
     x, L = _interior_l(P, x)
     R = P.normal_matrix
-    return 0.5 * np.einsum("...d,di,dj->...ij", 1.0 / L, R, R)
+    return 0.5 * ((R.T / L[..., None, :]) @ R)
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ def pullback(phi: ConvexFunction, proj: SubtorusProjection) -> ConvexFunction:
 
     def hessian(x):
         H = phi.hessian(np.asarray(x, dtype=float) @ A.T)
-        return np.einsum("ai,...ab,bj->...ij", A, H, A)
+        return A.T @ H @ A
 
     return ConvexFunction(dim=n, value=value, gradient=gradient, hessian=hessian)
 

@@ -790,6 +790,36 @@ class TestLargeLinearTerm:
         assert cap.out == "" and err["code"] == "out_of_range"
         assert "Newton did not reach tolerance" in err["message"]
 
+    # exit codes pinned per (fixture, b): legendre-roundtrip, then flow-check
+    CODES = {
+        "configs/square2.json": {0: (0, 0), 1e6: (0, 0), 1e8: (1, 1), 1e10: (1, 1),
+                                 1e11: (1, 1), 1e12: (1, 1)},
+        "bench/fixtures/hirzebruch.json": {0: (0, 0), 1e6: (0, 0), 1e8: (1, 1), 1e10: (1, 1),
+                                           1e11: (2, 1), 1e12: (2, 2)},
+        "bench/fixtures/square2_skew.json": {0: (0, 0), 1e6: (1, 0), 1e8: (1, 1), 1e10: (1, 1),
+                                             1e11: (1, 1), 1e12: (1, 1)},
+        "bench/fixtures/simplex2.json": {0: (0, 0), 1e6: (0, 0), 1e8: (1, 1), 1e10: (1, 1),
+                                         1e11: (1, 1), 1e12: (1, 1)},
+    }
+
+    @pytest.mark.parametrize("command", ["legendre-roundtrip", "flow-check"])
+    @pytest.mark.parametrize("b", [0, 1e6, 1e8, 1e10, 1e11, 1e12])
+    @pytest.mark.parametrize("config", sorted(CODES))
+    def test_exit_codes_pinned(self, tmp_path, capsys, config, b, command):
+        # the Newton damping decides where the rounding floor is reached, and so
+        # whether a large-b run reports (0 or 1) or stops with a code (2)
+        data = json.loads((REPO / config).read_text())
+        path = write_cfg(tmp_path, dict(data, phi={"type": "quadratic", "Q": [[1.0]], "b": [b]}))
+        expected = self.CODES[config][b][command == "flow-check"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, path]) == expected
+        cap = capsys.readouterr()
+        if expected == 2:
+            assert cap.out == "" and json.loads(cap.err)["error"]["code"] == "out_of_range"
+        else:
+            assert cap.err == "" and json.loads(cap.out)["command"] == command
+
     def test_moderate_b_keeps_the_roundtrip_flag(self, tmp_path, capsys):
         data = json.loads((REPO / "configs" / "square2.json").read_text())
         path = write_cfg(tmp_path, dict(data, phi={"type": "quadratic", "Q": [[1.0]], "b": [1e6]}))

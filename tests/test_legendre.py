@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,12 @@ from toric_quant import (
     legendre,
     quadratic,
 )
+from toric_quant.cli import load_config
+from toric_quant.potential import interior_samples
 
 from conftest import fd_gradient, fd_jacobian, g0_on, sample_interior
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 HALF_LOG3 = 0.5 * np.log(3.0)  # 0.5493061443340549
 
@@ -194,8 +200,10 @@ def _scalar_newton(pot, y, t):
             return x
         step = -np.linalg.solve(pot.hessian(x, t), res)
         lcur = P.facet_values_array(x)
-        s = 1.0
-        while not np.all(P.facet_values_array(x + s * step) > 0.4 * lcur):
+        # l_j is affine along the step: go 0.99 of the way to FLOOR * l_j(x)
+        s = min([1.0] + [0.99 * (1 - legendre.FLOOR) * l / -d
+                         for l, d in zip(lcur, P.normal_matrix @ step) if d < 0])
+        while not np.all(P.facet_values_array(x + s * step) > legendre.FLOOR * lcur):
             s *= 0.5
         x = x + s * step
     assert np.linalg.norm(pot.gradient(x, t) - y) <= legendre.TOLERANCE
@@ -223,6 +231,21 @@ class TestBatchedInverse:
         assert xs.shape == pts.shape
         assert np.max(np.abs(xs - ref)) <= 1e-12
         assert np.max(np.abs(xs - pts)) < 1e-8
+
+    @pytest.mark.parametrize("config", ["configs/interval.json", "configs/square2.json",
+                                        "bench/fixtures/simplex2.json",
+                                        "bench/fixtures/hirzebruch.json",
+                                        "bench/fixtures/cube2.json"])
+    def test_roundtrip_stack_within_ten_iterations(self, config, monkeypatch):
+        # the legendre-roundtrip stack of each full-suite fixture: a first trial
+        # at s = 1 halved to 0.4 needed 17 iterations on interval, 18 on simplex2
+        cfg = load_config(str(REPO / config))
+        pot = SymplecticPotential(cfg.polytope, cfg.proj, cfg.phi)
+        pts = interior_samples(cfg.polytope, 100, seed=0)
+        t = np.reshape([0.0, 8.0, 16.0, 32.0, 64.0, 128.0], (-1, 1))
+        monkeypatch.setattr(legendre, "MAX_ITERATIONS", 10)
+        xs = inverse(pot, pot.gradient(pts, t), t)
+        assert np.max(np.linalg.norm(xs - pts, axis=-1)) <= 1e-12
 
     def test_output_shapes(self, square2):
         pot = _pot(square2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toric_quant import (
+    DelzantPolytope,
     DomainBoundaryError,
     SubtorusProjection,
     SymplecticPotential,
@@ -79,6 +80,19 @@ class TestDerivatives:
             num = fd_jacobian(lambda z: g0_gradient(P, z), x)
             ana = g0_hessian(P, x)
             assert np.max(np.abs(num - ana)) <= 1e-6 * max(1.0, np.max(np.abs(ana)))
+
+    @pytest.mark.parametrize("lead", [(), (12,), (3, 4)])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hessian_is_the_facet_sum(self, dim, lead):
+        # square2 and cube2; one matmul over every leading axis
+        P = DelzantPolytope.from_box([(0, 2)] * dim)
+        x = sample_interior(P, int(np.prod(lead)), seed=13).reshape(lead + (dim,))
+        H = g0_hessian(P, x)
+        assert H.shape == lead + (dim, dim)
+        for idx in np.ndindex(lead):
+            ref = 0.5 * sum(np.outer(r, r) / l for r, l in
+                            zip(P.normal_matrix, P.facet_values_array(x[idx])))
+            np.testing.assert_allclose(H[idx], ref, rtol=1e-14, atol=0)
 
 
 class TestFamily:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from toric_quant import (
+    ConvexFunction,
     NotConvexError,
     ProjectionError,
     SubtorusProjection,
@@ -120,6 +121,26 @@ class TestPullback:
         assert psi.value(pts) == pytest.approx([2.0, 0.0])
         assert psi.gradient(pts).shape == (2, 2)
         assert psi.hessian(pts).shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("lead", [(), (12,), (3, 4)])
+    @pytest.mark.parametrize("rows", [((1, 1),), ((1, 0, 0), (0, 1, 0))])
+    def test_hessian_is_a_transpose_h_a_per_point(self, rows, lead):
+        # rows on square2 and cube2; phi's Hessian Q + diag(e^y) varies with the point
+        proj = SubtorusProjection(rows)
+        A = proj.array
+        Q = np.array([[2.0, 0.5], [0.5, 1.0]])[:proj.k, :proj.k]
+
+        def hessian(y):
+            return Q + np.exp(y)[..., None] * np.eye(proj.k)
+
+        phi = ConvexFunction(proj.k, None, None, hessian)
+        x = np.random.default_rng(4).uniform(0, 2, size=lead + (proj.n,))
+        H = pullback(phi, proj).hessian(x)
+        assert H.shape == lead + (proj.n, proj.n)
+        for idx in np.ndindex(lead):
+            h = hessian(A @ x[idx])
+            ref = sum(h[a, b] * np.outer(A[a], A[b]) for a in range(proj.k) for b in range(proj.k))
+            np.testing.assert_allclose(H[idx], ref, rtol=1e-14, atol=0)
 
 
 class TestConvexity:
