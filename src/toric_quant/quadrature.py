@@ -1,29 +1,28 @@
 """Quadrature over the polytope and its slices, and the concentration runs.
 
-Box polytopes get tensor Gauss-Legendre rules; general polytopes get
-midpoint grids over the bounding box with an exact rational containment
-test.  Given a lattice point m, ``make_rule`` returns the rule for the
-measure |sigma^m_0| dx: on a box the norm is a product of one factor per
-axis, folded into that axis's Gauss weights (a Jacobi weight
-(s - a)^{(m_i - a)/2} (b - s)^{(b - m_i)/2} without redundant facets), and
-the rule keeps those per-axis factors (``TensorRule``: the product's nodes
-are built only when read); a grid multiplies each cell weight by the norm
-at its node, NODE_BLOCK nodes at a time from their (d, N) facet values.
-``pushforward`` takes a rule to the fibers of the projection
-y = A x: every weight e^{-t f_m} depends on y alone, so the concentration
-runs and the L1 norms pay per node once and per fiber for each t.  When
-every row of A is a coordinate vector, the fibers of a tensor rule are the
-product grid of the other axes and the fiber sums are contractions of the
-axis factors (``AxisFibers``: a ``Polynomial`` weight is evaluated on no node);
-any other rule groups its nodes (``NodeFibers``).  A polygon under one row of A
-(not a box under a coordinate row) takes no rule over P: its fibers are segments
-whose ends move affinely in y between vertex images, and ``segment_fibers`` puts
-cosine-mapped Gauss nodes on each chamber in y and on each segment.  The
-concentration experiment reproduces the localization of L1-normalized sections
-onto the slice through their lattice point, with the slice pairing as the
-t = infinity reference value (``slice_pairing``): box fibers read it off their
-fiber-axis moments, segment fibers off the one segment through m, and the other
-node fibers (n = 3, or k = n = 2) integrate over the slice chart (``delta_pairing``).
+Box polytopes get tensor Gauss-Legendre rules; general polytopes get midpoint grids over
+the bounding box with an exact rational containment test.  Given a lattice point m,
+``make_rule`` returns the rule for the measure |sigma^m_0| dx: on a box the norm is a
+product of one factor per axis, folded into that axis's Gauss weights (a Jacobi weight
+(s - a)^{(m_i - a)/2} (b - s)^{(b - m_i)/2} without redundant facets), and the rule
+keeps those per-axis factors (``TensorRule``: the product's nodes are built only when
+read); a grid multiplies each cell weight by the norm at its node, NODE_BLOCK nodes at a
+time from their (d, N) facet values.  ``pushforward`` takes a rule to the fibers of the
+projection y = A x: every weight e^{-t f_m} depends on y alone, so the concentration
+runs and the L1 norms pay per node once and per fiber for each t.  When every row of A
+is a coordinate vector, the fibers of a tensor rule are the product grid of the other
+axes and the fiber sums are contractions of the axis factors (``AxisFibers``: a
+``Polynomial`` weight is evaluated on no node); any other rule groups its nodes
+(``NodeFibers``).  A polygon under one row of A (not a box under a coordinate row) takes
+no rule over P: its fibers are segments whose ends move affinely in y between vertex
+images, and ``segment_fibers`` puts cosine-mapped Gauss nodes on each chamber in y and
+on each segment.  Along a segment every facet value is affine, and the norm is folded in
+from these values, LEVEL_BLOCK levels at a time.  The concentration experiment
+reproduces the localization of L1-normalized sections onto the slice through their
+lattice point, with the slice pairing as the t = infinity reference value
+(``slice_pairing``): box fibers read it off their fiber-axis moments, segment fibers off
+the one segment through m, and the other node fibers (n = 3, or k = n = 2) integrate
+over the slice chart (``delta_pairing``).
 """
 from __future__ import annotations
 
@@ -463,6 +462,8 @@ def pushforward(rule, proj: SubtorusProjection) -> Pushforward:
 
 # nodes per segment fiber: R_t and R_inf move by < 1e-14 from 32 to 128 on the shipped polygons
 FIBER_NODES = 32
+# segment levels whose norm is folded at once (8,192 nodes): 64 or 512 take 1.2-1.5 times as long
+LEVEL_BLOCK = 256
 
 
 def _cosine_rule(n: int):
@@ -486,8 +487,7 @@ def segment_fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int
     if resolution < 8:
         raise QuadratureError("resolution must be at least 8")
     cuts = np.array(sorted({proj.apply(v.point)[0] for v in P.vertices}), dtype=float)
-    s, w = _cosine_rule(resolution)
-    width = np.diff(cuts)
+    (s, w), width = _cosine_rule(resolution), np.diff(cuts)
     return _segments(P, proj, m, (cuts[:-1, None] + np.multiply.outer(width, s)).reshape(-1),
                      np.multiply.outer(width, w).reshape(-1))
 
@@ -497,33 +497,35 @@ def _segments(P: DelzantPolytope, proj: SubtorusProjection, m, ys, wy) -> NodeFi
     wy), for dx or, given m, for |sigma^m_0| dx; levels whose fiber is a point are dropped.
 
     With a the row of A and d = (-a_2, a_1), x = y a / |a|^2 + s d has Jacobian 1, so the
-    nodes are made in x and P, m, u and psi need no transform.  A facet with <r_j, d> != 0
-    bounds s at -(<r_j, a> y / |a|^2 + lambda_j) / <r_j, d>: the fiber [lo, hi] runs from
-    the largest lower to the smallest upper bound.  The norm is folded into the weights
-    NODE_BLOCK nodes at a time, as in ``grid_rule``.
+    nodes are made in x and P, m, u and psi need no transform.  On a fiber each facet value
+    is affine in s, l_j = c_j(y) + <r_j, d> s with c_j = <r_j, a> y / |a|^2 + lambda_j: a
+    facet with <r_j, d> != 0 bounds s at -c_j / <r_j, d>, the fiber [lo, hi] runs from the
+    largest lower to the smallest upper bound, and the norm is folded into the weights from
+    these values (``_log_norm_g0``), LEVEL_BLOCK levels at a time.
     """
     a = proj.array[0]
     d, base = np.array([-a[1], a[0]]), a / (a @ a)
-    R, lam = P.normal_matrix, P.offset_vector
-    rb, rd = R @ base, R @ d
-
-    def bounds(side):
-        on = side(rd, 0)
-        return -(np.multiply.outer(ys, rb[on]) + lam[on]) / rd[on]
-    lo, hi = bounds(np.greater).max(axis=1), bounds(np.less).min(axis=1)
+    rd = P.normal_matrix @ d
+    c = np.multiply.outer(P.normal_matrix @ base, ys) + P.offset_vector[:, None]  # (facets, levels)
+    lo, hi = (-c[rd > 0] / rd[rd > 0, None]).max(0), (-c[rd < 0] / rd[rd < 0, None]).min(0)
     keep = hi > lo
-    ys, lo, length = ys[keep], lo[keep], (hi - lo)[keep]
+    ys, lo, length, c = ys[keep], lo[keep], (hi - lo)[keep], c[:, keep]
     s, ws = _cosine_rule(FIBER_NODES)
     S = lo[:, None] + np.multiply.outer(length, s)  # (levels, FIBER_NODES), fiber-major
-    points = (ys[:, None, None] * base + S[..., None] * d).reshape(-1, 2)
-    weights = np.multiply.outer(wy[keep] * length, ws).reshape(-1)
+    points = np.empty(S.shape + (2,))
+    for i in (0, 1):  # a broadcast over the length-2 axis takes 8x as long
+        np.add(ys[:, None] * base[i], S * d[i], out=points[..., i])
+    points, weights = points.reshape(-1, 2), np.multiply.outer(wy[keep] * length, ws)
     if m is not None:
+        lm = _facet_values_at(P, m)
         with np.errstate(over="ignore"):  # reported just below
-            for b in range(0, len(weights), NODE_BLOCK):
-                weights[b:b + NODE_BLOCK] *= closed_form_norm_g0(P, m, points[b:b + NODE_BLOCK])
+            for b in range(0, len(S), LEVEL_BLOCK):
+                L = c[:, b:b + LEVEL_BLOCK, None] + np.multiply.outer(rd, S[b:b + LEVEL_BLOCK])
+                weights[b:b + LEVEL_BLOCK] *= np.exp(_log_norm_g0(L.reshape(len(L), -1), lm)
+                                                     ).reshape(-1, FIBER_NODES)
         _finite(weights, points)
-    return NodeFibers(QuadratureRule("segment", FIBER_NODES, points, weights),
-                      np.arange(0, len(weights), FIBER_NODES))
+    return NodeFibers(QuadratureRule("segment", FIBER_NODES, points, weights.reshape(-1)),
+                      np.arange(0, weights.size, FIBER_NODES))
 
 
 def _fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int, m) -> Pushforward:

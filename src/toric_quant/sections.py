@@ -45,11 +45,14 @@ def _facet_values_at(P: DelzantPolytope, m):
 def _log_norm_g0(L, lm):
     """log |sigma^m_0|, (N,) or (M, N), from facet values L (d, N) and lm = l_j(m), (d,) or (M, d).
 
-    1/2 (sum_j l_j(m) log l_j + sum_j (l_j(m) - l_j)): the second sum facet by
-    facet, the first one product over the facets with some l_j(m) > 0 (log 0 =
-    -inf gives the exact zeros; a stack needs l_j > 0 where one of its l_j(m)
-    is 0).  Any subset of the facets gives the product of their factors.
+    1/2 (sum_j l_j(m) log l_j + sum_j (l_j(m) - l_j)): the second sum facet by facet,
+    the first one product over the facets with some l_j(m) > 0 (log 0 = -inf gives the
+    exact zeros; a stack needs l_j > 0 where one of its l_j(m) is 0).  Any subset of the
+    facets gives the product of their factors.  L < -1e-12 (outside P) raises, L < 0 reads 0.
     """
+    if np.any(L < -1e-12):
+        raise ValueError("point outside the polytope")
+    L = np.maximum(L, 0.0)
     s = np.add.reduce(lm[..., None] - L, axis=-2)  # over the facet axis, in facet order
     on = (lm > 0).reshape(-1, len(L)).any(axis=0)
     with np.errstate(divide="ignore"):
@@ -65,12 +68,9 @@ def closed_form_norm_g0(P: DelzantPolytope, m, x):
     log form (_log_norm_g0), with one exp per point x (..., n); a stack of
     lattice points m (M, n) on interior x gives shape (M,) + x.shape[:-1].
     """
-    x = np.asarray(x, dtype=float)
+    x, lm = np.asarray(x, dtype=float), _facet_values_at(P, m)
     L = P.normal_matrix @ x.reshape(-1, P.dim).T + P.offset_vector[:, None]
-    if np.any(L < -1e-12):
-        raise ValueError("point outside the polytope")
-    lm = _facet_values_at(P, m)
-    return np.exp(_log_norm_g0(np.clip(L, 0.0, None), lm).reshape(lm.shape[:-1] + x.shape[:-1]))
+    return np.exp(_log_norm_g0(L, lm).reshape(lm.shape[:-1] + x.shape[:-1]))
 
 
 @dataclass(frozen=True)

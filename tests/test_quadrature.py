@@ -564,22 +564,28 @@ class TestNormWeightedRules:
     def test_concentrate_norms_only_the_slice_nodes(self, square2, proj_first_of_two,
                                                     phi_half_square, monkeypatch):
         # box fibers fold the norm into the axis weights and read R_inf off their
-        # moments: no node; segment fibers (skew A) norm their own nodes, those of
-        # R_t on each chamber and those of the one fiber through m, once each
-        seen = []
-        real = quadrature.closed_form_norm_g0
+        # moments: each call norms one axis's Gauss nodes (at res 32 also those of the
+        # 64-node R_inf rule), no tensor node; segment fibers (skew A) norm their own
+        # nodes from their facet values, those of R_t on each chamber and those of the
+        # one fiber through m, once each; neither takes the node-wise closed form
+        seen, pointwise = [], []
+        real, closed = quadrature._log_norm_g0, quadrature.closed_form_norm_g0
+        monkeypatch.setattr(quadrature, "_log_norm_g0",
+                            lambda L, lm: seen.append(L.shape[1]) or real(L, lm))
         monkeypatch.setattr(quadrature, "closed_form_norm_g0",
-                            lambda P, m, x: seen.append(len(x)) or real(P, m, x))
+                            lambda P, m, x: pointwise.append(len(x)) or closed(P, m, x))
         for res in (32, 96):
             concentration_experiment(SymplecticPotential(square2, proj_first_of_two,
                                                          phi_half_square),
                                      (1, 1), parse_weight("x1^2", 2), [8, 16], resolution=res)
-        assert seen == []
+        assert seen == [32, 32, 64, 64, 96, 96]
+        seen.clear()
         skew = SubtorusProjection(((1, 1),))
         concentration_experiment(SymplecticPotential(square2, skew, phi_half_square),
                                  (1, 1), parse_weight("x1^2", 2), [8, 16], resolution=96)
         chambers = len({sum(v.point) for v in square2.vertices}) - 1
         assert chambers == 2 and sum(seen) == chambers * 96 * FIBER_NODES + FIBER_NODES
+        assert pointwise == []
 
     def test_overflowing_box_norm_raises(self):
         # |sigma^m_0| on [0, 3000] at m = 1500 is about 1500^1500 at the center
@@ -869,6 +875,69 @@ class TestSegmentFibers:
             # at t = 128 the L1 norm of (4, 0) on the trapezoid leaves float64 (ROADMAP item 7)
             la, lb = (l1_norms(q, mm, 128, (0.0, 8.0, 32.0)) for q, mm in ((pot, m), (upot, um)))
             assert np.allclose(la, lb, rtol=1e-12, atol=0), m
+
+    @pytest.mark.parametrize("name", list(POLYGONS) + ["parallelogram"])
+    def test_norm_from_facet_values_is_the_closed_form(self, name):
+        # the two routes to |sigma^m_0|: per-level facet values along each segment, and
+        # the node-wise closed form at the same nodes.  They agree to 1e-13 of the largest
+        # weight; node by node they part near the segment ends, where the closed form
+        # takes l_j = <r_j, x> + lambda_j at a few ulps of an O(1) coordinate (1.5e-3
+        # relative on hirzebruch at res 128).  On a row (1, 0) the nodes are exact, and
+        # there the worst such node's weight matches exact facet values to 1e-13.
+        if name == "parallelogram":  # square2 under U = [[1, 1], [0, 1]], its row (1, 0) U^-1
+            P = DelzantPolytope(2, tuple((tuple(int(c) for c in np.array(r) @ [[1, -1], [0, 1]]),
+                                          lam) for r, lam in POLYGONS["square2_skew"][0].facets))
+            row = (1, -1)
+        else:
+            P, row, _ = POLYGONS[name]
+        proj = SubtorusProjection((row,))
+        for res in (8, 128, 1024):
+            plain = quadrature.segment_fibers(P, proj, res).rule
+            for m in lattice_points(P):
+                got = quadrature.segment_fibers(P, proj, res, m).rule
+                ref = plain.weights * closed_form_norm_g0(P, m, plain.points)
+                assert np.array_equal(got.points, plain.points)
+                np.testing.assert_allclose(got.weights, ref, rtol=1e-13, atol=1e-13 * ref.max())
+                if row != (1, 0):
+                    continue
+                i = np.argmax(np.abs(got.weights - ref) / np.where(ref > 0, ref, np.inf))
+                x = [Fraction(float(c)) for c in plain.points[i]]
+                log_norm = math.fsum(0.5 * (lm * math.log(l) + lm - l) for lm, l in (
+                    (float(r @ np.array(m)) + lam, float(r[0] * x[0] + r[1] * x[1] + lam))
+                    for r, lam in zip(P.normal_matrix.astype(int), P.offset_vector.astype(int))))
+                exact = plain.weights[i] * math.exp(log_norm)
+                assert abs(got.weights[i] - exact) <= 1e-13 * exact, (res, m)
+
+    def test_fold_peak_memory(self):
+        # the norm fold keeps its temporaries to one level block: the rule's own three
+        # node vectors (points and weights) plus a few; (d, N) facet values over the
+        # whole rule and the (N, 2) node products peak at 12.7-21.2 node vectors
+        for name in ("simplex2", "hirzebruch"):
+            P, row, _ = POLYGONS[name]
+            proj = SubtorusProjection((row,))
+            size = quadrature.segment_fibers(P, proj, 1024).rule.size  # and the Gauss rules
+            for m in lattice_points(P):
+                peak = _peak_node_vectors(lambda: quadrature.segment_fibers(P, proj, 1024, m),
+                                          size)
+                assert peak < 9, (name, m, peak)
+
+    @pytest.mark.parametrize("nodes,moves", [(128, False), (16, True)])
+    def test_fiber_nodes_are_converged(self, nodes, moves, phi_half_square, monkeypatch):
+        # FIBER_NODES: R_t and R_inf move by < 1e-14 from 32 to 128 nodes per segment
+        # (3.6e-15 measured) at res 128; from 32 to 16 they move by 2.1e-12
+        runs = {}
+        for n in (FIBER_NODES, nodes):
+            monkeypatch.setattr(quadrature, "FIBER_NODES", n)
+            for name in POLYGONS:
+                pot = self._pot(name, phi_half_square)
+                for m in lattice_points(pot.polytope):
+                    for expr in PLANAR_WEIGHTS:
+                        res = concentration_experiment(pot, m, parse_weight(expr, 2),
+                                                       PLANAR_T, resolution=128)
+                        runs.setdefault((name, m, expr), []).append(
+                            res.ratios + (res.slice_value,))
+        moved = max(np.max(np.abs(np.subtract(*r))) for r in runs.values())
+        assert (moved > 1e-14) if moves else (moved < 1e-14), moved
 
     def test_no_slice_chart_or_grid(self, monkeypatch, phi_half_square):
         def refuse(*args):
