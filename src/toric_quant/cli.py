@@ -365,12 +365,10 @@ def _cmd_polarization_limit(cfg, opts):
         "fitted_slopes": slopes,
         "max_subframe_drift": rep.subframe_invariance,
     }
-    flags = {
-        "slopes_near_minus_one": all(-1.1 <= s <= -0.9 for s in slopes),
-        "subframe_invariant": rep.subframe_invariance < 1e-10,
-    }
-    tols = {"slope_band": [-1.1, -0.9], "subframe": 1e-10}
-    return out, tols, flags
+    tols = {"slope_band": [-1.1, -0.9], "subframe": 1e-10}  # each flag reads its threshold here
+    lo, hi = tols["slope_band"]
+    return out, tols, {"slopes_near_minus_one": all(lo <= s <= hi for s in slopes),
+                       "subframe_invariant": rep.subframe_invariance < tols["subframe"]}
 
 
 def _cmd_sections_norms(cfg, opts):
@@ -396,9 +394,8 @@ def _cmd_sections_norms(cfg, opts):
     out = {"m": list(m), "rows": per_t, "max_factorization_residual": worst,
            "closed_form_agreement": agree}
     tols = {"factorization": 1e-10, "closed_form": 1e-10}
-    flags = {"factorization_within_tolerance": worst < 1e-10,
-             "closed_form_agrees": agree < 1e-10}
-    return out, tols, flags
+    return out, tols, {"factorization_within_tolerance": worst < tols["factorization"],
+                       "closed_form_agrees": agree < tols["closed_form"]}
 
 
 def _cmd_concentrate(cfg, opts):
@@ -485,7 +482,7 @@ def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> Run
             raise ConfigError("bad_resolution", str(exc)) from exc
         except GridRangeError as exc:  # the lattice scan of P is too large
             raise ConfigError("bad_polytope", f"lattice scan: {exc}") from exc
-        except quadrature.QuadratureError as exc:  # a norm or pairing leaves float64
+        except quadrature.QuadratureError as exc:  # a value leaves float64, or a mass vanishes
             raise ConfigError("out_of_range", str(exc)) from exc
         except legendre.NewtonConvergenceError as exc:  # y's rounding leaves a residual above tol
             raise ConfigError("out_of_range", f"Legendre inverse: {exc}") from exc

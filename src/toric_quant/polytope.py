@@ -29,8 +29,8 @@ from ._intlin import (
 # points per block when a grid is scanned or a node-wise integrand is
 # evaluated: the temporaries stay at a few MB however fine the grid is
 NODE_BLOCK = 1 << 15
-# grid points one exact scan may cover; the simplex2 midpoint grid at
-# resolution 1024, the largest scan of the shipped configs, covers 2^20
+# grid points one exact scan may cover; no command builds a polygon's grid any more, but
+# make_rule(P, res) callers such as the bench oracle scan simplex2 at 1024, 2^20 points
 MAX_SCAN = 1 << 32
 _INT64 = np.iinfo(np.int64)
 

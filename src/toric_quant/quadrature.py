@@ -1,28 +1,28 @@
-"""Quadrature over the polytope and its slices, and the concentration runs.
+"""Rules for the section norms on the fibers of y = A x, the concentration runs and L1 norms.
 
-Box polytopes get tensor Gauss-Legendre rules; general polytopes get midpoint grids over
-the bounding box with an exact rational containment test.  Given a lattice point m,
-``make_rule`` returns the rule for the measure |sigma^m_0| dx: on a box the norm is a
-product of one factor per axis, folded into that axis's Gauss weights (a Jacobi weight
-(s - a)^{(m_i - a)/2} (b - s)^{(b - m_i)/2} without redundant facets), and the rule
-keeps those per-axis factors (``TensorRule``: the product's nodes are built only when
-read); a grid multiplies each cell weight by the norm at its node, NODE_BLOCK nodes at a
-time from their (d, N) facet values.  ``pushforward`` takes a rule to the fibers of the
-projection y = A x: every weight e^{-t f_m} depends on y alone, so the concentration
-runs and the L1 norms pay per node once and per fiber for each t.  When every row of A
-is a coordinate vector, the fibers of a tensor rule are the product grid of the other
-axes and the fiber sums are contractions of the axis factors (``AxisFibers``: a
+Boxes get tensor Gauss-Legendre rules, polygons under one row of A segment fibers, and the
+other polytopes midpoint grids over the bounding box with an exact rational containment
+test.  Every fold of the norm takes one scale, |sigma^m_0| / |sigma^m_0|(m) <= 1
+(``_log_norm_ratio``): R_t and R_infinity are ratios, and the L1 norms add the peak back in
+log form.  Given a lattice point m, ``make_rule`` returns the rule for that measure: on a
+box the norm is a product of one factor per axis, folded into that axis's Gauss weights (a
+Jacobi weight without redundant facets), and the rule keeps those per-axis factors
+(``TensorRule``: the product's nodes are built only when read); a grid multiplies each cell
+weight by the norm at its node, NODE_BLOCK nodes at a time.  ``pushforward`` takes a rule
+to the fibers of the projection y = A x: every weight e^{-t f_m} depends on y alone, so the
+concentration runs and the L1 norms pay per node once and per fiber for each t.  When every
+row of A is a coordinate vector, the fibers of a tensor rule are the product grid of the
+other axes and the fiber sums are contractions of the axis factors (``AxisFibers``: a
 ``Polynomial`` weight is evaluated on no node); any other rule groups its nodes
-(``NodeFibers``).  A polygon under one row of A (not a box under a coordinate row) takes
-no rule over P: its fibers are segments whose ends move affinely in y between vertex
-images, and ``segment_fibers`` puts cosine-mapped Gauss nodes on each chamber in y and
-on each segment.  Along a segment every facet value is affine, and the norm is folded in
-from these values, LEVEL_BLOCK levels at a time.  The concentration experiment
-reproduces the localization of L1-normalized sections onto the slice through their
-lattice point, with the slice pairing as the t = infinity reference value
-(``slice_pairing``): box fibers read it off their fiber-axis moments, segment fibers off
-the one segment through m, and the other node fibers (n = 3, or k = n = 2) integrate
-over the slice chart (``delta_pairing``).
+(``NodeFibers``).  A polygon under one row of A (not a box under a coordinate row) takes no
+rule over P: its fibers are segments whose ends move affinely in y between vertex images,
+and ``segment_fibers`` puts cosine-mapped Gauss nodes on each chamber in y and on each
+segment.  Along a segment every facet value is affine, and the norm is folded in from these
+values, LEVEL_BLOCK levels at a time.  The concentration experiment reproduces the
+localization of L1-normalized sections onto the slice through their lattice point, with the
+slice pairing as the t = infinity reference value (``slice_pairing``): box fibers read it
+off their fiber-axis moments, segment fibers off the one segment through m, and the other
+node fibers (n = 3, or k = n = 2) integrate over the slice chart (``delta_pairing``).
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from math import lcm, prod
 
 import numpy as np
 
+from ._intlin import exact_int
 from .polytope import (
     NODE_BLOCK,
     DelzantPolytope,
@@ -42,8 +43,7 @@ from .polytope import (
     _vertex_bounds,
     face_slice,
 )
-from .sections import (ConcentrationWeight, _facet_values_at, _log_norm_g0,
-                       closed_form_norm_g0)
+from .sections import ConcentrationWeight, _facet_values_at, _log_norm_g0, _log_norm_ratio
 from .potential import SymplecticPotential
 from .subtorus import SubtorusProjection
 
@@ -180,7 +180,7 @@ def _tensor_product(axes):
 
 
 def _axis_norms(P: DelzantPolytope, m):
-    """(i, s) -> the factor of |sigma^m_0| along axis i at the coordinates s.
+    """(i, s) -> the factor of |sigma^m_0| / |sigma^m_0|(m) along axis i at the coordinates s.
 
     On a box every facet normal lies on one axis, so the facets of axis i
     give a factor of x_i alone, in log form with one exp per axis node.
@@ -189,27 +189,19 @@ def _axis_norms(P: DelzantPolytope, m):
 
     def factor(i, s):
         on = R[:, i] != 0
-        return np.exp(_log_norm_g0(np.multiply.outer(R[on, i], s) + lam[on, None], lm[on]))
+        return np.exp(_log_norm_ratio(np.multiply.outer(R[on, i], s) + lam[on, None], lm[on]))
     return factor
 
 
 def box_rule(P: DelzantPolytope, resolution: int, m=None) -> TensorRule:
     """Tensor Gauss-Legendre rule; exact for polynomial degree < 2*resolution.
 
-    Given m, the rule for |sigma^m_0| dx, with the norm folded into the
-    weights axis by axis.
+    Given m, the rule for |sigma^m_0| / |sigma^m_0|(m) dx, with the norm
+    folded into the weights axis by axis.
     """
     if resolution < 8:
         raise QuadratureError("resolution must be at least 8")
-    factor = None if m is None else _axis_norms(P, m)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        axes = _tensor_axes(P.box_bounds, resolution, factor)
-        if m is not None:
-            # a product weight is non-finite where a factor is, else first
-            # at the axis maxima
-            top = [int(np.argmax(np.where(np.isfinite(w), w, np.inf))) for _, w in axes]
-            _finite(np.array([prod(w[j] for (_, w), j in zip(axes, top))]),
-                    np.array([[nodes[j] for (nodes, _), j in zip(axes, top)]]))
+    axes = _tensor_axes(P.box_bounds, resolution, None if m is None else _axis_norms(P, m))
     return TensorRule(resolution, axes, [s.mean() for s, _ in axes] if m is None else m)
 
 
@@ -252,8 +244,8 @@ def _midpoint_rule(normals, offsets, vertices, dim, resolution):
 def grid_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
     """Midpoint rule with exact containment; volume accurate to O(1/resolution).
 
-    Given m, the rule for |sigma^m_0| dx: each cell weight times the norm
-    at its node, NODE_BLOCK nodes at a time.
+    Given m, the rule for |sigma^m_0| / |sigma^m_0|(m) dx: each cell weight
+    times that ratio at its node, NODE_BLOCK nodes at a time.
     """
     if resolution < 8:
         raise QuadratureError("resolution must be at least 8")
@@ -263,10 +255,10 @@ def grid_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
     if len(points) == 0:
         raise QuadratureError("empty grid rule (resolution too coarse?)")
     if m is not None:
-        with np.errstate(over="ignore"):  # reported just below
-            for s in range(0, len(weights), NODE_BLOCK):
-                weights[s:s + NODE_BLOCK] *= closed_form_norm_g0(P, m, points[s:s + NODE_BLOCK])
-        _finite(weights, points)
+        lm = _facet_values_at(P, m)
+        for s in range(0, len(weights), NODE_BLOCK):
+            L = P.normal_matrix @ points[s:s + NODE_BLOCK].T + P.offset_vector[:, None]
+            weights[s:s + NODE_BLOCK] *= np.exp(_log_norm_ratio(L, lm))
     return QuadratureRule("grid", resolution, points, weights)
 
 
@@ -292,7 +284,7 @@ def slice_rule(sl: Slice, resolution: int):
 
 def make_rule(domain: DelzantPolytope, resolution: int, m=None):
     """Pick tensor Gauss for boxes and midpoint grids otherwise; given m,
-    the rule for |sigma^m_0| dx."""
+    the rule for |sigma^m_0| / |sigma^m_0|(m) dx (``_log_norm_ratio``)."""
     if domain.is_box:
         return box_rule(domain, resolution, m)
     return grid_rule(domain, resolution, m)
@@ -494,14 +486,14 @@ def segment_fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int
 
 def _segments(P: DelzantPolytope, proj: SubtorusProjection, m, ys, wy) -> NodeFibers:
     """FIBER_NODES cosine-mapped nodes on the fiber segment over each level y in ys (weight
-    wy), for dx or, given m, for |sigma^m_0| dx; levels whose fiber is a point are dropped.
+    wy), for dx or for |sigma^m_0| / |sigma^m_0|(m) dx; levels whose fiber is a point drop.
 
     With a the row of A and d = (-a_2, a_1), x = y a / |a|^2 + s d has Jacobian 1, so the
     nodes are made in x and P, m, u and psi need no transform.  On a fiber each facet value
     is affine in s, l_j = c_j(y) + <r_j, d> s with c_j = <r_j, a> y / |a|^2 + lambda_j: a
     facet with <r_j, d> != 0 bounds s at -c_j / <r_j, d>, the fiber [lo, hi] runs from the
     largest lower to the smallest upper bound, and the norm is folded into the weights from
-    these values (``_log_norm_g0``), LEVEL_BLOCK levels at a time.
+    these values (``_log_norm_ratio``), LEVEL_BLOCK levels at a time.
     """
     a = proj.array[0]
     d, base = np.array([-a[1], a[0]]), a / (a @ a)
@@ -518,19 +510,17 @@ def _segments(P: DelzantPolytope, proj: SubtorusProjection, m, ys, wy) -> NodeFi
     points, weights = points.reshape(-1, 2), np.multiply.outer(wy[keep] * length, ws)
     if m is not None:
         lm = _facet_values_at(P, m)
-        with np.errstate(over="ignore"):  # reported just below
-            for b in range(0, len(S), LEVEL_BLOCK):
-                L = c[:, b:b + LEVEL_BLOCK, None] + np.multiply.outer(rd, S[b:b + LEVEL_BLOCK])
-                weights[b:b + LEVEL_BLOCK] *= np.exp(_log_norm_g0(L.reshape(len(L), -1), lm)
-                                                     ).reshape(-1, FIBER_NODES)
-        _finite(weights, points)
+        for b in range(0, len(S), LEVEL_BLOCK):
+            L = c[:, b:b + LEVEL_BLOCK, None] + np.multiply.outer(rd, S[b:b + LEVEL_BLOCK])
+            weights[b:b + LEVEL_BLOCK] *= np.exp(_log_norm_ratio(L.reshape(len(L), -1), lm)
+                                                 ).reshape(-1, FIBER_NODES)
     return NodeFibers(QuadratureRule("segment", FIBER_NODES, points, weights.reshape(-1)),
                       np.arange(0, weights.size, FIBER_NODES))
 
 
 def _fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int, m) -> Pushforward:
-    """The fibers of y = A x under |sigma^m_0| dx: segments over the chambers on planar
-    inputs, else the pushforward of ``make_rule``."""
+    """The fibers of y = A x under |sigma^m_0| / |sigma^m_0|(m) dx: segments over the
+    chambers on planar inputs, else the pushforward of ``make_rule``."""
     if _is_planar(P, proj):
         return segment_fibers(P, proj, resolution, m)
     return pushforward(make_rule(P, resolution, m), proj)
@@ -553,15 +543,15 @@ def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
     the image of m is a boundary level, including a single point for vertex
     fibers) in the chart measure du of x = x0 + B^T u, numerator and
     denominator in one pass.  The normalization makes the result a weighted
-    mean of u, so chart constants cancel.  ``slice_pairing`` takes this path
+    mean of u, so chart constants and the norm's scale cancel.  ``slice_pairing`` takes this path
     for node fibers other than planar segments (grids, and skew A on boxes in n >= 3).
     """
-    m = tuple(int(v) for v in m)
-    sl = face_slice(P, proj, proj.apply(m))
+    m = tuple(map(exact_int, m))
+    sl, lm = face_slice(P, proj, proj.apply(m)), _facet_values_at(P, m)
 
     def h(v):  # (|sigma^m_0|, |sigma^m_0| u) at the slice nodes, one norm per node
         x = sl.embed(v)
-        norm = closed_form_norm_g0(P, m, x)
+        norm = np.exp(_log_norm_ratio(P.normal_matrix @ x.T + P.offset_vector[:, None], lm))
         return norm, norm * np.asarray(u(x), dtype=float)
     den, num = _one_fiber(slice_rule(sl, resolution)).sums(h)[1:, 0]
     if den <= 0:
@@ -595,7 +585,7 @@ def slice_pairing(push: Pushforward | None, P: DelzantPolytope, proj: SubtorusPr
         return delta_pairing(P, proj, m, u, resolution)
     with np.errstate(all="ignore"):  # reported just below
         rinf = num / den
-    if not (0 < den < np.inf and np.isfinite(rinf)):
+    if not (den > 0 and np.isfinite(rinf)):
         raise QuadratureError(f"non-finite or vanishing slice pairing at m = {m}")
     return float(rinf)
 
@@ -625,9 +615,11 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
                              resolution: int = 256) -> ConcentrationResult:
     """R_t = int e^{-t f_m} |sigma^m_0| u dx / int e^{-t f_m} |sigma^m_0| dx.
 
-    pot is the potential family; f_m comes from its psi; u is a ``Polynomial``.
+    pot is the potential family; f_m comes from its psi; u is a ``Polynomial``;
+    m is a lattice point (a coordinate that is not an integer raises ValueError).
     Uses the factorization of the time-t norm through the t=0 norm; the rule
-    integrates against |sigma^m_0| dx and f_m depends on y = A x alone, so
+    integrates against |sigma^m_0| / |sigma^m_0|(m) dx (the scale cancels in
+    R_t) and f_m depends on y = A x alone, so
     both integrals are sums over fibers r of e^{-t f_m(y_r)} times the fiber
     sums of the weights and of u.
     The minimum of f_m is subtracted before exponentiating so the weights
@@ -639,7 +631,7 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly increasing")
     P, proj = pot.polytope, pot.proj
-    m = tuple(int(v) for v in m)
+    m = tuple(map(exact_int, m))
     fm = ConcentrationWeight(m, pot.perturbation)
     u = Polynomial(lru_cache(maxsize=1)(u.expand), u.evaluate)  # one expansion: R_t and R_inf
     # the norm is in the weights: the fiber sums are of w and of w * u
@@ -647,7 +639,7 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
     masses, _ = push.masses(u, fm, t_list)
     ratios = []
     for t, (den, num) in zip(t_list, masses):
-        if den <= 0 or not np.isfinite(den):
+        if not den > 0:  # the folded weights keep every mass finite
             raise QuadratureError(f"degenerate concentration mass at t={t}")
         ratios.append(float(num) / float(den))
     # node fibers hold every node of the rule: they go before the slice rule is built
@@ -670,18 +662,21 @@ def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
     """The L1 norm over P of sigma^m under g_t for each t in times.
 
     Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: the rule at resolution
-    (``_fibers``) integrates against |sigma^m_0| dx, its weights are summed over each fiber
-    of the projection once, and each t costs one exponential per fiber.  A
-    non-finite norm raises QuadratureError.
+    (``_fibers``) integrates against |sigma^m_0| / |sigma^m_0|(m) dx, its weights are summed
+    over each fiber once, and each t costs one exponential per fiber.  A vanishing mass or
+    a non-finite norm raises QuadratureError.
     """
     push = _fibers(pot.polytope, pot.proj, resolution, m)
     masses, fmin = push.masses(None, ConcentrationWeight(m, pot.perturbation), times)
-    norms = []
+    lm, norms = _facet_values_at(pot.polytope, m), []
+    peak = _log_norm_g0(lm[:, None], lm)[0]  # log |sigma^m_0|(m), which the folds divide out
     for t, (mass,) in zip(map(float, times), masses):
-        # e^{-t min f_m} is applied in log form: it may leave float64 where
-        # the norm does not
-        with np.errstate(over="ignore", divide="ignore"):
-            l1 = float(np.exp(np.log(mass) - t * fmin))
+        if not mass > 0:
+            raise QuadratureError(f"vanishing fiber mass of sigma^{tuple(m)} at t={t:g}")
+        # the peak and e^{-t min f_m} are applied in log form: they may leave
+        # float64 where the norm does not
+        with np.errstate(over="ignore"):
+            l1 = float(np.exp(np.log(mass) + peak - t * fmin))
         if not np.isfinite(l1):
             raise QuadratureError(f"non-finite L1 norm of sigma^{tuple(m)} at t={t:g}")
         norms.append(l1)

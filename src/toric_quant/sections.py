@@ -60,6 +60,13 @@ def _log_norm_g0(L, lm):
     return 0.5 * (logs + s)
 
 
+def _log_norm_ratio(L, lm):
+    """log |sigma^m_0| - log |sigma^m_0|(m) <= 0 at facet values L (d, N), lm (d,): the scale of
+    every norm fold.  Each facet's term is concave in l_j with its maximum at l_j(m), so the
+    peak is ``_log_norm_g0`` at L = l(m) (for any subset of the facets too)."""
+    return _log_norm_g0(L, lm) - _log_norm_g0(lm[:, None], lm)
+
+
 def closed_form_norm_g0(P: DelzantPolytope, m, x):
     """The t = 0 norm prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m)-l_j(x))/2}.
 

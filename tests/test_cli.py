@@ -22,7 +22,7 @@ from toric_quant.cli import (
     parse_weight,
     run,
 )
-from toric_quant import quadrature
+from toric_quant import potential, quadrature
 
 INTERVAL_CFG = {
     "polytope": {"dim": 1, "facets": [{"normal": [1], "offset": 0},
@@ -224,11 +224,24 @@ class TestGridResolution:
 
     def test_planar_norm_past_float64_exits_two(self, tmp_path, capsys):
         # the segment fibers scale nothing by the resolution; |sigma^m_0| at the far
-        # facet of x + y <= 2^57 leaves float64
+        # facet of x + y <= 2^57 leaves float64, and scaled by its peak at the vertex
+        # m = 0, where no level lies, it underflows on every node
         path = write_cfg(tmp_path, _simplex_cfg(2 ** 57))
         assert main(["concentrate", path, "--m", "0,0"]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
-        assert err["code"] == "out_of_range" and "non-finite" in err["message"]
+        assert err["code"] == "out_of_range" and "degenerate concentration mass" in err["message"]
+
+    def test_vanishing_l1_mass_exits_two(self, tmp_path, capsys):
+        # the same norm scaled by its peak underflows to a fiber mass of 0: the L1 norm is
+        # refused rather than printed as 0.0
+        path = write_cfg(tmp_path, _simplex_cfg(2 ** 57))
+        assert main(["sections-norms", path, "--m", "0,0"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and json.loads(cap.err)["error"]["code"] == "out_of_range"
+        cfg = load_config(path)
+        pot = potential.SymplecticPotential(cfg.polytope, cfg.proj, cfg.phi)
+        with pytest.raises(quadrature.QuadratureError, match="vanishing fiber mass"):
+            quadrature.l1_norms(pot, (0, 0), cfg.resolution, (0.0, 8.0))
 
     def test_planar_resolution_past_the_node_cap_exits_two(self, tmp_path, capsys):
         # a polygon's chambers take Gauss axes, under the box cap of nodes per axis
@@ -706,7 +719,8 @@ class TestOutOfRange:
             argv = ["sections-norms", str(REPO / "bench" / "fixtures" / "dilated_simplex8.json"),
                     "--m", "8,0,0", "--t", "8,32"]
         else:
-            # |sigma^0_0| at the vertex m = 0 of x + y <= 2^50 overflows on the rule
+            # |sigma^0_0| at the vertex m = 0 of x + y <= 2^50 overflows on the rule, and
+            # scaled by its peak it underflows on every node: the mass vanishes
             argv = ["concentrate", write_cfg(tmp_path, _simplex_cfg(2 ** 50)), "--m", "0,0"]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -715,7 +729,8 @@ class TestOutOfRange:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         err = json.loads(proc.stderr, parse_constant=_reject_constant)["error"]
-        assert err["code"] == "out_of_range" and "non-finite" in err["message"]
+        reason = "non-finite" if case == "sections_norms_8_simplex" else "degenerate"
+        assert err["code"] == "out_of_range" and reason in err["message"]
 
 
     @pytest.mark.parametrize("config", ["configs/square2.json",  # box: the contraction

@@ -101,7 +101,7 @@ MUTATIONS = {
         "exp_factor_dropped": (_exp_factor_dropped, list(CONFIGS))},
     "concentrate.errors_decay_or_converged": {
         # square2 reads R_infinity off the box fiber moments, square2_skew
-        # integrates over the slice chart
+        # off the one segment fiber through m
         "r_inf_shifted": (_r_inf_shifted, ["square2", "square2_skew"])},
 }
 

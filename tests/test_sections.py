@@ -321,14 +321,13 @@ class TestL1AndBasis:
         planar = P.dim == 2 and not box
         plain = quadrature.segment_fibers(P, proj, 40).rule if planar else make_rule(P, 40)
         ref = [integrate(lambda x, t=t: _norm(pot, m, x, t), plain) for t in times]
-        # the nodes normed: by the node-wise closed form (a grid's) or from facet values
-        # already at hand (a segment rule's nodes, a box's axis nodes)
+        # the nodes normed through the one scaled log-norm, from the facet values of a
+        # grid's nodes or from those already at hand (a segment rule's nodes, a box's axis
+        # nodes); l1_norms adds the peak back once
         seen = []
-        real, closed = quadrature._log_norm_g0, quadrature.closed_form_norm_g0
-        monkeypatch.setattr(quadrature, "_log_norm_g0",
+        real = quadrature._log_norm_ratio
+        monkeypatch.setattr(quadrature, "_log_norm_ratio",
                             lambda L, lm: seen.append(L.shape[1]) or real(L, lm))
-        monkeypatch.setattr(quadrature, "closed_form_norm_g0",
-                            lambda P, m, x: seen.append(len(x)) or closed(P, m, x))
         assert np.allclose(l1_norms(pot, m, 40, times), ref, rtol=1e-12, atol=0)
         # a box folds the norm in axis by axis, on its 2 x 40 axis nodes and no tensor
         # node; segment fibers and grids take it once per node
