@@ -55,12 +55,9 @@ from .quadrature import (
     TensorRule,
     box_rule,
     concentration_experiment,
-    delta_pairing,
-    grid_rule,
     integrate,
     l1_norms,
     make_rule,
-    slice_rule,
 )
 
 __version__ = "0.1.0"

@@ -476,9 +476,7 @@ def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> Run
     for sub in _DISPATCH if command == "full-suite" else (command,):
         try:
             out, tol, fl = _DISPATCH[sub](cfg, options)
-        except quadrature.GridOverflowError as exc:
-            # the midpoint grid scales coordinates by its resolution, and the
-            # scan's int64 guard refuses it, or a Gauss axis passes its node cap
+        except quadrature.GridOverflowError as exc:  # a Gauss axis or a segment rule
             raise ConfigError("bad_resolution", str(exc)) from exc
         except GridRangeError as exc:  # the lattice scan of P is too large
             raise ConfigError("bad_polytope", f"lattice scan: {exc}") from exc

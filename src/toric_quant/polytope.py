@@ -29,8 +29,7 @@ from ._intlin import (
 # points per block when a grid is scanned or a node-wise integrand is
 # evaluated: the temporaries stay at a few MB however fine the grid is
 NODE_BLOCK = 1 << 15
-# grid points one exact scan may cover; no command builds a polygon's grid any more, but
-# make_rule(P, res) callers such as the bench oracle scan simplex2 at 1024, 2^20 points
+# grid points one exact lattice scan may cover
 MAX_SCAN = 1 << 32
 _INT64 = np.iinfo(np.int64)
 
@@ -263,10 +262,10 @@ def _vertex_bounds(vertices, dim):
     return lo, hi
 
 
-def _grid_scan(axes, normals, offsets, strict=False):
+def _grid_scan(axes, normals, offsets):
     """Points of the integer grid axes[0] x axes[1] x ... inside the halfspaces.
 
-    Keeps num with normals . num + offsets >= 0 (> 0 when strict), in
+    Keeps num with normals . num + offsets >= 0, in
     meshgrid "ij" order, as an (N, dim) int64 array; every axis must be
     monotone.  The grid is walked line by line along the last axis: on a
     line the halfspaces keep one run of that axis, whose ends are exact
@@ -289,8 +288,8 @@ def _grid_scan(axes, normals, offsets, strict=False):
         raise GridRangeError("grid coordinates too large for int64 facet values")
     if total == 0:
         return np.empty((0, len(axes)), dtype=np.int64)
-    # on integers, > 0 is >= 1; only lines that keep points are listed
-    lead, first, count = map(np.concatenate, zip(*_line_runs(axes, R, lam - strict)))
+    # only lines that keep points are listed
+    lead, first, count = map(np.concatenate, zip(*_line_runs(axes, R, lam)))
     ends = count.cumsum()
     starts, shift = ends - count, first - ends + count  # point k of line l is z[k + shift[l]]
     out = np.empty((int(count.sum()), len(axes)), dtype=np.int64)

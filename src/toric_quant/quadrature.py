@@ -1,54 +1,39 @@
 """Rules for the section norms on the fibers of y = A x, the concentration runs and L1 norms.
 
-Boxes get tensor Gauss-Legendre rules, polygons under one row of A segment fibers, and the
-other polytopes midpoint grids over the bounding box with an exact rational containment
-test.  Every fold of the norm takes one scale, |sigma^m_0| / |sigma^m_0|(m) <= 1
-(``_log_norm_ratio``): R_t and R_infinity are ratios, and the L1 norms add the peak back in
-log form.  Given a lattice point m, ``make_rule`` returns the rule for that measure: on a
-box the norm is a product of one factor per axis, folded into that axis's Gauss weights (a
-Jacobi weight without redundant facets), and the rule keeps those per-axis factors
-(``TensorRule``: the product's nodes are built only when read); a grid multiplies each cell
-weight by the norm at its node, NODE_BLOCK nodes at a time.  ``pushforward`` takes a rule
-to the fibers of the projection y = A x: every weight e^{-t f_m} depends on y alone, so the
-concentration runs and the L1 norms pay per node once and per fiber for each t.  When every
-row of A is a coordinate vector, the fibers of a tensor rule are the product grid of the
-other axes and the fiber sums are contractions of the axis factors (``AxisFibers``: a
-``Polynomial`` weight is evaluated on no node); any other rule groups its nodes
-(``NodeFibers``).  A polygon under one row of A (not a box under a coordinate row) takes no
-rule over P: its fibers are segments whose ends move affinely in y between vertex images,
-and ``segment_fibers`` puts cosine-mapped Gauss nodes on each chamber in y and on each
-segment.  Along a segment every facet value is affine, and the norm is folded in from these
-values, LEVEL_BLOCK levels at a time.  The concentration experiment reproduces the
-localization of L1-normalized sections onto the slice through their lattice point, with the
-slice pairing as the t = infinity reference value (``slice_pairing``): box fibers read it
-off their fiber-axis moments, segment fibers off the one segment through m, and the other
-node fibers (n = 3, or k = n = 2) integrate over the slice chart (``delta_pairing``).
+Every fold of the norm takes one scale, |sigma^m_0| / |sigma^m_0|(m) <= 1 (``_log_norm_ratio``):
+R_t and R_infinity are ratios, and the L1 norms add the peak back in log form.  A box under
+an A whose rows pick coordinate axes gets a tensor Gauss-Legendre rule kept as its per-axis
+factors, with the norm folded into each axis's weights (``TensorRule``), and its fibers are
+contractions of those factors (``AxisFibers``: a ``Polynomial`` weight is evaluated on no
+node).  Every other input takes ``segment_fibers``: in a lattice frame x = U w with
+A U = [I | 0], P is cut into panels at the vertices of its slices, depth by depth, with
+cosine-mapped Gauss nodes on each panel and on each leaf segment, along which every facet
+value is affine and the norm is folded in (``NodeFibers``).  Every weight e^{-t f_m}
+depends on y alone, so the concentration runs and the L1 norms pay per node once and per
+fiber for each t.  The concentration experiment reproduces the localization of
+L1-normalized sections onto the slice through their lattice point, with the slice pairing
+as the t = infinity reference value (``slice_pairing``): box fibers read it off their
+fiber-axis moments, any other input off the same segment rule at the one level y_m.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, prod
+from itertools import combinations
+from math import prod
 
 import numpy as np
 
 from ._intlin import exact_int
-from .polytope import (
-    NODE_BLOCK,
-    DelzantPolytope,
-    Slice,
-    _grid_scan,
-    _is_box,
-    _vertex_bounds,
-    face_slice,
-)
+from .polytope import NODE_BLOCK, DelzantPolytope
 from .sections import ConcentrationWeight, _facet_values_at, _log_norm_g0, _log_norm_ratio
 from .potential import SymplecticPotential
 from .subtorus import SubtorusProjection
 
 # nodes per Gauss axis: the O(n^2) Newton solve takes 0.1-0.25 s at this cap
 MAX_GAUSS_NODES = 4096
+# nodes per segment rule: its points and weights take 0.27 GB at this cap in n = 3
+MAX_RULE_NODES = 1 << 23
 
 
 class QuadratureError(RuntimeError):
@@ -56,15 +41,21 @@ class QuadratureError(RuntimeError):
 
 
 class GridOverflowError(QuadratureError):
-    """A midpoint grid leaves int64 or the scan limit, or a Gauss axis passes MAX_GAUSS_NODES."""
+    """A Gauss axis passes MAX_GAUSS_NODES, or a segment rule MAX_RULE_NODES."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    kind: str  # "grid", "segment" or "point"; "gauss" for a materialized TensorRule
+    """Nodes and weights.  A segment rule keeps its nodes as segments, node j of segment p at
+    base[p] + s[p, j] step: ``points`` builds them all on first read, ``nodes(idx)`` the
+    nodes idx alone.  Without s, base holds the points."""
+
+    kind: str  # "segment"; "gauss" for a materialized TensorRule
     resolution: int
-    points: np.ndarray  # (N, dim)
+    base: np.ndarray  # (N, dim), or (segments, dim) with s and step
     weights: np.ndarray  # (N,)
+    s: np.ndarray | None = None  # (segments, nodes per segment)
+    step: np.ndarray | None = None  # (dim,)
 
     @property
     def size(self) -> int:
@@ -72,6 +63,21 @@ class QuadratureRule:
 
     def total_weight(self) -> float:
         return float(self.weights.sum())
+
+    def nodes(self, idx) -> np.ndarray:
+        if self.s is None:
+            return self.base[idx]
+        p, j = np.divmod(idx, self.s.shape[1])
+        return self.base[p] + self.s[p, j, None] * self.step
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        if self.s is None:
+            return self.base
+        out = np.empty(self.s.shape + self.step.shape)
+        for i, d in enumerate(self.step):  # a broadcast over the coordinate axis takes 8x as long
+            np.add(self.base[:, i, None], self.s * d, out=out[..., i])
+        return out.reshape(-1, len(self.step))
 
 
 @dataclass(frozen=True)
@@ -205,89 +211,12 @@ def box_rule(P: DelzantPolytope, resolution: int, m=None) -> TensorRule:
     return TensorRule(resolution, axes, [s.mean() for s, _ in axes] if m is None else m)
 
 
-def _midpoint_rule(normals, offsets, vertices, dim, resolution):
-    """Midpoint grid over the rational bounding box, exact containment.
-
-    Grid points are rational with one common denominator, so each axis is
-    an integer progression and membership reduces to exact int64 interval
-    ends on each grid line.
-    """
-    lo, hi = _vertex_bounds(vertices, dim)
-    widths = [h - l for l, h in zip(lo, hi)]
-    if any(w == 0 for w in widths):
-        raise QuadratureError("degenerate bounding box for grid rule")
-    D = 1
-    for v in list(widths) + list(lo) + list(offsets):
-        D = lcm(D, Fraction(v).denominator)
-    den = 2 * resolution * D
-    # coordinates: x_i = lo + (2j+1) * width / (2*resolution), j = 0..res-1,
-    # times den: the integer progression from lo*den + width*D in steps of 2*width*D
-    axes_num = [range(int(l * den + w * D), int(h * den), int(2 * w * D))
-                for l, w, h in zip(lo, widths, hi)]
-    # strict: cells whose midpoint lands exactly on a facet are dropped, so
-    # every node is usable by interior-only evaluators
-    try:
-        num = _grid_scan(axes_num, [[int(c) for c in r] for r in normals],
-                         [int(off * den) for off in offsets], strict=True)
-    except OverflowError as exc:
-        raise GridOverflowError(f"midpoint grid at resolution {resolution}: {exc}") from exc
-    cell = float(np.prod([w / resolution for w in widths]))
-    # num / den overwrites num block by block through a float64 view, so
-    # the int64 grid and its coordinates never coexist
-    points = num.view(np.float64)
-    for s in range(0, len(num), NODE_BLOCK):
-        np.divide(num[s:s + NODE_BLOCK], den, out=points[s:s + NODE_BLOCK])
-    weights = np.full(points.shape[0], cell)
-    return points, weights
-
-
-def grid_rule(P: DelzantPolytope, resolution: int, m=None) -> QuadratureRule:
-    """Midpoint rule with exact containment; volume accurate to O(1/resolution).
-
-    Given m, the rule for |sigma^m_0| / |sigma^m_0|(m) dx: each cell weight
-    times that ratio at its node, NODE_BLOCK nodes at a time.
-    """
-    if resolution < 8:
-        raise QuadratureError("resolution must be at least 8")
-    normals = [r for r, _ in P.facets]
-    offsets = [Fraction(lam) for _, lam in P.facets]
-    points, weights = _midpoint_rule(normals, offsets, P.vertices, P.dim, resolution)
-    if len(points) == 0:
-        raise QuadratureError("empty grid rule (resolution too coarse?)")
-    if m is not None:
-        lm = _facet_values_at(P, m)
-        for s in range(0, len(weights), NODE_BLOCK):
-            L = P.normal_matrix @ points[s:s + NODE_BLOCK].T + P.offset_vector[:, None]
-            weights[s:s + NODE_BLOCK] *= np.exp(_log_norm_ratio(L, lm))
-    return QuadratureRule("grid", resolution, points, weights)
-
-
-def slice_rule(sl: Slice, resolution: int):
-    """Rule over the chart polytope of a slice (Lebesgue measure du).
-
-    Zero-dimensional slices get a single point of weight one, so slice
-    integrals degenerate to point evaluation.
-    """
-    if sl.dim == 0:
-        return QuadratureRule("point", 1, np.zeros((1, 0)), np.ones(1))
-    if resolution < 8:
-        raise QuadratureError("resolution must be at least 8")
-    normals, offsets = sl.chart_halfspaces()
-    verts = sl.chart_vertices
-    if not verts:
-        raise QuadratureError("slice chart polytope is empty")
-    if _is_box(normals, sl.dim):
-        return TensorRule(resolution, _tensor_axes(zip(*_vertex_bounds(verts, sl.dim)), resolution))
-    points, weights = _midpoint_rule(normals, offsets, verts, sl.dim, resolution)
-    return QuadratureRule("grid", resolution, points, weights)
-
-
 def make_rule(domain: DelzantPolytope, resolution: int, m=None):
-    """Pick tensor Gauss for boxes and midpoint grids otherwise; given m,
-    the rule for |sigma^m_0| / |sigma^m_0|(m) dx (``_log_norm_ratio``)."""
+    """Tensor Gauss for boxes, else the segment rule under y = x_1 (``segment_fibers``);
+    given m, the rule for |sigma^m_0| / |sigma^m_0|(m) dx (``_log_norm_ratio``)."""
     if domain.is_box:
         return box_rule(domain, resolution, m)
-    return grid_rule(domain, resolution, m)
+    return segment_fibers(domain, SubtorusProjection.standard(1, domain.dim), resolution, m).rule
 
 
 class Pushforward:
@@ -318,8 +247,8 @@ class Pushforward:
 
 @dataclass(frozen=True)
 class NodeFibers(Pushforward):
-    """The nodes of a rule grouped into fibers: maximal runs of consecutive
-    nodes with equal images (a skew A gets singleton fibers)."""
+    """The nodes of a rule grouped into fibers, runs of consecutive nodes
+    (``segment_fibers``; k = n gives singleton fibers)."""
 
     rule: QuadratureRule
     starts: np.ndarray  # (fibers,): the index of each fiber's first node
@@ -327,14 +256,14 @@ class NodeFibers(Pushforward):
     def sums(self, h) -> np.ndarray:
         rule, starts = self.rule, self.starts
         for s in range(0, rule.size, NODE_BLOCK):
-            x, w = rule.points[s:s + NODE_BLOCK], rule.weights[s:s + NODE_BLOCK]
-            vals = np.empty((0, len(x))) if h is None else _finite(
-                np.atleast_2d(np.asarray(h(x), dtype=float)), x)
+            w = rule.weights[s:s + NODE_BLOCK]  # the nodes only for an h
+            vals = np.empty((0, len(w))) if h is None else _finite(
+                np.atleast_2d(np.asarray(h(x := rule.points[s:s + NODE_BLOCK]), dtype=float)), x)
             if s == 0:
                 out = np.zeros((1 + len(vals), len(starts)))
             # the fiber holding node s, then every fiber that starts in the block
             f0 = np.searchsorted(starts, s, side="right") - 1
-            f1 = np.searchsorted(starts, s + len(x))
+            f1 = np.searchsorted(starts, s + len(w))
             cuts = np.maximum(starts[f0:f1] - s, 0)
             out[0, f0:f1] += np.add.reduceat(w, cuts)
             out[1:, f0:f1] += np.add.reduceat(vals * w, cuts, axis=1)
@@ -343,7 +272,7 @@ class NodeFibers(Pushforward):
     def at_fibers(self, g) -> np.ndarray:
         out = np.empty(len(self.starts))
         for s in range(0, len(out), NODE_BLOCK):
-            x = self.rule.points[self.starts[s:s + NODE_BLOCK]]
+            x = self.rule.nodes(self.starts[s:s + NODE_BLOCK])
             out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
         return out
 
@@ -431,33 +360,20 @@ def _finite(vals, x):
     return vals
 
 
-def pushforward(rule, proj: SubtorusProjection) -> Pushforward:
-    """The fibers of a rule under y = A x.
-
-    A tensor rule whose A has one nonzero per row contracts its axes
-    (``AxisFibers``); any other rule groups its nodes NODE_BLOCK at a time.
-    """
-    if isinstance(rule, TensorRule) and np.all(np.count_nonzero(proj.array, axis=1) == 1):
-        return AxisFibers(rule, tuple(int(np.flatnonzero(r)[0]) for r in proj.array))
-    starts, last = [], np.full(proj.k, np.nan)
-    for s in range(0, rule.size, NODE_BLOCK):
-        y = proj.apply(rule.points[s:s + NODE_BLOCK])
-        # a node opens a fiber when any column differs from the node before
-        new = np.zeros(len(y), dtype=bool)
-        new[0] = np.any(y[0] != last)
-        for c in range(proj.k):
-            new[1:] |= y[1:, c] != y[:-1, c]
-        starts.append(s + np.flatnonzero(new))
-        last = y[-1]
-    return NodeFibers(rule, np.concatenate(starts))
+def pushforward(rule: TensorRule, proj: SubtorusProjection) -> AxisFibers:
+    """The fibers of a box's tensor rule under an A whose rows pick coordinate axes."""
+    return AxisFibers(rule, tuple(int(np.flatnonzero(r)[0]) for r in proj.array))
 
 
 # nodes per segment fiber: R_t and R_inf move by < 1e-14 from 32 to 128 on the shipped polygons
 FIBER_NODES = 32
+# nodes per fiber panel past which R_infinity and the fibers of R_t are not refined
+MAX_SLICE_NODES = 1024
 # segment levels whose norm is folded at once (8,192 nodes): 64 or 512 take 1.2-1.5 times as long
 LEVEL_BLOCK = 256
 
 
+@lru_cache(maxsize=32)
 def _cosine_rule(n: int):
     """n Gauss-Legendre nodes on [0, 1] under s = sin^2(theta / 2), 0 < theta < pi, with their
     weights: the map makes the half-integer powers of s and 1 - s at the ends analytic."""
@@ -466,123 +382,159 @@ def _cosine_rule(n: int):
     return np.sin(half) ** 2, 0.5 * np.pi * np.sin(half) * np.cos(half) * w
 
 
-def _is_planar(P: DelzantPolytope, proj: SubtorusProjection) -> bool:
-    """n = 2 and k = 1, except a box under a coordinate row (``AxisFibers``): segment fibers."""
-    return P.dim == 2 and proj.k == 1 and not (P.is_box and np.count_nonzero(proj.array) == 1)
+@lru_cache(maxsize=32)
+def _slice_solves(P: DelzantPolytope, proj: SubtorusProjection):
+    """R U, the facet normals in the frame x = U w, and per depth i < n - 1 the (n - i)-subsets J
+    of the facets with B_J = (R U)_{J, i:} invertible, with the integer adj B_J and det B_J."""
+    RU, solves = P.normal_matrix @ proj.frame, []
+    for i in range(P.dim - 1):
+        J = np.array(list(combinations(range(len(RU)), P.dim - i)))
+        det = np.rint(np.linalg.det(B := RU[J][:, :, i:]))
+        ok = det != 0
+        solves.append((J[ok], np.rint(np.linalg.inv(B[ok]) * det[ok, None, None]), det[ok]))
+    return RU, solves
 
 
-def segment_fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int,
-                   m=None) -> NodeFibers:
-    """The fibers of a planar input over resolution cosine-mapped levels y on each chamber
-    of A(P), the intervals between consecutive vertex images, where the fiber ends move
-    affinely (``_segments``)."""
-    if resolution < 8:
-        raise QuadratureError("resolution must be at least 8")
-    cuts = np.array(sorted({proj.apply(v.point)[0] for v in P.vertices}), dtype=float)
-    (s, w), width = _cosine_rule(resolution), np.diff(cuts)
-    return _segments(P, proj, m, (cuts[:-1, None] + np.multiply.outer(width, s)).reshape(-1),
-                     np.multiply.outer(width, w).reshape(-1))
+def _slice_cuts(RU, solve, i, c, tol):
+    """The w_i of each prefix's slice vertices, sorted, (subsets, prefixes) with NaN last.
+
+    A subset's point w_{i:} = -adj B_J c_J / det B_J: exact on integer facet values c.  At
+    the last depth the slice is the segment [max lower end, min upper end]."""
+    if i == RU.shape[1] - 1:
+        r = RU[:, i]
+        lo, hi = (-c[r > 0] / r[r > 0, None]).max(0), (-c[r < 0] / r[r < 0, None]).min(0)
+        return np.where(hi - lo >= -tol, np.array([lo, hi]), np.nan)
+    (J, adj, det), = solve
+    w = -np.einsum("sab,sbn->san", adj, c[J]) / det[:, None, None]
+    inside = (c + np.einsum("da,san->sdn", RU[:, i:], w) >= -tol).all(axis=1)
+    return np.sort(np.where(inside, w[:, 0], np.nan), axis=0)
 
 
-def _segments(P: DelzantPolytope, proj: SubtorusProjection, m, ys, wy) -> NodeFibers:
-    """FIBER_NODES cosine-mapped nodes on the fiber segment over each level y in ys (weight
-    wy), for dx or for |sigma^m_0| / |sigma^m_0|(m) dx; levels whose fiber is a point drop.
+def _panel_nodes(lo, hi, rule, split):
+    """A cosine rule on each panel [lo, hi] (P, nodes): a panel with split strictly inside
+    takes len(rule) // 2 nodes below it and the rest above."""
+    (s, w), width = rule, hi - lo
+    S, W = lo[:, None] + np.multiply.outer(width, s), np.multiply.outer(width, w)
+    cut = (lo < split) & (split < hi) if split is not None else np.zeros(len(lo), dtype=bool)
+    if cut.any():
+        a, mid = len(s) // 2, np.full(np.count_nonzero(cut), split)
+        for part, l, h in ((slice(None, a), lo[cut], mid), (slice(a, None), mid, hi[cut])):
+            S[cut, part], W[cut, part] = _panel_nodes(l, h, _cosine_rule(len(s[part])), None)
+    return S, W
 
-    With a the row of A and d = (-a_2, a_1), x = y a / |a|^2 + s d has Jacobian 1, so the
-    nodes are made in x and P, m, u and psi need no transform.  On a fiber each facet value
-    is affine in s, l_j = c_j(y) + <r_j, d> s with c_j = <r_j, a> y / |a|^2 + lambda_j: a
-    facet with <r_j, d> != 0 bounds s at -c_j / <r_j, d>, the fiber [lo, hi] runs from the
-    largest lower to the smallest upper bound, and the norm is folded into the weights from
-    these values (``_log_norm_ratio``), LEVEL_BLOCK levels at a time.
+
+def segment_fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int | None,
+                   m=None, nodes: int | None = None) -> NodeFibers:
+    """The fibers of y = A x under dx, or under |sigma^m_0| / |sigma^m_0|(m) dx given m, as
+    runs of segments; resolution None gives the one fiber through m alone (R_infinity).
+
+    In the frame x = U w of ``SubtorusProjection.frame`` (w = (y, z), dx = dw) the rule
+    recurses over w_0 .. w_{n-1}, cutting each slice of P into panels at the w_i of its
+    vertices (``_slice_cuts``).  Image depths (i < k) put resolution cosine-mapped levels on
+    each panel, cut at (y_m)_i, or take y_m itself; fiber depths put nodes (FIBER_NODES) on
+    each.  A depth where every slice is a point (a face of P) is that point with weight 1.
+    Facet values are carried down as c; on a leaf segment l_j = c_j + (R U)_{j, n-1} s,
+    from which the norm is folded in, LEVEL_BLOCK segments at a time.  A fiber is a run of
+    segments with one image prefix.
     """
-    a = proj.array[0]
-    d, base = np.array([-a[1], a[0]]), a / (a @ a)
-    rd = P.normal_matrix @ d
-    c = np.multiply.outer(P.normal_matrix @ base, ys) + P.offset_vector[:, None]  # (facets, levels)
-    lo, hi = (-c[rd > 0] / rd[rd > 0, None]).max(0), (-c[rd < 0] / rd[rd < 0, None]).min(0)
-    keep = hi > lo
-    ys, lo, length, c = ys[keep], lo[keep], (hi - lo)[keep], c[:, keep]
-    s, ws = _cosine_rule(FIBER_NODES)
-    S = lo[:, None] + np.multiply.outer(length, s)  # (levels, FIBER_NODES), fiber-major
-    points = np.empty(S.shape + (2,))
-    for i in (0, 1):  # a broadcast over the length-2 axis takes 8x as long
-        np.add(ys[:, None] * base[i], S * d[i], out=points[..., i])
-    points, weights = points.reshape(-1, 2), np.multiply.outer(wy[keep] * length, ws)
+    n, k, U = P.dim, proj.k, proj.frame
+    RU, solves = _slice_solves(P, proj)
+    # slices narrower than this are points: a cosine node on a narrower panel can round
+    # onto its end, where interior-only evaluators refuse it
+    tol = 1e-9 * (1.0 + np.abs(P.offset_vector).max())
+    ym, at_m = None if m is None else proj.apply(np.asarray(m, dtype=float)), resolution is None
+    if not at_m and resolution < 8:
+        raise QuadratureError("resolution must be at least 8")
+    rules = (None if at_m else _cosine_rule(resolution), _cosine_rule(nodes or FIBER_NODES))
+    per = [1 if at_m and i < k else len(rules[i >= k][0]) for i in range(n)]
+    X, c, wt, img = np.zeros((1, n)), P.offset_vector[:, None], np.ones(1), np.zeros(1, int)
+    for i in range(n):
+        cand = None if at_m and i < k else _slice_cuts(RU, solves[i:i + 1], i, c, tol)
+        if cand is None:  # the level y_m itself
+            owner, S, W = np.arange(len(wt)), np.full((len(wt), 1), ym[i]), wt[:, None]
+        elif not np.any(cand[1:] - cand[:-1] > tol):  # every slice is a point, of weight 1
+            owner = np.flatnonzero(np.isfinite(cand[0]))
+            S, W = cand[0, owner, None], wt[owner, None]
+        else:
+            lo, hi = cand[:-1].T.reshape(-1), cand[1:].T.reshape(-1)
+            keep = np.flatnonzero(hi - lo > tol)
+            owner, lo, hi = keep // (len(cand) - 1), lo[keep], hi[keep]
+            if len(owner) * prod(per[i:]) > MAX_RULE_NODES:  # before any node array
+                raise GridOverflowError(
+                    f"fiber rule at resolution {resolution}: more than {MAX_RULE_NODES} nodes")
+            S, W = _panel_nodes(lo, hi, rules[i >= k], None if ym is None or i >= k else ym[i])
+            W *= wt[owner, None]
+        if i < n - 1:
+            s, c = S.reshape(-1), np.repeat(c[:, owner], S.shape[1], axis=1)
+            X = np.repeat(X[owner], S.shape[1], axis=0) + np.multiply.outer(s, U[:, i])
+            c, wt = c + np.multiply.outer(RU[:, i], s), W.reshape(-1)
+            img = np.arange(len(wt)) if i < k else np.repeat(img[owner], S.shape[1])
     if m is not None:
-        lm = _facet_values_at(P, m)
+        lm, cl, r = _facet_values_at(P, m), c[:, owner], RU[:, -1]
+        # on a rule of several blocks, the facets parallel to its segments once per segment
+        on = (r != 0) | (len(S) <= LEVEL_BLOCK)
+        if not on.all():
+            W *= np.exp(_log_norm_ratio(cl[~on], lm[~on]))[:, None]
         for b in range(0, len(S), LEVEL_BLOCK):
-            L = c[:, b:b + LEVEL_BLOCK, None] + np.multiply.outer(rd, S[b:b + LEVEL_BLOCK])
-            weights[b:b + LEVEL_BLOCK] *= np.exp(_log_norm_ratio(L.reshape(len(L), -1), lm)
-                                                 ).reshape(-1, FIBER_NODES)
-    return NodeFibers(QuadratureRule("segment", FIBER_NODES, points, weights.reshape(-1)),
-                      np.arange(0, weights.size, FIBER_NODES))
+            L = cl[on, b:b + LEVEL_BLOCK, None] + np.multiply.outer(r[on], S[b:b + LEVEL_BLOCK])
+            W[b:b + LEVEL_BLOCK] *= np.exp(_log_norm_ratio(L.reshape(len(L), -1), lm[on])
+                                           ).reshape(-1, S.shape[1])
+    # each node its own fiber when k = n, else the segments of each image prefix
+    img = img[owner]
+    starts = np.arange(S.size) if k == n else S.shape[1] * np.flatnonzero(
+        np.r_[True, img[1:] != img[:-1]])
+    return NodeFibers(QuadratureRule("segment", S.shape[1], X[owner], W.reshape(-1), S, U[:, -1]),
+                      starts)
 
 
 def _fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int, m) -> Pushforward:
-    """The fibers of y = A x under |sigma^m_0| / |sigma^m_0|(m) dx: segments over the
-    chambers on planar inputs, else the pushforward of ``make_rule``."""
-    if _is_planar(P, proj):
-        return segment_fibers(P, proj, resolution, m)
-    return pushforward(make_rule(P, resolution, m), proj)
-
-
-def _one_fiber(rule: QuadratureRule) -> Pushforward:
-    return NodeFibers(rule, np.zeros(1, dtype=int))
+    """The fibers of y = A x under |sigma^m_0| / |sigma^m_0|(m) dx: the contracted box rule
+    when every row of A picks a coordinate axis of a box, else ``segment_fibers``."""
+    if P.is_box and np.all(np.count_nonzero(proj.array, axis=1) == 1):
+        return pushforward(box_rule(P, resolution, m), proj)
+    return segment_fibers(P, proj, resolution, m)
 
 
 def integrate(f, rule: QuadratureRule) -> float:
     """Weighted sum of f over the rule points (one fiber); rejects non-finite values."""
-    return float(_one_fiber(rule).sums(f)[1, 0])
-
-
-def delta_pairing(P: DelzantPolytope, proj: SubtorusProjection, m, u,
-                  resolution: int = 256) -> float:
-    """Normalized slice pairing of the t=0 section norm against a weight u.
-
-    Integrates over the fiber through the lattice point m (a face of P when
-    the image of m is a boundary level, including a single point for vertex
-    fibers) in the chart measure du of x = x0 + B^T u, numerator and
-    denominator in one pass.  The normalization makes the result a weighted
-    mean of u, so chart constants and the norm's scale cancel.  ``slice_pairing`` takes this path
-    for node fibers other than planar segments (grids, and skew A on boxes in n >= 3).
-    """
-    m = tuple(map(exact_int, m))
-    sl, lm = face_slice(P, proj, proj.apply(m)), _facet_values_at(P, m)
-
-    def h(v):  # (|sigma^m_0|, |sigma^m_0| u) at the slice nodes, one norm per node
-        x = sl.embed(v)
-        norm = np.exp(_log_norm_ratio(P.normal_matrix @ x.T + P.offset_vector[:, None], lm))
-        return norm, norm * np.asarray(u(x), dtype=float)
-    den, num = _one_fiber(slice_rule(sl, resolution)).sums(h)[1:, 0]
-    if den <= 0:
-        raise QuadratureError("slice norm integral vanished")
-    return float(num / den)
+    return float(NodeFibers(rule, np.zeros(1, dtype=int)).sums(f)[1, 0])
 
 
 def slice_pairing(push: Pushforward | None, P: DelzantPolytope, proj: SubtorusProjection, m, u,
                   resolution: int) -> float:
-    """R_infinity, the mean of u against |sigma^m_0| on the fiber through m, with
-    resolution nodes per slice axis: the one place R_infinity is taken.
+    """R_infinity, the mean of u against |sigma^m_0| on the fiber through m: the one place
+    R_infinity is taken.
 
-    Box fibers (push, the R_t rule's) read it off their fiber-axis moments at
-    image exponent 0 (of a resolution-node rule when theirs has fewer nodes):
-    the rule's center is m, so every term with an image exponent vanishes at
-    y_m = A m, and the image weights are constant on the slice and cancel.
-    Planar inputs take F_u(y_m) / F_1(y_m) from ``_segments`` at the one level
-    y_m (u(m) when that fiber is the vertex m).  Any other input integrates over the
-    slice chart (``delta_pairing``).
+    Box fibers (push, the R_t rule's) read it off their fiber-axis moments at image exponent
+    0 (of a resolution-node rule when theirs has fewer nodes): the rule's center is m, so
+    every term with an image exponent vanishes at y_m = A m, and the image weights are
+    constant on the slice and cancel.  Any other input takes F_u(y_m) / F_1(y_m) from
+    ``segment_fibers`` at the one level y_m (``_fiber_mean``).
     """
     if isinstance(push, AxisFibers):
         if push.rule.resolution < resolution:
             push = AxisFibers(box_rule(P, resolution, m), push.image)
         den, num = (M.flat[0] for M in push.moments(u))
-    elif _is_planar(P, proj):
-        push = _segments(P, proj, m, np.array([float(proj.apply(m)[0])]), np.ones(1))
-        if push.rule.size == 0:
-            return float(u(np.array(m, dtype=float)))
-        den, num = push.sums(u)[:, 0]
-    else:
-        return delta_pairing(P, proj, m, u, resolution)
+        return _pairing(den, num, m)
+    return _fiber_mean(P, proj, m, u)[0]
+
+
+def _fiber_mean(P: DelzantPolytope, proj: SubtorusProjection, m, u):
+    """R_infinity on the segment fiber through m, and the nodes per fiber panel that resolve
+    it: FIBER_NODES, doubled until the means on nodes and 2 nodes agree to ``roundoff_floor``
+    (the finer one is returned; a wide fiber's peak needs more) or reach MAX_SLICE_NODES."""
+    def mean(nodes):
+        return _pairing(*segment_fibers(P, proj, None, m, nodes).sums(u)[:, 0], m)
+    nodes, rinf = FIBER_NODES, mean(FIBER_NODES)
+    while nodes < MAX_SLICE_NODES:
+        finer = mean(2 * nodes)
+        if abs(finer - rinf) <= roundoff_floor(finer):
+            return finer, nodes
+        nodes, rinf = 2 * nodes, finer
+    return rinf, nodes
+
+
+def _pairing(den, num, m) -> float:
     with np.errstate(all="ignore"):  # reported just below
         rinf = num / den
     if not (den > 0 and np.isfinite(rinf)):
@@ -611,19 +563,29 @@ class ConcentrationResult:
     decay_exponent: float | None
 
 
+def _ratios(push: Pushforward, u, fm, t_list) -> list:
+    """R_t for each t from the fiber sums of w and of w * u."""
+    ratios = []
+    for t, (den, num) in zip(t_list, push.masses(u, fm, t_list)[0]):
+        if not den > 0:  # the folded weights keep every mass finite
+            raise QuadratureError(f"degenerate concentration mass at t={t}")
+        ratios.append(float(num) / float(den))
+    return ratios
+
+
 def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
                              resolution: int = 256) -> ConcentrationResult:
     """R_t = int e^{-t f_m} |sigma^m_0| u dx / int e^{-t f_m} |sigma^m_0| dx.
 
     pot is the potential family; f_m comes from its psi; u is a ``Polynomial``;
     m is a lattice point (a coordinate that is not an integer raises ValueError).
-    Uses the factorization of the time-t norm through the t=0 norm; the rule
-    integrates against |sigma^m_0| / |sigma^m_0|(m) dx (the scale cancels in
-    R_t) and f_m depends on y = A x alone, so
-    both integrals are sums over fibers r of e^{-t f_m(y_r)} times the fiber
-    sums of the weights and of u.
-    The minimum of f_m is subtracted before exponentiating so the weights
-    stay finite for large t.  The errors compare against R_infinity (``slice_pairing``).
+    Uses the factorization of the time-t norm through the t=0 norm; the rule integrates
+    against |sigma^m_0| / |sigma^m_0|(m) dx (the scale cancels in R_t) and f_m depends on
+    y = A x alone, so both integrals are sums over fibers r of e^{-t f_m(y_r)} times the
+    fiber sums of the weights and of u.  The minimum of f_m is subtracted before
+    exponentiating so the weights stay finite for large t.  The errors compare against
+    R_infinity (``slice_pairing``); when the segment fiber through m needs more than
+    FIBER_NODES per panel (``_fiber_mean``), R_t is taken again with as many.
     """
     if not isinstance(u, Polynomial):
         raise TypeError("u must be a Polynomial that expands about a point (cli.parse_weight)")
@@ -636,16 +598,15 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
     u = Polynomial(lru_cache(maxsize=1)(u.expand), u.evaluate)  # one expansion: R_t and R_inf
     # the norm is in the weights: the fiber sums are of w and of w * u
     push = _fibers(P, proj, resolution, m)
-    masses, _ = push.masses(u, fm, t_list)
-    ratios = []
-    for t, (den, num) in zip(t_list, masses):
-        if not den > 0:  # the folded weights keep every mass finite
-            raise QuadratureError(f"degenerate concentration mass at t={t}")
-        ratios.append(float(num) / float(den))
-    # node fibers hold every node of the rule: they go before the slice rule is built
-    if not isinstance(push, AxisFibers):
+    ratios = _ratios(push, u, fm, t_list)
+    if isinstance(push, AxisFibers):
+        rinf = slice_pairing(push, P, proj, m, u, max(resolution, 64))
+    else:
+        # segment fibers hold every node of the rule: they go before the slice rules are built
         push = None
-    rinf = slice_pairing(push, P, proj, m, u, max(resolution, 64))
+        rinf, nodes = _fiber_mean(P, proj, m, u)
+        if nodes > FIBER_NODES:  # a wide fiber: R_t again, with as many nodes per fiber panel
+            ratios = _ratios(segment_fibers(P, proj, resolution, m, nodes), u, fm, t_list)
     errors = [abs(r - rinf) for r in ratios]
     floor = roundoff_floor(rinf)
     above = [(t, e) for t, e in zip(t_list, errors) if e > floor]

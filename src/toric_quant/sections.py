@@ -26,11 +26,8 @@ def norm_matrix(pot: SymplecticPotential, ms, x, t=0.0):
     """
     x = np.asarray(x, dtype=float)
     g, grad = pot.value(x, t), pot.gradient(x, t)
-    # row by row, so temporaries stay the size of g, not len(ms) times it
-    out = np.empty((len(ms),) + np.shape(g))
-    for i, m in enumerate(np.asarray(ms, dtype=float)):
-        out[i] = np.exp(g - np.einsum("...i,...i->...", x - m, grad))
-    return out
+    ms = np.asarray(ms, dtype=float).reshape((len(ms),) + (1,) * (np.ndim(grad) - 1) + (-1,))
+    return np.exp(g - np.einsum("...i,...i->...", x - ms, grad))
 
 
 def _facet_values_at(P: DelzantPolytope, m):

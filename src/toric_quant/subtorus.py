@@ -42,15 +42,15 @@ class SubtorusProjection:
         k = len(rows)
         if not 1 <= k <= n:
             raise ProjectionError(f"need 1 <= k <= n, got k={k}, n={n}")
+        object.__setattr__(self, "matrix", rows)
         # the column Hermite form [L | 0] of a rank-k A has index |A Z^n : Z^k| = det L
-        H, _, rank, _ = _hermite(rows, n)
+        H, _, rank, _ = self._hermite_form
         if rank < k:
             raise ProjectionError(f"projection matrix has rank < {k}")
         index = prod(H[i][i] for i in range(k))
         if index != 1:
             raise ProjectionError(
                 f"image lattice has index {index} > 1; projection is not lattice-surjective")
-        object.__setattr__(self, "matrix", rows)
 
     @classmethod
     def standard(cls, k: int, n: int) -> "SubtorusProjection":
@@ -69,6 +69,21 @@ class SubtorusProjection:
     @cached_property
     def array(self):
         return np.array(self.matrix, dtype=float)
+
+    @cached_property
+    def _hermite_form(self):
+        return _hermite(self.matrix, self.n)
+
+    @cached_property
+    def frame(self):
+        """The unimodular U with A U = [I_k | 0], as floats: x = U w with w = (y, z), dx = dw.
+
+        A V = [L | 0] with L unit lower triangular (A Z^n = Z^k), so U = V diag(L^-1, I).
+        """
+        H, V, _, _ = self._hermite_form
+        U, L = np.array(V, dtype=float), np.array(H, dtype=float)[:, :self.k]
+        U[:, :self.k] = U[:, :self.k] @ np.rint(np.linalg.inv(L))  # L^-1 is an integer matrix
+        return U
 
     def apply(self, x):
         """Exact image for int/Fraction sequences, float for arrays."""

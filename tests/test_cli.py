@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -201,26 +202,26 @@ def _simplex_cfg(side, resolution=8, dim=2):
 
 
 class TestGridResolution:
-    # polygons take segment fibers, not a midpoint grid: the grid cases are 3-D
-    def test_midpoint_grid_past_int64_exits_two(self, tmp_path, capsys):
-        # the facet values fit int64 at load, the grid scaled by
-        # 2 x resolution does not
+    # segment rules scale nothing by the resolution: the 3-simplices that once took a
+    # midpoint grid past int64 exit as their planar twins do
+    def test_huge_simplex3_exits_two(self, tmp_path, capsys):
+        # |sigma^0_0| scaled by its peak at the vertex m = 0 underflows on every node
         path = write_cfg(tmp_path, _simplex_cfg(2 ** 57, dim=3))
         assert main(["concentrate", path, "--m", "0,0,0"]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
-        assert err["code"] == "bad_resolution" and "resolution 8:" in err["message"]
+        assert err["code"] == "out_of_range" and "degenerate concentration mass" in err["message"]
 
     def test_resolution_option_checked(self, tmp_path, capsys):
         path = write_cfg(tmp_path, _simplex_cfg(2 ** 50, dim=3))
         assert main(["concentrate", path, "--m", "0,0,0", "--resolution", "1024"]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
-        assert err["code"] == "bad_resolution" and "resolution 1024:" in err["message"]
+        assert err["code"] == "out_of_range" and "degenerate concentration mass" in err["message"]
 
     def test_library_replace_checked(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, _simplex_cfg(2 ** 50, dim=3)))
-        with pytest.raises(ConfigError, match="resolution 1024:") as err:
+        with pytest.raises(ConfigError, match="degenerate concentration mass") as err:
             run(dataclasses.replace(cfg, resolution=1024), "concentrate", {"m": (0, 0, 0)})
-        assert err.value.code == "bad_resolution"
+        assert err.value.code == "out_of_range"
 
     def test_planar_norm_past_float64_exits_two(self, tmp_path, capsys):
         # the segment fibers scale nothing by the resolution; |sigma^m_0| at the far
@@ -259,16 +260,27 @@ class TestGridResolution:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "bad_polytope" and "2^32 scan limit" in err["message"]
 
-    def test_midpoint_grid_past_the_scan_limit_keeps_bad_resolution(self, tmp_path, capsys):
-        # 2 Delta^3 at resolution 2048: 2^33 midpoint cells
+    def test_segment_rule_past_the_node_cap_exits_two(self, tmp_path, capsys):
+        # 2 Delta^3 with k = n = 3 at resolution 4096: 4096 levels per image depth, 2^36
+        # nodes, refused before any node array is built (one at the cap takes 67 MB)
         data = {"polytope": {"dim": 3, "facets": [
             {"normal": [1, 0, 0], "offset": 0}, {"normal": [0, 1, 0], "offset": 0},
             {"normal": [0, 0, 1], "offset": 0}, {"normal": [-1, -1, -1], "offset": 2}]},
-            "proj": [[1, 0, 0]]}
+            "proj": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "phi": {"type": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
         path = write_cfg(tmp_path, data)
-        assert main(["concentrate", path, "--m", "0,0,0", "--resolution", "2048"]) == 2
+        argv = ["concentrate", path, "--m", "0,0,0", "--resolution", "4096"]
+        main(argv)  # the Gauss-Legendre cache
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         err = json.loads(capsys.readouterr().err)["error"]
-        assert err["code"] == "bad_resolution" and "2^32 scan limit" in err["message"]
+        assert err["code"] == "bad_resolution" and "resolution 4096:" in err["message"]
+        assert str(quadrature.MAX_RULE_NODES) in err["message"] and peak < 4e6
 
     @pytest.mark.parametrize("res", [str(quadrature.MAX_GAUSS_NODES + 1), "1000000"])
     def test_gauss_rule_past_the_node_cap_exits_two(self, monkeypatch, capsys, res):

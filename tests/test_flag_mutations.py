@@ -75,9 +75,9 @@ def _exp_factor_dropped(monkeypatch):  # the last facet's e^{(l_j(m) - l_j)/2} l
                         lambda L, lm: real(L, lm) - 0.5 * (lm[..., -1, None] - L[-1]))
 
 
-def _r_inf_shifted(monkeypatch):  # R_infinity off by 1e-3, on box and node fibers alike
-    real = quadrature.slice_pairing
-    monkeypatch.setattr(quadrature, "slice_pairing", lambda *a, **kw: real(*a, **kw) + 1e-3)
+def _r_inf_shifted(monkeypatch):  # R_infinity off by 1e-3, on box and segment fibers alike
+    real = quadrature._pairing
+    monkeypatch.setattr(quadrature, "_pairing", lambda *a, **kw: real(*a, **kw) + 1e-3)
 
 
 MUTATIONS = {
@@ -101,7 +101,7 @@ MUTATIONS = {
         "exp_factor_dropped": (_exp_factor_dropped, list(CONFIGS))},
     "concentrate.errors_decay_or_converged": {
         # square2 reads R_infinity off the box fiber moments, square2_skew
-        # off the one segment fiber through m
+        # off the segment fiber through m
         "r_inf_shifted": (_r_inf_shifted, ["square2", "square2_skew"])},
 }
 

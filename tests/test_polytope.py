@@ -193,13 +193,13 @@ class TestLatticeScan:
             lattice_points(box)
 
 
-def _meshgrid_scan(axes, normals, offsets, strict):
+def _meshgrid_scan(axes, normals, offsets):
     """The brute-force scan: filter the whole "ij" meshgrid of the axes."""
     grids = np.meshgrid(*[np.array(a, dtype=np.int64) for a in axes], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     vals = pts @ np.array(normals, dtype=np.int64).reshape(-1, len(axes)).T \
         + np.array(offsets, dtype=np.int64)
-    return pts[np.all(vals > 0 if strict else vals >= 0, axis=1)]
+    return pts[np.all(vals >= 0, axis=1)]
 
 
 def _assert_same_scan(got, want):
@@ -232,27 +232,26 @@ class TestLineScan:
     the whole-meshgrid filter is its oracle."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(halfspace_grids(), st.booleans())
+    @given(halfspace_grids())
     # zero last-axis coefficient; negative non-unit step; parallel facets
     # with an empty result; no facets at all
-    @example(([range(-3, 4), range(5, -6, -2)], [[1, 0], [-1, 0]], [1, 2]), False)
-    @example(([range(4, -9, -3), range(-2, 9, 2)], [[1, 2], [2, 4], [-1, -2]],
-              [3, 0, -9]), True)
-    @example(([range(3), range(2), range(4)], [], []), True)
-    def test_matches_meshgrid_filter(self, grid, strict):
+    @example(([range(-3, 4), range(5, -6, -2)], [[1, 0], [-1, 0]], [1, 2]))
+    @example(([range(4, -9, -3), range(-2, 9, 2)], [[1, 2], [2, 4], [-1, -2]], [2, -1, -10]))
+    @example(([range(3), range(2), range(4)], [], []))
+    def test_matches_meshgrid_filter(self, grid):
         axes, normals, offsets = grid
-        _assert_same_scan(_grid_scan(axes, normals, offsets, strict),
-                          _meshgrid_scan(axes, normals, offsets, strict))
+        _assert_same_scan(_grid_scan(axes, normals, offsets),
+                          _meshgrid_scan(axes, normals, offsets))
 
     def test_blocks_of_lines_and_of_kept_points(self):
         # 40,000 lines (two line blocks) keeping about 100,000 points
         # (several output blocks)
         axes = [range(-20, 20), range(1000, 0, -1), range(-1, 2)]
         normals, offsets = [[1, 0, 3], [-1, 1, 0], [0, -1, -2]], [20, 0, 900]
-        for strict in (False, True):
-            got = _grid_scan(axes, normals, offsets, strict)
+        for shift in (0, -1):
+            got = _grid_scan(axes, normals, [lam + shift for lam in offsets])
             assert len(got) > NODE_BLOCK
-            _assert_same_scan(got, _meshgrid_scan(axes, normals, offsets, strict))
+            _assert_same_scan(got, _meshgrid_scan(axes, normals, [lam + shift for lam in offsets]))
 
     def test_thin_strip_scans_per_line(self):
         # |x - 2y| <= 1 on the 2^16 x 2^15 grid: 2^31 points, more than a
@@ -268,8 +267,8 @@ class TestLineScan:
         got = _grid_scan(axes, [[1, -2], [-1, 2]], [1, 1])
         assert len(got) == 3 * (1 << 15) - 1
         _assert_same_scan(got, want)
-        # strictly inside the strip only x = 2y is left
-        strict = _grid_scan(axes, [[1, -2], [-1, 2]], [1, 1], strict=True)
+        # strictly inside the strip (offsets 1 - 1 on integers) only x = 2y is left
+        strict = _grid_scan(axes, [[1, -2], [-1, 2]], [0, 0])
         assert strict.tolist() == [[2 * y, y] for y in range(1 << 15)]
 
 

@@ -14,23 +14,18 @@ from hypothesis import strategies as st
 from toric_quant import (
     ConcentrationWeight,
     DelzantPolytope,
-    EmptySliceError,
     QuadratureError,
     SubtorusProjection,
     SymplecticPotential,
     box_rule,
     closed_form_norm_g0,
     concentration_experiment,
-    delta_pairing,
-    face_slice,
-    grid_rule,
     integrate,
     l1_norms,
     lattice_points,
     make_rule,
     pullback,
     quadratic,
-    slice_rule,
 )
 from toric_quant import ProjectionError, quadrature
 from toric_quant.cli import load_config, main, parse_weight
@@ -52,12 +47,13 @@ class TestRules:
         assert rule.total_weight() == pytest.approx(4.0, abs=1e-8)
         assert np.all(rule.weights > 0)
 
-    def test_grid_volume_first_order(self, simplex):
-        rule = grid_rule(simplex, 64)
-        assert abs(rule.total_weight() - 0.5) < 2.0 / 64
+    def test_segment_rule_volume(self, simplex):
+        # a polytope that is not a box takes the segment rule under y = x_1
+        for res in (8, 64):
+            assert abs(make_rule(simplex, res).total_weight() - 0.5) <= 1e-15
 
-    def test_grid_containment_exact(self, simplex):
-        rule = grid_rule(simplex, 32)
+    def test_segment_rule_nodes_inside(self, simplex):
+        rule = make_rule(simplex, 32)
         vals = simplex.facet_values_array(rule.points)
         assert np.all(vals > 0)
 
@@ -66,14 +62,14 @@ class TestRules:
             box_rule(square2, 4)
 
     @pytest.mark.parametrize("side,res", [(2 ** 57, 8), (2 ** 50, 1024)])
-    def test_grid_past_int64_names_the_resolution(self, side, res):
+    def test_huge_polygon_rule_scales_nothing_by_the_resolution(self, side, res):
+        # a midpoint grid once scaled x + y <= side by 2 x resolution past int64
         P = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), side)))
-        with pytest.raises(quadrature.GridOverflowError, match=f"resolution {res}:"):
-            grid_rule(P, res)
+        assert abs(make_rule(P, res).total_weight() - side ** 2 / 2) <= 1e-14 * side ** 2
 
     def test_make_rule_dispatch(self, square2, simplex):
         assert make_rule(square2, 16).kind == "gauss"
-        assert make_rule(simplex, 16).kind == "grid"
+        assert make_rule(simplex, 16).kind == "segment"
 
     def test_gauss_nodes_cached_read_only(self, square2):
         from toric_quant.quadrature import _gauss_legendre
@@ -146,16 +142,13 @@ class TestNodeBlocks:
                 for a, b in zip(got, ref):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_fiber_sums_blocked_equal_whole(self, square2, proj_first_of_two):
-        # node grouping: fibers of 260 nodes straddle the block edges; the
+    def test_fiber_sums_blocked_equal_whole(self, square2):
+        # node fibers: fibers of 260 nodes straddle the block edges; the
         # last block holds one node
         rule = box_rule(square2, 260)
         rule = QuadratureRule(rule.kind, 260, rule.points[:2 * NODE_BLOCK + 1],
                               rule.weights[:2 * NODE_BLOCK + 1])
-        push = pushforward(rule, proj_first_of_two)
-        assert np.array_equal(push.starts, np.arange(0, rule.size, 260))
-        assert np.array_equal(proj_first_of_two.apply(rule.points)[push.starts],
-                              rule.points[push.starts, :1])
+        push = NodeFibers(rule, np.arange(0, rule.size, 260))
         h = lambda x: (closed_form_norm_g0(square2, (1, 1), x), x[..., 0] ** 2 + x[..., 1])
         # the weights themselves are the first row
         vals = np.vstack([np.ones(rule.size), *h(rule.points)]) * rule.weights
@@ -208,10 +201,10 @@ class TestFiberMasses:
         phi = phi_half_square if proj.k == 1 else quadratic(np.eye(2))
         m = tuple(int(v) for v in P.vertices[0].point)
         f = ConcentrationWeight(m, pullback(phi, proj))
-        # a polynomial, which box fibers contract and node grouping evaluates
+        # a polynomial, which box fibers contract and segment fibers evaluate
         h = parse_weight(f"1 + x{P.dim}^2 - 0.5*x1*x{P.dim}", P.dim)
-        rule, times = make_rule(P, res, m), (0.0, 3.0, 17.5, 90.0)
-        push = pushforward(rule, proj)
+        push, times = quadrature._fibers(P, proj, res, m), (0.0, 3.0, 17.5, 90.0)
+        rule = push.rule
         got, fmin = push.masses(h, f, times)
         assert got.shape == (4, 2) and fmin == push.at_fibers(f).min()
         # the per-t loop over fiber sums, in the same arithmetic: bit for bit
@@ -243,45 +236,50 @@ class TestFiberMasses:
 
 
 @st.composite
-def rule_and_projection(draw):
-    """A box (Gauss) or non-box (midpoint grid) rule in dim 1-3 with a
-    standard projection [I_k | 0] or a random integer one of rank k."""
+def polytope_and_projection(draw):
+    """A box or a dilated simplex in dim 1-3, sheared half of the time (small_delzant),
+    with a standard projection [I_k | 0] or a random integer one of rank k."""
     P = draw(small_delzant())
-    rule = make_rule(P, draw(st.integers(8, 24)))
-    k = draw(st.integers(1, P.dim))
+    k, res = draw(st.integers(1, P.dim)), draw(st.integers(12, 16))
     if draw(st.booleans()):
-        return rule, SubtorusProjection.standard(k, P.dim), True
+        return P, SubtorusProjection.standard(k, P.dim), res
     rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=P.dim, max_size=P.dim),
                          min_size=k, max_size=k))
     try:
-        return rule, SubtorusProjection(rows), False
+        return P, SubtorusProjection(rows), res
     except ProjectionError:
         assume(False)
 
 
+def _volume(P):
+    """The volume of P from its vertices, by scipy's convex hull."""
+    from scipy.spatial import ConvexHull
+
+    V = np.array([v.as_array() for v in P.vertices])
+    return float(np.ptp(V)) if P.dim == 1 else ConvexHull(V).volume
+
+
 class TestPushforward:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(rule_and_projection(), st.integers(5, 300))
+    @given(polytope_and_projection(), st.integers(5, 300))
     def test_fibers_partition_the_rule(self, drawn, block):
-        rule, proj, standard = drawn
-        # node grouping, also of a materialized tensor rule
-        rule = QuadratureRule(rule.kind, rule.resolution, rule.points, rule.weights)
+        P, proj, res = drawn
         h = lambda x: np.cos(x @ np.arange(1.0, x.shape[-1] + 1))
         # small blocks, so fibers straddle block edges
         with mock.patch.object(quadrature, "NODE_BLOCK", block):
-            push = pushforward(rule, proj)
+            push = quadrature.segment_fibers(P, proj, res)
             sums = push.sums(h)
             last = push.at_fibers(lambda x: x[:, -1])
-        starts = push.starts
+        rule, starts = push.rule, push.starts
         assert np.array_equal(last, rule.points[starts, -1])
         assert starts[0] == 0 and np.all(np.diff(starts) > 0) and starts[-1] < rule.size
-        # every node's image is its fiber's image, and neighbouring fibers differ
+        # every node lies in P and has its fiber's image, and neighbouring fibers differ
         fiber = np.searchsorted(starts, np.arange(rule.size), side="right") - 1
-        images = proj.apply(rule.points)[starts]
-        assert np.array_equal(proj.apply(rule.points), images[fiber])
-        assert np.all(np.any(images[1:] != images[:-1], axis=1))
-        if standard and rule.kind == "gauss":
-            assert len(starts) == rule.resolution ** proj.k
+        y, scale = proj.apply(rule.points), 1e-13 * (1 + np.abs(rule.points).max())
+        assert np.all(np.abs(y - y[starts][fiber]) <= scale)
+        assert np.all(np.any(np.abs(np.diff(y[starts], axis=0)) > scale, axis=1))
+        assert np.all(P.facet_values_array(rule.points) > 0)
+        assert abs(rule.total_weight() - _volume(P)) <= 1e-12 * _volume(P)
         # each fiber sum is its nodes' share, and they add up to the integral;
         # the weights themselves are the first row
         vals = np.vstack([np.ones(rule.size), h(rule.points)]) * rule.weights
@@ -373,6 +371,13 @@ def _majorant(u, c):
                          for b in zip(*np.nonzero(C)))
 
 
+def _grouped(rule, proj):
+    """The oracle for box fibers: the nodes grouped into maximal runs of
+    consecutive nodes with equal images."""
+    y = proj.apply(rule.points)
+    return NodeFibers(rule, np.flatnonzero(np.r_[True, np.any(y[1:] != y[:-1], axis=1)]))
+
+
 class TestAxisFibers:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(box_and_coordinate_projection(), positive_polynomial(), st.integers(5, 300))
@@ -404,8 +409,7 @@ class TestAxisFibers:
         assert np.array_equal(one[1], one[0]) and np.array_equal(plain, one[:1])
         # node grouping on the materialized tensor points
         nodes = QuadratureRule(rule.kind, res, rule.points, rule.weights)
-        grouped = pushforward(nodes, proj)
-        assert isinstance(grouped, NodeFibers)
+        grouped = _grouped(nodes, proj)
         # every comparison within 1e-13 of the same sums of the majorant of
         # u's expansion about m (the weight sums: rtol), which bounds the
         # roundoff where the box crosses zero and odd powers change sign
@@ -433,15 +437,15 @@ class TestAxisFibers:
             u, rule, times = parse_weight(expr, 2), make_rule(square2, 128, m), (8.0, 128.0, 2048.0)
             f = ConcentrationWeight(m, pullback(phi_half_square, proj_first_of_two))
             got, _ = pushforward(rule, proj_first_of_two).masses(u, f, times)
-            grouped = pushforward(QuadratureRule(rule.kind, 128, rule.points, rule.weights),
-                                  proj_first_of_two)
+            grouped = _grouped(QuadratureRule(rule.kind, 128, rule.points, rule.weights),
+                               proj_first_of_two)
             ref, _ = grouped.masses(u, f, times)
             scale, _ = grouped.masses(lambda x: np.abs(u(x)), f, times)
             assert np.all(np.abs(got - ref) <= 1e-13 * scale), expr
 
     def test_no_node_array_on_the_box_path(self, monkeypatch, phi_half_square):
         # no product points or weights of the box rule, no projection of nodes,
-        # no slice chart, slice rule or norm at a node, and no evaluation of u:
+        # no segment rule or norm at a node, and no evaluation of u:
         # R_t and R_inf contract one expansion of u about m
         def refuse(*args):
             raise AssertionError("node array built")
@@ -454,8 +458,7 @@ class TestAxisFibers:
         real = SubtorusProjection.apply
         monkeypatch.setattr(SubtorusProjection, "apply", lambda self, x: refuse()
                             if isinstance(x, np.ndarray) else real(self, x))
-        for name in ("face_slice", "slice_rule", "delta_pairing"):
-            monkeypatch.setattr(quadrature, name, refuse)
+        monkeypatch.setattr(quadrature, "segment_fibers", refuse)
         normed, real = [], quadrature._log_norm_ratio  # the norm on axis nodes alone
         monkeypatch.setattr(quadrature, "_log_norm_ratio",
                             lambda L, lm: normed.append(L.shape[1]) or real(L, lm))
@@ -475,53 +478,12 @@ class TestAxisFibers:
         assert normed and set(normed) <= {32, 64, 96}
 
 
-def _meshgrid_midpoint_rule(P, resolution):
-    """The midpoint grid rule built on the whole bounding-box meshgrid."""
-    lo = [min(Fraction(v.point[i]) for v in P.vertices) for i in range(P.dim)]
-    hi = [max(Fraction(v.point[i]) for v in P.vertices) for i in range(P.dim)]
-    widths = [b - a for a, b in zip(lo, hi)]
-    den = 2 * resolution * math.lcm(*(Fraction(v).denominator for v in widths + lo))
-    axes = [np.array([int((a + Fraction(2 * j + 1, 2 * resolution) * w) * den)
-                      for j in range(resolution)], dtype=np.int64)
-            for a, w in zip(lo, widths)]
-    num = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    R = np.array([r for r, _ in P.facets], dtype=np.int64)
-    lam = np.array([lam * den for _, lam in P.facets], dtype=np.int64)
-    points = num[np.all(num @ R.T + lam > 0, axis=1)].astype(float) / den
-    cell = float(np.prod([w / resolution for w in widths]))
-    return points, np.full(len(points), cell)
-
-
 SIMPLEX2 = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2)))
 SIMPLEX3 = DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
                                ((-1, -1, -1), 2)))
 
 
-class TestBlockedGrid:
-    @pytest.mark.parametrize("P,resolution", [
-        (SIMPLEX2, 1024),  # 32 full scan blocks
-        (SIMPLEX2, 999),  # 30 full blocks and a partial one
-        (DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
-                             ((-1, -2, -1), 3))), 41),  # not a lattice-width box
-    ])
-    def test_grid_rule_bitwise_meshgrid(self, P, resolution):
-        rule = grid_rule(P, resolution)
-        points, weights = _meshgrid_midpoint_rule(P, resolution)
-        assert rule.points.tobytes() == points.tobytes()
-        assert rule.weights.tobytes() == weights.tobytes()
-
-    def test_grid_rule_peak_is_twice_the_rule(self):
-        # the whole-box scan this replaced peaked at 6.7 times the rule's
-        # bytes, and the int64 grid held beside its float copy at 1.67 times
-        rule = grid_rule(SIMPLEX2, 1024)
-        tracemalloc.start()
-        try:
-            rule = grid_rule(SIMPLEX2, 1024)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * (rule.points.nbytes + rule.weights.nbytes)
-
+class TestBoxDetection:
     @pytest.mark.parametrize("P,volume", [(REDUNDANT_BOXES[0], 2.0), (REDUNDANT_BOXES[1], 2.0)])
     def test_box_with_redundant_facet_gets_gauss(self, P, volume):
         assert P.is_box and P.box_bounds == tuple((0, hi) for hi in (2, 1)[:P.dim])
@@ -558,17 +520,19 @@ class TestNormWeightedRules:
             np.testing.assert_allclose(rule.weights, ref, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("P,m,block", [
-        (SIMPLEX2, (0, 1), NODE_BLOCK), (SIMPLEX2, (1, 1), 1000),
+        (SIMPLEX2, (0, 1), 256), (SIMPLEX2, (1, 1), 7),
         (DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
-                             ((-1, -2, -1), 3))), (1, 0, 1), 777),
+                             ((-1, -2, -1), 3))), (1, 0, 1), 3),
     ])
-    def test_grid_fold_is_cell_times_node_norm(self, P, m, block):
-        plain = grid_rule(P, 64)
-        with mock.patch.object(quadrature, "NODE_BLOCK", block):
+    def test_segment_fold_is_weight_times_node_norm(self, P, m, block):
+        # the fold from facet values, LEVEL_BLOCK segments at a time, against the closed
+        # form at the same nodes (``test_norm_from_facet_values_is_the_closed_form``)
+        with mock.patch.object(quadrature, "LEVEL_BLOCK", block):
             rule = make_rule(P, 64, m)
-        assert rule.kind == "grid" and rule.points.tobytes() == plain.points.tobytes()
-        ref = plain.weights * closed_form_norm_g0(P, m, plain.points)
-        assert rule.weights.tobytes() == ref.tobytes()
+        plain = _unfolded(lambda: make_rule(P, 64, m))
+        assert rule.kind == "segment" and rule.points.tobytes() == plain.points.tobytes()
+        ref = plain.weights * closed_form_norm_g0(P, m, plain.points) / closed_form_norm_g0(P, m, m)
+        np.testing.assert_allclose(rule.weights, ref, rtol=1e-13, atol=1e-13 * ref.max())
 
     def test_concentrate_norms_only_the_slice_nodes(self, square2, proj_first_of_two,
                                                     phi_half_square, monkeypatch):
@@ -576,8 +540,8 @@ class TestNormWeightedRules:
         # moments: each call norms one axis's Gauss nodes (at res 32 also those of the
         # 64-node R_inf rule), no tensor node; segment fibers (skew A) norm their own
         # nodes from their facet values, those of R_t on each chamber and those of the
-        # one fiber through m, once each; every fold takes the one scaled log-norm, and
-        # none the node-wise closed form
+        # one fiber through m on FIBER_NODES and twice as many, once each; every fold
+        # takes the one scaled log-norm, and none the node-wise closed form
         seen = []
         real = quadrature._log_norm_ratio
         monkeypatch.setattr(quadrature, "_log_norm_ratio",
@@ -592,7 +556,7 @@ class TestNormWeightedRules:
         concentration_experiment(SymplecticPotential(square2, skew, phi_half_square),
                                  (1, 1), parse_weight("x1^2", 2), [8, 16], resolution=96)
         chambers = len({sum(v.point) for v in square2.vertices}) - 1
-        assert chambers == 2 and sum(seen) == chambers * 96 * FIBER_NODES + FIBER_NODES
+        assert chambers == 2 and sum(seen) == chambers * 96 * FIBER_NODES + 3 * FIBER_NODES
         assert not hasattr(quadrature, "closed_form_norm_g0")
 
     def test_wide_box_norm_stays_below_the_plain_weights(self):
@@ -637,107 +601,26 @@ class TestIntegrate:
             assert abs(a - b) < 1e-5
 
 
-def _slice_integral(f, sl, resolution):
-    """Integral of f over the slice in its chart measure du."""
-    return integrate(lambda u: f(sl.embed(u)), slice_rule(sl, resolution))
+def _slice_gauss_mean(P, proj, m, u, nodes):
+    """R_inf on a box under coordinate rows from the tensor Gauss rule on the slice through m:
+    the box of P's fiber-axis facets with the norm folded in, at the image coordinates of m."""
+    fiber = [i for i in range(P.dim) if not any(r[i] for r in proj.matrix)]
+    if not fiber:
+        return float(u(np.array(m, dtype=float)))
+    Q = DelzantPolytope(len(fiber), tuple((tuple(r[i] for i in fiber), lam)
+                                          for r, lam in P.facets if any(r[i] for i in fiber)))
 
-
-class TestSliceIntegration:
-    def test_segment_constant(self, square2, proj_first_of_two):
-        sl = face_slice(square2, proj_first_of_two, (1,))
-        assert _slice_integral(ones, sl, 32) == pytest.approx(2.0, abs=1e-10)
-
-    def test_norm_profile_against_finer_rule(self, square2, proj_first_of_two):
-        sl = face_slice(square2, proj_first_of_two, (1,))
-        f = lambda x: closed_form_norm_g0(square2, (1, 1), x)
-        coarse = _slice_integral(f, sl, 64)
-        fine = _slice_integral(f, sl, 640)
-        assert abs(coarse - fine) < 1e-5
-
-    def test_boundary_level_errors(self, square2, proj_first_of_two):
-        # the boundary level 2 is the face x1 = 2; a level past it is empty
-        assert face_slice(square2, proj_first_of_two, (2,)).active_facets != ()
-        with pytest.raises(EmptySliceError):
-            face_slice(square2, proj_first_of_two, (Fraction(5, 2),))
-
-    def test_zero_dim_slice_is_point_evaluation(self, interval, proj_id1):
-        sl = face_slice(interval, proj_id1, (0,))
-        rule = slice_rule(sl, 16)
-        assert rule.size == 1
-        val = integrate(lambda u: 5.0 * ones(sl.embed(u)), rule)
-        assert val == pytest.approx(5.0)
-
-    def test_simplex_diagonal_slice_grid(self, simplex):
-        proj = SubtorusProjection(((1, 1),))
-        sl = face_slice(simplex, proj, (0.5,))
-        # fiber {x + y = 1/2} inside the simplex has length sqrt(2) but chart
-        # measure du along the primitive direction (1,-1) gives extent 1/2
-        val = _slice_integral(ones, sl, 64)
-        assert val == pytest.approx(0.5, abs=2e-2)
-
-
-class TestDeltaPairing:
-    def test_constant_weight_normalized(self, square2, proj_first_of_two):
-        assert delta_pairing(square2, proj_first_of_two, (1, 1), ones) == pytest.approx(1.0)
-        assert delta_pairing(square2, proj_first_of_two, (1, 1),
-                             lambda x: 3.5 * ones(x)) == pytest.approx(3.5)
-
-    def test_symmetric_weight_gives_center(self, square2, proj_first_of_two):
-        # the slice norm profile is mirror symmetric about x2 = 1
-        val = delta_pairing(square2, proj_first_of_two, (1, 1), lambda x: x[..., 1])
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_slice_coordinate_weight(self, square2, proj_first_of_two):
-        val = delta_pairing(square2, proj_first_of_two, (1, 1), lambda x: x[..., 0])
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_one_slice_rule_per_pairing(self, square2, proj_first_of_two, monkeypatch):
-        from toric_quant import quadrature
-
-        built = []
-        orig = quadrature.slice_rule
-        monkeypatch.setattr(quadrature, "slice_rule",
-                            lambda sl, res: built.append(res) or orig(sl, res))
-        delta_pairing(square2, proj_first_of_two, (1, 1), lambda x: x[..., 1],
-                      resolution=64)
-        assert built == [64]
-
-    @pytest.mark.parametrize("fixture,rows,m", [
-        ("square2", ((1, 0),), (1, 1)), ("simplex", ((1, 1),), (0, 0)),
-        ("simplex", ((1, 0),), (0, 1)), ("cube", ((1, 0, 0),), (0, 1, 1))])
-    def test_one_norm_per_slice_node(self, fixture, rows, m, request, monkeypatch):
-        P = request.getfixturevalue(fixture)
-        proj = SubtorusProjection(rows)
-        u = lambda x: 1.0 + x[..., -1] ** 2
-        sl = face_slice(P, proj, proj.apply(m))
-        rule = slice_rule(sl, 64)
-        # the two-pass reference: denominator and numerator integrated apart, with the
-        # norm scaled by its peak as every fold takes it
-        lm = P.normal_matrix @ m + P.offset_vector
-        norm = lambda v: np.exp(_log_norm_ratio(P.normal_matrix @ sl.embed(v).T
-                                                + P.offset_vector[:, None], lm))
-        ref = integrate(lambda v: norm(v) * u(sl.embed(v)), rule) / integrate(norm, rule)
-        seen = []
-        real = quadrature._log_norm_ratio
-        monkeypatch.setattr(quadrature, "_log_norm_ratio",
-                            lambda L, lm: seen.append(L.shape[1]) or real(L, lm))
-        assert delta_pairing(P, proj, m, u, resolution=64) == ref
-        assert sum(seen) == rule.size
-
-    def test_vertex_point_mass(self, interval, proj_id1):
-        val = delta_pairing(interval, proj_id1, (0,), lambda x: 7.0 + x[..., 0])
-        assert val == pytest.approx(7.0)
-
-    def test_boundary_face_slice_of_square(self, square2, proj_first_of_two):
-        # m = (0, 1) projects to the boundary level 0; the fiber is the left
-        # edge and the norm profile is still symmetric about its midpoint
-        val = delta_pairing(square2, proj_first_of_two, (0, 1), lambda x: x[..., 1])
-        assert val == pytest.approx(1.0, abs=1e-12)
+    def embed(z):
+        x = np.array(np.broadcast_to(np.array(m, dtype=float), z.shape[:-1] + (P.dim,)))
+        x[..., fiber] = z
+        return x
+    rule = box_rule(Q, nodes, tuple(m[i] for i in fiber))
+    return integrate(lambda z: u(embed(z)), rule) / rule.total_weight()
 
 
 class TestSlicePairing:
-    # box fibers read R_inf off their fiber-axis moments; the slice chart's rule
-    # with as many nodes per axis (delta_pairing) is the oracle
+    # box fibers read R_inf off their fiber-axis moments; the slice's own tensor rule
+    # with as many nodes per axis (_slice_gauss_mean) is the oracle
     CASES = [
         (DelzantPolytope.from_box([(0, 1)]), ((1,),)),
         (DelzantPolytope.from_box([(0, 2)] * 2), ((1, 0),)),
@@ -761,7 +644,7 @@ class TestSlicePairing:
             for res in (8, 32, 63, 64, 96):
                 nodes = max(res, 64)
                 if nodes not in refs:
-                    refs[nodes] = delta_pairing(P, proj, m, u, nodes)
+                    refs[nodes] = _slice_gauss_mean(P, proj, m, u, nodes)
                 push = pushforward(make_rule(P, res, m), proj)
                 assert isinstance(push, AxisFibers)
                 got = quadrature.slice_pairing(push, P, proj, m, u, nodes)
@@ -805,6 +688,12 @@ def _reference_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _unfolded(build):
+    """build() with the norm fold left out: a segment rule's nodes with the weights of dx."""
+    with mock.patch.object(quadrature, "_log_norm_ratio", lambda L, lm: np.zeros(L.shape[1])):
+        return build()
 
 
 class TestSegmentFibers:
@@ -904,9 +793,10 @@ class TestSegmentFibers:
             P, row, _ = POLYGONS[name]
         proj = SubtorusProjection((row,))
         for res in (8, 128, 1024):
-            plain = quadrature.segment_fibers(P, proj, res).rule
             for m in lattice_points(P):
                 got = quadrature.segment_fibers(P, proj, res, m).rule
+                # the same nodes, cut at y_m, without the fold
+                plain = _unfolded(lambda: quadrature.segment_fibers(P, proj, res, m)).rule
                 peak = closed_form_norm_g0(P, m, m)  # the fold is |sigma^m_0| / |sigma^m_0|(m)
                 ref = plain.weights * closed_form_norm_g0(P, m, plain.points) / peak
                 assert np.array_equal(got.points, plain.points)
@@ -957,7 +847,7 @@ class TestSegmentFibers:
         def refuse(*args):
             raise AssertionError("the planar path left its segment fibers")
 
-        for name in ("make_rule", "face_slice", "slice_rule", "delta_pairing"):
+        for name in ("make_rule", "box_rule"):
             monkeypatch.setattr(quadrature, name, refuse)
         for name in POLYGONS:
             pot = self._pot(name, phi_half_square)
@@ -1047,24 +937,27 @@ class TestConcentration:
                 SymplecticPotential(square2, proj_first_of_two, phi_half_square), (1, 1),
                 lambda x: x[..., 0] ** 2, [8, 16], resolution=64)
 
-    # polygons take segment fibers; node grouping and slice charts remain for n = 3
-    @pytest.mark.parametrize("P,rows,m", [(SIMPLEX3, ((1, 0, 0),), (1, 0, 0)),  # a grid
+    # a 3-simplex, and a box under a skew A: segment fibers for R_t and for R_inf
+    @pytest.mark.parametrize("P,rows,m", [(SIMPLEX3, ((1, 0, 0),), (1, 0, 0)),
                                           (DelzantPolytope.from_box([(0, 2)] * 3),
-                                           ((1, 1, 0),), (1, 1, 1))])  # a box with skew A
+                                           ((1, 1, 0),), (1, 1, 1))])
     def test_node_fibers_freed_before_the_slice_rule(self, P, rows, m, phi_half_square,
                                                       monkeypatch):
-        # a slice chart's rule is itself a grid of nodes and weights: freeing the
-        # R_t rule's nodes before it is built keeps the two from sharing the peak
+        # the fiber through m takes segment rules of its own, on FIBER_NODES and twice
+        # as many, before the R_t rule: freeing each before the next is built keeps
+        # them from sharing the peak
         rules, seen = [], []
-        make, pairing = quadrature.make_rule, quadrature.delta_pairing
-        monkeypatch.setattr(quadrature, "make_rule", lambda *a: rules.append(
-            weakref.ref(rule := make(*a))) or rule)
-        monkeypatch.setattr(quadrature, "delta_pairing", lambda *a: seen.append(
-            rules[0]()) or pairing(*a))
+        build = quadrature.segment_fibers
+
+        def traced(*args):
+            seen.extend(ref() for ref in rules)
+            rules.append(weakref.ref(push := build(*args)))
+            return push
+        monkeypatch.setattr(quadrature, "segment_fibers", traced)
         proj = SubtorusProjection(rows)
         concentration_experiment(SymplecticPotential(P, proj, phi_half_square), m,
                                  parse_weight("x1^2", 3), [8, 16], resolution=32)
-        assert len(rules) == 1 and seen == [None]
+        assert len(rules) == 3 and len(seen) == 3 and not any(seen)
 
     def test_t_list_must_increase(self, square2, proj_first_of_two, phi_half_square):
         with pytest.raises(ValueError):
@@ -1077,8 +970,6 @@ class TestConcentration:
         pot = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         with pytest.raises(ValueError, match="not an integer"):
             concentration_experiment(pot, (1.5, 0.9), parse_weight("x1^2", 2), [8, 16], 64)
-        with pytest.raises(ValueError, match="not an integer"):
-            delta_pairing(square2, proj_first_of_two, (1.7, 1.2), lambda x: x[..., 1], 64)
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -1120,27 +1011,22 @@ class TestScaledNormFolds:
     plain weight and wide fibers report instead of leaving float64."""
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
-    def test_no_fold_exceeds_the_plain_weights(self, path, monkeypatch):
+    def test_no_fold_exceeds_the_plain_weights(self, path):
         cfg = load_config(str(path))
         P, proj, res = cfg.polytope, cfg.proj, cfg.resolution
         below = lambda got, plain: np.all(got <= plain * (1 + 1e-15))
-        # the slice nodes: delta_pairing's norm at each node of its slice rule
-        norms, sums = [], NodeFibers.sums
-        monkeypatch.setattr(NodeFibers, "sums", lambda self, h: norms.append(
-            np.asarray(h(self.rule.points)[0])) or sums(self, h))
         for m in lattice_points(P):
             if P.is_box:
                 for (_, w), (_, w0) in zip(box_rule(P, res, m).axes, box_rule(P, res).axes):
                     assert below(w, w0), m
             else:
-                assert below(grid_rule(P, res, m).weights, grid_rule(P, res).weights), m
-            if P.dim == 2 and proj.k == 1 and not P.is_box:
-                got, plain = (quadrature.segment_fibers(P, proj, res, *mm).rule.weights
-                              for mm in ((m,), ()))
-                assert below(got, plain), m
-            norms.clear()
-            delta_pairing(P, proj, m, ones, 64)
-            assert len(norms) == 1 and below(norms[0], 1.0), m
+                assert below(make_rule(P, res, m).weights,
+                             _unfolded(lambda: make_rule(P, res, m)).weights), m
+            # the segment rules of R_t (under the config's A) and of R_inf, against the
+            # same nodes without the fold
+            for r in (res, None):
+                build = lambda: quadrature.segment_fibers(P, proj, r, m).rule
+                assert below(build().weights, _unfolded(build).weights), (m, r)
 
     @pytest.mark.parametrize("name", WIDE_INPUTS)
     def test_wide_fibers_report(self, name, tmp_path, capsys):
@@ -1156,11 +1042,10 @@ class TestScaledNormFolds:
         assert runs[1]["slice_value"] == 1.0 and set(runs[1]["ratios"]) == {1.0}
         assert all(np.isfinite(runs[0]["ratios"]))
 
-    @pytest.mark.parametrize("name", ["box", "box3", "prism", pytest.param(
-        "trapezoid", marks=pytest.mark.xfail(strict=True, reason=(
-            "FIBER_NODES = 32 cosine nodes do not resolve the peak, about 39 wide, on the "
-            "2999-long fiber: R_inf reads 1504.815 against 1500.99933")))])
+    @pytest.mark.parametrize("name", ["box", "box3", "prism", "trapezoid"])
     def test_wide_fiber_limits(self, name):
+        # FIBER_NODES = 32 cosine nodes do not resolve the trapezoid's peak, about 39 wide,
+        # on its 2999-long fiber (R_inf read 1504.815): the fiber through m doubles them
         data, m, u, r_inf = WIDE_INPUTS[name]
         P = DelzantPolytope(len(m), tuple((tuple(f["normal"]), f["offset"])
                                           for f in data["polytope"]["facets"]))
@@ -1179,3 +1064,155 @@ class TestScaledNormFolds:
             for hi, m in ((3000, (1, 1500)), (2, (1, 1))))
         assert np.allclose(wide.ratios, square.ratios, rtol=1e-15, atol=0)
         assert wide.slice_value == square.slice_value == 1.0
+
+
+def _simplex(k, n=3):
+    """k Delta^n: x >= 0, k - x_1 - ... - x_n >= 0."""
+    return DelzantPolytope(n, tuple((tuple(int(i == j) for j in range(n)), 0) for i in range(n))
+                           + (((-1,) * n, k),))
+
+
+def _dirichlet_mean(k, m, u):
+    """R_inf on k Delta^3 under A = [[1, 0, 0]], exactly: on the slice x_1 = m_1 the facet values
+    (x_2, x_3, k - |x|) add up to s = k - m_1 and the norm is a Dirichlet density with exponents
+    a_j = l_j(m) / 2 (the exponential factor is constant); u is {(i, j): c} for c x_2^i x_3^j."""
+    s, a = k - m[0], [Fraction(m[1], 2), Fraction(m[2], 2), Fraction(k - sum(m), 2)]
+    total = sum(a) + 3
+
+    def moment(i, j):  # E[x_2^i x_3^j]
+        num = math.prod(a[0] + 1 + r for r in range(i)) * math.prod(a[1] + 1 + r for r in range(j))
+        return s ** (i + j) * num / math.prod(total + r for r in range(i + j))
+    return sum(c * moment(i, j) for (i, j), c in u.items())
+
+
+def _wide_config(k):
+    return {"polytope": {"dim": 2, "facets": [{"normal": [1, 0], "offset": 0},
+                                              {"normal": [0, 1], "offset": 0},
+                                              {"normal": [-1, -1], "offset": k}]},
+            "proj": [[1, 0]], "phi": {"type": "quadratic", "Q": [[1.0]]}, "resolution": 128}
+
+
+def _wide_reference(k, m, t):
+    """R_t of u = x1 on k Delta^2 under A = [[1, 0]], phi = y^2 / 2, by scipy's quad with y_m as
+    a break point: the fiber over y is [0, k - y], where the norm integrates to
+    y^{a_1} (k - y)^{a_2 + a_3 + 1} times a constant, and f_m = y^2 / 2 - y_m y."""
+    from scipy.integrate import quad
+
+    a1, a = m[0] / 2, (k - m[0]) / 2 + 1
+    log_w = lambda y: a1 * np.log(y) + a * np.log(k - y) - t * (y * y / 2 - m[0] * y)
+    w = lambda y: np.exp(log_w(y) - log_w(m[0]))
+    opts = {"points": [m[0]], "epsabs": 0, "epsrel": 1e-13, "limit": 500}
+    return quad(lambda y: y * w(y), 0, k, **opts)[0] / quad(w, 0, k, **opts)[0]
+
+
+# [[2, 1, 1], [1, 1, 0], [1, 1, 1]]: unimodular and not triangular
+GL3 = np.array([[2, 1, 1], [1, 1, 0], [1, 1, 1]])
+
+
+class TestFiberRule:
+    """The segment builder on inputs the midpoint grid and the slice chart took before."""
+
+    # u as terms in x_2, x_3 on the slice x_1 = m_1
+    @pytest.mark.parametrize("expr,terms", [("x2^2+x3", lambda m: {(2, 0): 1, (0, 1): 1}),
+                                            ("x1*x2", lambda m: {(1, 0): m[0]})])
+    def test_simplex_limit_is_the_dirichlet_mean(self, expr, terms):
+        P, proj, u = _simplex(6), SubtorusProjection(((1, 0, 0),)), parse_weight(expr, 3)
+        for m in lattice_points(P):
+            got = quadrature.slice_pairing(None, P, proj, m, u, 64)
+            exact = float(_dirichlet_mean(6, m, terms(m)))
+            assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact)), m
+
+    def test_seven_simplex_limit(self, phi_half_square):
+        # the slice chart's grid read 5.99828 here
+        pot = SymplecticPotential(_simplex(7), SubtorusProjection(((1, 0, 0),)), phi_half_square)
+        res = concentration_experiment(pot, (2, 2, 2), parse_weight("x2^2+x3", 3), [8, 16], 32)
+        assert _dirichlet_mean(7, (2, 2, 2), {(2, 0): 1, (0, 1): 1}) == Fraction(860, 143)
+        assert abs(res.slice_value - 860 / 143) <= 1e-13 * 860 / 143
+
+    def test_seven_simplex_concentrates(self, capsys):
+        # the midpoint grid's levels at 1.859 and 2.078 about y_m = 2 held R_t at 4.068
+        path = REPO / "bench" / "fixtures" / "dilated_simplex7.json"
+        assert main(["concentrate", str(path), "--t", "8,17.3,30.1,70.2,140.5", "--u", "x1^2"]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["errors"][-1] < 0.01 and -1.1 < out["decay_exponent"] < -0.9
+
+    def test_edge_fiber(self, phi_half_square):
+        # the fiber of [0, 2]^3 over x1 + x2 = 0 is the edge x1 = x2 = 0, where the norm of
+        # m = (0, 0, 1) is sqrt(x3 (2 - x3)) e^{...} up to a constant: E[x3^2] = 5/4
+        pot = SymplecticPotential(DelzantPolytope.from_box([(0, 2)] * 3),
+                                  SubtorusProjection(((1, 1, 0),)), phi_half_square)
+        res = concentration_experiment(pot, (0, 0, 1), parse_weight("x3^2", 3), [8, 16], 32)
+        assert abs(res.slice_value - 1.25) <= 1e-14
+
+    @pytest.mark.parametrize("P,rows,m", [
+        (_simplex(2, 2), ((1, 0),), (2, 0)), (_simplex(4), ((1, 1, 1),), (0, 0, 0)),
+        (_simplex(4), ((1, 0, 0), (0, 1, 0)), (4, 0, 0)),
+        (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 1, 1),), (2, 2, 2))],
+        ids=["simplex2", "simplex3-k1", "simplex3-k2", "cube-skew"])
+    def test_vertex_fiber_is_the_value_at_m(self, P, rows, m):
+        u = parse_weight(f"x1^2 + 0.5*x1*x{P.dim} + 3", P.dim)
+        proj = SubtorusProjection(rows)
+        assert quadrature.segment_fibers(P, proj, None, m).rule.size == 1
+        got = quadrature.slice_pairing(None, P, proj, m, u, 64)
+        assert got == float(u(np.array(m, dtype=float)))
+
+    @pytest.mark.parametrize("P,rows", [
+        (DelzantPolytope.from_box([(0, 2)] * 2), ((1, 0),)), (SIMPLEX2, ((1, 1),)),
+        (_simplex(4), ((1, 0, 0),)), (_simplex(4), ((1, 1, 0), (0, 1, 1))),
+        (_simplex(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 1, 0), (0, 0, 1)))],
+        ids=["box", "polygon", "simplex3-k1", "simplex3-k2", "simplex3-k3", "cube-skew"])
+    def test_uniform_weight_is_one_bit_for_bit(self, P, rows):
+        proj = SubtorusProjection(rows)
+        pot = SymplecticPotential(P, proj, quadratic(np.eye(proj.k)))
+        for m in lattice_points(P)[::3]:
+            res = concentration_experiment(pot, m, parse_weight("1", P.dim), [8, 64], 16)
+            assert res.ratios == (1.0, 1.0) and res.slice_value == 1.0, m
+
+    @pytest.mark.parametrize("k", [4, 16, 64])
+    def test_wide_polygon_concentrates(self, k, tmp_path, capsys):
+        # no level sat at y_m: R_t tended to a mean over the nearest levels, and 16 Delta^2
+        # ended 3.9e-2 off, 64 Delta^2 2.24
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(_wide_config(k)))
+        m = f"{k // 3},{k // 3}"
+        assert main(["concentrate", str(path), "--m", m, "--u", "x1"]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert abs(out["slice_value"] - k // 3) <= 1e-14 * k
+        assert out["errors"][-1] < 0.2 * out["errors"][0]
+
+    @pytest.mark.parametrize("k,res", [(4, 128), (16, 256), (64, 256), pytest.param(
+        16, 128, marks=pytest.mark.xfail(strict=True, reason=(
+            "64 levels on each side of y_m do not resolve e^{-t f_m} at t = 128 on a panel "
+            "11 wide: 2.6e-9 off (ROADMAP item 1, graded panels)"))), pytest.param(
+        64, 128, marks=pytest.mark.xfail(strict=True, reason=(
+            "64 levels on each side of y_m, 43 wide: 1.1e-6 off at t = 128")))])
+    def test_wide_polygon_against_the_break_point_reference(self, k, res, phi_half_square):
+        P, m, ts = _simplex(k, 2), (k // 3, k // 3), (8, 16, 32, 64, 128, 160)
+        pot = SymplecticPotential(P, SubtorusProjection(((1, 0),)), phi_half_square)
+        got = concentration_experiment(pot, m, parse_weight("x1", 2), ts, res)
+        ref = [_wide_reference(k, m, t) for t in ts]
+        assert np.max(np.abs(np.subtract(got.ratios, ref))) <= 1e-10
+
+    @pytest.mark.parametrize("k,rows", [(6, ((1, 0, 0),)), (4, ((1, 0, 0), (0, 1, 0)))])
+    def test_gl3z_invariance(self, k, rows):
+        # x -> U x: P -> U P (normals r U^-1), A -> A U^-1, m -> U m, u -> u o U^-1
+        P, Uinv = _simplex(k), np.rint(np.linalg.inv(GL3)).astype(int)
+        UP = DelzantPolytope(3, tuple((tuple(int(c) for c in np.array(r) @ Uinv), lam)
+                                      for r, lam in P.facets))
+        proj = SubtorusProjection(rows)
+        uproj = SubtorusProjection(tuple(tuple(int(c) for c in np.array(r) @ Uinv) for r in rows))
+        phi = quadratic(np.eye(len(rows)))
+        pot, upot = SymplecticPotential(P, proj, phi), SymplecticPotential(UP, uproj, phi)
+        u = parse_weight("x1^2 + 0.5*x2*x3 + x3", 3)
+        # the coordinates of U^-1 x' in the weight grammar
+        x = ["(" + " + ".join(f"{c}*x{j + 1}" for j, c in enumerate(row) if c) + ")"
+             for row in Uinv]
+        uu = parse_weight(f"{x[0]}^2 + 0.5*{x[1]}*{x[2]} + {x[2]}", 3)
+        close = lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0)
+        for m in lattice_points(P)[::4]:
+            um = tuple(int(c) for c in GL3 @ m)
+            a = concentration_experiment(pot, m, u, [8, 32, 128], 32)
+            b = concentration_experiment(upot, um, uu, [8, 32, 128], 32)
+            assert close(a.ratios, b.ratios) and close(a.slice_value, b.slice_value), m
+            assert close(l1_norms(pot, m, 32, (0.0, 8.0)), l1_norms(upot, um, 32, (0.0, 8.0))), m

@@ -13,7 +13,6 @@ from toric_quant import (
     QuadratureError,
     SymplecticPotential,
     closed_form_norm_g0,
-    grid_rule,
     integrate,
     l1_norms,
     lattice_points,
@@ -316,22 +315,25 @@ class TestL1AndBasis:
         proj = SubtorusProjection.standard(1, P.dim)
         pot = SymplecticPotential(P, proj, phi_half_square)
         times = (0.0, 8.0)
-        # the reference: the plain rule's weights times the node norm, for each t;
-        # a polygon's plain rule is its segment rule for dx, a 3-simplex's a grid
-        planar = P.dim == 2 and not box
-        plain = quadrature.segment_fibers(P, proj, 40).rule if planar else make_rule(P, 40)
+        # the reference: the plain rule's weights times the node norm, for each t; a
+        # polytope that is not a box has its segment rule for dx (y_m = 0 is a vertex
+        # image, so the rule for the norm has the same nodes)
+        plain = make_rule(P, 40)
         ref = [integrate(lambda x, t=t: _norm(pot, m, x, t), plain) for t in times]
-        # the nodes normed through the one scaled log-norm, from the facet values of a
-        # grid's nodes or from those already at hand (a segment rule's nodes, a box's axis
-        # nodes); l1_norms adds the peak back once
+        # the nodes normed through the one scaled log-norm, from the facet values
+        # already at hand (a segment rule's, a box's axis nodes); l1_norms adds the peak
+        # back once
         seen = []
         real = quadrature._log_norm_ratio
         monkeypatch.setattr(quadrature, "_log_norm_ratio",
                             lambda L, lm: seen.append(L.shape[1]) or real(L, lm))
         assert np.allclose(l1_norms(pot, m, 40, times), ref, rtol=1e-12, atol=0)
         # a box folds the norm in axis by axis, on its 2 x 40 axis nodes and no tensor
-        # node; segment fibers and grids take it once per node
-        assert sum(seen) == (P.dim * 40 if box else plain.size)
+        # node; segment fibers take it once per node, and on a rule of several level blocks
+        # (the 3-simplex) once per segment for the facets parallel to its segments
+        segments = plain.size // quadrature.FIBER_NODES
+        once = segments if segments > quadrature.LEVEL_BLOCK else 0
+        assert sum(seen) == (P.dim * 40 if box else plain.size + once)
 
     def test_basis_size_is_lattice_count(self, square2, simplex):
         # one norm row per lattice point: 9 on [0, 2]^2 and 3 on the simplex
@@ -454,23 +456,23 @@ class TestGram:
         assert worst(aliased) > 0.1
 
 
-# simplex2, hirzebruch, 6 Delta^3 and the 3-polytope of the grid-fold test
+# simplex2, hirzebruch, 6 Delta^3 and the 3-polytope of the segment-fold test
 KERNEL_POLYTOPES = (
     DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2))), HIRZEBRUCH, SIMPLEX6,
     DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -2, -1), 3))))
 
 
 @lru_cache(maxsize=None)
-def _grid_nodes(i, res):
-    return grid_rule(KERNEL_POLYTOPES[i], res).points
+def _rule_nodes(i, res):
+    return make_rule(KERNEL_POLYTOPES[i], res).points
 
 
 @st.composite
 def kernel_inputs(draw):
-    """A polytope, one of its lattice points, a run of grid nodes and a shape."""
+    """A polytope, one of its lattice points, a run of rule nodes and a shape."""
     i = draw(st.integers(0, len(KERNEL_POLYTOPES) - 1))
     ms = lattice_points(KERNEL_POLYTOPES[i])
-    nodes = _grid_nodes(i, draw(st.sampled_from([8, 13, 32, 64])))
+    nodes = _rule_nodes(i, draw(st.sampled_from([8, 13, 32, 64])))
     start = draw(st.integers(0, len(nodes) - 1))
     x = nodes[start:start + draw(st.integers(1, 700))]
     return i, ms[draw(st.integers(0, len(ms) - 1))], x, draw(st.sampled_from([1, 2, 3]))
@@ -487,7 +489,7 @@ class TestFacetMajorKernel:
         x = np.concatenate([x, _boundary_points(P)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no NaN or log-0 warning on the boundary
-            if ndim == 1:  # a point (n,) at a time: grid nodes, then boundary points
+            if ndim == 1:  # a point (n,) at a time: rule nodes, then boundary points
                 x = np.concatenate([x[:3], x[-5:]])
                 got = np.array([closed_form_norm_g0(P, m, p) for p in x])
                 ref = np.array([trailing_axis_norm_g0(P, m, p) for p in x])
