@@ -8,11 +8,9 @@ norms, and polytope quadrature for concentration experiments.
 from .polytope import (
     DelzantPolytope,
     DelzantCertificate,
-    EmptySliceError,
     PolytopeError,
     Slice,
     Vertex,
-    face_slice,
     facet_value,
     is_delzant,
     lattice_points,

@@ -401,7 +401,7 @@ def _cmd_sections_norms(cfg, opts):
 def _cmd_concentrate(cfg, opts):
     P = cfg.polytope
     m = opts.get("m") or _default_m(cfg)
-    expr = opts.get("u") or "x1"
+    expr = "x1" if opts.get("u") is None else opts["u"]  # an empty weight is bad_weight
     u = parse_weight(expr, P.dim)
     result = quadrature.concentration_experiment(
         potential.SymplecticPotential(P, cfg.proj, cfg.phi), m, u, opts["t_list"],
@@ -623,21 +623,24 @@ def main(argv=None) -> int:
             opts["t_list"] = _parse_list(args.t_list, float, "bad_t_list")
         if args.m is not None:
             opts["m"] = _parse_list(args.m, int, "bad_m")
-        if args.u:
+        if args.u is not None:
             opts["u"] = args.u
         if args.points is not None:
             opts["points"] = args.points
         report = run(cfg, args.command, opts)
         blob = emit(report, args.fmt)
+        if args.out:
+            try:
+                with open(args.out, "wb") as fh:
+                    fh.write(blob)
+            except OSError as exc:  # a missing directory, a directory, no permission
+                raise ConfigError("io_error", f"cannot write report: {exc}") from exc
     except ConfigError as exc:
         err = {"error": {"code": exc.code, "message": str(exc), **(
             {"details": exc.details} if exc.details else {})}}
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
         return 2
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
-    else:
+    if not args.out:
         sys.stdout.buffer.write(blob)
     return 0 if report.passed else 1
 

@@ -3,8 +3,9 @@
 A polytope is stored as integer facet data (primitive normals r_j and
 integer offsets lambda_j) defining P = {x : l_j(x) = <x, r_j> + lambda_j >= 0}.
 All combinatorial operations (vertices, smoothness certificates, lattice
-points, slice charts) run in exact rational arithmetic; numpy views of the
-facet data are provided for the analytic modules.
+points, and the vertices of a ``Slice`` chart given its integer directions
+and base point) run in exact rational arithmetic; numpy views of the facet
+data are provided for the analytic modules.
 """
 from __future__ import annotations
 
@@ -40,10 +41,6 @@ class GridRangeError(OverflowError):
 
 class PolytopeError(ValueError):
     """Invalid halfspace data (unbounded, empty interior, bad normals...)."""
-
-
-class EmptySliceError(PolytopeError):
-    """Requested level set does not meet the relative interior of the image."""
 
 
 @dataclass(frozen=True)
@@ -238,17 +235,13 @@ def facet_value(P: DelzantPolytope, j: int, x):
 
 
 def _is_box(normals, dim) -> bool:
-    """True when every nonzero normal is a signed coordinate vector and all
-    2*dim of them occur: the halfspaces then cut out an axis-aligned box.
-
-    Zero normals (constraints constant on a slice chart) and redundant
+    """True when every normal is a signed coordinate vector and all 2*dim of
+    them occur: the halfspaces then cut out an axis-aligned box.  Redundant
     parallel facets are allowed.
     """
     seen = set()
     for r in normals:
         nz = [(i, v) for i, v in enumerate(r) if v != 0]
-        if not nz:
-            continue
         if len(nz) != 1 or abs(nz[0][1]) != 1:
             return False
         seen.add(nz[0])
@@ -403,41 +396,3 @@ def weight_multiplicities(P: DelzantPolytope, proj):
         raise PolytopeError("projection width does not match polytope dimension")
     counts = Counter(map(proj.apply, lattice_points(P)))
     return {k: counts[k] for k in sorted(counts)}
-
-
-def _particular_solution(A, q):
-    """Some rational x with A x = q, for full-row-rank integer A."""
-    try:
-        return rational_solve(A, q)
-    except ValueError:
-        raise PolytopeError("projection matrix is rank deficient") from None
-
-
-def face_slice(P: DelzantPolytope, proj, q) -> Slice:
-    """Chart for the fiber {x in P : proj(x) = q}, valid for any feasible q.
-
-    For q in the relative interior of the image the chart directions form a
-    Z-basis of ker(proj); for boundary q the fiber is a face of P and the
-    chart is the correspondingly smaller lattice basis along that face.
-    """
-    A = proj.matrix
-    n = P.dim
-    if len(A[0]) != n:
-        raise PolytopeError("projection width does not match polytope dimension")
-    q = tuple(Fraction(v) for v in q)
-    if len(q) != len(A):
-        raise PolytopeError("level has wrong length for the projection")
-    x0 = _particular_solution(A, q)
-    B0 = integer_kernel_basis(A, ncols=n)
-    verts = Slice(base=P, chart=B0, base_point=x0).chart_vertices
-    if not verts:
-        raise EmptySliceError(f"level {tuple(map(str, q))} lies outside the image polytope")
-    ustar = _mean_point([v.point for v in verts]) if len(B0) else ()
-    xstar = tuple(x0[i] + sum(Fraction(u) * b[i] for u, b in zip(ustar, B0))
-                  for i in range(n))
-    # the facets that vanish at every chart vertex vanish on the whole fiber
-    active = sorted(set.intersection(*(set(v.active_facets) for v in verts)))
-    chart = integer_kernel_basis([*A, *(P.facets[j][0] for j in active)], ncols=n)
-    return Slice(base=P, chart=chart, base_point=xstar,
-                 active_facets=tuple(active))
-

@@ -327,7 +327,7 @@ class TestWeightGrammar:
             parse_weight(expr, 2)
         assert err.value.code == "bad_weight"
 
-    @pytest.mark.parametrize("expr", [e for e in BAD if e])
+    @pytest.mark.parametrize("expr", BAD)
     def test_main_rejects_with_exit_two(self, tmp_path, capsys, expr):
         path = write_cfg(tmp_path, SQUARE2_CFG)
         assert main(["concentrate", path, f"--u={expr}"]) == 2
@@ -554,6 +554,31 @@ class TestMain:
         out = tmp_path / "report.json"
         assert main(["validate", path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["outputs"]["delzant"] is True
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, target):
+        # a write that fails is io_error, as for an unreadable config: exit 1 means a flag failed
+        path = write_cfg(tmp_path, INTERVAL_CFG)
+        assert main(["lattice", path, "--out", str(tmp_path / target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"]["code"] == "io_error"
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["concentrate", "full-suite"])
+    def test_empty_weight_is_rejected(self, tmp_path, capsys, command):
+        # only an absent weight means x1
+        path = write_cfg(tmp_path, SQUARE2_CFG)
+        assert main([command, path, "--u", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"]["code"] == "bad_weight"
+        with pytest.raises(ConfigError) as exc:
+            run(load_config(path), command, {"u": ""})
+        assert exc.value.code == "bad_weight"
+
+    def test_absent_weight_is_x1(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
+        for opts in ({}, {"u": None}):
+            assert run(cfg, "concentrate", opts).outputs["u"] == "x1"
 
 
 def _reject_constant(token):

@@ -15,7 +15,6 @@ from toric_quant._intlin import (
     rational_rank,
     rational_solve,
 )
-from toric_quant.polytope import PolytopeError, _particular_solution
 
 
 def test_primitive():
@@ -208,15 +207,3 @@ class TestMergedPaths:
         x = rational_solve(A, b)
         assert len(x) == len(A[0]) and all(isinstance(v, Fraction) for v in x)
         assert _mul(A, x) == b
-
-    @PROPERTY
-    @given(int_matrices(), st.lists(st.fractions(max_denominator=7), min_size=5,
-                                    max_size=5))
-    def test_particular_solution_is_exact(self, A, q):
-        q = tuple(q[:len(A)])
-        if _rank(A) < len(A):
-            with pytest.raises(PolytopeError):
-                _particular_solution(A, q)
-        else:
-            x = _particular_solution(A, q)
-            assert _mul(A, x) == q and all(isinstance(v, Fraction) for v in x)

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from toric_quant import (
     DelzantPolytope,
-    EmptySliceError,
     PolytopeError,
+    Slice,
     SubtorusProjection,
-    face_slice,
     facet_value,
     is_delzant,
     lattice_points,
@@ -361,66 +360,22 @@ class TestWeightMultiplicities:
             assert sum(mult.values()) == len(lattice_points(P))
 
 
-class TestSliceChart:
-    def test_square2_interior_level(self, square2, proj_first_of_two):
-        sl = face_slice(square2, proj_first_of_two, (1,))
-        assert sl.chart == ((0, 1),)
-        assert proj_first_of_two.apply(sl.base_point) == (1,)
-        assert sl.active_facets == ()
-        # chart polytope is the segment [0 - u0, 2 - u0] of length 2
-        verts = sorted(v.point for v in sl.chart_vertices)
-        assert verts[1][0] - verts[0][0] == 2
+class TestSlice:
+    """The chart of one fiber, built from its integer directions and base point."""
 
-    def test_level_outside_image(self, square2, proj_first_of_two):
-        with pytest.raises(EmptySliceError):
-            face_slice(square2, proj_first_of_two, (3,))
-
-    def test_cube_two_dim_projection(self, cube):
-        proj = SubtorusProjection(((1, 0, 0), (0, 1, 0)))
-        sl = face_slice(cube, proj, (Fraction(1, 2), Fraction(1, 2)))
+    def test_interior_fiber_of_square(self, square2):
+        # the fiber x1 = 1 of [0, 2]^2, charted along e2 from (1, 0)
+        sl = Slice(square2, ((0, 1),), (1, 0))
         assert sl.dim == 1
-        assert sl.chart == ((0, 0, 1),)
-        verts = sorted(v.point for v in sl.chart_vertices)
-        assert verts[1][0] - verts[0][0] == 1  # segment of length 1
+        assert [v.point for v in sl.chart_vertices] == [(0,), (2,)]
+        # no facet is active: every one is kept, the two of x1 constant on the fiber
+        assert sl.chart_halfspaces() == (((0,), (0,), (1,), (-1,)), (1, 1, 0, 2))
+        assert np.array_equal(sl.embed([[0.0], [0.5], [2.0]]),
+                              [[1.0, 0.0], [1.0, 0.5], [1.0, 2.0]])
 
-    def test_base_point_exact(self, square2):
-        proj = SubtorusProjection(((1, 1),))
-        sl = face_slice(square2, proj, (Fraction(3, 2),))
-        assert proj.apply(sl.base_point) == (Fraction(3, 2),)
-        assert all(isinstance(c, Fraction) for c in sl.base_point)
-
-    def test_chart_rows_span_integer_kernel(self, cube):
-        proj = SubtorusProjection(((1, 1, 0),))
-        sl = face_slice(cube, proj, (1,))
-        A = np.array(proj.matrix)
-        B = np.array(sl.chart)
-        assert B.shape == (2, 3)
-        assert np.all(A @ B.T == 0)
-        # basis is unimodular within the kernel: solving for standard kernel
-        # generators must give integer coefficients
-        for gen in ((1, -1, 0), (0, 0, 1)):
-            coeff, res, *_ = np.linalg.lstsq(B.T.astype(float), np.array(gen, float),
-                                             rcond=None)
-            assert np.allclose(B.T @ coeff, gen, atol=1e-12)
-            assert np.allclose(coeff, np.round(coeff), atol=1e-9)
-
-
-class TestFaceSlice:
-    def test_vertex_fiber_is_point(self, interval, proj_id1):
-        sl = face_slice(interval, proj_id1, (0,))
-        assert sl.dim == 0
-        assert sl.base_point == (0,)
-        assert sl.active_facets == (0,)
-
-    def test_vertex_fiber_of_diagonal_projection(self, simplex):
-        # x + y = 0 meets the simplex in the vertex (0, 0), although
-        # ker(1, 1) is a line: the chart comes from the active facets too
-        sl = face_slice(simplex, SubtorusProjection(((1, 1),)), (0,))
-        assert sl.dim == 0 and sl.active_facets == (0, 1)
-        assert sl.base_point == (0, 0)
-
-    def test_boundary_fiber_of_square(self, square2, proj_first_of_two):
-        sl = face_slice(square2, proj_first_of_two, (0,))
-        assert sl.dim == 1
-        assert sl.active_facets != ()
-        assert proj_first_of_two.apply(sl.base_point) == (0,)
+    def test_active_facet_is_dropped(self, square2):
+        # the edge x1 = 0 lies on facet 0 (x1 >= 0), which the chart leaves out
+        sl = Slice(square2, ((0, 1),), (0, 0), active_facets=(0,))
+        assert sl.chart_halfspaces() == (((0,), (1,), (-1,)), (2, 0, 2))
+        assert [v.point for v in sl.chart_vertices] == [(0,), (2,)]
+        assert np.array_equal(sl.embed([[1.0]]), [[0.0, 1.0]])

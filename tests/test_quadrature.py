@@ -1109,6 +1109,18 @@ def _wide_reference(k, m, t):
 GL3 = np.array([[2, 1, 1], [1, 1, 0], [1, 1, 1]])
 
 
+def _gl3_image(P, rows):
+    """x -> U x with U = GL3: U P (normals r U^-1), the rows of A U^-1, and the
+    coordinates of U^-1 x' in the weight grammar, for u -> u o U^-1."""
+    Uinv = np.rint(np.linalg.inv(GL3)).astype(int)
+    UP = DelzantPolytope(3, tuple((tuple(int(c) for c in np.array(r) @ Uinv), lam)
+                                  for r, lam in P.facets))
+    urows = tuple(tuple(int(c) for c in np.array(r) @ Uinv) for r in rows)
+    x = ["(" + " + ".join(f"{c}*x{j + 1}" for j, c in enumerate(row) if c) + ")"
+         for row in Uinv]
+    return UP, urows, x
+
+
 class TestFiberRule:
     """The segment builder on inputs the midpoint grid and the slice chart took before."""
 
@@ -1196,18 +1208,13 @@ class TestFiberRule:
 
     @pytest.mark.parametrize("k,rows", [(6, ((1, 0, 0),)), (4, ((1, 0, 0), (0, 1, 0)))])
     def test_gl3z_invariance(self, k, rows):
-        # x -> U x: P -> U P (normals r U^-1), A -> A U^-1, m -> U m, u -> u o U^-1
-        P, Uinv = _simplex(k), np.rint(np.linalg.inv(GL3)).astype(int)
-        UP = DelzantPolytope(3, tuple((tuple(int(c) for c in np.array(r) @ Uinv), lam)
-                                      for r, lam in P.facets))
-        proj = SubtorusProjection(rows)
-        uproj = SubtorusProjection(tuple(tuple(int(c) for c in np.array(r) @ Uinv) for r in rows))
+        # x -> U x: P -> U P, A -> A U^-1, m -> U m, u -> u o U^-1
+        P = _simplex(k)
+        UP, urows, x = _gl3_image(P, rows)
         phi = quadratic(np.eye(len(rows)))
-        pot, upot = SymplecticPotential(P, proj, phi), SymplecticPotential(UP, uproj, phi)
+        pot = SymplecticPotential(P, SubtorusProjection(rows), phi)
+        upot = SymplecticPotential(UP, SubtorusProjection(urows), phi)
         u = parse_weight("x1^2 + 0.5*x2*x3 + x3", 3)
-        # the coordinates of U^-1 x' in the weight grammar
-        x = ["(" + " + ".join(f"{c}*x{j + 1}" for j, c in enumerate(row) if c) + ")"
-             for row in Uinv]
         uu = parse_weight(f"{x[0]}^2 + 0.5*{x[1]}*{x[2]} + {x[2]}", 3)
         close = lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0)
         for m in lattice_points(P)[::4]:
@@ -1216,3 +1223,25 @@ class TestFiberRule:
             b = concentration_experiment(upot, um, uu, [8, 32, 128], 32)
             assert close(a.ratios, b.ratios) and close(a.slice_value, b.slice_value), m
             assert close(l1_norms(pot, m, 32, (0.0, 8.0)), l1_norms(upot, um, 32, (0.0, 8.0))), m
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "at res 32 the box rule's Legendre fold leaves R_t 4.0e-6 and the L1 norms 4.8e-5 "
+        "(relative) apart; against the Jacobi-weight product the box L1 norms are 1.6e-5 off "
+        "and the segment ones 3.4e-5 at t = 128 (ROADMAP items 1 and 4)"))
+    def test_box_and_segment_fibers_agree(self):
+        # cube2 under coordinate rows takes AxisFibers, its image under GL3 segment_fibers
+        P, rows = DelzantPolytope.from_box([(0, 2)] * 3), ((1, 0, 0), (0, 1, 0))
+        UP, urows, x = _gl3_image(P, rows)
+        proj, uproj = SubtorusProjection(rows), SubtorusProjection(urows)
+        pot, upot = (SymplecticPotential(Q, pr, quadratic(np.eye(2)))
+                     for Q, pr in ((P, proj), (UP, uproj)))
+        m, ts = (1, 1, 1), (8, 16, 32, 64, 128)
+        um = tuple(int(c) for c in GL3 @ m)
+        assert isinstance(quadrature._fibers(P, proj, 32, m), AxisFibers)
+        assert isinstance(quadrature._fibers(UP, uproj, 32, um), NodeFibers)
+        a = concentration_experiment(pot, m, parse_weight("x1^2 + x3", 3), ts, 32)
+        b = concentration_experiment(upot, um, parse_weight(f"{x[0]}^2 + {x[2]}", 3), ts, 32)
+        close = lambda p, q: np.allclose(p, q, rtol=1e-12, atol=0)
+        assert close(a.slice_value, b.slice_value)
+        assert close(a.ratios, b.ratios)
+        assert close(l1_norms(pot, m, 32, ts), l1_norms(upot, um, 32, ts))
