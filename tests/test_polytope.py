@@ -379,3 +379,21 @@ class TestSlice:
         assert sl.chart_halfspaces() == (((0,), (1,), (-1,)), (2, 0, 2))
         assert [v.point for v in sl.chart_vertices] == [(0,), (2,)]
         assert np.array_equal(sl.embed([[1.0]]), [[0.0, 1.0]])
+
+    def test_diagonal_fiber_of_cube(self, cube):
+        # the fiber x1 + x2 = 1 of [0, 1]^3, charted along (1, -1, 0) and e3 from a
+        # rational base point: the chart polytope is [-1/2, 1/2] x [0, 1], exactly
+        sl = Slice(cube, ((1, -1, 0), (0, 0, 1)), (Fraction(1, 2), Fraction(1, 2), 0))
+        assert sl.dim == 2
+        half = Fraction(1, 2)
+        assert sorted(v.point for v in sl.chart_vertices) == [
+            (-half, 0), (-half, 1), (half, 0), (half, 1)]
+        assert all(isinstance(c, Fraction) for v in sl.chart_vertices for c in v.point)
+        assert np.array_equal(sl.embed([[0.5, 1.0]]), [[1.0, 0.0, 1.0]])
+
+    def test_vertex_fiber_is_point(self, simplex):
+        # x + y = 0 meets the simplex in its vertex (0, 0), where facets 0 and 1 vanish
+        sl = Slice(simplex, (), (0, 0), active_facets=(0, 1))
+        assert sl.dim == 0
+        assert [v.point for v in sl.chart_vertices] == [()]
+        assert np.array_equal(sl.embed([[]]), [[0.0, 0.0]])
