@@ -42,9 +42,9 @@ from .legendre import (
 from .polarization import decay_report
 from .sections import (
     ConcentrationWeight,
-    closed_form_norm_g0,
+    closed_form_log_norm_g0,
+    log_norm_matrix,
     norm_factorization_check,
-    norm_matrix,
 )
 from .quadrature import (
     ConcentrationResult,

@@ -198,6 +198,8 @@ def parse_weight(expr: str, n: int) -> quadrature.Polynomial:
     nonnegative integer literal.  One walk builds the evaluator and the
     expansion about any point; its multiply-adds may not exceed _EXPANSION_WORK.
     """
+    if not isinstance(expr, str):
+        raise ConfigError("bad_weight", f"a weight is an expression string (got {expr!r})")
     if "**" in expr:
         raise ConfigError("bad_weight", "use ^ for powers in weight expressions")
     try:
@@ -377,20 +379,16 @@ def _cmd_sections_norms(cfg, opts):
     t_list = opts["t_list"]
     pts = potential.interior_samples(P, 100, seed=_SEED)
     family = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
-    l1s = quadrature.l1_norms(family, m, cfg.resolution, t_list)
-    # section norms scale like e^{-t min f_m}; report the residual relative
-    # to that scale so the identity check is t-uniform
-    res, peaks = sections.norm_factorization_check(family, m, t_list, pts)
-    rel = [float(r) / max(1.0, float(p)) for r, p in zip(res, peaks)]
-    per_t = [{"t": float(t), "l1_norm": l1, "factorization_residual": r}
-             for t, l1, r in zip(t_list, l1s, rel)]
-    worst = max(rel)
+    logs = quadrature.l1_norms(family, m, cfg.resolution, t_list)
+    # both checks are relative to max(1, the largest norm), from logs: the norms grow
+    # like e^{-t min f_m} and with the polytope
+    res = sections.norm_factorization_check(family, m, t_list, pts).tolist()
+    per_t = [{"t": float(t), "log_l1_norm": l1, "factorization_residual": r}
+             for t, l1, r in zip(t_list, logs, res)]
+    worst = max(res)
     ms = lattice_points(P)
-    # each row's difference relative to its largest norm, like the
-    # factorization residual: the norms grow with the polytope
-    rows = sections.norm_matrix(family, ms, pts)
-    diff = np.max(np.abs(rows - sections.closed_form_norm_g0(P, ms, pts)), axis=1)
-    agree = float(np.max(diff / np.maximum(1.0, np.max(rows, axis=1))))
+    agree = float(np.max(sections.peak_relative_gap(
+        sections.log_norm_matrix(family, ms, pts), sections.closed_form_log_norm_g0(P, ms, pts))))
     out = {"m": list(m), "rows": per_t, "max_factorization_residual": worst,
            "closed_form_agreement": agree}
     tols = {"factorization": 1e-10, "closed_form": 1e-10}
@@ -517,8 +515,8 @@ def _table(report: RunReport):
                 [(t, nrm, d, slope) for t, nrm, d in zip(
                     out["t"], out["max_top_block_norm"], out["max_grassmann_distance"])])
     if report.command == "sections-norms":
-        return (("t", "l1_norm", "factorization_residual"),
-                [(r["t"], r["l1_norm"], r["factorization_residual"]) for r in out["rows"]])
+        return (("t", "log_l1_norm", "factorization_residual"),
+                [(r["t"], r["log_l1_norm"], r["factorization_residual"]) for r in out["rows"]])
     if report.command == "lattice":
         return ("point",), [(" ".join(map(str, m)),) for m in out["points"]]
     if report.command == "weights":

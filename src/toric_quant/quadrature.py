@@ -1,7 +1,7 @@
 """Rules for the section norms on the fibers of y = A x, the concentration runs and L1 norms.
 
 Every fold of the norm takes one scale, |sigma^m_0| / |sigma^m_0|(m) <= 1 (``_log_norm_ratio``):
-R_t and R_infinity are ratios, and the L1 norms add the peak back in log form.  A box under
+R_t and R_infinity are ratios, and the L1 norms are logs that add the peak back.  A box under
 an A whose rows pick coordinate axes gets a tensor Gauss-Legendre rule kept as its per-axis
 factors, with the norm folded into each axis's weights (``TensorRule``), and its fibers are
 contractions of those factors (``AxisFibers``: a ``Polynomial`` weight is evaluated on no
@@ -502,14 +502,14 @@ def integrate(f, rule: QuadratureRule) -> float:
 
 def slice_pairing(push: Pushforward | None, P: DelzantPolytope, proj: SubtorusProjection, m, u,
                   resolution: int) -> float:
-    """R_infinity, the mean of u against |sigma^m_0| on the fiber through m: the one place
-    R_infinity is taken.
+    """R_infinity, the mean of u against |sigma^m_0| on the fiber through m.
 
     Box fibers (push, the R_t rule's) read it off their fiber-axis moments at image exponent
     0 (of a resolution-node rule when theirs has fewer nodes): the rule's center is m, so
     every term with an image exponent vanishes at y_m = A m, and the image weights are
     constant on the slice and cancel.  Any other input takes F_u(y_m) / F_1(y_m) from
-    ``segment_fibers`` at the one level y_m (``_fiber_mean``).
+    ``segment_fibers`` at the one level y_m (``_fiber_mean``, which ``concentration_experiment``
+    calls itself).  Every path ends in ``_pairing``, where the ratio is taken and checked.
     """
     if isinstance(push, AxisFibers):
         if push.rule.resolution < resolution:
@@ -620,12 +620,12 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
 
 
 def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
-    """The L1 norm over P of sigma^m under g_t for each t in times.
+    """log ||sigma^m_t||_1, the log of the L1 norm over P of sigma^m under g_t, for each t.
 
     Through the factorization |sigma^m_t| = e^{-t f_m} |sigma^m_0|: the rule at resolution
     (``_fibers``) integrates against |sigma^m_0| / |sigma^m_0|(m) dx, its weights are summed
-    over each fiber once, and each t costs one exponential per fiber.  A vanishing mass or
-    a non-finite norm raises QuadratureError.
+    over each fiber once, and each t costs one exponential per fiber.  The log of a mass takes
+    log |sigma^m_0|(m) - t min f_m back; a vanishing mass has no log: QuadratureError.
     """
     push = _fibers(pot.polytope, pot.proj, resolution, m)
     masses, fmin = push.masses(None, ConcentrationWeight(m, pot.perturbation), times)
@@ -634,11 +634,5 @@ def l1_norms(pot: SymplecticPotential, m, resolution: int, times) -> list:
     for t, (mass,) in zip(map(float, times), masses):
         if not mass > 0:
             raise QuadratureError(f"vanishing fiber mass of sigma^{tuple(m)} at t={t:g}")
-        # the peak and e^{-t min f_m} are applied in log form: they may leave
-        # float64 where the norm does not
-        with np.errstate(over="ignore"):
-            l1 = float(np.exp(np.log(mass) + peak - t * fmin))
-        if not np.isfinite(l1):
-            raise QuadratureError(f"non-finite L1 norm of sigma^{tuple(m)} at t={t:g}")
-        norms.append(l1)
+        norms.append(float(np.log(mass) + peak - t * fmin))
     return norms

@@ -1,10 +1,9 @@
 """Monomial sections through their pointwise norms in the action-angle chart.
 
-Every normed quantity reduces to exponent algebra: the section indexed by a
-lattice point m has |sigma^m|(x) = exp(g(x) - <x - m, grad g(x)>), with the
-closed product form below for g0 (the t = 0 member, on facet values L (d, N)),
-and the convex weight f_m(x) = <x - m, grad psi(x)> - psi(x) controlling how
-the time-t norm factors through the t = 0 norm.
+Every norm is kept as its logarithm: the section indexed by a lattice point m has
+log |sigma^m|(x) = g(x) - <x - m, grad g(x)>, with the closed product form below for
+g0 (the t = 0 member, on facet values L (d, N)), and the convex weight f_m(x) =
+<x - m, grad psi(x)> - psi(x) controlling how the time-t norm factors through the t = 0 norm.
 """
 from __future__ import annotations
 
@@ -17,8 +16,8 @@ from .potential import SymplecticPotential
 from .subtorus import ConvexFunction
 
 
-def norm_matrix(pot: SymplecticPotential, ms, x, t=0.0):
-    """Rows |sigma^m_t|(x) = exp(g_t(x) - <x - m, grad g_t(x)>), one per lattice point.
+def log_norm_matrix(pot: SymplecticPotential, ms, x, t=0.0):
+    """Rows log |sigma^m_t|(x) = g_t(x) - <x - m, grad g_t(x)>, one per lattice point.
 
     g_t and grad g_t are evaluated once for all rows; x is (..., n) interior
     points, t broadcasts as in ``pot.value``, and the result has shape
@@ -27,7 +26,15 @@ def norm_matrix(pot: SymplecticPotential, ms, x, t=0.0):
     x = np.asarray(x, dtype=float)
     g, grad = pot.value(x, t), pot.gradient(x, t)
     ms = np.asarray(ms, dtype=float).reshape((len(ms),) + (1,) * (np.ndim(grad) - 1) + (-1,))
-    return np.exp(g - np.einsum("...i,...i->...", x - ms, grad))
+    return g - np.einsum("...i,...i->...", x - ms, grad)
+
+
+def peak_relative_gap(a, b):
+    """max |e^a - e^b| / max(1, max e^a) over the last axis, from the logs a and b, as
+    e^{a - max(0, max a)} |expm1(b - a)|: it leaves float64 only where the gap does, and
+    an absolute log difference would read the roundoff of a large exponent as a gap."""
+    top = np.maximum(0.0, np.max(a, axis=-1, keepdims=True))
+    return np.max(np.exp(a - top) * np.abs(np.expm1(b - a)), axis=-1)
 
 
 def _facet_values_at(P: DelzantPolytope, m):
@@ -64,17 +71,16 @@ def _log_norm_ratio(L, lm):
     return _log_norm_g0(L, lm) - _log_norm_g0(lm[:, None], lm)
 
 
-def closed_form_norm_g0(P: DelzantPolytope, m, x):
-    """The t = 0 norm prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m)-l_j(x))/2}.
+def closed_form_log_norm_g0(P: DelzantPolytope, m, x):
+    """log of the t = 0 norm prod_j l_j(x)^{l_j(m)/2} e^{(l_j(m)-l_j(x))/2} (``_log_norm_g0``).
 
-    Defined on all of P including the boundary; vanishes exactly on facets
-    with l_j(m) > 0 and agrees with norm_matrix on the interior.  Taken in
-    log form (_log_norm_g0), with one exp per point x (..., n); a stack of
-    lattice points m (M, n) on interior x gives shape (M,) + x.shape[:-1].
+    Defined on all of P including the boundary; -inf exactly on facets with
+    l_j(m) > 0, and equal to log_norm_matrix on the interior.  x is (..., n);
+    a stack of lattice points m (M, n) on interior x gives shape (M,) + x.shape[:-1].
     """
     x, lm = np.asarray(x, dtype=float), _facet_values_at(P, m)
     L = P.normal_matrix @ x.reshape(-1, P.dim).T + P.offset_vector[:, None]
-    return np.exp(_log_norm_g0(L, lm).reshape(lm.shape[:-1] + x.shape[:-1]))
+    return _log_norm_g0(L, lm).reshape(lm.shape[:-1] + x.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -97,15 +103,13 @@ class ConcentrationWeight:
 
 
 def norm_factorization_check(pot: SymplecticPotential, m, times, x):
-    """Residuals of |sigma^m_t| = e^{-t f_m} |sigma^m_0| at the points x, per t.
+    """Residuals of |sigma^m_t| = e^{-t f_m} |sigma^m_0| at the points x, one per t.
 
-    |sigma^m_0| and f_m are evaluated once, and |sigma^m_t| for every t in
-    one stacked call.  Returns two arrays over times: the max residual and
-    the max of |sigma^m_t| (the scale of the norms at that t).
+    log |sigma^m_0| and f_m are evaluated once, and log |sigma^m_t| for every t in one
+    stacked call; each residual is relative to max(1, max |sigma^m_t|) (``peak_relative_gap``).
     """
-    norm0 = norm_matrix(pot, [m], x)[0]
+    log0 = log_norm_matrix(pot, [m], x)[0]
     fm = ConcentrationWeight(m, pot.perturbation)(x)
-    t = np.reshape(times, (-1,) + (1,) * np.ndim(norm0))
-    lhs = norm_matrix(pot, [m], x, t)[0].reshape(len(t), -1)
-    res = np.abs(lhs - (np.exp(-t * fm) * norm0).reshape(len(t), -1))
-    return np.max(res, axis=1), np.max(lhs, axis=1)
+    t = np.reshape(times, (-1,) + (1,) * np.ndim(log0))
+    lhs = log_norm_matrix(pot, [m], x, t)[0].reshape(len(t), -1)
+    return peak_relative_gap(lhs, (log0 - t * fm).reshape(len(t), -1))

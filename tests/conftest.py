@@ -5,7 +5,8 @@ from toric_quant import (
     DelzantPolytope,
     SubtorusProjection,
     SymplecticPotential,
-    norm_matrix,
+    closed_form_log_norm_g0,
+    log_norm_matrix,
     quadratic,
 )
 
@@ -167,6 +168,21 @@ def fd_jacobian(f, x, h=1e-5):
         e[i] = h
         cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h))
     return np.stack(cols, axis=-1)
+
+
+def norm_matrix(pot, ms, x, t=0.0):
+    """The norms |sigma^m_t|(x) themselves, one row per lattice point: exp of the library's logs."""
+    return np.exp(log_norm_matrix(pot, ms, x, t))
+
+
+def closed_form_norm_g0(P, m, x):
+    """|sigma^m_0|(x) in closed form, 0 on the facets with l_j(m) > 0: exp of the library's logs."""
+    return np.exp(closed_form_log_norm_g0(P, m, x))
+
+
+def logs_close(a, b, rtol):
+    """np.allclose(e^a, e^b, rtol, atol=0) from the logs a and b, where e^a may leave float64."""
+    return bool(np.all(np.abs(np.expm1(np.subtract(a, b))) <= rtol))
 
 
 def trailing_axis_norm_g0(P, m, x):

@@ -15,7 +15,6 @@ from toric_quant import (
     SubtorusProjection,
     SymplecticPotential,
     box_rule,
-    closed_form_norm_g0,
     concentration_experiment,
     decay_report,
     flow_identity_residual,
@@ -25,7 +24,6 @@ from toric_quant import (
     lattice_points,
     make_rule,
     norm_factorization_check,
-    norm_matrix,
     quadratic,
     validate_potential,
     weight_multiplicities,
@@ -34,11 +32,13 @@ from toric_quant.potential import boundary_approach_samples, interior_samples
 from toric_quant.cli import emit, load_config, parse_weight, run
 
 from conftest import (
+    closed_form_norm_g0,
     degenerate_directions,
     g0_on,
     isotropy_defect,
     kahler_rows,
     limit_rows,
+    norm_matrix,
     radial_gram,
     sample_interior,
     torus_average,
@@ -187,7 +187,7 @@ def test_criterion_7_section_algebra():
             agree = max(agree, float(np.max(np.abs(
                 norm_matrix(pot, [m], pts)[0] - closed_form_norm_g0(P, m, pts)))))
     # L1 norm of sigma^0 on [0,1]
-    l1 = l1_norms(g0_on(INTERVAL), (0,), 256, [0.0])[0]
+    l1 = math.exp(l1_norms(g0_on(INTERVAL), (0,), 256, [0.0])[0])
     l1_gap = abs(l1 - 2.0 / 3.0)
     # factorization at 100 random (x, t)
     rng = np.random.default_rng(14)
@@ -195,7 +195,7 @@ def test_criterion_7_section_algebra():
     for P, proj, m in ((INTERVAL, PROJ1, (0,)), (SQUARE2, PROJ21, (1, 1))):
         pts = sample_interior(P, 100, seed=15)
         times = rng.uniform(0.0, 10.0, size=6)
-        res, _ = norm_factorization_check(SymplecticPotential(P, proj, PHI), m, times, pts)
+        res = norm_factorization_check(SymplecticPotential(P, proj, PHI), m, times, pts)
         fact = max(fact, *res)
     # theta-orthogonality across all lattice pairs of the square
     ms = lattice_points(SQUARE2)

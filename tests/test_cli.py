@@ -483,6 +483,13 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(cfg, "frobnicate")
 
+    @pytest.mark.parametrize("command", ["concentrate", "full-suite"])
+    def test_weight_that_is_not_a_string_is_bad_weight(self, tmp_path, command):
+        cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
+        with pytest.raises(ConfigError) as err:
+            run(cfg, command, {"u": 5})
+        assert err.value.code == "bad_weight" and "5" in str(err.value)
+
 
 class TestEmit:
     def test_json_deterministic(self, tmp_path):
@@ -729,9 +736,9 @@ class TestClosedFormCheck:
 
     @pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda p: p.stem)
     def test_agrees_with_per_point_loop(self, config):
-        from toric_quant import cli, lattice_points, norm_matrix, potential
+        from toric_quant import cli, lattice_points, potential
 
-        from conftest import trailing_axis_norm_g0
+        from conftest import norm_matrix, trailing_axis_norm_g0
 
         cfg = load_config(str(config))
         P = cfg.polytope
@@ -746,28 +753,27 @@ class TestClosedFormCheck:
         assert abs(report.outputs["closed_form_agreement"] - ref) <= 1e-15
 
 
+def _cli(argv):
+    """The command line in a fresh interpreter: its exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "toric_quant.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300, check=False)
+
+
 class TestOutOfRange:
     """Valid inputs whose norms leave float64 exit 2 with out_of_range, not a traceback."""
 
-    @pytest.mark.parametrize("case", ["sections_norms_8_simplex", "concentrate_huge_simplex"])
+    @pytest.mark.parametrize("case", ["concentrate_huge_simplex"])
     def test_exits_two_with_strict_json(self, tmp_path, case):
-        if case == "sections_norms_8_simplex":
-            # the L1 norm of sigma^(8, 0, 0) at t = 32 overflows
-            argv = ["sections-norms", str(REPO / "bench" / "fixtures" / "dilated_simplex8.json"),
-                    "--m", "8,0,0", "--t", "8,32"]
-        else:
-            # |sigma^0_0| at the vertex m = 0 of x + y <= 2^50 overflows on the rule, and
-            # scaled by its peak it underflows on every node: the mass vanishes
-            argv = ["concentrate", write_cfg(tmp_path, _simplex_cfg(2 ** 50)), "--m", "0,0"]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-m", "toric_quant.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=300, check=False)
+        # |sigma^0_0| at the vertex m = 0 of x + y <= 2^50 overflows on the rule, and
+        # scaled by its peak it underflows on every node: the mass vanishes
+        argv = ["concentrate", write_cfg(tmp_path, _simplex_cfg(2 ** 50)), "--m", "0,0"]
+        proc = _cli(argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         err = json.loads(proc.stderr, parse_constant=_reject_constant)["error"]
-        reason = "non-finite" if case == "sections_norms_8_simplex" else "degenerate"
-        assert err["code"] == "out_of_range" and reason in err["message"]
+        assert err["code"] == "out_of_range" and "degenerate" in err["message"]
 
 
     @pytest.mark.parametrize("config", ["configs/square2.json",  # box: the contraction
@@ -809,6 +815,72 @@ class TestOutOfRange:
         assert err.value.code == "out_of_range"
 
 
+def _dilated_cfg(kind, k):
+    """[0, k]^2 ("box") or k Delta^2 ("simplex") under A = [[1, 0]], Q = 1, at resolution 128."""
+    far = ([{"normal": [-1, 0], "offset": k}, {"normal": [0, -1], "offset": k}] if kind == "box"
+           else [{"normal": [-1, -1], "offset": k}])
+    return {"polytope": {"dim": 2, "facets": [{"normal": [1, 0], "offset": 0},
+                                              {"normal": [0, 1], "offset": 0}] + far},
+            "proj": [[1, 0]], "phi": {"type": "quadratic", "Q": [[1.0]]}, "resolution": 128}
+
+
+class TestLogNorms:
+    """sections-norms keeps every norm as a log: L1 norms past float64 report, both checks hold."""
+
+    @staticmethod
+    def _report(capsys, argv):
+        assert main(["sections-norms", *argv]) == 0
+        cap = capsys.readouterr()
+        payload = json.loads(cap.out, parse_constant=_reject_constant)
+        assert cap.err == "" and payload["flags"] == {
+            "closed_form_agrees": True, "factorization_within_tolerance": True}
+        return payload["outputs"]
+
+    def test_sections_norms_8_simplex_reports_finite_logs(self):
+        # the L1 norm of sigma^(8, 0, 0) at t = 32 is past float64, its log is not
+        proc = _cli(["sections-norms", str(REPO / "bench" / "fixtures" / "dilated_simplex8.json"),
+                     "--m", "8,0,0", "--t", "8,32"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+        logs = [row["log_l1_norm"] for row in payload["outputs"]["rows"]]
+        assert payload["passed"] is True and all(np.isfinite(logs))
+        assert logs[-1] > np.log(np.finfo(float).max)
+
+    @pytest.mark.parametrize("fixture,m", [("hirzebruch", "4,0"), ("square2_skew", "2,2"),
+                                           ("dilated_simplex8", "8,0,0")])
+    def test_fixtures_past_float64(self, capsys, fixture, m):
+        out = self._report(capsys, [str(REPO / "bench" / "fixtures" / f"{fixture}.json"), "--m", m])
+        assert max(row["log_l1_norm"] for row in out["rows"]) > np.log(np.finfo(float).max)
+
+    @pytest.mark.parametrize("third", [False, True], ids=["m0", "m_k3"])
+    @pytest.mark.parametrize("k", [16, 64, 256])
+    @pytest.mark.parametrize("kind", ["box", "simplex"])
+    def test_dilated_polygons(self, tmp_path, capsys, kind, k, third):
+        # m = (k // 3, k // 3) and [0, 256]^2 at m = 0 once exited 2 on an L1 norm past float64
+        m = k // 3 if third else 0
+        out = self._report(capsys, [write_cfg(tmp_path, _dilated_cfg(kind, k)), "--m", f"{m},{m}"])
+        assert out["m"] == [m, m] and len(out["rows"]) == 5
+
+    # the L1 norms as the linear form printed them, at t = 8, 16, 32, 64, 128
+    LINEAR = {"configs/square2.json": [70.56099948581686, 2837.2967433969743, 6085983.71913513,
+                                       38556299332760.945, 2.1614331571493722e+27],
+              "bench/fixtures/dilated_simplex6.json": [
+                  1290.8250440163595, 51118.882189476215, 108724964.28915632,
+                  689424285647648.6, 3.813813723415038e+28]}
+
+    @pytest.mark.parametrize("config", sorted(LINEAR))
+    def test_logs_keep_the_linear_norms(self, capsys, config):
+        logs = [row["log_l1_norm"] for row in self._report(capsys, [str(REPO / config)])["rows"]]
+        np.testing.assert_allclose(np.exp(logs), self.LINEAR[config], rtol=1e-13, atol=0)
+
+    def test_csv_column_is_the_log(self, capsys):
+        assert main(["sections-norms", str(REPO / "configs" / "square2.json"),
+                     "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t,log_l1_norm,factorization_residual"
+        assert float(lines[1].split(",")[1]) == pytest.approx(np.log(70.56099948581686), rel=1e-13)
+
+
 class TestLargeLinearTerm:
     """A valid phi with a large b: Newton stops at the rounding floor of grad g_t."""
 
@@ -827,9 +899,13 @@ class TestLargeLinearTerm:
                 cap = capsys.readouterr()
                 payload = json.loads(cap.out, parse_constant=_reject_constant)
                 assert payload["command"] == command and cap.err == ""
-            # the L1 norms leave float64 (ROADMAP item 7): a code, not a report
-            assert main(["sections-norms", path]) == 2
-        assert json.loads(capsys.readouterr().err)["error"]["code"] == "out_of_range"
+            # the L1 norms are logs and report; the exponents of |sigma^m_t| (near 1e8 at
+            # b = 1e6) round above the 1e-10 factorization tolerance
+            assert main(["sections-norms", path]) == 1
+        cap = capsys.readouterr()
+        payload = json.loads(cap.out, parse_constant=_reject_constant)
+        assert cap.err == "" and payload["flags"] == {
+            "closed_form_agrees": True, "factorization_within_tolerance": False}
 
     @pytest.mark.parametrize("command,b", [("legendre-roundtrip", 1e11), ("flow-check", 1e12)])
     def test_newton_past_the_rounding_floor_exits_two(self, tmp_path, capsys, command, b):
@@ -942,7 +1018,7 @@ class TestTimeFamilyOnce:
         norms, weights = [], []
         # the one-row calls are sigma^m's: the closed-form check takes all 9
         # lattice points of the square at once
-        self._counted(monkeypatch, sections, "norm_matrix",
+        self._counted(monkeypatch, sections, "log_norm_matrix",
                       lambda pot, ms, x, t=0.0: len(ms) == 1 and norms.append(
                           np.ravel(t).tolist()))
         self._counted(monkeypatch, sections.ConcentrationWeight, "__call__",

@@ -12,17 +12,23 @@ from toric_quant import (
     DomainBoundaryError,
     QuadratureError,
     SymplecticPotential,
-    closed_form_norm_g0,
     integrate,
     l1_norms,
     lattice_points,
     make_rule,
     norm_factorization_check,
-    norm_matrix,
     pullback,
 )
 
-from conftest import g0_on, radial_gram, sample_interior, torus_average, trailing_axis_norm_g0
+from conftest import (
+    closed_form_norm_g0,
+    g0_on,
+    norm_matrix,
+    radial_gram,
+    sample_interior,
+    torus_average,
+    trailing_axis_norm_g0,
+)
 
 
 def _norm(pot, m, x, t=0.0):
@@ -174,12 +180,12 @@ class TestFactorization:
     def test_zero_at_t_zero(self, interval, proj_id1, phi_half_square):
         pts = sample_interior(interval, 10, seed=3)
         pot0 = SymplecticPotential(interval, proj_id1, phi_half_square)
-        res, _ = norm_factorization_check(pot0, (0,), [0.0], pts)
+        res = norm_factorization_check(pot0, (0,), [0.0], pts)
         assert res.tolist() == [0.0]
 
     def test_interval_t3(self, interval, proj_id1, phi_half_square):
         pot0 = SymplecticPotential(interval, proj_id1, phi_half_square)
-        res, _ = norm_factorization_check(pot0, (0,), [3.0], np.array([[0.5]]))
+        res = norm_factorization_check(pot0, (0,), [3.0], np.array([[0.5]]))
         assert res[0] < 1e-12
 
     @pytest.mark.parametrize("fixture,rows,m", [
@@ -194,8 +200,8 @@ class TestFactorization:
         proj = SubtorusProjection(rows)
         rng = np.random.default_rng(14)
         pts = sample_interior(P, 100, seed=15)
-        res, _ = norm_factorization_check(SymplecticPotential(P, proj, phi_half_square), m,
-                                          rng.uniform(0.0, 10.0, size=8), pts)
+        res = norm_factorization_check(SymplecticPotential(P, proj, phi_half_square), m,
+                                       rng.uniform(0.0, 10.0, size=8), pts)
         assert max(res) < 1e-10
 
     @pytest.mark.parametrize("fixture,rows,m", [
@@ -212,14 +218,15 @@ class TestFactorization:
         times = (0.0, 2.5, 9.0, 31.0)
         pot0 = SymplecticPotential(P, proj, phi_half_square)
         fm = ConcentrationWeight(m, pot0.perturbation)
-        ref_res, ref_peak = [], []
-        for t in times:  # the per-t loop: every norm and f_m afresh
-            lhs = _norm(pot0, m, pts, t)
-            rhs = np.exp(-t * fm(pts)) * _norm(pot0, m, pts)
-            ref_res.append(float(np.max(np.abs(lhs - rhs))))
-            ref_peak.append(float(np.max(lhs)))
+        ref_res = []
+        for t in times:  # the per-t loop: every log-norm and f_m afresh
+            lhs = sections.log_norm_matrix(pot0, [m], pts, t)[0]
+            rhs = sections.log_norm_matrix(pot0, [m], pts)[0] - t * fm(pts)
+            # max |e^lhs - e^rhs| / max(1, max e^lhs), taken from the logs
+            gap = np.exp(lhs - max(0.0, lhs.max())) * np.abs(np.expm1(rhs - lhs))
+            ref_res.append(float(np.max(gap)))
         calls = {"norm": 0, "fm": 0}
-        real_norm, real_fm = sections.norm_matrix, ConcentrationWeight.__call__
+        real_norm, real_fm = sections.log_norm_matrix, ConcentrationWeight.__call__
 
         def norm(pot, ms, x, t=0.0):
             calls["norm"] += 1
@@ -229,11 +236,10 @@ class TestFactorization:
             calls["fm"] += 1
             return real_fm(self, x)
 
-        monkeypatch.setattr(sections, "norm_matrix", norm)
+        monkeypatch.setattr(sections, "log_norm_matrix", norm)
         monkeypatch.setattr(ConcentrationWeight, "__call__", weight)
-        res, peaks = norm_factorization_check(pot0, m, times, pts)
+        res = norm_factorization_check(pot0, m, times, pts)
         assert res.tolist() == ref_res
-        assert peaks.tolist() == ref_peak
         # |sigma_0| once, |sigma_t| for every t in one stacked call, f_m once
         assert calls == {"norm": 2, "fm": 1}
 
@@ -247,20 +253,20 @@ class TestFactorization:
                                 name=name: seen[name].append(np.shape(x)) or real(P, x))
         pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         pts = sample_interior(square2, 30, seed=2)
-        res, peaks = norm_factorization_check(pot0, (1, 1), (1.0, 4.0, 16.0, 64.0), pts)
-        assert res.shape == peaks.shape == (4,)
-        assert np.all(res < 1e-10 * np.maximum(1.0, peaks))
+        res = norm_factorization_check(pot0, (1, 1), (1.0, 4.0, 16.0, 64.0), pts)
+        assert res.shape == (4,)
+        assert np.all(res < 1e-10)  # relative to max(1, max |sigma^m_t|)
         # once for |sigma^m_0| and once for |sigma^m_t| at every t
         assert seen == {"g0_value": [(30, 2)] * 2, "g0_gradient": [(30, 2)] * 2}
 
 
 class TestL1AndBasis:
     def test_interval_m0_integral(self, interval):
-        assert l1_norms(g0_on(interval), (0,), 256, [0.0]) == \
+        assert np.exp(l1_norms(g0_on(interval), (0,), 256, [0.0])).tolist() == \
             [pytest.approx(2.0 / 3.0, abs=1e-6)]
 
     def test_interval_m1_by_symmetry(self, interval):
-        assert l1_norms(g0_on(interval), (1,), 256, [0.0]) == \
+        assert np.exp(l1_norms(g0_on(interval), (1,), 256, [0.0])).tolist() == \
             [pytest.approx(2.0 / 3.0, abs=1e-6)]
 
     def test_l1_norms_equal_one_time_at_a_time(self, simplex, phi_half_square):
@@ -275,7 +281,7 @@ class TestL1AndBasis:
         # l1_norms takes it through e^{-t f_m} |sigma^m_0|, in another order
         ref = [integrate(lambda x, t=t: _norm(pot, (0, 1), x, t), rule) for t in times]
         got = l1_norms(pot, (0, 1), 32, times)
-        assert np.allclose(got, ref, rtol=1e-12, atol=0)
+        assert np.allclose(np.exp(got), ref, rtol=1e-12, atol=0)
         assert [l1_norms(pot, (0, 1), 32, [t])[0] for t in times] == got
 
     def test_l1_norms_blocked_equal_whole_rule(self, square2, phi_half_square, monkeypatch):
@@ -295,7 +301,7 @@ class TestL1AndBasis:
             peak = tracemalloc.get_traced_memory()[1] / (8.0 * rule.size)
         finally:
             tracemalloc.stop()
-        assert np.allclose(got, ref, rtol=1e-12, atol=0)
+        assert np.allclose(np.exp(got), ref, rtol=1e-12, atol=0)
         monkeypatch.setattr(quadrature, "NODE_BLOCK", rule.size)
         assert l1_norms(pot, (1, 1), 512, times) == got
         # per-fiber arrays only: the weight sums touch no node (0.035 node
@@ -327,7 +333,7 @@ class TestL1AndBasis:
         real = quadrature._log_norm_ratio
         monkeypatch.setattr(quadrature, "_log_norm_ratio",
                             lambda L, lm: seen.append(L.shape[1]) or real(L, lm))
-        assert np.allclose(l1_norms(pot, m, 40, times), ref, rtol=1e-12, atol=0)
+        assert np.allclose(np.exp(l1_norms(pot, m, 40, times)), ref, rtol=1e-12, atol=0)
         # a box folds the norm in axis by axis, on its 2 x 40 axis nodes and no tensor
         # node; segment fibers take it once per node, and on a rule of several level blocks
         # (the 3-simplex) once per segment for the facets parallel to its segments
@@ -344,12 +350,11 @@ class TestL1AndBasis:
     def test_mass_ratio_stabilizes(self, square2, proj_first_of_two, phi_half_square):
         # ||sigma_t||_1 / ||e^{-t f_m}||_1 approaches a finite constant
         from toric_quant.quadrature import make_rule as mk
-        from toric_quant.sections import closed_form_norm_g0 as cf
 
         w = ConcentrationWeight((1, 1), pullback(phi_half_square, proj_first_of_two))
         rule = mk(square2, 256)
         f = w(rule.points)
-        base = cf(square2, (1, 1), rule.points)
+        base = closed_form_norm_g0(square2, (1, 1), rule.points)
         fmin = f.min()
 
         def ratio(t):
