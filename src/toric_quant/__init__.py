@@ -53,7 +53,6 @@ from .quadrature import (
     TensorRule,
     box_rule,
     concentration_experiment,
-    integrate,
     l1_norms,
     make_rule,
 )

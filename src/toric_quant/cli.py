@@ -352,7 +352,7 @@ def _cmd_flow_check(cfg, opts):
 
 def _cmd_polarization_limit(cfg, opts):
     P = cfg.polytope
-    npoints = int(opts.get("points") or 10)
+    npoints = opts.get("points") or 10
     bary = P.barycenter_array()
     # halfway-to-center mixtures: keeps the slope fit in its asymptotic window
     pts = bary + 0.5 * (potential.interior_samples(P, npoints, seed=_SEED) - bary)
@@ -386,7 +386,8 @@ def _cmd_sections_norms(cfg, opts):
     per_t = [{"t": float(t), "log_l1_norm": l1, "factorization_residual": r}
              for t, l1, r in zip(t_list, logs, res)]
     worst = max(res)
-    ms = lattice_points(P)
+    # both sides are affine in m, so P's vertices (lattice points) suffice; m adds its own row
+    ms = [v.as_array() for v in P.vertices] + [np.asarray(m, dtype=float)]
     agree = float(np.max(sections.peak_relative_gap(
         sections.log_norm_matrix(family, ms, pts), sections.closed_form_log_norm_g0(P, ms, pts))))
     out = {"m": list(m), "rows": per_t, "max_factorization_residual": worst,
@@ -454,14 +455,15 @@ def _check_options(cfg: ExperimentConfig, command: str, options: dict) -> dict:
         raise ConfigError("bad_slope_t_list",
                           f"{command} fits a slope in log t: it needs at least two "
                           f"times, all > 0 (got {list(t_list)})")
-    if options.get("m") is not None:
-        m = tuple(options["m"])
-        if len(m) != P.dim or not all(isinstance(v, (int, np.integer)) for v in m):
-            raise ConfigError("bad_m", f"m must be {P.dim} integers (got {list(m)})")
+    if (m := options.get("m")) is not None:
+        if not np.iterable(m) or len(m := list(m)) != P.dim or not all(  # a bool is no integer
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in m):
+            raise ConfigError("bad_m", f"m must be {P.dim} integers (got {m!r})")
         if not P.contains(m):
-            raise ConfigError("m_outside_polytope", f"m = {list(m)} is not a point of P")
-    if options.get("points") is not None and int(options["points"]) < 1:
-        raise ConfigError("bad_points", "points must be at least 1")
+            raise ConfigError("m_outside_polytope", f"m = {m} is not a point of P")
+    points = options.get("points")
+    if points is not None and (type(points) is not int or points < 1):
+        raise ConfigError("bad_points", f"points must be an integer of at least 1 (got {points!r})")
     return options
 
 

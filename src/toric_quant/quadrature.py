@@ -1,19 +1,20 @@
 """Rules for the section norms on the fibers of y = A x, the concentration runs and L1 norms.
 
 Every fold of the norm takes one scale, |sigma^m_0| / |sigma^m_0|(m) <= 1 (``_log_norm_ratio``):
-R_t and R_infinity are ratios, and the L1 norms are logs that add the peak back.  A box under
-an A whose rows pick coordinate axes gets a tensor Gauss-Legendre rule kept as its per-axis
-factors, with the norm folded into each axis's weights (``TensorRule``), and its fibers are
-contractions of those factors (``AxisFibers``: a ``Polynomial`` weight is evaluated on no
-node).  Every other input takes ``segment_fibers``: in a lattice frame x = U w with
-A U = [I | 0], P is cut into panels at the vertices of its slices, depth by depth, with
-cosine-mapped Gauss nodes on each panel and on each leaf segment, along which every facet
-value is affine and the norm is folded in (``NodeFibers``).  Every weight e^{-t f_m}
-depends on y alone, so the concentration runs and the L1 norms pay per node once and per
-fiber for each t.  The concentration experiment reproduces the localization of
-L1-normalized sections onto the slice through their lattice point, with the slice pairing
-as the t = infinity reference value (``slice_pairing``): box fibers read it off their
-fiber-axis moments, any other input off the same segment rule at the one level y_m.
+R_t and R_infinity are ratios, and the L1 norms are logs that add the peak back.  Every run
+takes its fibers from ``_fibers``.  A box under an A whose rows pick coordinate axes gets a
+tensor Gauss-Legendre rule kept as its per-axis factors, with the norm folded into each
+axis's weights (``TensorRule``), and its fibers are contractions of those factors
+(``AxisFibers``: a ``Polynomial`` weight is evaluated on no node).  Every other input takes
+``segment_fibers``: in a lattice frame x = U w with A U = [I | 0], P is cut into panels at
+the vertices of its slices, depth by depth, with cosine-mapped Gauss nodes on each panel and
+on each leaf segment, along which every facet value is affine and the norm is folded in
+(``NodeFibers``).  Every weight e^{-t f_m} depends on y alone, so the concentration runs and
+the L1 norms pay per node once and per fiber for each t.  The concentration experiment
+reproduces the localization of L1-normalized sections onto the slice through their lattice
+point, with the slice pairing as the t = infinity reference value: box fibers read it off
+their fiber-axis moments (``slice_pairing``), any other input off the same segment rule at
+the one level y_m (``_fiber_mean``).
 """
 from __future__ import annotations
 
@@ -46,16 +47,15 @@ class GridOverflowError(QuadratureError):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and weights.  A segment rule keeps its nodes as segments, node j of segment p at
-    base[p] + s[p, j] step: ``points`` builds them all on first read, ``nodes(idx)`` the
-    nodes idx alone.  Without s, base holds the points."""
+    """The nodes and weights of ``segment_fibers``, kept as segments: node j of segment p is
+    at base[p] + s[p, j] step.  ``points`` builds them all on first read, ``nodes(idx)`` the
+    nodes idx alone."""
 
-    kind: str  # "segment"; "gauss" for a materialized TensorRule
-    resolution: int
-    base: np.ndarray  # (N, dim), or (segments, dim) with s and step
+    base: np.ndarray  # (segments, dim)
     weights: np.ndarray  # (N,)
-    s: np.ndarray | None = None  # (segments, nodes per segment)
-    step: np.ndarray | None = None  # (dim,)
+    s: np.ndarray  # (segments, nodes per segment)
+    step: np.ndarray  # (dim,)
+    kind = "segment"
 
     @property
     def size(self) -> int:
@@ -65,15 +65,11 @@ class QuadratureRule:
         return float(self.weights.sum())
 
     def nodes(self, idx) -> np.ndarray:
-        if self.s is None:
-            return self.base[idx]
         p, j = np.divmod(idx, self.s.shape[1])
         return self.base[p] + self.s[p, j, None] * self.step
 
     @cached_property
     def points(self) -> np.ndarray:
-        if self.s is None:
-            return self.base
         out = np.empty(self.s.shape + self.step.shape)
         for i, d in enumerate(self.step):  # a broadcast over the coordinate axis takes 8x as long
             np.add(self.base[:, i, None], self.s * d, out=out[..., i])
@@ -96,12 +92,8 @@ class Polynomial:
 
 @dataclass(frozen=True, eq=False)
 class TensorRule:
-    """A tensor Gauss rule kept as its factors, one (nodes, weights) pair per axis.
-
-    The product's ``points`` (N, dim) and ``weights`` (N,), in meshgrid
-    "ij" order, are built on first read; ``AxisFibers`` contracts the
-    factors instead.
-    """
+    """A tensor Gauss rule kept as its factors, one (nodes, weights) pair per axis, which
+    ``AxisFibers`` contracts: no node of the product is built."""
 
     resolution: int
     axes: tuple  # ((nodes, weights), ...), one pair per axis
@@ -114,13 +106,6 @@ class TensorRule:
 
     def total_weight(self) -> float:
         return float(prod(w.sum() for _, w in self.axes))
-
-    @cached_property
-    def _product(self):
-        return _tensor_product(self.axes)
-
-    points = property(lambda self: self._product[0])
-    weights = property(lambda self: self._product[1])
 
 
 @lru_cache(maxsize=32)
@@ -169,20 +154,6 @@ def _tensor_axes(bounds, resolution, factor=None):
     if factor is not None:  # a product weight, one factor(i, nodes) per axis
         axes = [(nodes, w * factor(i, nodes)) for i, (nodes, w) in enumerate(axes)]
     return tuple(axes)
-
-
-def _tensor_product(axes):
-    """The nodes of per-axis (nodes, weights) in meshgrid "ij" order, and their weights.
-
-    Each coordinate is broadcast into the (N, dim) array and the weights
-    are the running outer product (w_1 w_2) w_3 ..., so no full-size
-    meshgrid copies are made.
-    """
-    dim = len(axes)
-    points = np.empty(tuple(len(nodes) for nodes, _ in axes) + (dim,))
-    for i, (nodes, _) in enumerate(axes):
-        points[..., i] = nodes.reshape((-1,) + (1,) * (dim - 1 - i))
-    return points.reshape(-1, dim), _outer([w for _, w in axes])
 
 
 def _axis_norms(P: DelzantPolytope, m):
@@ -278,7 +249,7 @@ class NodeFibers(Pushforward):
 
 
 class AxisFibers(Pushforward):
-    """The fibers of a tensor rule under an A whose rows pick the image axes.
+    """The fibers of a tensor rule under an A (proj) whose rows pick the image axes.
 
     Every fiber is the product grid Z of the other axes, and the fibers
     are the image grid in "ij" order.  With (s_i, w_i) the norm-folded axis
@@ -291,8 +262,8 @@ class AxisFibers(Pushforward):
     behind R_infinity (``slice_pairing``).
     """
 
-    def __init__(self, rule: TensorRule, image: tuple):
-        axes = rule.axes
+    def __init__(self, rule: TensorRule, proj: SubtorusProjection):
+        axes, image = rule.axes, tuple(int(np.flatnonzero(r)[0]) for r in proj.array)
         self.rule, self.image = rule, image
         self.fiber = tuple(i for i in range(len(axes)) if i not in image)
         self.wy = _outer([axes[i][1] for i in image])
@@ -358,11 +329,6 @@ def _finite(vals, x):
         where = x[np.argmax(bad.reshape(-1, len(x)).any(axis=0))]
         raise QuadratureError(f"non-finite integrand value at {tuple(where.tolist())}")
     return vals
-
-
-def pushforward(rule: TensorRule, proj: SubtorusProjection) -> AxisFibers:
-    """The fibers of a box's tensor rule under an A whose rows pick coordinate axes."""
-    return AxisFibers(rule, tuple(int(np.flatnonzero(r)[0]) for r in proj.array))
 
 
 # nodes per segment fiber: R_t and R_inf move by < 1e-14 from 32 to 128 on the shipped polygons
@@ -483,40 +449,31 @@ def segment_fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int
     img = img[owner]
     starts = np.arange(S.size) if k == n else S.shape[1] * np.flatnonzero(
         np.r_[True, img[1:] != img[:-1]])
-    return NodeFibers(QuadratureRule("segment", S.shape[1], X[owner], W.reshape(-1), S, U[:, -1]),
-                      starts)
+    return NodeFibers(QuadratureRule(X[owner], W.reshape(-1), S, U[:, -1]), starts)
 
 
 def _fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int, m) -> Pushforward:
     """The fibers of y = A x under |sigma^m_0| / |sigma^m_0|(m) dx: the contracted box rule
     when every row of A picks a coordinate axis of a box, else ``segment_fibers``."""
     if P.is_box and np.all(np.count_nonzero(proj.array, axis=1) == 1):
-        return pushforward(box_rule(P, resolution, m), proj)
+        return AxisFibers(box_rule(P, resolution, m), proj)
     return segment_fibers(P, proj, resolution, m)
 
 
-def integrate(f, rule: QuadratureRule) -> float:
-    """Weighted sum of f over the rule points (one fiber); rejects non-finite values."""
-    return float(NodeFibers(rule, np.zeros(1, dtype=int)).sums(f)[1, 0])
-
-
-def slice_pairing(push: Pushforward | None, P: DelzantPolytope, proj: SubtorusProjection, m, u,
+def slice_pairing(push: AxisFibers, P: DelzantPolytope, proj: SubtorusProjection, m, u,
                   resolution: int) -> float:
-    """R_infinity, the mean of u against |sigma^m_0| on the fiber through m.
+    """R_infinity, the mean of u against |sigma^m_0| on the box fiber through m.
 
-    Box fibers (push, the R_t rule's) read it off their fiber-axis moments at image exponent
-    0 (of a resolution-node rule when theirs has fewer nodes): the rule's center is m, so
+    push, the box fibers of R_t, read it off their fiber-axis moments at image exponent 0
+    (of a resolution-node rule when theirs has fewer nodes): the rule's center is m, so
     every term with an image exponent vanishes at y_m = A m, and the image weights are
-    constant on the slice and cancel.  Any other input takes F_u(y_m) / F_1(y_m) from
-    ``segment_fibers`` at the one level y_m (``_fiber_mean``, which ``concentration_experiment``
-    calls itself).  Every path ends in ``_pairing``, where the ratio is taken and checked.
+    constant on the slice and cancel.  Segment fibers take ``_fiber_mean``.  Both end in
+    ``_pairing``, where the ratio is taken and checked.
     """
-    if isinstance(push, AxisFibers):
-        if push.rule.resolution < resolution:
-            push = AxisFibers(box_rule(P, resolution, m), push.image)
-        den, num = (M.flat[0] for M in push.moments(u))
-        return _pairing(den, num, m)
-    return _fiber_mean(P, proj, m, u)[0]
+    if push.rule.resolution < resolution:
+        push = AxisFibers(box_rule(P, resolution, m), proj)
+    den, num = (M.flat[0] for M in push.moments(u))
+    return _pairing(den, num, m)
 
 
 def _fiber_mean(P: DelzantPolytope, proj: SubtorusProjection, m, u):

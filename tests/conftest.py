@@ -9,6 +9,7 @@ from toric_quant import (
     log_norm_matrix,
     quadratic,
 )
+from toric_quant.quadrature import NodeFibers, QuadratureRule, TensorRule, _outer
 
 
 @pytest.fixture
@@ -130,8 +131,38 @@ def degenerate_directions(rows, tol: float = 1e-10):
     return int(counts) if counts.ndim == 0 else counts
 
 
+def tensor_product(axes):
+    """The nodes of per-axis (nodes, weights) in meshgrid "ij" order, and their weights.
+
+    Each coordinate is broadcast into the (N, dim) array and the weights
+    are the running outer product (w_1 w_2) w_3 ..., so no full-size
+    meshgrid copies are made.
+    """
+    dim = len(axes)
+    points = np.empty(tuple(len(nodes) for nodes, _ in axes) + (dim,))
+    for i, (nodes, _) in enumerate(axes):
+        points[..., i] = nodes.reshape((-1,) + (1,) * (dim - 1 - i))
+    return points.reshape(-1, dim), _outer([w for _, w in axes])
+
+
+def node_rule(rule):
+    """A rule as its nodes and weights: a tensor rule's product (``tensor_product``) as the
+    segment form with one node per segment, s = 0 and step = 0, which keep the points' bits;
+    a segment rule as it is."""
+    if not isinstance(rule, TensorRule):
+        return rule
+    points, weights = tensor_product(rule.axes)
+    return QuadratureRule(points, weights, np.zeros((len(weights), 1)), np.zeros(points.shape[1]))
+
+
+def integrate(f, rule) -> float:
+    """Weighted sum of f over the rule points (one fiber); rejects non-finite values."""
+    return float(NodeFibers(node_rule(rule), np.zeros(1, dtype=int)).sums(f)[1, 0])
+
+
 def radial_gram(pot, ms, rule):
     """Gram matrix G = S diag(w) S^T of the radial pairings on a rule, S = norm_matrix."""
+    rule = node_rule(rule)
     S = norm_matrix(pot, ms, rule.points)
     return (S * rule.weights) @ S.T
 

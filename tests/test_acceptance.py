@@ -38,6 +38,7 @@ from conftest import (
     isotropy_defect,
     kahler_rows,
     limit_rows,
+    node_rule,
     norm_matrix,
     radial_gram,
     sample_interior,
@@ -304,7 +305,7 @@ def test_criterion_8c_interval_delta_limit_mean_bound():
     the ~ -1 of interior lattice points in 8b.
     """
     t_list = (32.0, 64.0, 128.0)
-    rule = box_rule(INTERVAL, 256)
+    rule = node_rule(box_rule(INTERVAL, 256))
     x = rule.points[:, 0]
     means = []
     for t in t_list:

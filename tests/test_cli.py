@@ -668,6 +668,14 @@ class TestOptionChecks:
         ("concentrate", {"m": (1, 1, 1)}, "bad_m"),
         ("concentrate", {"m": (1,)}, "bad_m"),
         ("polarization-limit", {"points": 0}, "bad_points"),
+        # library callers: no int() truncation or traceback on a value of another type
+        ("concentrate", {"m": (True, 1)}, "bad_m"),
+        ("concentrate", {"m": (1.0, 1)}, "bad_m"),
+        ("concentrate", {"m": 5}, "bad_m"),
+        ("polarization-limit", {"points": "abc"}, "bad_points"),
+        ("polarization-limit", {"points": [2]}, "bad_points"),
+        ("polarization-limit", {"points": 2.5}, "bad_points"),
+        ("polarization-limit", {"points": True}, "bad_points"),
     ])
     def test_bad_options_raise_config_error(self, tmp_path, command, opts, code):
         cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
@@ -732,25 +740,42 @@ class TestSmokeMatrix:
 
 
 class TestClosedFormCheck:
-    """sections-norms checks the closed form at every lattice point in one stacked call."""
+    """sections-norms checks the closed form at the vertices of P and at m in one stacked call:
+    both sides are affine in m, so they agree on P once they agree at its vertices."""
 
     @pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda p: p.stem)
     def test_agrees_with_per_point_loop(self, config):
-        from toric_quant import cli, lattice_points, potential
+        from toric_quant import cli, potential
 
         from conftest import norm_matrix, trailing_axis_norm_g0
 
         cfg = load_config(str(config))
         P = cfg.polytope
-        # the reference: one (N, d) closed form per lattice point, row by row
+        report = run(cfg, "sections-norms")
+        # the reference: one (N, d) closed form per vertex and at m, row by row
         pts = potential.interior_samples(P, 100, seed=cli._SEED)
-        ms = lattice_points(P)
+        ms = [tuple(int(c) for c in v.point) for v in P.vertices] + [tuple(report.outputs["m"])]
         rows = norm_matrix(potential.SymplecticPotential(P, cfg.proj, cfg.phi), ms, pts)
         ref = max(float(np.max(np.abs(row - trailing_axis_norm_g0(P, m, pts))))
                   / max(1.0, float(np.max(row))) for m, row in zip(ms, rows))
-        report = run(cfg, "sections-norms")
         assert report.flags["closed_form_agrees"]
         assert abs(report.outputs["closed_form_agreement"] - ref) <= 1e-15
+
+    @pytest.mark.parametrize("m", [0, 341])
+    @pytest.mark.parametrize("kind", ["box", "simplex"])
+    def test_large_polygon_is_bounded(self, tmp_path, capsys, kind, m):
+        # a row per lattice point of [0, 1024]^2 took 12.9 s and 5.1 GB; at (341, 341) the
+        # factorization flag may fail on roundoff, hence exit 0 or 1
+        path = write_cfg(tmp_path, _dilated_cfg(kind, 1024))
+        tracemalloc.start()
+        try:
+            code = main(["sections-norms", path, "--m", f"{m},{m}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code in (0, 1) and payload["flags"]["closed_form_agrees"] is True
+        assert peak < 200e6
 
 
 def _cli(argv):

@@ -19,7 +19,6 @@ from toric_quant import (
     SymplecticPotential,
     box_rule,
     concentration_experiment,
-    integrate,
     l1_norms,
     lattice_points,
     make_rule,
@@ -29,11 +28,10 @@ from toric_quant import (
 from toric_quant import ProjectionError, quadrature
 from toric_quant.cli import load_config, main, parse_weight
 from toric_quant.quadrature import (FIBER_NODES, NODE_BLOCK, AxisFibers, NodeFibers,
-                                    QuadratureRule, TensorRule, _gauss_axis, _tensor_axes,
-                                    _tensor_product, pushforward)
+                                    QuadratureRule, TensorRule, _gauss_axis, _tensor_axes)
 from toric_quant.sections import _log_norm_ratio
 
-from conftest import closed_form_norm_g0, logs_close
+from conftest import closed_form_norm_g0, integrate, logs_close, node_rule, tensor_product
 from test_polytope import small_delzant
 
 
@@ -45,7 +43,7 @@ class TestRules:
     def test_box_total_weight_is_volume(self, square2):
         rule = box_rule(square2, 16)
         assert rule.total_weight() == pytest.approx(4.0, abs=1e-8)
-        assert np.all(rule.weights > 0)
+        assert np.all(node_rule(rule).weights > 0)
 
     def test_segment_rule_volume(self, simplex):
         # a polytope that is not a box takes the segment rule under y = x_1
@@ -79,10 +77,10 @@ class TestRules:
         assert _gauss_legendre(24)[0] is nodes
         assert not nodes.flags.writeable and not weights.flags.writeable
         # a rule built from the cache is not a view that could alter it
-        rule = box_rule(square2, 24)
-        rule.points[:] = 0.0
+        for nodes, _ in box_rule(square2, 24).axes:
+            nodes[:] = 0.0
         assert np.array_equal(_gauss_legendre(24)[0], kept)
-        assert np.array_equal(box_rule(square2, 24).points[:, 0], np.repeat(1.0 + kept, 24))
+        assert np.array_equal(box_rule(square2, 24).axes[0][0], 1.0 + kept)
 
     @pytest.mark.parametrize("n", [8, 9, 24, 1024])
     def test_gauss_legendre_exact_to_degree_2n_minus_1(self, n):
@@ -137,7 +135,7 @@ class TestNodeBlocks:
     def test_tensor_rule_bitwise_meshgrid(self):
         for bounds in ([(0, 1)], [(0, 2), (-1, 3)], [(0.5, 7), (-3, 1.25), (0, 1)]):
             for resolution in (8, 33, 64):
-                got = _tensor_product(_tensor_axes(bounds, resolution))
+                got = tensor_product(_tensor_axes(bounds, resolution))
                 ref = _meshgrid_rule(bounds, resolution)
                 for a, b in zip(got, ref):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -145,9 +143,8 @@ class TestNodeBlocks:
     def test_fiber_sums_blocked_equal_whole(self, square2):
         # node fibers: fibers of 260 nodes straddle the block edges; the
         # last block holds one node
-        rule = box_rule(square2, 260)
-        rule = QuadratureRule(rule.kind, 260, rule.points[:2 * NODE_BLOCK + 1],
-                              rule.weights[:2 * NODE_BLOCK + 1])
+        rule, k = node_rule(box_rule(square2, 260)), 2 * NODE_BLOCK + 1
+        rule = QuadratureRule(rule.points[:k], rule.weights[:k], np.zeros((k, 1)), np.zeros(2))
         push = NodeFibers(rule, np.arange(0, rule.size, 260))
         h = lambda x: (closed_form_norm_g0(square2, (1, 1), x), x[..., 0] ** 2 + x[..., 1])
         # the weights themselves are the first row
@@ -157,12 +154,9 @@ class TestNodeBlocks:
         assert np.array_equal(push.sums(None), push.sums(h)[:1])
 
     def test_box_rule_builds_no_meshgrid_copies(self, square2):
-        # the rule is its axis factors; its points and weights, built when
-        # read, are three node vectors (two coordinates, one weight)
-        rule = box_rule(square2, 512)  # and the Gauss-Legendre cache
+        # the rule is its axis factors
+        box_rule(square2, 512)  # the Gauss-Legendre cache
         assert _peak_node_vectors(lambda: box_rule(square2, 512), 512 ** 2) < 0.01
-        assert _peak_node_vectors(lambda: rule.points, 512 ** 2) < 4.0
-        assert rule.weights.shape == (512 ** 2,)
 
     def test_concentration_temporaries_stay_blocked(self, square2, proj_first_of_two,
                                                    phi_half_square):
@@ -288,8 +282,7 @@ class TestPushforward:
 
     def test_first_nodes_and_non_finite_values(self, square2, proj_first_of_two):
         rule = box_rule(square2, 16)
-        push = pushforward(rule, proj_first_of_two)
-        assert isinstance(push, AxisFibers)
+        push = AxisFibers(rule, proj_first_of_two)
         assert np.array_equal(push.at_fibers(lambda x: x[..., 0]), rule.axes[0][0])
         assert np.array_equal(push.at_fibers(lambda x: x[..., 1]), np.full(16, rule.axes[1][0][0]))
         # x2^2000 overflows for x2 > 1.42: the contraction names the fiber's first node
@@ -400,15 +393,14 @@ class TestAxisFibers:
         times = (0.0, 3.0, 40.0)
         # small blocks, so blocks split fibers and hold several
         with mock.patch.object(quadrature, "NODE_BLOCK", block):
-            push = pushforward(rule, proj)
+            push = AxisFibers(rule, proj)
             sums, first, (masses, fmin) = push.sums(u), push.at_fibers(f), push.masses(u, f, times)
             one, plain = push.sums(parse_weight("1", P.dim)), push.sums(None)
-        assert isinstance(push, AxisFibers)
         # u = 1 gives the weight sums bit for bit
         assert one.shape == (2, res ** len(image))
         assert np.array_equal(one[1], one[0]) and np.array_equal(plain, one[:1])
         # node grouping on the materialized tensor points
-        nodes = QuadratureRule(rule.kind, res, rule.points, rule.weights)
+        nodes = node_rule(rule)
         grouped = _grouped(nodes, proj)
         # every comparison within 1e-13 of the same sums of the majorant of
         # u's expansion about m (the weight sums: rtol), which bounds the
@@ -436,9 +428,8 @@ class TestAxisFibers:
                         ("(x2-1)^16 + (x1-1)^11", (1, 1)), ("x1^16 * (2 - x2)", (0, 2))):
             u, rule, times = parse_weight(expr, 2), make_rule(square2, 128, m), (8.0, 128.0, 2048.0)
             f = ConcentrationWeight(m, pullback(phi_half_square, proj_first_of_two))
-            got, _ = pushforward(rule, proj_first_of_two).masses(u, f, times)
-            grouped = _grouped(QuadratureRule(rule.kind, 128, rule.points, rule.weights),
-                               proj_first_of_two)
+            got, _ = AxisFibers(rule, proj_first_of_two).masses(u, f, times)
+            grouped = _grouped(node_rule(rule), proj_first_of_two)
             ref, _ = grouped.masses(u, f, times)
             scale, _ = grouped.masses(lambda x: np.abs(u(x)), f, times)
             assert np.all(np.abs(got - ref) <= 1e-13 * scale), expr
@@ -511,10 +502,12 @@ class TestNormWeightedRules:
     def test_box_fold_equals_node_norms(self, P, ms, res):
         # m at a vertex, on a facet (a vertex in dim 1) and inside where P has lattice points
         # there; the fold is |sigma^m_0| / |sigma^m_0|(m)
-        plain = make_rule(P, res)
+        plain = node_rule(make_rule(P, res))
         for m in ms:
             rule = make_rule(P, res, m)
-            assert rule.kind == "gauss" and np.array_equal(rule.points, plain.points)
+            assert rule.kind == "gauss"
+            rule = node_rule(rule)
+            assert np.array_equal(rule.points, plain.points)
             peak = closed_form_norm_g0(P, m, m)
             ref = plain.weights * closed_form_norm_g0(P, m, plain.points) / peak
             np.testing.assert_allclose(rule.weights, ref, rtol=1e-14, atol=0)
@@ -563,7 +556,7 @@ class TestNormWeightedRules:
         # |sigma^m_0| on [0, 3000] at m = 1500 is about 1500^1500 at the center, which
         # once left float64; scaled by its peak it is at most 1 on every node
         P = DelzantPolytope.from_box([(0, 3000), (0, 1)])
-        rule, plain = make_rule(P, 16, (1500, 0)), make_rule(P, 16)
+        rule, plain = node_rule(make_rule(P, 16, (1500, 0))), node_rule(make_rule(P, 16))
         assert np.all(np.isfinite(rule.weights)) and np.all(np.isfinite(plain.weights))
         assert np.all(rule.weights <= plain.weights) and rule.total_weight() > 0
 
@@ -582,8 +575,8 @@ class TestIntegrate:
         assert integrate(lambda x: x[..., 0] * x[..., 1], rule) == pytest.approx(
             4.0, abs=1e-10)
 
-    def test_nonfinite_rejected(self, interval):
-        rule = box_rule(interval, 8)
+    def test_nonfinite_rejected(self, interval, proj_id1):
+        push = quadrature.segment_fibers(interval, proj_id1, 8)
 
         def bad(x):
             v = ones(x)
@@ -591,7 +584,7 @@ class TestIntegrate:
             return v
 
         with pytest.raises(QuadratureError, match="non-finite"):
-            integrate(bad, rule)
+            push.sums(bad)
 
     def test_richardson_self_convergence(self, interval, square2):
         for P, f in ((interval, lambda x: np.sqrt(1 - x[..., 0])),
@@ -645,15 +638,14 @@ class TestSlicePairing:
                 nodes = max(res, 64)
                 if nodes not in refs:
                     refs[nodes] = _slice_gauss_mean(P, proj, m, u, nodes)
-                push = pushforward(make_rule(P, res, m), proj)
-                assert isinstance(push, AxisFibers)
+                push = AxisFibers(make_rule(P, res, m), proj)
                 got = quadrature.slice_pairing(push, P, proj, m, u, nodes)
                 assert abs(got - refs[nodes]) <= 1e-14 * max(1.0, abs(got)), (m, res)
                 assert quadrature.slice_pairing(push, P, proj, m, one, nodes) == 1.0
 
     def test_vertex_of_the_interval_is_exact(self, interval, proj_id1):
         for res in (8, 64, 96):
-            push = pushforward(make_rule(interval, res, (0,)), proj_id1)
+            push = AxisFibers(make_rule(interval, res, (0,)), proj_id1)
             assert quadrature.slice_pairing(push, interval, proj_id1, (0,),
                                             parse_weight("x1", 1), max(res, 64)) == 0.0
 
@@ -662,7 +654,7 @@ class TestSlicePairing:
         # (res 96) and from a 64-node rule's (res 32)
         inf = quadrature.Polynomial(lambda c: np.full((2, 2), np.inf), ones)
         for res in (32, 96):
-            push = pushforward(make_rule(square2, res, (1, 1)), proj_first_of_two)
+            push = AxisFibers(make_rule(square2, res, (1, 1)), proj_first_of_two)
             with pytest.raises(QuadratureError, match="non-finite"):
                 quadrature.slice_pairing(push, square2, proj_first_of_two, (1, 1), inf,
                                          max(res, 64))
@@ -912,7 +904,7 @@ class TestConcentration:
     def test_mass_escapes_slice_neighborhood(self, square2, proj_first_of_two,
                                              phi_half_square):
         # e^{-t f_m} mass at distance > 1/4 from the slice x1 = 1 goes to 0
-        rule = make_rule(square2, 128)
+        rule = node_rule(make_rule(square2, 128))
         w = ConcentrationWeight((1, 1), pullback(phi_half_square, proj_first_of_two))
         f = w(rule.points)
         fmin = f.min()
@@ -1131,7 +1123,7 @@ class TestFiberRule:
     def test_simplex_limit_is_the_dirichlet_mean(self, expr, terms):
         P, proj, u = _simplex(6), SubtorusProjection(((1, 0, 0),)), parse_weight(expr, 3)
         for m in lattice_points(P):
-            got = quadrature.slice_pairing(None, P, proj, m, u, 64)
+            got = quadrature._fiber_mean(P, proj, m, u)[0]
             exact = float(_dirichlet_mean(6, m, terms(m)))
             assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact)), m
 
@@ -1166,7 +1158,7 @@ class TestFiberRule:
         u = parse_weight(f"x1^2 + 0.5*x1*x{P.dim} + 3", P.dim)
         proj = SubtorusProjection(rows)
         assert quadrature.segment_fibers(P, proj, None, m).rule.size == 1
-        got = quadrature.slice_pairing(None, P, proj, m, u, 64)
+        got = quadrature._fiber_mean(P, proj, m, u)[0]
         assert got == float(u(np.array(m, dtype=float)))
 
     @pytest.mark.parametrize("P,rows", [

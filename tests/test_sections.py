@@ -12,7 +12,6 @@ from toric_quant import (
     DomainBoundaryError,
     QuadratureError,
     SymplecticPotential,
-    integrate,
     l1_norms,
     lattice_points,
     make_rule,
@@ -23,6 +22,8 @@ from toric_quant import (
 from conftest import (
     closed_form_norm_g0,
     g0_on,
+    integrate,
+    node_rule,
     norm_matrix,
     radial_gram,
     sample_interior,
@@ -352,7 +353,7 @@ class TestL1AndBasis:
         from toric_quant.quadrature import make_rule as mk
 
         w = ConcentrationWeight((1, 1), pullback(phi_half_square, proj_first_of_two))
-        rule = mk(square2, 256)
+        rule = node_rule(mk(square2, 256))
         f = w(rule.points)
         base = closed_form_norm_g0(square2, (1, 1), rule.points)
         fmin = f.min()
@@ -415,7 +416,7 @@ class TestGram:
                              ids=["square2", "hirzebruch", "6simplex3"])
     def test_matches_per_pair_integration(self, P):
         ms, pot = lattice_points(P), g0_on(P)
-        rule = make_rule(P, 16)
+        rule = node_rule(make_rule(P, 16))
         norms = [_norm(pot, m, rule.points) for m in ms]
         ref = np.empty((len(ms), len(ms)))
         for a in range(len(ms)):
@@ -535,10 +536,12 @@ class TestFacetMajorKernel:
 @pytest.mark.parametrize("case", ["integrand", "domain_boundary"])
 def test_error_messages_print_plain_floats(case, interval, proj_id1, phi_half_square):
     # each message names a point; it prints as (0.5,), not (np.float64(0.5),)
+    from toric_quant.quadrature import segment_fibers
+
     family = SymplecticPotential(interval, proj_id1, phi_half_square)
-    rule = make_rule(interval, 16)
+    push = segment_fibers(interval, proj_id1, 16)
     error, call = {
-        "integrand": (QuadratureError, lambda: integrate(lambda x: np.full(len(x), np.nan), rule)),
+        "integrand": (QuadratureError, lambda: push.sums(lambda x: np.full(len(x), np.nan))),
         "domain_boundary": (DomainBoundaryError, lambda: family.value(np.array([[0.0]]))),
     }[case]
     with pytest.raises(error, match=r" at (x = )?\(\d\.\d+(e-\d+)?,\)$") as err:
