@@ -35,7 +35,6 @@ from .potential import (
 )
 from .legendre import (
     NewtonConvergenceError,
-    flow_identity_residual,
     inverse,
     kahler_potential,
 )

@@ -1,11 +1,8 @@
 """Legendre bridge between moment coordinates x and complex coordinates y.
 
-The forward map y = grad g(x) is ``SymplecticPotential.gradient``; here
-are its Newton inversion with facet-aware damping, the
-dual potential h(y) = -g(x(y)) + <x(y), y>, and the residual of the
-imaginary-time-flow identity h_t(grad g_t(x)) = h_0(grad g_0(x))
-- t psi(x) + t <x, grad psi(x)>.  Every map is batched over leading axes
-of its points.
+The forward map y = grad g(x) is ``SymplecticPotential.gradient``; here are its Newton
+inversion with facet-aware damping and the dual potential h(y) = -g(x(y)) + <x(y), y>,
+each batched over leading axes of its points.
 """
 from __future__ import annotations
 
@@ -34,20 +31,14 @@ class NewtonConvergenceError(RuntimeError):
 def inverse(pot: SymplecticPotential, y, t=0.0):
     """Solve grad g_t(x) = y by damped Newton from the vertex barycenter.
 
-    Batched over leading axes: y of shape (..., n) gives x of the same
-    shape, and t broadcasts against y's leading axes as in ``pot.gradient``,
-    so a whole time ladder is one Newton loop.  Facet values are affine
-    along a step, so its first trial goes in closed form 0.99 of the way to
-    where a facet value falls to FLOOR times its current value (the
-    fraction-to-the-boundary rule), or is the full step; halving is only
-    the check on the recomputed facet values.  Iterates stay strictly
-    interior, and the log-barrier shape of g0 makes the iteration globally
-    convergent in practice.  Each (time, point) row leaves the loop once
-    its own residual is within TOLERANCE and takes its own step length, so
-    it follows the iterates it would follow alone.  A residual component
-    below ROUNDING |y_i| is not counted: grad g_t cannot be evaluated
-    closer to a large y_i (at t = 128 and b = 1e6 in phi, y_i reaches
-    1.3e8, whose ulp is 1.5e-8).
+    Batched over leading axes of y (..., n), with t broadcast as in ``pot.gradient``: a
+    time ladder is one Newton loop, and each (time, point) row stops at its own TOLERANCE
+    with its own step length.  Facet values are affine along a step, so its first trial
+    goes 0.99 of the way to where a facet value falls to FLOOR times its current value
+    (fraction to the boundary) or is the full step; halving only checks the recomputed
+    values, and iterates stay strictly interior.  A residual component below ROUNDING |y_i|
+    is not counted: grad g_t cannot be evaluated closer to a large y_i (at t = 128 and
+    b = 1e6 in phi, y_i reaches 1.3e8, whose ulp is 1.5e-8).
     """
     P = pot.polytope
     y = np.asarray(y, dtype=float)
@@ -100,19 +91,3 @@ def kahler_potential(pot: SymplecticPotential, y, t=0.0):
     h = -pot.value(x, t) + np.sum(x * y, axis=-1)
     return float(h) if np.ndim(h) == 0 else h
 
-
-def flow_identity_residual(pot: SymplecticPotential, times, x):
-    """|h_t(grad g_t(x)) - [h_0(grad g_0(x)) - t psi(x) + t <x, grad psi(x)>]| per t.
-
-    Zero (to solver tolerance) exactly when the convex-perturbation family of
-    potentials agrees with the family generated by the imaginary-time flow of
-    the same convex Hamiltonian.  One Newton stack solves h_0 and every h_t,
-    and psi and <x, grad psi> are evaluated once.  Batched over leading axes
-    of x: the result has shape (len(times),) + x.shape[:-1].
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.reshape([0.0, *map(float, times)], (-1,) + (1,) * (x.ndim - 1))
-    h = kahler_potential(pot, pot.gradient(x, t), t)
-    psi = pot.perturbation
-    pv, xg = psi.value(x), np.sum(x * psi.gradient(x), axis=-1)
-    return np.abs(h[1:] - (h[0] + (-t[1:] * pv + t[1:] * xg)))

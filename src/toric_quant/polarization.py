@@ -48,6 +48,14 @@ def _kernel_rows(B, G):
     return np.concatenate([np.broadcast_to(B, BG.shape), -1j * BG], axis=-1)
 
 
+def _frames(pot: SymplecticPotential, x, t_list):
+    """Hess g0, Hess psi (N, n, n); G_t = Hess g0 + t Hess psi, G_t^{-1}, frames (G_t^{-1}, -iI)."""
+    H0, Hpsi = pot.hessian(x), pot.perturbation.hessian(x)
+    G = H0[:, None] + np.reshape(t_list, (-1, 1, 1)) * Hpsi[:, None]
+    Ginv, eye = np.linalg.inv(G), np.broadcast_to(-1j * np.eye(H0.shape[-1]), G.shape)
+    return H0, Hpsi, G, Ginv, np.concatenate([Ginv, eye], axis=-1)
+
+
 @dataclass(frozen=True)
 class DecayReport:
     """Degeneration of the time-t frames toward the limit at N points."""
@@ -63,12 +71,10 @@ def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
                  x, t_list) -> DecayReport:
     """Track frame degeneration along increasing t at a stack of interior points.
 
-    G_t = Hess g0 + t Hess psi comes from one Hessian of each at every
-    point.  The time-t frames (G_t^{-1}, -i I) are one stack over points and
-    times, and their distances to the limit come from one stacked
-    principal-angle computation.  The ker A rows (B, -i B G_t) must not move
-    with t; their angle against t = 0 is the subframe check, and it fails
-    when psi does not factor through A.
+    The time-t frames (``_frames``) are one stack over points and times, and their distances
+    to the limit one stacked principal-angle computation.  The ker A rows (B, -i B G_t) must
+    not move with t; their angle against t = 0 is the subframe check, and it fails when psi
+    does not factor through A.
     """
     t_list = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
@@ -76,11 +82,7 @@ def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     A, n, k = proj.array, proj.n, proj.k
     B = np.array(integer_kernel_basis(proj.matrix), dtype=float).reshape(n - k, n)
-    H0 = pot_family.hessian(x)
-    Hpsi = pot_family.perturbation.hessian(x)
-    G = H0[:, None] + np.reshape(t_list, (-1, 1, 1)) * Hpsi[:, None]
-    Ginv = np.linalg.inv(G)
-    frames = np.concatenate([Ginv, np.broadcast_to(-1j * np.eye(n), Ginv.shape)], axis=-1)
+    H0, _, G, Ginv, frames = _frames(pot_family, x, t_list)
     top = np.broadcast_to(np.hstack([np.zeros((k, n)), A]), (len(x), k, 2 * n))
     lim = np.concatenate([top, _kernel_rows(B, H0)], axis=-2)
     dists = subspace_angle(frames, lim[:, None])
@@ -91,3 +93,31 @@ def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
     return DecayReport(top_block_norms=np.max(np.abs(A @ Ginv), axis=(-2, -1)),
                        distances=dists, fitted_slopes=slopes, subframe_invariance=subinv,
                        limit=lim)
+
+
+def _hamiltonian_jacobian(Hpsi):
+    """dX_psi in (x, theta) at each point: X_psi = -grad psi . d/dtheta solves iota_X omega
+    = d psi for omega = sum_i dx_i ^ dtheta_i, so only its theta components vary, with x."""
+    O = np.zeros_like(Hpsi)
+    return np.block([[O, O], [-Hpsi, O]])
+
+
+def flow_residual(pot: SymplecticPotential, x, t_list):
+    """max |G_t^{-1} D_t - I| over the points x, per t: claim 3 with no Legendre solve.
+
+    w_t = e^{itX_psi} w carries the J_0-holomorphic coordinates w = grad g0 + i theta to
+    J_t-holomorphic ones (Mourao, Nunes, IMRN 2015).  Each term is affine in theta, which
+    X_psi alone moves, so d(X_psi f) = df dX_psi; the series of differentials stops at its
+    first zero term (X_psi^2 w = 0) and gives d w_t = (D_t, i I), D_t = Hess g0 + t Hess psi.
+    The frame rows (G_t^{-1}, -i I) pair with d conj(w_t) to G_t^{-1} D_t - I.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    H0, Hpsi, _, _, frames = _frames(pot, x, t_list)
+    dX, t, coef, dw = _hamiltonian_jacobian(Hpsi), np.reshape(t_list, (-1, 1, 1)), 1.0, 0.0
+    term = np.concatenate([H0, 1j * np.broadcast_to(np.eye(x.shape[-1]), H0.shape)], axis=-1)
+    for k in range(1, dX.shape[-1] + 2):  # dX is nilpotent: dX^{2n} = 0
+        dw = dw + coef * term[:, None]
+        if not np.any(term := term @ dX):
+            break
+        coef = coef * 1j * t / k
+    return np.max(np.abs(frames @ np.swapaxes(dw.conj(), -1, -2)), axis=(0, -2, -1))

@@ -67,14 +67,9 @@ class DelzantCertificate:
 
 @dataclass(frozen=True)
 class Slice:
-    """Affine chart for one fiber {x in P : proj(x) = level}.
-
-    ``chart`` rows are an integer basis of the lattice directions along the
-    fiber; for a level in the relative interior of the image they form a
-    Z-basis of ker(proj) inside Z^n.  ``active_facets`` lists facets that
-    vanish identically on the fiber (nonempty exactly for boundary levels,
-    where the fiber is a face of P).
-    """
+    """Affine chart for one fiber {x in P : proj(x) = level}: ``chart`` rows are integer
+    directions along it (a Z-basis of ker(proj) at an interior level), and ``active_facets``
+    the facets that vanish on it (a boundary level, where the fiber is a face of P)."""
 
     base: "DelzantPolytope"
     chart: tuple  # rows = integer direction vectors, possibly empty
@@ -187,6 +182,15 @@ class DelzantPolytope:
         return verts
 
     @cached_property
+    def lattice_array(self):
+        """P intersected with Z^n, sorted: a read-only (N, n) int64 array, one exact scan."""
+        lo, hi = _vertex_bounds(self.vertices, self.dim)
+        pts = _grid_scan([range(ceil(a), floor(b) + 1) for a, b in zip(lo, hi)],
+                         [r for r, _ in self.facets], [lam for _, lam in self.facets])
+        pts.flags.writeable = False
+        return pts
+
+    @cached_property
     def barycenter(self):
         return _mean_point([v.point for v in self.vertices])
 
@@ -256,16 +260,13 @@ def _vertex_bounds(vertices, dim):
 
 
 def _grid_scan(axes, normals, offsets):
-    """Points of the integer grid axes[0] x axes[1] x ... inside the halfspaces.
+    """The points num of the integer grid axes[0] x axes[1] x ... (monotone axes) with
+    normals . num + offsets >= 0, in meshgrid "ij" order, as an (N, dim) int64 array.
 
-    Keeps num with normals . num + offsets >= 0, in
-    meshgrid "ij" order, as an (N, dim) int64 array; every axis must be
-    monotone.  The grid is walked line by line along the last axis: on a
-    line the halfspaces keep one run of that axis, whose ends are exact
-    integer divisions, so the cost is O(lines x facets + kept points).  The
-    kept points go into one preallocated array, NODE_BLOCK at a time, so no
-    temporary has the size of the grid.  Raises GridRangeError for a grid
-    of more than MAX_SCAN points or facet values that could leave int64.
+    The grid is walked line by line along the last axis: the halfspaces keep one run of it
+    per line, whose ends are exact integer divisions, so the cost is O(lines x facets + kept
+    points), and the kept points fill one preallocated array NODE_BLOCK at a time.  Raises
+    GridRangeError for more than MAX_SCAN grid points or facet values that could leave int64.
     """
     axes = list(axes)
     shape = tuple(len(a) for a in axes)
@@ -298,14 +299,12 @@ def _grid_scan(axes, normals, offsets):
 
 
 def _line_runs(axes, R, lam):
-    """Per block of NODE_BLOCK lines along the last axis z, for the lines
-    that keep points: their other coordinates (B, dim-1), and the first
-    index and the length of the run of z where R . x + lam >= 0.
+    """Per block of NODE_BLOCK lines along the last axis z, for the lines that keep points:
+    their other coordinates (B, dim-1), and the first index and length of their run of z.
 
-    On a line with C = R' . (its other coordinates) + lam, facet j keeps
-    a_j z + C_j >= 0: z at least ceil(-C_j / a_j) = -floor(C_j / a_j) for
-    a_j > 0, at most floor(C_j / -a_j) for a_j < 0, and all of z or none
-    for a_j = 0 (taken with divisor 1).
+    On a line with C = R' . (its other coordinates) + lam, facet j keeps a_j z + C_j >= 0:
+    z at least -floor(C_j / a_j) for a_j > 0, at most floor(C_j / -a_j) for a_j < 0, and
+    all of z or none for a_j = 0 (taken with divisor 1).
     """
     z = axes[-1]
     desc = len(z) > 1 and z[0] > z[-1]
@@ -383,16 +382,12 @@ def is_delzant(P: DelzantPolytope) -> DelzantCertificate:
 
 
 def lattice_points(P: DelzantPolytope):
-    """P intersected with Z^n by exact bounding-box scan, sorted."""
-    lo, hi = _vertex_bounds(P.vertices, P.dim)
-    pts = _grid_scan([range(ceil(a), floor(b) + 1) for a, b in zip(lo, hi)],
-                    [r for r, _ in P.facets], [lam for _, lam in P.facets])
-    return tuple(map(tuple, pts.tolist()))
+    """P intersected with Z^n, sorted, as tuples of ints (from ``P.lattice_array``)."""
+    return tuple(map(tuple, P.lattice_array.tolist()))
 
 
 def weight_multiplicities(P: DelzantPolytope, proj):
     """Counts of lattice points per image value under the subtorus projection."""
     if proj.n != P.dim:
         raise PolytopeError("projection width does not match polytope dimension")
-    counts = Counter(map(proj.apply, lattice_points(P)))
-    return {k: counts[k] for k in sorted(counts)}
+    return dict(sorted(Counter(map(proj.apply, lattice_points(P))).items()))

@@ -103,7 +103,8 @@ class ConcentrationWeight:
 
 
 def norm_factorization_check(pot: SymplecticPotential, m, times, x):
-    """Residuals of |sigma^m_t| = e^{-t f_m} |sigma^m_0| at the points x, one per t.
+    """Residuals of |sigma^m_t| = e^{-t f_m} |sigma^m_0| at the points x, one per t, and
+    the scale of their roundoff, max(|log |sigma^m_t||, |log |sigma^m_0| - t f_m|, |t f_m|).
 
     log |sigma^m_0| and f_m are evaluated once, and log |sigma^m_t| for every t in one
     stacked call; each residual is relative to max(1, max |sigma^m_t|) (``peak_relative_gap``).
@@ -112,4 +113,6 @@ def norm_factorization_check(pot: SymplecticPotential, m, times, x):
     fm = ConcentrationWeight(m, pot.perturbation)(x)
     t = np.reshape(times, (-1,) + (1,) * np.ndim(log0))
     lhs = log_norm_matrix(pot, [m], x, t)[0].reshape(len(t), -1)
-    return peak_relative_gap(lhs, (log0 - t * fm).reshape(len(t), -1))
+    tfm = (t * fm).reshape(len(t), -1)
+    rhs = log0.reshape(1, -1) - tfm
+    return peak_relative_gap(lhs, rhs), np.max(np.abs([lhs, rhs, tfm]), axis=(0, 2))

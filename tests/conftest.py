@@ -6,6 +6,7 @@ from toric_quant import (
     SubtorusProjection,
     SymplecticPotential,
     closed_form_log_norm_g0,
+    kahler_potential,
     log_norm_matrix,
     quadratic,
 )
@@ -73,6 +74,24 @@ def phi_half_square():
 def g0_on(P):
     """g0 on P: the t = 0 member of the family with A = standard(1, n), phi = y^2 / 2."""
     return SymplecticPotential(P, SubtorusProjection.standard(1, P.dim), quadratic([[1.0]]))
+
+
+def flow_identity_residual(pot, times, x):
+    """|h_t(grad g_t(x)) - [h_0(grad g_0(x)) - t psi(x) + t <x, grad psi(x)>]| per t.
+
+    The Newton-based reference for the imaginary-time-flow identity: zero (to
+    solver tolerance) exactly when the convex-perturbation family of potentials
+    agrees with the family generated by the flow of the same convex Hamiltonian.
+    One Newton stack solves h_0 and every h_t, and psi and <x, grad psi> are
+    evaluated once.  Batched over leading axes of x: the result has shape
+    (len(times),) + x.shape[:-1].
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.reshape([0.0, *map(float, times)], (-1,) + (1,) * (x.ndim - 1))
+    h = kahler_potential(pot, pot.gradient(x, t), t)
+    psi = pot.perturbation
+    pv, xg = psi.value(x), np.sum(x * psi.gradient(x), axis=-1)
+    return np.abs(h[1:] - (h[0] + (-t[1:] * pv + t[1:] * xg)))
 
 
 def sample_interior(P, count, seed=0):

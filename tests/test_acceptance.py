@@ -17,7 +17,6 @@ from toric_quant import (
     box_rule,
     concentration_experiment,
     decay_report,
-    flow_identity_residual,
     inverse,
     is_delzant,
     l1_norms,
@@ -34,6 +33,7 @@ from toric_quant.cli import emit, load_config, parse_weight, run
 from conftest import (
     closed_form_norm_g0,
     degenerate_directions,
+    flow_identity_residual,
     g0_on,
     isotropy_defect,
     kahler_rows,
@@ -196,7 +196,7 @@ def test_criterion_7_section_algebra():
     for P, proj, m in ((INTERVAL, PROJ1, (0,)), (SQUARE2, PROJ21, (1, 1))):
         pts = sample_interior(P, 100, seed=15)
         times = rng.uniform(0.0, 10.0, size=6)
-        res = norm_factorization_check(SymplecticPotential(P, proj, PHI), m, times, pts)
+        res, _ = norm_factorization_check(SymplecticPotential(P, proj, PHI), m, times, pts)
         fact = max(fact, *res)
     # theta-orthogonality across all lattice pairs of the square
     ms = lattice_points(SQUARE2)

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from toric_quant.cli import (
     _COMMANDS,
     ConfigError,
     RunReport,
+    _default_m,
     emit,
     load_config,
     main,
@@ -24,6 +26,7 @@ from toric_quant.cli import (
     run,
 )
 from toric_quant import potential, quadrature
+from toric_quant.polytope import GridRangeError, lattice_points
 
 INTERVAL_CFG = {
     "polytope": {"dim": 1, "facets": [{"normal": [1], "offset": 0},
@@ -761,21 +764,37 @@ class TestClosedFormCheck:
         assert report.flags["closed_form_agrees"]
         assert abs(report.outputs["closed_form_agreement"] - ref) <= 1e-15
 
-    @pytest.mark.parametrize("m", [0, 341])
+    @pytest.mark.parametrize("m", [0, 341, None])
     @pytest.mark.parametrize("kind", ["box", "simplex"])
     def test_large_polygon_is_bounded(self, tmp_path, capsys, kind, m):
         # a row per lattice point of [0, 1024]^2 took 12.9 s and 5.1 GB; at (341, 341) the
-        # factorization flag may fail on roundoff, hence exit 0 or 1
+        # factorization residual is float64 roundoff of exponents near 7e6, within 4 eps of
+        # them; without --m the default m took 3.7 s and 261 MB on [0, 1024]^2
         path = write_cfg(tmp_path, _dilated_cfg(kind, 1024))
         tracemalloc.start()
         try:
-            code = main(["sections-norms", path, "--m", f"{m},{m}"])
-            peak = tracemalloc.get_traced_memory()[1]
+            t0 = time.perf_counter()
+            code = main(["sections-norms", path] + ([] if m is None else ["--m", f"{m},{m}"]))
+            elapsed, peak = time.perf_counter() - t0, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
-        assert code in (0, 1) and payload["flags"]["closed_form_agrees"] is True
-        assert peak < 200e6
+        assert code == 0 and payload["flags"] == {
+            "closed_form_agrees": True, "factorization_within_tolerance": True}
+        nearest = 512 if kind == "box" else 341  # the barycenter (512, 512) or (341 1/3, ...)
+        assert payload["outputs"]["m"] == [nearest if m is None else m] * 2
+        assert peak < 200e6 and (m is not None or elapsed < 1.0)
+
+    @pytest.mark.parametrize("kind", ["box", "simplex"])
+    def test_factorization_flag_past_roundoff(self, tmp_path, capsys, kind):
+        # exponents near 1e6 at t = 128 round above 1e-10: 4 eps of their size decides
+        path = write_cfg(tmp_path, _dilated_cfg(kind, 256))
+        assert main(["sections-norms", path, "--m", "85,85"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        tols, worst = payload["tolerances"], payload["outputs"]["max_factorization_residual"]
+        assert tols["factorization"] == 1e-10 and tols["factorization_decided_by"] == "roundoff"
+        assert tols["factorization_roundoff"] > 1e-10
+        assert worst < tols["factorization"] + tols["factorization_roundoff"]
 
 
 def _cli(argv):
@@ -847,6 +866,41 @@ def _dilated_cfg(kind, k):
     return {"polytope": {"dim": 2, "facets": [{"normal": [1, 0], "offset": 0},
                                               {"normal": [0, 1], "offset": 0}] + far},
             "proj": [[1, 0]], "phi": {"type": "quadratic", "Q": [[1.0]]}, "resolution": 128}
+
+
+class TestDefaultM:
+    """Without --m: the lattice point nearest the barycenter, exactly, the smallest on a tie."""
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json"))
+                             + sorted((REPO / "bench" / "fixtures").glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_nearest_lattice_point(self, path):
+        cfg = load_config(str(path))
+        b = cfg.polytope.barycenter
+        assert _default_m(cfg) == min(lattice_points(cfg.polytope), key=lambda m: (
+            sum((Fraction(c) - v) ** 2 for c, v in zip(m, b)), m))
+
+    @pytest.mark.parametrize("bounds,m", [([(0, 3)], (1,)), ([(0, 3), (0, 1)], (1, 0)),
+                                          ([(-3, 0), (-1, 2)], (-2, 0))])
+    def test_exact_tie_takes_the_smaller_point(self, tmp_path, bounds, m):
+        # the barycenter is a cell center: 2 or 4 points tie, and the first of them in
+        # sorted order, not the first lattice point, is taken
+        facets = [{"normal": [int(j == i) for j in range(len(bounds))], "offset": -lo}
+                  for i, (lo, _) in enumerate(bounds)]
+        facets += [{"normal": [-int(j == i) for j in range(len(bounds))], "offset": hi}
+                   for i, (_, hi) in enumerate(bounds)]
+        data = {"polytope": {"dim": len(bounds), "facets": facets}}
+        assert _default_m(load_config(write_cfg(tmp_path, data))) == m
+
+    def test_int64_squares_are_refused(self, tmp_path):
+        # [0, 2^40] with its two ends as its lattice: (2^39)^2 leaves int64 (its real scan
+        # is refused before any axis is built)
+        data = {"polytope": {"dim": 1, "facets": [{"normal": [1], "offset": 0},
+                                                  {"normal": [-1], "offset": 2 ** 40}]}}
+        cfg = load_config(write_cfg(tmp_path, data))
+        cfg.polytope.__dict__["lattice_array"] = np.array([[0], [2 ** 40]])
+        with pytest.raises(GridRangeError, match="leave int64"):
+            _default_m(cfg)
 
 
 class TestLogNorms:
@@ -925,14 +979,19 @@ class TestLargeLinearTerm:
                 payload = json.loads(cap.out, parse_constant=_reject_constant)
                 assert payload["command"] == command and cap.err == ""
             # the L1 norms are logs and report; the exponents of |sigma^m_t| (near 1e8 at
-            # b = 1e6) round above the 1e-10 factorization tolerance
-            assert main(["sections-norms", path]) == 1
+            # b = 1e6) round above 1e-10, within 4 eps of their size
+            assert main(["sections-norms", path]) == 0
         cap = capsys.readouterr()
         payload = json.loads(cap.out, parse_constant=_reject_constant)
         assert cap.err == "" and payload["flags"] == {
-            "closed_form_agrees": True, "factorization_within_tolerance": False}
+            "closed_form_agrees": True, "factorization_within_tolerance": True}
+        tols = payload["tolerances"]
+        assert tols["factorization_decided_by"] == "roundoff"
+        assert 1e-10 < payload["outputs"]["max_factorization_residual"] \
+            < tols["factorization"] + tols["factorization_roundoff"]
 
-    @pytest.mark.parametrize("command,b", [("legendre-roundtrip", 1e11), ("flow-check", 1e12)])
+    @pytest.mark.parametrize("command,b", [("legendre-roundtrip", 1e11),
+                                           ("legendre-roundtrip", 1e12)])
     def test_newton_past_the_rounding_floor_exits_two(self, tmp_path, capsys, command, b):
         # x1 + x2 <= 4 couples the axes: rounding y_1 leaves a y_2 residual above 1e-12
         data = json.loads((REPO / "bench" / "fixtures" / "hirzebruch.json").read_text())
@@ -943,16 +1002,27 @@ class TestLargeLinearTerm:
         assert cap.out == "" and err["code"] == "out_of_range"
         assert "Newton did not reach tolerance" in err["message"]
 
-    # exit codes pinned per (fixture, b): legendre-roundtrip, then flow-check
+    def test_flow_check_reports_past_the_rounding_floor(self, tmp_path, capsys):
+        # b = 1e12 stops Newton on hirzebruch (above); b does not enter Hess g_t, so
+        # the flow check, which solves nothing, reports with its flag true
+        data = json.loads((REPO / "bench" / "fixtures" / "hirzebruch.json").read_text())
+        path = write_cfg(tmp_path, dict(data, phi={"type": "quadratic", "Q": [[1.0]], "b": [1e12]}))
+        assert main(["flow-check", path]) == 0
+        cap = capsys.readouterr()
+        payload = json.loads(cap.out, parse_constant=_reject_constant)
+        assert cap.err == "" and payload["outputs"]["max_residual"] < 1e-14
+
+    # exit codes pinned per (fixture, b): legendre-roundtrip, then flow-check (which
+    # reads no Newton solve, so b cannot move it)
     CODES = {
-        "configs/square2.json": {0: (0, 0), 1e6: (0, 0), 1e8: (1, 1), 1e10: (1, 1),
-                                 1e11: (1, 1), 1e12: (1, 1)},
-        "bench/fixtures/hirzebruch.json": {0: (0, 0), 1e6: (0, 0), 1e8: (1, 1), 1e10: (1, 1),
-                                           1e11: (2, 1), 1e12: (2, 2)},
-        "bench/fixtures/square2_skew.json": {0: (0, 0), 1e6: (1, 0), 1e8: (1, 1), 1e10: (1, 1),
-                                             1e11: (1, 1), 1e12: (1, 1)},
-        "bench/fixtures/simplex2.json": {0: (0, 0), 1e6: (0, 0), 1e8: (1, 1), 1e10: (1, 1),
-                                         1e11: (1, 1), 1e12: (1, 1)},
+        "configs/square2.json": {0: (0, 0), 1e6: (0, 0), 1e8: (1, 0), 1e10: (1, 0),
+                                 1e11: (1, 0), 1e12: (1, 0)},
+        "bench/fixtures/hirzebruch.json": {0: (0, 0), 1e6: (0, 0), 1e8: (1, 0), 1e10: (1, 0),
+                                           1e11: (2, 0), 1e12: (2, 0)},
+        "bench/fixtures/square2_skew.json": {0: (0, 0), 1e6: (1, 0), 1e8: (1, 0), 1e10: (1, 0),
+                                             1e11: (1, 0), 1e12: (1, 0)},
+        "bench/fixtures/simplex2.json": {0: (0, 0), 1e6: (0, 0), 1e8: (1, 0), 1e10: (1, 0),
+                                         1e11: (1, 0), 1e12: (1, 0)},
     }
 
     @pytest.mark.parametrize("command", ["legendre-roundtrip", "flow-check"])
@@ -973,6 +1043,21 @@ class TestLargeLinearTerm:
         else:
             assert cap.err == "" and json.loads(cap.out)["command"] == command
 
+    @pytest.mark.parametrize("b", [1e6, 1e10])
+    def test_widened_factorization_tolerance_still_fails_a_wrong_weight(self, tmp_path, b,
+                                                                        monkeypatch):
+        from toric_quant import sections
+
+        # f_m without its -psi term, where 4 eps S is widest
+        data = json.loads((REPO / "configs" / "square2.json").read_text())
+        cfg = load_config(write_cfg(tmp_path, dict(data, phi={"type": "quadratic",
+                                                               "Q": [[1.0]], "b": [b]})))
+        assert run(cfg, "sections-norms").flags["factorization_within_tolerance"]
+        real = sections.ConcentrationWeight.__call__
+        monkeypatch.setattr(sections.ConcentrationWeight, "__call__",
+                            lambda w, x: real(w, x) + w.psi.value(x))
+        assert not run(cfg, "sections-norms").flags["factorization_within_tolerance"]
+
     def test_moderate_b_keeps_the_roundtrip_flag(self, tmp_path, capsys):
         data = json.loads((REPO / "configs" / "square2.json").read_text())
         path = write_cfg(tmp_path, dict(data, phi={"type": "quadratic", "Q": [[1.0]], "b": [1e6]}))
@@ -989,16 +1074,49 @@ class TestTimeFamilyOnce:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a: record(*a) or real(*a))
 
-    def test_flow_check_solves_h0_once(self, tmp_path, monkeypatch):
+    def test_flow_check_makes_no_newton_call(self, tmp_path, monkeypatch):
         from toric_quant import legendre
 
         calls = []
         self._counted(monkeypatch, legendre, "inverse",
                       lambda pot, y, t: calls.append(np.ravel(t).tolist()))
-        run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "flow-check",
-            {"t_list": self.TIMES})
-        # one Newton stack carries h_0 and the whole ladder
-        assert calls == [[0.0, *self.TIMES]]
+        assert run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "flow-check",
+                   {"t_list": self.TIMES}).passed
+        # the frames and the flowed coordinates come from Hessians alone
+        assert calls == []
+
+    def test_flow_check_runs_with_newton_raising(self, tmp_path, monkeypatch):
+        from toric_quant import legendre
+
+        def inverse(pot, y, t=0.0):
+            raise AssertionError("flow-check called legendre.inverse")
+        monkeypatch.setattr(legendre, "inverse", inverse)
+        for cfg in (SQUARE2_CFG, INTERVAL_CFG):
+            assert run(load_config(write_cfg(tmp_path, cfg)), "flow-check").passed
+
+    def test_full_suite_one_newton_stack(self, tmp_path, monkeypatch):
+        from toric_quant import legendre
+
+        calls = []
+        self._counted(monkeypatch, legendre, "inverse",
+                      lambda pot, y, t: calls.append((np.shape(y), np.ravel(t).tolist())))
+        run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "full-suite", {"t_list": self.TIMES})
+        # legendre-roundtrip's stack, and no other
+        assert calls == [((5, 100, 2), [0.0, *self.TIMES])]
+
+    @pytest.mark.parametrize("name", ["square2", "simplex2", "dilated_simplex6"])
+    def test_full_suite_scans_the_lattice_once(self, name, monkeypatch):
+        from toric_quant import polytope
+
+        path = next(p for p in (REPO / "configs" / f"{name}.json",
+                                REPO / "bench" / "fixtures" / f"{name}.json") if p.exists())
+        cfg = load_config(str(path))
+        scans = []
+        self._counted(monkeypatch, polytope, "_grid_scan", lambda *a: scans.append(1))
+        # lattice, weights and the default m of sections-norms and of concentrate
+        run(cfg, "full-suite")
+        run(cfg, "full-suite")
+        assert scans == [1]
 
     def test_legendre_roundtrip_one_newton_stack(self, tmp_path, monkeypatch):
         from toric_quant import legendre

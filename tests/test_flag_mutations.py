@@ -40,10 +40,15 @@ def _newton_stops_early(monkeypatch):  # |grad g(x) - y| <= 1e-3 ends the iterat
     monkeypatch.setattr(legendre, "TOLERANCE", 1e-3)
 
 
-def _value_ignores_t(monkeypatch):  # h_t takes g_0(x) where it needs g_t(x)
-    real = potential.SymplecticPotential.value
-    monkeypatch.setattr(potential.SymplecticPotential, "value",
-                        lambda pot, x, t=0.0: real(pot, x))
+def _x_psi_sign_flipped(monkeypatch):  # iota_X omega = -d psi: the flow reaches g_{-t}
+    real = polarization._hamiltonian_jacobian
+    monkeypatch.setattr(polarization, "_hamiltonian_jacobian", lambda H: -real(H))
+
+
+def _frames_from_g0(monkeypatch):  # the frames of G_0 at every t > 0
+    real = polarization._frames
+    monkeypatch.setattr(polarization, "_frames",
+                        lambda pot, x, t_list: real(pot, x, np.zeros(len(t_list))))
 
 
 def _t_squared(monkeypatch):
@@ -88,7 +93,8 @@ MUTATIONS = {
     "legendre-roundtrip.roundtrip_within_tolerance": {
         "newton_stops_early": (_newton_stops_early, ["square2"])},
     "flow-check.flow_identity_within_tolerance": {
-        "value_ignores_t": (_value_ignores_t, ["square2"])},
+        "x_psi_sign_flipped": (_x_psi_sign_flipped, list(CONFIGS)),
+        "frames_from_g0": (_frames_from_g0, list(CONFIGS))},
     "polarization-limit.slopes_near_minus_one": {
         "t_squared": (_t_squared, ["square2"])},
     "polarization-limit.subframe_invariant": {

@@ -6,7 +6,6 @@ import pytest
 from toric_quant import (
     NewtonConvergenceError,
     SymplecticPotential,
-    flow_identity_residual,
     inverse,
     kahler_potential,
     legendre,
@@ -15,7 +14,7 @@ from toric_quant import (
 from toric_quant.cli import load_config
 from toric_quant.potential import interior_samples
 
-from conftest import fd_gradient, fd_jacobian, g0_on, sample_interior
+from conftest import fd_gradient, fd_jacobian, flow_identity_residual, g0_on, sample_interior
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 

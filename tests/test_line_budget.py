@@ -4,8 +4,8 @@ import glob
 import os
 
 # the ceiling on src/ lines that every open item in ROADMAP.md holds to: the count once
-# the quadrature entry points that no command runs were retired (pushforward, integrate,
-# the materialized tensor product and the point-list rule)
+# flow-check read claim 3 off the imaginary-time flow (polarization.flow_residual) in place
+# of the Newton-based flow identity, and each polytope scanned its lattice once
 SRC_LINE_BUDGET = 2477
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

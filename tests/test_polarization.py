@@ -11,7 +11,8 @@ from toric_quant import (
     default_convex,
     quadratic,
 )
-from toric_quant.polarization import subspace_angle
+from toric_quant import polarization
+from toric_quant.polarization import flow_residual, subspace_angle
 
 from conftest import (
     central_interior,
@@ -290,6 +291,71 @@ class TestBatchedFrames:
             assert rep.fitted_slopes[i] == np.polyfit(np.log(t_list), np.log(dists), 1)[0]
             assert np.array_equal(rep.limit[i], lim)
         assert rep.subframe_invariance == drift
+
+
+class TestFlowResidual:
+    """Claim 3 from the Lie series e^{itX_psi} w, w = grad g0 + i theta, against the frames."""
+
+    T_LIST = [0.0, 8.0, 13.5, 64.0, 200.0]
+
+    @staticmethod
+    def _case(name, request):
+        if name == "cube":
+            return SymplecticPotential(request.getfixturevalue("cube"),
+                                       SubtorusProjection(((1, 0, 0), (0, 1, 0))),
+                                       quadratic([[2.0, 0.5], [0.5, 1.0]], [3.0, -1.0]))
+        P = HIRZEBRUCH if name == "hirzebruch" else request.getfixturevalue(name)
+        proj = SubtorusProjection(((1,),) if P.dim == 1 else ((1, 0),))
+        return SymplecticPotential(P, proj, quadratic([[1.0]]))
+
+    @staticmethod
+    def _pairing(pot, pts, t_list, sign=1.0):
+        """max |frame . d conj(w_t)| per t, one point at a time, with w_t the summed series
+        grad g0 + sign t grad psi + i theta: G_t^{-1} (Hess g0 + sign t Hess psi) - I."""
+        worst = np.zeros(len(t_list))
+        for x in pts:
+            H0, Hpsi = pot.hessian(x), pot.perturbation.hessian(x)
+            for j, t in enumerate(t_list):
+                dw = np.hstack([H0 + sign * t * Hpsi, 1j * np.eye(len(x))])
+                worst[j] = max(worst[j], np.max(np.abs(kahler_rows(pot, x, t) @ dw.conj().T)))
+        return worst
+
+    @pytest.mark.parametrize("name", ["interval", "square2", "simplex", "hirzebruch", "cube"])
+    def test_frames_annihilated_by_the_flowed_coordinates(self, name, request):
+        pot = self._case(name, request)
+        pts = central_interior(pot.polytope, 6, seed=4)
+        got = flow_residual(pot, pts, self.T_LIST)
+        assert got.shape == (len(self.T_LIST),) and np.all(got < 1e-13)
+        assert got == pytest.approx(self._pairing(pot, pts, self.T_LIST), abs=1e-14)
+
+    def test_flipped_field_flows_to_g_minus_t(self, request, monkeypatch):
+        # iota_X omega = -d psi: the series reaches grad g0 - t grad psi, which the
+        # frames of g_t do not annihilate
+        pot = self._case("square2", request)
+        pts = central_interior(pot.polytope, 6, seed=4)
+        real = polarization._hamiltonian_jacobian
+        monkeypatch.setattr(polarization, "_hamiltonian_jacobian", lambda H: -real(H))
+        got = flow_residual(pot, pts, self.T_LIST)
+        assert got[0] < 1e-13 and np.all(got[1:] > 0.5)
+        assert got == pytest.approx(self._pairing(pot, pts, self.T_LIST, sign=-1.0), rel=1e-12)
+
+    def test_field_moves_theta_alone_and_squares_to_zero(self, request):
+        pot = self._case("cube", request)
+        Hpsi = pot.perturbation.hessian(central_interior(pot.polytope, 4, seed=1))
+        J = polarization._hamiltonian_jacobian(Hpsi)
+        assert J.shape == (4, 6, 6) and np.array_equal(J[:, 3:, :3], -Hpsi)
+        assert not np.any(J[:, :3]) and not np.any(J[:, :, 3:])
+        # X_psi^2 w = 0: the series of differentials ends after its linear term
+        assert not np.any(J @ J)
+
+    def test_makes_no_newton_call(self, request, monkeypatch):
+        from toric_quant import legendre
+
+        def inverse(*args, **kwargs):
+            raise AssertionError("flow_residual called legendre.inverse")
+        monkeypatch.setattr(legendre, "inverse", inverse)
+        pot = self._case("hirzebruch", request)
+        assert np.all(flow_residual(pot, central_interior(pot.polytope, 3), [8.0]) < 1e-13)
 
 
 class TestOneHessianPerPoint:

@@ -188,8 +188,8 @@ class TestLatticeScan:
         monkeypatch.setattr(polytope, "MAX_SCAN", 12)
         assert len(lattice_points(box)) == 12
         monkeypatch.setattr(polytope, "MAX_SCAN", 11)
-        with pytest.raises(polytope.GridRangeError):
-            lattice_points(box)
+        with pytest.raises(polytope.GridRangeError):  # a fresh box: the first keeps its scan
+            lattice_points(DelzantPolytope.from_box([(0, 2), (0, 3)]))
 
 
 def _meshgrid_scan(axes, normals, offsets):

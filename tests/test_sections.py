@@ -181,12 +181,12 @@ class TestFactorization:
     def test_zero_at_t_zero(self, interval, proj_id1, phi_half_square):
         pts = sample_interior(interval, 10, seed=3)
         pot0 = SymplecticPotential(interval, proj_id1, phi_half_square)
-        res = norm_factorization_check(pot0, (0,), [0.0], pts)
+        res, _ = norm_factorization_check(pot0, (0,), [0.0], pts)
         assert res.tolist() == [0.0]
 
     def test_interval_t3(self, interval, proj_id1, phi_half_square):
         pot0 = SymplecticPotential(interval, proj_id1, phi_half_square)
-        res = norm_factorization_check(pot0, (0,), [3.0], np.array([[0.5]]))
+        res, _ = norm_factorization_check(pot0, (0,), [3.0], np.array([[0.5]]))
         assert res[0] < 1e-12
 
     @pytest.mark.parametrize("fixture,rows,m", [
@@ -201,8 +201,8 @@ class TestFactorization:
         proj = SubtorusProjection(rows)
         rng = np.random.default_rng(14)
         pts = sample_interior(P, 100, seed=15)
-        res = norm_factorization_check(SymplecticPotential(P, proj, phi_half_square), m,
-                                       rng.uniform(0.0, 10.0, size=8), pts)
+        res, _ = norm_factorization_check(SymplecticPotential(P, proj, phi_half_square), m,
+                                          rng.uniform(0.0, 10.0, size=8), pts)
         assert max(res) < 1e-10
 
     @pytest.mark.parametrize("fixture,rows,m", [
@@ -219,13 +219,15 @@ class TestFactorization:
         times = (0.0, 2.5, 9.0, 31.0)
         pot0 = SymplecticPotential(P, proj, phi_half_square)
         fm = ConcentrationWeight(m, pot0.perturbation)
-        ref_res = []
+        ref_res, ref_scale = [], []
         for t in times:  # the per-t loop: every log-norm and f_m afresh
             lhs = sections.log_norm_matrix(pot0, [m], pts, t)[0]
             rhs = sections.log_norm_matrix(pot0, [m], pts)[0] - t * fm(pts)
             # max |e^lhs - e^rhs| / max(1, max e^lhs), taken from the logs
             gap = np.exp(lhs - max(0.0, lhs.max())) * np.abs(np.expm1(rhs - lhs))
             ref_res.append(float(np.max(gap)))
+            # the roundoff scale: the largest exponent on either side, and t f_m
+            ref_scale.append(float(np.max(np.abs([lhs, rhs, t * fm(pts)]))))
         calls = {"norm": 0, "fm": 0}
         real_norm, real_fm = sections.log_norm_matrix, ConcentrationWeight.__call__
 
@@ -239,8 +241,8 @@ class TestFactorization:
 
         monkeypatch.setattr(sections, "log_norm_matrix", norm)
         monkeypatch.setattr(ConcentrationWeight, "__call__", weight)
-        res = norm_factorization_check(pot0, m, times, pts)
-        assert res.tolist() == ref_res
+        res, scale = norm_factorization_check(pot0, m, times, pts)
+        assert res.tolist() == ref_res and scale.tolist() == ref_scale
         # |sigma_0| once, |sigma_t| for every t in one stacked call, f_m once
         assert calls == {"norm": 2, "fm": 1}
 
@@ -254,7 +256,7 @@ class TestFactorization:
                                 name=name: seen[name].append(np.shape(x)) or real(P, x))
         pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         pts = sample_interior(square2, 30, seed=2)
-        res = norm_factorization_check(pot0, (1, 1), (1.0, 4.0, 16.0, 64.0), pts)
+        res, _ = norm_factorization_check(pot0, (1, 1), (1.0, 4.0, 16.0, 64.0), pts)
         assert res.shape == (4,)
         assert np.all(res < 1e-10)  # relative to max(1, max |sigma^m_t|)
         # once for |sigma^m_0| and once for |sigma^m_t| at every t
