@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from math import floor, lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .polytope import (
     DelzantPolytope,
     GridRangeError,
     PolytopeError,
-    _grid_scan,
-    _vertex_bounds,
     is_delzant,
     lattice_points,
     weight_multiplicities,
@@ -96,7 +94,7 @@ def _canonical_json(obj) -> bytes:
 
 
 def _check_t_list(t_list) -> tuple:
-    """The times of a config or of the t_list option, as floats."""
+    """The times of a config or of the t_list option, as floats, each with its own per_t key."""
     try:
         ts = tuple(float(t) for t in t_list)
     except (TypeError, ValueError) as exc:
@@ -105,6 +103,9 @@ def _check_t_list(t_list) -> tuple:
             or any(b <= a for a, b in zip(ts, ts[1:]))):
         raise ConfigError("bad_t_list",
                           "t_list must be finite, nonnegative and strictly increasing")
+    for a, b in zip(ts, ts[1:]):  # the per_t keys: equal ones are neighbours in sorted order
+        if f"{a:g}" == f"{b:g}":
+            raise ConfigError("bad_t_list", f"times {a!r} and {b!r} share the report key {a:g}")
     return ts
 
 
@@ -132,7 +133,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         facets = tuple((tuple(f["normal"]), f["offset"]) for f in pdata["facets"])
         P = DelzantPolytope(dim=pdata["dim"], facets=facets)
-        P.vertices  # forces boundedness/interior validation
+        P.vertices  # forces boundedness, interior and int64 range validation
     except (KeyError, TypeError) as exc:
         raise ConfigError("parse_error", f"malformed polytope entry: {exc}") from exc
     except PolytopeError as exc:
@@ -144,12 +145,6 @@ def load_config(path: str) -> ExperimentConfig:
             "not_delzant", f"polytope is not Delzant: {cert.reason}",
             details={"vertex": [str(c) for c in cert.vertex],
                      "determinant": cert.determinant})
-    try:  # the exact scans run in int64: scan the corners of the vertex box once
-        _grid_scan(zip(*_vertex_bounds(P.vertices, P.dim)), [r for r, _ in P.facets],
-                   [lam for _, lam in P.facets])
-    except OverflowError as exc:
-        raise ConfigError("bad_polytope", f"facet values leave int64: {exc}") from exc
-
     try:
         proj = SubtorusProjection(raw.get("proj", SubtorusProjection.standard(P.dim, P.dim).matrix))
     except ProjectionError as exc:
@@ -268,18 +263,6 @@ def _compile_weight(node, n, work):
 
 # --- command implementations -------------------------------------------------
 
-def _default_m(cfg: ExperimentConfig):
-    """The lattice point nearest the barycenter b, the first (smallest) on a tie: an exact int64
-    argmin of |q (m - c) - q (b - c)|^2, with q the lcm of b's denominators and c = floor(b)."""
-    P, b = cfg.polytope, cfg.polytope.barycenter
-    q, c = lcm(*(v.denominator for v in b)), [floor(v) for v in b]
-    d = P.lattice_array - np.array(c, dtype=np.int64)
-    if P.dim * (q * int(np.abs(d).max()) + q) ** 2 >= 2 ** 63:
-        raise GridRangeError("squared distances to the barycenter leave int64")
-    d = q * d - np.array([int(q * (v - k)) for v, k in zip(b, c)], dtype=np.int64)
-    return tuple(P.lattice_array[np.argmin(np.einsum("ij,ij->i", d, d))].tolist())
-
-
 def _cmd_validate(cfg, opts):
     # load_config has already rejected every non-Delzant polytope (not_delzant)
     return {"delzant": True}, {}, {}
@@ -287,7 +270,7 @@ def _cmd_validate(cfg, opts):
 
 def _cmd_lattice(cfg, opts):
     pts = lattice_points(cfg.polytope)
-    return {"count": len(pts), "points": [list(m) for m in pts]}, {}, {}
+    return {"count": len(pts), "points": pts}, {}, {}
 
 
 def _cmd_weights(cfg, opts):
@@ -370,7 +353,7 @@ def _cmd_polarization_limit(cfg, opts):
 
 def _cmd_sections_norms(cfg, opts):
     P = cfg.polytope
-    m = opts.get("m") or _default_m(cfg)
+    m = opts.get("m") or P.lattice_center
     t_list = opts["t_list"]
     pts = potential.interior_samples(P, 100, seed=_SEED)
     family = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
@@ -397,7 +380,7 @@ def _cmd_sections_norms(cfg, opts):
 
 def _cmd_concentrate(cfg, opts):
     P = cfg.polytope
-    m = opts.get("m") or _default_m(cfg)
+    m = opts.get("m") or P.lattice_center
     expr = "x1" if opts.get("u") is None else opts["u"]  # an empty weight is bad_weight
     u = parse_weight(expr, P.dim)
     result = quadrature.concentration_experiment(

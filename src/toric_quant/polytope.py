@@ -2,19 +2,18 @@
 
 A polytope is stored as integer facet data (primitive normals r_j and
 integer offsets lambda_j) defining P = {x : l_j(x) = <x, r_j> + lambda_j >= 0}.
-All combinatorial operations (vertices, smoothness certificates, lattice
-points, and the vertices of a ``Slice`` chart given its integer directions
-and base point) run in exact rational arithmetic; numpy views of the facet
-data are provided for the analytic modules.
+Vertices, smoothness certificates and the vertices of a ``Slice`` chart run
+in exact rational arithmetic; the lattice (one int64 array), its weight counts
+and the default point m in exact int64 arithmetic, whose range ``vertices``
+checks.  Numpy views of the facet data are provided for the analytic modules.
 """
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, prod
+from math import ceil, floor, lcm, prod
 
 import numpy as np
 
@@ -179,6 +178,11 @@ class DelzantPolytope:
         for j in range(self.num_facets):
             if facet_value(self, j + 1, bary) <= 0:
                 raise PolytopeError("polytope has empty interior")
+        try:  # the exact scans run in int64: scan the corners of the vertex box once
+            _grid_scan(zip(*_vertex_bounds(verts, self.dim)), [r for r, _ in self.facets],
+                       [lam for _, lam in self.facets])
+        except OverflowError as exc:  # the scan's guard, or an offset past int64 itself
+            raise PolytopeError(f"facet values leave int64: {exc}") from exc
         return verts
 
     @cached_property
@@ -194,6 +198,18 @@ class DelzantPolytope:
     def barycenter(self):
         return _mean_point([v.point for v in self.vertices])
 
+    @cached_property
+    def lattice_center(self):
+        """The lattice point nearest the barycenter b, the first (smallest) on a tie: an exact int64
+        argmin of |q (m - c) - q (b - c)|^2, with q the lcm of b's denominators and c = floor(b)."""
+        b, pts = self.barycenter, self.lattice_array
+        q, c = lcm(*(v.denominator for v in b)), [floor(v) for v in b]
+        d = pts - np.array(c, dtype=np.int64)
+        if self.dim * (q * int(np.abs(d).max()) + q) ** 2 >= 2 ** 63:
+            raise GridRangeError("squared distances to the barycenter leave int64")
+        d = q * d - np.array([int(q * (v - k)) for v, k in zip(b, c)], dtype=np.int64)
+        return tuple(pts[np.argmin(np.einsum("ij,ij->i", d, d))].tolist())
+
     def barycenter_array(self):
         return np.array([float(c) for c in self.barycenter])
 
@@ -202,8 +218,11 @@ class DelzantPolytope:
 
     @cached_property
     def is_box(self) -> bool:
-        """True when the facets cut out an axis-aligned box."""
-        return _is_box(tuple(r for r, _ in self.facets), self.dim)
+        """True when every normal is a signed coordinate vector and all 2*dim of them occur: the
+        facets then cut out an axis-aligned box.  Redundant parallel facets are allowed."""
+        nz = [[(i, v) for i, v in enumerate(r) if v != 0] for r, _ in self.facets]
+        return (all(len(z) == 1 and abs(z[0][1]) == 1 for z in nz)
+                and len({z[0] for z in nz}) == 2 * self.dim)
 
     @cached_property
     def box_bounds(self):
@@ -236,20 +255,6 @@ def facet_value(P: DelzantPolytope, j: int, x):
         raise IndexError(f"facet index {j} out of range 1..{P.num_facets}")
     r, lam = P.facets[j - 1]
     return sum(xi * ri for xi, ri in zip(x, r)) + lam
-
-
-def _is_box(normals, dim) -> bool:
-    """True when every normal is a signed coordinate vector and all 2*dim of
-    them occur: the halfspaces then cut out an axis-aligned box.  Redundant
-    parallel facets are allowed.
-    """
-    seen = set()
-    for r in normals:
-        nz = [(i, v) for i, v in enumerate(r) if v != 0]
-        if len(nz) != 1 or abs(nz[0][1]) != 1:
-            return False
-        seen.add(nz[0])
-    return len(seen) == 2 * dim
 
 
 def _vertex_bounds(vertices, dim):
@@ -382,12 +387,23 @@ def is_delzant(P: DelzantPolytope) -> DelzantCertificate:
 
 
 def lattice_points(P: DelzantPolytope):
-    """P intersected with Z^n, sorted, as tuples of ints (from ``P.lattice_array``)."""
-    return tuple(map(tuple, P.lattice_array.tolist()))
+    """P intersected with Z^n, sorted: the read-only (N, n) int64 array ``P.lattice_array``."""
+    return P.lattice_array
 
 
 def weight_multiplicities(P: DelzantPolytope, proj):
-    """Counts of lattice points per image value under the subtorus projection."""
+    """Counts of lattice points per image A m, keyed by sorted tuples of ints: one sort of the
+    A (m - m0) from the first point m0, in int64 when P's width keeps them there (else in Python
+    ints), plus the exact A m0."""
     if proj.n != P.dim:
         raise PolytopeError("projection width does not match polytope dimension")
-    return dict(sorted(Counter(map(proj.apply, lattice_points(P))).items()))
+    pts, A = P.lattice_array, proj.matrix
+    width = (pts.max(axis=0) - pts.min(axis=0)).tolist()
+    bound = max(sum(abs(a) * w for a, w in zip(r, width)) for r in A)  # of every |A (m - m0)|
+    dtype = np.int64 if bound < 2 ** 63 else object
+    y = (pts - pts[0]).astype(dtype) @ np.array(A, dtype=dtype).T
+    y = y[np.lexsort(y.T[::-1])]
+    first = np.flatnonzero(np.r_[True, np.any(y[1:] != y[:-1], axis=1)])
+    y0 = [sum(a * x for a, x in zip(r, pts[0].tolist())) for r in A]
+    return {tuple(a + b for a, b in zip(y0, key)): n for key, n in
+            zip(y[first].tolist(), np.diff(np.r_[first, len(y)]).tolist())}

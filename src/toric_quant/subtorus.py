@@ -86,10 +86,8 @@ class SubtorusProjection:
         return U
 
     def apply(self, x):
-        """Exact image for int/Fraction sequences, float for arrays."""
-        if isinstance(x, np.ndarray):
-            return np.asarray(x, dtype=float) @ self.array.T
-        return tuple(sum(a * xi for a, xi in zip(row, x)) for row in self.matrix)
+        """The image A x of points x (..., n) as floats (..., k)."""
+        return np.asarray(x, dtype=float) @ self.array.T
 
 
 @dataclass(frozen=True)

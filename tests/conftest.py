@@ -41,7 +41,7 @@ def simplex():
 
 @pytest.fixture
 def simplex3():
-    # x, y, z >= 0, 1 - x - y - z >= 0: its rules are midpoint grids
+    # x, y, z >= 0, 1 - x - y - z >= 0: not a box, so its rules are segment rules
     return DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 1)))
 
 

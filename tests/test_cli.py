@@ -18,7 +18,6 @@ from toric_quant.cli import (
     _COMMANDS,
     ConfigError,
     RunReport,
-    _default_m,
     emit,
     load_config,
     main,
@@ -706,6 +705,24 @@ class TestOptionChecks:
                 run(cfg, command)
             assert err.value.code == "bad_slope_t_list"
 
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_times_sharing_a_report_key_exit_two(self, capsys, command):
+        # per_t is keyed by f"{t:g}": 8 and 8.0000001 would keep one row for two times
+        path = str(REPO / "configs" / "square2.json")
+        assert main([command, path, "--t", "8,8.0000001,16"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "bad_t_list" and "8.0000001" in err["message"]
+
+    def test_config_times_sharing_a_report_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            load_config(write_cfg(tmp_path, dict(SQUARE2_CFG, t_list=[8, 16, 16.000001])))
+        assert err.value.code == "bad_t_list"
+
+    def test_times_differing_in_the_sixth_digit_keep_their_rows(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
+        per_t = run(cfg, "flow-check", {"t_list": (8, 8.00001, 16)}).outputs["per_t"]
+        assert per_t.keys() == {"8", "8.00001", "16"}
+
     def test_non_finite_config_times_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(write_cfg(tmp_path, dict(SQUARE2_CFG, t_list=[8, float("inf")])))
@@ -877,7 +894,8 @@ class TestDefaultM:
     def test_nearest_lattice_point(self, path):
         cfg = load_config(str(path))
         b = cfg.polytope.barycenter
-        assert _default_m(cfg) == min(lattice_points(cfg.polytope), key=lambda m: (
+        pts = map(tuple, lattice_points(cfg.polytope).tolist())
+        assert cfg.polytope.lattice_center == min(pts, key=lambda m: (
             sum((Fraction(c) - v) ** 2 for c, v in zip(m, b)), m))
 
     @pytest.mark.parametrize("bounds,m", [([(0, 3)], (1,)), ([(0, 3), (0, 1)], (1, 0)),
@@ -890,7 +908,7 @@ class TestDefaultM:
         facets += [{"normal": [-int(j == i) for j in range(len(bounds))], "offset": hi}
                    for i, (_, hi) in enumerate(bounds)]
         data = {"polytope": {"dim": len(bounds), "facets": facets}}
-        assert _default_m(load_config(write_cfg(tmp_path, data))) == m
+        assert load_config(write_cfg(tmp_path, data)).polytope.lattice_center == m
 
     def test_int64_squares_are_refused(self, tmp_path):
         # [0, 2^40] with its two ends as its lattice: (2^39)^2 leaves int64 (its real scan
@@ -900,7 +918,33 @@ class TestDefaultM:
         cfg = load_config(write_cfg(tmp_path, data))
         cfg.polytope.__dict__["lattice_array"] = np.array([[0], [2 ** 40]])
         with pytest.raises(GridRangeError, match="leave int64"):
-            _default_m(cfg)
+            cfg.polytope.lattice_center
+
+
+class TestLargeLattice:
+    """lattice and weights read the cached int64 lattice of [0, 1024]^2 and 1024 Delta^2."""
+
+    @pytest.mark.parametrize("command", ["weights", "lattice"])
+    @pytest.mark.parametrize("kind", ["box", "simplex"])
+    def test_run_is_bounded(self, tmp_path, kind, command):
+        # a tuple per lattice point, and for weights an exact image of each, took 3.3 s and
+        # 261 MB RSS (weights) and 1.5 s (lattice) on [0, 1024]^2
+        cfg = load_config(write_cfg(tmp_path, _dilated_cfg(kind, 1024)))
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            out = run(cfg, command).outputs
+            elapsed, peak = time.perf_counter() - t0, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = 1025 ** 2 if kind == "box" else 1025 * 1026 // 2
+        if command == "weights":  # A = [[1, 0]]: a column of the box, a row of the simplex
+            assert list(out["multiplicities"].items()) == [
+                (str(i), 1025 if kind == "box" else 1025 - i) for i in range(1025)]
+            assert out["total"] == out["lattice_count"] == count
+        else:
+            assert out["count"] == len(out["points"]) == count
+        assert elapsed < 1.0 and peak < 200e6
 
 
 class TestLogNorms:

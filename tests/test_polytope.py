@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import ceil, factorial, floor, gcd, prod
 
@@ -101,15 +102,15 @@ class TestIsDelzant:
 
 class TestLatticePoints:
     def test_interval(self, interval):
-        assert lattice_points(interval) == ((0,), (1,))
+        assert lattice_points(interval).tolist() == [[0], [1]]
 
     def test_square2_grid(self, square2):
         pts = lattice_points(square2)
         assert len(pts) == 9
-        assert set(pts) == {(i, j) for i in range(3) for j in range(3)}
+        assert set(map(tuple, pts.tolist())) == {(i, j) for i in range(3) for j in range(3)}
 
     def test_simplex(self, simplex):
-        assert set(lattice_points(simplex)) == {(0, 0), (1, 0), (0, 1)}
+        assert set(map(tuple, lattice_points(simplex).tolist())) == {(0, 0), (1, 0), (0, 1)}
 
     def test_unimodular_invariance(self, square2, simplex):
         # transform x -> M x, normals by the inverse transpose: counts agree
@@ -159,8 +160,8 @@ class TestLatticeScan:
     def test_matches_brute_force(self, P):
         assert is_delzant(P)
         pts = lattice_points(P)
-        assert pts == _brute_lattice(P)
-        assert all(type(c) is int for m in pts for c in m)
+        assert tuple(map(tuple, pts.tolist())) == _brute_lattice(P)
+        assert pts.dtype == np.int64 and not pts.flags.writeable
 
     def test_several_blocks(self):
         # 37^3 = 50,653 grid points: one full scan block and a partial one
@@ -173,7 +174,7 @@ class TestLatticeScan:
         # [0, 2] with the redundant facet x + 2^63 - 1 >= 0, whose value at
         # x = 1 does not fit int64: wrapped, it would drop x = 1 and x = 2
         P = DelzantPolytope(1, (((1,), 0), ((-1,), 2), ((1,), 2 ** 63 - 1)))
-        with pytest.raises(OverflowError):
+        with pytest.raises(PolytopeError, match="facet values leave int64"):
             lattice_points(P)
 
     def test_scan_limit_refused_before_any_axis(self, monkeypatch):
@@ -358,6 +359,55 @@ class TestWeightMultiplicities:
             proj = SubtorusProjection(rows)
             mult = weight_multiplicities(P, proj)
             assert sum(mult.values()) == len(lattice_points(P))
+
+    def test_translated_box_keys_shift_exactly(self):
+        # [2^60, 2^60 + 3] x [0, 4] under A = [[9, 1]]: A m leaves int64 (9 * 2^60 > 2^63),
+        # A (m - m0) does not
+        proj, t = SubtorusProjection(((9, 1),)), 2 ** 60
+        near = weight_multiplicities(DelzantPolytope.from_box([(0, 3), (0, 4)]), proj)
+        far_box = DelzantPolytope.from_box([(t, t + 3), (0, 4)])
+        far = weight_multiplicities(far_box, proj)
+        assert list(far.items()) == [((y + 9 * t,), n) for (y,), n in near.items()]
+        assert far == _exact_weights(far_box, proj.matrix)
+        assert all(type(c) is int for key in far for c in key)
+
+    def test_rank_two_image_of_a_box_keeps_key_order(self):
+        P = DelzantPolytope.from_box([(-1, 2), (0, 3), (-2, 1)])
+        rows = ((1, -2, 0), (0, 1, 3))
+        mult = weight_multiplicities(P, SubtorusProjection(rows))
+        assert list(mult.items()) == list(_exact_weights(P, rows).items())
+        assert list(mult) == sorted(mult) and len({len(k) for k in mult}) == 1
+        assert all(type(c) is int for key in mult for c in key)
+        assert all(type(n) is int for n in mult.values())
+
+    @pytest.mark.parametrize("rows", [((2 ** 70, 1),), ((2 ** 61, 3),), ((2 ** 60, 1),),
+                                      ((-(2 ** 62), 1),)])
+    def test_entries_near_or_past_int64_counted_exactly(self, rows):
+        # width 3 along x1: 3 * 2^61 and 3 * 2^62 leave int64, 3 * 2^60 + 2 does not
+        P = DelzantPolytope.from_box([(0, 3), (0, 2)])
+        mult = weight_multiplicities(P, SubtorusProjection(rows))
+        assert list(mult.items()) == list(_exact_weights(P, rows).items())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(small_delzant(), st.data())
+    def test_matches_the_exact_count(self, P, data):
+        # P moved by up to 2^56 per axis, A with small, medium and past-int64 entries
+        t = data.draw(st.lists(st.integers(-(2 ** 56), 2 ** 56), min_size=P.dim, max_size=P.dim))
+        P = DelzantPolytope(P.dim, tuple(
+            (r, lam - sum(a * b for a, b in zip(r, t))) for r, lam in P.facets))
+        entry = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 10), 2 ** 10),
+                          st.integers(-(2 ** 70), 2 ** 70))
+        row = data.draw(st.lists(entry, min_size=P.dim, max_size=P.dim))
+        row[data.draw(st.integers(0, P.dim - 1))] = 1  # gcd 1: lattice-surjective
+        mult = weight_multiplicities(P, SubtorusProjection((tuple(row),)))
+        assert list(mult.items()) == list(_exact_weights(P, (row,)).items())
+
+
+def _exact_weights(P, rows):
+    """The Python-int image A m of every lattice point, counted and sorted by key."""
+    images = (tuple(sum(a * x for a, x in zip(row, m)) for row in rows)
+              for m in map(tuple, lattice_points(P).tolist()))
+    return dict(sorted(Counter(images).items()))
 
 
 class TestSlice:

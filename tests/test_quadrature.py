@@ -827,7 +827,7 @@ class TestSegmentFibers:
             monkeypatch.setattr(quadrature, "FIBER_NODES", n)
             for name in POLYGONS:
                 pot = self._pot(name, phi_half_square)
-                for m in lattice_points(pot.polytope):
+                for m in map(tuple, lattice_points(pot.polytope).tolist()):
                     for expr in PLANAR_WEIGHTS:
                         res = concentration_experiment(pot, m, parse_weight(expr, 2),
                                                        PLANAR_T, resolution=128)
