@@ -33,11 +33,7 @@ from .potential import (
     g0_value,
     validate_potential,
 )
-from .legendre import (
-    NewtonConvergenceError,
-    inverse,
-    kahler_potential,
-)
+from .legendre import NewtonConvergenceError, inverse
 from .polarization import decay_report
 from .sections import (
     ConcentrationWeight,

@@ -364,7 +364,7 @@ def _cmd_sections_norms(cfg, opts):
              for t, l1, r in zip(t_list, logs, res.tolist())]
     worst = float(res.max())
     # both sides are affine in m, so P's vertices (lattice points) suffice; m adds its own row
-    ms = [v.as_array() for v in P.vertices] + [np.asarray(m, dtype=float)]
+    ms = np.vstack([P.vertex_array, m])
     agree = float(np.max(sections.peak_relative_gap(
         sections.log_norm_matrix(family, ms, pts), sections.closed_form_log_norm_g0(P, ms, pts))))
     out = {"m": list(m), "rows": per_t, "max_factorization_residual": worst,

@@ -1,8 +1,7 @@
 """Legendre bridge between moment coordinates x and complex coordinates y.
 
-The forward map y = grad g(x) is ``SymplecticPotential.gradient``; here are its Newton
-inversion with facet-aware damping and the dual potential h(y) = -g(x(y)) + <x(y), y>,
-each batched over leading axes of its points.
+The forward map y = grad g(x) is ``SymplecticPotential.gradient``; here is its Newton
+inversion with facet-aware damping, batched over leading axes of its points.
 """
 from __future__ import annotations
 
@@ -49,45 +48,38 @@ def inverse(pot: SymplecticPotential, y, t=0.0):
         raise ValueError("t must be nonnegative")
     Y = y.reshape(-1, P.dim)
     X = np.array(np.broadcast_to(P.barycenter_array(), y.shape)).reshape(-1, P.dim)
-    active = np.arange(len(Y))  # points still iterating
+    active, x = np.arange(len(Y)), X  # the rows still iterating and their iterates
     for iteration in range(MAX_ITERATIONS + 1):
-        x = X[active]
-        res = pot.gradient(x, T[active]) - Y[active]
-        resnorm = np.linalg.norm(res, axis=-1)
-        beyond = np.where(np.abs(res) < ROUNDING * np.abs(Y[active]), 0.0, res)
+        res = pot.gradient(x, T) - Y
+        beyond = np.where(np.abs(res) < ROUNDING * np.abs(Y), 0.0, res)
         moving = ~(np.linalg.norm(beyond, axis=-1) <= TOLERANCE)  # NaN keeps iterating
-        active, x, res, resnorm = active[moving], x[moving], res[moving], resnorm[moving]
+        if not moving.all():  # gather only when some row has converged
+            X[active[~moving]] = x[~moving]
+            active, x, res, Y, T = active[moving], x[moving], res[moving], Y[moving], T[moving]
         if not active.size:
             return X.reshape(y.shape)
         if iteration == MAX_ITERATIONS:
-            raise NewtonConvergenceError(x[0], float(resnorm[0]), iteration, int(active[0]))
-        step = -np.linalg.solve(pot.hessian(x, T[active]), res[..., None])[..., 0]
+            raise _failure(x, res, iteration, active, 0)
+        step = -np.linalg.solve(pot.hessian(x, T), res[..., None])[..., 0]
         lcur = P.facet_values_array(x)
         rate = np.max(-(step @ P.normal_matrix.T) / lcur, axis=-1)  # facet values are affine
         reach = 0.99 * (1 - FLOOR)
         s = reach / np.maximum(rate, reach)  # min(1, reach / rate); a NaN step stays NaN
-        rejected = np.arange(len(active))
-        for _ in range(60):
-            trial = x[rejected] + s[rejected, None] * step[rejected]
-            ok = np.all(P.facet_values_array(trial) > FLOOR * lcur[rejected], axis=-1)
-            rejected = rejected[~ok]
+        trial = x + s[:, None] * step  # every first trial in one check, at recomputed values
+        rejected = np.flatnonzero(~np.all(P.facet_values_array(trial) > FLOOR * lcur, axis=-1))
+        for _ in range(59):  # 60 trials in all: halve and recheck only the rejected rows
             if not rejected.size:
                 break
             s[rejected] *= 0.5
-        else:
-            i = rejected[0]
-            raise NewtonConvergenceError(x[i], float(resnorm[i]), iteration, int(active[i]))
-        X[active] = x + s[:, None] * step
+            trial[rejected] = x[rejected] + s[rejected, None] * step[rejected]
+            ok = np.all(P.facet_values_array(trial[rejected]) > FLOOR * lcur[rejected], axis=-1)
+            rejected = rejected[~ok]
+        if rejected.size:
+            raise _failure(x, res, iteration, active, rejected[0])
+        x = trial
 
 
-def kahler_potential(pot: SymplecticPotential, y, t=0.0):
-    """h_t(y) = -g_t(x(y)) + <x(y), y>, the convex conjugate of g_t.
-
-    Batched over leading axes, with t broadcast as in ``inverse``; a single
-    point gives a float.
-    """
-    y = np.asarray(y, dtype=float)
-    x = inverse(pot, y, t)
-    h = -pot.value(x, t) + np.sum(x * y, axis=-1)
-    return float(h) if np.ndim(h) == 0 else h
-
+def _failure(x, res, iteration, active, i):
+    """The NewtonConvergenceError of row i of the iterating rows x."""
+    resnorm = np.linalg.norm(res[i:i + 1], axis=-1)[0]
+    return NewtonConvergenceError(x[i], float(resnorm), iteration, int(active[i]))

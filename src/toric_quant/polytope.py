@@ -47,9 +47,6 @@ class Vertex:
     point: tuple  # exact rational coordinates
     active_facets: tuple  # 0-based facet indices where l_j vanishes
 
-    def as_array(self):
-        return np.array([float(c) for c in self.point])
-
 
 @dataclass(frozen=True)
 class DelzantCertificate:
@@ -158,6 +155,12 @@ class DelzantPolytope:
         return np.array([r for r, _ in self.facets], dtype=float)
 
     @cached_property
+    def normal_outer(self):
+        """The outer products r_j r_j^T flattened, (d, n * n): sum_j c_j r_j r_j^T is c @ this."""
+        R = self.normal_matrix
+        return (R[:, :, None] * R[:, None, :]).reshape(self.num_facets, -1)
+
+    @cached_property
     def offset_vector(self):
         return np.array([lam for _, lam in self.facets], dtype=float)
 
@@ -184,6 +187,13 @@ class DelzantPolytope:
         except OverflowError as exc:  # the scan's guard, or an offset past int64 itself
             raise PolytopeError(f"facet values leave int64: {exc}") from exc
         return verts
+
+    @cached_property
+    def vertex_array(self):
+        """The vertices as floats: a read-only (V, n) array in the order of ``vertices``."""
+        V = np.array([v.point for v in self.vertices], dtype=float)
+        V.flags.writeable = False
+        return V
 
     @cached_property
     def lattice_array(self):

@@ -51,10 +51,10 @@ def g0_gradient(P: DelzantPolytope, x):
 
 
 def g0_hessian(P: DelzantPolytope, x):
-    """Hess g0 = 1/2 sum_j r_j r_j^T / l_j(x), symmetric positive definite."""
+    """Hess g0 = 1/2 sum_j r_j r_j^T / l_j(x), symmetric positive definite: one product
+    of 1/2 / l_j with the flattened outer products, over every leading axis."""
     x, L = _interior_l(P, x)
-    R = P.normal_matrix
-    return 0.5 * ((R.T / L[..., None, :]) @ R)
+    return ((0.5 / L) @ P.normal_outer).reshape(L.shape[:-1] + (P.dim, P.dim))
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class PotentialReport:
 def interior_samples(P: DelzantPolytope, count: int, seed: int = 0):
     """Deterministic interior points: Dirichlet mixtures of the vertices."""
     rng = np.random.default_rng(seed)
-    V = np.array([v.as_array() for v in P.vertices])
+    V = P.vertex_array
     w = rng.dirichlet(np.ones(len(V)), size=count)
     return w @ V
 
@@ -124,17 +124,11 @@ def boundary_approach_samples(P: DelzantPolytope):
     For facet j the point at "distance" 10^-e has l_j = 10^-e * l_j(barycenter),
     so the samples approach every facet geometrically.
     """
-    bary = P.barycenter_array()
-    pts = []
-    for j in range(P.num_facets):
-        active = [v.as_array() for v in P.vertices if j in v.active_facets]
-        if not active:
-            continue
-        mid = np.mean(active, axis=0)
-        for e in range(2, 9):
-            s = 10.0 ** (-e)
-            pts.append(mid + s * (bary - mid))
-    return np.array(pts)
+    V, bary = P.vertex_array, P.barycenter_array()
+    on = np.array([[j in v.active_facets for v in P.vertices] for j in range(P.num_facets)])
+    mids = np.array([np.mean(V[row], axis=0) for row in on if row.any()])[:, None]
+    s = np.array([10.0 ** (-e) for e in range(2, 9)])[:, None]  # numpy's power rounds apart
+    return (mids + s * (bary - mids)).reshape(-1, P.dim)
 
 
 def validate_potential(pot: SymplecticPotential, interior_points,

@@ -34,7 +34,8 @@ def peak_relative_gap(a, b):
     e^{a - max(0, max a)} |expm1(b - a)|: it leaves float64 only where the gap does, and
     an absolute log difference would read the roundoff of a large exponent as a gap."""
     top = np.maximum(0.0, np.max(a, axis=-1, keepdims=True))
-    return np.max(np.exp(a - top) * np.abs(np.expm1(b - a)), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap past float64 reads inf or NaN
+        return np.max(np.exp(a - top) * np.abs(np.expm1(b - a)), axis=-1)
 
 
 def _facet_values_at(P: DelzantPolytope, m):

@@ -144,11 +144,12 @@ def default_convex(k: int) -> ConvexFunction:
 
 
 def pullback(phi: ConvexFunction, proj: SubtorusProjection) -> ConvexFunction:
-    """psi = phi o proj with chain-rule gradient A^T grad and Hessian A^T H A."""
+    """psi = phi o proj with chain-rule gradient A^T grad and Hessian A^T H A, the latter one
+    product of the flattened H with the flattened A (x) A, (k^2, n^2), over every leading axis."""
     if phi.dim != proj.k:
         raise ValueError(f"convex function dim {phi.dim} != projection rank {proj.k}")
     A = proj.array
-    n = proj.n
+    n, AA = proj.n, (A[:, None, :, None] * A[None, :, None, :]).reshape(proj.k ** 2, -1)
 
     def value(x):
         return phi.value(np.asarray(x, dtype=float) @ A.T)
@@ -158,7 +159,7 @@ def pullback(phi: ConvexFunction, proj: SubtorusProjection) -> ConvexFunction:
 
     def hessian(x):
         H = phi.hessian(np.asarray(x, dtype=float) @ A.T)
-        return A.T @ H @ A
+        return (H.reshape(H.shape[:-2] + (-1,)) @ AA).reshape(H.shape[:-2] + (n, n))
 
     return ConvexFunction(dim=n, value=value, gradient=gradient, hessian=hessian)
 

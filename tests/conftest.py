@@ -6,7 +6,7 @@ from toric_quant import (
     SubtorusProjection,
     SymplecticPotential,
     closed_form_log_norm_g0,
-    kahler_potential,
+    legendre,
     log_norm_matrix,
     quadratic,
 )
@@ -76,6 +76,18 @@ def g0_on(P):
     return SymplecticPotential(P, SubtorusProjection.standard(1, P.dim), quadratic([[1.0]]))
 
 
+def kahler_potential(pot, y, t=0.0):
+    """h_t(y) = -g_t(x(y)) + <x(y), y>, the convex conjugate of g_t: the Newton-based reference.
+
+    Batched over leading axes, with t broadcast as in ``legendre.inverse`` (looked up
+    there on each call); a single point gives a float.
+    """
+    y = np.asarray(y, dtype=float)
+    x = legendre.inverse(pot, y, t)
+    h = -pot.value(x, t) + np.sum(x * y, axis=-1)
+    return float(h) if np.ndim(h) == 0 else h
+
+
 def flow_identity_residual(pot, times, x):
     """|h_t(grad g_t(x)) - [h_0(grad g_0(x)) - t psi(x) + t <x, grad psi(x)>]| per t.
 
@@ -97,7 +109,7 @@ def flow_identity_residual(pot, times, x):
 def sample_interior(P, count, seed=0):
     """Deterministic strictly interior points (Dirichlet vertex mixtures)."""
     rng = np.random.default_rng(seed)
-    V = np.array([v.as_array() for v in P.vertices])
+    V = P.vertex_array
     pts = rng.dirichlet(np.ones(len(V)), size=count) @ V
     assert np.all(P.facet_values_array(pts) > 0)
     return pts

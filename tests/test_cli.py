@@ -868,6 +868,19 @@ class TestOutOfRange:
         err = json.loads(cap.err, parse_constant=_reject_constant)["error"]
         assert err["code"] == "out_of_range" and cap.out == ""
 
+    @pytest.mark.parametrize("argv", [["sections-norms", "--t", "1e20"],
+                                      ["full-suite", "--t", "1,1e20"]])
+    @pytest.mark.parametrize("config", ["configs/square2.json", "bench/fixtures/hirzebruch.json"])
+    def test_huge_t_norm_gap_prints_one_json_line(self, capsys, argv, config):
+        # at t = 1e20 the factorization gap leaves float64: no numpy warning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([argv[0], str(REPO / config), *argv[1:]]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.count("\n") == 1
+        err = json.loads(cap.err, parse_constant=_reject_constant)["error"]
+        assert err["code"] == "out_of_range" and "non-finite" in err["message"]
+
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_emit_refuses_non_finite(self, value):
         rep = RunReport("validate", "d" * 64, {"x": [1.0, value]}, {}, {})

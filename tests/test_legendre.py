@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 
 from toric_quant import (
+    DelzantPolytope,
     NewtonConvergenceError,
     SymplecticPotential,
     inverse,
-    kahler_potential,
     legendre,
     quadratic,
 )
 from toric_quant.cli import load_config
 from toric_quant.potential import interior_samples
 
-from conftest import fd_gradient, fd_jacobian, flow_identity_residual, g0_on, sample_interior
+from conftest import (
+    fd_gradient,
+    fd_jacobian,
+    flow_identity_residual,
+    g0_on,
+    kahler_potential,
+    sample_interior,
+)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -305,6 +312,78 @@ class TestBatchedInverse:
         assert xs.shape == ys.shape
         for t, y, x in zip(times, ys, xs):
             assert np.array_equal(x, inverse(pot0, y, t))
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count the rows of every pot.gradient and pot.hessian call, one list each."""
+        calls = {"gradient": [], "hessian": []}
+        for name, rows in calls.items():
+            real = getattr(SymplecticPotential, name)
+            monkeypatch.setattr(SymplecticPotential, name, lambda self, x, t=0.0, real=real,
+                                rows=rows: rows.append(len(x)) or real(self, x, t))
+        return calls
+
+    @staticmethod
+    def _mixed_stack(P, pot):
+        # the barycenter, points near it and points near the boundary, on a time ladder:
+        # the rows converge in different rounds
+        bary = P.barycenter_array()
+        pts = np.concatenate([bary[None], bary + 1e-6 * (sample_interior(P, 3, seed=1) - bary),
+                              sample_interior(P, 8, seed=11),
+                              bary + (1 - 1e-3) * (P.vertex_array[:4] - bary)])
+        t = np.reshape([0.0, 1.0, 10.0, 100.0], (-1, 1))
+        return pot.gradient(pts, t), t
+
+    @pytest.mark.parametrize("config", [
+        "configs/interval.json", "configs/square2.json", "bench/fixtures/simplex2.json",
+        "bench/fixtures/cube2.json",
+        pytest.param("bench/fixtures/hirzebruch.json", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "a lone row's grad g0 is a (1, d) @ (d, n) product, which numpy sends to "
+                "gemv: where three facet normals share a coordinate its sum rounds apart "
+                "from the stacked gemm")))])
+    def test_mixed_stack_is_bit_equal_to_each_row_alone(self, config, monkeypatch):
+        cfg = load_config(str(REPO / config))
+        pot = SymplecticPotential(cfg.polytope, cfg.proj, cfg.phi)
+        ys, t = self._mixed_stack(cfg.polytope, pot)
+        xs = inverse(pot, ys, t)
+        calls, rounds = self._counted(monkeypatch), set()
+        for i, j in np.ndindex(ys.shape[:-1]):
+            before = len(calls["hessian"])
+            assert np.array_equal(xs[i, j], inverse(pot, ys[i, j], t[i, 0]))
+            rounds.add(len(calls["hessian"]) - before)
+        assert len(rounds) > 2  # the rows left the stack in different rounds
+
+    @pytest.mark.parametrize("config", ["configs/interval.json", "bench/fixtures/simplex2.json"])
+    def test_one_gradient_and_one_hessian_per_round(self, config, monkeypatch):
+        # the bench reads Newton rounds off the potential.gradient and potential.hessian spans
+        cfg = load_config(str(REPO / config))
+        pot = SymplecticPotential(cfg.polytope, cfg.proj, cfg.phi)
+        ys, t = self._mixed_stack(cfg.polytope, pot)
+        calls = self._counted(monkeypatch)
+        inverse(pot, ys, t)
+        steps = []
+        for i, j in np.ndindex(ys.shape[:-1]):
+            before = len(calls["hessian"])
+            inverse(pot, ys[i, j], t[i, 0])
+            steps.append(len(calls["hessian"]) - before)
+        grad, hess = calls["gradient"][:max(steps) + 1], calls["hessian"][:max(steps)]
+        # each round evaluates every row still iterating, in one call of each
+        assert hess == [sum(s > k for s in steps) for k in range(max(steps))]
+        assert grad == [ys[..., 0].size] + hess
+
+    def test_a_rejected_step_gets_sixty_trials(self, square2, monkeypatch):
+        # a NaN step fails every trial: its round evaluates facet values for grad g0, Hess g0
+        # and the current point, then at 60 trial points, and the row fails in round 0
+        pot = _pot(square2)
+        checked = []
+        real = DelzantPolytope.facet_values_array
+        monkeypatch.setattr(DelzantPolytope, "facet_values_array",
+                            lambda self, x: checked.append(len(x)) or real(self, x))
+        with pytest.raises(NewtonConvergenceError) as err:
+            inverse(pot, np.array([[0.1, 0.2], [np.nan, 0.0]]))
+        assert err.value.index == 1 and err.value.iterations == 0
+        assert checked == [2, 2, 2, 2] + [1] * 59
 
     def test_times_need_one_row_each(self, square2, proj_first_of_two, phi_half_square):
         pot0 = _pot(square2, proj_first_of_two, phi_half_square)

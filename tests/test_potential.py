@@ -14,6 +14,7 @@ from toric_quant import (
     inverse,
     validate_potential,
 )
+from toric_quant.cli import load_config
 from toric_quant.potential import boundary_approach_samples, interior_samples
 
 from conftest import fd_gradient, fd_jacobian, g0_on, sample_interior
@@ -82,13 +83,14 @@ class TestDerivatives:
             assert np.max(np.abs(num - ana)) <= 1e-6 * max(1.0, np.max(np.abs(ana)))
 
     @pytest.mark.parametrize("lead", [(), (12,), (3, 4)])
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_hessian_is_the_facet_sum(self, dim, lead):
-        # square2 and cube2; one matmul over every leading axis
-        P = DelzantPolytope.from_box([(0, 2)] * dim)
-        x = sample_interior(P, int(np.prod(lead)), seed=13).reshape(lead + (dim,))
+    @pytest.mark.parametrize("fixture", ["square2", "cube2", "simplex2", "hirzebruch"])
+    def test_hessian_is_the_facet_sum(self, fixture, lead):
+        # boxes and non-box polygons; one product over every leading axis
+        P = load_config(str(REPO / ("configs" if fixture == "square2" else "bench/fixtures")
+                            / f"{fixture}.json")).polytope
+        x = sample_interior(P, int(np.prod(lead)), seed=13).reshape(lead + (P.dim,))
         H = g0_hessian(P, x)
-        assert H.shape == lead + (dim, dim)
+        assert H.shape == lead + (P.dim, P.dim)
         for idx in np.ndindex(lead):
             ref = 0.5 * sum(np.outer(r, r) / l for r, l in
                             zip(P.normal_matrix, P.facet_values_array(x[idx])))

@@ -249,7 +249,7 @@ def _volume(P):
     """The volume of P from its vertices, by scipy's convex hull."""
     from scipy.spatial import ConvexHull
 
-    V = np.array([v.as_array() for v in P.vertices])
+    V = P.vertex_array
     return float(np.ptp(V)) if P.dim == 1 else ConvexHull(V).volume
 
 

@@ -103,7 +103,7 @@ def _product_form(P, m, x):
 
 def _boundary_points(P):
     """The vertices and the midpoint of every edge between two of them."""
-    V = np.array([v.as_array() for v in P.vertices])
+    V = P.vertex_array
     return np.concatenate([V, 0.5 * (V[:, None] + V[None, :]).reshape(-1, P.dim)])
 
 
@@ -131,8 +131,8 @@ class TestClosedFormLogForm:
         lm_of = lambda x: P.facet_values_array(np.array(x, dtype=float))
         for m in lattice_points(P):
             lm = lm_of(m)
-            for v in P.vertices:
-                val = closed_form_norm_g0(P, m, v.as_array())
+            for v, x in zip(P.vertices, P.vertex_array):
+                val = closed_form_norm_g0(P, m, x)
                 if any(lm[j] > 0 for j in v.active_facets):
                     assert val == 0.0
                 else:

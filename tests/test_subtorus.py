@@ -142,6 +142,23 @@ class TestPullback:
             ref = sum(h[a, b] * np.outer(A[a], A[b]) for a in range(proj.k) for b in range(proj.k))
             np.testing.assert_allclose(H[idx], ref, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("lead", [(), (12,), (3, 4)])
+    @pytest.mark.parametrize("rows", [((1, 1),), ((1, 1, 0), (0, 1, 1))])
+    def test_hessian_is_the_chain_rule_product(self, rows, lead):
+        # the skew A of square2_skew and a skew k = 2 projection of a 3-box: the one
+        # product with A (x) A against A^T Hess phi(A x) A, point by point
+        proj = SubtorusProjection(rows)
+        A = proj.array
+        q = quadratic(np.array([[2.0, 0.5], [0.5, 1.0]])[:proj.k, :proj.k])
+        phi = ConvexFunction(proj.k, None, None,
+                             lambda y: q.hessian(y) + np.exp(y)[..., None] * np.eye(proj.k))
+        x = np.random.default_rng(8).uniform(0, 2, size=lead + (proj.n,))
+        H = pullback(phi, proj).hessian(x)
+        assert H.shape == lead + (proj.n, proj.n)
+        for idx in np.ndindex(lead):
+            ref = A.T @ phi.hessian(A @ x[idx]) @ A
+            np.testing.assert_allclose(H[idx], ref, rtol=1e-14, atol=0)
+
 
 class TestConvexity:
     @pytest.mark.parametrize("Q", [[[-1.0]], [[0.0]], [[1e-11]], [[1.0, 2.0], [2.0, 1.0]],
