@@ -52,13 +52,6 @@ def rational_rank(A) -> int:
     return _hermite(A, len(A[0]) if A else 0)[2]
 
 
-def _normalize_row(row):
-    lead = next((v for v in row if v != 0), 1)
-    if lead < 0:
-        row = [-v for v in row]
-    return row
-
-
 def _hermite(A, n):
     """Column Hermite reduction over Z of the k x n integer matrix A.
 
@@ -71,12 +64,6 @@ def _hermite(A, n):
     H = [list(map(exact_int, row)) for row in A]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     rank, det = 0, 1
-
-    def col_sub(dst, src, q):
-        for M in (H, V):
-            for row in M:
-                row[dst] -= q * row[src]
-
     for r in range(len(H)):
         while True:
             live = [c for c in range(rank, n) if H[r][c] != 0]
@@ -85,10 +72,9 @@ def _hermite(A, n):
             if len(live) == 1:
                 c = live[0]
                 sign = 1 if H[r][c] > 0 else -1
-                for M in (H, V):
-                    for row in M:
-                        row[rank], row[c] = row[c], row[rank]
-                        row[rank] *= sign
+                for row in H + V:
+                    row[rank], row[c] = row[c], row[rank]
+                    row[rank] *= sign
                 det *= sign if c == rank else -sign
                 rank += 1
                 break
@@ -96,8 +82,9 @@ def _hermite(A, n):
             s = live[0]
             for c in live[1:]:
                 q = H[r][c] // H[r][s]
-                if q:
-                    col_sub(c, s, q)
+                if q:  # column c -= q column s
+                    for row in H + V:
+                        row[c] -= q * row[s]
     return H, V, rank, det
 
 
@@ -113,6 +100,6 @@ def integer_kernel_basis(A, ncols=None):
             raise ValueError("ncols required for an empty matrix")
         ncols = len(A[0])
     _, V, rank, _ = _hermite(A, ncols)
-    basis = [_normalize_row([V[i][c] for i in range(ncols)]) for c in range(rank, ncols)]
-    basis.sort()
-    return tuple(tuple(v) for v in basis)
+    cols = [[V[i][c] for i in range(ncols)] for c in range(rank, ncols)]  # none is zero
+    return tuple(sorted(tuple(v) if next(e for e in v if e) > 0 else tuple(-e for e in v)
+                        for v in cols))

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import argparse
 import ast
+import gc
 import hashlib
 import json
 import operator
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 
 import numpy as np
@@ -66,6 +68,24 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
 
+class _RunInputs:
+    """What the commands of one run share, each made on first use: the potential family,
+    and the weights of the interior samples, whose smaller draws are its first rows."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg, self._weights = cfg, None
+
+    @cached_property
+    def family(self) -> potential.SymplecticPotential:
+        return potential.SymplecticPotential(self.cfg.polytope, self.cfg.proj, self.cfg.phi)
+
+    def samples(self, count: int) -> np.ndarray:
+        """interior_samples(P, count, seed=_SEED), its weights the first rows of one draw."""
+        if self._weights is None or len(self._weights) < count:
+            self._weights = potential.mixture_weights(self.cfg.polytope, count, _SEED)
+        return potential.interior_samples(self.cfg.polytope, count, weights=self._weights)
+
+
 @dataclass
 class RunReport:
     command: str
@@ -86,11 +106,17 @@ def _to_native(obj):
 
 
 def _canonical_json(obj) -> bytes:
+    # the cyclic collector would walk every row list that _to_native makes, none in a cycle
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
                           default=_to_native).encode()
     except ValueError as exc:  # inf or nan: JSON has no token for them
         raise ConfigError("out_of_range", f"non-finite value has no JSON form: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _check_t_list(t_list) -> tuple:
@@ -153,18 +179,15 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("dimension_mismatch",
                           f"projection width {proj.n} != polytope dimension {P.dim}")
 
-    phidata = raw.get("phi")
-    if phidata is None:
-        phi = default_convex(proj.k)
-    else:
-        if not isinstance(phidata, dict) or phidata.get("type") != "quadratic":
-            raise ConfigError("bad_phi", "only the quadratic convex family is configurable")
-        try:
-            phi = quadratic(phidata["Q"], phidata.get("b"))
-        except NotConvexError as exc:
-            raise ConfigError("not_convex", str(exc)) from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("bad_phi", f"invalid quadratic data: {exc}") from exc
+    spec = raw.get("phi")
+    if spec is not None and (not isinstance(spec, dict) or spec.get("type") != "quadratic"):
+        raise ConfigError("bad_phi", "only the quadratic convex family is configurable")
+    try:
+        phi = default_convex(proj.k) if spec is None else quadratic(spec["Q"], spec.get("b"))
+    except NotConvexError as exc:
+        raise ConfigError("not_convex", str(exc)) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("bad_phi", f"invalid quadratic data: {exc}") from exc
     if phi.dim != proj.k:
         raise ConfigError("dimension_mismatch",
                           f"phi dimension {phi.dim} != projection rank {proj.k}")
@@ -263,17 +286,17 @@ def _compile_weight(node, n, work):
 
 # --- command implementations -------------------------------------------------
 
-def _cmd_validate(cfg, opts):
+def _cmd_validate(cfg, opts, shared):
     # load_config has already rejected every non-Delzant polytope (not_delzant)
     return {"delzant": True}, {}, {}
 
 
-def _cmd_lattice(cfg, opts):
+def _cmd_lattice(cfg, opts, shared):
     pts = lattice_points(cfg.polytope)
     return {"count": len(pts), "points": pts}, {}, {}
 
 
-def _cmd_weights(cfg, opts):
+def _cmd_weights(cfg, opts, shared):
     mult = weight_multiplicities(cfg.polytope, cfg.proj)
     total = sum(mult.values())  # every lattice point has one image
     out = {"multiplicities": {",".join(map(str, k)): v for k, v in mult.items()},
@@ -281,13 +304,11 @@ def _cmd_weights(cfg, opts):
     return out, {}, {}
 
 
-def _cmd_potential_validate(cfg, opts):
-    P = cfg.polytope
-    pts = potential.interior_samples(P, 200, seed=_SEED)
-    rays = potential.boundary_approach_samples(P)
+def _cmd_potential_validate(cfg, opts, shared):
+    pts = shared.samples(200)
+    rays = potential.boundary_approach_samples(cfg.polytope)
     times = sorted({0.0, *opts["t_list"]})
-    reps = potential.validate_potential(
-        potential.SymplecticPotential(P, cfg.proj, cfg.phi), pts, rays, times)
+    reps = potential.validate_potential(shared.family, pts, rays, times)
     per_t = {f"{t:g}": {"product_min": rep.product_min,
                         "product_max": rep.product_max,
                         "min_hessian_eigenvalue": rep.min_eigenvalue,
@@ -299,10 +320,8 @@ def _cmd_potential_validate(cfg, opts):
                          r.product_min > 0 and np.isfinite(r.product_max) for r in reps)}
 
 
-def _cmd_legendre_roundtrip(cfg, opts):
-    P = cfg.polytope
-    pts = potential.interior_samples(P, 100, seed=_SEED)
-    pot = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
+def _cmd_legendre_roundtrip(cfg, opts, shared):
+    pts, pot = shared.samples(100), shared.family
     times = sorted({0.0, *opts["t_list"]})
     # y_t = grad g0 + t grad psi from one gradient of each; one Newton stack
     t = np.reshape(times, (-1, 1))
@@ -315,12 +334,9 @@ def _cmd_legendre_roundtrip(cfg, opts):
             {"roundtrip": tol}, {"roundtrip_within_tolerance": worst < tol})
 
 
-def _cmd_flow_check(cfg, opts):
-    P = cfg.polytope
+def _cmd_flow_check(cfg, opts, shared):
     # the time-t frames against the coordinates of the imaginary-time flow: no Newton solve
-    res = polarization.flow_residual(potential.SymplecticPotential(P, cfg.proj, cfg.phi),
-                                     potential.interior_samples(P, 20, seed=_SEED),
-                                     opts["t_list"]).tolist()
+    res = polarization.flow_residual(shared.family, shared.samples(20), opts["t_list"]).tolist()
     per_t = {f"{t:g}": r for t, r in zip(opts["t_list"], res)}
     worst = max(res)
     tol = 1e-8
@@ -328,15 +344,12 @@ def _cmd_flow_check(cfg, opts):
             {"flow_identity": tol}, {"flow_identity_within_tolerance": worst < tol})
 
 
-def _cmd_polarization_limit(cfg, opts):
-    P = cfg.polytope
-    npoints = opts.get("points") or 10
-    bary = P.barycenter_array()
+def _cmd_polarization_limit(cfg, opts, shared):
+    bary = cfg.polytope.barycenter_array()
     # halfway-to-center mixtures: keeps the slope fit in its asymptotic window
-    pts = bary + 0.5 * (potential.interior_samples(P, npoints, seed=_SEED) - bary)
+    pts = bary + 0.5 * (shared.samples(opts.get("points") or 10) - bary)
     t_list = opts["t_list"]
-    pot = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
-    rep = polarization.decay_report(pot, cfg.proj, pts, t_list)
+    rep = polarization.decay_report(shared.family, cfg.proj, pts, t_list)
     slopes = rep.fitted_slopes.tolist()
     out = {
         "t": [float(t) for t in t_list],
@@ -351,12 +364,11 @@ def _cmd_polarization_limit(cfg, opts):
                        "subframe_invariant": rep.subframe_invariance < tols["subframe"]}
 
 
-def _cmd_sections_norms(cfg, opts):
+def _cmd_sections_norms(cfg, opts, shared):
     P = cfg.polytope
     m = opts.get("m") or P.lattice_center
     t_list = opts["t_list"]
-    pts = potential.interior_samples(P, 100, seed=_SEED)
-    family = potential.SymplecticPotential(P, cfg.proj, cfg.phi)
+    pts, family = shared.samples(100), shared.family
     logs = quadrature.l1_norms(family, m, cfg.resolution, t_list)
     # both checks are relative to max(1, the largest norm), read from logs
     res, scale = sections.norm_factorization_check(family, m, t_list, pts)
@@ -378,14 +390,13 @@ def _cmd_sections_norms(cfg, opts):
                        "closed_form_agrees": agree < tols["closed_form"]}
 
 
-def _cmd_concentrate(cfg, opts):
+def _cmd_concentrate(cfg, opts, shared):
     P = cfg.polytope
     m = opts.get("m") or P.lattice_center
     expr = "x1" if opts.get("u") is None else opts["u"]  # an empty weight is bad_weight
     u = parse_weight(expr, P.dim)
-    result = quadrature.concentration_experiment(
-        potential.SymplecticPotential(P, cfg.proj, cfg.phi), m, u, opts["t_list"],
-        resolution=cfg.resolution)
+    result = quadrature.concentration_experiment(shared.family, m, u, opts["t_list"],
+                                                 resolution=cfg.resolution)
     floor = 1e-5
     err0, err1 = result.errors[0], result.errors[-1]
     converged = err1 < floor or err1 <= 0.75 * err0
@@ -449,27 +460,34 @@ def _check_options(cfg: ExperimentConfig, command: str, options: dict) -> dict:
 
 
 def run(cfg: ExperimentConfig, command: str, options: dict | None = None) -> RunReport:
-    """Execute one command (or the whole suite) against a validated config."""
+    """Execute one command (or the whole suite) against a validated config.
+
+    The commands of one run share its potential family, its interior samples and, in
+    full-suite, the fibers of each (resolution, m) (``quadrature.shared_fibers``); nothing
+    of them outlives the run."""
     if command != "full-suite" and command not in _DISPATCH:
         raise ConfigError("bad_command", f"unknown command {command!r}")
     options = _check_options(cfg, command, options or {})
-    outputs, tolerances, flags = {}, {}, {}
-    for sub in _DISPATCH if command == "full-suite" else (command,):
-        try:
-            out, tol, fl = _DISPATCH[sub](cfg, options)
-        except quadrature.GridOverflowError as exc:  # a Gauss axis or a segment rule
-            raise ConfigError("bad_resolution", str(exc)) from exc
-        except GridRangeError as exc:  # the lattice scan of P is too large
-            raise ConfigError("bad_polytope", f"lattice scan: {exc}") from exc
-        except quadrature.QuadratureError as exc:  # a value leaves float64, or a mass vanishes
-            raise ConfigError("out_of_range", str(exc)) from exc
-        except legendre.NewtonConvergenceError as exc:  # y's rounding leaves a residual above tol
-            raise ConfigError("out_of_range", f"Legendre inverse: {exc}") from exc
-        if command != "full-suite":
-            return RunReport(command, cfg.digest, out, tol, fl)
-        outputs[sub] = out
-        tolerances.update({f"{sub}.{k}": v for k, v in tol.items()})
-        flags.update({f"{sub}.{k}": v for k, v in fl.items()})
+    suite = command == "full-suite"
+    shared, outputs, tolerances, flags = _RunInputs(cfg), {}, {}, {}
+    # a command alone keeps no fiber rule: concentrate frees its own before R_inf's
+    with quadrature.shared_fibers() if suite else nullcontext():
+        for sub in _DISPATCH if suite else (command,):
+            try:
+                out, tol, fl = _DISPATCH[sub](cfg, options, shared)
+            except quadrature.GridOverflowError as exc:  # a Gauss axis or a segment rule
+                raise ConfigError("bad_resolution", str(exc)) from exc
+            except GridRangeError as exc:  # the lattice scan of P is too large
+                raise ConfigError("bad_polytope", f"lattice scan: {exc}") from exc
+            except quadrature.QuadratureError as exc:  # a value leaves float64, or a mass vanishes
+                raise ConfigError("out_of_range", str(exc)) from exc
+            except legendre.NewtonConvergenceError as exc:  # y's rounding: a residual above tol
+                raise ConfigError("out_of_range", f"Legendre inverse: {exc}") from exc
+            if not suite:
+                return RunReport(command, cfg.digest, out, tol, fl)
+            outputs[sub] = out
+            tolerances.update({f"{sub}.{k}": v for k, v in tol.items()})
+            flags.update({f"{sub}.{k}": v for k, v in fl.items()})
     return RunReport("full-suite", cfg.digest, outputs, tolerances, flags)
 
 
@@ -517,55 +535,34 @@ def _emit_csv(report: RunReport) -> bytes:
 
 # the axis label of the plotted series: column 2 of the table against t
 _SVG_LABEL = {"concentrate": "|R_t - R_inf|", "polarization-limit": "grassmann distance"}
+# 640 x 420 with a margin of 60: the axes, the series and its marks, the axis titles, the title
+_SVG = ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420" viewBox="0 0 640 420">'
+        '<rect width="640" height="420" fill="white"/>'
+        '<line x1="60" y1="360" x2="580" y2="360" stroke="black"/>'
+        '<line x1="60" y1="60" x2="60" y2="360" stroke="black"/>'
+        '<polyline points="{points}" fill="none" stroke="#1f4e79" stroke-width="1.5"/>{marks}'
+        '<text x="320" y="400" text-anchor="middle" font-size="13">log10 t</text>'
+        '<text x="20" y="210" font-size="13" transform="rotate(-90 20 210)" '
+        'text-anchor="middle">log10 {label}</text>'
+        '<text x="320" y="30" text-anchor="middle" font-size="14">{title}</text></svg>')
 
 
 def _emit_svg(report: RunReport) -> bytes:
     if report.command not in _SVG_LABEL:
         raise ConfigError("bad_format", f"no plot for command {report.command!r}")
-    label = _SVG_LABEL[report.command]
-    rows = list(_table(report)[1])
+    label, rows = _SVG_LABEL[report.command], list(_table(report)[1])
     if not rows:
         raise ConfigError("nothing_to_plot", "nothing to plot")
-    pairs = [(row[0], row[2]) for row in rows if row[0] > 0 and row[2] > 0]
-    W, H, pad = 640, 420, 60
-    lx = [np.log10(t) for t, _ in pairs]
-    ly = [np.log10(y) for _, y in pairs]
-    x0, x1 = min(lx, default=0.0), max(lx, default=0.0)
-    y0, y1 = min(ly, default=0.0), max(ly, default=0.0)
-    xr = (x1 - x0) or 1.0
-    yr = (y1 - y0) or 1.0
-
-    def sx(v):
-        return pad + (v - x0) / xr * (W - 2 * pad)
-
-    def sy(v):
-        return H - pad - (v - y0) / yr * (H - 2 * pad)
-
-    pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(lx, ly))
-    marks = "".join(
-        f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3" fill="#1f4e79"/>'
-        for a, b in zip(lx, ly))
-    if not pairs:  # every value is zero: no point has a logarithm
-        marks = (f'<text x="{W / 2:.0f}" y="{H / 2:.0f}" text-anchor="middle" '
-                 f'font-size="13">every {label} is 0</text>')
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}">'
-        f'<rect width="{W}" height="{H}" fill="white"/>'
-        f'<line x1="{pad}" y1="{H - pad}" x2="{W - pad}" y2="{H - pad}" stroke="black"/>'
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{H - pad}" stroke="black"/>'
-        f'<polyline points="{pts}" fill="none" stroke="#1f4e79" stroke-width="1.5"/>'
-        f"{marks}"
-        f'<text x="{W / 2:.0f}" y="{H - pad / 3:.0f}" text-anchor="middle" '
-        f'font-size="13">log10 t</text>'
-        f'<text x="{pad / 3:.0f}" y="{H / 2:.0f}" font-size="13" '
-        f'transform="rotate(-90 {pad / 3:.0f} {H / 2:.0f})" '
-        f'text-anchor="middle">log10 {label}</text>'
-        f'<text x="{W / 2:.0f}" y="{pad / 2:.0f}" text-anchor="middle" '
-        f'font-size="14">{report.command} ({report.digest[:12]})</text>'
-        f"</svg>"
-    )
-    return svg.encode()
+    xy = np.array([(np.log10(r[0]), np.log10(r[2])) for r in rows if r[0] > 0 and r[2] > 0])
+    if len(xy):  # log10 t onto 60..580 and log10 of the values onto 360..60 (a range of 0: 1)
+        lo, span = xy.min(axis=0), np.ptp(xy, axis=0)
+        xy = [60, 360] + (xy - lo) / np.where(span > 0, span, 1.0) * [520, -300]
+    marks = "".join(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1f4e79"/>' for x, y in xy)
+    if not len(xy):  # every value is zero: no point has a logarithm
+        marks = ('<text x="320" y="210" text-anchor="middle" font-size="13">'
+                 f'every {label} is 0</text>')
+    return _SVG.format(points=" ".join(f"{x:.2f},{y:.2f}" for x, y in xy), marks=marks,
+                       label=label, title=f"{report.command} ({report.digest[:12]})").encode()
 
 
 def _parse_list(text: str, kind, code: str):
@@ -599,15 +596,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.resolution is not None:
             cfg = replace(cfg, resolution=_check_resolution(args.resolution))
-        opts = {}
-        if args.t_list is not None:
-            opts["t_list"] = _parse_list(args.t_list, float, "bad_t_list")
-        if args.m is not None:
-            opts["m"] = _parse_list(args.m, int, "bad_m")
-        if args.u is not None:
-            opts["u"] = args.u
-        if args.points is not None:
-            opts["points"] = args.points
+        opts = {"t_list": args.t_list, "m": args.m, "u": args.u, "points": args.points}
+        for key, kind, code in (("t_list", float, "bad_t_list"), ("m", int, "bad_m")):
+            if opts[key] is not None:  # run reads None as not given
+                opts[key] = _parse_list(opts[key], kind, code)
         report = run(cfg, args.command, opts)
         blob = emit(report, args.fmt)
         if args.out:

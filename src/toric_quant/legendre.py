@@ -35,9 +35,10 @@ def inverse(pot: SymplecticPotential, y, t=0.0):
     with its own step length.  Facet values are affine along a step, so its first trial
     goes 0.99 of the way to where a facet value falls to FLOOR times its current value
     (fraction to the boundary) or is the full step; halving only checks the recomputed
-    values, and iterates stay strictly interior.  A residual component below ROUNDING |y_i|
-    is not counted: grad g_t cannot be evaluated closer to a large y_i (at t = 128 and
-    b = 1e6 in phi, y_i reaches 1.3e8, whose ulp is 1.5e-8).
+    values, which the next round's gradient, Hessian and step rule read, and iterates stay
+    strictly interior.  A residual component below ROUNDING |y_i| is not counted: grad g_t
+    cannot be evaluated closer to a large y_i (at t = 128 and b = 1e6 in phi, y_i reaches
+    1.3e8, whose ulp is 1.5e-8).
     """
     P = pot.polytope
     y = np.asarray(y, dtype=float)
@@ -47,36 +48,54 @@ def inverse(pot: SymplecticPotential, y, t=0.0):
     if np.any(T < 0):
         raise ValueError("t must be nonnegative")
     Y = y.reshape(-1, P.dim)
+    Yfloor, Rneg = ROUNDING * np.abs(Y), -P.normal_matrix.T
     X = np.array(np.broadcast_to(P.barycenter_array(), y.shape)).reshape(-1, P.dim)
     active, x = np.arange(len(Y)), X  # the rows still iterating and their iterates
+    L = P.facet_values_array(x)  # then each round's accepted trial values
     for iteration in range(MAX_ITERATIONS + 1):
-        res = pot.gradient(x, T) - Y
-        beyond = np.where(np.abs(res) < ROUNDING * np.abs(Y), 0.0, res)
+        res = pot.gradient(x, T, L=L) - Y
+        beyond = np.where(np.abs(res) < Yfloor, 0.0, res)
         moving = ~(np.linalg.norm(beyond, axis=-1) <= TOLERANCE)  # NaN keeps iterating
         if not moving.all():  # gather only when some row has converged
             X[active[~moving]] = x[~moving]
-            active, x, res, Y, T = active[moving], x[moving], res[moving], Y[moving], T[moving]
+            active, x, L, res = active[moving], x[moving], L[moving], res[moving]
+            Y, Yfloor, T = Y[moving], Yfloor[moving], T[moving]
         if not active.size:
             return X.reshape(y.shape)
         if iteration == MAX_ITERATIONS:
             raise _failure(x, res, iteration, active, 0)
-        step = -np.linalg.solve(pot.hessian(x, T), res[..., None])[..., 0]
-        lcur = P.facet_values_array(x)
-        rate = np.max(-(step @ P.normal_matrix.T) / lcur, axis=-1)  # facet values are affine
+        step = -_solve_spd(pot.hessian(x, T, L=L), res)
+        rate = ((step @ Rneg) / L).max(axis=-1)  # facet values are affine along the step
         reach = 0.99 * (1 - FLOOR)
         s = reach / np.maximum(rate, reach)  # min(1, reach / rate); a NaN step stays NaN
         trial = x + s[:, None] * step  # every first trial in one check, at recomputed values
-        rejected = np.flatnonzero(~np.all(P.facet_values_array(trial) > FLOOR * lcur, axis=-1))
+        Lt = P.facet_values_array(trial)
+        rejected = np.flatnonzero(~(Lt > FLOOR * L).all(axis=-1))
         for _ in range(59):  # 60 trials in all: halve and recheck only the rejected rows
             if not rejected.size:
                 break
             s[rejected] *= 0.5
             trial[rejected] = x[rejected] + s[rejected, None] * step[rejected]
-            ok = np.all(P.facet_values_array(trial[rejected]) > FLOOR * lcur[rejected], axis=-1)
-            rejected = rejected[~ok]
+            Lt[rejected] = P.facet_values_array(trial[rejected])
+            rejected = rejected[~(Lt[rejected] > FLOOR * L[rejected]).all(axis=-1)]
         if rejected.size:
             raise _failure(x, res, iteration, active, rejected[0])
-        x = trial
+        x, L = trial, Lt
+
+
+def _solve_spd(H, r):
+    """x with H x = r for a stack of SPD H (N, n, n) and r (N, n).  For n <= 2 each row's
+    LDL^T is written out (l = b / a, d = c - l b), stable on stiff H where the adjugate
+    form is not, and a row's x does not depend on its stack; LAPACK for n = 3."""
+    if H.shape[-1] == 1:
+        return r / H[:, 0]
+    if H.shape[-1] == 2:
+        a, b = H[:, 0, 0], H[:, 0, 1]
+        lo, x = b / a, np.empty_like(r)
+        x[:, 1] = (r[:, 1] - lo * r[:, 0]) / (H[:, 1, 1] - lo * b)
+        x[:, 0] = r[:, 0] / a - lo * x[:, 1]
+        return x
+    return np.linalg.solve(H, r[..., None])[..., 0]
 
 
 def _failure(x, res, iteration, active, i):

@@ -91,15 +91,10 @@ class Slice:
         Facets identically zero on the fiber are dropped.  Returns
         (normals, offsets) with integer normals and Fraction offsets.
         """
-        normals, offsets = [], []
-        for j, (r, _) in enumerate(self.base.facets):
-            if j in self.active_facets:
-                continue
-            nu = tuple(sum(b[i] * r[i] for i in range(self.base.dim))
-                       for b in self.chart)
-            offsets.append(facet_value(self.base, j + 1, self.base_point))
-            normals.append(nu)
-        return tuple(normals), tuple(offsets)
+        keep = [j for j in range(self.base.num_facets) if j not in self.active_facets]
+        normals = tuple(tuple(sum(b * r for b, r in zip(row, self.base.facets[j][0]))
+                              for row in self.chart) for j in keep)
+        return normals, tuple(facet_value(self.base, j + 1, self.base_point) for j in keep)
 
     @cached_property
     def chart_vertices(self):
@@ -131,20 +126,6 @@ class DelzantPolytope:
             raise PolytopeError("a bounded polytope needs at least dim+1 facets")
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "facets", tuple(norm))
-
-    @classmethod
-    def from_box(cls, bounds):
-        """Axis-aligned box from per-axis (lo, hi) integer bounds."""
-        n = len(bounds)
-        facets = []
-        for i, (lo, hi) in enumerate(bounds):
-            if not hi > lo:
-                raise PolytopeError("box bounds must satisfy hi > lo")
-            e = tuple(1 if t == i else 0 for t in range(n))
-            me = tuple(-1 if t == i else 0 for t in range(n))
-            facets.append((e, -lo))
-            facets.append((me, hi))
-        return cls(n, tuple(facets))
 
     @property
     def num_facets(self) -> int:
@@ -347,9 +328,7 @@ def _line_runs(axes, R, lam):
 
 
 def _mean_point(points):
-    n = len(points[0])
-    cnt = len(points)
-    return tuple(sum(Fraction(p[i]) for p in points) / cnt for i in range(n))
+    return tuple(sum(map(Fraction, coords)) / len(points) for coords in zip(*points))
 
 
 def _hpoly_vertices(normals, offsets, dim):

@@ -28,32 +28,32 @@ class DomainBoundaryError(ValueError):
             f"facet {facet_index} has l_j = {value!r} <= 0 at x = {point!r}")
 
 
-def _interior_l(P: DelzantPolytope, x):
+def _interior_l(P: DelzantPolytope, x, L=None):
+    """x and its facet values L (evaluated unless given), each checked to be positive."""
     x = np.asarray(x, dtype=float)
-    L = P.facet_values_array(x)
-    if np.any(L <= 0):
+    L = P.facet_values_array(x) if L is None else L
+    if (L <= 0).any():
         flat = L.reshape(-1, P.num_facets)
-        xf = x.reshape(-1, P.dim)
-        idx = np.argwhere(flat <= 0)[0]
-        raise DomainBoundaryError(int(idx[1]) + 1, tuple(xf[idx[0]].tolist()),
-                                  float(flat[idx[0], idx[1]]))
+        i, j = np.argwhere(flat <= 0)[0]  # the first point, and its first facet
+        raise DomainBoundaryError(int(j) + 1, tuple(x.reshape(-1, P.dim)[i].tolist()),
+                                  float(flat[i, j]))
     return x, L
 
 
-def g0_value(P: DelzantPolytope, x):
-    x, L = _interior_l(P, x)
+def g0_value(P: DelzantPolytope, x, L=None):
+    x, L = _interior_l(P, x, L)
     return 0.5 * np.sum(L * np.log(L), axis=-1)
 
 
-def g0_gradient(P: DelzantPolytope, x):
-    x, L = _interior_l(P, x)
+def g0_gradient(P: DelzantPolytope, x, L=None):
+    x, L = _interior_l(P, x, L)
     return 0.5 * ((np.log(L) + 1.0) @ P.normal_matrix)
 
 
-def g0_hessian(P: DelzantPolytope, x):
+def g0_hessian(P: DelzantPolytope, x, L=None):
     """Hess g0 = 1/2 sum_j r_j r_j^T / l_j(x), symmetric positive definite: one product
     of 1/2 / l_j with the flattened outer products, over every leading axis."""
-    x, L = _interior_l(P, x)
+    x, L = _interior_l(P, x, L)
     return ((0.5 / L) @ P.normal_outer).reshape(L.shape[:-1] + (P.dim, P.dim))
 
 
@@ -62,7 +62,8 @@ class SymplecticPotential:
     """The family g_t = g0 + t * psi with psi = phi o proj; its t = 0 member is g0.
 
     Each evaluator takes t (default 0), a number or an array broadcast
-    against the leading axes of x.
+    against the leading axes of x.  ``gradient`` and ``hessian`` take by keyword L, the facet
+    values at x (``legendre.inverse`` has them), which g0 then checks instead of evaluating.
     """
 
     polytope: DelzantPolytope
@@ -78,9 +79,9 @@ class SymplecticPotential:
         """The convex pullback psi on the polytope."""
         return pullback(self.phi, self.proj)
 
-    def _family(self, g0, psi, x, t, axes):
-        """g0(x) + t psi(x); psi is skipped at a scalar t = 0."""
-        g = g0(self.polytope, x)
+    def _family(self, g0, psi, x, t, axes, L=None):
+        """g0(x) + t psi(x); psi is skipped at a scalar t = 0.  L goes to g0 (None: evaluate)."""
+        g = g0(self.polytope, x, L)
         if np.ndim(t) == 0 and t == 0.0:
             return g
         return g + np.reshape(t, np.shape(t) + (1,) * axes) * psi(x)
@@ -88,11 +89,11 @@ class SymplecticPotential:
     def value(self, x, t=0.0):
         return self._family(g0_value, self.perturbation.value, x, t, 0)
 
-    def gradient(self, x, t=0.0):
-        return self._family(g0_gradient, self.perturbation.gradient, x, t, 1)
+    def gradient(self, x, t=0.0, *, L=None):
+        return self._family(g0_gradient, self.perturbation.gradient, x, t, 1, L)
 
-    def hessian(self, x, t=0.0):
-        return self._family(g0_hessian, self.perturbation.hessian, x, t, 2)
+    def hessian(self, x, t=0.0, *, L=None):
+        return self._family(g0_hessian, self.perturbation.hessian, x, t, 2, L)
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,16 @@ class PotentialReport:
     product_max: float
 
 
-def interior_samples(P: DelzantPolytope, count: int, seed: int = 0):
-    """Deterministic interior points: Dirichlet mixtures of the vertices."""
-    rng = np.random.default_rng(seed)
-    V = P.vertex_array
-    w = rng.dirichlet(np.ones(len(V)), size=count)
-    return w @ V
+def mixture_weights(P: DelzantPolytope, count: int, seed: int = 0):
+    """The Dirichlet weights of ``interior_samples``: a draw of fewer rows is the first rows."""
+    return np.random.default_rng(seed).dirichlet(np.ones(len(P.vertex_array)), size=count)
+
+
+def interior_samples(P: DelzantPolytope, count: int, seed: int = 0, weights=None):
+    """Deterministic interior points: Dirichlet mixtures of the vertices, by the first count
+    rows of weights when given (a larger draw of ``mixture_weights``)."""
+    w = mixture_weights(P, count, seed) if weights is None else weights[:count]
+    return w @ P.vertex_array
 
 
 def boundary_approach_samples(P: DelzantPolytope):
@@ -140,12 +145,10 @@ def validate_potential(pot: SymplecticPotential, interior_points,
     boundary-approach samples.  Returns the observed product ranges as a
     list with one report per t of ``times``.
     """
-    interior_points = np.asarray(interior_points, dtype=float)
-    if interior_points.size == 0:
-        raise ValueError("need at least one interior sample")
     P = pot.polytope
-    pts = interior_points.reshape(-1, P.dim)
-    count = len(pts)
+    pts = np.asarray(interior_points, dtype=float).reshape(-1, P.dim)
+    if not (count := len(pts)):
+        raise ValueError("need at least one interior sample")
     if boundary_points is not None and len(boundary_points):
         pts = np.concatenate([pts, np.asarray(boundary_points, dtype=float)])
     # one Hessian of g0 and of psi for all samples, and G_t stacked over t;

@@ -1,25 +1,27 @@
 """Rules for the section norms on the fibers of y = A x, the concentration runs and L1 norms.
 
 Every fold of the norm takes one scale, |sigma^m_0| / |sigma^m_0|(m) <= 1 (``_log_norm_ratio``):
-R_t and R_infinity are ratios, and the L1 norms are logs that add the peak back.  Every run
-takes its fibers from ``_fibers``.  A box under an A whose rows pick coordinate axes gets a
-tensor Gauss-Legendre rule kept as its per-axis factors, with the norm folded into each
-axis's weights (``TensorRule``), and its fibers are contractions of those factors
-(``AxisFibers``: a ``Polynomial`` weight is evaluated on no node).  Every other input takes
-``segment_fibers``: in a lattice frame x = U w with A U = [I | 0], P is cut into panels at
-the vertices of its slices, depth by depth, with cosine-mapped Gauss nodes on each panel and
-on each leaf segment, along which every facet value is affine and the norm is folded in
-(``NodeFibers``).  Every weight e^{-t f_m} depends on y alone, so the concentration runs and
-the L1 norms pay per node once and per fiber for each t.  The concentration experiment
-reproduces the localization of L1-normalized sections onto the slice through their lattice
-point, with the slice pairing as the t = infinity reference value: box fibers read it off
-their fiber-axis moments (``slice_pairing``), any other input off the same segment rule at
-the one level y_m (``_fiber_mean``).
+R_t and R_infinity are ratios, and the L1 norms are logs that add the peak back.  Every run takes
+its fibers from ``_fibers``, which R_t and the L1 norms share in ``shared_fibers``.  A box under
+an A whose rows pick coordinate axes gets a tensor Gauss-Legendre rule kept as its per-axis
+factors, with the norm folded into each axis's weights (``TensorRule``), and its fibers are
+contractions of those factors (``AxisFibers``: a ``Polynomial`` weight is evaluated on no
+node).  Every other input takes ``segment_fibers``: in a lattice frame x = U w with A U =
+[I | 0], P is cut into panels at the vertices of its slices, depth by depth, with cosine-mapped
+Gauss nodes on each panel and on each leaf segment, along which every facet value is affine and the
+norm is folded in (``NodeFibers``).  Every weight e^{-t f_m} depends on y alone, so the
+concentration runs and the L1 norms pay per node once and per fiber for each t.  The
+concentration experiment reproduces the localization of L1-normalized sections onto the slice
+through their lattice point, with the slice pairing as the t = infinity reference value: box
+fibers read it off their fiber-axis moments (``slice_pairing``), any other input off the same
+segment rule at the one level y_m (``_fiber_mean``).
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import prod
 
@@ -316,10 +318,7 @@ class AxisFibers(Pushforward):
 def _outer(ws):
     """The flat outer product (w_1 w_2) w_3 ... of the vectors ws in "ij" order
     (a single 1 for none)."""
-    out = np.ones(1)
-    for w in ws:
-        out = np.multiply.outer(out, w).reshape(-1)
-    return out
+    return reduce(lambda out, w: np.multiply.outer(out, w).reshape(-1), ws, np.ones(1))
 
 
 def _finite(vals, x):
@@ -452,12 +451,31 @@ def segment_fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int
     return NodeFibers(QuadratureRule(X[owner], W.reshape(-1), S, U[:, -1]), starts)
 
 
+# the fibers that ``_fibers`` built inside ``shared_fibers`` and no second read has taken yet
+_SHARED = ContextVar("_SHARED")
+
+
+@contextmanager
+def shared_fibers():
+    """Within the block, the first ``_fibers`` read of each (P, A, resolution, m) keeps its fibers
+    for the second (R_t after the L1 norms), which takes them out: the memo then holds none."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def _fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int, m) -> Pushforward:
     """The fibers of y = A x under |sigma^m_0| / |sigma^m_0|(m) dx: the contracted box rule
     when every row of A picks a coordinate axis of a box, else ``segment_fibers``."""
-    if P.is_box and np.all(np.count_nonzero(proj.array, axis=1) == 1):
-        return AxisFibers(box_rule(P, resolution, m), proj)
-    return segment_fibers(P, proj, resolution, m)
+    shared, key = _SHARED.get({}), (P, proj, resolution, tuple(m))  # outside: a throwaway
+    push = shared.pop(key, None)
+    if push is None:
+        push = shared[key] = (AxisFibers(box_rule(P, resolution, m), proj)
+                              if P.is_box and np.all(np.count_nonzero(proj.array, axis=1) == 1)
+                              else segment_fibers(P, proj, resolution, m))
+    return push
 
 
 def slice_pairing(push: AxisFibers, P: DelzantPolytope, proj: SubtorusProjection, m, u,

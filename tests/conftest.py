@@ -13,24 +13,33 @@ from toric_quant import (
 from toric_quant.quadrature import NodeFibers, QuadratureRule, TensorRule, _outer
 
 
+def box_polytope(bounds):
+    """The axis-aligned box with per-axis integer bounds (lo, hi)."""
+    n, facets = len(bounds), []
+    for i, (lo, hi) in enumerate(bounds):
+        e = tuple(int(t == i) for t in range(n))
+        facets += [(e, -lo), (tuple(-c for c in e), hi)]
+    return DelzantPolytope(n, tuple(facets))
+
+
 @pytest.fixture
 def interval():
-    return DelzantPolytope.from_box([(0, 1)])
+    return box_polytope([(0, 1)])
 
 
 @pytest.fixture
 def interval_sym():
-    return DelzantPolytope.from_box([(-1, 1)])
+    return box_polytope([(-1, 1)])
 
 
 @pytest.fixture
 def square1():
-    return DelzantPolytope.from_box([(0, 1), (0, 1)])
+    return box_polytope([(0, 1), (0, 1)])
 
 
 @pytest.fixture
 def square2():
-    return DelzantPolytope.from_box([(0, 2), (0, 2)])
+    return box_polytope([(0, 2), (0, 2)])
 
 
 @pytest.fixture
@@ -53,7 +62,7 @@ def triangle_nonsmooth():
 
 @pytest.fixture
 def cube():
-    return DelzantPolytope.from_box([(0, 1), (0, 1), (0, 1)])
+    return box_polytope([(0, 1), (0, 1), (0, 1)])
 
 
 @pytest.fixture

@@ -31,6 +31,7 @@ from toric_quant.potential import boundary_approach_samples, interior_samples
 from toric_quant.cli import emit, load_config, parse_weight, run
 
 from conftest import (
+    box_polytope,
     closed_form_norm_g0,
     degenerate_directions,
     flow_identity_residual,
@@ -47,9 +48,9 @@ from conftest import (
 
 REPO = Path(__file__).resolve().parent.parent
 
-INTERVAL = DelzantPolytope.from_box([(0, 1)])
-SQUARE1 = DelzantPolytope.from_box([(0, 1), (0, 1)])
-SQUARE2 = DelzantPolytope.from_box([(0, 2), (0, 2)])
+INTERVAL = box_polytope([(0, 1)])
+SQUARE1 = box_polytope([(0, 1), (0, 1)])
+SQUARE2 = box_polytope([(0, 2), (0, 2)])
 SIMPLEX = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)))
 TRIANGLE = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -2), 2)))
 

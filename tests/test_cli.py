@@ -504,6 +504,33 @@ class TestEmit:
         payload = json.loads(emit(run(cfg, "lattice"), "json"))
         assert "timings" not in payload
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_encode_pauses_the_collector_and_restores_it(self, tmp_path, monkeypatch, enabled):
+        import gc
+
+        from toric_quant import cli
+
+        report = run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "lattice")
+        payload = {"command": report.command, "digest": report.digest,
+                   "outputs": report.outputs, "tolerances": report.tolerances,
+                   "flags": report.flags, "passed": report.passed}
+        plain = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                           default=lambda o: o.tolist()).encode() + b"\n"
+        during = []
+        real = cli._to_native
+        monkeypatch.setattr(cli, "_to_native", lambda o: during.append(gc.isenabled()) or real(o))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert emit(report) == plain
+            assert gc.isenabled() is enabled and during == [False]
+            report.outputs["inf"] = float("inf")  # an out_of_range refusal restores it too
+            with pytest.raises(ConfigError) as err:
+                emit(report)
+            assert err.value.code == "out_of_range" and gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_csv_concentrate(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
         rep = run(cfg, "concentrate", {"m": (1, 1), "u": "x1^2", "t_list": (8.0, 16.0)})
@@ -516,6 +543,23 @@ class TestEmit:
         rep = run(cfg, "concentrate", {"m": (1, 1), "u": "x1^2"})
         blob = emit(rep, "svg")
         assert blob.startswith(b"<svg") and b"polyline" in blob
+
+    def test_svg_series_spans_the_axes(self, tmp_path):
+        # log10 t runs from x = 60 to 580 and log10 |R_t - R_inf| from y = 360 up to 60, in
+        # the order of t: the smallest error at the bottom, the largest at the top
+        import re
+
+        cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
+        rep = run(cfg, "concentrate", {"m": (1, 1), "u": "x1^2"})
+        svg = emit(rep, "svg").decode()
+        points = [tuple(map(float, p.split(",")))
+                  for p in re.search(r'<polyline points="([^"]*)"', svg).group(1).split()]
+        errors = rep.outputs["errors"]
+        assert [x for x, _ in points] == sorted(x for x, _ in points)
+        assert (points[0][0], points[-1][0]) == (60.0, 580.0)
+        assert points[int(np.argmin(errors))][1] == 360.0
+        assert points[int(np.argmax(errors))][1] == 60.0
+        assert svg.count("<circle") == len(points) == len(errors)
 
     def test_svg_empty_series_errors(self):
         rep = RunReport("concentrate", "d" * 64,
@@ -557,6 +601,15 @@ class TestMain:
         assert main(["validate", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "not_delzant"
+
+    @pytest.mark.parametrize("command, argv, options", [
+        ("polarization-limit", ["--points", "3", "--t", "4,8"], {"points": 3, "t_list": (4, 8)}),
+        ("concentrate", ["--m", "1,1", "--u", "x2^2"], {"m": (1, 1), "u": "x2^2"}),
+        ("concentrate", [], {})])
+    def test_options_reach_the_run(self, tmp_path, capsys, command, argv, options):
+        path = write_cfg(tmp_path, SQUARE2_CFG)
+        main([command, path, *argv])
+        assert capsys.readouterr().out.encode() == emit(run(load_config(path), command, options))
 
     def test_out_file_written(self, tmp_path):
         path = write_cfg(tmp_path, INTERVAL_CFG)
@@ -1185,7 +1238,8 @@ class TestTimeFamilyOnce:
             {"t_list": self.TIMES})
         assert calls == [((5, 100, 2), [0.0, *self.TIMES])]
 
-    @pytest.mark.parametrize("command", ["flow-check", "sections-norms", "legendre-roundtrip"])
+    @pytest.mark.parametrize("command", ["flow-check", "sections-norms", "legendre-roundtrip",
+                                         "full-suite"])
     def test_one_pullback_per_command(self, command, tmp_path, monkeypatch):
         from toric_quant import potential
 
@@ -1207,7 +1261,7 @@ class TestTimeFamilyOnce:
         cfg = dataclasses.replace(cfg, phi=dataclasses.replace(
             cfg.phi, hessian=lambda y: calls["psi"].append(np.shape(y)) or phi_hessian(y)))
         self._counted(monkeypatch, potential, "g0_hessian",
-                      lambda P, x: calls["g0"].append(np.shape(x)))
+                      lambda P, x, L=None: calls["g0"].append(np.shape(x)))
         self._counted(monkeypatch, np.linalg, "inv", lambda a: calls["inv"].append(np.shape(a)))
         run(cfg, "polarization-limit", {"t_list": self.TIMES, "points": 3})
         assert calls == {"g0": [(3, 2)], "psi": [(3, 1)], "inv": [(3, 4, 2, 2)]}
@@ -1239,8 +1293,118 @@ class TestTimeFamilyOnce:
         self._counted(monkeypatch, potential.SymplecticPotential, "hessian",
                       lambda pot, x, t: seen.append(np.ravel(t).tolist()))
         self._counted(monkeypatch, potential, "g0_hessian",
-                      lambda P, x: g0.append(np.shape(x)))
+                      lambda P, x, L=None: g0.append(np.shape(x)))
         run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "potential-validate",
             {"t_list": self.TIMES})
         assert seen == [[0.0, *self.TIMES]]
         assert g0 == [(228, 2)]
+
+
+class TestRunSharing:
+    """The commands of one run share its potential family, its interior samples and, in
+    full-suite, the fibers of each (resolution, m); nothing shared outlives the run."""
+
+    @staticmethod
+    def _assert_parts_equal_each_command_alone(cfg, options):
+        suite = run(cfg, "full-suite", options)
+        for command in _COMMANDS[:-1]:
+            own = run(cfg, command, options)
+            part = RunReport(command, cfg.digest, suite.outputs[command], {
+                k.split(".", 1)[1]: v for k, v in suite.tolerances.items()
+                if k.startswith(command + ".")}, {
+                k.split(".", 1)[1]: v for k, v in suite.flags.items()
+                if k.startswith(command + ".")})
+            assert emit(part) == emit(own), command
+
+    @pytest.mark.parametrize("options", [{"u": "x1^2"}, {"points": 1}, {"points": 300}],
+                             ids=["u", "points1", "points300"])
+    @pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda p: p.stem)
+    def test_full_suite_parts_equal_each_command_alone(self, config, options):
+        # --points 300 draws past the 200 rows of potential-validate, and the later commands
+        # read the first rows of that draw
+        self._assert_parts_equal_each_command_alone(load_config(str(config)), options)
+
+    def test_each_count_is_drawn_as_a_draw_of_that_many(self, tmp_path):
+        # on [0,3] x [0,5] x [0,7] the first row of the 200-row draw rounds apart from a draw
+        # of one row (numpy takes a vector-matrix product for one row): polarization-limit
+        # --points 1 must not read it off the larger draw
+        from toric_quant import cli
+
+        box = {"dim": 3, "facets": [{"normal": n, "offset": b} for n, b in [
+            ([1, 0, 0], 0), ([-1, 0, 0], 3), ([0, 1, 0], 0), ([0, -1, 0], 5),
+            ([0, 0, 1], 0), ([0, 0, -1], 7)]]}
+        cfg = load_config(write_cfg(tmp_path, {"polytope": box, "proj": [[1, 0, 0]],
+                                               "resolution": 16}))
+        shared = cli._RunInputs(cfg)
+        for count in (200, 1, 100, 300, 20, 1):
+            assert np.array_equal(shared.samples(count),
+                                  potential.interior_samples(cfg.polytope, count, seed=0)), count
+        self._assert_parts_equal_each_command_alone(cfg, {"points": 1})
+
+    @pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda p: p.stem)
+    def test_full_suite_builds_each_fiber_rule_once_per_run(self, config, monkeypatch):
+        # R_t's rule per (resolution, m) serves sections-norms and concentrate; a box
+        # fiber's R_inf rule at another resolution is a key of its own
+        cfg = load_config(str(config))
+        builds = []
+        real_segment, real_box = quadrature.segment_fibers, quadrature.box_rule
+        monkeypatch.setattr(quadrature, "segment_fibers", lambda P, proj, res, m, *nodes: (
+            builds.append((res, tuple(m), *nodes)) or real_segment(P, proj, res, m, *nodes)))
+        monkeypatch.setattr(quadrature, "box_rule", lambda P, res, m: (
+            builds.append((res, tuple(m))) or real_box(P, res, m)))
+        rules = []
+        for _ in range(2):  # a second run builds them again
+            builds.clear()
+            run(cfg, "full-suite")
+            rules.append([b for b in builds if b[0] is not None])  # None: the fiber through m
+            assert (cfg.resolution, cfg.polytope.lattice_center) in rules[-1]
+            assert len(rules[-1]) == len(set(rules[-1]))
+        assert rules[0] == rules[1]
+
+    @pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda p: p.stem)
+    def test_the_second_read_takes_the_fibers_out(self, config, monkeypatch):
+        # concentrate drops its segment rule before it builds R_inf's: the memo must not
+        # hold it past sections-norms' and concentrate's reads
+        real, held = quadrature._fibers, []
+        monkeypatch.setattr(quadrature, "_fibers", lambda *a: (
+            real(*a), held.append(len(quadrature._SHARED.get())))[0])
+        run(load_config(str(config)), "full-suite")
+        assert held == [1, 0]
+
+    def test_single_commands_share_no_fibers(self, monkeypatch):
+        cfg = load_config(str(REPO / "configs" / "square2.json"))
+        builds = []
+        real = quadrature.box_rule
+        monkeypatch.setattr(quadrature, "box_rule",
+                            lambda P, *a: builds.append(a[0]) or real(P, *a))
+        real_fibers, memos = quadrature._fibers, []
+        monkeypatch.setattr(quadrature, "_fibers", lambda *a: memos.append(
+            quadrature._SHARED.get(None)) or real_fibers(*a))
+        run(cfg, "sections-norms")
+        run(cfg, "concentrate")
+        assert builds == [cfg.resolution, cfg.resolution]
+        assert memos == [None, None]  # no memo to keep concentrate's rule alive
+
+    @pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda p: p.stem)
+    def test_smaller_draws_are_the_first_rows(self, config):
+        P = load_config(str(config)).polytope
+        full = potential.interior_samples(P, 200, seed=0)
+        for k in (10, 20, 100):
+            assert np.array_equal(potential.interior_samples(P, k, seed=0), full[:k])
+        weights = potential.mixture_weights(P, 300, seed=0)
+        for k in (1, 10, 20, 100, 200):
+            assert np.array_equal(potential.mixture_weights(P, k, seed=0), weights[:k])
+
+    @pytest.mark.parametrize("command, options, draws", [
+        ("full-suite", {}, [200]), ("full-suite", {"points": 300}, [200, 300]),
+        ("polarization-limit", {}, [10]), ("lattice", {}, []), ("weights", {}, [])])
+    def test_samples_are_drawn_once_and_only_when_read(self, command, options, draws,
+                                                       monkeypatch):
+        cfg = load_config(str(REPO / "configs" / "interval.json"))
+        seen = []
+        real = potential.mixture_weights
+        monkeypatch.setattr(potential, "mixture_weights",
+                            lambda P, count, seed=0: seen.append(count) or real(P, count, seed))
+        run(cfg, command, options)
+        assert seen == draws
+

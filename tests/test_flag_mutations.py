@@ -33,7 +33,7 @@ def _psi_hessian(change):
 
 def _g0_hessian_negated(monkeypatch):  # det(Hess g) prod l_j < 0 in odd dimension
     real = potential.g0_hessian
-    monkeypatch.setattr(potential, "g0_hessian", lambda P, x: -real(P, x))
+    monkeypatch.setattr(potential, "g0_hessian", lambda P, x, L=None: -real(P, x, L))
 
 
 def _newton_stops_early(monkeypatch):  # |grad g(x) - y| <= 1e-3 ends the iteration

@@ -320,7 +320,7 @@ class TestBatchedInverse:
         for name, rows in calls.items():
             real = getattr(SymplecticPotential, name)
             monkeypatch.setattr(SymplecticPotential, name, lambda self, x, t=0.0, real=real,
-                                rows=rows: rows.append(len(x)) or real(self, x, t))
+                                rows=rows, **kw: rows.append(len(x)) or real(self, x, t, **kw))
         return calls
 
     @staticmethod
@@ -372,9 +372,30 @@ class TestBatchedInverse:
         assert hess == [sum(s > k for s in steps) for k in range(max(steps))]
         assert grad == [ys[..., 0].size] + hess
 
+    @pytest.mark.parametrize("config", ["configs/interval.json", "bench/fixtures/simplex2.json",
+                                        "bench/fixtures/cube2.json"])
+    def test_one_facet_evaluation_per_round(self, config, monkeypatch):
+        # the start's facet values, then each round's at its first trials, which the next
+        # round's gradient, Hessian and step rule read; no trial here is halved (the
+        # sixty-trials test counts the halvings)
+        cfg = load_config(str(REPO / config))
+        pot = SymplecticPotential(cfg.polytope, cfg.proj, cfg.phi)
+        ys, t = self._mixed_stack(cfg.polytope, pot)
+        events = []
+        real_l, real_h = DelzantPolytope.facet_values_array, SymplecticPotential.hessian
+        monkeypatch.setattr(DelzantPolytope, "facet_values_array",
+                            lambda self, x: events.append(("L", len(x))) or real_l(self, x))
+        monkeypatch.setattr(SymplecticPotential, "hessian", lambda self, x, t=0.0, **kw: (
+            events.append(("H", len(x))) or real_h(self, x, t, **kw)))
+        inverse(pot, ys, t)
+        rounds = [rows for kind, rows in events if kind == "H"]
+        assert len(rounds) > 5
+        assert events == [("L", ys[..., 0].size)] + [
+            e for r in rounds for e in (("H", r), ("L", r))]
+
     def test_a_rejected_step_gets_sixty_trials(self, square2, monkeypatch):
-        # a NaN step fails every trial: its round evaluates facet values for grad g0, Hess g0
-        # and the current point, then at 60 trial points, and the row fails in round 0
+        # a NaN step fails every trial: the start's facet values serve grad g0, Hess g0 and
+        # the step rule, then come 60 trial points, and the row fails in round 0
         pot = _pot(square2)
         checked = []
         real = DelzantPolytope.facet_values_array
@@ -383,7 +404,7 @@ class TestBatchedInverse:
         with pytest.raises(NewtonConvergenceError) as err:
             inverse(pot, np.array([[0.1, 0.2], [np.nan, 0.0]]))
         assert err.value.index == 1 and err.value.iterations == 0
-        assert checked == [2, 2, 2, 2] + [1] * 59
+        assert checked == [2, 2] + [1] * 59
 
     def test_times_need_one_row_each(self, square2, proj_first_of_two, phi_half_square):
         pot0 = _pot(square2, proj_first_of_two, phi_half_square)
@@ -400,6 +421,54 @@ class TestBatchedInverse:
         with pytest.raises(NewtonConvergenceError) as err:
             inverse(pot, ys)
         assert err.value.index == 1
+
+
+class TestClosedFormSolve:
+    """``legendre._solve_spd``: LDL^T written out row by row for n <= 2, LAPACK for n = 3."""
+
+    @staticmethod
+    def _spd_stack(n, count, max_log_cond, seed):
+        # R diag(s, s / cond) R^T with a random rotation R, scale s and cond up to 10^max
+        rng = np.random.default_rng(seed)
+        s = 10.0 ** rng.uniform(-6, 6, count)
+        if n == 1:
+            return s.reshape(count, 1, 1), rng.standard_normal((count, 1))
+        a = rng.uniform(0, np.pi, count)
+        R = np.stack([np.stack([np.cos(a), -np.sin(a)], -1), np.stack([np.sin(a), np.cos(a)], -1)],
+                     -2)
+        lam = np.stack([s, s / 10.0 ** rng.uniform(0, max_log_cond, count)], -1)
+        H = (R * lam[:, None, :]) @ np.swapaxes(R, -1, -2)
+        H = 0.5 * (H + np.swapaxes(H, -1, -2))  # exactly symmetric
+        return H, rng.standard_normal((count, 2)) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_backward_stable_on_stiff_stacks(self, n):
+        # per row |H x - r| <= 8 eps (|H| |x| + |r|), the residual taken in extended
+        # precision so that only the solve's rounding shows
+        H, r = self._spd_stack(n, 2000, 12, seed=n)
+        x = legendre._solve_spd(H, r)
+        Hl, xl, rl = (a.astype(np.longdouble) for a in (H, x, r))
+        resid = np.abs(np.einsum("nij,nj->ni", Hl, xl) - rl)
+        bound = 8 * np.finfo(float).eps * (np.einsum("nij,nj->ni", np.abs(Hl), np.abs(xl))
+                                           + np.abs(rl))
+        assert np.all(resid <= bound)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_agrees_with_lapack_when_well_conditioned(self, n):
+        H, r = self._spd_stack(n, 2000, 3, seed=10 + n)
+        x, ref = legendre._solve_spd(H, r), np.linalg.solve(H, r[..., None])[..., 0]
+        assert np.all(np.linalg.norm(x - ref, axis=-1) <= 1e-12 * np.linalg.norm(ref, axis=-1))
+
+    def test_each_row_alone_and_lapack_at_three(self):
+        H, r = self._spd_stack(2, 50, 12, seed=5)
+        x = legendre._solve_spd(H, r)
+        assert all(np.array_equal(x[i], legendre._solve_spd(H[i:i + 1], r[i:i + 1])[0])
+                   for i in range(len(H)))
+        H3 = np.eye(3) + 0.1 * np.ones((3, 3))
+        r3 = np.arange(6.0).reshape(2, 3)
+        H3 = np.broadcast_to(H3, (2, 3, 3))
+        assert np.array_equal(legendre._solve_spd(H3, r3),
+                              np.linalg.solve(H3, r3[..., None])[..., 0])
 
 
 class TestBatchedPotentials:

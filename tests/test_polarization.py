@@ -15,6 +15,7 @@ from toric_quant import polarization
 from toric_quant.polarization import flow_residual, subspace_angle
 
 from conftest import (
+    box_polytope,
     central_interior,
     degenerate_directions,
     g0_on,
@@ -143,7 +144,7 @@ class TestFrames:
 
     @pytest.mark.parametrize("P,rows", [
         (SIMPLEX2, ((1, 0),)), (HIRZEBRUCH, ((1, 0),)), (SIMPLEX2, ((1, 1),)),
-        (DelzantPolytope.from_box([(0, 2), (0, 2)]), ((1, 1),)),
+        (box_polytope([(0, 2), (0, 2)]), ((1, 1),)),
     ])
     def test_limit_off_boxes_and_skew(self, P, rows, phi_half_square):
         # Hess g0 is not block-diagonal here, so the kernel rows of the limit
@@ -370,9 +371,9 @@ class TestOneHessianPerPoint:
         calls = {"g0": 0, "psi": 0, "inv": []}
         real_g0, real_inv = potential.g0_hessian, np.linalg.inv
 
-        def g0_hessian(P, x):
+        def g0_hessian(P, x, L=None):
             calls["g0"] += 1
-            return real_g0(P, x)
+            return real_g0(P, x, L)
 
         def psi_hessian(y):
             calls["psi"] += 1
@@ -397,9 +398,9 @@ class TestOneHessianPerPoint:
 # --- the limit on small Delzant polytopes and random projections -------------
 
 DELZANT = (
-    DelzantPolytope.from_box([(0, 2), (0, 2)]),
-    DelzantPolytope.from_box([(0, 1), (-1, 2)]),
-    DelzantPolytope.from_box([(0, 1), (0, 2), (0, 1)]),
+    box_polytope([(0, 2), (0, 2)]),
+    box_polytope([(0, 1), (-1, 2)]),
+    box_polytope([(0, 1), (0, 2), (0, 1)]),
     SIMPLEX2,
     DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, -1), 3))),
     DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 2))),

@@ -20,6 +20,8 @@ from toric_quant import (
 )
 from toric_quant.polytope import NODE_BLOCK, _grid_scan
 
+from conftest import box_polytope
+
 
 class TestFacetValue:
     def test_interval_first_facet(self, interval):
@@ -132,7 +134,7 @@ def small_delzant(draw):
     shift = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
     if draw(st.booleans()):
         sizes = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
-        P = DelzantPolytope.from_box([(s, s + w) for s, w in zip(shift, sizes)])
+        P = box_polytope([(s, s + w) for s, w in zip(shift, sizes)])
     else:
         k = draw(st.integers(1, 4))
         facets = [(tuple(int(i == j) for j in range(dim)), -shift[i]) for i in range(dim)]
@@ -185,12 +187,12 @@ class TestLatticeScan:
         with pytest.raises(polytope.GridRangeError, match="2\\^32 scan limit"):
             lattice_points(P)
         # the limit is inclusive: the 3 x 4 grid of [0, 2] x [0, 3] has 12 points
-        box = DelzantPolytope.from_box([(0, 2), (0, 3)])
+        box = box_polytope([(0, 2), (0, 3)])
         monkeypatch.setattr(polytope, "MAX_SCAN", 12)
         assert len(lattice_points(box)) == 12
         monkeypatch.setattr(polytope, "MAX_SCAN", 11)
         with pytest.raises(polytope.GridRangeError):  # a fresh box: the first keeps its scan
-            lattice_points(DelzantPolytope.from_box([(0, 2), (0, 3)]))
+            lattice_points(box_polytope([(0, 2), (0, 3)]))
 
 
 def _meshgrid_scan(axes, normals, offsets):
@@ -324,7 +326,7 @@ class TestEhrhart:
         (DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4))), 6),
         (DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
                              ((-1, -1, -1), 2))), Fraction(4, 3)),
-        (DelzantPolytope.from_box([(0, 2), (0, 2), (0, 2)]), 8),
+        (box_polytope([(0, 2), (0, 2), (0, 2)]), 8),
     ], ids=["2simplex2", "hirzebruch", "2simplex3", "cube2"])
     def test_leading_coefficient_is_the_volume(self, P, volume):
         # L(k) = |kP cap Z^n| is a polynomial of degree n with leading
@@ -364,15 +366,15 @@ class TestWeightMultiplicities:
         # [2^60, 2^60 + 3] x [0, 4] under A = [[9, 1]]: A m leaves int64 (9 * 2^60 > 2^63),
         # A (m - m0) does not
         proj, t = SubtorusProjection(((9, 1),)), 2 ** 60
-        near = weight_multiplicities(DelzantPolytope.from_box([(0, 3), (0, 4)]), proj)
-        far_box = DelzantPolytope.from_box([(t, t + 3), (0, 4)])
+        near = weight_multiplicities(box_polytope([(0, 3), (0, 4)]), proj)
+        far_box = box_polytope([(t, t + 3), (0, 4)])
         far = weight_multiplicities(far_box, proj)
         assert list(far.items()) == [((y + 9 * t,), n) for (y,), n in near.items()]
         assert far == _exact_weights(far_box, proj.matrix)
         assert all(type(c) is int for key in far for c in key)
 
     def test_rank_two_image_of_a_box_keeps_key_order(self):
-        P = DelzantPolytope.from_box([(-1, 2), (0, 3), (-2, 1)])
+        P = box_polytope([(-1, 2), (0, 3), (-2, 1)])
         rows = ((1, -2, 0), (0, 1, 3))
         mult = weight_multiplicities(P, SubtorusProjection(rows))
         assert list(mult.items()) == list(_exact_weights(P, rows).items())
@@ -384,7 +386,7 @@ class TestWeightMultiplicities:
                                       ((-(2 ** 62), 1),)])
     def test_entries_near_or_past_int64_counted_exactly(self, rows):
         # width 3 along x1: 3 * 2^61 and 3 * 2^62 leave int64, 3 * 2^60 + 2 does not
-        P = DelzantPolytope.from_box([(0, 3), (0, 2)])
+        P = box_polytope([(0, 3), (0, 2)])
         mult = weight_multiplicities(P, SubtorusProjection(rows))
         assert list(mult.items()) == list(_exact_weights(P, rows).items())
 

@@ -12,6 +12,7 @@ from toric_quant import (
     g0_hessian,
     g0_value,
     inverse,
+    quadratic,
     validate_potential,
 )
 from toric_quant.cli import load_config
@@ -46,6 +47,20 @@ class TestCanonicalValues:
         with pytest.raises(DomainBoundaryError) as err:
             g0_value(square1, np.array([0.5, 1.5]))
         assert err.value.facet_index == 4  # the facet 1 - x2 >= 0
+
+    @pytest.mark.parametrize("g0", [g0_value, g0_gradient, g0_hessian])
+    def test_given_facet_values_are_checked(self, square1, g0):
+        # facet values a caller passes in (legendre.inverse's trial values) are checked as
+        # evaluated ones are: the first point and facet with l_j <= 0 are named
+        x = np.array([[0.5, 0.5], [0.25, 0.75]])
+        L = square1.facet_values_array(x)
+        L[1, 2] = 0.0
+        with pytest.raises(DomainBoundaryError) as err:
+            g0(square1, x, L)
+        assert (err.value.facet_index, err.value.point, err.value.value) == (3, (0.25, 0.75), 0.0)
+        pot = SymplecticPotential(square1, SubtorusProjection(((1, 0),)), quadratic([[1.0]]))
+        with pytest.raises(DomainBoundaryError):
+            (pot.gradient if g0 is g0_gradient else pot.hessian)(x, 2.0, L=L)
 
     def test_square_is_sum_of_intervals(self, square1):
         assert g0_value(square1, np.array([0.5, 0.5])) == pytest.approx(
@@ -212,7 +227,7 @@ class TestValidatePotential:
         seen = []
         real = potential.g0_hessian
         monkeypatch.setattr(potential, "g0_hessian",
-                            lambda P, x: seen.append(len(x)) or real(P, x))
+                            lambda P, x, L=None: seen.append(len(x)) or real(P, x, L))
         [rep] = validate_potential(pot, pts, rays, [t])
         assert seen == [len(pts) + len(rays)]
         # the reference: every sample's Hessian on its own

@@ -31,7 +31,8 @@ from toric_quant.quadrature import (FIBER_NODES, NODE_BLOCK, AxisFibers, NodeFib
                                     QuadratureRule, TensorRule, _gauss_axis, _tensor_axes)
 from toric_quant.sections import _log_norm_ratio
 
-from conftest import closed_form_norm_g0, integrate, logs_close, node_rule, tensor_product
+from conftest import (box_polytope, closed_form_norm_g0, integrate, logs_close, node_rule,
+                      tensor_product)
 from test_polytope import small_delzant
 
 
@@ -171,7 +172,7 @@ class TestNodeBlocks:
     @pytest.mark.parametrize("rows", [((1, 0, 0),), ((1, 0, 0), (0, 1, 0))])
     def test_box_fibers_build_no_node_array(self, rows):
         # [0, 2]^3 at res 64: the (N, 3) node array alone is 3 node vectors
-        P = DelzantPolytope.from_box([(0, 2)] * 3)
+        P = box_polytope([(0, 2)] * 3)
         proj = SubtorusProjection(rows)
         pot = SymplecticPotential(P, proj, quadratic(0.5 * np.eye(proj.k)))
         run = lambda: concentration_experiment(pot, (1, 1, 1), parse_weight("x1^2", 3),
@@ -453,8 +454,8 @@ class TestAxisFibers:
         normed, real = [], quadrature._log_norm_ratio  # the norm on axis nodes alone
         monkeypatch.setattr(quadrature, "_log_norm_ratio",
                             lambda L, lm: normed.append(L.shape[1]) or real(L, lm))
-        for P, rows, m in ((DelzantPolytope.from_box([(0, 2), (0, 2)]), ((0, 1),), (1, 0)),
-                           (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 0, 0),), (1, 1, 1))):
+        for P, rows, m in ((box_polytope([(0, 2), (0, 2)]), ((0, 1),), (1, 0)),
+                           (box_polytope([(0, 2)] * 3), ((1, 0, 0),), (1, 1, 1))):
             proj = SubtorusProjection(rows)
             pot = SymplecticPotential(P, proj, phi_half_square)
             u = parse_weight("x1^2 + x2", P.dim)
@@ -490,11 +491,11 @@ class TestBoxDetection:
 
 class TestNormWeightedRules:
     @pytest.mark.parametrize("P,ms,res", [
-        (DelzantPolytope.from_box([(-2, 3)]), [(-2,), (3,), (0,)], 64),
-        (DelzantPolytope.from_box([(-1, 2), (0, 3)]), [(-1, 0), (-1, 1), (0, 1)], 33),
-        (DelzantPolytope.from_box([(0, 2), (-1, 1), (0, 2)]),
+        (box_polytope([(-2, 3)]), [(-2,), (3,), (0,)], 64),
+        (box_polytope([(-1, 2), (0, 3)]), [(-1, 0), (-1, 1), (0, 1)], 33),
+        (box_polytope([(0, 2), (-1, 1), (0, 2)]),
          [(0, -1, 0), (1, 0, 0), (1, 0, 1)], 16),
-        (DelzantPolytope.from_box([(0, 2), (0, 2), (0, 2), (-1, 1)]),
+        (box_polytope([(0, 2), (0, 2), (0, 2), (-1, 1)]),
          [(0, 0, 0, -1), (1, 1, 0, 0), (1, 1, 1, 0)], 9),
         (REDUNDANT_BOXES[0], [(0,), (2,), (1,)], 24),
         (REDUNDANT_BOXES[1], [(0, 0), (2, 1), (1, 0)], 24),
@@ -555,7 +556,7 @@ class TestNormWeightedRules:
     def test_wide_box_norm_stays_below_the_plain_weights(self):
         # |sigma^m_0| on [0, 3000] at m = 1500 is about 1500^1500 at the center, which
         # once left float64; scaled by its peak it is at most 1 on every node
-        P = DelzantPolytope.from_box([(0, 3000), (0, 1)])
+        P = box_polytope([(0, 3000), (0, 1)])
         rule, plain = node_rule(make_rule(P, 16, (1500, 0))), node_rule(make_rule(P, 16))
         assert np.all(np.isfinite(rule.weights)) and np.all(np.isfinite(plain.weights))
         assert np.all(rule.weights <= plain.weights) and rule.total_weight() > 0
@@ -615,12 +616,12 @@ class TestSlicePairing:
     # box fibers read R_inf off their fiber-axis moments; the slice's own tensor rule
     # with as many nodes per axis (_slice_gauss_mean) is the oracle
     CASES = [
-        (DelzantPolytope.from_box([(0, 1)]), ((1,),)),
-        (DelzantPolytope.from_box([(0, 2)] * 2), ((1, 0),)),
-        (DelzantPolytope.from_box([(0, 2)] * 2), ((0, 1),)),
-        (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 0, 0), (0, 1, 0))),
-        (DelzantPolytope.from_box([(0, 2)] * 3), ((0, 0, 1),)),
-        (DelzantPolytope.from_box([(0, 2)] * 4), ((1, 0, 0, 0),)),
+        (box_polytope([(0, 1)]), ((1,),)),
+        (box_polytope([(0, 2)] * 2), ((1, 0),)),
+        (box_polytope([(0, 2)] * 2), ((0, 1),)),
+        (box_polytope([(0, 2)] * 3), ((1, 0, 0), (0, 1, 0))),
+        (box_polytope([(0, 2)] * 3), ((0, 0, 1),)),
+        (box_polytope([(0, 2)] * 4), ((1, 0, 0, 0),)),
         (REDUNDANT_BOXES[1], ((1, 0),)),
         (REDUNDANT_BOXES[1], ((0, 1),)),
     ]
@@ -663,7 +664,7 @@ class TestSlicePairing:
 HIRZEBRUCH = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4)))
 # the bench's planar fixtures: polygon, the row of A and the exact area
 POLYGONS = {"simplex2": (SIMPLEX2, (1, 0), 2), "hirzebruch": (HIRZEBRUCH, (1, 0), 6),
-            "square2_skew": (DelzantPolytope.from_box([(0, 2)] * 2), (1, 1), 4)}
+            "square2_skew": (box_polytope([(0, 2)] * 2), (1, 1), 4)}
 # the bench's concentrate weights, in the CLI grammar and as {exponents: coefficient}
 PLANAR_WEIGHTS = {"x1^2 + 0.5*x1*x2": {(2, 0): 1.0, (1, 1): 0.5},
                   "x2^2 + x1": {(0, 2): 1.0, (1, 0): 1.0}}
@@ -932,7 +933,7 @@ class TestConcentration:
 
     # a 3-simplex, and a box under a skew A: segment fibers for R_t and for R_inf
     @pytest.mark.parametrize("P,rows,m", [(SIMPLEX3, ((1, 0, 0),), (1, 0, 0)),
-                                          (DelzantPolytope.from_box([(0, 2)] * 3),
+                                          (box_polytope([(0, 2)] * 3),
                                            ((1, 1, 0),), (1, 1, 1))])
     def test_node_fibers_freed_before_the_slice_rule(self, P, rows, m, phi_half_square,
                                                       monkeypatch):
@@ -1052,7 +1053,7 @@ class TestScaledNormFolds:
         # fiber axis's mass cancels from R_t, which is that of [0,2]^2 at m = (1, 1)
         u, proj, t = parse_weight("x1^2", 2), SubtorusProjection(((1, 0),)), (8, 32, 128)
         wide, square = (concentration_experiment(
-            SymplecticPotential(DelzantPolytope.from_box([(0, 2), (0, hi)]), proj,
+            SymplecticPotential(box_polytope([(0, 2), (0, hi)]), proj,
                                 phi_half_square), m, u, t, 128)
             for hi, m in ((3000, (1, 1500)), (2, (1, 1))))
         assert np.allclose(wide.ratios, square.ratios, rtol=1e-15, atol=0)
@@ -1144,7 +1145,7 @@ class TestFiberRule:
     def test_edge_fiber(self, phi_half_square):
         # the fiber of [0, 2]^3 over x1 + x2 = 0 is the edge x1 = x2 = 0, where the norm of
         # m = (0, 0, 1) is sqrt(x3 (2 - x3)) e^{...} up to a constant: E[x3^2] = 5/4
-        pot = SymplecticPotential(DelzantPolytope.from_box([(0, 2)] * 3),
+        pot = SymplecticPotential(box_polytope([(0, 2)] * 3),
                                   SubtorusProjection(((1, 1, 0),)), phi_half_square)
         res = concentration_experiment(pot, (0, 0, 1), parse_weight("x3^2", 3), [8, 16], 32)
         assert abs(res.slice_value - 1.25) <= 1e-14
@@ -1152,7 +1153,7 @@ class TestFiberRule:
     @pytest.mark.parametrize("P,rows,m", [
         (_simplex(2, 2), ((1, 0),), (2, 0)), (_simplex(4), ((1, 1, 1),), (0, 0, 0)),
         (_simplex(4), ((1, 0, 0), (0, 1, 0)), (4, 0, 0)),
-        (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 1, 1),), (2, 2, 2))],
+        (box_polytope([(0, 2)] * 3), ((1, 1, 1),), (2, 2, 2))],
         ids=["simplex2", "simplex3-k1", "simplex3-k2", "cube-skew"])
     def test_vertex_fiber_is_the_value_at_m(self, P, rows, m):
         u = parse_weight(f"x1^2 + 0.5*x1*x{P.dim} + 3", P.dim)
@@ -1162,10 +1163,10 @@ class TestFiberRule:
         assert got == float(u(np.array(m, dtype=float)))
 
     @pytest.mark.parametrize("P,rows", [
-        (DelzantPolytope.from_box([(0, 2)] * 2), ((1, 0),)), (SIMPLEX2, ((1, 1),)),
+        (box_polytope([(0, 2)] * 2), ((1, 0),)), (SIMPLEX2, ((1, 1),)),
         (_simplex(4), ((1, 0, 0),)), (_simplex(4), ((1, 1, 0), (0, 1, 1))),
         (_simplex(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-        (DelzantPolytope.from_box([(0, 2)] * 3), ((1, 1, 0), (0, 0, 1)))],
+        (box_polytope([(0, 2)] * 3), ((1, 1, 0), (0, 0, 1)))],
         ids=["box", "polygon", "simplex3-k1", "simplex3-k2", "simplex3-k3", "cube-skew"])
     def test_uniform_weight_is_one_bit_for_bit(self, P, rows):
         proj = SubtorusProjection(rows)
@@ -1224,7 +1225,7 @@ class TestFiberRule:
         "and the segment ones 3.4e-5 at t = 128 (ROADMAP items 1 and 4)"))
     def test_box_and_segment_fibers_agree(self):
         # cube2 under coordinate rows takes AxisFibers, its image under GL3 segment_fibers
-        P, rows = DelzantPolytope.from_box([(0, 2)] * 3), ((1, 0, 0), (0, 1, 0))
+        P, rows = box_polytope([(0, 2)] * 3), ((1, 0, 0), (0, 1, 0))
         UP, urows, x = _gl3_image(P, rows)
         proj, uproj = SubtorusProjection(rows), SubtorusProjection(urows)
         pot, upot = (SymplecticPotential(Q, pr, quadratic(np.eye(2)))

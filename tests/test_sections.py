@@ -20,6 +20,7 @@ from toric_quant import (
 )
 
 from conftest import (
+    box_polytope,
     closed_form_norm_g0,
     g0_on,
     integrate,
@@ -56,7 +57,7 @@ class TestPointwiseNorm:
     def test_invalid_lattice_point_rejected(self):
         # m = (3,) lies outside [0, 2] and (1, 1) has the wrong length: every
         # consumer of |sigma^m_0| refuses them
-        P = DelzantPolytope.from_box([(0, 2)])
+        P = box_polytope([(0, 2)])
         x = np.array([[0.5], [1.5]])
         for call in (lambda: l1_norms(g0_on(P), (3,), 16, [0.0]),
                      lambda: closed_form_norm_g0(P, (3,), x),
@@ -109,7 +110,7 @@ def _boundary_points(P):
 
 class TestClosedFormLogForm:
     POLYTOPES = [
-        DelzantPolytope.from_box([(0, 2), (0, 2)]),
+        box_polytope([(0, 2), (0, 2)]),
         DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4))),
         DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
                             ((-1, -1, -1), 8))),
@@ -252,8 +253,8 @@ class TestFactorization:
 
         seen = {"g0_value": [], "g0_gradient": []}
         for name in seen:
-            monkeypatch.setattr(potential, name, lambda P, x, real=getattr(potential, name),
-                                name=name: seen[name].append(np.shape(x)) or real(P, x))
+            monkeypatch.setattr(potential, name, lambda P, x, L=None, real=getattr(potential, name),
+                                name=name: seen[name].append(np.shape(x)) or real(P, x, L))
         pot0 = SymplecticPotential(square2, proj_first_of_two, phi_half_square)
         pts = sample_interior(square2, 30, seed=2)
         res, _ = norm_factorization_check(pot0, (1, 1), (1.0, 4.0, 16.0, 64.0), pts)
@@ -413,7 +414,7 @@ def _pairs(ms):
 
 
 class TestGram:
-    @pytest.mark.parametrize("P", [DelzantPolytope.from_box([(0, 2), (0, 2)]),
+    @pytest.mark.parametrize("P", [box_polytope([(0, 2), (0, 2)]),
                                    HIRZEBRUCH, SIMPLEX6],
                              ids=["square2", "hirzebruch", "6simplex3"])
     def test_matches_per_pair_integration(self, P):
