@@ -46,8 +46,10 @@ def g0_value(P: DelzantPolytope, x, L=None):
 
 
 def g0_gradient(P: DelzantPolytope, x, L=None):
-    x, L = _interior_l(P, x, L)
-    return 0.5 * ((np.log(L) + 1.0) @ P.normal_matrix)
+    x, L = _interior_l(P, x, L)  # a lone row goes in as two: numpy's gemv for one row rounds
+    rows = np.log(L).reshape(-1, P.num_facets) + 1.0  # apart from the gemm of a stack
+    g = (np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows) @ P.normal_matrix
+    return 0.5 * g[:len(rows)].reshape(L.shape[:-1] + (P.dim,))
 
 
 def g0_hessian(P: DelzantPolytope, x, L=None):

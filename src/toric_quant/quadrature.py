@@ -1,20 +1,19 @@
 """Rules for the section norms on the fibers of y = A x, the concentration runs and L1 norms.
 
-Every fold of the norm takes one scale, |sigma^m_0| / |sigma^m_0|(m) <= 1 (``_log_norm_ratio``):
-R_t and R_infinity are ratios, and the L1 norms are logs that add the peak back.  Every run takes
-its fibers from ``_fibers``, which R_t and the L1 norms share in ``shared_fibers``.  A box under
-an A whose rows pick coordinate axes gets a tensor Gauss-Legendre rule kept as its per-axis
-factors, with the norm folded into each axis's weights (``TensorRule``), and its fibers are
-contractions of those factors (``AxisFibers``: a ``Polynomial`` weight is evaluated on no
-node).  Every other input takes ``segment_fibers``: in a lattice frame x = U w with A U =
-[I | 0], P is cut into panels at the vertices of its slices, depth by depth, with cosine-mapped
-Gauss nodes on each panel and on each leaf segment, along which every facet value is affine and the
-norm is folded in (``NodeFibers``).  Every weight e^{-t f_m} depends on y alone, so the
-concentration runs and the L1 norms pay per node once and per fiber for each t.  The
-concentration experiment reproduces the localization of L1-normalized sections onto the slice
-through their lattice point, with the slice pairing as the t = infinity reference value: box
-fibers read it off their fiber-axis moments (``slice_pairing``), any other input off the same
-segment rule at the one level y_m (``_fiber_mean``).
+Every fold of the norm takes one scale, |sigma^m_0| / |sigma^m_0|(m) <= 1, from one kernel for
+facet values affine along rows of nodes (``_log_norm_ratio``; a box axis is one row, a segment
+rule one row per segment): R_t and R_infinity are ratios, and the L1 norms are logs that add the
+peak back.  Every run takes its fibers from ``_fibers``, which R_t and the L1 norms share in
+``shared_fibers``.  A box under an A whose rows pick coordinate axes gets a tensor Gauss-Legendre
+rule kept as its per-axis factors, with the norm folded into each axis's weights (``TensorRule``),
+and its fibers are contractions of those factors (``AxisFibers``: a ``Polynomial`` weight is
+evaluated on no node).  Every other input takes ``segment_fibers``: in a lattice frame x = U w
+with A U = [I | 0], P is cut into panels at the vertices of its slices, depth by depth, with
+cosine-mapped Gauss nodes on each panel and on each leaf segment (``NodeFibers``).  Every weight
+e^{-t f_m} depends on y alone, so the concentration runs and the L1 norms pay per node once and per
+fiber for each t.  R_infinity, the t = infinity limit of R_t, is the slice pairing: box fibers read
+it off their fiber-axis moments (``slice_pairing``), any other input off the same segment rule at
+the one level y_m (``_fiber_mean``).
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from ._intlin import exact_int
 from .polytope import NODE_BLOCK, DelzantPolytope
-from .sections import ConcentrationWeight, _facet_values_at, _log_norm_g0, _log_norm_ratio
+from .sections import ConcentrationWeight, _facet_values_at, _log_norm_g0
 from .potential import SymplecticPotential
 from .subtorus import SubtorusProjection
 
@@ -151,42 +150,59 @@ def _gauss_axis(lo: float, hi: float, resolution: int):
     return lo + half * (nodes + 1.0), half * weights
 
 
-def _tensor_axes(bounds, resolution, factor=None):
-    axes = [_gauss_axis(float(lo), float(hi), resolution) for lo, hi in bounds]
-    if factor is not None:  # a product weight, one factor(i, nodes) per axis
-        axes = [(nodes, w * factor(i, nodes)) for i, (nodes, w) in enumerate(axes)]
-    return tuple(axes)
+def _tensor_axes(bounds, resolution):
+    return tuple(_gauss_axis(float(lo), float(hi), resolution) for lo, hi in bounds)
 
 
-def _axis_norms(P: DelzantPolytope, m):
-    """(i, s) -> the factor of |sigma^m_0| / |sigma^m_0|(m) along axis i at the coordinates s.
+# rows folded at once (8,192 segment nodes): 64 take 1.3-1.4 times as long, 512 0.93-0.94 times
+LEVEL_BLOCK = 256
 
-    On a box every facet normal lies on one axis, so the facets of axis i
-    give a factor of x_i alone, in log form with one exp per axis node.
-    """
+
+def _log_norm_ratio(c, r, s, lm):
+    """log |sigma^m_0| / |sigma^m_0|(m) <= 0, (rows, q), where l_j = c_j + r_j s along each row:
+    c (d, rows), r (d,), s (rows, q) ascending, lm = l_j(m) (d,); each facet's term peaks at l_j(m).
+    sum_j (l_j(m) - l_j) is affine in s, a facet with r_j = 0 takes one log per row, any other with
+    l_j(m) > 0 one per node, LEVEL_BLOCK rows at a time.  fl(c + r s) is monotone in s, so the check
+    l_j >= -1e-12 reads each row's ends."""
+    ends = c[..., None] + r[:, None, None] * s[:, ::max(s.shape[1] - 1, 1)]
+    if (ends < -1e-12).any():
+        raise ValueError("point outside the polytope")
+    clip, on = (ends < 0).any(), lm > 0  # an l_j in (-1e-12, 0) reads 0
+    flat, moving = on & (r == 0), np.flatnonzero(on & (r != 0))
+    with np.errstate(divide="ignore"):  # l_j = 0 reads log 0 = -inf: a weight 0
+        row = np.add.reduce(lm[:, None] - c, axis=0) + lm[flat] @ np.log(np.maximum(c[flat], 0.0))
+        out = np.multiply(s, -0.5 * r.sum())
+        out += 0.5 * (row - lm[on] @ np.log(lm[on]))[:, None]
+        for b in range(0, len(s), LEVEL_BLOCK):
+            L, blk = np.empty_like(s[b:b + LEVEL_BLOCK]), slice(b, b + LEVEL_BLOCK)
+            for j in moving:
+                np.add(np.multiply(r[j], s[blk], out=L), c[j, blk, None], out=L)
+                np.log(np.maximum(L, 0.0, out=L) if clip else L, out=L)
+                out[blk] += np.multiply(L, 0.5 * lm[j], out=L)
+    return out
+
+
+def _axis_norms(P: DelzantPolytope, m, axes):
+    """A box's axes (nodes, weights) with |sigma^m_0| / |sigma^m_0|(m) folded in: its facets on
+    axis i give a factor of x_i alone, one row of ``_log_norm_ratio`` and one exp per node."""
     R, lam, lm = P.normal_matrix, P.offset_vector, _facet_values_at(P, m)
-
-    def factor(i, s):
-        on = R[:, i] != 0
-        return np.exp(_log_norm_ratio(np.multiply.outer(R[on, i], s) + lam[on, None], lm[on]))
-    return factor
+    return tuple((s, w * np.exp(_log_norm_ratio(lam[on, None], R[on, i], s[None], lm[on])[0]))
+                 for i, ((s, w), on) in enumerate(zip(axes, R.T != 0)))
 
 
 def box_rule(P: DelzantPolytope, resolution: int, m=None) -> TensorRule:
-    """Tensor Gauss-Legendre rule; exact for polynomial degree < 2*resolution.
-
-    Given m, the rule for |sigma^m_0| / |sigma^m_0|(m) dx, with the norm
-    folded into the weights axis by axis.
-    """
+    """Tensor Gauss-Legendre rule, exact for polynomial degree < 2*resolution; given m, the rule
+    for |sigma^m_0| / |sigma^m_0|(m) dx, with the norm folded in axis by axis (``_axis_norms``)."""
     if resolution < 8:
         raise QuadratureError("resolution must be at least 8")
-    axes = _tensor_axes(P.box_bounds, resolution, None if m is None else _axis_norms(P, m))
+    axes = _tensor_axes(P.box_bounds, resolution)
+    axes = axes if m is None else _axis_norms(P, m, axes)
     return TensorRule(resolution, axes, [s.mean() for s, _ in axes] if m is None else m)
 
 
 def make_rule(domain: DelzantPolytope, resolution: int, m=None):
-    """Tensor Gauss for boxes, else the segment rule under y = x_1 (``segment_fibers``);
-    given m, the rule for |sigma^m_0| / |sigma^m_0|(m) dx (``_log_norm_ratio``)."""
+    """Tensor Gauss for boxes, else the segment rule under y = x_1 (``segment_fibers``); given
+    m, the rule for |sigma^m_0| / |sigma^m_0|(m) dx, both folded by ``_log_norm_ratio``."""
     if domain.is_box:
         return box_rule(domain, resolution, m)
     return segment_fibers(domain, SubtorusProjection.standard(1, domain.dim), resolution, m).rule
@@ -207,8 +223,7 @@ class Pushforward:
         F are the fiber sums of the weights and of the node-wise h (sums) and
         f_r is the fiber-constant f at fiber r: h is summed once, and each t
         costs one exp per fiber."""
-        F = self.sums(h)
-        fr = self.at_fibers(f)
+        F, fr = self.sums(h), self.at_fibers(f)
         fmin = fr.min()
         fr -= fmin
         out, w = np.empty((len(times), len(F))), np.empty_like(fr)
@@ -334,8 +349,6 @@ def _finite(vals, x):
 FIBER_NODES = 32
 # nodes per fiber panel past which R_infinity and the fibers of R_t are not refined
 MAX_SLICE_NODES = 1024
-# segment levels whose norm is folded at once (8,192 nodes): 64 or 512 take 1.2-1.5 times as long
-LEVEL_BLOCK = 256
 
 
 @lru_cache(maxsize=32)
@@ -399,8 +412,8 @@ def segment_fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int
     each panel, cut at (y_m)_i, or take y_m itself; fiber depths put nodes (FIBER_NODES) on
     each.  A depth where every slice is a point (a face of P) is that point with weight 1.
     Facet values are carried down as c; on a leaf segment l_j = c_j + (R U)_{j, n-1} s,
-    from which the norm is folded in, LEVEL_BLOCK segments at a time.  A fiber is a run of
-    segments with one image prefix.
+    from which ``_log_norm_ratio`` folds the norm in, one row per segment.  A fiber is a run
+    of segments with one image prefix.
     """
     n, k, U = P.dim, proj.k, proj.frame
     RU, solves = _slice_solves(P, proj)
@@ -435,15 +448,8 @@ def segment_fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int
             c, wt = c + np.multiply.outer(RU[:, i], s), W.reshape(-1)
             img = np.arange(len(wt)) if i < k else np.repeat(img[owner], S.shape[1])
     if m is not None:
-        lm, cl, r = _facet_values_at(P, m), c[:, owner], RU[:, -1]
-        # on a rule of several blocks, the facets parallel to its segments once per segment
-        on = (r != 0) | (len(S) <= LEVEL_BLOCK)
-        if not on.all():
-            W *= np.exp(_log_norm_ratio(cl[~on], lm[~on]))[:, None]
-        for b in range(0, len(S), LEVEL_BLOCK):
-            L = cl[on, b:b + LEVEL_BLOCK, None] + np.multiply.outer(r[on], S[b:b + LEVEL_BLOCK])
-            W[b:b + LEVEL_BLOCK] *= np.exp(_log_norm_ratio(L.reshape(len(L), -1), lm[on])
-                                           ).reshape(-1, S.shape[1])
+        lw = _log_norm_ratio(c[:, owner], RU[:, -1], S, _facet_values_at(P, m))
+        W *= np.exp(lw, out=lw)
     # each node its own fiber when k = n, else the segments of each image prefix
     img = img[owner]
     starts = np.arange(S.size) if k == n else S.shape[1] * np.flatnonzero(

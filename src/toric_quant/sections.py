@@ -50,10 +50,9 @@ def _facet_values_at(P: DelzantPolytope, m):
 def _log_norm_g0(L, lm):
     """log |sigma^m_0|, (N,) or (M, N), from facet values L (d, N) and lm = l_j(m), (d,) or (M, d).
 
-    1/2 (sum_j l_j(m) log l_j + sum_j (l_j(m) - l_j)): the second sum facet by facet,
-    the first one product over the facets with some l_j(m) > 0 (log 0 = -inf gives the
-    exact zeros; a stack needs l_j > 0 where one of its l_j(m) is 0).  Any subset of the
-    facets gives the product of their factors.  L < -1e-12 (outside P) raises, L < 0 reads 0.
+    1/2 (sum_j l_j(m) log l_j + sum_j (l_j(m) - l_j)): the second sum facet by facet, the
+    first one product over the facets with some l_j(m) > 0 (log 0 = -inf gives the exact
+    zeros; a stack needs l_j > 0 where one of its l_j(m) is 0).  L < -1e-12 raises, L < 0 reads 0.
     """
     if np.any(L < -1e-12):
         raise ValueError("point outside the polytope")
@@ -63,13 +62,6 @@ def _log_norm_g0(L, lm):
     with np.errstate(divide="ignore"):
         logs = lm[..., on] @ np.log(L[on])
     return 0.5 * (logs + s)
-
-
-def _log_norm_ratio(L, lm):
-    """log |sigma^m_0| - log |sigma^m_0|(m) <= 0 at facet values L (d, N), lm (d,): the scale of
-    every norm fold.  Each facet's term is concave in l_j with its maximum at l_j(m), so the
-    peak is ``_log_norm_g0`` at L = l(m) (for any subset of the facets too)."""
-    return _log_norm_g0(L, lm) - _log_norm_g0(lm[:, None], lm)
 
 
 def closed_form_log_norm_g0(P: DelzantPolytope, m, x):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,15 @@ def trailing_axis_norm_g0(P, m, x):
     with np.errstate(divide="ignore"):
         logs = np.log(L[..., on]) @ lm[on]
     return np.exp(0.5 * (logs + np.sum(lm - L, axis=-1)))
+
+
+def exact_log_l1(k, m):
+    """log of the L1 norm of sigma^m_0 over k Delta^n, n = len(m), in plain ``math``.
+
+    On k Delta^n the facet values sum to k everywhere, so |sigma^m_0| = prod_j l_j^{alpha_j}
+    with alpha_j = l_j(m) / 2, and its integral is the Dirichlet one: (sum alpha + n) log k
+    + sum_j lgamma(alpha_j + 1) - lgamma(sum alpha + n + 1).
+    """
+    n, alpha = len(m), [v / 2 for v in (*m, k - sum(m))]
+    a = sum(alpha)
+    return (a + n) * math.log(k) + sum(math.lgamma(v + 1) for v in alpha) - math.lgamma(a + n + 1)

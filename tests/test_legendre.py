@@ -336,12 +336,7 @@ class TestBatchedInverse:
 
     @pytest.mark.parametrize("config", [
         "configs/interval.json", "configs/square2.json", "bench/fixtures/simplex2.json",
-        "bench/fixtures/cube2.json",
-        pytest.param("bench/fixtures/hirzebruch.json", marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError, reason=(
-                "a lone row's grad g0 is a (1, d) @ (d, n) product, which numpy sends to "
-                "gemv: where three facet normals share a coordinate its sum rounds apart "
-                "from the stacked gemm")))])
+        "bench/fixtures/cube2.json", "bench/fixtures/hirzebruch.json"])
     def test_mixed_stack_is_bit_equal_to_each_row_alone(self, config, monkeypatch):
         cfg = load_config(str(REPO / config))
         pot = SymplecticPotential(cfg.polytope, cfg.proj, cfg.phi)

@@ -29,7 +29,6 @@ from toric_quant import ProjectionError, quadrature
 from toric_quant.cli import load_config, main, parse_weight
 from toric_quant.quadrature import (FIBER_NODES, NODE_BLOCK, AxisFibers, NodeFibers,
                                     QuadratureRule, TensorRule, _gauss_axis, _tensor_axes)
-from toric_quant.sections import _log_norm_ratio
 
 from conftest import (box_polytope, closed_form_norm_g0, integrate, logs_close, node_rule,
                       tensor_product)
@@ -453,7 +452,7 @@ class TestAxisFibers:
         monkeypatch.setattr(quadrature, "segment_fibers", refuse)
         normed, real = [], quadrature._log_norm_ratio  # the norm on axis nodes alone
         monkeypatch.setattr(quadrature, "_log_norm_ratio",
-                            lambda L, lm: normed.append(L.shape[1]) or real(L, lm))
+                            lambda c, r, s, lm: normed.append(s.size) or real(c, r, s, lm))
         for P, rows, m in ((box_polytope([(0, 2), (0, 2)]), ((0, 1),), (1, 0)),
                            (box_polytope([(0, 2)] * 3), ((1, 0, 0),), (1, 1, 1))):
             proj = SubtorusProjection(rows)
@@ -539,7 +538,7 @@ class TestNormWeightedRules:
         seen = []
         real = quadrature._log_norm_ratio
         monkeypatch.setattr(quadrature, "_log_norm_ratio",
-                            lambda L, lm: seen.append(L.shape[1]) or real(L, lm))
+                            lambda c, r, s, lm: seen.append(s.size) or real(c, r, s, lm))
         for res in (32, 96):
             concentration_experiment(SymplecticPotential(square2, proj_first_of_two,
                                                          phi_half_square),
@@ -685,7 +684,7 @@ def _reference_module():
 
 def _unfolded(build):
     """build() with the norm fold left out: a segment rule's nodes with the weights of dx."""
-    with mock.patch.object(quadrature, "_log_norm_ratio", lambda L, lm: np.zeros(L.shape[1])):
+    with mock.patch.object(quadrature, "_log_norm_ratio", lambda c, r, s, lm: np.zeros(s.shape)):
         return build()
 
 
@@ -847,6 +846,74 @@ class TestSegmentFibers:
             pot = self._pot(name, phi_half_square)
             concentration_experiment(pot, (1, 1), parse_weight("x1^2", 2), PLANAR_T, 64)
             l1_norms(pot, (1, 1), 64, (0.0, 8.0))
+
+
+SEGMENT_FOLDS = [(SIMPLEX2, (0, 1)), (SIMPLEX2, (1, 1)),
+                 (DelzantPolytope(3, (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                                      ((-1, -2, -1), 3))), (1, 0, 1))]
+
+
+class TestAffineFold:
+    """``_log_norm_ratio`` on rows of nodes along which every facet value is affine, the one
+    fold of box axes and segment rules."""
+
+    def test_domain_check_on_row_ends(self):
+        # l_0 = c_0 + s and l_1 = c_1 - s on s in [0, 1]: the check reads each row's ends
+        s, r, lm = np.array([[0.0, 0.25, 0.5, 1.0]]), np.array([1.0, -1.0]), np.array([0.5, 0.5])
+        for c in ([[-2e-12], [1.0]], [[0.0], [1.0 - 2e-12]]):
+            with pytest.raises(ValueError, match="outside the polytope"):
+                quadrature._log_norm_ratio(np.array(c), r, s, lm)
+        for c in ([[-5e-13], [1.0]], [[0.0], [1.0 - 5e-13]]):
+            # l_j in (-1e-12, 0] reads 0: both ends take weight 0, the inner nodes do not
+            w = np.exp(quadrature._log_norm_ratio(np.array(c), r, s, lm))[0]
+            assert w[[0, -1]].tolist() == [0.0, 0.0] and np.all((0 < w[1:-1]) & (w[1:-1] <= 1))
+
+    def test_facet_through_m_adds_no_log(self):
+        # l_0(m) = 0 and l_0 = 0 at the first node: its factor l_0^0 e^{-l_0 / 2} is finite
+        c, r, s = np.array([[0.0], [2.0]]), np.array([1.0, -1.0]), np.array([[0.0, 0.5, 1.0, 2.0]])
+        lm = np.array([0.0, 2.0])
+        got = quadrature._log_norm_ratio(c, r, s, lm)[0]
+        L = c + np.outer(r, s[0])
+        with np.errstate(divide="ignore"):
+            ref = 0.5 * (np.sum(lm[:, None] - L, axis=0) + 2.0 * np.log(L[1]) - 2.0 * np.log(2.0))
+        assert np.all(np.isfinite(got[:-1])) and got[-1] == -np.inf and not np.isnan(got).any()
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
+
+    def test_parallel_facet_at_zero_gives_its_row_weight_zero(self):
+        # facet 0 is parallel to the rows (r_0 = 0) and vanishes on row 0, where l_0(m) > 0
+        c = np.array([[0.0, 0.5], [0.0, 0.0], [1.0, 1.0]])
+        r, s, lm = np.array([0.0, 1.0, -1.0]), np.array([[0.2, 0.8]] * 2), np.array([0.5, 0.3, 0.7])
+        got = np.exp(quadrature._log_norm_ratio(c, r, s, lm))
+        assert got[0].tolist() == [0.0, 0.0] and np.all(got[1] > 0) and not np.isnan(got).any()
+
+    @pytest.mark.parametrize("P,row", [(P, row) for P, row, _ in POLYGONS.values()]
+                             + [(SIMPLEX3, (1, 0, 0))])
+    def test_segment_rows_are_ascending(self, P, row):
+        proj = SubtorusProjection((row,))
+        for res in (None, 8, 64):
+            for m in lattice_points(P)[:4]:
+                s = quadrature.segment_fibers(P, proj, res, m).rule.s
+                assert np.all(np.diff(s, axis=1) > 0), (res, m)
+
+    def test_box_axes_are_ascending(self):
+        for bounds in ([(0, 2)], [(-1, 3), (0, 1)]):
+            for nodes, _ in box_rule(box_polytope(bounds), 33).axes:
+                assert np.all(np.diff(nodes) > 0)
+
+    @pytest.mark.parametrize("P,m", SEGMENT_FOLDS)
+    def test_fold_is_the_closed_form_in_every_block(self, P, m):
+        # the fold, LEVEL_BLOCK rows at a time, against the closed form at the same nodes; a
+        # row's fold does not depend on its block
+        rules = []
+        for block in (1, 3, 256):
+            with mock.patch.object(quadrature, "LEVEL_BLOCK", block):
+                rules.append(make_rule(P, 64, m))
+        plain = _unfolded(lambda: make_rule(P, 64, m))
+        ref = plain.weights * closed_form_norm_g0(P, m, plain.points) / closed_form_norm_g0(P, m, m)
+        assert len(plain.s) > 3
+        for rule in rules:
+            assert rule.weights.tobytes() == rules[0].weights.tobytes()
+            np.testing.assert_allclose(rule.weights, ref, rtol=1e-13, atol=1e-13 * ref.max())
 
 
 class TestConcentration:
