@@ -4,7 +4,7 @@ Command grammar:
 
     toric-quant <command> <config.json> [--t list] [--m ints] [--u expr]
                 [--resolution N] [--points N] [--out path]
-                [--format json|csv|svg]
+                [--format json|csv]
 
 with commands validate, lattice, weights, potential-validate,
 legendre-roundtrip, flow-check, polarization-limit, sections-norms,
@@ -500,13 +500,11 @@ def emit(report: RunReport, fmt: str = "json") -> bytes:
         return _canonical_json(payload) + b"\n"
     if fmt == "csv":
         return _emit_csv(report)
-    if fmt == "svg":
-        return _emit_svg(report)
     raise ConfigError("bad_format", f"unknown format {fmt!r}")
 
 
 def _table(report: RunReport):
-    """The header and rows of a report's table form (CSV, and the SVG series)."""
+    """The header and rows of a report's CSV form."""
     out = report.outputs
     if report.command == "concentrate":
         return ("t", "ratio", "error"), zip(out["t"], out["ratios"], out["errors"])
@@ -533,38 +531,6 @@ def _emit_csv(report: RunReport) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-# the axis label of the plotted series: column 2 of the table against t
-_SVG_LABEL = {"concentrate": "|R_t - R_inf|", "polarization-limit": "grassmann distance"}
-# 640 x 420 with a margin of 60: the axes, the series and its marks, the axis titles, the title
-_SVG = ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420" viewBox="0 0 640 420">'
-        '<rect width="640" height="420" fill="white"/>'
-        '<line x1="60" y1="360" x2="580" y2="360" stroke="black"/>'
-        '<line x1="60" y1="60" x2="60" y2="360" stroke="black"/>'
-        '<polyline points="{points}" fill="none" stroke="#1f4e79" stroke-width="1.5"/>{marks}'
-        '<text x="320" y="400" text-anchor="middle" font-size="13">log10 t</text>'
-        '<text x="20" y="210" font-size="13" transform="rotate(-90 20 210)" '
-        'text-anchor="middle">log10 {label}</text>'
-        '<text x="320" y="30" text-anchor="middle" font-size="14">{title}</text></svg>')
-
-
-def _emit_svg(report: RunReport) -> bytes:
-    if report.command not in _SVG_LABEL:
-        raise ConfigError("bad_format", f"no plot for command {report.command!r}")
-    label, rows = _SVG_LABEL[report.command], list(_table(report)[1])
-    if not rows:
-        raise ConfigError("nothing_to_plot", "nothing to plot")
-    xy = np.array([(np.log10(r[0]), np.log10(r[2])) for r in rows if r[0] > 0 and r[2] > 0])
-    if len(xy):  # log10 t onto 60..580 and log10 of the values onto 360..60 (a range of 0: 1)
-        lo, span = xy.min(axis=0), np.ptp(xy, axis=0)
-        xy = [60, 360] + (xy - lo) / np.where(span > 0, span, 1.0) * [520, -300]
-    marks = "".join(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1f4e79"/>' for x, y in xy)
-    if not len(xy):  # every value is zero: no point has a logarithm
-        marks = ('<text x="320" y="210" text-anchor="middle" font-size="13">'
-                 f'every {label} is 0</text>')
-    return _SVG.format(points=" ".join(f"{x:.2f},{y:.2f}" for x, y in xy), marks=marks,
-                       label=label, title=f"{report.command} ({report.digest[:12]})").encode()
-
-
 def _parse_list(text: str, kind, code: str):
     try:
         return tuple(kind(v) for v in text.replace(";", ",").split(",") if v != "")
@@ -588,8 +554,7 @@ def main(argv=None) -> int:
     parser.add_argument("--points", type=int, default=None,
                         help="sample points for polarization-limit")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", dest="fmt", default="json",
-                        choices=("json", "csv", "svg"))
+    parser.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
     args = parser.parse_args(argv)
 
     try:

@@ -84,18 +84,20 @@ def inverse(pot: SymplecticPotential, y, t=0.0):
 
 
 def _solve_spd(H, r):
-    """x with H x = r for a stack of SPD H (N, n, n) and r (N, n).  For n <= 2 each row's
-    LDL^T is written out (l = b / a, d = c - l b), stable on stiff H where the adjugate
-    form is not, and a row's x does not depend on its stack; LAPACK for n = 3."""
+    """x with H x = r for a stack of SPD H (..., n, n) and r (..., n) or (..., n, m) (r = I:
+    H^-1).  For n <= 2 each row's LDL^T is written out (l = b / a, d = c - l b), stable on stiff
+    H where the adjugate form is not, and a row's x does not depend on its stack; LAPACK at 3."""
+    if r.ndim < H.ndim:  # a vector: one column
+        return _solve_spd(H, r[..., None])[..., 0]
     if H.shape[-1] == 1:
-        return r / H[:, 0]
+        return r / H
     if H.shape[-1] == 2:
-        a, b = H[:, 0, 0], H[:, 0, 1]
-        lo, x = b / a, np.empty_like(r)
-        x[:, 1] = (r[:, 1] - lo * r[:, 0]) / (H[:, 1, 1] - lo * b)
-        x[:, 0] = r[:, 0] / a - lo * x[:, 1]
+        a, b = H[..., 0, :1], H[..., 0, 1:]
+        lo, x = b / a, np.empty(H.shape[:-1] + r.shape[-1:])
+        x[..., 1, :] = (r[..., 1, :] - lo * r[..., 0, :]) / (H[..., 1, 1:] - lo * b)
+        x[..., 0, :] = r[..., 0, :] / a - lo * x[..., 1, :]
         return x
-    return np.linalg.solve(H, r[..., None])[..., 0]
+    return np.linalg.solve(H, r)
 
 
 def _failure(x, res, iteration, active, i):

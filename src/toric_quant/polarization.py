@@ -1,15 +1,13 @@
 """Polarization frames and their degeneration.
 
-A frame is a stack of complex rows of shape (..., n, 2n) in the 2n real
-coordinates (dx_1..dx_n, dtheta_1..dtheta_n) on the open orbit.  The Kahler
-polarization of g_t at x is span{(w, -i G_t w)} with G_t = Hess g_t, written
-with the rows (G_t^{-1}, -i I).  Along g_t = g0 + t phi(A x) the Hessian is
-G_t = G0 + t A^T Hess(phi) A, so (w, -i G_t w) = (w, -i G0 w) for w in ker A,
-while (G_t^{-1} A^T, -i A^T) tends to (0, -i A^T).  With B a Z-basis of
-ker A, the mixed-polarization limit therefore has the rows (0, A) and
-(B, -i B G0) in any lattice coordinates (Baier, Florentino, Mourao, Nunes,
-J. Differential Geom. 89 (2011)).  Distances between spans are principal
-angles.
+A frame is a stack of complex rows of shape (..., n, 2n) in the 2n real coordinates
+(dx_1..dx_n, dtheta_1..dtheta_n) on the open orbit.  The Kahler polarization of g_t at x is
+span{(w, -i G_t w)} with G_t = Hess g_t, written with the rows (G_t^{-1}, -i I).  Along
+g_t = g0 + t phi(A x) the Hessian is G_t = G0 + t A^T Hess(phi) A, so (w, -i G_t w) =
+(w, -i G0 w) for w in ker A, while (G_t^{-1} A^T, -i A^T) tends to (0, -i A^T).  With B a
+Z-basis of ker A, the mixed-polarization limit therefore has the rows (0, A) and (B, -i B G0)
+in any lattice coordinates (Baier, Florentino, Mourao, Nunes, J. Differential Geom. 89
+(2011)).  Distances between spans are principal angles.
 """
 from __future__ import annotations
 
@@ -18,28 +16,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._intlin import integer_kernel_basis
+from .legendre import _solve_spd
 from .potential import SymplecticPotential
 from .subtorus import SubtorusProjection
 
 
 def subspace_angle(rows_a, rows_b):
-    """Largest principal angle between row spans (complex subspaces).
-
-    Batched over leading axes with stacked QR and SVD; a single pair of
-    frames gives a float.  Cosine SVD is accurate near pi/2 but floors out at
-    sqrt(eps) for nearly equal spans, so angles below pi/4 are taken from the
-    sine instead (the residual of one orthonormal basis against the other's
-    projector).
-    """
-    Qa, _ = np.linalg.qr(np.swapaxes(np.asarray(rows_a, dtype=complex), -1, -2))
-    Qb, _ = np.linalg.qr(np.swapaxes(np.asarray(rows_b, dtype=complex), -1, -2))
-    C = np.swapaxes(Qa.conj(), -1, -2) @ Qb
-    cosines = np.clip(np.linalg.svd(C, compute_uv=False), 0.0, 1.0)
-    theta = np.arccos(cosines.min(axis=-1))
-    sines = np.linalg.svd(Qb - Qa @ C, compute_uv=False)
-    theta = np.where(theta < np.pi / 4,
-                     np.arcsin(np.clip(sines.max(axis=-1), 0.0, 1.0)), theta)
+    """Largest principal angle between row spans (complex subspaces), batched over leading
+    axes (a single pair of frames gives a float).  With orthonormal rows Q and C = Q_b Q_a^H,
+    the cosines (singular values of C) floor out at sqrt(eps) for nearly equal spans, so angles
+    below pi/4 take the sines, of M = Q_b - C Q_a (Bjorck, Golub, Math. Comp. 27 (1973)).  For
+    p <= 2 rows each row stands alone: Q is Gram-Schmidt applied twice, the largest sine
+    sqrt(lambda_max(M M^H)), the smallest cosine |det C| / sigma_max(C); QR and SVD for p = 3."""
+    a, b = (np.asarray(r, dtype=complex) for r in (rows_a, rows_b))
+    if a.shape[-2] > 2:
+        Qa, Qb = (np.linalg.qr(np.swapaxes(r, -1, -2))[0] for r in (a, b))
+        C = np.swapaxes(Qa.conj(), -1, -2) @ Qb
+        cos = np.linalg.svd(C, compute_uv=False).min(axis=-1)
+        sin = np.linalg.svd(Qb - Qa @ C, compute_uv=False).max(axis=-1)
+    else:
+        Qa, Qb = _orthonormal_rows(a), _orthonormal_rows(b)
+        C = Qb @ np.swapaxes(Qa.conj(), -1, -2)
+        sin = np.sqrt(_top_eigenvalue(Qb - C @ Qa))
+        cos = np.abs(C[..., 0, 0]) if C.shape[-1] == 1 else np.abs(  # 0 when C = 0
+            C[..., 0, 0] * C[..., 1, 1] - C[..., 0, 1] * C[..., 1, 0]) / np.sqrt(
+            np.maximum(_top_eigenvalue(C), np.finfo(float).tiny))
+    theta = np.arccos(np.clip(cos, 0.0, 1.0))
+    theta = np.where(theta < np.pi / 4, np.arcsin(np.clip(sin, 0.0, 1.0)), theta)
     return float(theta) if theta.ndim == 0 else theta
+
+
+def _orthonormal_rows(R):
+    """Gram-Schmidt on the p <= 2 rows of R (..., p, m), the projection taken twice."""
+    q, r = R[..., :1, :] / np.linalg.norm(R[..., :1, :], axis=-1, keepdims=True), R[..., 1:, :]
+    for _ in range(2):  # r has no rows for p = 1
+        r = r - (q.conj() * r).sum(axis=-1, keepdims=True) * q
+    return np.concatenate([q, r / np.linalg.norm(r, axis=-1, keepdims=True)], axis=-2)
+
+
+def _top_eigenvalue(M):
+    """lambda_max of G = M M^H for the p <= 2 rows of M: (a + c)/2 + hypot((a - c)/2, |b|) for
+    G = [[a, b], [conj b, c]], where p = 1 has a = c and b = 0."""
+    G = M @ np.swapaxes(M.conj(), -1, -2)
+    a, b, c = G[..., 0, 0].real, np.abs(G[..., 0, -1]) * (G.shape[-1] > 1), G[..., -1, -1].real
+    return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
 
 
 def _kernel_rows(B, G):
@@ -52,8 +72,16 @@ def _frames(pot: SymplecticPotential, x, t_list):
     """Hess g0, Hess psi (N, n, n); G_t = Hess g0 + t Hess psi, G_t^{-1}, frames (G_t^{-1}, -iI)."""
     H0, Hpsi = pot.hessian(x), pot.perturbation.hessian(x)
     G = H0[:, None] + np.reshape(t_list, (-1, 1, 1)) * Hpsi[:, None]
-    Ginv, eye = np.linalg.inv(G), np.broadcast_to(-1j * np.eye(H0.shape[-1]), G.shape)
-    return H0, Hpsi, G, Ginv, np.concatenate([Ginv, eye], axis=-1)
+    Ginv = _solve_spd(G, eye := np.broadcast_to(np.eye(H0.shape[-1]), G.shape))
+    return H0, Hpsi, G, Ginv, np.concatenate([Ginv, -1j * eye], axis=-1)
+
+
+def loglog_slope(t, v):
+    """The least-squares slope sum (x - mean x)(y - mean y) / sum (x - mean x)^2 of y = log v
+    against x = log t, along the last axis of v; a v of 0 gives NaN, which reports refuse."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, y = np.log(t) - np.mean(np.log(t)), np.log(v)
+        return ((y - y.mean(axis=-1, keepdims=True)) * x).sum(axis=-1) / (x * x).sum()
 
 
 @dataclass(frozen=True)
@@ -69,13 +97,10 @@ class DecayReport:
 
 def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
                  x, t_list) -> DecayReport:
-    """Track frame degeneration along increasing t at a stack of interior points.
-
-    The time-t frames (``_frames``) are one stack over points and times, and their distances
-    to the limit one stacked principal-angle computation.  The ker A rows (B, -i B G_t) must
-    not move with t; their angle against t = 0 is the subframe check, and it fails when psi
-    does not factor through A.
-    """
+    """Track frame degeneration along increasing t at a stack of interior points: the time-t
+    frames (``_frames``) and their distances to the limit are one stack over points and times.
+    The ker A rows (B, -i B G_t) must not move with t; their angle against t = 0 is the
+    subframe check, and it fails when psi does not factor through A."""
     t_list = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly increasing")
@@ -89,10 +114,9 @@ def decay_report(pot_family: SymplecticPotential, proj: SubtorusProjection,
     subinv = 0.0
     if k < n:
         subinv = float(np.max(subspace_angle(_kernel_rows(B, G), lim[:, None, k:])))
-    slopes = np.polyfit(np.log(t_list), np.log(dists).T, 1)[0]
     return DecayReport(top_block_norms=np.max(np.abs(A @ Ginv), axis=(-2, -1)),
-                       distances=dists, fitted_slopes=slopes, subframe_invariance=subinv,
-                       limit=lim)
+                       distances=dists, fitted_slopes=loglog_slope(t_list, dists),
+                       subframe_invariance=subinv, limit=lim)
 
 
 def _hamiltonian_jacobian(Hpsi):

@@ -140,25 +140,34 @@ def boundary_approach_samples(P: DelzantPolytope):
 
 def validate_potential(pot: SymplecticPotential, interior_points,
                        boundary_points=None, times=(0.0,)):
-    """Check Definition-style validity on samples, one PotentialReport per t.
-
-    (a) Hess g_t positive definite at every interior sample; (b) the product
-    det(Hess g_t) * prod l_j stays positive and bounded along the
-    boundary-approach samples.  Returns the observed product ranges as a
-    list with one report per t of ``times``.
-    """
+    """Check Definition-style validity on samples, one PotentialReport per t of ``times``:
+    (a) Hess g_t positive definite at every interior sample (its lowest eigenvalue); (b) the
+    product det(Hess g_t) * prod l_j positive and bounded along the boundary-approach samples
+    (its observed range)."""
     P = pot.polytope
     pts = np.asarray(interior_points, dtype=float).reshape(-1, P.dim)
     if not (count := len(pts)):
         raise ValueError("need at least one interior sample")
     if boundary_points is not None and len(boundary_points):
         pts = np.concatenate([pts, np.asarray(boundary_points, dtype=float)])
-    # one Hessian of g0 and of psi for all samples, and G_t stacked over t;
-    # the eigenvalues are taken on the interior
+    # one Hessian of g0 and of psi for all samples, G_t stacked over t
     H = pot.hessian(pts, np.reshape(times, (-1, 1)))
-    lows = np.min(np.linalg.eigvalsh(H[:, :count])[..., 0], axis=-1).tolist()
-    with np.errstate(over="ignore"):  # an infinite product fails its flag, not a warning
-        prods = np.linalg.det(H) * np.prod(P.facet_values_array(pts), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite product fails its flag
+        low, det = _lowest_eigenvalue_and_det(H, count)
+        prods = det * np.prod(P.facet_values_array(pts), axis=-1)
     return [PotentialReport(positive_definite=low > 0.0, min_eigenvalue=low,
                             product_min=float(p.min()), product_max=float(p.max()))
-            for low, p in zip(lows, prods)]
+            for low, p in zip(np.min(low, axis=-1).tolist(), prods)]
+
+
+def _lowest_eigenvalue_and_det(H, count):
+    """lambda_min of H[:, :count] and det of H, symmetric (T, N, n, n); for n = 2 from the LDL^T
+    pivots a and d = c - (b / a) b: det = a d, lambda_min = det / lambda_max, lambda_max = (a +
+    c)/2 + hypot((a - c)/2, b), nearer the exact values than LAPACK on stiff H; LAPACK at n = 3."""
+    if H.shape[-1] == 1:
+        return H[:, :count, 0, 0], H[..., 0, 0]
+    if H.shape[-1] == 2:
+        a, b, c = H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
+        det = a * (c - b / a * b)
+        return (det / (0.5 * (a + c) + np.hypot(0.5 * (a - c), b)))[:, :count], det
+    return np.linalg.eigvalsh(H[:, :count])[..., 0], np.linalg.det(H)

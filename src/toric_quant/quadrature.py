@@ -27,6 +27,7 @@ from math import prod
 import numpy as np
 
 from ._intlin import exact_int
+from .polarization import loglog_slope
 from .polytope import NODE_BLOCK, DelzantPolytope
 from .sections import ConcentrationWeight, _facet_values_at, _log_norm_g0
 from .potential import SymplecticPotential
@@ -283,7 +284,7 @@ class AxisFibers(Pushforward):
         axes, image = rule.axes, tuple(int(np.flatnonzero(r)[0]) for r in proj.array)
         self.rule, self.image = rule, image
         self.fiber = tuple(i for i in range(len(axes)) if i not in image)
-        self.wy = _outer([axes[i][1] for i in image])
+        self.wy, self._kept = _outer([axes[i][1] for i in image]), None
 
     def _nodes(self, r0, r1):
         """The first nodes of the fibers r0:r1: an (r1 - r0, n) view of contiguous columns."""
@@ -297,8 +298,10 @@ class AxisFibers(Pushforward):
         return x.T
 
     def moments(self, u) -> list:
-        """The fiber step of ``sums``: the coefficients of 1 and of u (u = None: 1 alone)
-        with every fiber exponent contracted, one array over the image exponents each."""
+        """The fiber step of ``sums``, kept for the last u: the coefficients of 1 and of u (None:
+        1 alone), every fiber exponent contracted, one array over the image exponents each."""
+        if self._kept is not None and self._kept[0] is u:
+            return self._kept[1]
         axes, c, out = self.rule.axes, self.rule.center, []
         with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
             for C in [np.ones([1] * len(axes))] + ([u.expand(c)] if u else []):
@@ -307,6 +310,7 @@ class AxisFibers(Pushforward):
                     s, w = axes[i]
                     C = C @ (w * np.vander(s - c[i], C.shape[-1], increasing=True).T).sum(1)
                 out.append(C)
+        self._kept = u, out
         return out
 
     def sums(self, u) -> np.ndarray:
@@ -486,14 +490,11 @@ def _fibers(P: DelzantPolytope, proj: SubtorusProjection, resolution: int, m) ->
 
 def slice_pairing(push: AxisFibers, P: DelzantPolytope, proj: SubtorusProjection, m, u,
                   resolution: int) -> float:
-    """R_infinity, the mean of u against |sigma^m_0| on the box fiber through m.
-
-    push, the box fibers of R_t, read it off their fiber-axis moments at image exponent 0
-    (of a resolution-node rule when theirs has fewer nodes): the rule's center is m, so
-    every term with an image exponent vanishes at y_m = A m, and the image weights are
-    constant on the slice and cancel.  Segment fibers take ``_fiber_mean``.  Both end in
-    ``_pairing``, where the ratio is taken and checked.
-    """
+    """R_infinity, the mean of u against |sigma^m_0| on the box fiber through m: push, the box
+    fibers of R_t, read it off the fiber-axis moments that R_t contracted, at image exponent 0
+    (a resolution-node rule's when theirs has fewer nodes).  The rule's center is m, so every
+    term with an image exponent vanishes at y_m = A m, and the image weights are constant on
+    the slice and cancel.  Segment fibers take ``_fiber_mean``; both end in ``_pairing``."""
     if push.rule.resolution < resolution:
         push = AxisFibers(box_rule(P, resolution, m), proj)
     den, num = (M.flat[0] for M in push.moments(u))
@@ -593,8 +594,7 @@ def concentration_experiment(pot: SymplecticPotential, m, u, t_list,
     above = [(t, e) for t, e in zip(t_list, errors) if e > floor]
     slope = None
     if len(above) >= 2:
-        slope = float(np.polyfit(np.log([t for t, _ in above]),
-                                 np.log([e for _, e in above]), 1)[0])
+        slope = float(loglog_slope([t for t, _ in above], [e for _, e in above]))
     return ConcentrationResult(t_values=tuple(t_list), ratios=tuple(ratios),
                                slice_value=rinf, errors=tuple(errors),
                                decay_exponent=slope)

@@ -149,6 +149,18 @@ def limit_rows(pot, proj, x):
     return np.vstack([np.hstack([np.zeros_like(A), A]), np.hstack([B, -1j * (B @ G0)])])
 
 
+def principal_angle_reference(rows_a, rows_b):
+    """Largest principal angle by stacked QR and SVD (Bjorck, Golub, Math. Comp. 27 (1973)):
+    arccos of the smallest singular value of Q_a^H Q_b, or below pi/4 arcsin of the largest
+    of Q_b - Q_a (Q_a^H Q_b), the algorithm ``subspace_angle`` keeps for p = 3."""
+    Qa, _ = np.linalg.qr(np.swapaxes(np.asarray(rows_a, dtype=complex), -1, -2))
+    Qb, _ = np.linalg.qr(np.swapaxes(np.asarray(rows_b, dtype=complex), -1, -2))
+    C = np.swapaxes(Qa.conj(), -1, -2) @ Qb
+    theta = np.arccos(np.clip(np.linalg.svd(C, compute_uv=False), 0.0, 1.0).min(axis=-1))
+    sines = np.linalg.svd(Qb - Qa @ C, compute_uv=False).max(axis=-1)
+    return np.where(theta < np.pi / 4, np.arcsin(np.clip(sines, 0.0, 1.0)), theta)
+
+
 def isotropy_defect(rows) -> float:
     """max |Omega(row_a, row_b)| over pairs of rows and any leading axes;
     zero for Lagrangian frames."""

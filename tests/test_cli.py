@@ -538,52 +538,15 @@ class TestEmit:
         assert text.splitlines()[0] == "t,ratio,error"
         assert len(text.splitlines()) == 3
 
-    def test_svg_decay_plot(self, tmp_path):
+    def test_svg_is_not_a_format(self, tmp_path, capsys):
+        # the SVG plot was retired: emit and the command line refuse the format
         cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
-        rep = run(cfg, "concentrate", {"m": (1, 1), "u": "x1^2"})
-        blob = emit(rep, "svg")
-        assert blob.startswith(b"<svg") and b"polyline" in blob
-
-    def test_svg_series_spans_the_axes(self, tmp_path):
-        # log10 t runs from x = 60 to 580 and log10 |R_t - R_inf| from y = 360 up to 60, in
-        # the order of t: the smallest error at the bottom, the largest at the top
-        import re
-
-        cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
-        rep = run(cfg, "concentrate", {"m": (1, 1), "u": "x1^2"})
-        svg = emit(rep, "svg").decode()
-        points = [tuple(map(float, p.split(",")))
-                  for p in re.search(r'<polyline points="([^"]*)"', svg).group(1).split()]
-        errors = rep.outputs["errors"]
-        assert [x for x, _ in points] == sorted(x for x, _ in points)
-        assert (points[0][0], points[-1][0]) == (60.0, 580.0)
-        assert points[int(np.argmin(errors))][1] == 360.0
-        assert points[int(np.argmax(errors))][1] == 60.0
-        assert svg.count("<circle") == len(points) == len(errors)
-
-    def test_svg_empty_series_errors(self):
-        rep = RunReport("concentrate", "d" * 64,
-                        {"t": [], "errors": [], "ratios": [], "slice_value": 0.0,
-                         "decay_exponent": 0.0, "m": [0], "u": "x1"},
-                        {}, {})
-        with pytest.raises(ConfigError, match="nothing to plot"):
-            emit(rep, "svg")
-
-    def test_svg_all_zero_errors_get_a_note(self, capsys):
-        # u = 1: the fiber sums of w and of w * u are the same numbers, so
-        # R_t = R_inf = 1 in floating point and every error is exactly 0; no
-        # point has a logarithm, and the plot keeps its axes and title
-        path = str(pathlib.Path(__file__).parents[1] / "configs" / "square2.json")
-        assert main(["concentrate", path, "--u", "1", "--format", "svg"]) == 0
-        svg = capsys.readouterr().out
-        assert svg.startswith("<svg") and svg.endswith("</svg>")
-        assert "every |R_t - R_inf| is 0" in svg and "<circle" not in svg
-        assert "log10 t" in svg and "<text x=\"320\" y=\"30\"" in svg
-
-    def test_svg_unsupported_command(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, INTERVAL_CFG))
-        with pytest.raises(ConfigError, match="no plot"):
-            emit(run(cfg, "lattice"), "svg")
+        with pytest.raises(ConfigError) as err:
+            emit(run(cfg, "concentrate", {"m": (1, 1), "u": "x1^2"}), "svg")
+        assert err.value.code == "bad_format"
+        with pytest.raises(SystemExit) as exit_:
+            main(["concentrate", write_cfg(tmp_path, SQUARE2_CFG), "--format", "svg"])
+        assert exit_.value.code == 2 and "invalid choice: 'svg'" in capsys.readouterr().err
 
 
 class TestMain:
@@ -921,6 +884,25 @@ class TestOutOfRange:
         err = json.loads(cap.err, parse_constant=_reject_constant)["error"]
         assert err["code"] == "out_of_range" and cap.out == ""
 
+    def test_underflowed_frame_distance_exits_two(self, capsys):
+        # at t = 1e300 some frames meet the limit in float64: a distance of 0 has no log,
+        # so the slope is NaN; no numpy warning reaches stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["polarization-limit", str(REPO / "configs" / "square2.json"),
+                         "--t", "1e300,1e308"]) == 2
+        cap = capsys.readouterr()
+        err = json.loads(cap.err, parse_constant=_reject_constant)["error"]
+        assert err["code"] == "out_of_range" and cap.out == ""
+
+    def test_distances_down_to_1e_150_keep_their_slope(self, capsys):
+        # the closed-form sine resolves the interval's 1/t distance far below roundoff
+        assert main(["polarization-limit", str(REPO / "configs" / "interval.json"),
+                     "--t", "1,1e150"]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["max_grassmann_distance"][1] == pytest.approx(1e-150, rel=1e-12)
+        assert all(-1.0 < s < -0.99 for s in out["fitted_slopes"])
+
     @pytest.mark.parametrize("argv", [["sections-norms", "--t", "1e20"],
                                       ["full-suite", "--t", "1,1e20"]])
     @pytest.mark.parametrize("config", ["configs/square2.json", "bench/fixtures/hirzebruch.json"])
@@ -1251,20 +1233,22 @@ class TestTimeFamilyOnce:
         assert pulls == [((1, 0),)]
 
     def test_polarization_limit_hessians_once_per_point(self, tmp_path, monkeypatch):
-        from toric_quant import potential
+        from toric_quant import polarization, potential
 
-        # one decay report for the stack of points: one Hessian of g0 and of
-        # psi at each point, and one inverse of the stack of G_t
-        calls = {"g0": [], "psi": [], "inv": []}
+        # one decay report for the stack of points: one Hessian of g0 and of psi at each
+        # point, and one stacked SPD inverse of G_t (no LAPACK inv)
+        calls = {"g0": [], "psi": [], "solve": [], "inv": []}
         cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
         phi_hessian = cfg.phi.hessian
         cfg = dataclasses.replace(cfg, phi=dataclasses.replace(
             cfg.phi, hessian=lambda y: calls["psi"].append(np.shape(y)) or phi_hessian(y)))
         self._counted(monkeypatch, potential, "g0_hessian",
                       lambda P, x, L=None: calls["g0"].append(np.shape(x)))
+        self._counted(monkeypatch, polarization, "_solve_spd",
+                      lambda H, R: calls["solve"].append(np.shape(H)))
         self._counted(monkeypatch, np.linalg, "inv", lambda a: calls["inv"].append(np.shape(a)))
         run(cfg, "polarization-limit", {"t_list": self.TIMES, "points": 3})
-        assert calls == {"g0": [(3, 2)], "psi": [(3, 1)], "inv": [(3, 4, 2, 2)]}
+        assert calls == {"g0": [(3, 2)], "psi": [(3, 1)], "solve": [(3, 4, 2, 2)], "inv": []}
 
     def test_sections_norms_sigma0_and_fm_once(self, tmp_path, monkeypatch):
         from toric_quant import sections

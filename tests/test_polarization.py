@@ -12,7 +12,8 @@ from toric_quant import (
     quadratic,
 )
 from toric_quant import polarization
-from toric_quant.polarization import flow_residual, subspace_angle
+from toric_quant.legendre import _solve_spd
+from toric_quant.polarization import flow_residual, loglog_slope, subspace_angle
 
 from conftest import (
     box_polytope,
@@ -22,6 +23,7 @@ from conftest import (
     isotropy_defect,
     kahler_rows,
     limit_rows,
+    principal_angle_reference,
 )
 
 
@@ -243,6 +245,52 @@ class TestDecayReport:
             decay_report(pot, proj_id1, np.array([[0.5]]), [8, 8])
 
 
+class TestClosedFormAngles:
+    """subspace_angle for p <= 2 rows (Gram-Schmidt and 2x2 closed forms) against the stacked
+    QR and SVD it replaced, ``principal_angle_reference``."""
+
+    @staticmethod
+    def _frames(rng, p, m, angles):
+        """Rows spanning span{u_i} and span{cos a_i u_i + sin a_i u_(p+i)}, i < p, for random
+        orthonormal complex u, each mixed by a random invertible p x p matrix: the largest
+        principal angle between them is max a."""
+        Z = rng.standard_normal((len(angles), m, m)) + 1j * rng.standard_normal((len(angles), m, m))
+        U = np.swapaxes(np.linalg.qr(Z)[0], -1, -2)
+        mix = [rng.standard_normal((len(angles), p, p)) + 1j * rng.standard_normal(
+            (len(angles), p, p)) + 3 * np.eye(p) for _ in range(2)]
+        b = np.cos(angles)[..., None] * U[:, :p] + np.sin(angles)[..., None] * U[:, p:2 * p]
+        return mix[0] @ U[:, :p], mix[1] @ b
+
+    @pytest.mark.parametrize("p, m", [(1, 2), (1, 4), (2, 4), (1, 6), (2, 6)])
+    def test_agrees_with_qr_and_svd_from_1e_15_to_a_right_angle(self, p, m):
+        rng = np.random.default_rng(10 * p + m)
+        angles = 10.0 ** rng.uniform(-15, np.log10(np.pi / 2), size=(400, p))
+        angles[:40] = 0.0  # identical spans
+        angles[40:80, 0] = np.pi / 2 - 10.0 ** rng.uniform(-15, -1, size=40)
+        a, b = self._frames(rng, p, m, angles)
+        got = subspace_angle(a, b)
+        assert np.max(np.abs(got - principal_angle_reference(a, b))) <= 1e-14
+        assert np.max(np.abs(got - angles.max(axis=-1))) <= 1e-14
+        assert got.tolist() == [subspace_angle(x, y) for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize("p, m", [(1, 2), (1, 4), (2, 4), (2, 6)])
+    def test_exactly_orthogonal_and_identical_spans(self, p, m):
+        rng = np.random.default_rng(p + m)
+        mix = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)) + 3 * np.eye(p)
+        e = np.eye(m)
+        assert subspace_angle(mix @ e[:p], e[p:2 * p]) == np.pi / 2  # C = 0 exactly
+        assert subspace_angle(mix @ e[:p], e[:p]) <= 1e-15
+        assert subspace_angle(e[:p], e[:p]) == 0.0
+
+    def test_three_rows_keep_qr_and_svd(self, cube):
+        pot = SymplecticPotential(cube, SubtorusProjection(((1, 0, 0),)), quadratic([[1.0]]))
+        x = central_interior(cube, 4, seed=3)
+        frames = np.stack([kahler_rows(pot, xi, 16.0) for xi in x])
+        lim = np.stack([limit_rows(pot, pot.proj, xi) for xi in x])
+        assert subspace_angle(frames, lim).tolist() == principal_angle_reference(
+            frames, lim).tolist()
+
+
 class TestBatchedFrames:
     def test_subspace_angle_stack_equals_pairs(self, square2, proj_first_of_two,
                                                phi_half_square):
@@ -281,15 +329,16 @@ class TestBatchedFrames:
             lim = limit_rows(pot, proj, x)
             B = lim[k:, :P.dim]
             norms, dists = [], []
-            for t in t_list:
+            for t in t_list:  # one G_t at a time, through the same SPD inverse and slope
                 G = pot.hessian(x, t)
-                fr = kahler_rows(pot, x, t)
-                norms.append(float(np.max(np.abs(A @ np.linalg.inv(G)))))
+                Ginv = _solve_spd(G[None], np.eye(P.dim)[None])[0]
+                fr = np.hstack([Ginv, -1j * np.eye(P.dim)])
+                norms.append(float(np.max(np.abs(A @ Ginv))))
                 dists.append(subspace_angle(fr, lim))
                 drift = max(drift, subspace_angle(np.hstack([B, -1j * (B @ G)]), lim[k:]))
             assert rep.top_block_norms[i].tolist() == norms
             assert rep.distances[i].tolist() == dists
-            assert rep.fitted_slopes[i] == np.polyfit(np.log(t_list), np.log(dists), 1)[0]
+            assert rep.fitted_slopes[i] == loglog_slope(t_list, dists)
             assert np.array_equal(rep.limit[i], lim)
         assert rep.subframe_invariance == drift
 
@@ -362,14 +411,14 @@ class TestFlowResidual:
 class TestOneHessianPerPoint:
     def test_g0_and_psi_hessians_and_h0_inverse_once(self, square2, proj_first_of_two,
                                                      phi_half_square, monkeypatch):
-        # the limit rows (B, -i B G0) need no inverse of Hess g0: the only
-        # inverse is the one stack of G_t over points and times
+        # the limit rows (B, -i B G0) need no inverse of Hess g0: the only inverse is the
+        # one stacked SPD solve of G_t over points and times, and LAPACK's inv is not called
         from dataclasses import replace
 
         from toric_quant import potential
 
-        calls = {"g0": 0, "psi": 0, "inv": []}
-        real_g0, real_inv = potential.g0_hessian, np.linalg.inv
+        calls = {"g0": 0, "psi": 0, "solve": [], "inv": []}
+        real_g0, real_solve, real_inv = potential.g0_hessian, polarization._solve_spd, np.linalg.inv
 
         def g0_hessian(P, x, L=None):
             calls["g0"] += 1
@@ -379,17 +428,22 @@ class TestOneHessianPerPoint:
             calls["psi"] += 1
             return phi_half_square.hessian(y)
 
+        def solve(H, R):
+            calls["solve"].append((np.shape(H), np.shape(R)))
+            return real_solve(H, R)
+
         def inv(a):
             calls["inv"].append(np.shape(a))
             return real_inv(a)
 
         monkeypatch.setattr(potential, "g0_hessian", g0_hessian)
+        monkeypatch.setattr(polarization, "_solve_spd", solve)
         monkeypatch.setattr(np.linalg, "inv", inv)
         phi = replace(phi_half_square, hessian=psi_hessian)
         pot = SymplecticPotential(square2, proj_first_of_two, phi)
         pts = np.array([[0.7, 1.2], [1.3, 0.4], [1.0, 1.0]])
         rep = decay_report(pot, proj_first_of_two, pts, [8, 16, 32, 64])
-        assert calls == {"g0": 1, "psi": 1, "inv": [(3, 4, 2, 2)]}
+        assert calls == {"g0": 1, "psi": 1, "solve": [((3, 4, 2, 2), (3, 4, 2, 2))], "inv": []}
         monkeypatch.undo()
         for x, lim in zip(pts, rep.limit):
             assert np.array_equal(lim, limit_rows(pot, proj_first_of_two, x))

@@ -15,7 +15,7 @@ from toric_quant import (
     quadratic,
     validate_potential,
 )
-from toric_quant.cli import load_config
+from toric_quant.cli import load_config, run
 from toric_quant.potential import boundary_approach_samples, interior_samples
 
 from conftest import fd_gradient, fd_jacobian, g0_on, sample_interior
@@ -230,10 +230,11 @@ class TestValidatePotential:
                             lambda P, x, L=None: seen.append(len(x)) or real(P, x, L))
         [rep] = validate_potential(pot, pts, rays, [t])
         assert seen == [len(pts) + len(rays)]
-        # the reference: every sample's Hessian on its own
-        H = np.stack([pot.hessian(x, t) for x in np.concatenate([pts, rays])])
-        mins = np.linalg.eigvalsh(H[:len(pts)])[:, 0]
-        prods = np.linalg.det(H) * np.prod(square2.facet_values_array(
+        # the reference: every sample's Hessian on its own, through the same 2x2 kernel
+        lone = [potential._lowest_eigenvalue_and_det(pot.hessian(x, t)[None, None], 1)
+                for x in np.concatenate([pts, rays])]
+        mins = np.array([low[0, 0] for low, _ in lone[:len(pts)]])
+        prods = np.array([det[0, 0] for _, det in lone]) * np.prod(square2.facet_values_array(
             np.concatenate([pts, rays])), axis=-1)
         assert rep.min_eigenvalue == mins.min()
         assert (rep.product_min, rep.product_max) == (prods.min(), prods.max())
@@ -246,3 +247,39 @@ class TestValidatePotential:
         times = [0.0, 1.0, 10.0, 100.0]
         assert validate_potential(pot0, pts, rays, times) == [
             validate_potential(pot0, pts, rays, [t])[0] for t in times]
+
+
+# det(Hess g0) * prod_j l_j at t = 0, exactly: on [0,k]^n each axis gives
+# 1/2 (1/x + 1/(k - x)) x (k - x) = k/2, so (k/2)^n; on k Delta^n Cauchy-Binet over the
+# n-subsets of the facets, with sum_j l_j = k, gives k / 2^n at every interior point
+_BOXES = [("configs/interval.json", 0.5), ("configs/square2.json", 1.0),
+          ("bench/fixtures/cube2.json", 1.0)]
+_SIMPLICES = [("bench/fixtures/simplex2.json", 2 / 4),
+              ("bench/fixtures/dilated_simplex6.json", 6 / 8),
+              ("bench/fixtures/dilated_simplex7.json", 7 / 8),
+              ("bench/fixtures/dilated_simplex8.json", 8 / 8)]
+# the relative error of the worse end of the t = 0 range, from cancellation in the determinant
+# of near-boundary Hessians: the LDL^T pivot for n = 2, LAPACK's LU for n = 3
+_SIMPLEX_ERROR = {"simplex2": "1.2e-10", "dilated_simplex6": "7.5e-9",
+                  "dilated_simplex7": "2.0e-8", "dilated_simplex8": "9.9e-9"}
+
+
+def _t0_product_error(path, exact):
+    report = run(load_config(str(REPO / path)), "potential-validate", {"t_list": [1.0]})
+    rep = report.outputs["per_t"]["0"]
+    return max(abs(rep[end] / exact - 1) for end in ("product_min", "product_max"))
+
+
+class TestExactBoundaryProduct:
+    @pytest.mark.parametrize("path, exact, tol", [(p, e, 1e-14) for p, e in _BOXES]
+                             + [(p, e, 2.5e-8) for p, e in _SIMPLICES])
+    def test_t0_product_range_is_the_exact_constant(self, path, exact, tol):
+        assert _t0_product_error(path, exact) <= tol
+
+    @pytest.mark.parametrize("path, exact", [
+        pytest.param(p, e, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            f"{Path(p).stem} reads {_SIMPLEX_ERROR[Path(p).stem]} relative: cancellation in "
+            "det(Hess g0) near the boundary; a cancellation-free Cauchy-Binet product mends it")))
+        for p, e in _SIMPLICES])
+    def test_simplex_product_to_1e_12(self, path, exact):
+        assert _t0_product_error(path, exact) <= 1e-12

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -26,7 +27,7 @@ from toric_quant import (
     quadratic,
 )
 from toric_quant import ProjectionError, quadrature
-from toric_quant.cli import load_config, main, parse_weight
+from toric_quant.cli import load_config, main, parse_weight, run
 from toric_quant.quadrature import (FIBER_NODES, NODE_BLOCK, AxisFibers, NodeFibers,
                                     QuadratureRule, TensorRule, _gauss_axis, _tensor_axes)
 
@@ -659,6 +660,26 @@ class TestSlicePairing:
                 quadrature.slice_pairing(push, square2, proj_first_of_two, (1, 1), inf,
                                          max(res, 64))
 
+
+    @pytest.mark.parametrize("res, contractions", [(128, 1), (64, 1), (32, 2)])
+    def test_one_contraction_per_box_concentrate(self, res, contractions, monkeypatch):
+        # R_inf reads the fiber moments that R_t contracted; below 64 nodes it contracts a
+        # 64-node rule of its own.  A contraction is a moments list not seen before.
+        made, real = [], AxisFibers.moments
+
+        def moments(push, u):
+            out = real(push, u)
+            made.extend([] if u is None or any(out is m for m in made) else [out])
+            return out
+
+        monkeypatch.setattr(AxisFibers, "moments", moments)
+        cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "square2.json"))
+        report = run(replace(cfg, resolution=res), "concentrate", {"m": (1, 1), "u": "x1^2"})
+        assert len(made) == contractions
+        monkeypatch.undo()
+        fresh = AxisFibers(make_rule(cfg.polytope, max(res, 64), (1, 1)), cfg.proj)
+        assert report.outputs["slice_value"] == quadrature.slice_pairing(
+            fresh, cfg.polytope, cfg.proj, (1, 1), parse_weight("x1^2", 2), max(res, 64))
 
 HIRZEBRUCH = DelzantPolytope(2, (((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4)))
 # the bench's planar fixtures: polygon, the row of A and the exact area
