@@ -21,7 +21,6 @@ from .subtorus import (
     NotConvexError,
     ProjectionError,
     SubtorusProjection,
-    default_convex,
     pullback,
     quadratic,
 )

@@ -43,7 +43,6 @@ from .subtorus import (
     NotConvexError,
     ProjectionError,
     SubtorusProjection,
-    default_convex,
     quadratic,
 )
 
@@ -183,7 +182,7 @@ def load_config(path: str) -> ExperimentConfig:
     if spec is not None and (not isinstance(spec, dict) or spec.get("type") != "quadratic"):
         raise ConfigError("bad_phi", "only the quadratic convex family is configurable")
     try:
-        phi = default_convex(proj.k) if spec is None else quadratic(spec["Q"], spec.get("b"))
+        phi = quadratic(np.eye(proj.k)) if spec is None else quadratic(spec["Q"], spec.get("b"))
     except NotConvexError as exc:
         raise ConfigError("not_convex", str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:

@@ -27,6 +27,7 @@ class NewtonConvergenceError(RuntimeError):
             f"(last residual {residual:.3e})")
 
 
+@np.errstate(all="ignore")  # a non-finite row fails its trials: NewtonConvergenceError
 def inverse(pot: SymplecticPotential, y, t=0.0):
     """Solve grad g_t(x) = y by damped Newton from the vertex barycenter.
 
@@ -55,7 +56,7 @@ def inverse(pot: SymplecticPotential, y, t=0.0):
     for iteration in range(MAX_ITERATIONS + 1):
         res = pot.gradient(x, T, L=L) - Y
         beyond = np.where(np.abs(res) < Yfloor, 0.0, res)
-        moving = ~(np.linalg.norm(beyond, axis=-1) <= TOLERANCE)  # NaN keeps iterating
+        moving = ~(np.sqrt((beyond * beyond).sum(axis=-1)) <= TOLERANCE)  # NaN keeps iterating
         if not moving.all():  # gather only when some row has converged
             X[active[~moving]] = x[~moving]
             active, x, L, res = active[moving], x[moving], L[moving], res[moving]
@@ -102,5 +103,5 @@ def _solve_spd(H, r):
 
 def _failure(x, res, iteration, active, i):
     """The NewtonConvergenceError of row i of the iterating rows x."""
-    resnorm = np.linalg.norm(res[i:i + 1], axis=-1)[0]
+    resnorm = np.sqrt((res[i] * res[i]).sum())
     return NewtonConvergenceError(x[i], float(resnorm), iteration, int(active[i]))

@@ -256,7 +256,7 @@ def _vertex_bounds(vertices, dim):
 
 
 def _grid_scan(axes, normals, offsets):
-    """The points num of the integer grid axes[0] x axes[1] x ... (monotone axes) with
+    """The points num of the integer grid axes[0] x axes[1] x ... (ascending axes) with
     normals . num + offsets >= 0, in meshgrid "ij" order, as an (N, dim) int64 array.
 
     The grid is walked line by line along the last axis: the halfspaces keep one run of it
@@ -302,9 +302,7 @@ def _line_runs(axes, R, lam):
     z at least -floor(C_j / a_j) for a_j > 0, at most floor(C_j / -a_j) for a_j < 0, and
     all of z or none for a_j = 0 (taken with divisor 1).
     """
-    z = axes[-1]
-    desc = len(z) > 1 and z[0] > z[-1]
-    zs = z[::-1] if desc else z  # ascending, for searchsorted
+    z = axes[-1]  # ascending, for searchsorted
     # facets grouped as a_j > 0, a_j < 0, a_j = 0, so each group is a slice
     a = R[:, -1].tolist()
     up, down = [j for j, v in enumerate(a) if v > 0], [j for j, v in enumerate(a) if v < 0]
@@ -320,10 +318,9 @@ def _line_runs(axes, R, lam):
         D = (lead @ R[:, :-1].T + lam) // div
         lo = -np.minimum.reduce(D[:, :nup], axis=1, initial=_INT64.max)
         hi = np.minimum.reduce(D[:, nup:ndown], axis=1, initial=_INT64.max)
-        i0 = zs.searchsorted(lo)
-        count = zs.searchsorted(hi, side="right") - i0
+        first = z.searchsorted(lo)
+        count = z.searchsorted(hi, side="right") - first
         keep = (count > 0) & (np.minimum.reduce(D[:, ndown:], axis=1, initial=0) >= 0)
-        first = len(z) - i0 - count if desc else i0
         yield lead[keep], first[keep], count[keep]
 
 
@@ -363,15 +360,16 @@ def is_delzant(P: DelzantPolytope) -> DelzantCertificate:
     """
     n = P.dim
     for v in P.vertices:
+        at = f"({', '.join(map(str, v.point))})"  # as fractions: (1, 1/2)
         if len(v.active_facets) != n:
             return DelzantCertificate(
                 False, vertex=v.point, determinant=None,
-                reason=f"vertex {v.point} lies on {len(v.active_facets)} facets")
+                reason=f"vertex {at} lies on {len(v.active_facets)} facets")
         det = integer_det([P.facets[j][0] for j in v.active_facets])
         if abs(det) != 1:
             return DelzantCertificate(
                 False, vertex=v.point, determinant=det,
-                reason=f"active normals at {v.point} have determinant {det}")
+                reason=f"active normals at {at} have determinant {det}")
     return DelzantCertificate(True)
 
 

@@ -86,7 +86,8 @@ class SymplecticPotential:
         g = g0(self.polytope, x, L)
         if np.ndim(t) == 0 and t == 0.0:
             return g
-        return g + np.reshape(t, np.shape(t) + (1,) * axes) * psi(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+            return g + np.reshape(t, np.shape(t) + (1,) * axes) * psi(x)
 
     def value(self, x, t=0.0):
         return self._family(g0_value, self.perturbation.value, x, t, 0)

@@ -215,8 +215,15 @@ class Pushforward:
     ``sums(h)`` gives the fiber sums of the weights and of w * h, shape (1 + rows,
     fibers), h = None for the weight sums alone: ``NodeFibers`` takes h mapping at most
     NODE_BLOCK nodes (B, n) to (B,) or (rows, B) values, ``AxisFibers`` a ``Polynomial``.
-    ``at_fibers(g)`` gives a fiber-constant g at each fiber's first node.
+    ``at_fibers(g)`` gives a fiber-constant g at each fiber's first node (``_nodes``).
     """
+
+    def at_fibers(self, g) -> np.ndarray:
+        out = np.empty(self.fiber_count)
+        for s in range(0, len(out), NODE_BLOCK):
+            x = self._nodes(s, min(s + NODE_BLOCK, len(out)))
+            out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
+        return out
 
     def masses(self, h, f, times):
         """sum_r e^{-t (f_r - min f)} F_r, shape (len(times), 1 + rows), and min f.
@@ -228,9 +235,10 @@ class Pushforward:
         fmin = fr.min()
         fr -= fmin
         out, w = np.empty((len(times), len(F))), np.empty_like(fr)
-        for i, t in enumerate(times):
-            np.exp(np.multiply(fr, -t, out=w), out=w)
-            out[i] = [w @ row for row in F]
+        with np.errstate(over="ignore"):  # a t f_r past float64 weighs e^-inf = 0
+            for i, t in enumerate(times):
+                np.exp(np.multiply(fr, -t, out=w), out=w)
+                out[i] = [w @ row for row in F]
         return out, float(fmin)
 
 
@@ -258,12 +266,12 @@ class NodeFibers(Pushforward):
             out[1:, f0:f1] += np.add.reduceat(vals * w, cuts, axis=1)
         return out
 
-    def at_fibers(self, g) -> np.ndarray:
-        out = np.empty(len(self.starts))
-        for s in range(0, len(out), NODE_BLOCK):
-            x = self.rule.nodes(self.starts[s:s + NODE_BLOCK])
-            out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
-        return out
+    @property
+    def fiber_count(self) -> int:
+        return len(self.starts)
+
+    def _nodes(self, r0, r1):
+        return self.rule.nodes(self.starts[r0:r1])
 
 
 class AxisFibers(Pushforward):
@@ -285,6 +293,7 @@ class AxisFibers(Pushforward):
         self.rule, self.image = rule, image
         self.fiber = tuple(i for i in range(len(axes)) if i not in image)
         self.wy, self._kept = _outer([axes[i][1] for i in image]), None
+        self.fiber_count = len(self.wy)
 
     def _nodes(self, r0, r1):
         """The first nodes of the fibers r0:r1: an (r1 - r0, n) view of contiguous columns."""
@@ -324,13 +333,6 @@ class AxisFibers(Pushforward):
         if not np.isfinite(out).all():  # name the first node of the first non-finite fiber
             r = int(np.argmin(np.all(np.isfinite(out), axis=0)))
             _finite(out[:, r], self._nodes(r, r + 1))
-        return out
-
-    def at_fibers(self, g) -> np.ndarray:
-        out = np.empty(len(self.wy))
-        for s in range(0, len(out), NODE_BLOCK):
-            x = self._nodes(s, min(s + NODE_BLOCK, len(out)))
-            out[s:s + NODE_BLOCK] = _finite(np.asarray(g(x), dtype=float), x)
         return out
 
 

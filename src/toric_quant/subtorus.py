@@ -140,11 +140,6 @@ def quadratic(Q, b=None) -> ConvexFunction:
     return ConvexFunction(dim=dim, value=value, gradient=gradient, hessian=hessian)
 
 
-def default_convex(k: int) -> ConvexFunction:
-    """The fallback perturbation phi(y) = |y|^2 / 2."""
-    return quadratic(np.eye(k))
-
-
 def pullback(phi: ConvexFunction, proj: SubtorusProjection) -> ConvexFunction:
     """psi = phi o proj with chain-rule gradient A^T grad and Hessian A^T H A, the latter one
     product of the flattened H with the flattened A (x) A, (k^2, n^2), over every leading axis."""

@@ -538,6 +538,27 @@ class TestEmit:
         assert text.splitlines()[0] == "t,ratio,error"
         assert len(text.splitlines()) == 3
 
+    @pytest.mark.parametrize("command, header, first", [
+        ("lattice", "point", "0 0"),
+        ("weights", "weight,count", "0,3"),
+    ])
+    def test_csv_lattice_and_weights(self, tmp_path, capsys, command, header, first):
+        assert main([command, write_cfg(tmp_path, SQUARE2_CFG), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [header, first]
+
+    def test_csv_polarization_limit(self, tmp_path, capsys):
+        # one row per t: the column maxima of the JSON report and the largest slope
+        path = write_cfg(tmp_path, SQUARE2_CFG)
+        assert main(["polarization-limit", path, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main(["polarization-limit", path]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert lines[0] == "t,top_block_norm,grassmann_distance,fitted_slope"
+        assert lines[1] == ",".join(map(repr, (8.0, out["max_top_block_norm"][0],
+                                               out["max_grassmann_distance"][0],
+                                               max(out["fitted_slopes"]))))
+        assert len(lines) == 1 + len(out["t"])
+
     def test_svg_is_not_a_format(self, tmp_path, capsys):
         # the SVG plot was retired: emit and the command line refuse the format
         cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
@@ -604,6 +625,65 @@ class TestMain:
         cfg = load_config(write_cfg(tmp_path, SQUARE2_CFG))
         for opts in ({}, {"u": None}):
             assert run(cfg, "concentrate", opts).outputs["u"] == "x1"
+
+
+# the square [0, 2]^2 under the apex (1, 1, 1): four side facets meet at the apex
+PYRAMID_CFG = {"polytope": {"dim": 3, "facets": [
+    {"normal": [0, 0, 1], "offset": 0},
+    {"normal": [1, 0, -1], "offset": 0}, {"normal": [-1, 0, -1], "offset": 2},
+    {"normal": [0, 1, -1], "offset": 0}, {"normal": [0, -1, -1], "offset": 2}]}}
+
+
+class TestRefusals:
+    """Each refusal through main: exit 2, no report, and one JSON error line on stderr."""
+
+    @staticmethod
+    def _refused(capsys, argv, code):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        err = json.loads(err)["error"]
+        assert err["code"] == code
+        return err
+
+    def test_non_simple_vertex_is_not_delzant(self, tmp_path, capsys):
+        err = self._refused(capsys, ["validate", write_cfg(tmp_path, PYRAMID_CFG)], "not_delzant")
+        assert err["message"] == "polytope is not Delzant: vertex (1, 1, 1) lies on 4 facets"
+        assert err["details"] == {"vertex": ["1", "1", "1"], "determinant": None}
+
+    def test_determinant_reason_prints_fractions(self, tmp_path, capsys):
+        # x, y >= 0 and x + 2y <= 2: the vertex (2, 0) has determinant -2 (its twin (0, 1) is fine)
+        data = {"polytope": {"dim": 2, "facets": [
+            {"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0},
+            {"normal": [-1, -2], "offset": 2}]}}
+        err = self._refused(capsys, ["validate", write_cfg(tmp_path, data)], "not_delzant")
+        assert "Fraction" not in err["message"]
+        assert err["message"].endswith(f"at ({', '.join(err['details']['vertex'])}) have "
+                                       f"determinant {err['details']['determinant']}")
+
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        self._refused(capsys, ["validate", str(tmp_path / "missing.json")], "io_error")
+
+    @pytest.mark.parametrize("data", [[1, 2], {"polytope": {"dim": 2}}], ids=["list", "no_facets"])
+    def test_malformed_config_is_parse_error(self, tmp_path, capsys, data):
+        self._refused(capsys, ["validate", write_cfg(tmp_path, data)], "parse_error")
+
+    def test_projection_wider_than_the_polytope(self, tmp_path, capsys):
+        data = dict(SQUARE2_CFG, proj=[[1, 0, 0]])
+        err = self._refused(capsys, ["validate", write_cfg(tmp_path, data)], "dimension_mismatch")
+        assert err["message"] == "projection width 3 != polytope dimension 2"
+
+    def test_normals_that_do_not_span_are_unbounded(self, tmp_path, capsys):
+        data = {"polytope": {"dim": 2, "facets": [
+            {"normal": [1, 0], "offset": 0}, {"normal": [-1, 0], "offset": 2},
+            {"normal": [1, 0], "offset": 1}]}}
+        err = self._refused(capsys, ["validate", write_cfg(tmp_path, data)], "bad_polytope")
+        assert "normals do not span" in err["message"]
+
+    def test_validate_has_no_csv_form(self, tmp_path, capsys):
+        argv = ["validate", write_cfg(tmp_path, SQUARE2_CFG), "--format", "csv"]
+        err = self._refused(capsys, argv, "bad_format")
+        assert err["message"] == "no CSV form for command 'validate'"
 
 
 def _reject_constant(token):
@@ -915,6 +995,32 @@ class TestOutOfRange:
         assert cap.out == "" and cap.err.count("\n") == 1
         err = json.loads(cap.err, parse_constant=_reject_constant)["error"]
         assert err["code"] == "out_of_range" and "non-finite" in err["message"]
+
+    @pytest.mark.parametrize("command", ["legendre-roundtrip", "sections-norms", "full-suite"])
+    @pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda p: p.stem)
+    def test_t_past_float64_prints_one_json_line(self, capsys, command, config):
+        # t psi leaves float64 in the family, Newton's residual and the section norms: the one
+        # out_of_range line and no numpy warning on stderr, or a report where Newton converges
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, str(config), "--t", "1e300,1e308"])
+        cap = capsys.readouterr()
+        if command == "legendre-roundtrip" and config.stem in ("interval", "cube2", "simplex2"):
+            assert code == 0 and cap.err == ""
+            return
+        assert code == 2 and cap.out == "" and cap.err.count("\n") == 1
+        assert json.loads(cap.err, parse_constant=_reject_constant)["error"]["code"] == \
+            "out_of_range"
+
+    @pytest.mark.parametrize("command, code", [("potential-validate", 2),
+                                               ("polarization-limit", 2),
+                                               ("flow-check", 0), ("concentrate", 1)])
+    def test_other_commands_at_t_past_float64(self, capsys, command, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(REPO / "configs" / "square2.json"),
+                         "--t", "1e300,1e308"]) == code
+        assert capsys.readouterr().err.count("\n") == (code == 2)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_emit_refuses_non_finite(self, value):
@@ -1263,8 +1369,8 @@ class TestTimeFamilyOnce:
                       lambda w, x: weights.append(len(x)))
         run(load_config(write_cfg(tmp_path, SQUARE2_CFG)), "sections-norms",
             {"t_list": self.TIMES, "m": (1, 1)})
-        # sigma^m_0, then sigma^m_t for the whole ladder in one call
-        assert norms == [[0.0], list(self.TIMES)]
+        # sigma^m_t for t = 0 and the whole ladder in one call
+        assert norms == [[0.0, *self.TIMES]]
         # f_m once on the 100 sample points; the L1 norms take it per fiber
         assert weights.count(100) == 1
 

@@ -8,7 +8,6 @@ from toric_quant import (
     SubtorusProjection,
     SymplecticPotential,
     decay_report,
-    default_convex,
     quadratic,
 )
 from toric_quant import polarization
@@ -488,7 +487,7 @@ class TestLimitProperty:
     @given(polytope_and_projection(), st.integers(0, 2 ** 16))
     def test_frames_degenerate_to_the_mixed_limit(self, case, seed):
         P, proj = case
-        pot = SymplecticPotential(P, proj, default_convex(proj.k))
+        pot = SymplecticPotential(P, proj, quadratic(np.eye(proj.k)))
         pts = central_interior(P, 3, seed=seed)
         t_list = [8, 16, 32, 64, 128]
         rep = decay_report(pot, proj, pts, t_list)

@@ -248,10 +248,10 @@ class TestFactorization:
         monkeypatch.setattr(ConcentrationWeight, "__call__", weight)
         res, scale = norm_factorization_check(pot0, m, times, pts)
         assert res.tolist() == ref_res and scale.tolist() == ref_scale
-        # |sigma_0| once, |sigma_t| for every t in one stacked call, f_m once
-        assert calls == {"norm": 2, "fm": 1}
+        # |sigma_t| for t = 0 and every t in one stacked call, f_m once
+        assert calls == {"norm": 1, "fm": 1}
 
-    def test_g0_evaluated_twice_per_ladder(self, square2, proj_first_of_two,
+    def test_g0_evaluated_once_per_ladder(self, square2, proj_first_of_two,
                                            phi_half_square, monkeypatch):
         from toric_quant import potential
 
@@ -264,8 +264,8 @@ class TestFactorization:
         res, _ = norm_factorization_check(pot0, (1, 1), (1.0, 4.0, 16.0, 64.0), pts)
         assert res.shape == (4,)
         assert np.all(res < 1e-10)  # relative to max(1, max |sigma^m_t|)
-        # once for |sigma^m_0| and once for |sigma^m_t| at every t
-        assert seen == {"g0_value": [(30, 2)] * 2, "g0_gradient": [(30, 2)] * 2}
+        # once for |sigma^m_t| at t = 0 and every t
+        assert seen == {"g0_value": [(30, 2)], "g0_gradient": [(30, 2)]}
 
 
 class TestL1AndBasis:
